@@ -22,7 +22,7 @@ use reach_core::{
     IndexError, ObjectId, Query, QueryOutcome, QueryResult, QueryStats, ReachabilityIndex, Time,
     TimeInterval,
 };
-use reach_graph::{HnSource, VertexData};
+use reach_graph::{HnSource, Vertex};
 use reach_storage::{
     read_record, BlockDevice, ByteReader, ByteWriter, Pager, RecordPtr, RecordWriter, SimDevice,
     TimelineRegion,
@@ -444,6 +444,7 @@ impl GrailDisk {
             intervals: &intervals,
             members: &members,
             rev: None,
+            fwd: Vec::new(),
         };
         let (set, tstats) = reach_graph::reachable_set(&mut view, source, interval)?;
         let io = self.pager.stats().since(&before);
@@ -490,6 +491,7 @@ impl GrailDisk {
             intervals: &intervals,
             members: &members,
             rev: None,
+            fwd: Vec::new(),
         };
         let (set, tstats) = reach_graph::reachable_set_seeded(&mut view, seeds, interval)?;
         let io = self.pager.stats().since(&before);
@@ -558,6 +560,7 @@ impl GrailDisk {
             intervals: &intervals,
             members: &members,
             rev: rev.as_deref(),
+            fwd: Vec::new(),
         };
         let (value, tstats) = run(&mut view)?;
         let io = self.pager.stats().since(&before);
@@ -743,6 +746,8 @@ struct GrailHnView<'a> {
     intervals: &'a [TimeInterval],
     members: &'a [Vec<u32>],
     rev: Option<&'a [Vec<u32>]>,
+    /// The last visited vertex's out-edges, as read from its record.
+    fwd: Vec<u32>,
 }
 
 impl HnSource for GrailHnView<'_> {
@@ -762,19 +767,18 @@ impl HnSource for GrailHnView<'_> {
         self.disk.num_objects
     }
 
-    fn vertex(&mut self, v: u32) -> Result<VertexData, IndexError> {
-        let (fwd, _) = self.disk.read_vertex(v)?;
+    fn vertex(&mut self, v: u32) -> Result<Vertex<'_>, IndexError> {
+        (self.fwd, _) = self.disk.read_vertex(v)?;
         let interval = *self
             .intervals
             .get(v as usize)
             .ok_or_else(|| IndexError::Corrupt(format!("vertex {v} out of range")))?;
-        Ok(VertexData {
+        Ok(Vertex::new(
             interval,
-            members: self.members[v as usize].clone(),
-            fwd,
-            rev: self.rev.map(|r| r[v as usize].clone()).unwrap_or_default(),
-            bundles: Vec::new(),
-        })
+            &self.members[v as usize],
+            &self.fwd,
+            self.rev.map_or(&[], |r| &r[v as usize]),
+        ))
     }
 
     fn node_of(&mut self, o: ObjectId, t: Time) -> Result<u32, IndexError> {

@@ -191,7 +191,7 @@ fn forward<S: HnSource>(
         for &m in &group.members {
             let v = src.node_of(ObjectId(m), t1)?;
             if let Entry::Vacant(slot) = gate.entry(v) {
-                slot.insert(src.vertex(v)?.members.clone());
+                slot.insert(src.vertex(v)?.members().to_vec());
             }
             let hop = u32::from(gate[&v] != group.members);
             for &(h, e) in &group.states {
@@ -238,10 +238,10 @@ fn forward<S: HnSource>(
         }
         stats.visited += 1;
         let vd = src.vertex(s.node)?;
-        if matches!(stop, Stop::Exhaust) && vd.interval.end >= t2 {
-            open.entry(s.node).or_insert_with(|| vd.members.clone());
+        if matches!(stop, Stop::Exhaust) && vd.interval().end >= t2 {
+            open.entry(s.node).or_insert_with(|| vd.members().to_vec());
         }
-        for &m in &vd.members {
+        for &m in vd.members() {
             pareto_insert(object_rows.entry(m).or_default(), s.transfers, s.entry);
             if let Entry::Vacant(slot) = first.entry(m) {
                 slot.insert((s.weight, s.entry));
@@ -260,11 +260,11 @@ fn forward<S: HnSource>(
                 }
             }
         }
-        if vd.interval.end < t2 {
-            let (h, e) = (s.transfers + 1, vd.interval.end + 1);
+        if vd.interval().end < t2 {
+            let (h, e) = (s.transfers + 1, vd.interval().end + 1);
             let weight = weigh(h, e);
             if weight >= dyn_floor {
-                for &w in &vd.fwd {
+                for &w in vd.fwd() {
                     stats.examined += 1;
                     if pareto_insert(node_states.entry(w).or_default(), h, e) {
                         heap.push(State {
@@ -467,7 +467,7 @@ pub fn top_k_reaching<S: HnSource>(
     while t <= t2 {
         let v = src.node_of(anchor, t)?;
         let vd = src.vertex(v)?;
-        let entry = vd.interval.start.max(t1);
+        let entry = vd.interval().start.max(t1);
         let weight = weigh(0, entry);
         let better = match best.get(&v) {
             Some(&(w, _, e)) => weight > w || (weight == w && entry < e),
@@ -482,10 +482,10 @@ pub fn top_k_reaching<S: HnSource>(
                 node: v,
             });
         }
-        if vd.interval.end >= t2 {
+        if vd.interval().end >= t2 {
             break;
         }
-        t = vd.interval.end + 1;
+        t = vd.interval().end + 1;
     }
 
     let mut first: HashMap<u32, (f64, Time)> = HashMap::new();
@@ -501,9 +501,9 @@ pub fn top_k_reaching<S: HnSource>(
         }
         stats.visited += 1;
         let vd = src.vertex(s.node)?;
-        if vd.interval.start <= t1 && t1 <= vd.interval.end {
+        if vd.interval().start <= t1 && t1 <= vd.interval().end {
             // Only here can a source start its path at the window start.
-            for &m in &vd.members {
+            for &m in vd.members() {
                 if let Entry::Vacant(slot) = first.entry(m) {
                     slot.insert((s.weight, s.entry));
                     if ObjectId(m) != anchor {
@@ -518,11 +518,11 @@ pub fn top_k_reaching<S: HnSource>(
                 }
             }
         }
-        if vd.interval.start > t1 {
+        if vd.interval().start > t1 {
             let (h, e) = (s.transfers + 1, s.entry);
             let weight = weigh(h, e);
             if weight >= dyn_floor {
-                for &u in &vd.rev {
+                for &u in vd.rev() {
                     stats.examined += 1;
                     let better = match best.get(&u) {
                         Some(&(w, _, pe)) => weight > w || (weight == w && e < pe),

@@ -19,12 +19,21 @@
 //! IO are identical on all of them.
 //!
 //! Traversal fetches whole partitions and buffers a bounded number of
-//! decoded partitions, discarding the oldest (§5.2).
+//! decoded partitions, discarding the oldest (§5.2). A fetched record is
+//! validated and decoded once, in full, into a flat [`Partition`]: one
+//! `u32` arena holding every list back to back, the list boundaries, the
+//! intervals, and a sorted vertex-id → slot table. [`HnSource::vertex`]
+//! then returns a [`Vertex`] view borrowing that
+//! partition, so a visit costs a table lookup, not an allocation, and
+//! the re-streaming [`DnAccess`] surface copies only the list it is asked
+//! for. Neither the record format nor the counted IO depends on this:
+//! decoding happens after the pages are read.
 
 use crate::params::{GraphParams, TraversalKind};
+use crate::partition::Partition;
 use crate::placement::{partition, Partitioning};
 use crate::traverse::evaluate;
-use crate::vertex::{HnSource, VertexData};
+use crate::vertex::{HnSource, Vertex, VertexData};
 use reach_contact::{DnAccess, DnGraph, MultiRes};
 use reach_core::{IndexError, ObjectId, Query, QueryResult, QueryStats, ReachabilityIndex, Time};
 use reach_storage::{
@@ -34,12 +43,6 @@ use reach_storage::{
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// A decoded partition, shared by the partition buffer.
-#[derive(Debug)]
-struct DecodedPartition {
-    vertices: HashMap<u32, VertexData>,
-}
 
 /// Disk-resident ReachGraph.
 pub struct ReachGraph {
@@ -56,7 +59,7 @@ pub struct ReachGraph {
     /// The `Ht` lookup region (shared layout with disk GRAIL).
     timeline: TimelineRegion,
     /// Decoded-partition buffer (bounded, FIFO eviction).
-    buffer: HashMap<u32, Arc<DecodedPartition>>,
+    buffer: HashMap<u32, Partition>,
     buffer_order: VecDeque<u32>,
 }
 
@@ -111,19 +114,23 @@ impl ReachGraph {
         let parts: Partitioning = partition(&mut dn, params.partition_depth);
         let mut writer = RecordWriter::new(disk)?;
         let mut partition_ptrs = Vec::with_capacity(parts.num_partitions as usize);
+        // One scratch record, refilled per vertex.
+        let mut vd = VertexData {
+            interval: reach_core::TimeInterval::instant(0),
+            members: Vec::new(),
+            fwd: Vec::new(),
+            rev: Vec::new(),
+            bundles: vec![Vec::new(); mr.levels().len()],
+        };
         for mine in &parts.members {
             let mut w = ByteWriter::with_capacity(64 * mine.len());
             w.put_u32(mine.len() as u32);
             for &v in mine {
-                let mut vd = VertexData {
-                    interval: dn.interval(v),
-                    members: Vec::new(),
-                    fwd: Vec::new(),
-                    rev: Vec::new(),
-                    bundles: (0..mr.levels().len())
-                        .map(|idx| mr.bundle(idx, v).to_vec())
-                        .collect(),
-                };
+                vd.interval = dn.interval(v);
+                for (idx, bundle) in vd.bundles.iter_mut().enumerate() {
+                    bundle.clear();
+                    bundle.extend_from_slice(mr.bundle(idx, v));
+                }
                 dn.members_into(v, &mut vd.members);
                 dn.fwd_into(v, &mut vd.fwd);
                 dn.rev_into(v, &mut vd.rev);
@@ -272,27 +279,22 @@ impl ReachGraph {
         }
     }
 
-    fn fetch_partition(&mut self, pid: u32) -> Result<Arc<DecodedPartition>, IndexError> {
-        if let Some(p) = self.buffer.get(&pid) {
-            return Ok(Arc::clone(p));
-        }
-        let bytes = read_record(&mut self.pager, self.partition_ptrs[pid as usize])?;
-        let mut r = ByteReader::new(&bytes);
-        let count = r.get_u32()? as usize;
-        let mut vertices = HashMap::with_capacity(count * 2);
-        for _ in 0..count {
-            let id = r.get_u32()?;
-            vertices.insert(id, VertexData::decode(&mut r)?);
-        }
-        let decoded = Arc::new(DecodedPartition { vertices });
-        if self.buffer.len() >= self.params.partition_cache.max(1) {
-            if let Some(old) = self.buffer_order.pop_front() {
-                self.buffer.remove(&old);
+    fn fetch_partition(&mut self, pid: u32) -> Result<&Partition, IndexError> {
+        if !self.buffer.contains_key(&pid) {
+            let bytes = read_record(&mut self.pager, self.partition_ptrs[pid as usize])?;
+            let partition_of = &self.partition_of;
+            let decoded = Partition::decode(&bytes, self.params.levels.len(), |v| {
+                partition_of.get(v as usize) == Some(&pid)
+            })?;
+            if self.buffer.len() >= self.params.partition_cache.max(1) {
+                if let Some(old) = self.buffer_order.pop_front() {
+                    self.buffer.remove(&old);
+                }
             }
+            self.buffer.insert(pid, decoded);
+            self.buffer_order.push_back(pid);
         }
-        self.buffer.insert(pid, Arc::clone(&decoded));
-        self.buffer_order.push_back(pid);
-        Ok(decoded)
+        Ok(&self.buffer[&pid])
     }
 
     /// Every object reachable from `source` during `interval`, with exact
@@ -610,25 +612,22 @@ impl DnAccess for ReachGraph {
     }
 
     fn interval(&mut self, v: u32) -> reach_core::TimeInterval {
-        self.vertex(v).expect(RESTREAM_IO).interval
+        self.vertex(v).expect(RESTREAM_IO).interval()
     }
 
     fn members_into(&mut self, v: u32, out: &mut Vec<u32>) {
-        let vd = self.vertex(v).expect(RESTREAM_IO);
         out.clear();
-        out.extend_from_slice(&vd.members);
+        out.extend_from_slice(self.vertex(v).expect(RESTREAM_IO).members());
     }
 
     fn fwd_into(&mut self, v: u32, out: &mut Vec<u32>) {
-        let vd = self.vertex(v).expect(RESTREAM_IO);
         out.clear();
-        out.extend_from_slice(&vd.fwd);
+        out.extend_from_slice(self.vertex(v).expect(RESTREAM_IO).fwd());
     }
 
     fn rev_into(&mut self, v: u32, out: &mut Vec<u32>) {
-        let vd = self.vertex(v).expect(RESTREAM_IO);
         out.clear();
-        out.extend_from_slice(&vd.rev);
+        out.extend_from_slice(self.vertex(v).expect(RESTREAM_IO).rev());
     }
 
     fn timeline_into(&mut self, o: ObjectId, out: &mut Vec<(Time, u32)>) {
@@ -659,15 +658,13 @@ impl HnSource for ReachGraph {
         self.num_objects
     }
 
-    fn vertex(&mut self, v: u32) -> Result<VertexData, IndexError> {
+    fn vertex(&mut self, v: u32) -> Result<Vertex<'_>, IndexError> {
         let pid = *self
             .partition_of
             .get(v as usize)
             .ok_or_else(|| IndexError::Corrupt(format!("vertex {v} out of range")))?;
-        let part = self.fetch_partition(pid)?;
-        part.vertices
-            .get(&v)
-            .cloned()
+        self.fetch_partition(pid)?
+            .vertex(v)
             .ok_or_else(|| IndexError::Corrupt(format!("vertex {v} missing from partition {pid}")))
     }
 
@@ -825,17 +822,89 @@ mod tests {
         let mut rg = ReachGraph::build(&dn, &mr, params(128)).unwrap();
         for v in 0..dn.num_nodes() as u32 {
             let vd = rg.vertex(v).unwrap();
-            assert_eq!(vd.interval, dn.node(v).interval);
+            assert_eq!(vd.interval(), dn.node(v).interval);
             assert_eq!(
-                vd.members,
+                vd.members(),
                 dn.node(v).members.iter().map(|m| m.0).collect::<Vec<_>>()
             );
-            assert_eq!(vd.fwd, dn.fwd(v));
-            assert_eq!(vd.rev, dn.rev(v));
+            assert_eq!(vd.fwd(), dn.fwd(v));
+            assert_eq!(vd.rev(), dn.rev(v));
+            assert_eq!(vd.num_bundles(), mr.levels().len());
             for idx in 0..mr.levels().len() {
-                assert_eq!(vd.bundles[idx], mr.bundle(idx, v));
+                assert_eq!(vd.bundle(idx), mr.bundle(idx, v));
             }
         }
+    }
+
+    /// The id and raw record of `rg`'s largest partition.
+    fn largest_record(rg: &mut ReachGraph) -> (u32, Vec<u8>) {
+        let pid = (0..rg.num_partitions())
+            .max_by_key(|&p| rg.partition_of.iter().filter(|&&q| q == p).count())
+            .unwrap();
+        let bytes = read_record(&mut rg.pager, rg.partition_ptrs[pid as usize]).unwrap();
+        (pid, bytes)
+    }
+
+    #[test]
+    fn corrupt_partition_records_are_typed_errors() {
+        let (dn, mr, _) = random_world(12, 6, 80, 0.06);
+        let mut rg = ReachGraph::build(&dn, &mr, params(256)).unwrap();
+        let (pid, bytes) = largest_record(&mut rg);
+        let levels = rg.params.levels.len();
+        let decode = |bytes: &[u8]| {
+            Partition::decode(bytes, levels, |v| {
+                rg.partition_of.get(v as usize) == Some(&pid)
+            })
+        };
+        decode(&bytes).unwrap();
+        assert!(
+            rg.partition_of.iter().filter(|&&p| p == pid).count() > 1,
+            "a multi-vertex partition"
+        );
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(decode(&bytes[..cut]), Err(IndexError::Corrupt(_))),
+                "prefix of {cut} bytes decoded"
+            );
+        }
+        // Every length prefix of the first vertex, with a high bit flipped,
+        // claims a list running past the record. The first vertex's lists
+        // start after the count, its id, and its interval.
+        assert!(bytes.len() < 1 << 16);
+        let mut at = 16;
+        for list in 0..3 + levels {
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            for bit in 16..32 {
+                let mut flipped = bytes.clone();
+                flipped[at + bit / 8] ^= 1 << (bit % 8);
+                assert!(
+                    matches!(decode(&flipped), Err(IndexError::Corrupt(_))),
+                    "list {list} length with bit {bit} flipped decoded"
+                );
+            }
+            // The bundle count byte sits between rev and the bundles.
+            at += 4 + 4 * len + usize::from(list == 2);
+        }
+    }
+
+    #[test]
+    fn page_table_disagreeing_with_a_partition_is_corrupt() {
+        let (dn, mr, _) = random_world(12, 6, 80, 0.06);
+        let mut rg = ReachGraph::build(&dn, &mr, params(256)).unwrap();
+        assert!(rg.num_partitions() > 1);
+        let v = 0u32;
+        let home = rg.partition_of[v as usize];
+        let sibling = (0..rg.num_nodes() as u32)
+            .find(|&u| u != v && rg.partition_of[u as usize] == home)
+            .expect("vertex 0 shares its partition");
+        let elsewhere = (home + 1) % rg.num_partitions();
+        Arc::make_mut(&mut rg.partition_of)[v as usize] = elsewhere;
+        // The page table sends `v` to a partition that does not hold it…
+        assert!(matches!(rg.vertex(v), Err(IndexError::Corrupt(_))));
+        // …and `v`'s real partition holds a vertex the table places
+        // elsewhere, so fetching any of its vertices fails too.
+        rg.reset_io();
+        assert!(matches!(rg.vertex(sibling), Err(IndexError::Corrupt(_))));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //!
 //! * [`GraphParams`] / [`TraversalKind`] — tuning and strategy selection;
 //! * [`placement`] — depth-`d_p` topological partitioning (§5.1.3);
-//! * [`ReachGraph`] — the disk-resident index;
+//! * [`ReachGraph`] — the disk-resident index, whose partition records
+//!   decode into flat [`Partition`] tables;
+//! * [`Vertex`] — the borrowed vertex view every traversal reads;
 //! * [`MemoryHn`] — the memory-resident variant (§6.4);
 //! * [`traverse`] — E-DFS / E-BFS / B-BFS / BM-BFS over either backing;
 //! * [`decay`] — decay-weighted and top-k ranked traversal
@@ -20,6 +22,7 @@ pub mod decay;
 pub mod diskgraph;
 pub mod memory;
 pub mod params;
+pub mod partition;
 pub mod placement;
 pub mod traverse;
 pub mod vertex;
@@ -28,6 +31,7 @@ pub use decay::{decay_reachable, decay_states_seeded, top_k_reachable, top_k_rea
 pub use diskgraph::ReachGraph;
 pub use memory::MemoryHn;
 pub use params::{GraphParams, TraversalKind};
+pub use partition::Partition;
 pub use placement::{partition, Partitioning};
 pub use traverse::{reachable_set, reachable_set_seeded, TraversalStats};
-pub use vertex::{HnSource, VertexData};
+pub use vertex::{HnSource, Vertex, VertexData};

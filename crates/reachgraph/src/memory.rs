@@ -6,7 +6,7 @@
 
 use crate::params::TraversalKind;
 use crate::traverse::{evaluate, TraversalStats};
-use crate::vertex::{HnSource, VertexData};
+use crate::vertex::{HnSource, Vertex};
 use reach_contact::{DnGraph, MultiRes};
 use reach_core::{IndexError, ObjectId, Query, QueryResult, QueryStats, ReachabilityIndex, Time};
 use std::time::Instant;
@@ -15,12 +15,19 @@ use std::time::Instant;
 pub struct MemoryHn<'a> {
     dn: &'a DnGraph,
     mr: &'a MultiRes,
+    /// The last visited vertex's members as raw ids (the DN stores
+    /// [`ObjectId`]s; every other list is borrowed in place).
+    members: Vec<u32>,
 }
 
 impl<'a> MemoryHn<'a> {
     /// Wraps a DN and its long-edge bundles.
     pub fn new(dn: &'a DnGraph, mr: &'a MultiRes) -> Self {
-        Self { dn, mr }
+        Self {
+            dn,
+            mr,
+            members: Vec::new(),
+        }
     }
 
     /// Evaluates with an explicit strategy, timing the pure computation.
@@ -75,20 +82,21 @@ impl HnSource for MemoryHn<'_> {
         self.dn.num_objects()
     }
 
-    fn vertex(&mut self, v: u32) -> Result<VertexData, IndexError> {
+    fn vertex(&mut self, v: u32) -> Result<Vertex<'_>, IndexError> {
         if v as usize >= self.dn.num_nodes() {
             return Err(IndexError::Corrupt(format!("vertex {v} out of range")));
         }
         let node = self.dn.node(v);
-        Ok(VertexData {
-            interval: node.interval,
-            members: node.members.iter().map(|m| m.0).collect(),
-            fwd: self.dn.fwd(v).to_vec(),
-            rev: self.dn.rev(v).to_vec(),
-            bundles: (0..self.mr.levels().len())
-                .map(|idx| self.mr.bundle(idx, v).to_vec())
-                .collect(),
-        })
+        self.members.clear();
+        self.members.extend(node.members.iter().map(|m| m.0));
+        Ok(Vertex::resident(
+            node.interval,
+            &self.members,
+            self.dn.fwd(v),
+            self.dn.rev(v),
+            self.mr,
+            v,
+        ))
     }
 
     fn node_of(&mut self, o: ObjectId, t: Time) -> Result<u32, IndexError> {

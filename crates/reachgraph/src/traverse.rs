@@ -23,15 +23,19 @@
 //! backward with `ld ≥ mid`.
 //!
 //! Storage note: the traversal's page traffic flows through
-//! [`HnSource::node_of`] (timeline binary-search probes) and
-//! [`HnSource::vertex`] (partition records). On the disk backing both ride
-//! `Pager::with_page`: single-page probes borrow the cached buffer
-//! zero-copy, while multi-page partition records keep the owned
-//! `read_record` path, since a record spanning pages cannot be borrowed from
-//! one pool slot.
+//! [`HnSource::node_of`] (timeline binary-search probes, each a zero-copy
+//! `Pager::with_page` borrow of one page) and [`HnSource::vertex`]
+//! (partition records, read whole through `read_record`, since a record
+//! spanning pages cannot be borrowed from one pool slot). The disk backing
+//! decodes each fetched record once into a flat
+//! [`Partition`](crate::Partition) and `vertex` returns a
+//! [`Vertex`] view into it, so expanding a vertex costs a slot lookup and
+//! slice reads — no allocation, no copy. Every source returns the same
+//! view type; a view borrows its source, so each step reads what it needs
+//! from the view before the next `vertex` or `node_of` call.
 
 use crate::params::TraversalKind;
-use crate::vertex::{HnSource, VertexData};
+use crate::vertex::{HnSource, Vertex};
 use reach_contact::launch_boundary;
 use reach_core::{IndexError, Query, QueryOutcome, Time, TimeInterval};
 use std::cmp::Reverse;
@@ -155,7 +159,7 @@ pub fn reachable_set_seeded<S: HnSource>(
         }
         stats.visited += 1;
         let vd = src.vertex(v)?;
-        for &m in &vd.members {
+        for &m in vd.members() {
             match ea.entry(m) {
                 Entry::Occupied(mut e) if *e.get() > a => {
                     e.insert(a);
@@ -184,9 +188,9 @@ pub fn reachable_set_seeded<S: HnSource>(
                 _ => {}
             }
         };
-        if vd.interval.end < t2 {
-            for &w in &vd.fwd {
-                relax(w, vd.interval.end + 1, &mut best, &mut heap, &mut stats);
+        if vd.interval().end < t2 {
+            for &w in vd.fwd() {
+                relax(w, vd.interval().end + 1, &mut best, &mut heap, &mut stats);
             }
         }
     }
@@ -209,6 +213,7 @@ fn unidirectional<S: HnSource>(
     let (t1, t2) = (interval.start, interval.end);
     let v1 = src.node_of(q.source, t1)?;
     let v2 = src.node_of(q.dest, t2)?;
+    let horizon = src.horizon();
     let levels: Vec<Time> = src.levels().to_vec();
 
     let mut best: HashMap<u32, Time> = HashMap::new();
@@ -249,17 +254,17 @@ fn unidirectional<S: HnSource>(
         // Naïve expansion over the whole hypergraph: every valid long edge
         // at every resolution plus the DN1 edges.
         for (idx, &k) in levels.iter().enumerate() {
-            if let Some(ta) = launch_boundary(vd.interval, k, src.horizon()) {
+            if let Some(ta) = launch_boundary(vd.interval(), k, horizon) {
                 if ta >= a && ta + k <= t2 {
-                    for &w in &vd.bundles[idx] {
+                    for &w in vd.bundle(idx) {
                         relax(w, ta + k, &mut pending, &mut stats);
                     }
                 }
             }
         }
-        if vd.interval.end < t2 {
-            for &w in &vd.fwd {
-                relax(w, vd.interval.end + 1, &mut pending, &mut stats);
+        if vd.interval().end < t2 {
+            for &w in vd.fwd() {
+                relax(w, vd.interval().end + 1, &mut pending, &mut stats);
             }
         }
     }
@@ -305,7 +310,7 @@ fn bidirectional<S: HnSource>(
             if fwd_best.get(&v).copied() == Some(a) {
                 stats.visited += 1;
                 let vd = src.vertex(v)?;
-                for &m in &vd.members {
+                for &m in vd.members() {
                     let improved = match fwd_ea.entry(m) {
                         Entry::Occupied(mut e) if *e.get() > a => {
                             e.insert(a);
@@ -344,7 +349,7 @@ fn bidirectional<S: HnSource>(
             if bwd_best.get(&v).copied() == Some(l) {
                 stats.visited += 1;
                 let vd = src.vertex(v)?;
-                for &m in &vd.members {
+                for &m in vd.members() {
                     let improved = match bwd_ld.entry(m) {
                         Entry::Occupied(mut e) if *e.get() < l => {
                             e.insert(l);
@@ -367,10 +372,10 @@ fn bidirectional<S: HnSource>(
                 // Backward expansion runs on the reverse of DN1 only (§5.2).
                 // A node starting at tick 0 has no predecessors; guard the
                 // subtraction anyway rather than rely on `rev` being empty.
-                let Some(pred_end) = vd.interval.start.checked_sub(1) else {
+                let Some(pred_end) = vd.interval().start.checked_sub(1) else {
                     continue;
                 };
-                for &u in &vd.rev {
+                for &u in vd.rev() {
                     stats.examined += 1;
                     let lat = pred_end; // == u.end by temporal adjacency
                     if lat < mid {
@@ -398,7 +403,7 @@ fn bidirectional<S: HnSource>(
 
 #[allow(clippy::too_many_arguments)]
 fn expand_forward(
-    vd: &VertexData,
+    vd: &Vertex<'_>,
     a: Time,
     mid: Time,
     horizon: Time,
@@ -426,9 +431,9 @@ fn expand_forward(
         // Greedy: take the largest-weight valid long edge and ignore the
         // rest (paper §5.2).
         for (idx, &k) in levels.iter().enumerate().rev() {
-            if let Some(ta) = launch_boundary(vd.interval, k, horizon) {
-                if ta >= a && ta + k <= mid && !vd.bundles[idx].is_empty() {
-                    for &w in &vd.bundles[idx] {
+            if let Some(ta) = launch_boundary(vd.interval(), k, horizon) {
+                if ta >= a && ta + k <= mid && !vd.bundle(idx).is_empty() {
+                    for &w in vd.bundle(idx) {
                         relax(w, ta + k, stats);
                     }
                     return;
@@ -436,9 +441,9 @@ fn expand_forward(
             }
         }
     }
-    if vd.interval.end < mid {
-        for &w in &vd.fwd {
-            relax(w, vd.interval.end + 1, stats);
+    if vd.interval().end < mid {
+        for &w in vd.fwd() {
+            relax(w, vd.interval().end + 1, stats);
         }
     }
 }

@@ -159,6 +159,13 @@ impl<'a> ByteReader<'a> {
         self.take(len, "length-prefixed bytes")
     }
 
+    /// Reads a `u32`-length-prefixed list of `u32`s without copying it:
+    /// returns the list's raw little-endian bytes, four per element.
+    pub fn get_u32_list_bytes(&mut self) -> Result<&'a [u8], IndexError> {
+        let len = self.get_u32()? as usize;
+        self.take(len.saturating_mul(4), "u32 list")
+    }
+
     /// Reads a `u32`-length-prefixed list of `u32`s.
     pub fn get_u32_vec(&mut self) -> Result<Vec<u32>, IndexError> {
         let len = self.get_u32()? as usize;
@@ -201,6 +208,17 @@ mod tests {
     }
 
     #[test]
+    fn u32_list_bytes_borrow_the_encoded_elements() {
+        let mut w = ByteWriter::new();
+        w.put_u32_slice(&[1, 2, 3]);
+        w.put_u8(9);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.get_u32_list_bytes().unwrap(), &bytes[4..16]);
+        assert_eq!(r.get_u8().unwrap(), 9);
+    }
+
+    #[test]
     fn truncated_reads_error_not_panic() {
         let mut r = ByteReader::new(&[1, 2]);
         assert!(r.get_u32().is_err());
@@ -218,6 +236,11 @@ mod tests {
         assert!(matches!(r.get_bytes(), Err(IndexError::Corrupt(_))));
         let mut r2 = ByteReader::new(&bytes);
         assert!(matches!(r2.get_u32_vec(), Err(IndexError::Corrupt(_))));
+        let mut r3 = ByteReader::new(&bytes);
+        assert!(matches!(
+            r3.get_u32_list_bytes(),
+            Err(IndexError::Corrupt(_))
+        ));
     }
 
     #[test]

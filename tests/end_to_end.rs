@@ -122,3 +122,60 @@ fn all_evaluators_agree_on_sparse_gps() {
     let sparse = streach::mobility::sparsify(&dense, 12);
     assert_all_agree(&sparse, 300.0, 0xC1);
 }
+
+/// The disk index's vertex views and its re-streamed DN must equal the
+/// memory-resident source exactly, vertex by vertex and list by list.
+#[test]
+fn disk_vertices_and_restream_equal_memory_on_rwp() {
+    use streach::graph::HnSource;
+    let store = rwp_store(4, 40, 300);
+    let dn = DnGraph::build(&store, 25.0);
+    let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
+    let params = GraphParams {
+        page_size: 512,
+        ..GraphParams::default()
+    };
+    let mut graph = ReachGraph::build(&dn, &mr, params).expect("graph builds");
+    let mut mem = MemoryHn::new(&dn, &mr);
+    assert!(
+        graph.num_partitions() > 1,
+        "records span several partitions"
+    );
+    for v in 0..dn.num_nodes() as u32 {
+        let disk = graph.vertex(v).expect("disk vertex");
+        let resident = mem.vertex(v).expect("memory vertex");
+        assert_eq!(disk.interval(), resident.interval(), "interval of {v}");
+        assert_eq!(disk.members(), resident.members(), "members of {v}");
+        assert_eq!(disk.fwd(), resident.fwd(), "fwd of {v}");
+        assert_eq!(disk.rev(), resident.rev(), "rev of {v}");
+        assert_eq!(disk.num_bundles(), resident.num_bundles(), "levels of {v}");
+        for level in 0..disk.num_bundles() {
+            assert_eq!(
+                disk.bundle(level),
+                resident.bundle(level),
+                "bundle {level} of {v}"
+            );
+        }
+    }
+
+    graph.reset_io();
+    assert_eq!(DnAccess::num_nodes(&graph), dn.num_nodes());
+    assert_eq!(DnAccess::num_objects(&graph), dn.num_objects());
+    assert_eq!(DnAccess::horizon(&graph), dn.horizon());
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for v in 0..dn.num_nodes() as u32 {
+        assert_eq!(DnAccess::interval(&mut graph, v), dn.node(v).interval);
+        graph.members_into(v, &mut got);
+        (&dn).members_into(v, &mut want);
+        assert_eq!(got, want, "re-streamed members of {v}");
+        graph.fwd_into(v, &mut got);
+        assert_eq!(got, dn.fwd(v), "re-streamed fwd of {v}");
+        graph.rev_into(v, &mut got);
+        assert_eq!(got, dn.rev(v), "re-streamed rev of {v}");
+    }
+    let mut timeline = Vec::new();
+    for o in 0..dn.num_objects() as u32 {
+        DnAccess::timeline_into(&mut graph, ObjectId(o), &mut timeline);
+        assert_eq!(timeline, dn.timeline(ObjectId(o)), "timeline of {o}");
+    }
+}

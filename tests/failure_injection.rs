@@ -118,8 +118,8 @@ fn corrupt_records_decode_to_errors_not_panics() {
 
 #[test]
 fn vertex_decode_rejects_truncation_everywhere() {
-    use streach::graph::VertexData;
-    use streach::storage::{ByteReader, ByteWriter};
+    use streach::graph::{Partition, VertexData};
+    use streach::storage::ByteWriter;
     let v = VertexData {
         interval: TimeInterval::new(3, 9),
         members: vec![1, 4, 7],
@@ -127,20 +127,25 @@ fn vertex_decode_rejects_truncation_everywhere() {
         rev: vec![0],
         bundles: vec![vec![20], vec![30, 31]],
     };
+    // A one-vertex partition record: vertex count, then id and vertex.
     let mut w = ByteWriter::new();
+    w.put_u32(1);
+    w.put_u32(5);
     v.encode(&mut w);
     let bytes = w.into_bytes();
     // Every strict prefix must fail cleanly (no panic, no partial success
     // that silently drops edges).
     for cut in 0..bytes.len() {
-        let mut r = ByteReader::new(&bytes[..cut]);
         assert!(
-            VertexData::decode(&mut r).is_err(),
+            matches!(
+                Partition::decode(&bytes[..cut], 2, |_| true),
+                Err(IndexError::Corrupt(_))
+            ),
             "prefix of {cut} bytes decoded successfully"
         );
     }
-    let mut r = ByteReader::new(&bytes);
-    assert_eq!(VertexData::decode(&mut r).expect("full decode"), v);
+    let p = Partition::decode(&bytes, 2, |_| true).expect("full decode");
+    assert_eq!(p.vertex(5).expect("vertex 5").to_data(), v);
 }
 
 #[test]
