@@ -1,6 +1,7 @@
-//! Runs the concurrent-serving experiment: appends, a background watermark
-//! compaction, and a pooled multi-threaded query stream interleaved on one
-//! `ConcurrentLive` index, with service metrics reported (and answers
+//! Runs the concurrent-serving experiment: appends, watermark compactions
+//! (inline on the appending thread, and one on a helper thread), and a
+//! pooled multi-threaded query stream interleaved on one `LiveIndex`,
+//! with service metrics reported (and answers
 //! asserted identical to a batch-built ReachGraph after quiescing).
 //!
 //! `--backend=sim|file|mmap` selects the storage backend for every device

@@ -811,12 +811,14 @@ fn exp_trace_budgeted(
 /// The live-ingestion experiment (ISSUE 5): a synthetic contact stream is
 /// appended record by record into a [`reach_live::LiveIndex`] — every
 /// device on the run's configured backend — with a delta budget sized to
-/// force mid-run watermark compactions. Reports append throughput,
+/// force mid-run watermark compactions, each run inline by the append
+/// that crossed the budget. Reports append throughput,
 /// compaction cost vs a full batch rebuild, and cross-boundary query IO,
 /// and **asserts** along the way that at least one compaction fired and
 /// that every query answer matches a batch-built ReachGraph over the same
 /// records.
 pub fn exp_live(tier: Tier) -> Vec<Table> {
+    use crate::runner::run_batch_shared;
     use reach_core::ReachabilityIndex as _;
     use reach_live::LiveConfig;
     use reach_storage::BuildBudget;
@@ -851,7 +853,7 @@ pub fn exp_live(tier: Tier) -> Vec<Table> {
         .unwrap_or_else(BuildBudget::unbounded);
     let params = graph_params_for(tier);
     let page = params.page_size;
-    let mut live = LiveConfig::graph(params.clone(), build_budget)
+    let live = LiveConfig::graph(params.clone(), build_budget)
         .with_delta_budget(delta_budget)
         .with_lateness(16)
         .builder()
@@ -875,7 +877,7 @@ pub fn exp_live(tier: Tier) -> Vec<Table> {
         }
         n
     });
-    let stats = live.stats().clone();
+    let stats = live.stats();
     assert!(
         stats.compactions >= 1,
         "the budget must force at least one mid-run compaction"
@@ -966,7 +968,7 @@ pub fn exp_live(tier: Tier) -> Vec<Table> {
             "reachable frac",
         ],
     );
-    let live_batch = run_batch(&mut live, &queries);
+    let live_batch = run_batch_shared(&live, &queries);
     let batch_batch = run_batch(&mut batch, &queries);
     for (name, r) in [
         ("LiveIndex (base + delta)", live_batch),
@@ -986,10 +988,11 @@ pub fn exp_live(tier: Tier) -> Vec<Table> {
 // Concurrent serving — queries, appends, and compactions interleaved
 // ---------------------------------------------------------------------------
 
-/// exp_serve: concurrent query serving over a `ConcurrentLive` index —
-/// appends, a background watermark compaction, and a multi-threaded query
-/// stream (through the `reach_serve` admission queue and worker pool) all
-/// interleaved on one index.
+/// exp_serve: concurrent query serving over a `LiveIndex` — appends,
+/// watermark compactions (inline on the appending thread, plus one run on
+/// a helper thread), and a multi-threaded query stream (through the
+/// `reach_serve` admission queue and worker pool) all interleaved on one
+/// index.
 ///
 /// **Asserts** along the way: at least one compaction committed; at least
 /// one query completed *while* a compaction was building (the
@@ -1028,16 +1031,16 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
             .with_delta_budget(delta_budget)
             .with_lateness(16)
             .builder()
-            .serve_on(
+            .build_on(
                 backend.device(page),
                 Box::new(move || backend.device(page)),
                 store.num_objects(),
             )
-            .expect("serving index creates"),
+            .expect("live index creates"),
     );
 
-    // Phase 1 — ingest the whole stream. Over-budget appends request
-    // background compactions; appends never wait for them.
+    // Phase 1 — ingest the whole stream. Over-budget appends compact
+    // inline, so ingest throughput includes the rebuilds.
     let (appended, append_dur) = timed(|| {
         let mut n = 0u64;
         for &c in &contacts {
@@ -1049,13 +1052,12 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
 
     // Seal the ingested stream so the overlap phase's queries exercise the
     // sealed base (and pay counted IO), not just the in-memory delta.
-    index.compact_now().expect("post-ingest compaction");
+    index.compact().expect("post-ingest compaction");
 
     // Phase 2 — guaranteed overlap: stretch one compaction's build window
     // and serve queries through the worker pool while it is in flight.
-    // `compact_now` runs on a helper thread (it waits out any in-flight
-    // background build first, then runs unconditionally); the pool answers
-    // same-source bursts the whole time.
+    // `compact` runs on a helper thread; the pool answers same-source
+    // bursts the whole time.
     if index.watermark() >= index.now().saturating_sub(16) {
         // The stream's tail is already sealed; open fresh room so the
         // overlap compaction has a cut to advance to.
@@ -1073,7 +1075,7 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
     .expect("server starts");
     let compaction_thread = {
         let index = Arc::clone(&index);
-        std::thread::spawn(move || index.compact_now())
+        std::thread::spawn(move || index.compact())
     };
     let overlap_deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     while !index.metrics().compacting {
@@ -1121,7 +1123,7 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
 
     let mut inventory = Table::new(
         "exp_serve (inventory)",
-        "concurrent serving: appends + background compaction + pooled queries on one index",
+        "concurrent serving: appends + inline compaction + pooled queries on one index",
         &[
             "stream",
             "records",
@@ -1167,8 +1169,8 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
         fnum(serve_m.p99_normalized_io),
     ]);
 
-    // Phase 3 — quiesce and prove exactness: the concurrent index vs a
-    // batch ReachGraph over the accepted records, query by query.
+    // Phase 3 — quiesce and prove exactness: the live index vs a batch
+    // ReachGraph over the accepted records, query by query.
     let accepted = index.replay_log().expect("log replays");
     let horizon = index.now();
     let mut batch = {
@@ -1181,12 +1183,12 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
         .filter(|q| q.interval.start < horizon)
         .collect();
     for q in &queries {
-        let a = index.evaluate_query(q).expect("concurrent query");
+        let a = index.evaluate_query(q).expect("live query");
         let b = batch.evaluate(q).expect("batch query");
         assert_eq!(
             a.reachable(),
             b.reachable(),
-            "concurrent and batch disagree on {q} (watermark {})",
+            "live and batch disagree on {q} (watermark {})",
             index.watermark()
         );
     }
@@ -1203,7 +1205,7 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
     let conc_batch = run_batch_shared(&*index, &queries);
     let graph_batch = run_batch(&mut batch, &queries);
     for (name, r) in [
-        ("ConcurrentLive (epoch + delta)", conc_batch),
+        ("LiveIndex (epoch + delta)", conc_batch),
         ("batch ReachGraph", graph_batch),
     ] {
         query_t.row(vec![
@@ -1216,7 +1218,7 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
     let mut tables = vec![inventory, service, query_t];
 
     // Phase 4 (`--warm-cache`) — the full deterministic stream through two
-    // *fresh* serving indexes: a cold reference, and one whose epoch hubs
+    // *fresh* live indexes: a cold reference, and one whose epoch hubs
     // carry a shared PageCache with readahead. Manual compaction means no
     // timing-dependent lateness drops, so (unlike the concurrent phases
     // above) every counter in this table is identical run to run and
@@ -1232,17 +1234,17 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
             }
             let idx = cfg
                 .builder()
-                .serve_on(
+                .build_on(
                     backend.device(page),
                     Box::new(move || backend.device(page)),
                     store.num_objects(),
                 )
-                .expect("replay serving index creates");
+                .expect("replay live index creates");
             for &c in &contacts {
                 idx.append(c).expect("replay append accepted");
             }
             idx.advance(store.horizon());
-            idx.compact_now().expect("replay compaction succeeds");
+            idx.compact().expect("replay compaction succeeds");
             idx
         };
         let cold = replay(0, 0);
@@ -1438,7 +1440,7 @@ pub fn exp_shard(tier: Tier) -> Vec<Table> {
         sharded_per_seal.push(per_seal);
         scrap(live, dir);
 
-        let mut mono = LiveConfig::graph(params.clone(), build_budget)
+        let mono = LiveConfig::graph(params.clone(), build_budget)
             .with_delta_budget(epoch_records * reach_live::DeltaDn::MAX_RECORD_RESIDENT_BYTES)
             .with_lateness(16)
             .builder()

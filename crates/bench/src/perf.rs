@@ -24,7 +24,7 @@ use crate::datasets::DatasetSpec;
 use crate::runner::{assert_same_pages, timed};
 use reach_baselines::GrailDisk;
 use reach_contact::{MultiRes, StreamedDn, DEFAULT_LEVELS};
-use reach_core::{IndexError, Query, ReachIndex as _, ReachabilityIndex};
+use reach_core::{IndexError, Query, QueryResult, ReachIndex as _, ReachabilityIndex};
 use reach_graph::{GraphParams, ReachGraph};
 use reach_grid::{GridParams, ReachGrid};
 use reach_mobility::WorkloadConfig;
@@ -387,20 +387,18 @@ fn perf_queries(spec: &DatasetSpec, n: usize) -> Vec<Query> {
     .generate(spec.num_objects, spec.horizon, 0x9E9F)
 }
 
-fn record_batch<I: ReachabilityIndex + ?Sized>(
+fn record_batch(
     counters: &mut BTreeMap<String, u64>,
     prefix: &str,
-    index: &mut I,
     queries: &[Query],
+    mut evaluate: impl FnMut(&Query) -> Result<QueryResult, IndexError>,
 ) {
     let mut random = 0u64;
     let mut seq = 0u64;
     let mut visited = 0u64;
     let mut reachable = 0u64;
     for q in queries {
-        let r = index
-            .evaluate(q)
-            .unwrap_or_else(|e| panic!("perf query {q} failed on {}: {e}", index.name()));
+        let r = evaluate(q).unwrap_or_else(|e| panic!("perf query {q} failed on {prefix}: {e}"));
         random += r.stats.random_ios;
         seq += r.stats.seq_ios;
         visited += r.stats.visited;
@@ -452,7 +450,7 @@ pub fn quick_suite() -> (PerfReport, f64) {
             *build_io.lock().expect("perf counter lock"),
             grid.size_bytes() / PERF_PAGE as u64,
         );
-        record_batch(&mut counters, "rwp/grid", &mut grid, &queries);
+        record_batch(&mut counters, "rwp/grid", &queries, |q| grid.evaluate(q));
 
         // ReachGraph (and the DN/multires it shares with GRAIL).
         let dn = spec.build_dn(&store);
@@ -473,7 +471,7 @@ pub fn quick_suite() -> (PerfReport, f64) {
             *build_io.lock().expect("perf counter lock"),
             graph.size_bytes() / PERF_PAGE as u64,
         );
-        record_batch(&mut counters, "rwp/graph", &mut graph, &queries);
+        record_batch(&mut counters, "rwp/graph", &queries, |q| graph.evaluate(q));
 
         // Decay-weighted workloads on the same graph: point verdicts at a
         // fixed θ, then the top-k vs full-enumeration contrast the decay
@@ -545,7 +543,7 @@ pub fn quick_suite() -> (PerfReport, f64) {
             *build_io.lock().expect("perf counter lock"),
             grail_pages,
         );
-        record_batch(&mut counters, "rwp/grail", &mut grail, &queries);
+        record_batch(&mut counters, "rwp/grail", &queries, |q| grail.evaluate(q));
 
         // Memory-bounded streaming build: spill counters + peak resident
         // bytes, and a byte-identity check against the resident build.
@@ -585,7 +583,7 @@ pub fn quick_suite() -> (PerfReport, f64) {
         // thirds, seal, rest), then a cross-boundary query batch. Counted
         // IO only — append-log writes, delta peak, compaction base-read
         // and spill traffic, and query reads that span the watermark.
-        let mut live = reach_live::LiveConfig::graph(
+        let live = reach_live::LiveConfig::graph(
             GraphParams {
                 partition_depth: 8,
                 page_size: PERF_PAGE,
@@ -607,18 +605,18 @@ pub fn quick_suite() -> (PerfReport, f64) {
         // leave it structurally zero), and the last chunk stays in the
         // delta so the query batch crosses the watermark.
         let (cut1, cut2) = (contacts.len() / 3, contacts.len() * 2 / 3);
-        let feed = |live: &mut reach_live::LiveIndex, span: &[reach_core::Contact]| {
+        let feed = |live: &reach_live::LiveIndex, span: &[reach_core::Contact]| {
             for &c in span {
                 let o = live.append(c).expect("perf append accepted");
                 assert!(o.compaction_error.is_none(), "compaction must not fail");
             }
         };
-        feed(&mut live, &contacts[..cut1]);
+        feed(&live, &contacts[..cut1]);
         live.compact().expect("perf compaction succeeds");
-        feed(&mut live, &contacts[cut1..cut2]);
+        feed(&live, &contacts[cut1..cut2]);
         live.compact().expect("perf recompaction succeeds");
-        feed(&mut live, &contacts[cut2..]);
-        let live_stats = live.stats().clone();
+        feed(&live, &contacts[cut2..]);
+        let live_stats = live.stats();
         counters.insert("rwp/live/appended".into(), live_stats.appended);
         counters.insert(
             "rwp/live/clamped_or_dropped".into(),
@@ -642,47 +640,21 @@ pub fn quick_suite() -> (PerfReport, f64) {
             live_stats.compaction_spill_io.total_reads()
                 + live_stats.compaction_spill_io.total_writes(),
         );
-        record_batch(&mut counters, "rwp/live", &mut live, &queries);
+        record_batch(&mut counters, "rwp/live", &queries, |q| {
+            live.evaluate_query(q)
+        });
 
-        // Concurrent serving: the same stream and seal schedule through
-        // the shared-epoch index. Quiesced, per-query counted IO is a pure
-        // function of (epoch, query) — every reader gets a fresh device
-        // handle and a cold per-query cache — so the totals gate exactly,
-        // and they must match the single-threaded live totals above. A
+        // Serving: the same queries through the `ReachIndex` envelope the
+        // serve layer dispatches on. Quiesced, per-query counted IO is a
+        // pure function of (epoch, query) — every reader gets a fresh
+        // device handle and a cold per-query cache — so the totals gate
+        // exactly, and they must match the direct totals above. A
         // same-source batch is counted too: one expansion's IO, however
         // many destinations ride it.
-        let serve = reach_live::LiveConfig::graph(
-            GraphParams {
-                partition_depth: 8,
-                page_size: PERF_PAGE,
-                ..GraphParams::default()
-            },
-            BuildBudget::bytes(PERF_BUDGET_BYTES),
-        )
-        .manual_compaction()
-        .builder()
-        .serve_on(
-            Box::new(SimDevice::new(PERF_PAGE)),
-            Box::new(|| Box::new(SimDevice::new(PERF_PAGE))),
-            store.num_objects(),
-        )
-        .expect("perf serving index creates");
-        let feed_shared = |serve: &reach_live::ConcurrentLive, span: &[reach_core::Contact]| {
-            for &c in span {
-                serve.append(c).expect("perf serve append accepted");
-            }
-        };
-        feed_shared(&serve, &contacts[..cut1]);
-        serve.compact_now().expect("perf serve compaction succeeds");
-        feed_shared(&serve, &contacts[cut1..cut2]);
-        serve
-            .compact_now()
-            .expect("perf serve recompaction succeeds");
-        feed_shared(&serve, &contacts[cut2..]);
         let (mut random, mut seq, mut reachable) = (0u64, 0u64, 0u64);
         for q in &queries {
-            let r = serve
-                .evaluate_query(q)
+            let r = live
+                .answer(&reach_core::ReachRequest::from(*q))
                 .unwrap_or_else(|e| panic!("perf serve query {q} failed: {e}"));
             random += r.stats.random_ios;
             seq += r.stats.seq_ios;
@@ -694,17 +666,17 @@ pub fn quick_suite() -> (PerfReport, f64) {
                 counters["rwp/live/query/random_reads"],
                 counters["rwp/live/query/seq_reads"]
             ),
-            "concurrent query IO must equal the single-threaded path's"
+            "served query IO must equal the direct path's"
         );
         counters.insert("rwp/serve/query/random_reads".into(), random);
         counters.insert("rwp/serve/query/seq_reads".into(), seq);
         counters.insert("rwp/serve/query/reachable".into(), reachable);
-        counters.insert("rwp/serve/epoch".into(), serve.metrics().epoch);
+        counters.insert("rwp/serve/epoch".into(), live.metrics().epoch);
         let dests: Vec<reach_core::ObjectId> = (0..store.num_objects() as u32)
             .map(reach_core::ObjectId)
             .collect();
-        let window = reach_core::TimeInterval::new(0, serve.now() - 1);
-        let answers = serve
+        let window = reach_core::TimeInterval::new(0, live.now() - 1);
+        let answers = live
             .evaluate_batch(reach_core::ObjectId(0), window, &dests)
             .expect("perf serve batch evaluates");
         let batch_random: u64 = answers.iter().map(|a| a.stats.random_ios).sum();
@@ -737,21 +709,21 @@ pub fn quick_suite() -> (PerfReport, f64) {
         .with_shared_cache(WARM_CACHE_PAGES)
         .with_readahead(WARM_READAHEAD)
         .builder()
-        .serve_on(
+        .build_on(
             Box::new(SimDevice::new(PERF_PAGE)),
             Box::new(|| Box::new(SimDevice::new(PERF_PAGE))),
             store.num_objects(),
         )
-        .expect("perf warm serving index creates");
-        feed_shared(&warm, &contacts[..cut1]);
-        warm.compact_now().expect("perf warm compaction succeeds");
-        feed_shared(&warm, &contacts[cut1..cut2]);
-        warm.compact_now().expect("perf warm recompaction succeeds");
-        feed_shared(&warm, &contacts[cut2..]);
+        .expect("perf warm live index creates");
+        feed(&warm, &contacts[..cut1]);
+        warm.compact().expect("perf warm compaction succeeds");
+        feed(&warm, &contacts[cut1..cut2]);
+        warm.compact().expect("perf warm recompaction succeeds");
+        feed(&warm, &contacts[cut2..]);
         let (mut cold_reads, mut warm_reads) = (0u64, 0u64);
         for _round in 0..WARM_ROUNDS {
             for q in &queries {
-                let cold = serve
+                let cold = live
                     .evaluate_query(q)
                     .unwrap_or_else(|e| panic!("perf cold query {q} failed: {e}"));
                 let hot = warm

@@ -356,9 +356,9 @@ pub trait ReachIndex: Send + Sync {
 /// single-threaded evaluator: requests serialize through a mutex.
 ///
 /// This is the bridge for the build-once indexes (ReachGrid, ReachGraph,
-/// GRAIL, a single-threaded `LiveIndex`): correct under concurrency, one
-/// request at a time. The concurrent live index implements [`ReachIndex`]
-/// natively and does not pass through here.
+/// GRAIL, the §7 extensions): correct under concurrency, one request at a
+/// time. The live indexes (`LiveIndex`, `ShardedLive`) implement
+/// [`ReachIndex`] natively and do not pass through here.
 #[derive(Debug)]
 pub struct Serial<T> {
     inner: Mutex<T>,
@@ -372,8 +372,8 @@ impl<T: ReachabilityIndex + Send> Serial<T> {
         }
     }
 
-    /// Exclusive access to the wrapped evaluator (e.g. to append into a
-    /// wrapped live index between query phases).
+    /// Exclusive access to the wrapped evaluator (e.g. to reset its IO
+    /// counters between query phases).
     pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
         self.inner.lock().expect("serial index lock poisoned")
     }

@@ -1,27 +1,20 @@
 //! Fluent construction of live indexes: one builder for every knob and
 //! every backend.
 //!
-//! [`LiveIndex::new`]'s positional `(log_device, devices, num_objects,
-//! config)` signature aged badly once the live system grew lateness
-//! windows, compaction policies, and a concurrent serving mode.
-//! [`LiveBuilder`] replaces it: start from a [`LiveConfig`] (base kind +
-//! build budget), chain the knobs you care about, then pick an entry
-//! point —
+//! Start from a [`LiveConfig`] (base kind + build budget), chain the
+//! knobs you care about, then pick an entry point —
 //!
-//! * [`LiveBuilder::build`] / [`LiveBuilder::open`] derive every device
-//!   from a [`StorageConfig`] (`sim` needs nothing; `file`/`mmap` treat
-//!   the configured path as a directory holding `live-log.pages` plus one
-//!   numbered file per compaction);
+//! * [`LiveBuilder::build`] / [`LiveBuilder::open`] produce a
+//!   [`LiveIndex`], deriving every device from a [`StorageConfig`] (`sim`
+//!   needs nothing; `file`/`mmap` treat the configured path as a directory
+//!   holding `live-log.pages` plus one numbered file per compaction);
 //! * the `*_on` variants accept an explicit log device and
 //!   [`DeviceFactory`] for harnesses that wrap devices (IO counting,
 //!   fault injection, byte-identity probes);
-//! * [`LiveBuilder::serve`] and friends produce the concurrent
-//!   [`ConcurrentLive`] instead of the single-threaded [`LiveIndex`];
 //! * [`LiveBuilder::build_sharded`] / [`LiveBuilder::open_sharded`]
 //!   produce the epoch-sharded [`ShardedLive`] over a
 //!   [`DeviceDirectory`] derived from the same backend.
 
-use crate::concurrent::ConcurrentLive;
 use crate::index::{DeviceFactory, LiveConfig, LiveIndex};
 use crate::log::LogRecovery;
 use crate::shard::{ShardRecovery, ShardedLive};
@@ -30,7 +23,7 @@ use reach_core::{IndexError, Time};
 use reach_storage::{BlockDevice, DeviceDirectory, StorageBackend, StorageConfig};
 use std::path::PathBuf;
 
-/// Builder for [`LiveIndex`] and [`ConcurrentLive`] (see the module docs).
+/// Builder for [`LiveIndex`] and [`ShardedLive`] (see the module docs).
 #[derive(Clone, Debug)]
 pub struct LiveBuilder {
     config: LiveConfig,
@@ -120,72 +113,38 @@ impl LiveBuilder {
         &self.config
     }
 
-    /// Creates an empty single-threaded live index on the configured
-    /// backend.
+    /// Creates an empty live index on the configured backend.
     pub fn build(self, num_objects: usize) -> Result<LiveIndex, IndexError> {
         let (log, devices) = self.plan(false)?;
-        LiveIndex::create_inner(log, devices, num_objects, self.config)
+        LiveIndex::create(log, devices, num_objects, self.config)
     }
 
-    /// Recovers a single-threaded live index from the configured backend's
-    /// append log (`sim` has nothing durable to reopen and errors).
+    /// Recovers a live index from the configured backend's append log
+    /// (`sim` has nothing durable to reopen and errors).
     pub fn open(self) -> Result<(LiveIndex, LogRecovery), IndexError> {
         let (log, devices) = self.plan(true)?;
-        LiveIndex::open_inner(log, devices, self.config)
+        LiveIndex::open(log, devices, self.config)
     }
 
-    /// Creates an empty single-threaded live index on explicit devices:
-    /// the log goes to `log_device`, and `devices` supplies every device
-    /// compaction needs (bases + scratch, at the configured page size).
+    /// Creates an empty live index on explicit devices: the log goes to
+    /// `log_device`, and `devices` supplies every device compaction needs
+    /// (bases + scratch, at the configured page size).
     pub fn build_on(
         self,
         log_device: Box<dyn BlockDevice>,
         devices: DeviceFactory,
         num_objects: usize,
     ) -> Result<LiveIndex, IndexError> {
-        LiveIndex::create_inner(log_device, devices, num_objects, self.config)
+        LiveIndex::create(log_device, devices, num_objects, self.config)
     }
 
-    /// Recovers a single-threaded live index from an explicit log device.
+    /// Recovers a live index from an explicit log device.
     pub fn open_on(
         self,
         log_device: Box<dyn BlockDevice>,
         devices: DeviceFactory,
     ) -> Result<(LiveIndex, LogRecovery), IndexError> {
-        LiveIndex::open_inner(log_device, devices, self.config)
-    }
-
-    /// Creates an empty concurrent live index (shared queries, background
-    /// compaction) on the configured backend.
-    pub fn serve(self, num_objects: usize) -> Result<ConcurrentLive, IndexError> {
-        let (log, devices) = self.plan(false)?;
-        ConcurrentLive::create(log, devices, num_objects, self.config)
-    }
-
-    /// Recovers a concurrent live index from the configured backend's
-    /// append log.
-    pub fn open_serving(self) -> Result<(ConcurrentLive, LogRecovery), IndexError> {
-        let (log, devices) = self.plan(true)?;
-        ConcurrentLive::open(log, devices, self.config)
-    }
-
-    /// Creates an empty concurrent live index on explicit devices.
-    pub fn serve_on(
-        self,
-        log_device: Box<dyn BlockDevice>,
-        devices: DeviceFactory,
-        num_objects: usize,
-    ) -> Result<ConcurrentLive, IndexError> {
-        ConcurrentLive::create(log_device, devices, num_objects, self.config)
-    }
-
-    /// Recovers a concurrent live index from an explicit log device.
-    pub fn open_serving_on(
-        self,
-        log_device: Box<dyn BlockDevice>,
-        devices: DeviceFactory,
-    ) -> Result<(ConcurrentLive, LogRecovery), IndexError> {
-        ConcurrentLive::open(log_device, devices, self.config)
+        LiveIndex::open(log_device, devices, self.config)
     }
 
     /// Creates an empty epoch-sharded live index on the configured
@@ -290,7 +249,7 @@ mod tests {
             Contact::new(ObjectId(2), ObjectId(3), TimeInterval::new(6, 8)),
         ];
         {
-            let mut live = config()
+            let live = config()
                 .manual_compaction()
                 .builder()
                 .backend(StorageConfig::file(&dir, 256))
@@ -304,7 +263,7 @@ mod tests {
         }
         assert!(dir.join("live-log.pages").is_file());
         assert!(dir.join("live-base-1.pages").is_file() || dir.join("live-base-2.pages").is_file());
-        let (mut reopened, recovery) = config()
+        let (reopened, recovery) = config()
             .manual_compaction()
             .builder()
             .backend(StorageConfig::file(&dir, 256))

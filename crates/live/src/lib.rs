@@ -16,9 +16,8 @@
 //! |---|---|
 //! | [`log`] | [`AppendLog`] — durable, crash-recoverable record log on any [`BlockDevice`](reach_storage::BlockDevice) |
 //! | [`delta`] | [`DeltaDn`] — mutable DN fragment over `[watermark, now)`, absorbing out-of-order appends |
-//! | [`index`] | [`LiveIndex`] — cross-boundary queries + watermark compaction through the streaming builders |
-//! | [`builder`] | [`LiveBuilder`] — fluent construction of both index flavours over any storage backend |
-//! | [`concurrent`] | [`ConcurrentLive`] — epoch-swapped shared queries with background compaction |
+//! | [`index`] | [`LiveIndex`] — one sealed base + delta, shared by reference: epoch-swapped queries across the watermark, compaction inline on the appending thread, the admission path both engines share |
+//! | [`builder`] | [`LiveBuilder`] — fluent construction of both engines over any storage backend |
 //! | [`shard`] | [`ShardedLive`] — epoch-sharded timeline with cross-shard frontier handoff |
 //!
 //! ## The three guarantees
@@ -38,18 +37,16 @@
 #![forbid(unsafe_code)]
 
 pub mod builder;
-pub mod concurrent;
 pub mod delta;
 pub mod index;
 pub mod log;
 pub mod shard;
 
 pub use builder::LiveBuilder;
-pub use concurrent::{ConcurrentLive, LiveMetrics};
 pub use delta::DeltaDn;
 pub use index::{
     AppendOutcome, BaseKind, CompactionStats, DeviceFactory, GrailConfig, LiveConfig, LiveError,
-    LiveIndex, LiveStats, SourceReport,
+    LiveIndex, LiveMetrics, LiveStats, SourceReport,
 };
 pub use log::{AppendLog, LogRecovery};
 pub use shard::{ShardCrashPoint, ShardRecovery, ShardedLive};
@@ -96,7 +93,7 @@ mod tests {
     /// answers must match the oracle's worked example before and after.
     #[test]
     fn figure_1_live_with_mid_stream_compaction() {
-        let mut live = sim_live(4, graph_config(1 << 20).manual_compaction());
+        let live = sim_live(4, graph_config(1 << 20).manual_compaction());
         live.append(c(0, 1, 0, 0)).unwrap();
         live.append(c(1, 3, 1, 1)).unwrap();
         // o4 reachable from o1 during [0,1] — answered from the delta alone.
@@ -117,7 +114,7 @@ mod tests {
 
     #[test]
     fn lossy_mode_clamps_and_drops_late_records() {
-        let mut live = sim_live(4, graph_config(1 << 20).manual_compaction());
+        let live = sim_live(4, graph_config(1 << 20).manual_compaction());
         live.append(c(0, 1, 0, 4)).unwrap();
         live.compact().unwrap().unwrap();
         assert_eq!(live.watermark(), 5);
@@ -135,7 +132,7 @@ mod tests {
 
     #[test]
     fn strict_mode_rejects_late_records() {
-        let mut live = sim_live(4, graph_config(1 << 20).strict().manual_compaction());
+        let live = sim_live(4, graph_config(1 << 20).strict().manual_compaction());
         live.append(c(0, 1, 0, 4)).unwrap();
         live.compact().unwrap().unwrap();
         let err = live.append(c(2, 3, 1, 3)).unwrap_err();
@@ -146,7 +143,7 @@ mod tests {
 
     #[test]
     fn appends_validate_the_universe() {
-        let mut live = sim_live(3, graph_config(1 << 20));
+        let live = sim_live(3, graph_config(1 << 20));
         assert!(matches!(
             live.append(c(0, 7, 0, 1)),
             Err(LiveError::UnknownObject(ObjectId(7)))
@@ -227,8 +224,11 @@ mod tests {
         use reach_core::IndexError;
         let fail = Arc::new(AtomicBool::new(false));
         let fail_factory = Arc::clone(&fail);
-        let mut live = graph_config(1 << 20)
-            .manual_compaction()
+        // Auto-compacting from the first record (a one-byte delta budget),
+        // with every device poisoned up front so no rebuild can succeed
+        // until the devices heal.
+        let live = graph_config(1 << 20)
+            .with_delta_budget(1)
             .builder()
             .build_on(
                 Box::new(SimDevice::new(256)),
@@ -241,10 +241,15 @@ mod tests {
                 4,
             )
             .unwrap();
-        live.append(c(0, 1, 0, 2)).unwrap();
-        live.append(c(1, 2, 4, 5)).unwrap();
-        // Poison every future device: the rebuild must fail…
         fail.store(true, Ordering::Relaxed);
+        // An *auto*-compaction failure must not masquerade as an append
+        // failure: the record lands, the error rides the outcome.
+        for record in [c(0, 1, 0, 2), c(1, 2, 4, 5)] {
+            let o = live.append(record).unwrap();
+            assert!(o.logged && !o.compacted);
+            assert!(o.compaction_error.is_some());
+        }
+        // An explicit rebuild on the poisoned devices must fail too…
         let err = live.compact().unwrap_err();
         assert!(matches!(err, IndexError::Io(_)), "{err}");
         // …and the index must be exactly as before: watermark unmoved,
@@ -258,10 +263,8 @@ mod tests {
         live.compact().unwrap().unwrap();
         assert_eq!(live.watermark(), 6);
         assert!(live.evaluate_query(&q(0, 2, 0, 5)).unwrap().reachable());
-        // An *auto*-compaction failure must not masquerade as an append
-        // failure: the record lands, the error rides the outcome.
-        live.config_mut().auto_compact = true;
-        live.config_mut().delta_budget = 1;
+        // Poisoned again: the next over-budget append's compaction fails
+        // after the record is durable.
         fail.store(true, Ordering::Relaxed);
         let o = live.append(c(2, 3, 8, 9)).unwrap();
         assert!(o.logged);
@@ -280,7 +283,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x11FE);
             let n = 6usize;
             let horizon: Time = 60;
-            let mut live = sim_live(n, graph_config(400)); // tiny: auto-compacts often
+            let live = sim_live(n, graph_config(400)); // tiny: auto-compacts often
             for step in 0..120 {
                 if rng.gen_bool(0.75) {
                     let a = rng.gen_range(0..n as u32);
@@ -337,7 +340,7 @@ mod tests {
 
     #[test]
     fn grail_base_answers_cross_boundary_queries() {
-        let mut live = sim_live(
+        let live = sim_live(
             5,
             LiveConfig::grail(
                 GrailConfig {
@@ -367,7 +370,7 @@ mod tests {
 
     #[test]
     fn append_source_drains_a_feed_through_the_live_path() {
-        let mut live = sim_live(5, graph_config(1 << 20));
+        let live = sim_live(5, graph_config(1 << 20));
         let feed = "0 1 100\n1 2 140 20\nbroken line\n3 3 160\n2 4 180\n";
         let report = live
             .append_source(EdgeListSource::new(feed.as_bytes()), 100, 20)
@@ -379,7 +382,7 @@ mod tests {
         let r = live.evaluate_query(&q(0, 4, 0, 4)).unwrap();
         assert_eq!(r.outcome, QueryOutcome::reachable_at(4));
         // Strict mode surfaces the first bad line instead.
-        let mut strict = sim_live(5, graph_config(1 << 20).strict());
+        let strict = sim_live(5, graph_config(1 << 20).strict());
         let err = strict
             .append_source(EdgeListSource::new(feed.as_bytes()), 100, 20)
             .unwrap_err();
@@ -388,7 +391,7 @@ mod tests {
 
     #[test]
     fn lateness_slack_keeps_a_mutable_tail() {
-        let mut live = sim_live(
+        let live = sim_live(
             4,
             graph_config(1 << 20).with_lateness(5).manual_compaction(),
         );
@@ -419,7 +422,7 @@ mod tests {
     /// rolls one window forward.
     #[test]
     fn auto_compaction_backs_off_inside_the_lateness_window() {
-        let mut live = sim_live(
+        let live = sim_live(
             6,
             graph_config(1 << 20)
                 .with_delta_budget(200) // far below the window's backlog
@@ -457,7 +460,7 @@ mod tests {
 
     #[test]
     fn silent_advance_extends_the_horizon() {
-        let mut live = sim_live(3, graph_config(1 << 20));
+        let live = sim_live(3, graph_config(1 << 20));
         live.append(c(0, 1, 0, 0)).unwrap();
         assert_eq!(live.now(), 1);
         live.advance(10);
@@ -479,7 +482,7 @@ mod tests {
         let records = [c(0, 1, 0, 2), c(1, 2, 3, 4), c(2, 3, 6, 6)];
         {
             let dev = FileDevice::create(&path, 256).unwrap();
-            let mut live = graph_config(1 << 20)
+            let live = graph_config(1 << 20)
                 .manual_compaction()
                 .builder()
                 .build_on(Box::new(dev), Box::new(|| Box::new(SimDevice::new(256))), 4)
@@ -490,7 +493,7 @@ mod tests {
             live.sync().unwrap();
         } // crash: base and delta evaporate; only the log file remains
         let dev = FileDevice::open(&path, 256).unwrap();
-        let (mut live, recovery) = graph_config(1 << 20)
+        let (live, recovery) = graph_config(1 << 20)
             .manual_compaction()
             .builder()
             .open_on(Box::new(dev), Box::new(|| Box::new(SimDevice::new(256))))
@@ -507,7 +510,7 @@ mod tests {
 
     #[test]
     fn append_io_is_sampled_separately_from_queries() {
-        let mut live = sim_live(4, graph_config(1 << 20));
+        let live = sim_live(4, graph_config(1 << 20));
         live.append(c(0, 1, 0, 3)).unwrap();
         live.append(c(1, 2, 5, 6)).unwrap();
         let append_io = live.stats().append_io;

@@ -1,11 +1,11 @@
 //! Epoch-sharded live timeline: the history as a *sequence* of sealed
 //! shards instead of one monolithic base.
 //!
-//! [`LiveIndex`](crate::LiveIndex) and [`ConcurrentLive`](crate::ConcurrentLive)
-//! keep exactly one sealed base covering `[0, watermark)`; every compaction
-//! re-streams the whole history through the builders, so seal cost grows
-//! with the *age* of the timeline. [`ShardedLive`] partitions the sealed
-//! range into epochs at cut ticks `0 = c_0 < c_1 < … < c_k`:
+//! [`LiveIndex`](crate::LiveIndex) keeps exactly one sealed base covering
+//! `[0, watermark)`; every compaction re-streams the whole history through
+//! the builders, so seal cost grows with the *age* of the timeline.
+//! [`ShardedLive`] partitions the sealed range into epochs at cut ticks
+//! `0 = c_0 < c_1 < … < c_k`:
 //!
 //! ```text
 //!   shard 0        shard 1          shard k-1        delta
@@ -13,8 +13,9 @@
 //! ```
 //!
 //! Each sealed shard is an independent ReachGraph (or disk-GRAIL) base on
-//! its **own device** behind its own [`SharedDevice`] hub. Sealing the
-//! delta builds a *new* epoch from the delta's contacts alone — cost
+//! its **own device** behind its own
+//! [`SharedDevice`](reach_storage::SharedDevice) hub. Sealing the delta
+//! builds a *new* epoch from the delta's contacts alone — cost
 //! proportional to the epoch, not the history — and an explicit
 //! [`ShardedLive::merge_epochs`] coalesces adjacent shards when the
 //! directory grows long.
@@ -53,11 +54,12 @@
 
 use crate::delta::DeltaDn;
 use crate::index::{
-    build_sealed_base, decay_delta_leg, outcome_of, AppendOutcome, Base, BaseKind, CompactionStats,
-    LiveConfig, LiveError, LiveStats,
+    batch_answers, build_sealed_base, decay_delta_leg, finish_base, lock_stats, outcome_of,
+    AppendOutcome, Base, BaseKind, CompactionStats, LiveConfig, LiveError, LiveStats, SealedBase,
+    Tail,
 };
 use crate::log::{AppendLog, LogRecovery};
-use reach_contact::{ChainSweep, ErrorMode, MultiRes, StreamedDn};
+use reach_contact::{ChainSweep, StreamedDn};
 use reach_core::attribute_stats;
 use reach_core::frontier::WeightedFrontier;
 use reach_core::{
@@ -67,7 +69,7 @@ use reach_core::{
 };
 use reach_graph::ReachGraph;
 use reach_obs::Tracer;
-use reach_storage::{BlockDevice, DeviceDirectory, IoStats, SharedDevice};
+use reach_storage::{BlockDevice, DeviceDirectory};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
@@ -79,53 +81,18 @@ struct Shard {
     hi: Time,
     /// Device-name suffix: the base lives on `shard-base-{seq}`.
     seq: u64,
-    base: SealedShardBase,
+    base: SealedBase,
 }
 
-/// The sealed index of one shard, paired with its device hub (same shape
-/// as the concurrent index's epoch base: the stored instance is the
-/// template readers are cloned from).
-enum SealedShardBase {
-    /// A sealed ReachGraph.
-    Graph {
-        index: Box<ReachGraph>,
-        device: SharedDevice,
-    },
-    /// A sealed disk GRAIL.
-    Grail {
-        index: Box<reach_baselines::GrailDisk>,
-        device: SharedDevice,
-    },
-}
-
-impl Shard {
-    /// A private reader over this shard's pages: fresh device handle
-    /// (zeroed IO counters) + fresh pager, so per-query counted IO is
-    /// exact no matter how many readers interleave.
-    fn reader(&self) -> Base {
-        match &self.base {
-            SealedShardBase::Graph { index, device } => {
-                Base::Graph(Box::new(index.reader(Box::new(device.clone()))))
-            }
-            SealedShardBase::Grail { index, device } => {
-                Base::Grail(Box::new(index.reader(Box::new(device.clone()))))
-            }
-        }
-    }
-}
-
-/// Everything the state lock protects: the shard directory, the mutable
-/// delta, and the durable log (appends must decide, log, and insert
-/// atomically; seals swap the shard set).
+/// Everything the state lock protects: the shard directory and the
+/// mutable tail (appends must decide, log, and insert atomically; seals
+/// swap the shard set).
 struct ShardState {
     shards: Arc<Vec<Arc<Shard>>>,
-    delta: DeltaDn,
-    log: AppendLog,
-    log_read: IoStats,
+    tail: Tail,
     dir: Option<EpochDirectory>,
     generation: u64,
     next_seq: u64,
-    auto_resume_at: Time,
 }
 
 /// Where [`ShardedLive::inject_crash`] kills the next seal/merge — between
@@ -196,9 +163,8 @@ impl ShardedLive {
         } else {
             None
         };
-        let log_read = log.io_stats();
         let stats = LiveStats {
-            append_io: log_read,
+            append_io: log.io_stats(),
             ..LiveStats::default()
         };
         Ok(Self {
@@ -207,13 +173,10 @@ impl ShardedLive {
             directory,
             state: RwLock::new(ShardState {
                 shards: Arc::new(Vec::new()),
-                delta: DeltaDn::new(0),
-                log,
-                log_read,
+                tail: Tail::new(log, DeltaDn::new(0)),
                 dir,
                 generation: 0,
                 next_seq: 0,
-                auto_resume_at: 0,
             }),
             stats: Mutex::new(stats),
             crash: Mutex::new(None),
@@ -252,10 +215,7 @@ impl ShardedLive {
                 lo,
                 hi,
                 seq,
-                base: SealedShardBase::Graph {
-                    index: Box::new(index),
-                    device: hub,
-                },
+                base: SealedBase::new(Base::Graph(Box::new(index)), hub),
             }));
             next_seq = next_seq.max(seq + 1);
         }
@@ -274,9 +234,8 @@ impl ShardedLive {
                 TimeInterval::new(start, c.interval.end),
             ));
         }
-        let log_read = log.io_stats();
         let stats = LiveStats {
-            append_io: log_read,
+            append_io: log.io_stats(),
             delta_peak_bytes: delta.resident_bytes() as u64,
             ..LiveStats::default()
         };
@@ -291,13 +250,10 @@ impl ShardedLive {
             directory,
             state: RwLock::new(ShardState {
                 shards: Arc::new(shards),
-                delta,
-                log,
-                log_read,
+                tail: Tail::new(log, delta),
                 dir: Some(dir),
                 generation: records.generation,
                 next_seq,
-                auto_resume_at: 0,
             }),
             stats: Mutex::new(stats),
             crash: Mutex::new(None),
@@ -314,7 +270,7 @@ impl ShardedLive {
     }
 
     fn stats_mut(&self) -> MutexGuard<'_, LiveStats> {
-        self.stats.lock().expect("shard stats lock poisoned")
+        lock_stats(&self.stats)
     }
 
     /// Universe size.
@@ -325,22 +281,22 @@ impl ShardedLive {
     /// The sealed boundary (== the newest shard's `hi`; the delta starts
     /// here).
     pub fn watermark(&self) -> Time {
-        self.read().delta.watermark()
+        self.read().tail.delta.watermark()
     }
 
     /// The live horizon (one past the newest accepted tick).
     pub fn now(&self) -> Time {
-        self.read().delta.now()
+        self.read().tail.delta.now()
     }
 
     /// The delta's deterministic resident-byte estimate.
     pub fn delta_bytes(&self) -> usize {
-        self.read().delta.resident_bytes()
+        self.read().tail.delta.resident_bytes()
     }
 
     /// Records in the durable log.
     pub fn log_len(&self) -> u64 {
-        self.read().log.len()
+        self.read().tail.log.len()
     }
 
     /// Sealed shard count.
@@ -367,11 +323,7 @@ impl ShardedLive {
         let mut any = false;
         let mut total = reach_storage::CacheStats::default();
         for shard in st.shards.iter() {
-            let device = match &shard.base {
-                SealedShardBase::Graph { device, .. } => device,
-                SealedShardBase::Grail { device, .. } => device,
-            };
-            if let Some(cache) = device.cache() {
+            if let Some(cache) = shard.base.hub().cache() {
                 let s = cache.stats();
                 any = true;
                 total.hits += s.hits;
@@ -407,97 +359,36 @@ impl ShardedLive {
 
     /// Advances the live clock without appending.
     pub fn advance(&self, to: Time) {
-        self.write().delta.advance(to);
+        self.write().tail.delta.advance(to);
     }
 
     /// Flushes the append log to durable storage.
     pub fn sync(&self) -> Result<(), IndexError> {
-        self.write().log.sync()
+        self.write().tail.log.sync()
     }
 
     /// Re-reads the full accepted record set from the log (what the
     /// equivalence tests rebuild their oracle from).
     pub fn replay_log(&self) -> Result<Vec<Contact>, IndexError> {
-        let mut st = self.write();
-        let records = st.log.replay();
-        let total = st.log.io_stats();
-        let delta_io = total - st.log_read;
-        st.log_read = total;
-        drop(st);
-        let mut stats = self.stats_mut();
-        stats.append_io = stats.append_io + delta_io;
-        records
+        self.write().tail.replay(&self.stats)
     }
 
-    fn note_log_io(&self, st: &mut ShardState) {
-        let total = st.log.io_stats();
-        let delta_io = total - st.log_read;
-        st.log_read = total;
-        let mut stats = self.stats_mut();
-        stats.append_io = stats.append_io + delta_io;
-    }
-
-    /// Appends one contact record — the same admission rules as the
-    /// single-base index (strict rejects late records, lossy clamps/drops
-    /// them at the watermark), durably logged before it touches the delta.
-    /// May trigger an automatic seal when the delta outgrows its budget.
+    /// Appends one contact record — the single-base index's admission path
+    /// (strict rejects late records, lossy clamps/drops them at the
+    /// watermark), durably logged before it touches the delta. An append
+    /// that pushes the delta over budget seals a new epoch inline.
     pub fn append(&self, c: Contact) -> Result<AppendOutcome, LiveError> {
-        if c.a == c.b {
-            return Err(LiveError::SelfContact(c.a));
-        }
-        for o in [c.a, c.b] {
-            if o.index() >= self.num_objects {
-                return Err(LiveError::UnknownObject(o));
-            }
-        }
-        if c.interval.end == Time::MAX {
-            return Err(LiveError::HorizonOverflow { record: c });
-        }
         let mut st = self.write();
-        let w = st.delta.watermark();
-        let mut outcome = AppendOutcome::default();
-        let accepted = if c.interval.start >= w {
-            c
-        } else {
-            match self.config.mode {
-                ErrorMode::Strict => {
-                    return Err(LiveError::Late {
-                        record: c,
-                        watermark: w,
-                    })
-                }
-                ErrorMode::Lossy if c.interval.end < w => {
-                    self.stats_mut().dropped_late += 1;
-                    return Ok(outcome);
-                }
-                ErrorMode::Lossy => {
-                    self.stats_mut().clamped += 1;
-                    outcome.clamped = true;
-                    Contact::new(c.a, c.b, TimeInterval::new(w, c.interval.end))
-                }
+        let barrier = st.tail.delta.watermark();
+        let (mut outcome, trigger) =
+            st.tail
+                .admit(c, barrier, self.num_objects, &self.config, &self.stats)?;
+        if let Some(cut) = trigger {
+            match self.seal_locked(&mut st, cut) {
+                Ok(done) => outcome.compacted = done.is_some(),
+                Err(e) => outcome.compaction_error = Some(e),
             }
-        };
-        st.log.append(accepted)?;
-        self.note_log_io(&mut st);
-        st.delta.insert(accepted);
-        {
-            let mut stats = self.stats_mut();
-            stats.appended += 1;
-            stats.delta_peak_bytes = stats.delta_peak_bytes.max(st.delta.resident_bytes() as u64);
-        }
-        outcome.logged = true;
-        if self.config.auto_compact && st.delta.resident_bytes() > self.config.delta_budget {
-            let now = st.delta.now();
-            let candidate = now.saturating_sub(self.config.lateness).max(w);
-            if candidate > w && now >= st.auto_resume_at {
-                match self.seal_locked(&mut st, candidate) {
-                    Ok(done) => outcome.compacted = done.is_some(),
-                    Err(e) => outcome.compaction_error = Some(e),
-                }
-                if st.delta.resident_bytes() > self.config.delta_budget {
-                    st.auto_resume_at = now.saturating_add(self.config.lateness.max(1));
-                }
-            }
+            st.tail.back_off_if_over(&self.config);
         }
         Ok(outcome)
     }
@@ -516,10 +407,11 @@ impl ShardedLive {
     pub fn seal_now(&self) -> Result<Option<CompactionStats>, IndexError> {
         let mut st = self.write();
         let cut = st
+            .tail
             .delta
             .now()
             .saturating_sub(self.config.lateness)
-            .max(st.delta.watermark());
+            .max(st.tail.delta.watermark());
         self.seal_locked(&mut st, cut)
     }
 
@@ -529,14 +421,14 @@ impl ShardedLive {
         cut: Time,
     ) -> Result<Option<CompactionStats>, IndexError> {
         let started = Instant::now();
-        let cut = cut.min(st.delta.now());
-        let lo = st.delta.watermark();
+        let cut = cut.min(st.tail.delta.now());
+        let lo = st.tail.delta.watermark();
         if cut == 0 || cut <= lo {
             return Ok(None);
         }
         // Phase 1: build the new epoch's base on fresh devices and sync
         // it. Input is the delta's sealed head only — no history restream.
-        let sealed = st.delta.sealed_head(cut);
+        let sealed = st.tail.delta.sealed_head(cut);
         let seq = st.next_seq;
         let scratch_name = format!("shard-scratch-{seq}");
         let built = (|| {
@@ -547,20 +439,27 @@ impl ShardedLive {
                 self.config.shared_cache_pages,
                 self.config.readahead,
             );
-            let handle = hub.clone();
-            let mut none = Base::None;
             let (mut base, mut stats) = build_sealed_base(
-                &mut none,
+                &mut Base::None,
                 &sealed,
                 self.num_objects,
                 cut,
                 &self.config,
                 scratch,
-                Box::new(hub),
+                Box::new(hub.clone()),
             )?;
             base.device_sync()?;
             stats.duration = started.elapsed();
-            Ok::<_, IndexError>((seal_shard(lo, cut, seq, base, handle), stats))
+            let base = SealedBase::new(base, hub);
+            Ok::<_, IndexError>((
+                Shard {
+                    lo,
+                    hi: cut,
+                    seq,
+                    base,
+                },
+                stats,
+            ))
         })();
         let _ = self.directory.remove(&scratch_name);
         let (shard, stats) = built?;
@@ -576,7 +475,7 @@ impl ShardedLive {
         let mut shards = st.shards.as_ref().clone();
         shards.push(Arc::new(shard));
         st.shards = Arc::new(shards);
-        st.delta.discard_below(cut);
+        st.tail.delta.discard_below(cut);
         st.generation += 1;
         {
             let mut s = self.stats_mut();
@@ -615,13 +514,12 @@ impl ShardedLive {
                 self.config.shared_cache_pages,
                 self.config.readahead,
             );
-            let handle = hub.clone();
             let mut stats = CompactionStats {
                 watermark: hi,
                 ..CompactionStats::default()
             };
             let budget = self.config.budget;
-            let mut readers: Vec<Base> = st.shards[i..=j].iter().map(|s| s.reader()).collect();
+            let mut readers: Vec<Base> = st.shards[i..=j].iter().map(|s| s.base.reader()).collect();
             let mut sdn = match &self.config.base {
                 BaseKind::Graph(_) => {
                     let mut sweeps: Vec<ChainSweep<&mut ReachGraph>> = readers
@@ -660,11 +558,12 @@ impl ShardedLive {
             for b in readers.iter_mut() {
                 stats.base_read_io = stats.base_read_io + b.device_stats();
             }
-            let mut base = finish_base(&self.config, Box::new(hub), &mut sdn)?;
+            let mut base = finish_base(&self.config, Box::new(hub.clone()), &mut sdn)?;
             stats.spill = sdn.spill_stats();
             base.device_sync()?;
             stats.duration = started.elapsed();
-            Ok::<_, IndexError>((seal_shard(lo, hi, seq, base, handle), stats))
+            let base = SealedBase::new(base, hub);
+            Ok::<_, IndexError>((Shard { lo, hi, seq, base }, stats))
         })();
         let _ = self.directory.remove(&scratch_name);
         let (shard, stats) = built?;
@@ -751,7 +650,7 @@ impl ShardedLive {
     ) -> Result<QueryResult, IndexError> {
         let started = Instant::now();
         let st = self.read();
-        let now = st.delta.now();
+        let now = st.tail.delta.now();
         for o in [q.source, q.dest] {
             if o.index() >= self.num_objects {
                 return Err(IndexError::UnknownObject(o));
@@ -776,12 +675,12 @@ impl ShardedLive {
             let mut leg_span = trace.span("shard/leg");
             leg_span.label_with(|| format!("epoch [{}, {})", shard.lo, shard.hi));
             leg_span.set_seeds(1);
-            let mut base = shard.reader();
+            let mut base = shard.base.reader();
             let result = base.evaluate(q)?;
             attribute_stats(&mut leg_span, &result.stats);
             result
         } else {
-            let w = st.delta.watermark();
+            let w = st.tail.delta.watermark();
             let mut stats = QueryStats::default();
             let mut frontier = FrontierHandoff::seeded(q.source, t1);
             let mut sealed_hit = None;
@@ -796,7 +695,7 @@ impl ShardedLive {
                 let mut leg_span = trace.span("shard/leg");
                 leg_span.label_with(|| format!("epoch [{}, {})", shard.lo, shard.hi));
                 leg_span.set_seeds(frontier.seeds().len() as u64);
-                let mut base = shard.reader();
+                let mut base = shard.base.reader();
                 let (leg, s) = base.reachable_set_from(frontier.seeds(), span)?;
                 attribute_stats(&mut leg_span, &s);
                 leg_span.finish();
@@ -818,9 +717,12 @@ impl ShardedLive {
                     let mut delta_span = trace.span("shard/delta");
                     delta_span.label_with(|| format!("delta [{w}, {t2}]"));
                     delta_span.set_seeds(frontier.seeds().len() as u64);
-                    let when =
-                        st.delta
-                            .propagate(self.num_objects, frontier.seeds(), t2, Some(q.dest));
+                    let when = st.tail.delta.propagate(
+                        self.num_objects,
+                        frontier.seeds(),
+                        t2,
+                        Some(q.dest),
+                    );
                     outcome_of(when[q.dest.index()])
                 }
                 None => outcome_of(None),
@@ -854,7 +756,7 @@ impl ShardedLive {
         trace: &Tracer,
     ) -> Result<(WeightedFrontier, QueryStats), IndexError> {
         let st = self.read();
-        let now = st.delta.now();
+        let now = st.tail.delta.now();
         if source.index() >= self.num_objects {
             return Err(IndexError::UnknownObject(source));
         }
@@ -866,7 +768,7 @@ impl ShardedLive {
         }
         let t1 = interval.start;
         let t2 = interval.end.min(now - 1);
-        let w = st.delta.watermark();
+        let w = st.tail.delta.watermark();
         let mut frontier = WeightedFrontier::seeded(source, t1);
         let mut stats = QueryStats::default();
         let mut pending = vec![(source, 0u32, t1)];
@@ -881,7 +783,7 @@ impl ShardedLive {
             let mut leg_span = trace.span("shard/decay-leg");
             leg_span.label_with(|| format!("epoch [{}, {})", shard.lo, shard.hi));
             leg_span.set_seeds((pending.len() + frontier.carry().len()) as u64);
-            let mut base = shard.reader();
+            let mut base = shard.base.reader();
             let (leg, s) =
                 base.decay_states_from(&pending, frontier.carry(), span, t1, model, floor)?;
             attribute_stats(&mut leg_span, &s);
@@ -897,7 +799,7 @@ impl ShardedLive {
             delta_span.set_seeds(pending.len() as u64);
             let before = stats;
             decay_delta_leg(
-                &st.delta,
+                &st.tail.delta,
                 self.num_objects,
                 &pending,
                 &mut frontier,
@@ -941,7 +843,7 @@ impl ShardedLive {
             return Ok(Vec::new());
         }
         let st = self.read();
-        let now = st.delta.now();
+        let now = st.tail.delta.now();
         if window.start >= now {
             return Err(IndexError::IntervalOutOfRange {
                 requested: window,
@@ -950,7 +852,7 @@ impl ShardedLive {
         }
         let t1 = window.start;
         let t2 = window.end.min(now - 1);
-        let w = st.delta.watermark();
+        let w = st.tail.delta.watermark();
         let mut stats = QueryStats::default();
         let mut frontier = FrontierHandoff::seeded(source, t1);
         for shard in st.shards.iter() {
@@ -961,13 +863,14 @@ impl ShardedLive {
                 break;
             }
             let span = TimeInterval::new(t1.max(shard.lo), t2.min(shard.hi - 1));
-            let mut base = shard.reader();
+            let mut base = shard.base.reader();
             let (leg, s) = base.reachable_set_from(frontier.seeds(), span)?;
             stats = stats.merged(&s);
             frontier.absorb(&leg, span.end);
         }
         let mut when = if t2 >= w {
-            st.delta
+            st.tail
+                .delta
                 .propagate(self.num_objects, frontier.seeds(), t2, None)
         } else {
             vec![None; self.num_objects]
@@ -978,23 +881,7 @@ impl ShardedLive {
         }
         drop(st);
         stats.cpu = started.elapsed();
-        let mut first = true;
-        let answers: Vec<Answer> = dests
-            .iter()
-            .map(|&dest| {
-                let outcome = if dest == source {
-                    QueryOutcome::reachable_at(t1)
-                } else {
-                    outcome_of(when[dest.index()])
-                };
-                let stats = if std::mem::take(&mut first) {
-                    stats
-                } else {
-                    QueryStats::default()
-                };
-                Answer::from(QueryResult { outcome, stats })
-            })
-            .collect();
+        let answers = batch_answers(source, t1, &when, dests, stats);
         let mut s = self.stats_mut();
         s.queries += answers.len() as u64;
         for a in &answers {
@@ -1102,54 +989,6 @@ impl ReachIndex for ShardedLive {
     ) -> Result<Vec<Answer>, IndexError> {
         self.evaluate_batch(source, window, dests)
     }
-}
-
-/// Wraps a freshly built base into a [`Shard`].
-fn seal_shard(lo: Time, hi: Time, seq: u64, base: Base, handle: SharedDevice) -> Shard {
-    let base = match base {
-        Base::None => unreachable!("a seal always builds a base"),
-        Base::Graph(index) => SealedShardBase::Graph {
-            index,
-            device: handle,
-        },
-        Base::Grail(index) => SealedShardBase::Grail {
-            index,
-            device: handle,
-        },
-    };
-    Shard { lo, hi, seq, base }
-}
-
-/// Finishes a streamed DN into the configured base kind on `device` (the
-/// tail of `build_sealed_base`, reused by the merge path).
-fn finish_base(
-    config: &LiveConfig,
-    device: Box<dyn BlockDevice>,
-    sdn: &mut StreamedDn,
-) -> Result<Base, IndexError> {
-    assert_eq!(
-        device.page_size(),
-        config.base.page_size(),
-        "merge device page size must match the configured base"
-    );
-    Ok(match &config.base {
-        BaseKind::Graph(params) => {
-            let mr = MultiRes::build(&mut *sdn, &params.levels);
-            Base::Graph(Box::new(ReachGraph::build_on(
-                device,
-                sdn,
-                &mr,
-                params.clone(),
-            )?))
-        }
-        BaseKind::Grail(cfg) => Base::Grail(Box::new(reach_baselines::GrailDisk::build_on(
-            device,
-            sdn,
-            cfg.d,
-            cfg.seed,
-            cfg.cache_pages,
-        )?)),
-    })
 }
 
 // ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ proptest! {
         let n = n.min(5);
         // A tiny budget forces frequent auto-compactions mid-schedule; a
         // large one keeps everything in the delta — both must agree.
-        let mut live = live_index(n, if tiny_budget { 300 } else { 1 << 20 });
+        let live = live_index(n, if tiny_budget { 300 } else { 1 << 20 });
         // Ids are drawn from 0..5 and folded into the actual universe.
         let fold = |o: u32| o % n as u32;
         for op in &ops {

@@ -8,9 +8,9 @@
 //!               [--trace=0|1] [--slow-reads=N]
 //! ```
 //!
-//! The binary builds a `ConcurrentLive` index on the chosen backend,
-//! ingests a deterministic xorshift contact stream on the main thread
-//! (background compactions trigger off the delta budget), and serves a
+//! The binary builds a `LiveIndex` on the chosen backend, ingests a
+//! deterministic xorshift contact stream on the main thread (compactions
+//! run inline whenever an append crosses the delta budget), and serves a
 //! query stream from `--clients` submitter threads through the
 //! `reach_serve::Server` worker pool — appends, queries, and compactions
 //! all overlap. It exits with a metrics table.
@@ -31,7 +31,7 @@
 
 use reach_core::{ObjectId, ReachIndex, ReachRequest, Time, TimeInterval};
 use reach_graph::GraphParams;
-use reach_live::{ConcurrentLive, LiveConfig, ShardedLive};
+use reach_live::{LiveConfig, LiveIndex, ShardedLive};
 use reach_obs::{Obs, ObsConfig, SlowQueryPolicy};
 use reach_serve::{ServeConfig, Server, SubmitError};
 use reach_storage::{BuildBudget, CacheStats, StorageConfig};
@@ -158,7 +158,7 @@ fn contact_stream(
     out
 }
 
-fn build_index(args: &Args) -> Result<ConcurrentLive, reach_core::IndexError> {
+fn build_index(args: &Args) -> Result<LiveIndex, reach_core::IndexError> {
     LiveConfig::graph(
         GraphParams {
             partition_depth: 8,
@@ -172,7 +172,7 @@ fn build_index(args: &Args) -> Result<ConcurrentLive, reach_core::IndexError> {
     .with_shared_cache(args.cache_pages)
     .builder()
     .backend(args.backend.clone())
-    .serve(args.objects)
+    .build(args.objects)
 }
 
 /// Builds the observability bundle when `--metrics-out`/`--metrics-json`
@@ -431,7 +431,7 @@ fn main() {
     for c in &stream[..warmup] {
         index.append(*c).expect("warmup append");
     }
-    index.compact_now().expect("warmup compaction");
+    index.compact().expect("warmup compaction");
 
     let obs = build_obs(&args);
     let server = start_server(
@@ -442,7 +442,7 @@ fn main() {
     .expect("server starts");
 
     // Clients submit queries over the already-ingested prefix while the
-    // main thread keeps appending (and the worker keeps compacting).
+    // main thread keeps appending (and compacting inline).
     let safe_horizon = index.now().saturating_sub(1).max(1);
     let shed = drive_clients(&server, &args, safe_horizon, || {
         for c in &stream[warmup..] {
@@ -453,7 +453,7 @@ fn main() {
     // Each epoch carries a fresh cache, so read the counters before the
     // final compaction swaps in an empty one.
     let cache = index.cache_stats();
-    if let Err(e) = index.compact_now() {
+    if let Err(e) = index.compact() {
         eprintln!("streach_serve: final compaction failed: {e}");
     }
     index.sync().expect("log sync");
@@ -476,7 +476,7 @@ fn main() {
         args.workers, args.clients, args.queue, args.backend_name
     );
     println!(
-        "  ingested       {} contacts -> watermark {} / horizon {} ({} background compactions, epoch {})",
+        "  ingested       {} contacts -> watermark {} / horizon {} ({} compactions, epoch {})",
         args.contacts, live.watermark, live.now, live.compactions, live.epoch
     );
     println!(

@@ -1,8 +1,8 @@
 //! Query serving over any [`ReachIndex`]: a bounded admission queue, a
 //! worker pool, same-source batching, and live metrics.
 //!
-//! The concurrent live index (`reach_live::ConcurrentLive`) makes *query
-//! evaluation* thread-safe; this crate adds the *service* around it — the
+//! The live index (`reach_live::LiveIndex`) makes *query evaluation*
+//! thread-safe; this crate adds the *service* around it — the
 //! part of the ISSUE that turns a shared index into something a request
 //! stream can hit:
 //!
@@ -12,8 +12,8 @@
 //!   design: a latency-bound service sheds load instead of buffering it.
 //! * **Worker pool** — `workers` threads drain the queue concurrently.
 //!   The index is held as `Arc<dyn ReachIndex>`, so anything behind the
-//!   unified query trait serves unmodified: the concurrent live index
-//!   natively, the build-once indexes through `Serial`.
+//!   unified query trait serves unmodified: the live indexes natively,
+//!   the build-once indexes through `Serial`.
 //! * **Same-source batching** — when a worker dequeues a plain
 //!   reachability or decay-weighted job it also drains every queued job
 //!   with the same source, window, and kind and answers them through one

@@ -253,7 +253,7 @@
 //! use streach::prelude::*;
 //!
 //! let params = GraphParams { page_size: 256, ..GraphParams::default() };
-//! let mut live = LiveConfig::graph(params, BuildBudget::bytes(64 << 10))
+//! let live = LiveConfig::graph(params, BuildBudget::bytes(64 << 10))
 //!     .builder() // knobs: .lateness(..), .strict(), .delta_budget(..), .backend(..)
 //!     .build(4 /* universe size */)
 //!     .expect("live index creates");
@@ -278,18 +278,19 @@
 //! assert!(live.evaluate_query(&q).expect("query evaluates").reachable());
 //! ```
 
-//! ## Concurrent serving: shared queries, background compaction
+//! ## Concurrent serving: shared queries, inline compaction
 //!
-//! [`LiveBuilder::serve`](live::LiveBuilder::serve) produces a
-//! [`ConcurrentLive`](live::ConcurrentLive) instead: queries take `&self`
-//! through the unified [`ReachIndex`](core::ReachIndex) trait (every index
-//! in the workspace answers through it — single-threaded ones via the
-//! [`Serial`](core::Serial) adapter),
-//! appends are write-locked, and compaction runs on a background worker
-//! that swaps in the rebuilt base as a new epoch without ever blocking
-//! readers. Per-query counted IO stays exact under any interleaving
-//! because each query reads the sealed base through a private
-//! [`SharedDevice`](storage::SharedDevice) handle:
+//! The same [`LiveIndex`](live::LiveIndex) serves many threads at once:
+//! every method takes `&self`, queries answer through the unified
+//! [`ReachIndex`](core::ReachIndex) trait (every index in the workspace
+//! answers through it — single-threaded ones via the
+//! [`Serial`](core::Serial) adapter), appends are write-locked, and a
+//! compaction — run by [`compact`](live::LiveIndex::compact) or inline by
+//! the append that crossed the budget — rebuilds off-lock and swaps in the
+//! new base as an epoch without ever blocking readers. Per-query counted
+//! IO stays exact under any interleaving because each query reads the
+//! sealed base through a private [`SharedDevice`](storage::SharedDevice)
+//! handle:
 //!
 //! ```
 //! use streach::prelude::*;
@@ -298,13 +299,13 @@
 //! let params = GraphParams { page_size: 256, ..GraphParams::default() };
 //! let live = LiveConfig::graph(params, BuildBudget::bytes(64 << 10))
 //!     .builder()
-//!     .serve(4)
-//!     .expect("serving index creates");
+//!     .build(4)
+//!     .expect("live index creates");
 //! live.append(Contact::new(ObjectId(0), ObjectId(1), TimeInterval::new(0, 0)))
 //!     .expect("append accepted");
 //! live.append(Contact::new(ObjectId(1), ObjectId(3), TimeInterval::new(1, 1)))
 //!     .expect("append accepted");
-//! live.compact_now().expect("synchronous compaction");
+//! live.compact().expect("compaction succeeds");
 //!
 //! // Shared by Arc: any number of threads may query concurrently.
 //! let shared: Arc<dyn ReachIndex> = Arc::new(live);
@@ -357,9 +358,9 @@ pub mod prelude {
     pub use reach_graph::{GraphParams, MemoryHn, ReachGraph, TraversalKind};
     pub use reach_grid::{GridParams, ReachGrid, Spj};
     pub use reach_live::{
-        AppendLog, BaseKind, CompactionStats, ConcurrentLive, DeltaDn, GrailConfig, LiveBuilder,
-        LiveConfig, LiveError, LiveIndex, LiveMetrics, LiveStats, LogRecovery, ShardCrashPoint,
-        ShardRecovery, ShardedLive,
+        AppendLog, BaseKind, CompactionStats, DeltaDn, GrailConfig, LiveBuilder, LiveConfig,
+        LiveError, LiveIndex, LiveMetrics, LiveStats, LogRecovery, ShardCrashPoint, ShardRecovery,
+        ShardedLive,
     };
     pub use reach_mobility::{RoadNetwork, RwpConfig, VehicleConfig, WorkloadConfig};
     pub use reach_obs::{

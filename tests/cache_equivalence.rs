@@ -269,21 +269,21 @@ fn concurrent_serve_with_shared_cache_matches_single_threaded() {
         let cold = LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10))
             .with_lateness(16)
             .builder()
-            .serve_on(device_for(backend), factory_for(backend), n)
+            .build_on(device_for(backend), factory_for(backend), n)
             .expect("cold serving index creates");
         let warm = LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10))
             .with_lateness(16)
             .with_shared_cache(2048)
             .with_readahead(8)
             .builder()
-            .serve_on(device_for(backend), factory_for(backend), n)
+            .build_on(device_for(backend), factory_for(backend), n)
             .expect("warm serving index creates");
         for &c in &records {
             cold.append(c).expect("cold append");
             warm.append(c).expect("warm append");
         }
-        cold.compact_now().expect("cold seal");
-        warm.compact_now().expect("warm seal");
+        cold.compact().expect("cold seal");
+        warm.compact().expect("warm seal");
 
         // Single-threaded ground truth from the cold index.
         let now = cold.now();
@@ -348,7 +348,7 @@ fn epoch_swaps_never_serve_stale_cached_pages() {
         .with_shared_cache(4096)
         .with_readahead(8)
         .builder()
-        .serve_on(device_for("sim"), factory_for("sim"), n)
+        .build_on(device_for("sim"), factory_for("sim"), n)
         .expect("cached serving index creates");
     let records = stream(0xDEAD, n as u32, horizon, 240);
     let rounds = 4;
@@ -358,7 +358,7 @@ fn epoch_swaps_never_serve_stale_cached_pages() {
         for &c in &records[round * per_round..(round + 1) * per_round] {
             index.append(c).expect("append");
         }
-        index.compact_now().expect("epoch swap");
+        index.compact().expect("epoch swap");
         let accepted = index.replay_log().expect("log replays");
         let now = index.now();
         let oracle = oracle_of(n, now, &accepted);

@@ -1,7 +1,8 @@
 //! Tier-1 suite for concurrent serving (ISSUE 6 acceptance criteria):
 //!
 //! 1. **Equivalence** — any tested interleaving of concurrent queries,
-//!    appends, and background compactions quiesces to exactly the
+//!    appends, and compactions (inline on the appending thread or on
+//!    their own) quiesces to exactly the
 //!    single-threaded batch-oracle answers, on sim, file, and mmap;
 //! 2. **Safety while moving** — answers produced *during* concurrent
 //!    appends are bracketed by the prefix/full oracles, and an epoch swap
@@ -31,14 +32,14 @@ fn graph_params() -> GraphParams {
     }
 }
 
-/// A concurrent live index on the named backend.
-fn serve_on(backend: &'static str, delta_budget: usize, num_objects: usize) -> ConcurrentLive {
+/// A live index on the named backend.
+fn live_on(backend: &'static str, delta_budget: usize, num_objects: usize) -> LiveIndex {
     LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10))
         .with_delta_budget(delta_budget)
         .with_lateness(16)
         .builder()
-        .serve_on(device_for(backend), factory_for(backend), num_objects)
-        .expect("concurrent live index creates")
+        .build_on(device_for(backend), factory_for(backend), num_objects)
+        .expect("live index creates")
 }
 
 /// A fresh device of the named backend. File-backed devices are unlinked
@@ -112,14 +113,22 @@ fn concurrent_interleavings_quiesce_to_the_batch_oracle() {
         for seed in 0..2u64 {
             let n = 8usize;
             let horizon = 100u32;
-            // Small delta budget: the background worker compacts on its own
-            // while readers and the appender are running.
-            let index = Arc::new(serve_on(backend, 2_500, n));
+            // Small delta budget: the appender compacts inline on its own,
+            // and a compactor thread takes explicit requests, while the
+            // readers keep running.
+            let index = Arc::new(live_on(backend, 2_500, n));
             let records = stream(seed ^ 0xC0C0, n as u32, horizon, 200);
             let stop = AtomicBool::new(false);
             let served = AtomicU64::new(0);
 
             std::thread::scope(|scope| {
+                let (request, requests) = std::sync::mpsc::channel::<()>();
+                let compactor = Arc::clone(&index);
+                scope.spawn(move || {
+                    for () in requests {
+                        compactor.compact().expect("requested compaction");
+                    }
+                });
                 for reader in 0..3u64 {
                     let index = Arc::clone(&index);
                     let stop = &stop;
@@ -151,9 +160,10 @@ fn concurrent_interleavings_quiesce_to_the_batch_oracle() {
                 for (i, &c) in records.iter().enumerate() {
                     index.append(c).expect("lossy appends never error");
                     if i % 37 == 11 {
-                        index.request_compact();
+                        request.send(()).expect("compactor thread runs");
                     }
                 }
+                drop(request);
                 // Appending 200 records takes microseconds; hold the door
                 // open until the readers have actually interleaved.
                 let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
@@ -169,7 +179,7 @@ fn concurrent_interleavings_quiesce_to_the_batch_oracle() {
 
             // Quiesce: seal everything, then sweep against the oracle over
             // exactly the records the log accepted.
-            index.compact_now().expect("quiescing compaction");
+            index.compact().expect("quiescing compaction");
             assert!(served.load(Ordering::Relaxed) > 0, "readers must have run");
             let accepted = index.replay_log().expect("log replays");
             let oracle = oracle_of(n, index.now(), &accepted);
@@ -206,13 +216,13 @@ fn concurrent_interleavings_quiesce_to_the_batch_oracle() {
 fn concurrent_answers_are_bracketed_by_prefix_and_full_oracles() {
     let n = 8usize;
     let horizon = 100u32;
-    let index = Arc::new(serve_on("sim", usize::MAX / 2, n));
+    let index = Arc::new(live_on("sim", usize::MAX / 2, n));
     let records = stream(0xB0B, n as u32, horizon, 200);
     let prefix = records.len() / 2;
     for &c in &records[..prefix] {
         index.append(c).expect("prefix append");
     }
-    index.compact_now().expect("prefix seals");
+    index.compact().expect("prefix seals");
 
     // The prefix oracle sees exactly what the index has accepted so far;
     // the full oracle sees every record that will ever arrive (an upper
@@ -257,7 +267,8 @@ fn concurrent_answers_are_bracketed_by_prefix_and_full_oracles() {
         for &c in &records[prefix..] {
             index.append(c).expect("live append");
         }
-        index.request_compact();
+        let compactor = Arc::clone(&index);
+        scope.spawn(move || compactor.compact().expect("compaction under readers"));
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
         while served.load(Ordering::Relaxed) < 50 {
             assert!(
@@ -277,12 +288,12 @@ fn concurrent_answers_are_bracketed_by_prefix_and_full_oracles() {
 fn epoch_swaps_never_serve_a_torn_base() {
     let n = 8usize;
     let horizon = 60u32;
-    let index = Arc::new(serve_on("sim", usize::MAX / 2, n));
+    let index = Arc::new(live_on("sim", usize::MAX / 2, n));
     let records = stream(0xE90C, n as u32, horizon, 150);
     for &c in &records {
         index.append(c).expect("append");
     }
-    index.compact_now().expect("initial seal");
+    index.compact().expect("initial seal");
     let accepted = index.replay_log().expect("log replays");
     let data_now = index.now();
     let oracle = oracle_of(n, data_now, &accepted);
@@ -311,11 +322,11 @@ fn epoch_swaps_never_serve_a_torn_base() {
                 }
             });
         }
-        // Keep the cut advancing so every compact_now really rebuilds and
+        // Keep the cut advancing so every compact really rebuilds and
         // swaps a fresh epoch in under the readers.
         for round in 1..=4u32 {
             index.advance(data_now + 8 * round);
-            index.compact_now().expect("swap compaction");
+            index.compact().expect("swap compaction");
         }
         stop.store(true, Ordering::Release);
     });
@@ -338,7 +349,7 @@ fn epoch_swaps_never_serve_a_torn_base() {
 fn queries_are_served_during_a_compaction() {
     let n = 8usize;
     let horizon = 60u32;
-    let index = Arc::new(serve_on("sim", usize::MAX / 2, n));
+    let index = Arc::new(live_on("sim", usize::MAX / 2, n));
     for &c in &stream(0x0CC, n as u32, horizon, 150) {
         index.append(c).expect("append");
     }
@@ -346,7 +357,7 @@ fn queries_are_served_during_a_compaction() {
 
     let worker = {
         let index = Arc::clone(&index);
-        std::thread::spawn(move || index.compact_now())
+        std::thread::spawn(move || index.compact())
     };
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
     while !index.metrics().compacting {
@@ -379,8 +390,8 @@ fn queries_are_served_during_a_compaction() {
 }
 
 /// Every index type answers through the unified [`ReachIndex`] envelope:
-/// ReachGrid, ReachGraph, GRAIL(disk), LiveIndex (all via [`Serial`]),
-/// and ConcurrentLive natively — one dispatch loop, no per-index arms.
+/// ReachGrid, ReachGraph, GRAIL(disk) (all via [`Serial`]), and LiveIndex
+/// natively — one dispatch loop, no per-index arms.
 /// The ext variants ride the same envelope with their own
 /// [`QueryKind`]s.
 #[test]
@@ -415,7 +426,7 @@ fn every_index_type_answers_through_reach_index() {
     .expect("grid builds");
     let graph = ReachGraph::build(&dn, &mr, GraphParams::default()).expect("graph builds");
     let grail = GrailDisk::build(&dn, 4, 0xD15C, 4096, 32).expect("grail disk builds");
-    let mut live = LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10))
+    let live = LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10))
         .builder()
         .build(n)
         .expect("live index creates");
@@ -423,22 +434,13 @@ fn every_index_type_answers_through_reach_index() {
         live.append(c).expect("append accepted");
     }
     live.compact().expect("live compaction");
-    let serving = LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10))
-        .builder()
-        .serve(n)
-        .expect("serving index creates");
-    for &c in &contacts {
-        serving.append(c).expect("append accepted");
-    }
-    serving.compact_now().expect("serving compaction");
 
     // One trait object per index — the loop below is the only dispatch.
     let evaluators: Vec<Box<dyn ReachIndex>> = vec![
         Box::new(Serial::new(grid)),
         Box::new(Serial::new(graph)),
         Box::new(Serial::new(grail)),
-        Box::new(Serial::new(live)),
-        Box::new(serving),
+        Box::new(live),
     ];
 
     let queries = WorkloadConfig {

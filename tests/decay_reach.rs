@@ -191,14 +191,14 @@ fn batch_and_served_dispatch_match_single_answers() {
     let live = LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10))
         .builder()
         .manual_compaction()
-        .serve(n as usize)
-        .expect("serving index creates");
+        .build(n as usize)
+        .expect("live index creates");
     let contacts = stream(0x5E77, n, horizon, 120);
     let cut = contacts.len() / 2;
     for &c in &contacts[..cut] {
         live.append(c).expect("append accepted");
     }
-    live.compact_now().expect("compaction succeeds");
+    live.compact().expect("compaction succeeds");
     for &c in &contacts[cut..] {
         live.append(c).expect("append accepted");
     }
@@ -331,7 +331,7 @@ fn cross_shard_composition_matches_the_monolithic_walk() {
 
     // The compacting (non-sharded) live index composes base+delta through
     // the same weighted frontier; it must agree with the same walk.
-    let mut live = LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10))
+    let live = LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10))
         .builder()
         .manual_compaction()
         .build(n as usize)

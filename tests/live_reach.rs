@@ -103,7 +103,7 @@ fn interleavings_match_batch_rebuild() {
     for seed in 0..3u64 {
         let n = 8usize;
         let horizon = 100u32;
-        let mut live = live_on("sim", 2_000, n); // small budget: auto-compacts
+        let live = live_on("sim", 2_000, n); // small budget: auto-compacts
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
         let records = stream(seed, n as u32, horizon, 150);
         for (i, &c) in records.iter().enumerate() {
@@ -170,7 +170,7 @@ fn compacted_base_is_byte_identical_to_batch_build() {
     for backend in ["sim", "file", "mmap"] {
         let n = 8usize;
         let records = stream(7, n as u32, 80, 120);
-        let mut live = live_on(backend, 1 << 20, n);
+        let live = live_on(backend, 1 << 20, n);
         // Three incremental seals at different cut points.
         for (i, &c) in records.iter().enumerate() {
             live.append(c).expect("append accepted");
@@ -196,7 +196,7 @@ fn compacted_base_is_byte_identical_to_batch_build() {
         let mut batch = ReachGraph::build_on(device_for(backend), &mut sdn, &mr, graph_params())
             .expect("batch build succeeds");
 
-        let live_dev = live.base_device_mut().expect("a sealed base exists");
+        let mut live_dev = live.base_device().expect("a sealed base exists");
         let batch_dev = batch.device_mut();
         assert_eq!(
             live_dev.len_pages(),
@@ -223,7 +223,7 @@ fn compacted_grail_base_is_byte_identical() {
         page_size: PAGE,
         cache_pages: 32,
     };
-    let mut live = LiveConfig::grail(grail, BuildBudget::bytes(1 << 20))
+    let live = LiveConfig::grail(grail, BuildBudget::bytes(1 << 20))
         .builder()
         .build_on(device_for("sim"), factory_for("sim"), n)
         .expect("live index creates");
@@ -250,7 +250,7 @@ fn compacted_grail_base_is_byte_identical() {
         grail.cache_pages,
     )
     .expect("batch grail builds");
-    let live_dev = live.base_device_mut().expect("a sealed base exists");
+    let mut live_dev = live.base_device().expect("a sealed base exists");
     let batch_dev = batch.device_mut();
     assert_eq!(live_dev.len_pages(), batch_dev.len_pages());
     let (mut a, mut b) = (vec![0u8; PAGE], vec![0u8; PAGE]);
@@ -267,7 +267,7 @@ fn compacted_grail_base_is_byte_identical() {
 #[test]
 fn lossy_lateness_stays_equivalent() {
     let n = 6usize;
-    let mut live = live_on("sim", 1 << 20, n);
+    let live = live_on("sim", 1 << 20, n);
     let mut rng = StdRng::seed_from_u64(99);
     for round in 0..6u32 {
         for _ in 0..12 {
@@ -289,7 +289,7 @@ fn lossy_lateness_stays_equivalent() {
         }
         live.compact().expect("compaction");
     }
-    let stats = live.stats().clone();
+    let stats = live.stats();
     assert!(
         stats.clamped + stats.dropped_late > 0,
         "schedule must exercise lateness ({stats:?})"
@@ -322,7 +322,7 @@ fn append_log_recovers_after_a_crash() {
     let records = stream(3, n as u32, 50, 40);
     {
         let dev = StorageConfig::file(&path, PAGE).create().expect("log file");
-        let mut live = LiveConfig::graph(graph_params(), BuildBudget::bytes(1 << 20))
+        let live = LiveConfig::graph(graph_params(), BuildBudget::bytes(1 << 20))
             .builder()
             .build_on(dev, factory_for("sim"), n)
             .expect("live index creates");
@@ -348,7 +348,7 @@ fn append_log_recovers_after_a_crash() {
     let dev = StorageConfig::file(&path, PAGE)
         .open()
         .expect("log reopens");
-    let (mut live, recovery) = LiveConfig::graph(graph_params(), BuildBudget::bytes(1 << 20))
+    let (live, recovery) = LiveConfig::graph(graph_params(), BuildBudget::bytes(1 << 20))
         .builder()
         .open_on(dev, factory_for("sim"))
         .expect("recovery succeeds");
