@@ -1,6 +1,7 @@
 //! Runs the epoch-sharding experiment: the same contact stream appended
 //! into epoch-sharded live timelines at varying epoch sizes, contrasted
-//! with the monolithic live index — seal cost vs epoch size, seal cost vs
+//! with a monolithic timeline compacted at the same trigger — seal cost
+//! vs epoch size, seal cost vs
 //! history length (sharded seals read zero sealed pages), and cross-shard
 //! query IO before/after `merge_epochs` (answers asserted against a batch
 //! oracle throughout).

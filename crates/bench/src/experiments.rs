@@ -809,14 +809,15 @@ fn exp_trace_budgeted(
 }
 
 /// The live-ingestion experiment (ISSUE 5): a synthetic contact stream is
-/// appended record by record into a [`reach_live::LiveIndex`] — every
+/// appended record by record into a [`reach_live::ShardedLive`] — every
 /// device on the run's configured backend — with a delta budget sized to
-/// force mid-run watermark compactions, each run inline by the append
-/// that crossed the budget. Reports append throughput,
-/// compaction cost vs a full batch rebuild, and cross-boundary query IO,
-/// and **asserts** along the way that at least one compaction fired and
-/// that every query answer matches a batch-built ReachGraph over the same
-/// records.
+/// force mid-run seals, each run inline by the append that crossed the
+/// budget, and one final [`compact`](reach_live::ShardedLive::compact)
+/// that coalesces the epochs into one whole-history shard. Reports append
+/// throughput, seal and compaction cost vs a full batch rebuild, and
+/// cross-boundary query IO, and **asserts** along the way that at least
+/// one seal fired and that every query answer matches a batch-built
+/// ReachGraph over the same records.
 pub fn exp_live(tier: Tier) -> Vec<Table> {
     use crate::runner::run_batch_shared;
     use reach_core::ReachabilityIndex as _;
@@ -842,8 +843,8 @@ pub fn exp_live(tier: Tier) -> Vec<Table> {
     }
 
     // Delta trigger = one epoch of records (see `epoch_delta_budget`):
-    // forces mid-run compactions at a rate set by the epoch size, not by
-    // the stream length. The *rebuild* budget is independent
+    // forces mid-run seals at a rate set by the epoch size, not by the
+    // stream length. The *rebuild* budget is independent
     // (`--build-budget=BYTES` to bound it; generous default) and the
     // lateness slack keeps the locally-shuffled arrivals inside the
     // mutable window.
@@ -852,16 +853,14 @@ pub fn exp_live(tier: Tier) -> Vec<Table> {
         .map(BuildBudget::bytes)
         .unwrap_or_else(BuildBudget::unbounded);
     let params = graph_params_for(tier);
-    let page = params.page_size;
+    let storage = backend.storage_config(params.page_size);
+    let scratch_dir = storage_dir(&storage);
     let live = LiveConfig::graph(params.clone(), build_budget)
         .with_delta_budget(delta_budget)
         .with_lateness(16)
         .builder()
-        .build_on(
-            backend.device(page),
-            Box::new(move || backend.device(page)),
-            store.num_objects(),
-        )
+        .backend(storage)
+        .build_sharded(store.num_objects())
         .expect("live index creates");
 
     let (appended, append_dur) = timed(|| {
@@ -870,29 +869,33 @@ pub fn exp_live(tier: Tier) -> Vec<Table> {
             let outcome = live.append(c).expect("lossy appends never error");
             assert!(
                 outcome.compaction_error.is_none(),
-                "auto-compaction failed mid-run: {:?}",
+                "auto-seal failed mid-run: {:?}",
                 outcome.compaction_error
             );
             n += u64::from(outcome.logged);
         }
         n
     });
-    let stats = live.stats();
+    let seals = live.stats().compactions;
     assert!(
-        stats.compactions >= 1,
-        "the budget must force at least one mid-run compaction"
+        seals >= 1,
+        "the budget must force at least one mid-run seal"
     );
+    let epochs = live.shard_count();
+    live.compact().expect("final compaction succeeds");
+    let stats = live.stats();
 
     let mut inventory = Table::new(
         "exp_live (inventory)",
-        "continuous ingestion into a LiveIndex (watermark compaction under a delta budget)",
+        "continuous ingestion into a ShardedLive (inline seals under a delta budget, one final compaction)",
         &[
             "stream",
             "records",
             "appended",
             "clamped",
             "dropped late",
-            "compactions",
+            "seals",
+            "epochs compacted",
             "watermark",
             "horizon",
         ],
@@ -903,7 +906,8 @@ pub fn exp_live(tier: Tier) -> Vec<Table> {
         appended.to_string(),
         stats.clamped.to_string(),
         stats.dropped_late.to_string(),
-        stats.compactions.to_string(),
+        seals.to_string(),
+        epochs.to_string(),
         live.watermark().to_string(),
         live.now().to_string(),
     ]);
@@ -920,19 +924,19 @@ pub fn exp_live(tier: Tier) -> Vec<Table> {
 
     let mut append_t = Table::new(
         "exp_live (append + compaction)",
-        "append throughput and the cost of watermark compactions vs one batch rebuild",
+        "append throughput, seal + compaction cost, and the final compaction vs one batch rebuild",
         &[
             "records/s",
             "log pages",
             "log write pages",
             "delta peak",
             "compaction base-read pages",
-            "compaction spill pages",
-            "last compaction",
+            "seal + compaction spill pages",
+            "final compaction",
             "batch rebuild",
         ],
     );
-    let last = stats.last_compaction.expect("compactions happened");
+    let last = stats.last_compaction.expect("the final compaction ran");
     append_t.row(vec![
         fnum(appended as f64 / append_dur.as_secs_f64().max(1e-9)),
         live.log_pages().to_string(),
@@ -971,7 +975,7 @@ pub fn exp_live(tier: Tier) -> Vec<Table> {
     let live_batch = run_batch_shared(&live, &queries);
     let batch_batch = run_batch(&mut batch, &queries);
     for (name, r) in [
-        ("LiveIndex (base + delta)", live_batch),
+        ("ShardedLive (shard + delta)", live_batch),
         ("batch ReachGraph", batch_batch),
     ] {
         query_t.row(vec![
@@ -981,20 +985,40 @@ pub fn exp_live(tier: Tier) -> Vec<Table> {
             format!("{:.2}", r.reachable_frac),
         ]);
     }
+    scrap(live, scratch_dir);
     vec![inventory, append_t, query_t]
+}
+
+/// The root directory of a `file`/`mmap` storage config (`None` for the
+/// simulator): what [`scrap`] removes once a live index is done.
+fn storage_dir(storage: &reach_storage::StorageConfig) -> Option<std::path::PathBuf> {
+    match &storage.backend {
+        reach_storage::StorageBackend::File(p) | reach_storage::StorageBackend::Mmap(p) => {
+            Some(p.clone())
+        }
+        reach_storage::StorageBackend::Sim => None,
+    }
+}
+
+/// Drops a live index, then removes its storage directory (if any).
+fn scrap(live: reach_live::ShardedLive, dir: Option<std::path::PathBuf>) {
+    drop(live);
+    if let Some(dir) = dir {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Concurrent serving — queries, appends, and compactions interleaved
 // ---------------------------------------------------------------------------
 
-/// exp_serve: concurrent query serving over a `LiveIndex` — appends,
-/// watermark compactions (inline on the appending thread, plus one run on
-/// a helper thread), and a multi-threaded query stream (through the
-/// `reach_serve` admission queue and worker pool) all interleaved on one
-/// index.
+/// exp_serve: concurrent query serving over a `ShardedLive` — appends,
+/// rebuilds (seals inline on the appending thread, compactions that
+/// coalesce the epochs, one of them on a helper thread), and a
+/// multi-threaded query stream (through the `reach_serve` admission queue
+/// and worker pool) all interleaved on one index.
 ///
-/// **Asserts** along the way: at least one compaction committed; at least
+/// **Asserts** along the way: at least one rebuild committed; at least
 /// one query completed *while* a compaction was building (the
 /// non-blocking-readers contract); and, after quiescing, every workload
 /// query answers exactly as a batch-built ReachGraph over the accepted
@@ -1025,22 +1049,20 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
         .map(BuildBudget::bytes)
         .unwrap_or_else(BuildBudget::unbounded);
     let params = graph_params_for(tier);
-    let page = params.page_size;
+    let storage = backend.storage_config(params.page_size);
+    let scratch_dir = storage_dir(&storage);
     let index = Arc::new(
         LiveConfig::graph(params.clone(), build_budget)
             .with_delta_budget(delta_budget)
             .with_lateness(16)
             .builder()
-            .build_on(
-                backend.device(page),
-                Box::new(move || backend.device(page)),
-                store.num_objects(),
-            )
+            .backend(storage)
+            .build_sharded(store.num_objects())
             .expect("live index creates"),
     );
 
-    // Phase 1 — ingest the whole stream. Over-budget appends compact
-    // inline, so ingest throughput includes the rebuilds.
+    // Phase 1 — ingest the whole stream. Over-budget appends seal inline,
+    // so ingest throughput includes the seals.
     let (appended, append_dur) = timed(|| {
         let mut n = 0u64;
         for &c in &contacts {
@@ -1050,8 +1072,9 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
         n
     });
 
-    // Seal the ingested stream so the overlap phase's queries exercise the
-    // sealed base (and pay counted IO), not just the in-memory delta.
+    // Coalesce the ingested stream into one shard so the overlap phase's
+    // queries exercise a sealed base (and pay counted IO), not just the
+    // in-memory delta.
     index.compact().expect("post-ingest compaction");
 
     // Phase 2 — guaranteed overlap: stretch one compaction's build window
@@ -1115,7 +1138,7 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
     let live = index.metrics();
     let serve_m = server.metrics();
     drop(server);
-    assert!(live.compactions >= 1, "no compaction ever committed");
+    assert!(live.compactions >= 1, "no rebuild ever committed");
     assert!(
         live.overlapped_queries >= 1,
         "no query overlapped a building compaction"
@@ -1123,13 +1146,13 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
 
     let mut inventory = Table::new(
         "exp_serve (inventory)",
-        "concurrent serving: appends + inline compaction + pooled queries on one index",
+        "concurrent serving: appends + inline seals + compactions + pooled queries on one index",
         &[
             "stream",
             "records",
             "appended",
-            "compactions",
-            "epoch",
+            "rebuilds",
+            "generation",
             "watermark",
             "horizon",
             "overlapped queries",
@@ -1140,7 +1163,7 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
         contacts.len().to_string(),
         appended.to_string(),
         live.compactions.to_string(),
-        live.epoch.to_string(),
+        live.generation.to_string(),
         live.watermark.to_string(),
         live.now.to_string(),
         live.overlapped_queries.to_string(),
@@ -1205,7 +1228,7 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
     let conc_batch = run_batch_shared(&*index, &queries);
     let graph_batch = run_batch(&mut batch, &queries);
     for (name, r) in [
-        ("LiveIndex (epoch + delta)", conc_batch),
+        ("ShardedLive (shard + delta)", conc_batch),
         ("batch ReachGraph", graph_batch),
     ] {
         query_t.row(vec![
@@ -1218,7 +1241,7 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
     let mut tables = vec![inventory, service, query_t];
 
     // Phase 4 (`--warm-cache`) — the full deterministic stream through two
-    // *fresh* live indexes: a cold reference, and one whose epoch hubs
+    // *fresh* live indexes: a cold reference, and one whose shard hubs
     // carry a shared PageCache with readahead. Manual compaction means no
     // timing-dependent lateness drops, so (unlike the concurrent phases
     // above) every counter in this table is identical run to run and
@@ -1232,23 +1255,22 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
             if cache_pages > 0 {
                 cfg = cfg.with_shared_cache(cache_pages).with_readahead(window);
             }
+            let storage = backend.storage_config(params.page_size);
+            let dir = storage_dir(&storage);
             let idx = cfg
                 .builder()
-                .build_on(
-                    backend.device(page),
-                    Box::new(move || backend.device(page)),
-                    store.num_objects(),
-                )
+                .backend(storage)
+                .build_sharded(store.num_objects())
                 .expect("replay live index creates");
             for &c in &contacts {
                 idx.append(c).expect("replay append accepted");
             }
             idx.advance(store.horizon());
             idx.compact().expect("replay compaction succeeds");
-            idx
+            (idx, dir)
         };
-        let cold = replay(0, 0);
-        let warm = replay(8192, 8);
+        let (cold, cold_dir) = replay(0, 0);
+        let (warm, warm_dir) = replay(8192, 8);
         let warm_queries: Vec<Query> = workload(&spec, tier, 0x5E12E)
             .into_iter()
             .filter(|q| q.interval.start < store.horizon())
@@ -1305,6 +1327,12 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
             cache.evictions.to_string(),
         ]);
         tables.push(warm_t);
+        scrap(cold, cold_dir);
+        scrap(warm, warm_dir);
+    }
+    drop(index);
+    if let Some(dir) = scratch_dir {
+        let _ = std::fs::remove_dir_all(&dir);
     }
     tables
 }
@@ -1315,9 +1343,9 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
 
 /// The sharding experiment (ISSUE 8): the same contact stream is
 /// appended into epoch-sharded live timelines ([`reach_live::ShardedLive`])
-/// at varying target epoch sizes, and the costs are contrasted with the
-/// monolithic [`reach_live::LiveIndex`] whose every compaction re-streams
-/// the whole sealed history. Reports seal cost per epoch size, seal cost
+/// at varying target epoch sizes, and the costs are contrasted with a
+/// monolithic timeline that [`compact`](reach_live::ShardedLive::compact)s
+/// at the same trigger, re-streaming the whole sealed history every time. Reports seal cost per epoch size, seal cost
 /// vs history length (the headline: sharded seals read **zero** sealed
 /// pages and their scratch traffic tracks the epoch, while monolithic
 /// compaction re-reads grow with the timeline), and cross-shard query IO
@@ -1325,7 +1353,7 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
 /// probed sharded answer matches a batch oracle over the accepted trace.
 pub fn exp_shard(tier: Tier) -> Vec<Table> {
     use reach_live::{LiveConfig, ShardedLive};
-    use reach_storage::{BuildBudget, StorageBackend};
+    use reach_storage::BuildBudget;
 
     let backend = Backend::from_args();
     let spec = match tier {
@@ -1354,10 +1382,7 @@ pub fn exp_shard(tier: Tier) -> Vec<Table> {
     // directory (real backends only; removed by the caller).
     let sharded_over = |count: usize, epoch_records: usize| {
         let storage = backend.storage_config(params.page_size);
-        let dir = match &storage.backend {
-            StorageBackend::File(p) | StorageBackend::Mmap(p) => Some(p.clone()),
-            StorageBackend::Sim => None,
-        };
+        let dir = storage_dir(&storage);
         let live = LiveConfig::graph(params.clone(), build_budget)
             .with_delta_budget(epoch_records * reach_live::DeltaDn::MAX_RECORD_RESIDENT_BYTES)
             .with_lateness(16)
@@ -1370,12 +1395,6 @@ pub fn exp_shard(tier: Tier) -> Vec<Table> {
         }
         live.seal_now().expect("flush seal succeeds");
         (live, dir)
-    };
-    let scrap = |live: ShardedLive, dir: Option<std::path::PathBuf>| {
-        drop(live);
-        if let Some(dir) = dir {
-            let _ = std::fs::remove_dir_all(&dir);
-        }
     };
 
     // Table 1 — seal cost vs epoch size, full history. Scratch traffic
@@ -1414,10 +1433,10 @@ pub fn exp_shard(tier: Tier) -> Vec<Table> {
     }
 
     // Table 2 — seal cost vs history length at a fixed epoch size,
-    // against the monolithic index at the same delta trigger. The
-    // monolithic compaction re-streams its whole sealed base every time,
-    // so its last compaction's read traffic grows with the prefix; the
-    // sharded seal touches only the delta.
+    // against a monolithic timeline compacted at the same trigger. Each
+    // compaction re-streams the whole sealed base, so its last
+    // compaction's read traffic grows with the prefix; the sharded seal
+    // touches only the delta.
     let epoch_records = (total / 4).max(1);
     let mut by_history = Table::new(
         "exp_shard (seal cost vs history length)",
@@ -1440,18 +1459,20 @@ pub fn exp_shard(tier: Tier) -> Vec<Table> {
         sharded_per_seal.push(per_seal);
         scrap(live, dir);
 
+        let storage = backend.storage_config(params.page_size);
+        let mono_dir = storage_dir(&storage);
         let mono = LiveConfig::graph(params.clone(), build_budget)
-            .with_delta_budget(epoch_records * reach_live::DeltaDn::MAX_RECORD_RESIDENT_BYTES)
             .with_lateness(16)
+            .manual_compaction()
             .builder()
-            .build_on(
-                backend.device(params.page_size),
-                Box::new(move || backend.device(params.page_size)),
-                store.num_objects(),
-            )
+            .backend(storage)
+            .build_sharded(store.num_objects())
             .expect("monolithic live index creates");
-        for &c in &contacts[..count] {
+        for (i, &c) in contacts[..count].iter().enumerate() {
             mono.append(c).expect("lossy appends never error");
+            if (i + 1) % epoch_records == 0 {
+                mono.compact().expect("monolithic compaction succeeds");
+            }
         }
         mono.compact().expect("flush compaction succeeds");
         let last_reads = mono
@@ -1461,6 +1482,7 @@ pub fn exp_shard(tier: Tier) -> Vec<Table> {
             .base_read_io
             .total_reads();
         mono_last_reads.push(last_reads);
+        scrap(mono, mono_dir);
         by_history.row(vec![
             count.to_string(),
             fnum(per_seal),
@@ -1750,7 +1772,7 @@ pub fn exp_obs(tier: Tier) -> Vec<Table> {
     use reach_core::{DecayModel, ObjectId, ReachIndex as _, ReachRequest, TimeInterval};
     use reach_live::LiveConfig;
     use reach_obs::{Obs, ObsConfig};
-    use reach_storage::{BuildBudget, StorageBackend};
+    use reach_storage::BuildBudget;
 
     let backend = Backend::from_args();
     let spec = match tier {
@@ -1769,10 +1791,7 @@ pub fn exp_obs(tier: Tier) -> Vec<Table> {
     // An epoch-sharded timeline (~4 epochs), so traces carry real
     // cross-shard leg spans, on the run's configured backend.
     let storage = backend.storage_config(params.page_size);
-    let scratch_dir = match &storage.backend {
-        StorageBackend::File(p) | StorageBackend::Mmap(p) => Some(p.clone()),
-        StorageBackend::Sim => None,
-    };
+    let scratch_dir = storage_dir(&storage);
     let epoch_records = (contacts.len() / 4).max(1);
     let index = LiveConfig::graph(params.clone(), build_budget)
         .with_delta_budget(epoch_records * reach_live::DeltaDn::MAX_RECORD_RESIDENT_BYTES)
@@ -1924,10 +1943,7 @@ pub fn exp_obs(tier: Tier) -> Vec<Table> {
         fbytes(recorder.bytes_recorded()),
     ]);
 
-    drop(index);
-    if let Some(dir) = scratch_dir {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    scrap(index, scratch_dir);
     vec![identity, composition, overhead]
 }
 

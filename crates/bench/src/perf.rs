@@ -579,8 +579,8 @@ pub fn quick_suite() -> (PerfReport, f64) {
         );
 
         // Live ingestion: the same contact set appended as a stream, with
-        // one forced mid-run compaction (deterministic schedule: first two
-        // thirds, seal, rest), then a cross-boundary query batch. Counted
+        // forced mid-run compactions (each coalesces the timeline into one
+        // whole-history shard), then a cross-boundary query batch. Counted
         // IO only — append-log writes, delta peak, compaction base-read
         // and spill traffic, and query reads that span the watermark.
         let live = reach_live::LiveConfig::graph(
@@ -593,11 +593,7 @@ pub fn quick_suite() -> (PerfReport, f64) {
         )
         .manual_compaction()
         .builder()
-        .build_on(
-            Box::new(SimDevice::new(PERF_PAGE)),
-            Box::new(|| Box::new(SimDevice::new(PERF_PAGE))),
-            store.num_objects(),
-        )
+        .build_sharded(store.num_objects())
         .expect("perf live index creates");
         // Deterministic three-chunk schedule with two seals: the second
         // compaction re-streams the first sealed base, so the base-read
@@ -605,7 +601,7 @@ pub fn quick_suite() -> (PerfReport, f64) {
         // leave it structurally zero), and the last chunk stays in the
         // delta so the query batch crosses the watermark.
         let (cut1, cut2) = (contacts.len() / 3, contacts.len() * 2 / 3);
-        let feed = |live: &reach_live::LiveIndex, span: &[reach_core::Contact]| {
+        let feed = |live: &reach_live::ShardedLive, span: &[reach_core::Contact]| {
             for &c in span {
                 let o = live.append(c).expect("perf append accepted");
                 assert!(o.compaction_error.is_none(), "compaction must not fail");
@@ -646,7 +642,7 @@ pub fn quick_suite() -> (PerfReport, f64) {
 
         // Serving: the same queries through the `ReachIndex` envelope the
         // serve layer dispatches on. Quiesced, per-query counted IO is a
-        // pure function of (epoch, query) — every reader gets a fresh
+        // pure function of (generation, query) — every reader gets a fresh
         // device handle and a cold per-query cache — so the totals gate
         // exactly, and they must match the direct totals above. A
         // same-source batch is counted too: one expansion's IO, however
@@ -671,7 +667,7 @@ pub fn quick_suite() -> (PerfReport, f64) {
         counters.insert("rwp/serve/query/random_reads".into(), random);
         counters.insert("rwp/serve/query/seq_reads".into(), seq);
         counters.insert("rwp/serve/query/reachable".into(), reachable);
-        counters.insert("rwp/serve/epoch".into(), live.metrics().epoch);
+        counters.insert("rwp/serve/epoch".into(), live.generation());
         let dests: Vec<reach_core::ObjectId> = (0..store.num_objects() as u32)
             .map(reach_core::ObjectId)
             .collect();
@@ -689,7 +685,7 @@ pub fn quick_suite() -> (PerfReport, f64) {
         );
 
         // Warm shared cache: the same stream and seal schedule through a
-        // serving index whose epoch hubs carry a shared PageCache with
+        // serving index whose shard hubs carry a shared PageCache with
         // readahead, then a *repeated* query workload on both indexes. The
         // cold index re-reads the base every round (fresh handle, cold
         // per-query pool); the warm one absorbs the repeats as cache hits.
@@ -709,11 +705,7 @@ pub fn quick_suite() -> (PerfReport, f64) {
         .with_shared_cache(WARM_CACHE_PAGES)
         .with_readahead(WARM_READAHEAD)
         .builder()
-        .build_on(
-            Box::new(SimDevice::new(PERF_PAGE)),
-            Box::new(|| Box::new(SimDevice::new(PERF_PAGE))),
-            store.num_objects(),
-        )
+        .build_sharded(store.num_objects())
         .expect("perf warm live index creates");
         feed(&warm, &contacts[..cut1]);
         warm.compact().expect("perf warm compaction succeeds");

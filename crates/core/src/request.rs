@@ -1,7 +1,7 @@
 //! The unified query surface: typed requests and the shared-index trait.
 //!
 //! Five query entry points grew up across the workspace — `ReachGrid`,
-//! `ReachGraph`, the disk GRAIL baseline, `LiveIndex`, and the §7
+//! `ReachGraph`, the disk GRAIL baseline, the live index, and the §7
 //! extension indexes each exposed their own signature. This module folds
 //! them into one surface with two layers:
 //!
@@ -357,8 +357,8 @@ pub trait ReachIndex: Send + Sync {
 ///
 /// This is the bridge for the build-once indexes (ReachGrid, ReachGraph,
 /// GRAIL, the §7 extensions): correct under concurrency, one request at a
-/// time. The live indexes (`LiveIndex`, `ShardedLive`) implement
-/// [`ReachIndex`] natively and do not pass through here.
+/// time. The live index (`ShardedLive`) implements
+/// [`ReachIndex`] natively and does not pass through here.
 #[derive(Debug)]
 pub struct Serial<T> {
     inner: Mutex<T>,

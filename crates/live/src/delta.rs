@@ -131,7 +131,7 @@ impl DeltaDn {
     /// # Panics
     ///
     /// Panics if the contact starts before the watermark (lateness policy
-    /// is the caller's job — [`LiveIndex`](crate::LiveIndex) clamps or
+    /// is the caller's job — [`ShardedLive`](crate::ShardedLive) clamps or
     /// rejects *before* the delta sees the record), is a self-contact, or
     /// ends at `Time::MAX` (whose exclusive horizon `end + 1` is
     /// unrepresentable; the live index rejects such records upstream).

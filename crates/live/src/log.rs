@@ -1,10 +1,11 @@
 //! The durable contact append log: ground truth of everything a live index
 //! ever accepted.
 //!
-//! The log is the recovery story of [`LiveIndex`](crate::LiveIndex): the
-//! sealed base and the mutable delta are both *derived* state, rebuildable
-//! from the log alone, so the log is the only structure that has to survive
-//! a crash. Its layout is built for exactly that:
+//! The log is the recovery story of [`ShardedLive`](crate::ShardedLive):
+//! the sealed shards and the mutable delta are both *derived* state —
+//! the epoch directory names the shards, and every record at or above the
+//! top cut replays from the log into the delta — so the log must survive
+//! every crash. Its layout is built for exactly that:
 //!
 //! * page 0 is a self-describing header (magic, version, universe size);
 //! * every data page is independently valid:
@@ -226,7 +227,7 @@ impl AppendLog {
     ///
     /// Panics on a self-contact or an object outside the declared universe:
     /// the log stores *accepted* records, and acceptance checks belong to
-    /// the caller ([`LiveIndex`](crate::LiveIndex) applies its
+    /// the caller ([`ShardedLive`](crate::ShardedLive) applies its
     /// `ErrorMode` before logging).
     pub fn append(&mut self, c: Contact) -> Result<(), IndexError> {
         assert!(

@@ -1,4 +1,5 @@
-//! Property suite: random append/query/compaction schedules — including
+//! Property suite: random append/query/compaction schedules — auto-seals
+//! and whole-history compactions interleaved, including
 //! late, out-of-window, and self-contact records — are result-identical to
 //! a batch-built oracle over the accepted trace (ISSUE 5 acceptance
 //! criterion).
@@ -7,8 +8,8 @@ use proptest::prelude::*;
 use reach_contact::Oracle;
 use reach_core::{Contact, ObjectId, Query, Time, TimeInterval};
 use reach_graph::GraphParams;
-use reach_live::{LiveConfig, LiveError, LiveIndex};
-use reach_storage::{BuildBudget, SimDevice};
+use reach_live::{LiveConfig, LiveError, ShardedLive};
+use reach_storage::BuildBudget;
 
 const HORIZON: Time = 48;
 
@@ -65,7 +66,7 @@ fn oracle_of(n: usize, horizon: Time, contacts: &[Contact]) -> Oracle {
     Oracle::from_events(n, per_tick)
 }
 
-fn live_index(n: usize, budget: usize) -> LiveIndex {
+fn live_index(n: usize, budget: usize) -> ShardedLive {
     LiveConfig::graph(
         GraphParams {
             partition_depth: 8,
@@ -75,11 +76,7 @@ fn live_index(n: usize, budget: usize) -> LiveIndex {
         BuildBudget::bytes(budget),
     )
     .builder()
-    .build_on(
-        Box::new(SimDevice::new(256)),
-        Box::new(|| Box::new(SimDevice::new(256))),
-        n,
-    )
+    .build_sharded(n)
     .expect("live index creates")
 }
 
@@ -96,7 +93,7 @@ proptest! {
         tiny_budget in any::<bool>(),
     ) {
         let n = n.min(5);
-        // A tiny budget forces frequent auto-compactions mid-schedule; a
+        // A tiny budget forces frequent auto-seals mid-schedule; a
         // large one keeps everything in the delta — both must agree.
         let live = live_index(n, if tiny_budget { 300 } else { 1 << 20 });
         // Ids are drawn from 0..5 and folded into the actual universe.

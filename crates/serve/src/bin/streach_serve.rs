@@ -8,17 +8,15 @@
 //!               [--trace=0|1] [--slow-reads=N]
 //! ```
 //!
-//! The binary builds a `LiveIndex` on the chosen backend, ingests a
-//! deterministic xorshift contact stream on the main thread (compactions
-//! run inline whenever an append crosses the delta budget), and serves a
+//! The binary builds a `ShardedLive` on the chosen backend, ingests a
+//! deterministic xorshift contact stream on the main thread, and serves a
 //! query stream from `--clients` submitter threads through the
-//! `reach_serve::Server` worker pool — appends, queries, and compactions
-//! all overlap. It exits with a metrics table.
-//!
-//! `--sharded=EPOCHS` serves an epoch-sharded `ShardedLive` instead: the
-//! ingested timeline is sealed into ~EPOCHS epoch shards (one device
-//! each), queries hand their frontier across shard boundaries, and the
-//! exit report shows the shard layout.
+//! `reach_serve::Server` worker pool — appends, queries, and seals all
+//! overlap, and queries hand their frontier across shard boundaries. By
+//! default (`--sharded=0`) an append seals a new epoch shard inline
+//! whenever it pushes the delta over its budget; `--sharded=EPOCHS`
+//! instead seals one every `contacts / EPOCHS` appends. It exits with a
+//! metrics table that shows the final shard layout.
 //!
 //! `--metrics-out=PATH` (and/or `--metrics-json=PATH`) runs the server
 //! *observed*: per-query trace spans feed a flight recorder and slow-query
@@ -31,7 +29,7 @@
 
 use reach_core::{ObjectId, ReachIndex, ReachRequest, Time, TimeInterval};
 use reach_graph::GraphParams;
-use reach_live::{LiveConfig, LiveIndex, ShardedLive};
+use reach_live::{LiveConfig, ShardedLive};
 use reach_obs::{Obs, ObsConfig, SlowQueryPolicy};
 use reach_serve::{ServeConfig, Server, SubmitError};
 use reach_storage::{BuildBudget, CacheStats, StorageConfig};
@@ -57,7 +55,7 @@ struct Args {
     slow_reads: u64,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         backend: StorageConfig::sim(PAGE),
         backend_name: "sim".into(),
@@ -74,7 +72,7 @@ fn parse_args() -> Result<Args, String> {
         trace: true,
         slow_reads: 1_000,
     };
-    for arg in std::env::args().skip(1) {
+    for arg in argv {
         let (key, value) = arg
             .split_once('=')
             .ok_or_else(|| format!("expected --key=value, got `{arg}`"))?;
@@ -104,7 +102,7 @@ fn parse_args() -> Result<Args, String> {
             "--objects" => args.objects = number()?.max(2) as usize,
             "--contacts" => args.contacts = number()? as usize,
             "--queue" => args.queue = number()?.max(1) as usize,
-            "--sharded" => args.sharded = number()?.max(1) as usize,
+            "--sharded" => args.sharded = number()? as usize,
             "--cache" => args.cache_pages = number()? as usize,
             "--metrics-out" => args.metrics_out = Some(value.into()),
             "--metrics-json" => args.metrics_json = Some(value.into()),
@@ -158,8 +156,10 @@ fn contact_stream(
     out
 }
 
-fn build_index(args: &Args) -> Result<LiveIndex, reach_core::IndexError> {
-    LiveConfig::graph(
+/// The served index: inline seals on the delta budget by default, or
+/// manual maintenance when `--sharded` sets the seal cadence itself.
+fn build_index(args: &Args) -> Result<ShardedLive, reach_core::IndexError> {
+    let config = LiveConfig::graph(
         GraphParams {
             partition_depth: 8,
             page_size: PAGE,
@@ -169,10 +169,16 @@ fn build_index(args: &Args) -> Result<LiveIndex, reach_core::IndexError> {
     )
     .with_delta_budget(64 << 10)
     .with_lateness(8)
-    .with_shared_cache(args.cache_pages)
-    .builder()
-    .backend(args.backend.clone())
-    .build(args.objects)
+    .with_shared_cache(args.cache_pages);
+    let config = if args.sharded > 0 {
+        config.manual_compaction()
+    } else {
+        config
+    };
+    config
+        .builder()
+        .backend(args.backend.clone())
+        .build_sharded(args.objects)
 }
 
 /// Builds the observability bundle when `--metrics-out`/`--metrics-json`
@@ -290,91 +296,80 @@ fn drive_clients<F: FnOnce()>(server: &Server, args: &Args, safe_horizon: Time, 
     shed.load(Ordering::Relaxed)
 }
 
-/// The `--sharded=EPOCHS` mode: an epoch-sharded timeline served through
-/// the same worker pool — ingestion seals an epoch shard every
-/// `contacts / EPOCHS` appends, queries walk the shards with a frontier
-/// handoff, and the report shows the final shard layout.
-fn run_sharded(args: &Args, horizon: Time) {
-    let epochs = args.sharded.max(1);
-    let index = match LiveConfig::graph(
-        GraphParams {
-            partition_depth: 8,
-            page_size: PAGE,
-            ..GraphParams::default()
-        },
-        BuildBudget::bytes(1 << 20),
-    )
-    .with_lateness(8)
-    .with_shared_cache(args.cache_pages)
-    .builder()
-    .manual_compaction()
-    .backend(args.backend.clone())
-    .build_sharded(args.objects)
-    {
+fn main() {
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("streach_serve: {e}");
+            std::process::exit(2);
+        }
+    };
+    let horizon: Time = 1 << 12;
+    let index = match build_index(&args) {
         Ok(i) => Arc::new(i),
         Err(e) => {
-            eprintln!("streach_serve: building the sharded index failed: {e}");
+            eprintln!("streach_serve: building the index failed: {e}");
             std::process::exit(1);
         }
     };
     let stream = contact_stream(0x5eed_cafe, args.objects, args.contacts, horizon);
-    let chunk = (stream.len() / epochs).max(1);
-    let seal_boundary = |i: usize, index: &ShardedLive| {
-        if (i + 1).is_multiple_of(chunk) {
+    let epoch = (args.sharded > 0).then(|| (stream.len() / args.sharded).max(1));
+    let append = |i: usize, c: reach_core::Contact| {
+        index.append(c).expect("live append");
+        if epoch.is_some_and(|k| (i + 1).is_multiple_of(k)) {
             index.seal_now().expect("epoch seal");
         }
     };
 
     // Warm up with a third of the stream (sealing epoch shards along the
-    // way) so queries walk real sealed shards, then serve while the rest
-    // of the stream appends and seals concurrently.
+    // way) so queries walk real sealed shards and pay real counted IO,
+    // then serve while the rest of the stream appends and seals
+    // concurrently.
     let warmup = stream.len() / 3;
-    for (i, c) in stream[..warmup].iter().enumerate() {
-        index.append(*c).expect("warmup append");
-        seal_boundary(i, &index);
+    for (i, &c) in stream[..warmup].iter().enumerate() {
+        append(i, c);
     }
-    let obs = build_obs(args);
+    let obs = build_obs(&args);
     let server = start_server(
         Arc::clone(&index) as Arc<dyn ReachIndex>,
-        args,
+        &args,
         obs.as_ref(),
     )
     .expect("server starts");
     let safe_horizon = index.now().saturating_sub(1).max(1);
-    let shed = drive_clients(&server, args, safe_horizon, || {
-        for (i, c) in stream[warmup..].iter().enumerate() {
-            index.append(*c).expect("live append");
-            seal_boundary(warmup + i, &index);
+    let shed = drive_clients(&server, &args, safe_horizon, || {
+        for (i, &c) in stream.iter().enumerate().skip(warmup) {
+            append(i, c);
         }
     });
-    index.seal_now().expect("final seal");
+    if let Err(e) = index.seal_now() {
+        eprintln!("streach_serve: final seal failed: {e}");
+    }
     index.sync().expect("log sync");
-    let stats = index.stats();
+    let live = index.metrics();
     let serve = server.metrics();
+    let spans = index.shard_spans();
     if let Some(obs) = &obs {
         let registry = obs.registry();
         server.publish_metrics(registry);
-        registry.set_gauge("live_compactions", stats.compactions);
-        registry.set_gauge("live_watermark", u64::from(index.watermark()));
-        registry.set_gauge("live_now", u64::from(index.now()));
-        registry.set_gauge("shard_count", index.shard_spans().len() as u64);
-        registry.set_gauge("shard_generation", index.generation());
+        registry.set_gauge("live_compactions", live.compactions);
+        registry.set_gauge("live_overlapped_queries", live.overlapped_queries);
+        registry.set_gauge("live_delta_bytes", live.delta_bytes as u64);
+        registry.set_gauge("live_watermark", u64::from(live.watermark));
+        registry.set_gauge("live_now", u64::from(live.now));
+        registry.set_gauge("shard_count", spans.len() as u64);
+        registry.set_gauge("shard_generation", live.generation);
     }
     drop(server);
 
     println!(
-        "streach_serve: {} workers, {} clients, queue {}, backend {} (sharded)",
+        "streach_serve: {} workers, {} clients, queue {}, backend {}",
         args.workers, args.clients, args.queue, args.backend_name
     );
     println!(
         "  ingested       {} contacts -> watermark {} / horizon {} ({} seals, generation {})",
-        args.contacts,
-        index.watermark(),
-        index.now(),
-        stats.compactions,
-        index.generation()
+        args.contacts, live.watermark, live.now, live.compactions, live.generation
     );
-    let spans = index.shard_spans();
     println!(
         "  shards         {} epochs: {}",
         spans.len(),
@@ -393,102 +388,7 @@ fn run_sharded(args: &Args, horizon: Time) {
         serve.batched
     );
     println!(
-        "  normalized IO  p50 {:.2}, p99 {:.2} (random + seq/{})",
-        serve.p50_normalized_io,
-        serve.p99_normalized_io,
-        reach_core::SEQ_PER_RANDOM
-    );
-    if let Some(obs) = &obs {
-        write_metrics(args, obs, index.cache_stats());
-    }
-}
-
-fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("streach_serve: {e}");
-            std::process::exit(2);
-        }
-    };
-    let horizon: Time = 1 << 12;
-    if args.sharded > 0 {
-        run_sharded(&args, horizon);
-        return;
-    }
-    let index = match build_index(&args) {
-        Ok(i) => Arc::new(i),
-        Err(e) => {
-            eprintln!("streach_serve: building the index failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let stream = contact_stream(0x5eed_cafe, args.objects, args.contacts, horizon);
-
-    // Warm up with a third of the stream and seal it, so queries exercise
-    // the sealed base (and pay real counted IO), not just the delta.
-    let warmup = stream.len() / 3;
-    for c in &stream[..warmup] {
-        index.append(*c).expect("warmup append");
-    }
-    index.compact().expect("warmup compaction");
-
-    let obs = build_obs(&args);
-    let server = start_server(
-        Arc::clone(&index) as Arc<dyn ReachIndex>,
-        &args,
-        obs.as_ref(),
-    )
-    .expect("server starts");
-
-    // Clients submit queries over the already-ingested prefix while the
-    // main thread keeps appending (and compacting inline).
-    let safe_horizon = index.now().saturating_sub(1).max(1);
-    let shed = drive_clients(&server, &args, safe_horizon, || {
-        for c in &stream[warmup..] {
-            index.append(*c).expect("live append");
-        }
-    });
-
-    // Each epoch carries a fresh cache, so read the counters before the
-    // final compaction swaps in an empty one.
-    let cache = index.cache_stats();
-    if let Err(e) = index.compact() {
-        eprintln!("streach_serve: final compaction failed: {e}");
-    }
-    index.sync().expect("log sync");
-    let live = index.metrics();
-    let serve = server.metrics();
-    if let Some(obs) = &obs {
-        let registry = obs.registry();
-        server.publish_metrics(registry);
-        registry.set_gauge("live_compactions", live.compactions);
-        registry.set_gauge("live_epoch", live.epoch);
-        registry.set_gauge("live_overlapped_queries", live.overlapped_queries);
-        registry.set_gauge("live_delta_bytes", live.delta_bytes as u64);
-        registry.set_gauge("live_watermark", u64::from(live.watermark));
-        registry.set_gauge("live_now", u64::from(live.now));
-    }
-    drop(server);
-
-    println!(
-        "streach_serve: {} workers, {} clients, queue {}, backend {}",
-        args.workers, args.clients, args.queue, args.backend_name
-    );
-    println!(
-        "  ingested       {} contacts -> watermark {} / horizon {} ({} compactions, epoch {})",
-        args.contacts, live.watermark, live.now, live.compactions, live.epoch
-    );
-    println!(
-        "  queries        {} completed, {} failed, {} rejected at admission, {} shed by clients",
-        serve.completed, serve.failed, serve.rejected, shed
-    );
-    println!(
-        "  batching       {} answers served off a shared frontier expansion",
-        serve.batched
-    );
-    println!(
-        "  overlap        {} queries completed while a compaction was building",
+        "  overlap        {} queries completed while a seal was building",
         live.overlapped_queries
     );
     println!(
@@ -498,6 +398,24 @@ fn main() {
         reach_core::SEQ_PER_RANDOM
     );
     if let Some(obs) = &obs {
-        write_metrics(&args, obs, cache);
+        write_metrics(&args, obs, index.cache_stats());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(flags: &[&str]) -> Args {
+        parse_args(flags.iter().map(|f| f.to_string())).expect("flags parse")
+    }
+
+    /// `--sharded=0` is the default delta-budget mode, not one epoch.
+    #[test]
+    fn sharded_zero_keeps_delta_budget_seals() {
+        assert_eq!(parse(&[]).sharded, 0);
+        assert_eq!(parse(&["--sharded=0"]).sharded, 0);
+        assert_eq!(parse(&["--sharded=4"]).sharded, 4);
+        assert!(parse_args(["--sharded=x".to_string()]).is_err());
     }
 }

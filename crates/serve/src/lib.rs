@@ -1,7 +1,7 @@
 //! Query serving over any [`ReachIndex`]: a bounded admission queue, a
 //! worker pool, same-source batching, and live metrics.
 //!
-//! The live index (`reach_live::LiveIndex`) makes *query evaluation*
+//! The live index (`reach_live::ShardedLive`) makes *query evaluation*
 //! thread-safe; this crate adds the *service* around it — the
 //! part of the ISSUE that turns a shared index into something a request
 //! stream can hit:
@@ -12,7 +12,7 @@
 //!   design: a latency-bound service sheds load instead of buffering it.
 //! * **Worker pool** — `workers` threads drain the queue concurrently.
 //!   The index is held as `Arc<dyn ReachIndex>`, so anything behind the
-//!   unified query trait serves unmodified: the live indexes natively,
+//!   unified query trait serves unmodified: the live index natively,
 //!   the build-once indexes through `Serial`.
 //! * **Same-source batching** — when a worker dequeues a plain
 //!   reachability or decay-weighted job it also drains every queued job

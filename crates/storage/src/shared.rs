@@ -24,7 +24,7 @@
 //! A hub may additionally carry a shared [`PageCache`]
 //! ([`SharedDevice::with_cache`]). Every handle advertises it through
 //! [`BlockDevice::shared_cache`], so every [`Pager`](crate::Pager) built
-//! over a handle — each `reach_serve` worker, each `LiveIndex` epoch
+//! over a handle — each `reach_serve` worker, each live shard
 //! reader — attaches to the *same* residency automatically. The cache
 //! carries bytes only; accounting stays per handle: a cache hit is noted on
 //! the handle's private tracker ([`IoStats::cache_hits`], plus the new

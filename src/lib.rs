@@ -18,7 +18,7 @@
 //! | [`grid`] | ReachGrid index + SPJ baseline |
 //! | [`graph`] | ReachGraph index + E-DFS/E-BFS/B-BFS/BM-BFS |
 //! | [`baselines`] | GRAIL (memory and disk) |
-//! | [`live`] | continuous ingestion: append log, delta DN, watermark compaction, epoch-sharded timeline |
+//! | [`live`] | continuous ingestion: append log, delta DN, one epoch-sharded live engine (seal / merge / compact) |
 //! | [`ext`] | §7 extensions + decay workloads: uncertain contacts (U-ReachGraph), non-immediate contacts, decay-weighted / top-k reachability with its brute-force oracle |
 //! | [`serve`] | query serving over any [`ReachIndex`](core::ReachIndex): bounded admission, worker pool, same-source batching, metrics |
 //!
@@ -241,21 +241,23 @@
 //! ## Live ingestion: appending to a running index
 //!
 //! Contact feeds are append-streams, not files. A
-//! [`LiveIndex`](live::LiveIndex) accepts out-of-order appends into a
+//! [`ShardedLive`](live::ShardedLive) accepts out-of-order appends into a
 //! mutable delta, keeps every record durable in an
-//! [`AppendLog`](live::AppendLog), answers queries that span the sealed /
-//! live boundary, and — when the delta outgrows its budget — *compacts*:
-//! the sealed base re-streams its DN, merges with the delta through the
-//! memory-bounded streaming builders, and the result is byte-identical to
-//! a batch rebuild over the full history:
+//! [`AppendLog`](live::AppendLog), and answers queries that span the
+//! sealed / live boundary. When the delta outgrows its budget an append
+//! *seals* it into a new epoch shard — cost proportional to the epoch,
+//! not the history — and [`compact`](live::ShardedLive::compact)
+//! coalesces every shard plus the delta into one whole-history shard,
+//! byte-identical to a batch rebuild over the full log:
 //!
 //! ```
 //! use streach::prelude::*;
 //!
 //! let params = GraphParams { page_size: 256, ..GraphParams::default() };
+//! // Knobs: .with_lateness(..), .strict(), .with_delta_budget(..), …
 //! let live = LiveConfig::graph(params, BuildBudget::bytes(64 << 10))
-//!     .builder() // knobs: .lateness(..), .strict(), .delta_budget(..), .backend(..)
-//!     .build(4 /* universe size */)
+//!     .builder() // storage: .backend(StorageConfig::file(dir, 256))
+//!     .build_sharded(4 /* universe size */)
 //!     .expect("live index creates");
 //!
 //! // The paper's Figure 1 contacts arrive as a stream (c1..c4)…
@@ -269,8 +271,8 @@
 //! assert!(live.evaluate_query(&q).expect("query evaluates").reachable());
 //!
 //! // Seal what we have, then keep appending: the next query spans the
-//! // watermark — the base extracts the arrival frontier at the cut and
-//! // the delta continues from there.
+//! // watermark — the shard hands its arrival frontier at the cut to the
+//! // delta, which continues from there.
 //! live.compact().expect("compaction succeeds");
 //! live.append(Contact::new(ObjectId(2), ObjectId(3), TimeInterval::new(2, 2)))
 //!     .expect("append accepted");
@@ -278,19 +280,19 @@
 //! assert!(live.evaluate_query(&q).expect("query evaluates").reachable());
 //! ```
 
-//! ## Concurrent serving: shared queries, inline compaction
+//! ## Concurrent serving: shared queries, off-lock rebuilds
 //!
-//! The same [`LiveIndex`](live::LiveIndex) serves many threads at once:
-//! every method takes `&self`, queries answer through the unified
+//! The same [`ShardedLive`](live::ShardedLive) serves many threads at
+//! once: every method takes `&self`, queries answer through the unified
 //! [`ReachIndex`](core::ReachIndex) trait (every index in the workspace
 //! answers through it — single-threaded ones via the
 //! [`Serial`](core::Serial) adapter), appends are write-locked, and a
-//! compaction — run by [`compact`](live::LiveIndex::compact) or inline by
-//! the append that crossed the budget — rebuilds off-lock and swaps in the
-//! new base as an epoch without ever blocking readers. Per-query counted
-//! IO stays exact under any interleaving because each query reads the
-//! sealed base through a private [`SharedDevice`](storage::SharedDevice)
-//! handle:
+//! rebuild — a [`seal`](live::ShardedLive::seal), an epoch merge, or a
+//! [`compact`](live::ShardedLive::compact), explicit or inline in the
+//! append that crossed the budget — builds off-lock and swaps in the new
+//! shard without ever blocking readers. Per-query counted IO stays exact
+//! under any interleaving because each query reads every shard through a
+//! private [`SharedDevice`](storage::SharedDevice) handle:
 //!
 //! ```
 //! use streach::prelude::*;
@@ -299,7 +301,7 @@
 //! let params = GraphParams { page_size: 256, ..GraphParams::default() };
 //! let live = LiveConfig::graph(params, BuildBudget::bytes(64 << 10))
 //!     .builder()
-//!     .build(4)
+//!     .build_sharded(4)
 //!     .expect("live index creates");
 //! live.append(Contact::new(ObjectId(0), ObjectId(1), TimeInterval::new(0, 0)))
 //!     .expect("append accepted");
@@ -359,8 +361,7 @@ pub mod prelude {
     pub use reach_grid::{GridParams, ReachGrid, Spj};
     pub use reach_live::{
         AppendLog, BaseKind, CompactionStats, DeltaDn, GrailConfig, LiveBuilder, LiveConfig,
-        LiveError, LiveIndex, LiveMetrics, LiveStats, LogRecovery, ShardCrashPoint, ShardRecovery,
-        ShardedLive,
+        LiveError, LiveMetrics, LiveStats, LogRecovery, ShardRecovery, ShardedLive,
     };
     pub use reach_mobility::{RoadNetwork, RwpConfig, VehicleConfig, WorkloadConfig};
     pub use reach_obs::{

@@ -8,11 +8,14 @@
 //! 2. **Concurrent sharing** — multi-threaded serving over a warm shared
 //!    cache answers exactly as the single-threaded cold path, while the
 //!    cache demonstrably absorbs reads;
-//! 3. **Epoch coherence** — an epoch swap never serves a stale base page:
+//! 3. **Shard coherence** — a shard swap never serves a stale base page:
 //!    after every compaction the cached serving index still answers
 //!    exactly as the batch oracle over the accepted log, no matter how
-//!    warm the superseded epoch's cache was.
+//!    warm the superseded shard's cache was.
 
+mod common;
+
+use common::LiveOn;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,10 +47,6 @@ fn device_for(backend: &str) -> Box<dyn BlockDevice> {
             dev
         }
     }
-}
-
-fn factory_for(backend: &'static str) -> Box<dyn FnMut() -> Box<dyn BlockDevice> + Send> {
-    Box::new(move || device_for(backend))
 }
 
 fn graph_params() -> GraphParams {
@@ -258,7 +257,7 @@ fn graph_shared_cache_preserves_answers_and_reduces_reads() {
 }
 
 /// Concurrent serving over a warm shared cache: three reader threads
-/// hammering the same cached epoch must each answer the full sweep
+/// hammering the same cached shard must each answer the full sweep
 /// exactly as the single-threaded cold index, on every backend.
 #[test]
 fn concurrent_serve_with_shared_cache_matches_single_threaded() {
@@ -266,18 +265,10 @@ fn concurrent_serve_with_shared_cache_matches_single_threaded() {
     let horizon = 100u32;
     let records = stream(0x51AB, n as u32, horizon, 200);
     for backend in BACKENDS {
-        let cold = LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10))
-            .with_lateness(16)
-            .builder()
-            .build_on(device_for(backend), factory_for(backend), n)
-            .expect("cold serving index creates");
-        let warm = LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10))
-            .with_lateness(16)
-            .with_shared_cache(2048)
-            .with_readahead(8)
-            .builder()
-            .build_on(device_for(backend), factory_for(backend), n)
-            .expect("warm serving index creates");
+        let config =
+            LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10)).with_lateness(16);
+        let cold = LiveOn::new(backend, config.clone(), n);
+        let warm = LiveOn::new(backend, config.with_shared_cache(2048).with_readahead(8), n);
         for &c in &records {
             cold.append(c).expect("cold append");
             warm.append(c).expect("warm append");
@@ -326,7 +317,7 @@ fn concurrent_serve_with_shared_cache_matches_single_threaded() {
                 });
             }
         });
-        let stats = warm.cache_stats().expect("warm epoch carries a cache");
+        let stats = warm.cache_stats().expect("warm shard carries a cache");
         assert!(
             stats.total_hits() > 0,
             "concurrent readers never shared residency ({backend}): {stats:?}"
@@ -334,8 +325,8 @@ fn concurrent_serve_with_shared_cache_matches_single_threaded() {
     }
 }
 
-/// Epoch swaps never serve a stale base page: warm the cache hard against
-/// the current epoch, append more records, compact (swapping the epoch
+/// Shard swaps never serve a stale base page: warm the cache hard against
+/// the current shard, append more records, compact (swapping the shard
 /// and invalidating the superseded cache), and assert the full sweep
 /// still answers exactly as the batch oracle over everything the log
 /// accepted — four times over.
@@ -348,7 +339,7 @@ fn epoch_swaps_never_serve_stale_cached_pages() {
         .with_shared_cache(4096)
         .with_readahead(8)
         .builder()
-        .build_on(device_for("sim"), factory_for("sim"), n)
+        .build_sharded(n)
         .expect("cached serving index creates");
     let records = stream(0xDEAD, n as u32, horizon, 240);
     let rounds = 4;
@@ -358,7 +349,7 @@ fn epoch_swaps_never_serve_stale_cached_pages() {
         for &c in &records[round * per_round..(round + 1) * per_round] {
             index.append(c).expect("append");
         }
-        index.compact().expect("epoch swap");
+        index.compact().expect("shard swap");
         let accepted = index.replay_log().expect("log replays");
         let now = index.now();
         let oracle = oracle_of(n, now, &accepted);
@@ -370,7 +361,7 @@ fn epoch_swaps_never_serve_stale_cached_pages() {
                     assert_eq!(
                         got.reachable(),
                         oracle.evaluate(&q).reachable,
-                        "{q} served a stale answer after epoch swap {round}"
+                        "{q} served a stale answer after shard swap {round}"
                     );
                 }
             }
@@ -383,14 +374,14 @@ fn epoch_swaps_never_serve_stale_cached_pages() {
             });
             index.evaluate_query(&q).expect("warming query");
         }
-        let stats = index.cache_stats().expect("epoch carries a cache");
+        let stats = index.cache_stats().expect("shard carries a cache");
         assert!(
             stats.total_hits() > 0,
             "round {round} never hit the cache it was supposed to stress: {stats:?}"
         );
     }
     assert!(
-        index.metrics().epoch >= rounds as u64,
-        "every round must have committed a fresh epoch"
+        index.generation() >= rounds as u64,
+        "every round must have committed a fresh generation"
     );
 }

@@ -1,11 +1,11 @@
 //! Tier-1 suite for concurrent serving (ISSUE 6 acceptance criteria):
 //!
 //! 1. **Equivalence** — any tested interleaving of concurrent queries,
-//!    appends, and compactions (inline on the appending thread or on
-//!    their own) quiesces to exactly the
-//!    single-threaded batch-oracle answers, on sim, file, and mmap;
+//!    appends, seals, and compactions (inline on the appending thread or
+//!    on their own) quiesces to exactly the single-threaded batch-oracle
+//!    answers, on sim, file, and mmap;
 //! 2. **Safety while moving** — answers produced *during* concurrent
-//!    appends are bracketed by the prefix/full oracles, and an epoch swap
+//!    appends are bracketed by the prefix/full oracles, and a shard swap
 //!    never exposes a torn base (answers over a static record set stay
 //!    exact through repeated swaps);
 //! 3. **Liveness** — queries are served while a compaction is building,
@@ -13,6 +13,9 @@
 //! 4. **One API** — every index type in the workspace answers through the
 //!    unified [`ReachIndex`] envelope, with no per-index dispatch.
 
+mod common;
+
+use common::LiveOn;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -33,41 +36,11 @@ fn graph_params() -> GraphParams {
 }
 
 /// A live index on the named backend.
-fn live_on(backend: &'static str, delta_budget: usize, num_objects: usize) -> LiveIndex {
-    LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10))
+fn live_on(backend: &'static str, delta_budget: usize, num_objects: usize) -> LiveOn {
+    let config = LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10))
         .with_delta_budget(delta_budget)
-        .with_lateness(16)
-        .builder()
-        .build_on(device_for(backend), factory_for(backend), num_objects)
-        .expect("live index creates")
-}
-
-/// A fresh device of the named backend. File-backed devices are unlinked
-/// while open (Unix), so the suite leaves nothing behind.
-fn device_for(backend: &str) -> Box<dyn BlockDevice> {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    match backend {
-        "sim" => StorageConfig::sim(PAGE).create().expect("sim device"),
-        _ => {
-            let path = std::env::temp_dir().join(format!(
-                "streach-serve-{}-{}.pages",
-                std::process::id(),
-                NEXT.fetch_add(1, Ordering::Relaxed)
-            ));
-            let cfg = if backend == "file" {
-                StorageConfig::file(&path, PAGE)
-            } else {
-                StorageConfig::mmap(&path, PAGE)
-            };
-            let dev = cfg.create().expect("temp device creates");
-            let _ = std::fs::remove_file(&path);
-            dev
-        }
-    }
-}
-
-fn factory_for(backend: &'static str) -> Box<dyn FnMut() -> Box<dyn BlockDevice> + Send> {
-    Box::new(move || device_for(backend))
+        .with_lateness(16);
+    LiveOn::new(backend, config, num_objects)
 }
 
 /// A deterministic synthetic append stream with out-of-order arrivals
@@ -104,7 +77,7 @@ fn oracle_of(n: usize, horizon: u32, contacts: &[Contact]) -> Oracle {
     Oracle::from_events(n, per_tick)
 }
 
-/// Randomized interleavings of concurrent queries, appends, and
+/// Randomized interleavings of concurrent queries, appends, seals, and
 /// compactions, on every backend: after quiescing, a full source × dest
 /// sweep must answer exactly as the batch oracle over the accepted log.
 #[test]
@@ -113,7 +86,7 @@ fn concurrent_interleavings_quiesce_to_the_batch_oracle() {
         for seed in 0..2u64 {
             let n = 8usize;
             let horizon = 100u32;
-            // Small delta budget: the appender compacts inline on its own,
+            // Small delta budget: the appender seals inline on its own,
             // and a compactor thread takes explicit requests, while the
             // readers keep running.
             let index = Arc::new(live_on(backend, 2_500, n));
@@ -177,7 +150,7 @@ fn concurrent_interleavings_quiesce_to_the_batch_oracle() {
                 stop.store(true, Ordering::Release);
             });
 
-            // Quiesce: seal everything, then sweep against the oracle over
+            // Quiesce: compact everything, then sweep against the oracle over
             // exactly the records the log accepted.
             index.compact().expect("quiescing compaction");
             assert!(served.load(Ordering::Relaxed) > 0, "readers must have run");
@@ -281,9 +254,9 @@ fn concurrent_answers_are_bracketed_by_prefix_and_full_oracles() {
     });
 }
 
-/// Epoch swaps never serve a torn base: over a *static* record set, every
+/// Shard swaps never serve a torn base: over a *static* record set, every
 /// answer must stay exactly the oracle's while repeated (artificially
-/// slowed) compactions swap the base underneath the readers.
+/// slowed) compactions swap the shard underneath the readers.
 #[test]
 fn epoch_swaps_never_serve_a_torn_base() {
     let n = 8usize;
@@ -317,13 +290,13 @@ fn epoch_swaps_never_serve_a_torn_base() {
                     assert_eq!(
                         got.reachable(),
                         oracle.evaluate(&q).reachable,
-                        "{q} diverged while epochs were swapping"
+                        "{q} diverged while shards were swapping"
                     );
                 }
             });
         }
         // Keep the cut advancing so every compact really rebuilds and
-        // swaps a fresh epoch in under the readers.
+        // swaps a fresh shard in under the readers.
         for round in 1..=4u32 {
             index.advance(data_now + 8 * round);
             index.compact().expect("swap compaction");
@@ -333,9 +306,9 @@ fn epoch_swaps_never_serve_a_torn_base() {
 
     let m = index.metrics();
     assert!(
-        m.epoch >= 4,
-        "every round must commit an epoch (got {})",
-        m.epoch
+        m.generation >= 4,
+        "every round must commit a generation (got {})",
+        m.generation
     );
     assert!(
         m.overlapped_queries > 0,
@@ -390,8 +363,8 @@ fn queries_are_served_during_a_compaction() {
 }
 
 /// Every index type answers through the unified [`ReachIndex`] envelope:
-/// ReachGrid, ReachGraph, GRAIL(disk) (all via [`Serial`]), and LiveIndex
-/// natively — one dispatch loop, no per-index arms.
+/// ReachGrid, ReachGraph, GRAIL(disk) (all via [`Serial`]), and
+/// ShardedLive natively — one dispatch loop, no per-index arms.
 /// The ext variants ride the same envelope with their own
 /// [`QueryKind`]s.
 #[test]
@@ -428,7 +401,7 @@ fn every_index_type_answers_through_reach_index() {
     let grail = GrailDisk::build(&dn, 4, 0xD15C, 4096, 32).expect("grail disk builds");
     let live = LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10))
         .builder()
-        .build(n)
+        .build_sharded(n)
         .expect("live index creates");
     for &c in &contacts {
         live.append(c).expect("append accepted");

@@ -189,9 +189,9 @@ fn batch_and_served_dispatch_match_single_answers() {
     let n = 8u32;
     let horizon = 40u32;
     let live = LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10))
-        .builder()
         .manual_compaction()
-        .build(n as usize)
+        .builder()
+        .build_sharded(n as usize)
         .expect("live index creates");
     let contacts = stream(0x5E77, n, horizon, 120);
     let cut = contacts.len() / 2;
@@ -275,8 +275,8 @@ fn cross_shard_composition_matches_the_monolithic_walk() {
     let horizon = 48u32;
     let contacts = stream(0xC0DE, n, horizon, 160);
     let sharded = LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10))
-        .builder()
         .manual_compaction()
+        .builder()
         .build_sharded(n as usize)
         .expect("sharded index creates");
     // Three sealed epochs plus a live delta tail.
@@ -329,12 +329,13 @@ fn cross_shard_composition_matches_the_monolithic_walk() {
         }
     }
 
-    // The compacting (non-sharded) live index composes base+delta through
-    // the same weighted frontier; it must agree with the same walk.
+    // A compacted timeline (one whole-history shard + delta) composes
+    // through the same weighted frontier; it must agree with the same
+    // walk.
     let live = LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10))
-        .builder()
         .manual_compaction()
-        .build(n as usize)
+        .builder()
+        .build_sharded(n as usize)
         .expect("live index creates");
     for (i, &c) in contacts.iter().enumerate() {
         live.append(c).expect("append accepted");

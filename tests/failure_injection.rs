@@ -198,8 +198,8 @@ fn sharded_rig(tag: &str) -> (ShardedLive, std::path::PathBuf) {
         },
         BuildBudget::bytes(64 << 10),
     )
-    .builder()
     .manual_compaction()
+    .builder()
     .backend(StorageConfig::file(&dir, 256))
     .build_sharded(6)
     .expect("sharded index creates");
@@ -215,8 +215,8 @@ fn reopen_sharded(dir: &std::path::Path) -> (ShardedLive, ShardRecovery) {
         },
         BuildBudget::bytes(64 << 10),
     )
-    .builder()
     .manual_compaction()
+    .builder()
     .backend(StorageConfig::file(dir, 256))
     .open_sharded()
     .expect("sharded index reopens")

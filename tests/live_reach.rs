@@ -1,15 +1,18 @@
 //! Tier-1 suite for the live ingestion subsystem (ISSUE 5 acceptance
 //! criteria):
 //!
-//! 1. **Equivalence** — any tested interleaving of appends, queries, and
-//!    compactions answers exactly as a batch rebuild over the accepted
-//!    trace;
-//! 2. **Byte-identity** — a post-compaction sealed base equals a
-//!    from-scratch streaming build over the full log, byte for byte, on
-//!    sim, file, and mmap backends;
-//! 3. **Durability** — a live index recovers from its append log alone,
-//!    and a torn tail page truncates cleanly.
+//! 1. **Equivalence** — any tested interleaving of appends, queries,
+//!    seals, and compactions answers exactly as a batch rebuild over the
+//!    accepted trace;
+//! 2. **Byte-identity** — a compacted shard equals a from-scratch
+//!    streaming build over the full log, byte for byte, on sim, file, and
+//!    mmap backends;
+//! 3. **Durability** — a live index recovers from its epoch directory and
+//!    append log, and a torn log tail page truncates cleanly.
 
+mod common;
+
+use common::LiveOn;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use streach::prelude::*;
@@ -24,15 +27,14 @@ fn graph_params() -> GraphParams {
     }
 }
 
-fn live_on(backend: &'static str, budget: usize, num_objects: usize) -> LiveIndex {
-    LiveConfig::graph(graph_params(), BuildBudget::bytes(budget))
-        .builder()
-        .build_on(device_for(backend), factory_for(backend), num_objects)
-        .expect("live index creates")
+fn live_on(backend: &'static str, budget: usize, num_objects: usize) -> LiveOn {
+    let config = LiveConfig::graph(graph_params(), BuildBudget::bytes(budget));
+    LiveOn::new(backend, config, num_objects)
 }
 
-/// A fresh device of the named backend. File-backed devices are unlinked
-/// while open (Unix), so the suite leaves nothing behind.
+/// A fresh device of the named backend for the from-scratch reference
+/// builds. File-backed devices are unlinked while open (Unix), so the
+/// suite leaves nothing behind.
 fn device_for(backend: &str) -> Box<dyn BlockDevice> {
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     match backend {
@@ -53,10 +55,6 @@ fn device_for(backend: &str) -> Box<dyn BlockDevice> {
             dev
         }
     }
-}
-
-fn factory_for(backend: &'static str) -> Box<dyn FnMut() -> Box<dyn BlockDevice> + Send> {
-    Box::new(move || device_for(backend))
 }
 
 /// A deterministic synthetic append stream with out-of-order arrivals.
@@ -95,15 +93,15 @@ fn oracle_of(n: usize, horizon: u32, contacts: &[Contact]) -> Oracle {
     Oracle::from_events(n, per_tick)
 }
 
-/// Equivalence under interleaving: appends (with lateness), auto and
-/// manual compactions, queries before/at/after the watermark — all must
+/// Equivalence under interleaving: appends (with lateness), auto seals
+/// and manual compactions, queries before/at/after the watermark — all must
 /// answer exactly as the batch oracle over the log's accepted records.
 #[test]
 fn interleavings_match_batch_rebuild() {
     for seed in 0..3u64 {
         let n = 8usize;
         let horizon = 100u32;
-        let live = live_on("sim", 2_000, n); // small budget: auto-compacts
+        let live = live_on("sim", 2_000, n); // small budget: auto-seals
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
         let records = stream(seed, n as u32, horizon, 150);
         for (i, &c) in records.iter().enumerate() {
@@ -162,9 +160,9 @@ fn interleavings_match_batch_rebuild() {
     }
 }
 
-/// Byte-identity: after any number of incremental compactions, the sealed
-/// base equals a from-scratch streaming build over the whole log — on all
-/// three storage backends.
+/// Byte-identity: after any number of incremental compactions, the one
+/// compacted shard equals a from-scratch streaming build over the whole
+/// log — on all three storage backends.
 #[test]
 fn compacted_base_is_byte_identical_to_batch_build() {
     for backend in ["sim", "file", "mmap"] {
@@ -196,7 +194,8 @@ fn compacted_base_is_byte_identical_to_batch_build() {
         let mut batch = ReachGraph::build_on(device_for(backend), &mut sdn, &mr, graph_params())
             .expect("batch build succeeds");
 
-        let mut live_dev = live.base_device().expect("a sealed base exists");
+        assert_eq!(live.shard_count(), 1, "{backend}: compaction coalesces");
+        let mut live_dev = live.shard_device(0).expect("a sealed shard exists");
         let batch_dev = batch.device_mut();
         assert_eq!(
             live_dev.len_pages(),
@@ -223,10 +222,11 @@ fn compacted_grail_base_is_byte_identical() {
         page_size: PAGE,
         cache_pages: 32,
     };
-    let live = LiveConfig::grail(grail, BuildBudget::bytes(1 << 20))
-        .builder()
-        .build_on(device_for("sim"), factory_for("sim"), n)
-        .expect("live index creates");
+    let live = LiveOn::new(
+        "sim",
+        LiveConfig::grail(grail, BuildBudget::bytes(1 << 20)),
+        n,
+    );
     for (i, &c) in records.iter().enumerate() {
         live.append(c).expect("append accepted");
         if i == 30 {
@@ -250,7 +250,8 @@ fn compacted_grail_base_is_byte_identical() {
         grail.cache_pages,
     )
     .expect("batch grail builds");
-    let mut live_dev = live.base_device().expect("a sealed base exists");
+    assert_eq!(live.shard_count(), 1, "compaction coalesces");
+    let mut live_dev = live.shard_device(0).expect("a sealed shard exists");
     let batch_dev = batch.device_mut();
     assert_eq!(live_dev.len_pages(), batch_dev.len_pages());
     let (mut a, mut b) = (vec![0u8; PAGE], vec![0u8; PAGE]);
@@ -312,57 +313,64 @@ fn lossy_lateness_stays_equivalent() {
     }
 }
 
-/// Crash recovery: the log alone restores the index; a torn tail page is
-/// dropped, and everything acknowledged before it survives.
+/// Crash recovery: the epoch directory restores the sealed shard and the
+/// log replays the rest; a torn log tail page is dropped, and everything
+/// acknowledged before it survives.
 #[test]
 fn append_log_recovers_after_a_crash() {
-    let path =
-        std::env::temp_dir().join(format!("streach-live-crash-{}.pages", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("streach-live-crash-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || {
+        LiveConfig::graph(graph_params(), BuildBudget::bytes(1 << 20))
+            .manual_compaction()
+            .builder()
+            .backend(StorageConfig::file(&dir, PAGE))
+    };
     let n = 6usize;
     let records = stream(3, n as u32, 50, 40);
-    {
-        let dev = StorageConfig::file(&path, PAGE).create().expect("log file");
-        let live = LiveConfig::graph(graph_params(), BuildBudget::bytes(1 << 20))
-            .builder()
-            .build_on(dev, factory_for("sim"), n)
-            .expect("live index creates");
-        for &c in &records {
+    let sealed_at = {
+        let live = config().build_sharded(n).expect("live index creates");
+        for &c in &records[..20] {
+            live.append(c).expect("append accepted");
+        }
+        live.compact()
+            .expect("compaction")
+            .expect("something to seal");
+        for &c in &records[20..] {
             live.append(c).expect("append accepted");
         }
         live.sync().expect("durable");
-    } // crash: drop everything but the log file
+        live.watermark()
+    }; // crash: drop everything but the files
 
     // Scribble over the log's final page to simulate a torn write.
+    let log = dir.join("shard-log.pages");
     {
         use std::io::{Seek, SeekFrom, Write};
-        let len = std::fs::metadata(&path).expect("log exists").len();
+        let len = std::fs::metadata(&log).expect("log exists").len();
         let mut f = std::fs::OpenOptions::new()
             .write(true)
-            .open(&path)
+            .open(&log)
             .expect("log opens");
         f.seek(SeekFrom::Start(len - PAGE as u64 + 5))
             .expect("seek");
         f.write_all(&[0xEE; 32]).expect("scribble");
     }
 
-    let dev = StorageConfig::file(&path, PAGE)
-        .open()
-        .expect("log reopens");
-    let (live, recovery) = LiveConfig::graph(graph_params(), BuildBudget::bytes(1 << 20))
-        .builder()
-        .open_on(dev, factory_for("sim"))
-        .expect("recovery succeeds");
-    assert!(recovery.torn_tail, "torn page must be detected");
-    assert!(recovery.records < records.len() as u64);
+    let (live, recovery) = config().open_sharded().expect("recovery succeeds");
+    assert!(recovery.log.torn_tail, "torn page must be detected");
+    assert!(recovery.log.records < records.len() as u64);
     assert!(
-        recovery.records >= records.len() as u64 - 15,
+        recovery.log.records >= records.len() as u64 - 15,
         "at most one page of records may be lost (got {})",
-        recovery.records
+        recovery.log.records
     );
+    assert_eq!(recovery.shards, 1, "the compacted shard is restored");
+    assert_eq!(recovery.top_cut, sealed_at);
     // The recovered world answers exactly as a batch rebuild over the
     // surviving records.
     let accepted = live.replay_log().expect("log replays");
-    assert_eq!(accepted.len() as u64, recovery.records);
+    assert_eq!(accepted.len() as u64, recovery.log.records);
     let oracle = oracle_of(n, live.now(), &accepted);
     for s in 0..n as u32 {
         for d in 0..n as u32 {
@@ -378,5 +386,6 @@ fn append_log_recovers_after_a_crash() {
             );
         }
     }
-    let _ = std::fs::remove_file(&path);
+    drop(live);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -58,8 +58,8 @@ fn sharded_on(backend: &str, num_objects: usize) -> (ShardedLive, Option<PathBuf
         StorageBackend::Sim => None,
     };
     let live = LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10))
-        .builder()
         .manual_compaction()
+        .builder()
         .backend(storage)
         .build_sharded(num_objects)
         .expect("sharded index creates");
