@@ -347,13 +347,6 @@ impl GrailDisk {
         self.node_ptrs.len()
     }
 
-    /// Sets the readahead window (pages) for label-record and timeline
-    /// scans; 0 (the default) disables prefetch and keeps cold-cache
-    /// counters exact.
-    pub fn set_readahead(&mut self, window: usize) {
-        self.pager.set_readahead(window);
-    }
-
     /// Reconstructs every vertex's validity interval and sorted member set
     /// from the timeline region alone.
     ///

@@ -12,7 +12,7 @@
 //! diff"). Improvements and new counters never fail the gate — regenerate
 //! the baseline (`bench_perf --out=BENCH_quick.json`) to lock them in.
 
-use reach_bench::perf::{diff, PerfReport};
+use reach_bench::perf::{diff, parse_max_regress, PerfReport};
 
 fn load(path: &str) -> PerfReport {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
@@ -26,11 +26,10 @@ fn main() {
     let mut max_regress = 0.05f64;
     for a in std::env::args().skip(1) {
         if let Some(v) = a.strip_prefix("--max-regress=") {
-            let v = v.strip_suffix('%').unwrap_or(v);
-            let pct: f64 = v
-                .parse()
-                .unwrap_or_else(|_| panic!("--max-regress expects a percentage, got {v:?}"));
-            max_regress = pct / 100.0;
+            max_regress = parse_max_regress(v).unwrap_or_else(|e| {
+                eprintln!("bench_diff: {e}");
+                std::process::exit(2);
+            });
         } else if let Some(v) = a.strip_prefix("--baseline=") {
             baseline = Some(v.to_string());
         } else if let Some(v) = a.strip_prefix("--current=") {

@@ -229,6 +229,24 @@ impl DiffOutcome {
     }
 }
 
+/// Parses a `--max-regress` value — a percentage with an optional `%`
+/// (`"5%"`, `"0"`) — into a fraction. Non-finite and negative values are
+/// rejected: a NaN tolerance would make every comparison in [`diff`] false
+/// and silently pass any regression.
+pub fn parse_max_regress(value: &str) -> Result<f64, String> {
+    let pct: f64 = value
+        .strip_suffix('%')
+        .unwrap_or(value)
+        .parse()
+        .map_err(|_| format!("--max-regress expects a percentage, got {value:?}"))?;
+    if !pct.is_finite() || pct < 0.0 {
+        return Err(format!(
+            "--max-regress must be a finite, non-negative percentage, got {value:?}"
+        ));
+    }
+    Ok(pct / 100.0)
+}
+
 /// Compares `current` to `baseline`: any counter that grew by more than
 /// `max_regress` (a fraction, e.g. `0.05`) is a violation, as is a counter
 /// present in the baseline but missing from the current run, or a
@@ -981,6 +999,15 @@ mod tests {
         let zero = report(&[("a", 0)]);
         let grew = report(&[("a", 1)]);
         assert!(!diff(&zero, &grew, 0.05).passed());
+    }
+
+    #[test]
+    fn max_regress_accepts_finite_non_negative_percentages_only() {
+        assert_eq!(parse_max_regress("5%"), Ok(0.05));
+        assert_eq!(parse_max_regress("0"), Ok(0.0));
+        for bad in ["nan", "inf", "-1", "5x", ""] {
+            assert!(parse_max_regress(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 
     #[test]

@@ -244,13 +244,6 @@ impl ReachGraph {
         self.buffer_order.clear();
     }
 
-    /// Sets the readahead window (pages) for partition-record and timeline
-    /// scans; 0 (the default) disables prefetch and keeps the paper's
-    /// cold-cache counters exact.
-    pub fn set_readahead(&mut self, window: usize) {
-        self.pager.set_readahead(window);
-    }
-
     /// A private reader over the same index image: shares the in-memory
     /// metadata (`Arc`-backed page table, partition directory, timeline)
     /// and starts with empty buffers and zeroed counters on `device` —

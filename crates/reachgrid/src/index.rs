@@ -207,13 +207,6 @@ impl ReachGrid {
         self.pager.clear_cache();
     }
 
-    /// Sets the readahead window (pages) for chunk walks and timeline
-    /// scans; 0 (the default) disables prefetch and keeps the paper's
-    /// cold-cache counters exact.
-    pub fn set_readahead(&mut self, window: usize) {
-        self.pager.set_readahead(window);
-    }
-
     /// Test-only public wrapper over the directory lookup.
     #[doc(hidden)]
     pub fn dir_lookup_for_tests(&mut self, chunk: u32, o: ObjectId) -> Result<u32, IndexError> {

@@ -1,14 +1,20 @@
-//! The shared page cache: cross-query, cross-thread page residency.
+//! The page cache: the LRU page residency behind every caching [`Pager`](crate::Pager).
 //!
-//! The per-index [`LruPool`](crate::LruPool) models the paper's cost
-//! measurement discipline — each query pays its own device IO, caches are
-//! cleared at query boundaries — but a production service amortizes
-//! repeated page access *across* queries and serving threads. [`PageCache`]
-//! is the concurrency-safe generalization: a sharded, `Arc`-shareable pool
-//! that many [`Pager`](crate::Pager)s attach to at once.
+//! It serves two uses. A pager built with a nonzero `cache_pages` on a
+//! device without a hub cache owns a private *one-shard* cache — the
+//! paper's per-query buffer (ReachGrid's chunk cells, §4.2; ReachGraph's
+//! partitions, §5.2), emptied at query boundaries so each query pays its
+//! own device IO. A production service instead amortizes repeated page
+//! access *across* queries and serving threads: a
+//! [`SharedDevice`](crate::SharedDevice) hub carries one sharded,
+//! `Arc`-shareable [`PageCache`] that many pagers attach to at once and
+//! that survives query boundaries.
 //!
 //! ## Design
 //!
+//! * **LRU** — each shard is a hash map plus an intrusive doubly-linked
+//!   recency list with O(1) touch, insert and evict; a one-shard cache is
+//!   therefore exact global LRU.
 //! * **Sharding** — pages hash to one of a fixed set of shards
 //!   (`page % shards`), each behind its own mutex, so concurrent readers
 //!   rarely contend on one lock. Shard assignment is deterministic, which
@@ -92,8 +98,7 @@ struct Slot {
     next: usize,
 }
 
-/// One shard: an intrusive-list LRU over `Arc<[u8]>` pages (the
-/// [`LruPool`](crate::LruPool) structure, adapted to shareable buffers).
+/// One shard: an intrusive-list LRU over `Arc<[u8]>` pages.
 #[derive(Debug, Default)]
 struct Shard {
     slots: Vec<Slot>,
@@ -231,6 +236,19 @@ impl PageCache {
         Self {
             shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
             shard_cap,
+            readahead: 0,
+            stats: AtomicCacheStats::default(),
+        }
+    }
+
+    /// A one-shard cache of exactly `capacity_pages` (nonzero) pages with
+    /// no readahead: a pager's private per-query buffer, in global LRU
+    /// order.
+    pub(crate) fn private(capacity_pages: usize) -> Self {
+        debug_assert!(capacity_pages > 0, "a private cache needs capacity");
+        Self {
+            shards: vec![Mutex::new(Shard::new())],
+            shard_cap: capacity_pages,
             readahead: 0,
             stats: AtomicCacheStats::default(),
         }
@@ -411,6 +429,78 @@ mod tests {
         assert!(c.lookup(0).is_none());
         assert_eq!(&c.lookup(8).expect("resident").0[..], b"b");
         assert_eq!(c.stats().evictions, 1);
+    }
+
+    #[test]
+    fn one_shard_evicts_least_recently_used() {
+        let c = PageCache::private(2);
+        c.insert(1, b"1");
+        c.insert(2, b"2");
+        assert!(c.lookup(1).is_some()); // 1 is now MRU
+        c.insert(3, b"3");
+        assert!(!c.contains(2), "2 was LRU");
+        assert!(c.contains(1) && c.contains(3));
+        assert_eq!((c.len(), c.stats().evictions), (2, 1));
+    }
+
+    #[test]
+    fn one_shard_reinsert_refreshes_contents_and_recency() {
+        let c = PageCache::private(2);
+        c.insert(1, b"old");
+        c.insert(2, b"2");
+        c.insert(1, b"new"); // refresh, no eviction
+        assert_eq!((c.len(), c.stats().evictions), (2, 0));
+        c.insert(3, b"3");
+        assert!(!c.contains(2), "1 was refreshed, 2 is LRU");
+        assert_eq!(&c.lookup(1).expect("resident").0[..], b"new");
+    }
+
+    #[test]
+    fn one_shard_remove_then_reuse_slot() {
+        let c = PageCache::private(3);
+        c.insert(1, b"1");
+        c.insert(2, b"2");
+        c.invalidate(1);
+        assert!(c.lookup(1).is_none());
+        c.insert(3, b"3");
+        c.insert(4, b"4");
+        assert_eq!((c.len(), c.stats().evictions), (3, 0));
+        assert!(c.contains(2) && c.contains(3) && c.contains(4));
+    }
+
+    #[test]
+    fn one_shard_clear_then_reuse() {
+        let c = PageCache::private(2);
+        c.insert(1, b"1");
+        c.invalidate_all();
+        assert!(c.is_empty());
+        assert!(c.lookup(1).is_none());
+        c.insert(1, b"again");
+        assert_eq!(&c.lookup(1).expect("resident").0[..], b"again");
+    }
+
+    #[test]
+    fn one_shard_of_capacity_one() {
+        let c = PageCache::private(1);
+        assert_eq!((c.capacity(), c.readahead()), (1, 0));
+        c.insert(1, b"1");
+        c.insert(2, b"2");
+        assert!(!c.contains(1));
+        c.insert(3, b"3");
+        assert!(!c.contains(2));
+        assert!(c.lookup(3).is_some());
+        assert_eq!(c.stats().evictions, 2);
+    }
+
+    #[test]
+    fn one_shard_long_run_never_exceeds_capacity() {
+        let c = PageCache::private(7);
+        for i in 0..1000u64 {
+            c.insert(i % 23, &i.to_le_bytes());
+            assert!(c.len() <= 7);
+            // Sanity: MRU is always retrievable.
+            assert!(c.lookup(i % 23).is_some());
+        }
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub trait BlockDevice: std::fmt::Debug + Send + Sync {
     fn break_sequence(&mut self);
 
     /// Adds to the cache-hit counter. Called by the [`Pager`](crate::Pager)
-    /// when a read is served from the buffer pool without touching the
+    /// when a read is served from its page cache without touching the
     /// device.
     fn note_cache_hit(&mut self);
 
@@ -93,9 +93,9 @@ pub trait BlockDevice: std::fmt::Debug + Send + Sync {
 
     /// The shared [`PageCache`] this device advertises, if any. The
     /// [`Pager`](crate::Pager) attaches to it automatically on
-    /// construction, switching from its private pool to the cross-query
-    /// shared pool. Default: none — private devices keep the paper's
-    /// cold-cache measurement model.
+    /// construction instead of keeping a private cache of its own.
+    /// Default: none — private devices keep the paper's cold-cache
+    /// measurement model.
     fn shared_cache(&self) -> Option<Arc<PageCache>> {
         None
     }

@@ -29,7 +29,7 @@ pub struct IoStats {
     pub random_writes: u64,
     /// Page writes that continued a consecutive forward scan.
     pub seq_writes: u64,
-    /// Reads served from the buffer pool without touching the device.
+    /// Reads served from the page cache without touching the device.
     pub cache_hits: u64,
     /// Pages this handle filled by readahead prefetch (each is also counted
     /// as a classified device read above — prefetch batches the fetch, it

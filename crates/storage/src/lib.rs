@@ -20,12 +20,14 @@
 //! backend — which the backend-equivalence test suite asserts. Around the
 //! devices sit:
 //!
-//! * [`LruPool`] / [`Pager`] — the buffer pool both indexes use at query
-//!   time (the pager owns its device as `Box<dyn BlockDevice>`; see
-//!   [`pager`] for why erasure beats genericity here);
-//! * [`PageCache`] — the sharded, concurrency-safe page cache a
-//!   [`SharedDevice`] hub can carry, pooling residency across queries and
-//!   serving threads, with readahead prefetch (see [`cache`]); off by
+//! * [`Pager`] — the cached page access every index uses at query time;
+//!   it owns a private one-shard [`PageCache`] (the paper's per-query
+//!   buffer) or attaches to its device hub's, and owns its device as
+//!   `Box<dyn BlockDevice>` (see [`pager`] for why erasure beats
+//!   genericity here);
+//! * [`PageCache`] — the LRU page cache; sharded and concurrency-safe, a
+//!   [`SharedDevice`] hub can carry one to pool residency across queries
+//!   and serving threads, with readahead prefetch (see [`cache`]); off by
 //!   default so the paper's cold-cache counters stay the reference tier;
 //! * [`ByteWriter`] / [`ByteReader`] — the checked binary codec for on-page
 //!   records;
@@ -44,7 +46,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod buffer;
 pub mod cache;
 pub mod codec;
 pub mod config;
@@ -61,7 +62,6 @@ pub mod sim;
 pub mod spill;
 pub mod timeline;
 
-pub use buffer::LruPool;
 pub use cache::{CacheStats, PageCache};
 pub use codec::{ByteReader, ByteWriter};
 pub use config::{StorageBackend, StorageConfig};

@@ -4,30 +4,33 @@
 //! cost nothing and misses are charged to the device with sequential/random
 //! classification. Construction writes go straight to the device.
 //!
-//! ## Private pool vs. shared cache
+//! ## Owned vs. hub cache
 //!
-//! By default the pager fronts its device with a *private* [`LruPool`] —
-//! the paper's per-query buffer, cleared at query boundaries so every
-//! measured query starts cold. When the device advertises a shared
-//! [`PageCache`] (a [`SharedDevice`](crate::shared::SharedDevice) hub
-//! built `with_cache`), the pager attaches to it instead: residency is
-//! then pooled across every pager on the same hub — repeated queries and
-//! concurrent serving threads reuse each other's fetches. Accounting stays
-//! exact either way: a hit is charged to *this* pager's device handle as a
-//! cache hit ([`IoStats::cache_hits`]), never as a read, and the
-//! sequential/random classification of the misses that do reach the device
-//! is untouched.
+//! A pager keeps at most one [`PageCache`]. When the device advertises one
+//! (a [`SharedDevice`](crate::shared::SharedDevice) hub built
+//! `with_cache`), the pager attaches to it: residency is then pooled
+//! across every pager on the same hub — repeated queries and concurrent
+//! serving threads reuse each other's fetches — and survives query
+//! boundaries. Otherwise a nonzero `cache_pages` gives the pager its own
+//! one-shard cache of that many pages — the paper's per-query buffer, in
+//! global LRU order, emptied by [`Pager::clear_cache`] so every measured
+//! query starts cold — and zero gives it none, so every read goes to the
+//! device. Hits, misses, prefetch marks and write-through take the same
+//! path either way, and accounting stays exact: a hit is charged to *this*
+//! pager's device handle as a cache hit ([`IoStats::cache_hits`]), never as
+//! a read, and the sequential/random classification of the misses that do
+//! reach the device is untouched.
 //!
 //! ## Readahead
 //!
 //! [`Pager::prefetch`] declares that a run of consecutive pages is about to
-//! be scanned. With a readahead window configured
-//! ([`Pager::set_readahead`], or inherited from the shared cache), the
-//! pager fetches up to one window of not-yet-resident pages ahead of the
-//! scan, charging each fetch as a normal classified device read plus a
+//! be scanned. The readahead window is the cache's
+//! ([`PageCache::with_readahead`]; an owned cache has none): the pager
+//! fetches up to one window of not-yet-resident pages ahead of the scan,
+//! charging each fetch as a normal classified device read plus a
 //! `prefetched` mark; when the scan later lands on a prefetched page the
-//! hit is counted as a `prefetch_hit` (a subset of `cache_hits`). With the
-//! default window of 0 the call is a no-op, so cold-tier counters are
+//! hit is counted as a `prefetch_hit` (a subset of `cache_hits`). With a
+//! window of 0 (the default) the call is a no-op, so cold-tier counters are
 //! byte-identical with the feature compiled in.
 //!
 //! ## Why type erasure, not genericity
@@ -42,44 +45,38 @@
 //! IO* is noise next to the page copy (sim/mmap) or syscall (file) it
 //! fronts, and the hot cache-hit path never reaches the device at all.
 
-use crate::buffer::LruPool;
 use crate::cache::PageCache;
 use crate::device::{BlockDevice, PageId};
 use crate::iostats::IoStats;
 use reach_core::IndexError;
-use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Buffer-pool-fronted page store over an erased [`BlockDevice`].
+/// Page-cache-fronted page store over an erased [`BlockDevice`].
 #[derive(Debug)]
 pub struct Pager {
     device: Box<dyn BlockDevice>,
-    pool: LruPool,
-    /// Cross-query shared cache, when the device advertises one. Replaces
-    /// the private pool entirely: one residency, many pagers.
-    shared: Option<Arc<PageCache>>,
-    /// Readahead window in pages; 0 disables prefetch.
-    readahead: usize,
-    /// Private-mode bookkeeping: pages the pool holds because readahead
-    /// fetched them and no query access has landed on them yet. (Shared
-    /// mode keeps this flag inside the cache entries instead.)
-    prefetched: HashSet<PageId>,
+    /// The device hub's cache, this pager's own, or none (reads go
+    /// straight to the device).
+    cache: Option<Arc<PageCache>>,
+    /// Whether the cache (if any) is this pager's own per-query buffer,
+    /// which [`Pager::clear_cache`] empties; a hub cache is left alone.
+    owns_cache: bool,
 }
 
 impl Pager {
-    /// Wraps a device with an LRU pool of `cache_pages` pages. If the
-    /// device advertises a shared [`PageCache`], the pager attaches to it
-    /// instead of the private pool and inherits the cache's readahead
-    /// window.
+    /// Wraps a device with a page cache. If the device advertises a shared
+    /// [`PageCache`], the pager attaches to it (and inherits its readahead
+    /// window); otherwise it owns a one-shard cache of `cache_pages` pages,
+    /// or none when `cache_pages` is 0.
     pub fn new(device: Box<dyn BlockDevice>, cache_pages: usize) -> Self {
         let shared = device.shared_cache();
-        let readahead = shared.as_ref().map_or(0, |c| c.readahead());
+        let owns_cache = shared.is_none();
+        let cache =
+            shared.or_else(|| (cache_pages > 0).then(|| Arc::new(PageCache::private(cache_pages))));
         Self {
             device,
-            pool: LruPool::new(cache_pages),
-            shared,
-            readahead,
-            prefetched: HashSet::new(),
+            cache,
+            owns_cache,
         }
     }
 
@@ -105,21 +102,16 @@ impl Pager {
 
     /// Whether this pager serves reads from a shared cross-query cache.
     pub fn is_shared(&self) -> bool {
-        self.shared.is_some()
+        !self.owns_cache
     }
 
-    /// Current readahead window in pages (0 = prefetch disabled).
+    /// The cache's readahead window in pages (0 = prefetch disabled).
     pub fn readahead(&self) -> usize {
-        self.readahead
+        self.cache.as_ref().map_or(0, |c| c.readahead())
     }
 
-    /// Sets the readahead window in pages (0 disables prefetch).
-    pub fn set_readahead(&mut self, window: usize) {
-        self.readahead = window;
-    }
-
-    /// Reads a page through the pool. Hits cost nothing; misses hit the
-    /// device and populate the pool.
+    /// Reads a page through the cache. Hits cost nothing; misses hit the
+    /// device and populate the cache.
     ///
     /// Returns an owned copy of the page: records routinely span page
     /// boundaries and callers hold several pages at once, which a borrowing
@@ -130,7 +122,7 @@ impl Pager {
     }
 
     /// Zero-copy read path: runs `f` over the cached page buffer without
-    /// materializing an owned copy. On a pool hit the closure borrows the
+    /// materializing an owned copy. On a cache hit the closure borrows the
     /// resident buffer directly; on a miss the page is fetched, inserted,
     /// and borrowed in place. IO accounting is identical to [`Pager::read`].
     pub fn with_page<R>(
@@ -138,30 +130,18 @@ impl Pager {
         page: PageId,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R, IndexError> {
-        if let Some(cache) = &self.shared {
-            if let Some((bytes, was_prefetched)) = cache.lookup(page) {
-                self.device.note_cache_hit();
-                if was_prefetched {
-                    self.device.note_prefetch_hit();
-                }
-                return Ok(f(&bytes));
-            }
-            let mut buf = vec![0u8; self.device.page_size()];
-            self.device.read_page_into(page, &mut buf)?;
-            cache.insert(page, &buf);
-            return Ok(f(&buf));
-        }
-        if let Some(bytes) = self.pool.get(page) {
+        if let Some((bytes, was_prefetched)) = self.cache.as_ref().and_then(|c| c.lookup(page)) {
             self.device.note_cache_hit();
-            if self.prefetched.remove(&page) {
+            if was_prefetched {
                 self.device.note_prefetch_hit();
             }
-            return Ok(f(bytes));
+            return Ok(f(&bytes));
         }
-        self.prefetched.remove(&page);
         let mut buf = vec![0u8; self.device.page_size()];
         self.device.read_page_into(page, &mut buf)?;
-        self.pool.insert(page, &buf);
+        if let Some(cache) = &self.cache {
+            cache.insert(page, &buf);
+        }
         Ok(f(&buf))
     }
 
@@ -174,79 +154,57 @@ impl Pager {
     /// the end of the device are skipped. A no-op when the readahead window
     /// is 0 (the default), which keeps cold-tier counters byte-identical.
     pub fn prefetch(&mut self, start: PageId, count: usize) -> Result<(), IndexError> {
-        if self.readahead == 0 || count == 0 {
+        let Some(cache) = &self.cache else {
+            return Ok(());
+        };
+        let window = count.min(cache.readahead());
+        if window == 0 {
             return Ok(());
         }
-        let window = count.min(self.readahead);
         let end = (start + window as u64).min(self.device.len_pages());
         let mut buf = vec![0u8; self.device.page_size()];
         for page in start..end {
-            let resident = match &self.shared {
-                Some(cache) => cache.contains(page),
-                None => self.pool.contains(page),
-            };
-            if resident {
+            if cache.contains(page) {
                 continue;
             }
             self.device.read_page_into(page, &mut buf)?;
             self.device.note_prefetched();
-            match &self.shared {
-                Some(cache) => cache.insert_prefetched(page, &buf),
-                None => {
-                    if let Some(evicted) = self.pool.insert(page, &buf) {
-                        self.prefetched.remove(&evicted);
-                    }
-                    self.prefetched.insert(page);
-                }
-            }
+            cache.insert_prefetched(page, &buf);
         }
         Ok(())
     }
 
     /// Whether a page is currently cached (no recency side effect).
     pub fn is_cached(&self, page: PageId) -> bool {
-        match &self.shared {
-            Some(cache) => cache.contains(page),
-            None => self.pool.contains(page),
-        }
+        self.cache.as_ref().is_some_and(|c| c.contains(page))
     }
 
-    /// Write-through page update. The cached copy — private pool or shared
-    /// cache — is rewritten in place when resident, so subsequent reads see
-    /// the new bytes without a device round-trip.
+    /// Write-through page update: a resident cached copy is rewritten in
+    /// place, so subsequent reads see the new bytes without a device
+    /// round-trip. A write never populates the cache.
     pub fn write(&mut self, page: PageId, data: &[u8]) -> Result<(), IndexError> {
         self.device.write_page(page, data)?;
-        let page_size = self.device.page_size();
-        if let Some(cache) = &self.shared {
+        if let Some(cache) = &self.cache {
             // A SharedDevice hub already updated its cache inside
-            // write_page; calling update again is idempotent and covers
-            // devices that advertise a cache without hub write-through.
-            cache.update(page, data, page_size);
-        } else if self.pool.contains(page) {
-            let mut padded = vec![0u8; page_size];
-            padded[..data.len()].copy_from_slice(data);
-            self.pool.insert(page, &padded);
-            self.prefetched.remove(&page);
+            // write_page; updating again is idempotent and covers devices
+            // that advertise a cache without hub write-through.
+            cache.update(page, data, self.device.page_size());
         }
         Ok(())
     }
 
-    /// Drops this pager's *private* cached pages (e.g. at a query boundary,
-    /// to model a cold cache, or at ReachGrid chunk boundaries which
-    /// discard their buffers). A shared cache is deliberately untouched —
-    /// cross-query residency surviving query boundaries is its whole point;
-    /// use [`PageCache::invalidate_all`](crate::PageCache::invalidate_all)
-    /// to drop it explicitly.
+    /// Drops this pager's *own* cached pages (e.g. at a query boundary, to
+    /// model a cold cache, or at ReachGrid chunk boundaries which discard
+    /// their buffers). A hub cache is deliberately untouched — cross-query
+    /// residency surviving query boundaries is its whole point; use
+    /// [`PageCache::invalidate_all`](crate::PageCache::invalidate_all) to
+    /// drop it explicitly.
     pub fn clear_cache(&mut self) {
-        self.pool.clear();
-        self.prefetched.clear();
-    }
-
-    /// Resizes the private pool (drops current contents). No effect on a
-    /// shared cache's capacity.
-    pub fn set_cache_pages(&mut self, pages: usize) {
-        self.pool = LruPool::new(pages);
-        self.prefetched.clear();
+        if self.owns_cache {
+            if let Some(cache) = &self.cache {
+                cache.invalidate_all();
+            }
+        }
     }
 
     /// Device counters.
@@ -347,7 +305,10 @@ mod tests {
         assert_eq!(first, 0);
         let second = p.with_page(1, |b| b[0]).unwrap();
         assert_eq!(second, 1);
-        assert_eq!(p.stats().total_reads(), 2);
+        let again = p.with_page(0, |b| b[0]).unwrap();
+        assert_eq!(again, 0, "re-read from the device");
+        assert!(!p.is_cached(0), "zero capacity caches nothing");
+        assert_eq!(p.stats().total_reads(), 3);
         assert_eq!(p.stats().cache_hits, 0);
     }
 
@@ -390,38 +351,15 @@ mod tests {
     #[test]
     fn prefetch_is_a_no_op_without_a_window() {
         let mut p = pager_with_pages(4, 4);
+        assert_eq!((p.is_shared(), p.readahead()), (false, 0), "owned cache");
         p.prefetch(0, 4).unwrap();
         assert_eq!(p.stats(), IoStats::default());
         assert!(!p.is_cached(0));
     }
 
     #[test]
-    fn private_prefetch_fills_pool_and_counts_prefetch_hits() {
-        let mut p = pager_with_pages(8, 8);
-        p.set_readahead(4);
-        p.prefetch(0, 8).unwrap();
-        let s = p.stats();
-        assert_eq!(s.total_reads(), 4, "window caps the prefetch");
-        assert_eq!(s.prefetched, 4);
-        assert_eq!(s.random_reads, 1);
-        assert_eq!(s.seq_reads, 3, "prefetch run is sequential");
-        for i in 0..4 {
-            assert_eq!(p.read(i).unwrap()[0], i as u8);
-        }
-        let s = p.stats();
-        assert_eq!(s.total_reads(), 4, "scan served from pool");
-        assert_eq!(s.cache_hits, 4);
-        assert_eq!(s.prefetch_hits, 4);
-        // A second touch of a prefetched page is a plain hit.
-        p.read(0).unwrap();
-        assert_eq!(p.stats().prefetch_hits, 4);
-        assert_eq!(p.stats().cache_hits, 5);
-    }
-
-    #[test]
     fn prefetch_skips_resident_pages_and_clamps_to_device_end() {
-        let mut p = pager_with_pages(3, 4);
-        p.set_readahead(8);
+        let (mut p, _cache) = shared_pager(3, 4, 8);
         p.read(1).unwrap();
         p.prefetch(0, 8).unwrap();
         let s = p.stats();
@@ -455,19 +393,26 @@ mod tests {
     }
 
     #[test]
-    fn shared_prefetch_hits_are_counted_once_per_page() {
+    fn prefetch_fills_cache_and_counts_prefetch_hits_once_per_page() {
         let (mut p, cache) = shared_pager(8, 8, 4);
-        p.prefetch(0, 4).unwrap();
-        assert_eq!(p.stats().prefetched, 4);
+        p.prefetch(0, 8).unwrap();
+        let s = p.stats();
+        assert_eq!(s.total_reads(), 4, "window caps the prefetch");
+        assert_eq!(s.prefetched, 4);
+        assert_eq!(s.random_reads, 1);
+        assert_eq!(s.seq_reads, 3, "prefetch run is sequential");
         for i in 0..4 {
-            p.read(i).unwrap();
+            assert_eq!(p.read(i).unwrap()[0], i as u8);
         }
         let s = p.stats();
+        assert_eq!(s.total_reads(), 4, "scan served from the cache");
         assert_eq!(s.cache_hits, 4);
         assert_eq!(s.prefetch_hits, 4);
         assert_eq!(cache.stats().prefetch_hits, 4);
+        // A second touch of a prefetched page is a plain hit.
         p.read(0).unwrap();
         assert_eq!(p.stats().prefetch_hits, 4, "flag cleared on first hit");
+        assert_eq!(p.stats().cache_hits, 5);
     }
 
     #[test]

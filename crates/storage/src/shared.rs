@@ -57,7 +57,7 @@ pub struct SharedDevice {
 
 impl SharedDevice {
     /// Wraps a device for shared access and returns the first handle.
-    /// No cache: pagers over the handles keep their private pools.
+    /// No cache: pagers over the handles keep their own private caches.
     pub fn new(inner: Box<dyn BlockDevice>) -> Self {
         Self::assemble(inner, None)
     }

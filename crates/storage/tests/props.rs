@@ -5,9 +5,7 @@
 //! or explore a different stream).
 
 use proptest::prelude::*;
-use reach_storage::{
-    read_record, BlockDevice, FileDevice, LruPool, Pager, RecordWriter, SimDevice,
-};
+use reach_storage::{read_record, BlockDevice, FileDevice, Pager, RecordWriter, SimDevice};
 
 /// Writes `records` through a fresh `RecordWriter` on `disk`, returning the
 /// record pointers.
@@ -54,35 +52,42 @@ proptest! {
         prop_assert!(stats.total_reads() + stats.cache_hits >= records.len() as u64);
     }
 
-    /// The LRU pool behaves exactly like a brute-force recency list.
+    /// A pager's own cache behaves exactly like a brute-force recency
+    /// list: a read hits iff the model holds the page (and touches it) or
+    /// misses, reads the device and inserts it (evicting the LRU page when
+    /// full), and residency always equals the model's set.
     #[test]
     fn lru_matches_reference_model(
         capacity in 1usize..8,
-        ops in prop::collection::vec((0u64..12, prop::bool::ANY), 1..200),
+        reads in prop::collection::vec(0u64..12, 1..200),
     ) {
-        let mut pool = LruPool::new(capacity);
+        let mut disk = SimDevice::new(64);
+        disk.allocate(12).unwrap();
+        let mut pager = Pager::new(Box::new(disk), capacity);
         let mut model: Vec<u64> = Vec::new(); // front = MRU
-        for &(page, is_insert) in &ops {
-            if is_insert {
-                pool.insert(page, &page.to_le_bytes());
-                if let Some(pos) = model.iter().position(|&p| p == page) {
+        for &page in &reads {
+            let before = pager.stats();
+            pager.read(page).unwrap();
+            let hit = pager.stats().cache_hits > before.cache_hits;
+            let model_hit = match model.iter().position(|&p| p == page) {
+                Some(pos) => {
                     model.remove(pos);
-                } else if model.len() == capacity {
-                    model.pop();
+                    true
                 }
-                model.insert(0, page);
-            } else {
-                let hit = pool.get(page).is_some();
-                let model_hit = model.contains(&page);
-                prop_assert_eq!(hit, model_hit, "hit mismatch for page {}", page);
-                if model_hit {
-                    let pos = model.iter().position(|&p| p == page).unwrap();
-                    model.remove(pos);
-                    model.insert(0, page);
+                None => {
+                    model.truncate(capacity - 1);
+                    false
                 }
+            };
+            model.insert(0, page);
+            prop_assert_eq!(hit, model_hit, "hit mismatch for page {}", page);
+            prop_assert_eq!(
+                pager.stats().total_reads() - before.total_reads(),
+                u64::from(!hit)
+            );
+            for p in 0..12 {
+                prop_assert_eq!(pager.is_cached(p), model.contains(&p), "residency of page {}", p);
             }
-            prop_assert!(pool.len() <= capacity);
-            prop_assert_eq!(pool.len(), model.len());
         }
     }
 

@@ -175,7 +175,7 @@ fn grid_answers_and_pages_identical_across_cache_modes() {
             &format!("ReachGrid off/shared ({backend})"),
         );
         // Twice over the workload: the second pass runs against a warm
-        // shared cache (and a warm private pool) and must not change a
+        // shared cache (and a warm private cache) and must not change a
         // single answer.
         for round in 0..2 {
             for q in &qs {
@@ -219,7 +219,6 @@ fn graph_shared_cache_preserves_answers_and_reduces_reads() {
         let hub = SharedDevice::with_cache(device_for(backend), Arc::clone(&cache));
         let mut warm =
             ReachGraph::build_on(Box::new(hub), &dn, &mr, graph_params()).expect("warm build");
-        warm.set_readahead(8);
 
         let (mut cold_reads, mut warm_reads) = (0u64, 0u64);
         for round in 0..3 {
