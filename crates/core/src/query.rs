@@ -84,7 +84,10 @@ pub struct QueryStats {
     pub seq_ios: u64,
     /// Graph vertices / grid cells inspected.
     pub visited: u64,
-    /// Object-position records or edges examined.
+    /// Object-position records or edges examined. ReachGrid counts one per
+    /// distance test of a frontier seed against a non-seed object in that
+    /// object's home cell (the cell its sample at the tick falls in); SPJ
+    /// counts the contact pairs it materializes.
     pub examined: u64,
     /// Pure computation time (excluding simulated IO bookkeeping where the
     /// implementation can separate it).

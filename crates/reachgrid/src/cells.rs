@@ -8,8 +8,10 @@
 
 use reach_core::{Coord, IndexError, ObjectId, Point, Time};
 use reach_storage::{ByteReader, ByteWriter};
+use std::ops::Range;
 
-/// Decoded contents of one grid cell for one temporal partition.
+/// Contents of one grid cell for one temporal partition, as the build
+/// stages and encodes it (queries decode records into a [`CellArena`]).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CellData {
     /// `(object, samples)` pairs, ascending by object id; `samples[k]` is
@@ -32,24 +34,116 @@ impl CellData {
         }
         w.into_bytes()
     }
+}
 
-    /// Decodes a record payload.
-    pub fn decode(bytes: &[u8]) -> Result<Self, IndexError> {
-        let mut r = ByteReader::new(bytes);
-        let n = r.get_u32()? as usize;
-        let mut objects = Vec::with_capacity(n);
-        for _ in 0..n {
-            let o = ObjectId(r.get_u32()?);
-            let k = r.get_u32()? as usize;
-            let mut samples = Vec::with_capacity(k);
-            for _ in 0..k {
-                let x = r.get_f32()?;
-                let y = r.get_f32()?;
-                samples.push(Point::new(x, y));
-            }
-            objects.push((o, samples));
+/// Marks "no arena entry" in per-object tables indexed alongside a
+/// [`CellArena`].
+pub(crate) const NO_ENTRY: u32 = u32::MAX;
+
+/// The cells one chunk's query has read, decoded back to back.
+///
+/// Entry `e` is one object's chunk segment from one cell: `id(e)` and
+/// `segment(e)`, the `seg_len` samples stored entry-major in one flat
+/// point table. A cell decodes straight from its record bytes into a
+/// contiguous range of entries, so a chunk's reads allocate nothing per
+/// object and a segment is never copied.
+#[derive(Debug, Default)]
+pub struct CellArena {
+    /// Samples per segment: the length of the chunk's tick window.
+    seg_len: usize,
+    /// Object id per entry.
+    ids: Vec<u32>,
+    /// Samples of every entry, entry-major.
+    pts: Vec<Point>,
+}
+
+impl CellArena {
+    /// Empties the arena for a chunk whose segments hold `seg_len` samples.
+    pub fn reset(&mut self, seg_len: usize) {
+        self.seg_len = seg_len;
+        self.ids.clear();
+        self.pts.clear();
+    }
+
+    /// Decodes one cell record of an index over `num_objects` objects and
+    /// appends its entries, returning their range.
+    ///
+    /// The record's size is fixed by its object count and the chunk's
+    /// window length, so it is checked before anything is reserved. Errors
+    /// are [`IndexError::Corrupt`]: a record whose size does not match its
+    /// count, a segment whose length is not the window's, or an object id
+    /// that is out of range or not above the one before.
+    pub fn decode(&mut self, record: &[u8], num_objects: usize) -> Result<Range<u32>, IndexError> {
+        let corrupt = |what: String| IndexError::Corrupt(format!("cell record: {what}"));
+        let u32_at = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        let count = ByteReader::new(record).get_u32()? as usize;
+        let body = &record[4..];
+        let entry_bytes = 8 + 8 * self.seg_len;
+        if count.checked_mul(entry_bytes) != Some(body.len()) {
+            return Err(corrupt(format!(
+                "{count} segments of {} samples do not fill {} bytes",
+                self.seg_len,
+                body.len()
+            )));
         }
-        Ok(Self { objects })
+        let first = self.ids.len() as u32;
+        self.ids.reserve(count);
+        self.pts.reserve(count * self.seg_len);
+        for entry in body.chunks_exact(entry_bytes) {
+            let (id, len) = (u32_at(&entry[..4]), u32_at(&entry[4..8]));
+            let prev = self.ids[first as usize..].last();
+            if id as usize >= num_objects || prev.is_some_and(|&p| id <= p) {
+                return Err(corrupt(format!(
+                    "object {id} after {prev:?} in an index of {num_objects} objects"
+                )));
+            }
+            if len as usize != self.seg_len {
+                return Err(corrupt(format!(
+                    "object {id} has {len} samples, the chunk has {} ticks",
+                    self.seg_len
+                )));
+            }
+            self.ids.push(id);
+            self.pts.extend(entry[8..].chunks_exact(8).map(|b| {
+                Point::new(
+                    f32::from_le_bytes([b[0], b[1], b[2], b[3]]),
+                    f32::from_le_bytes([b[4], b[5], b[6], b[7]]),
+                )
+            }));
+        }
+        Ok(first..self.ids.len() as u32)
+    }
+
+    /// Object id of entry `e`.
+    #[inline]
+    pub fn id(&self, e: u32) -> u32 {
+        self.ids[e as usize]
+    }
+
+    /// Chunk segment of entry `e`: sample `k` is the position at the
+    /// chunk's `k`-th tick.
+    #[inline]
+    pub fn segment(&self, e: u32) -> &[Point] {
+        let start = e as usize * self.seg_len;
+        &self.pts[start..start + self.seg_len]
+    }
+
+    /// The entries `entries` as an owned [`CellData`] (diagnostics and
+    /// tests).
+    pub fn to_cell_data(&self, entries: Range<u32>) -> CellData {
+        CellData {
+            objects: entries
+                .map(|e| (ObjectId(self.id(e)), self.segment(e).to_vec()))
+                .collect(),
+        }
+    }
+
+    /// Whether object `o` has an entry in `cell`, a range
+    /// [`CellArena::decode`] returned for one cell.
+    pub fn holds(&self, cell: Range<u32>, o: u32) -> bool {
+        self.ids[cell.start as usize..cell.end as usize]
+            .binary_search(&o)
+            .is_ok()
     }
 }
 
@@ -148,6 +242,16 @@ impl ChunkLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Decodes `cell`'s record into a fresh arena for a chunk of
+    /// `seg_len` ticks in an index of 10 objects.
+    fn decode(cell: &[u8], seg_len: usize) -> Result<CellData, IndexError> {
+        let mut arena = CellArena::default();
+        arena.reset(seg_len);
+        let entries = arena.decode(cell, 10)?;
+        Ok(arena.to_cell_data(entries))
+    }
 
     #[test]
     fn cell_record_roundtrip() {
@@ -157,17 +261,19 @@ mod tests {
                     ObjectId(3),
                     vec![Point::new(1.0, 2.0), Point::new(3.0, 4.0)],
                 ),
-                (ObjectId(9), vec![Point::new(-1.5, 0.25)]),
+                (
+                    ObjectId(9),
+                    vec![Point::new(-1.5, 0.25), Point::new(0.0, 7.0)],
+                ),
             ],
         };
-        let bytes = cell.encode();
-        assert_eq!(CellData::decode(&bytes).unwrap(), cell);
+        assert_eq!(decode(&cell.encode(), 2).unwrap(), cell);
     }
 
     #[test]
     fn empty_cell_roundtrip() {
         let cell = CellData::default();
-        assert_eq!(CellData::decode(&cell.encode()).unwrap(), cell);
+        assert_eq!(decode(&cell.encode(), 2).unwrap(), cell);
     }
 
     #[test]
@@ -176,7 +282,12 @@ mod tests {
             objects: vec![(ObjectId(1), vec![Point::new(0.0, 0.0)])],
         };
         let bytes = cell.encode();
-        assert!(CellData::decode(&bytes[..bytes.len() - 2]).is_err());
+        for len in [0, 2, bytes.len() - 2] {
+            assert!(matches!(
+                decode(&bytes[..len], 1),
+                Err(IndexError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]
@@ -191,6 +302,72 @@ mod tests {
         // Out-of-range positions clamp to border cells.
         assert_eq!(g.cell_of(Point::new(-5.0, -5.0)), 0);
         assert_eq!(g.cell_of(Point::new(1000.0, 1000.0)), 49);
+    }
+
+    /// Coordinates where the contact disk's edge and the grid lines meet
+    /// around `c`: each of `c - d`, `c` and `c + d`, the grid lines on
+    /// either side of it, and one ulp to either side of each of those.
+    fn edges_near(c: f32, d: f32, cell: f32) -> Vec<f32> {
+        let mut out = Vec::new();
+        for v in [c - d, c, c + d] {
+            let line = (v / cell).floor() * cell;
+            for x in [v, line, line + cell] {
+                out.extend([x.next_down(), x, x.next_up()]);
+            }
+        }
+        out
+    }
+
+    /// A coordinate in grid-cell units `k + frac` (`k` may lie outside
+    /// the grid), or on the line `k` nudged by `ulps`.
+    fn coord(cell: f32) -> impl Strategy<Value = f32> {
+        (-3i32..12, 0.0f32..1.0, -1i32..=1, any::<bool>()).prop_map(
+            move |(k, frac, ulps, on_line)| {
+                let line = k as f32 * cell;
+                match (on_line, ulps) {
+                    (false, _) => line + frac * cell,
+                    (true, -1) => line.next_down(),
+                    (true, 1) => line.next_up(),
+                    (true, _) => line,
+                }
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The rule both the query's cell loads and its frontier probes
+        /// rest on: an object within `d` of a seed has its home cell among
+        /// `cells_around(seed, d)`. Probed on, and one ulp beside, cell
+        /// boundaries and the disk's edge, and outside the environment
+        /// (where both sides clamp to the border cells).
+        #[test]
+        fn contact_implies_home_cell_around_seed(
+            (cell, sx, sy) in prop::sample::select(vec![1.0f32, 7.3, 10.0, 100.0 / 3.0, 64.0])
+                .prop_flat_map(|cell| (Just(cell), coord(cell), coord(cell))),
+            cols in 1u32..9,
+            rows in 1u32..9,
+            d_cells in 0.0f32..2.5,
+        ) {
+            let g = GridGeometry::new(cols as f32 * cell, rows as f32 * cell, cell);
+            let s = Point::new(sx, sy);
+            let d = d_cells * cell;
+            let mut around = Vec::new();
+            g.cells_around(s, d, &mut around);
+            for px in edges_near(sx, d, cell) {
+                for py in edges_near(sy, d, cell) {
+                    let p = Point::new(px, py);
+                    if p.within(&s, d) {
+                        prop_assert!(
+                            around.contains(&g.cell_of(p)),
+                            "{p:?} is within {d} of {s:?}, but its cell {} is not in {around:?}",
+                            g.cell_of(p)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

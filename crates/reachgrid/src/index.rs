@@ -13,11 +13,12 @@
 //! placement rule for early termination) and the trajectories inside a cell
 //! sit on consecutive pages.
 
-use crate::cells::{CellData, ChunkLayout, GridGeometry};
+use crate::cells::{CellArena, CellData, ChunkLayout, GridGeometry};
 use crate::params::GridParams;
 use reach_core::{Environment, IndexError, ObjectId, Time, TimeInterval};
 use reach_storage::{BlockDevice, IoStats, Pager, RecordPtr, RecordWriter, SimDevice};
 use reach_traj::TrajectoryStore;
+use std::ops::Range;
 
 /// Per-chunk metadata kept in memory (the grid directory itself is tiny
 /// compared to the data; the object→cell directory is on disk).
@@ -213,33 +214,50 @@ impl ReachGrid {
         self.dir_lookup(chunk, o)
     }
 
-    /// Test-only public wrapper over the cell reader.
+    /// Test-only public reader of one cell record of `chunk`.
     #[doc(hidden)]
     pub fn read_cell_for_tests(
         &mut self,
-        ptr: reach_storage::RecordPtr,
+        chunk: u32,
+        ptr: RecordPtr,
     ) -> Result<CellData, IndexError> {
-        self.read_cell(ptr)
+        let mut arena = CellArena::default();
+        arena.reset(self.layout.window(chunk).len() as usize);
+        let entries = self.read_cell_into(ptr, &mut arena)?;
+        Ok(arena.to_cell_data(entries))
     }
 
     /// Reads one object→cell directory entry through the pager. A directory
     /// probe touches exactly one page, so it borrows the cached buffer via
-    /// the zero-copy `with_page` path.
+    /// the zero-copy `with_page` path. An entry naming no cell of the grid
+    /// is [`IndexError::Corrupt`].
     pub(crate) fn dir_lookup(&mut self, chunk: u32, o: ObjectId) -> Result<u32, IndexError> {
         let entries_per_page = self.params.page_size / 4;
         let page = self.dir_first_page
             + u64::from(chunk) * self.dir_pages_per_chunk
             + (o.index() / entries_per_page) as u64;
         let off = (o.index() % entries_per_page) * 4;
-        self.pager.with_page(page, |bytes| {
+        let cell = self.pager.with_page(page, |bytes| {
             u32::from_le_bytes([bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3]])
-        })
+        })?;
+        if cell >= self.geometry.num_cells() {
+            return Err(IndexError::Corrupt(format!(
+                "directory of chunk {chunk} sends {o} to cell {cell}, the grid has {}",
+                self.geometry.num_cells()
+            )));
+        }
+        Ok(cell)
     }
 
-    /// Reads and decodes one cell record through the pager.
-    pub(crate) fn read_cell(&mut self, ptr: RecordPtr) -> Result<CellData, IndexError> {
+    /// Reads one cell record through the pager and decodes it into `arena`
+    /// (see [`CellArena::decode`]), returning its entries.
+    pub(crate) fn read_cell_into(
+        &mut self,
+        ptr: RecordPtr,
+        arena: &mut CellArena,
+    ) -> Result<Range<u32>, IndexError> {
         let bytes = reach_storage::read_record(&mut self.pager, ptr)?;
-        CellData::decode(&bytes)
+        arena.decode(&bytes, self.num_objects)
     }
 }
 
@@ -313,7 +331,7 @@ mod tests {
     fn cells_contain_full_segments() {
         let mut g = ReachGrid::build(&store(), params()).unwrap();
         let ptr = g.chunk(0).cell_ptr(0).expect("o0's home cell is non-empty");
-        let cell = g.read_cell(ptr).unwrap();
+        let cell = g.read_cell_for_tests(0, ptr).unwrap();
         let (o, samples) = &cell.objects[0];
         assert_eq!(*o, ObjectId(0));
         assert_eq!(samples.len(), 10, "full chunk segment stored");
@@ -325,8 +343,8 @@ mod tests {
         // o2 crosses x=0..36 in chunk 0 → cells (0,2) and (1,2).
         let c_a = g.chunk(0).cell_ptr(2 * 4).expect("cell (0,2)");
         let c_b = g.chunk(0).cell_ptr(2 * 4 + 1).expect("cell (1,2)");
-        let in_a = g.read_cell(c_a).unwrap();
-        let in_b = g.read_cell(c_b).unwrap();
+        let in_a = g.read_cell_for_tests(0, c_a).unwrap();
+        let in_b = g.read_cell_for_tests(0, c_b).unwrap();
         assert!(in_a.objects.iter().any(|(o, _)| *o == ObjectId(2)));
         assert!(in_b.objects.iter().any(|(o, _)| *o == ObjectId(2)));
     }

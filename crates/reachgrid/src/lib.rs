@@ -20,7 +20,7 @@ pub mod params;
 pub mod query;
 pub mod spj;
 
-pub use cells::{CellData, ChunkLayout, GridGeometry};
+pub use cells::{CellArena, CellData, ChunkLayout, GridGeometry};
 pub use index::{ChunkMeta, ReachGrid};
 pub use params::GridParams;
 pub use spj::Spj;

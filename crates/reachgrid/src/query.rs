@@ -1,36 +1,89 @@
 //! ReachGrid query processing — Algorithm 1 of the paper (§4.2).
 //!
-//! The evaluator sweeps the query interval chunk by chunk, maintaining the
-//! *seed set* (objects already reachable from the query source). Per chunk it
-//! loads only the cells containing seeds plus the `d_T`-inflated neighbor
-//! cells (`N_i`, the potential-seed cells), advances tick by tick, closes
-//! over same-tick contact chains, and terminates as soon as the destination
-//! becomes a seed. Cell buffers are discarded at chunk boundaries, exactly as
-//! the paper prescribes.
+//! The evaluator sweeps the query interval chunk by chunk, keeping the
+//! *seed set* (objects already reachable from the query source), and stops
+//! as soon as the destination becomes a seed. Cell buffers are discarded at
+//! chunk boundaries, as the paper prescribes.
+//!
+//! **Per chunk.** Each cell the chunk reads is decoded once, straight from
+//! its record bytes, into a flat [`CellArena`]. A seed refers to its chunk
+//! segment by arena entry, so no segment is copied. The rest of the working
+//! state is dense (a slot per cell id, an entry per object) and is reset
+//! through the lists of what the chunk touched. The chunk starts by loading
+//! each seed's directory cell (FindCells), which must hold the seed.
+//!
+//! **Per tick.** A tick runs passes to a fix-point over same-tick contact
+//! chains. Each pass takes a *frontier*: every seed on the first pass, and
+//! on each later pass the seeds the pass before found. For each frontier
+//! seed at position `p`, the pass loads the potential-seed cells
+//! `N_i = cells_around(p, d_T)` not yet loaded, then tests `p` against each
+//! non-seed object whose tick-`t` *home cell* (the cell its sample falls in)
+//! is in `N_i`, testing each object in its home cell only. No spatial hash
+//! is built. This is exact: the build stores an object's segment in every
+//! cell one of its samples falls in, and an object within `d_T` of `p` has
+//! its home cell in `N_i` (see [`GridGeometry::cells_around`]). Seeds from
+//! earlier passes need no second probe: their `N_i` were loaded when they
+//! were probed, so every object near them was found then.
+//!
+//! **Load order.** Counted IO depends only on which cells load, in which
+//! order, and the order here is the one the recorded IO baselines were
+//! taken with. The frontier is taken from its back. A tick's first pass
+//! fills it with the seeds in ascending id; each pass's finds refill it
+//! sorted by (lowest loaded cell holding them, id), the order a scan of all
+//! loaded cells in cell-id order would meet them. `tests/pinned_io.rs`
+//! pins the resulting IO exactly.
+//!
+//! [`GridGeometry::cells_around`]: crate::GridGeometry::cells_around
 
-use crate::cells::CellData;
+use crate::cells::{CellArena, NO_ENTRY};
 use crate::index::ReachGrid;
 use reach_core::{
-    IndexError, ObjectId, Point, Query, QueryOutcome, QueryResult, QueryStats, ReachabilityIndex,
-    Time, TimeInterval,
+    IndexError, ObjectId, Query, QueryOutcome, QueryResult, QueryStats, ReachabilityIndex,
+    TimeInterval,
 };
-use reach_traj::SpatialHash;
-use std::collections::BTreeMap;
+use std::ops::Range;
 use std::time::Instant;
 
-/// Per-chunk working state of Algorithm 1.
+/// Per-chunk working state of Algorithm 1, allocated once per query and
+/// reset at each chunk through the lists of what the chunk touched.
 struct ChunkState {
-    /// Chunk tick window (unclipped), for sample indexing.
-    chunk_start: Time,
-    /// Decoded cells, keyed by cell id. Ordered map: iteration order feeds
-    /// the probe loop, and a deterministic order keeps query IO accounting
-    /// reproducible across runs and storage backends.
-    loaded: BTreeMap<u32, CellData>,
-    /// Chunk segments of current seeds (samples indexed from `chunk_start`).
-    /// Ordered for the same reason.
-    seed_segs: BTreeMap<u32, Vec<Point>>,
-    /// Seeds whose neighborhood cells still need loading this tick.
-    pending: Vec<u32>,
+    /// The chunk's decoded cells.
+    arena: CellArena,
+    /// Arena entries per cell id, once the chunk has loaded the cell (an
+    /// empty cell, which is not stored, loads as an empty range).
+    cells: Vec<Option<Range<u32>>>,
+    /// Cells loaded this chunk.
+    loaded: Vec<u32>,
+    /// Per object: an arena entry holding its segment, or [`NO_ENTRY`].
+    entry: Vec<u32>,
+    /// Per object with an entry: the lowest loaded cell id holding it.
+    low_cell: Vec<u32>,
+    /// Objects with an entry this chunk.
+    seen: Vec<u32>,
+}
+
+impl ChunkState {
+    fn new(num_cells: u32, num_objects: usize) -> Self {
+        Self {
+            arena: CellArena::default(),
+            cells: vec![None; num_cells as usize],
+            loaded: Vec::new(),
+            entry: vec![NO_ENTRY; num_objects],
+            low_cell: vec![0; num_objects],
+            seen: Vec::new(),
+        }
+    }
+
+    /// Empties the state for a chunk of `seg_len` ticks.
+    fn reset(&mut self, seg_len: usize) {
+        self.arena.reset(seg_len);
+        for c in self.loaded.drain(..) {
+            self.cells[c as usize] = None;
+        }
+        for o in self.seen.drain(..) {
+            self.entry[o as usize] = NO_ENTRY;
+        }
+    }
 }
 
 impl ReachGrid {
@@ -69,10 +122,18 @@ impl ReachGrid {
             return Ok(QueryOutcome::reachable_at(q.interval.start));
         }
         let interval = TimeInterval::new(q.interval.start, q.interval.end.min(horizon - 1));
+        let threshold = self.params.threshold;
 
         let mut is_seed = vec![false; self.num_objects()];
         is_seed[q.source.index()] = true;
+        // Seeds in the order they became seeds (FindCells looks them up in
+        // this order) and in ascending id (each tick's first pass).
         let mut seed_list: Vec<u32> = vec![q.source.0];
+        let mut ascending: Vec<u32> = vec![q.source.0];
+        let mut state = ChunkState::new(self.geometry.num_cells(), self.num_objects());
+        let mut frontier: Vec<u32> = Vec::new();
+        let mut found: Vec<u32> = Vec::new();
+        let mut around: Vec<u32> = Vec::new();
 
         let first_chunk = self.layout.chunk_of(interval.start);
         let last_chunk = self.layout.chunk_of(interval.end);
@@ -81,112 +142,98 @@ impl ReachGrid {
             let window = chunk_window
                 .intersect(&interval)
                 .expect("chunk range overlaps the query interval");
-            let mut state = ChunkState {
-                chunk_start: chunk_window.start,
-                loaded: BTreeMap::new(),
-                seed_segs: BTreeMap::new(),
-                pending: Vec::new(),
-            };
-            // FindCells: locate and load every current seed's cell.
+            state.reset(chunk_window.len() as usize);
+            // FindCells: load every current seed's directory cell.
             for &s in &seed_list {
                 let cell = self.dir_lookup(j, ObjectId(s))?;
-                self.load_cell(j, cell, &mut state, &is_seed, stats)?;
-                state.pending.push(s);
+                let entries = self.load_cell(j, cell, &mut state, stats)?;
+                if !state.arena.holds(entries, s) {
+                    return Err(IndexError::Corrupt(format!(
+                        "directory of chunk {j} sends o{s} to cell {cell}, which does not hold it"
+                    )));
+                }
             }
-            // Sweep the (clipped) window.
-            let threshold = self.params.threshold;
-            let mut hash = SpatialHash::new(threshold.max(1e-3));
-            let mut around: Vec<u32> = Vec::new();
             for t in window.ticks() {
-                let idx = (t - state.chunk_start) as usize;
-                // All seeds want their neighborhoods present at this tick.
-                state.pending.clear();
-                state.pending.extend(state.seed_segs.keys().copied());
+                let idx = (t - chunk_window.start) as usize;
+                frontier.clear();
+                frontier.extend_from_slice(&ascending);
                 loop {
-                    // Load the potential-seed cells N_i around pending seeds.
-                    while let Some(s) = state.pending.pop() {
-                        let p = state.seed_segs[&s][idx];
+                    while let Some(s) = frontier.pop() {
+                        let p = state.arena.segment(state.entry[s as usize])[idx];
                         around.clear();
                         self.geometry.cells_around(p, threshold, &mut around);
                         for &cell in &around {
-                            if !state.loaded.contains_key(&cell) {
-                                self.load_cell(j, cell, &mut state, &is_seed, stats)?;
-                            }
-                        }
-                    }
-                    // Probe every non-seed sample against the seed hash.
-                    hash.clear();
-                    let mut seed_pts: Vec<Point> = Vec::with_capacity(state.seed_segs.len());
-                    for (k, seg) in state.seed_segs.values().enumerate() {
-                        hash.insert(k as u32, seg[idx]);
-                        seed_pts.push(seg[idx]);
-                    }
-                    let mut newly: Vec<(u32, Vec<Point>)> = Vec::new();
-                    for data in state.loaded.values() {
-                        for (o, samples) in &data.objects {
-                            if is_seed[o.index()] || newly.iter().any(|(n, _)| *n == o.0) {
-                                continue;
-                            }
-                            let p = samples[idx];
-                            let mut hit = false;
-                            hash.for_neighbors(p, |si| {
-                                if !hit && seed_pts[si as usize].within(&p, threshold) {
-                                    hit = true;
+                            for e in self.load_cell(j, cell, &mut state, stats)? {
+                                let o = state.arena.id(e) as usize;
+                                if is_seed[o] {
+                                    continue;
                                 }
-                            });
-                            stats.examined += 1;
-                            if hit {
-                                newly.push((o.0, samples.clone()));
+                                let sample = state.arena.segment(e)[idx];
+                                if self.geometry.cell_of(sample) != cell {
+                                    continue;
+                                }
+                                stats.examined += 1;
+                                if p.within(&sample, threshold) {
+                                    // Becoming a seed also keeps later
+                                    // frontier seeds from finding it again.
+                                    is_seed[o] = true;
+                                    found.push(o as u32);
+                                }
                             }
                         }
                     }
-                    if newly.is_empty() {
+                    if found.is_empty() {
                         break;
                     }
-                    for (o, seg) in newly {
-                        is_seed[o as usize] = true;
+                    found.sort_unstable_by_key(|&o| (state.low_cell[o as usize], o));
+                    for &o in &found {
                         seed_list.push(o);
                         if o == q.dest.0 {
                             return Ok(QueryOutcome::reachable_at(t));
                         }
-                        state.seed_segs.insert(o, seg);
-                        state.pending.push(o);
                     }
-                    // Loop again: same-tick contact chains and the freshly
-                    // loaded neighborhoods may seed more objects.
+                    ascending.extend_from_slice(&found);
+                    ascending.sort_unstable();
+                    // Loop again: the new seeds may close same-tick chains.
+                    frontier.append(&mut found);
                 }
             }
         }
         Ok(QueryOutcome::UNREACHABLE)
     }
 
+    /// Loads `cell` of `chunk` into the arena unless the chunk already
+    /// has, and returns its entries.
     fn load_cell(
         &mut self,
         chunk: u32,
         cell: u32,
         state: &mut ChunkState,
-        is_seed: &[bool],
         stats: &mut QueryStats,
-    ) -> Result<(), IndexError> {
-        if state.loaded.contains_key(&cell) {
-            return Ok(());
+    ) -> Result<Range<u32>, IndexError> {
+        if let Some(entries) = &state.cells[cell as usize] {
+            return Ok(entries.clone());
         }
-        let Some(ptr) = self.chunks[chunk as usize].cell_ptr(cell) else {
-            // Empty cells are not stored; remember the miss so we do not
-            // retry the lookup this chunk.
-            state.loaded.insert(cell, CellData::default());
-            return Ok(());
+        let entries = match self.chunks[chunk as usize].cell_ptr(cell) {
+            Some(ptr) => {
+                stats.visited += 1;
+                self.read_cell_into(ptr, &mut state.arena)?
+            }
+            None => 0..0,
         };
-        let data = self.read_cell(ptr)?;
-        stats.visited += 1;
-        // Seeds found in this cell contribute their chunk segments.
-        for (o, samples) in &data.objects {
-            if is_seed[o.index()] && !state.seed_segs.contains_key(&o.0) {
-                state.seed_segs.insert(o.0, samples.clone());
+        for e in entries.clone() {
+            let o = state.arena.id(e) as usize;
+            if state.entry[o] == NO_ENTRY {
+                state.entry[o] = e;
+                state.low_cell[o] = cell;
+                state.seen.push(o as u32);
+            } else {
+                state.low_cell[o] = state.low_cell[o].min(cell);
             }
         }
-        state.loaded.insert(cell, data);
-        Ok(())
+        state.cells[cell as usize] = Some(entries.clone());
+        state.loaded.push(cell);
+        Ok(entries)
     }
 }
 
@@ -205,7 +252,7 @@ mod tests {
     use super::*;
     use crate::params::GridParams;
     use reach_contact::Oracle;
-    use reach_core::Environment;
+    use reach_core::{Environment, Point, Time};
     use reach_traj::{Trajectory, TrajectoryStore};
 
     /// Three walkers on a line: o0 stays west, o1 walks from o0 to o2,
@@ -325,5 +372,83 @@ mod tests {
         let idx: &mut dyn ReachabilityIndex = &mut g;
         assert_eq!(idx.name(), "ReachGrid");
         assert!(idx.evaluate(&q(0, 1, 0, 39)).unwrap().reachable());
+    }
+
+    /// Overwrites the `u32` at byte `at` of `page` on the index's device.
+    fn patch(g: &mut ReachGrid, page: u64, at: usize, value: u32) {
+        let dev = g.device_mut();
+        let mut buf = vec![0; dev.page_size()];
+        dev.read_page_into(page, &mut buf).unwrap();
+        buf[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        dev.write_page(page, &buf).unwrap();
+    }
+
+    #[test]
+    fn corrupt_cell_is_an_error_for_grid_and_spj() {
+        let store = relay_store();
+        // Chunk 0's cell 0 holds o0 and o1, ten samples each: after the
+        // record's length prefix, a count, then per object its id, its
+        // sample count and 80 bytes of samples.
+        let ptr = grid(&store).chunk(0).cell_ptr(0).unwrap();
+        let at = ptr.offset as usize + 4;
+        let (o0_len, o1_id) = (at + 8, at + 4 + 88);
+        for (field, value, what) in [
+            (o1_id, 3, "object id out of range"),
+            (o1_id, 0, "object ids not ascending"),
+            (o0_len, 9, "segment shorter than the chunk"),
+            (o0_len, 11, "segment longer than the chunk"),
+            (at, u32::MAX, "count overrunning the record"),
+        ] {
+            let mut g = grid(&store);
+            assert!(g.evaluate_query(&q(0, 2, 0, 39)).is_ok());
+            patch(&mut g, ptr.page, field, value);
+            assert!(
+                matches!(
+                    g.evaluate_query(&q(0, 2, 0, 39)),
+                    Err(IndexError::Corrupt(_))
+                ),
+                "ReachGrid: {what}"
+            );
+            assert!(
+                matches!(
+                    crate::Spj::new(&mut g).evaluate_query(&q(0, 2, 0, 39)),
+                    Err(IndexError::Corrupt(_))
+                ),
+                "SPJ: {what}"
+            );
+        }
+        // Relabelling o2's only chunk-0 record (cell 5) as o0 leaves a
+        // valid record but o2 in no cell: SPJ's full scan notices.
+        let mut g = grid(&store);
+        let ptr = g.chunk(0).cell_ptr(5).unwrap();
+        patch(&mut g, ptr.page, ptr.offset as usize + 8, 0);
+        assert!(matches!(
+            crate::Spj::new(&mut g).evaluate_query(&q(0, 2, 0, 39)),
+            Err(IndexError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn corrupt_directory_entry_is_an_error() {
+        let store = relay_store();
+        // o0's chunk-0 entry is the first of the directory. The grid has
+        // 7 × 7 cells; cell 5 holds only o2, and cell 48 is empty.
+        for (cell, what) in [
+            (49, "cell beyond the grid"),
+            (5, "cell not holding the object"),
+            (48, "empty cell"),
+        ] {
+            let mut g = grid(&store);
+            assert!(g.evaluate_query(&q(0, 2, 0, 39)).is_ok());
+            let page = g.dir_first_page;
+            patch(&mut g, page, 0, cell);
+            assert!(
+                matches!(
+                    g.evaluate_query(&q(0, 2, 0, 39)),
+                    Err(IndexError::Corrupt(_))
+                ),
+                "{what}"
+            );
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! on-disk layout, so the comparison isolates the value of guided expansion:
 //! the paper reports ReachGrid beating SPJ by ≥ 96 %.
 
-use crate::cells::CellData;
+use crate::cells::{CellArena, NO_ENTRY};
 use crate::index::ReachGrid;
 use reach_core::{
     IndexError, Point, Query, QueryOutcome, QueryResult, QueryStats, ReachabilityIndex,
@@ -65,6 +65,9 @@ impl<'a> Spj<'a> {
         let mut hash = SpatialHash::new(threshold.max(1e-3));
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         let mut uf = UnionFind::new(n);
+        let mut arena = CellArena::default();
+        // Per object: the arena entry of its first cell this chunk.
+        let mut entry = vec![NO_ENTRY; n];
         for j in first_chunk..=last_chunk {
             let chunk_window = grid.layout.window(j);
             let window = chunk_window
@@ -72,28 +75,33 @@ impl<'a> Spj<'a> {
                 .expect("chunk overlaps interval");
             // Full scan: every cell of the chunk, in disk order. This is the
             // entire IO bill of SPJ — no pruning, no early termination.
-            let mut segs: Vec<Option<Vec<Point>>> = vec![None; n];
+            arena.reset(chunk_window.len() as usize);
+            entry.fill(NO_ENTRY);
             let ptrs: Vec<_> = grid.chunks[j as usize]
                 .cells
                 .iter()
                 .map(|&(_, p)| p)
                 .collect();
             for ptr in ptrs {
-                let data: CellData = grid.read_cell(ptr)?;
-                stats.visited += 1;
-                for (o, samples) in data.objects {
-                    segs[o.index()].get_or_insert(samples);
+                for e in grid.read_cell_into(ptr, &mut arena)? {
+                    let o = arena.id(e) as usize;
+                    if entry[o] == NO_ENTRY {
+                        entry[o] = e;
+                    }
                 }
+                stats.visited += 1;
+            }
+            if let Some(o) = entry.iter().position(|&e| e == NO_ENTRY) {
+                return Err(IndexError::Corrupt(format!(
+                    "no cell of chunk {j} holds o{o}"
+                )));
             }
             // Traverse the materialized sub-network tick by tick.
             let mut points: Vec<Point> = vec![Point::default(); n];
             for t in window.ticks() {
                 let idx = (t - chunk_window.start) as usize;
-                for (o, seg) in segs.iter().enumerate() {
-                    points[o] = seg
-                        .as_ref()
-                        .map(|s| s[idx])
-                        .expect("every object appears in some cell per chunk");
+                for (p, &e) in points.iter_mut().zip(&entry) {
+                    *p = arena.segment(e)[idx];
                 }
                 proximity_pairs(&points, threshold, &mut hash, &mut pairs);
                 stats.examined += pairs.len() as u64;

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use reach_core::{Environment, ObjectId, Point};
-use reach_grid::{CellData, ChunkLayout, GridGeometry, GridParams, ReachGrid};
+use reach_grid::{CellArena, CellData, ChunkLayout, GridGeometry, GridParams, ReachGrid};
 use reach_mobility::RwpConfig;
 
 proptest! {
@@ -56,27 +56,34 @@ proptest! {
         prop_assert_eq!(covered, u64::from(horizon));
     }
 
-    /// Cell records round-trip for arbitrary contents.
+    /// Cell records round-trip for arbitrary contents, and a second record
+    /// decoded into the same arena lands right after the first.
     #[test]
     fn cell_records_roundtrip(
         objects in prop::collection::vec(
-            (0u32..1000, prop::collection::vec((0.0f32..1e4, 0.0f32..1e4), 1..30)),
+            (0u32..1000, prop::collection::vec((0.0f32..1e4, 0.0f32..1e4), 30)),
             0..20,
-        )
+        ),
+        seg_len in 1usize..30,
     ) {
-        let cell = CellData {
-            objects: objects
-                .into_iter()
-                .map(|(o, ps)| {
-                    (
-                        ObjectId(o),
-                        ps.into_iter().map(|(x, y)| Point::new(x, y)).collect(),
-                    )
-                })
-                .collect(),
-        };
-        let decoded = CellData::decode(&cell.encode()).expect("roundtrip decodes");
-        prop_assert_eq!(decoded, cell);
+        let mut objects: Vec<(ObjectId, Vec<Point>)> = objects
+            .into_iter()
+            .map(|(o, ps)| {
+                let samples = ps.into_iter().take(seg_len).map(|(x, y)| Point::new(x, y));
+                (ObjectId(o), samples.collect())
+            })
+            .collect();
+        objects.sort_by_key(|(o, _)| *o);
+        objects.dedup_by_key(|(o, _)| *o);
+        let cell = CellData { objects };
+        let record = cell.encode();
+        let mut arena = CellArena::default();
+        arena.reset(seg_len);
+        let first = arena.decode(&record, 1000).expect("roundtrip decodes");
+        let second = arena.decode(&record, 1000).expect("roundtrip decodes");
+        prop_assert_eq!(second.start, first.end);
+        prop_assert_eq!(arena.to_cell_data(first), cell.clone());
+        prop_assert_eq!(arena.to_cell_data(second), cell);
     }
 
     /// Index construction invariants hold across parameter space: every
@@ -117,7 +124,7 @@ proptest! {
                     .chunk(j)
                     .cell_ptr(c)
                     .expect("directory cell must be stored");
-                let data = grid.read_cell_for_tests(ptr).expect("cell decodes");
+                let data = grid.read_cell_for_tests(j, ptr).expect("cell decodes");
                 let entry = data
                     .objects
                     .iter()
