@@ -19,15 +19,14 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use reach_contact::{DnAccess, DnGraph};
 use reach_core::{
-    IndexError, ObjectId, Query, QueryOutcome, QueryResult, QueryStats, ReachabilityIndex, Time,
-    TimeInterval,
+    Answer, IndexError, ObjectId, Query, QueryKind, QueryOutcome, QueryResult, QueryStats,
+    ReachIndex, ReachRequest, Time, TimeInterval,
 };
 use reach_graph::{HnSource, Vertex};
 use reach_storage::{
-    read_record, BlockDevice, ByteReader, ByteWriter, Pager, RecordPtr, RecordWriter, SimDevice,
-    TimelineRegion,
+    read_record, BlockDevice, ByteReader, ByteWriter, IoStats, Pager, RecordPtr, RecordWriter,
+    SharedDevice, SimDevice, TimelineRegion,
 };
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The randomized interval labels of one DAG.
@@ -176,7 +175,7 @@ impl<'a> GrailMem<'a> {
     }
 
     /// Evaluates a contact-network reachability query.
-    pub fn evaluate_query(&mut self, q: &Query) -> Result<QueryResult, IndexError> {
+    pub fn evaluate_query(&self, q: &Query) -> Result<QueryResult, IndexError> {
         let started = Instant::now();
         let horizon = self.dn.horizon();
         if q.source.index() >= self.dn.num_objects() {
@@ -219,12 +218,12 @@ impl<'a> GrailMem<'a> {
     }
 }
 
-impl ReachabilityIndex for GrailMem<'_> {
+impl ReachIndex for GrailMem<'_> {
     fn name(&self) -> &'static str {
         "GRAIL(mem)"
     }
 
-    fn evaluate(&mut self, query: &Query) -> Result<QueryResult, IndexError> {
+    fn evaluate(&self, query: &Query) -> Result<QueryResult, IndexError> {
         self.evaluate_query(query)
     }
 }
@@ -235,12 +234,12 @@ type DiskVertex = (Vec<u32>, Vec<(u32, u32)>);
 /// Disk-adopted GRAIL (paper §6.4, Table 5b): vertices placed *in generation
 /// order* — no locality-aware partitioning — each carrying its labels and
 /// DN1 out-edges; queries run the same pruned DFS fetching vertices through
-/// a pager.
+/// a pager. The index is an immutable image: every query opens its own
+/// cold pager on the device hub, so one image serves many threads.
 pub struct GrailDisk {
-    pager: Pager,
-    /// Record address per vertex (shared by reader clones, see
-    /// [`GrailDisk::reader`]).
-    node_ptrs: Arc<Vec<RecordPtr>>,
+    device: SharedDevice,
+    /// Record address per vertex.
+    node_ptrs: Vec<RecordPtr>,
     /// The `Ht` lookup region (shared layout with ReachGraph).
     timeline: TimelineRegion,
     horizon: Time,
@@ -261,7 +260,8 @@ impl GrailDisk {
         Self::build_on(Box::new(device), dn, d, seed, cache_pages)
     }
 
-    /// Serializes `dn` + labels onto any block device.
+    /// Serializes `dn` + labels onto any block device. A [`SharedDevice`]
+    /// handle joins its hub (and the hub's page cache, if any).
     ///
     /// Generic over [`DnAccess`] like `ReachGraph::build_on`: a spill-backed
     /// `StreamedDn` builds the identical byte layout under a memory budget.
@@ -306,8 +306,8 @@ impl GrailDisk {
         writer.finish(disk)?;
         disk.reset_stats();
         Ok(Self {
-            pager: Pager::new(device, cache_pages),
-            node_ptrs: Arc::new(node_ptrs),
+            device: SharedDevice::share(device),
+            node_ptrs,
             timeline,
             horizon,
             num_objects,
@@ -315,31 +315,20 @@ impl GrailDisk {
         })
     }
 
-    /// The underlying block device (diagnostics and equivalence testing).
-    pub fn device_mut(&mut self) -> &mut dyn BlockDevice {
-        self.pager.device_mut()
+    /// The device hub the pages live behind.
+    pub fn hub(&self) -> &SharedDevice {
+        &self.device
     }
 
-    /// A private reader over the same index image: shares the in-memory
-    /// vertex directory and timeline (GRAIL keeps no metadata footer on
-    /// disk, so sharing happens through these `Arc`s rather than a reopen)
-    /// and starts with an empty pool and zeroed counters on `device`, which
-    /// must address the same pages this index was built on — typically
-    /// another [`SharedDevice`](reach_storage::SharedDevice) handle.
-    pub fn reader(&self, device: Box<dyn BlockDevice>) -> GrailDisk {
-        assert_eq!(
-            device.page_size(),
-            self.pager.page_size(),
-            "reader device page size must match the index page size"
-        );
-        GrailDisk {
-            pager: Pager::new(device, self.cache_pages),
-            node_ptrs: Arc::clone(&self.node_ptrs),
-            timeline: self.timeline.clone(),
-            horizon: self.horizon,
-            num_objects: self.num_objects,
-            cache_pages: self.cache_pages,
-        }
+    /// The underlying block device (diagnostics and equivalence testing).
+    pub fn device_mut(&mut self) -> &mut dyn BlockDevice {
+        &mut self.device
+    }
+
+    /// A cold pager for one query: a fresh device handle (zeroed counters,
+    /// no head position) and an empty `cache_pages` buffer pool.
+    fn open(&self) -> Pager {
+        self.device.cold_pager(self.cache_pages)
     }
 
     /// Number of DAG vertices on disk.
@@ -358,14 +347,16 @@ impl GrailDisk {
     /// timelines)` pages, mostly sequential — is charged to the device like
     /// any other read; callers needing it per query pay GRAIL's layout
     /// price honestly.
-    fn reconstruct_components(&mut self) -> Result<(Vec<TimeInterval>, Vec<Vec<u32>>), IndexError> {
+    fn reconstruct_components(
+        &self,
+        pager: &mut Pager,
+    ) -> Result<(Vec<TimeInterval>, Vec<Vec<u32>>), IndexError> {
         let n = self.node_ptrs.len();
         let mut intervals: Vec<Option<TimeInterval>> = vec![None; n];
         let mut members: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut tl: Vec<(Time, u32)> = Vec::new();
         for o in 0..self.num_objects as u32 {
-            self.timeline
-                .timeline_into(&mut self.pager, ObjectId(o), &mut tl)?;
+            self.timeline.timeline_into(pager, ObjectId(o), &mut tl)?;
             for (i, &(start, v)) in tl.iter().enumerate() {
                 let end = match tl.get(i + 1) {
                     Some(&(next_start, _)) if next_start > 0 => next_start - 1,
@@ -414,43 +405,11 @@ impl GrailDisk {
     /// expansion then fetches the per-vertex edge records through an
     /// [`HnSource`] view over the reconstruction.
     pub fn reachable_set(
-        &mut self,
+        &self,
         source: ObjectId,
         interval: reach_core::TimeInterval,
     ) -> Result<(Vec<(ObjectId, Time)>, QueryStats), IndexError> {
-        let started = Instant::now();
-        if source.index() >= self.num_objects {
-            return Err(IndexError::UnknownObject(source));
-        }
-        if interval.start >= self.horizon {
-            return Err(IndexError::IntervalOutOfRange {
-                requested: interval,
-                horizon: self.horizon,
-            });
-        }
-        self.pager.clear_cache();
-        self.pager.break_sequence();
-        let before = self.pager.stats();
-        let (intervals, members) = self.reconstruct_components()?;
-        let mut view = GrailHnView {
-            disk: self,
-            intervals: &intervals,
-            members: &members,
-            rev: None,
-            fwd: Vec::new(),
-        };
-        let (set, tstats) = reach_graph::reachable_set(&mut view, source, interval)?;
-        let io = self.pager.stats().since(&before);
-        Ok((
-            set,
-            QueryStats {
-                random_ios: io.random_reads,
-                seq_ios: io.seq_reads,
-                visited: tstats.visited,
-                examined: tstats.examined,
-                cpu: started.elapsed(),
-            },
-        ))
+        self.reachable_set_from(&[(source, interval.start)], interval)
     }
 
     /// Frontier-seeded variant of [`GrailDisk::reachable_set`]: expands
@@ -459,11 +418,10 @@ impl GrailDisk {
     /// same `GrailHnView` as the single-source path, so the relaxation
     /// semantics are shared with ReachGraph and cannot drift apart.
     pub fn reachable_set_from(
-        &mut self,
+        &self,
         seeds: &[(ObjectId, Time)],
         interval: reach_core::TimeInterval,
     ) -> Result<(Vec<(ObjectId, Time)>, QueryStats), IndexError> {
-        let started = Instant::now();
         for &(o, _) in seeds {
             if o.index() >= self.num_objects {
                 return Err(IndexError::UnknownObject(o));
@@ -475,29 +433,9 @@ impl GrailDisk {
                 horizon: self.horizon,
             });
         }
-        self.pager.clear_cache();
-        self.pager.break_sequence();
-        let before = self.pager.stats();
-        let (intervals, members) = self.reconstruct_components()?;
-        let mut view = GrailHnView {
-            disk: self,
-            intervals: &intervals,
-            members: &members,
-            rev: None,
-            fwd: Vec::new(),
-        };
-        let (set, tstats) = reach_graph::reachable_set_seeded(&mut view, seeds, interval)?;
-        let io = self.pager.stats().since(&before);
-        Ok((
-            set,
-            QueryStats {
-                random_ios: io.random_reads,
-                seq_ios: io.seq_reads,
-                visited: tstats.visited,
-                examined: tstats.examined,
-                cpu: started.elapsed(),
-            },
-        ))
+        self.accounted(false, |view| {
+            reach_graph::reachable_set_seeded(view, seeds, interval)
+        })
     }
 
     /// Derives the DN₁ *reverse* adjacency from a reconstruction: an
@@ -534,29 +472,28 @@ impl GrailDisk {
         rev
     }
 
-    /// Runs one decay traversal through a reconstructed [`GrailHnView`]
-    /// under the standard cold-cache accounting. `with_rev` additionally
-    /// derives the reverse adjacency (reverse top-k needs it).
-    fn decay_accounted<T>(
-        &mut self,
+    /// Runs one traversal through a reconstructed [`GrailHnView`] on a
+    /// cold pager, converting its counters into [`QueryStats`]. `with_rev`
+    /// additionally derives the reverse adjacency (reverse top-k needs it).
+    fn accounted<T>(
+        &self,
         with_rev: bool,
         run: impl FnOnce(&mut GrailHnView<'_>) -> Result<(T, reach_graph::TraversalStats), IndexError>,
     ) -> Result<(T, QueryStats), IndexError> {
         let started = Instant::now();
-        self.pager.clear_cache();
-        self.pager.break_sequence();
-        let before = self.pager.stats();
-        let (intervals, members) = self.reconstruct_components()?;
+        let mut pager = self.open();
+        let (intervals, members) = self.reconstruct_components(&mut pager)?;
         let rev = with_rev.then(|| Self::derive_rev(&intervals, &members, self.num_objects));
         let mut view = GrailHnView {
             disk: self,
+            pager,
             intervals: &intervals,
             members: &members,
             rev: rev.as_deref(),
             fwd: Vec::new(),
         };
         let (value, tstats) = run(&mut view)?;
-        let io = self.pager.stats().since(&before);
+        let io = view.pager.stats();
         Ok((
             value,
             QueryStats {
@@ -573,7 +510,7 @@ impl GrailDisk {
     /// [`GrailDisk::reachable_set_from`]); see
     /// `reach_graph::DecayLeg` and `reach_core::WeightedFrontier`.
     pub fn decay_states_from(
-        &mut self,
+        &self,
         seeds: &[reach_core::frontier::WeightedSeed],
         carry: &[reach_core::frontier::CarryGroup],
         interval: reach_core::TimeInterval,
@@ -581,7 +518,7 @@ impl GrailDisk {
         model: &reach_core::DecayModel,
         floor: f64,
     ) -> Result<(reach_graph::DecayLeg, QueryStats), IndexError> {
-        self.decay_accounted(false, |view| {
+        self.accounted(false, |view| {
             reach_graph::decay_states_seeded(view, seeds, carry, interval, origin, model, floor)
         })
     }
@@ -592,14 +529,14 @@ impl GrailDisk {
     /// its layout price on decay queries exactly as it does on frontier
     /// extraction.
     pub fn decay_reachable(
-        &mut self,
+        &self,
         source: ObjectId,
         dest: ObjectId,
         interval: reach_core::TimeInterval,
         model: &reach_core::DecayModel,
         theta: f64,
     ) -> Result<(Option<(f64, Time)>, QueryStats), IndexError> {
-        self.decay_accounted(false, |view| {
+        self.accounted(false, |view| {
             reach_graph::decay_reachable(view, source, dest, interval, model, theta)
         })
     }
@@ -608,7 +545,7 @@ impl GrailDisk {
     /// additionally derives DN₁ predecessor lists from the reconstruction
     /// (GRAIL stores none on disk).
     pub fn top_k(
-        &mut self,
+        &self,
         anchor: ObjectId,
         interval: reach_core::TimeInterval,
         k: usize,
@@ -616,7 +553,7 @@ impl GrailDisk {
         direction: reach_core::RankDirection,
     ) -> Result<(Vec<reach_core::Ranked>, QueryStats), IndexError> {
         let reaching = direction == reach_core::RankDirection::Reaching;
-        self.decay_accounted(reaching, |view| match direction {
+        self.accounted(reaching, |view| match direction {
             reach_core::RankDirection::Reachable => {
                 reach_graph::top_k_reachable(view, anchor, interval, k, model)
             }
@@ -629,9 +566,10 @@ impl GrailDisk {
     /// The component-chain contact set of the indexed DAG (the
     /// [`reach_contact::chain_contacts`] extraction, reconstructed from
     /// disk) — what live compaction merges with a delta when the sealed
-    /// base is a disk GRAIL.
-    pub fn chain_contacts(&mut self) -> Result<Vec<reach_core::Contact>, IndexError> {
-        let (intervals, members) = self.reconstruct_components()?;
+    /// base is a disk GRAIL — plus the device IO the reconstruction read.
+    pub fn chain_contacts(&self) -> Result<(Vec<reach_core::Contact>, IoStats), IndexError> {
+        let mut pager = self.open();
+        let (intervals, members) = self.reconstruct_components(&mut pager)?;
         let mut out = Vec::new();
         for (v, ms) in members.iter().enumerate() {
             for w in ms.windows(2) {
@@ -642,11 +580,11 @@ impl GrailDisk {
                 ));
             }
         }
-        Ok(out)
+        Ok((out, pager.stats()))
     }
 
-    fn read_vertex(&mut self, v: u32) -> Result<DiskVertex, IndexError> {
-        let bytes = read_record(&mut self.pager, self.node_ptrs[v as usize])?;
+    fn read_vertex(&self, pager: &mut Pager, v: u32) -> Result<DiskVertex, IndexError> {
+        let bytes = read_record(pager, self.node_ptrs[v as usize])?;
         let mut r = ByteReader::new(&bytes);
         let fwd = r.get_u32_vec()?;
         let d = r.get_u8()? as usize;
@@ -657,26 +595,25 @@ impl GrailDisk {
         Ok((fwd, labels))
     }
 
-    fn node_of(&mut self, o: ObjectId, t: Time) -> Result<u32, IndexError> {
-        self.timeline.node_of(&mut self.pager, o, t)
-    }
-
-    /// Evaluates a query, counting IO.
-    pub fn evaluate_query(&mut self, q: &Query) -> Result<QueryResult, IndexError> {
+    /// Evaluates a query on a cold pager, counting IO.
+    pub fn evaluate_query(&self, q: &Query) -> Result<QueryResult, IndexError> {
         let started = Instant::now();
-        self.pager.clear_cache();
-        self.pager.break_sequence();
-        let before = self.pager.stats();
+        let mut pager = self.open();
         let mut stats = QueryStats::default();
-        let outcome = self.run(q, &mut stats)?;
-        let io = self.pager.stats().since(&before);
+        let outcome = self.run(&mut pager, q, &mut stats)?;
+        let io = pager.stats();
         stats.random_ios = io.random_reads;
         stats.seq_ios = io.seq_reads;
         stats.cpu = started.elapsed();
         Ok(QueryResult { outcome, stats })
     }
 
-    fn run(&mut self, q: &Query, stats: &mut QueryStats) -> Result<QueryOutcome, IndexError> {
+    fn run(
+        &self,
+        pager: &mut Pager,
+        q: &Query,
+        stats: &mut QueryStats,
+    ) -> Result<QueryOutcome, IndexError> {
         if q.source.index() >= self.num_objects {
             return Err(IndexError::UnknownObject(q.source));
         }
@@ -693,9 +630,9 @@ impl GrailDisk {
             return Ok(QueryOutcome::reachable_at(q.interval.start));
         }
         let t2 = q.interval.end.min(self.horizon - 1);
-        let u = self.node_of(q.source, q.interval.start)?;
-        let v = self.node_of(q.dest, t2)?;
-        let (_, target_labels) = self.read_vertex(v)?;
+        let u = self.timeline.node_of(pager, q.source, q.interval.start)?;
+        let v = self.timeline.node_of(pager, q.dest, t2)?;
+        let (_, target_labels) = self.read_vertex(pager, v)?;
         let contained = |labels: &[(u32, u32)]| -> bool {
             labels
                 .iter()
@@ -712,7 +649,7 @@ impl GrailDisk {
             if x == v {
                 return Ok(QueryOutcome::reachable());
             }
-            let (fwd, labels) = self.read_vertex(x)?;
+            let (fwd, labels) = self.read_vertex(pager, x)?;
             if !contained(&labels) {
                 continue;
             }
@@ -727,15 +664,17 @@ impl GrailDisk {
     }
 }
 
-/// [`HnSource`] over a disk GRAIL plus its reconstructed component data:
-/// exactly the surface [`reach_graph::reachable_set`] traverses (members,
-/// validity interval, DN1 out-edges, `Ht` lookup), so the frontier
-/// extraction runs the same code as ReachGraph's. GRAIL has no reverse
+/// One query's [`HnSource`] over a disk GRAIL: its cold pager plus the
+/// reconstructed component data — exactly the surface
+/// [`reach_graph::reachable_set`] traverses (members, validity interval,
+/// DN1 out-edges, `Ht` lookup), so the frontier extraction runs the same
+/// code as ReachGraph's. GRAIL has no reverse
 /// edges or long-edge bundles on disk; forward-only walks get them empty
 /// (they never look), while the reverse top-k walk passes predecessor
 /// lists derived in memory from the reconstruction (`rev`).
 struct GrailHnView<'a> {
-    disk: &'a mut GrailDisk,
+    disk: &'a GrailDisk,
+    pager: Pager,
     intervals: &'a [TimeInterval],
     members: &'a [Vec<u32>],
     rev: Option<&'a [Vec<u32>]>,
@@ -761,7 +700,7 @@ impl HnSource for GrailHnView<'_> {
     }
 
     fn vertex(&mut self, v: u32) -> Result<Vertex<'_>, IndexError> {
-        (self.fwd, _) = self.disk.read_vertex(v)?;
+        (self.fwd, _) = self.disk.read_vertex(&mut self.pager, v)?;
         let interval = *self
             .intervals
             .get(v as usize)
@@ -775,24 +714,20 @@ impl HnSource for GrailHnView<'_> {
     }
 
     fn node_of(&mut self, o: ObjectId, t: Time) -> Result<u32, IndexError> {
-        self.disk.node_of(o, t)
+        self.disk.timeline.node_of(&mut self.pager, o, t)
     }
 }
 
-impl ReachabilityIndex for GrailDisk {
+impl ReachIndex for GrailDisk {
     fn name(&self) -> &'static str {
         "GRAIL(disk)"
     }
 
-    fn evaluate(&mut self, query: &Query) -> Result<QueryResult, IndexError> {
+    fn evaluate(&self, query: &Query) -> Result<QueryResult, IndexError> {
         self.evaluate_query(query)
     }
 
-    fn answer(
-        &mut self,
-        request: &reach_core::ReachRequest,
-    ) -> Result<reach_core::Answer, IndexError> {
-        use reach_core::{Answer, QueryKind};
+    fn answer(&self, request: &ReachRequest) -> Result<Answer, IndexError> {
         let q = &request.query;
         match request.kind {
             QueryKind::Reach => self.evaluate(q).map(Answer::from),
@@ -862,7 +797,7 @@ mod tests {
     fn grail_mem_matches_oracle() {
         for seed in 0..6u64 {
             let (dn, oracle) = random_world(seed, 6, 60, 0.04);
-            let mut grail = GrailMem::new(&dn, 3, seed ^ 0xF00D);
+            let grail = GrailMem::new(&dn, 3, seed ^ 0xF00D);
             let mut rng = StdRng::seed_from_u64(seed);
             for _ in 0..50 {
                 let s = rng.gen_range(0..6u32);
@@ -882,8 +817,8 @@ mod tests {
     #[test]
     fn grail_disk_matches_memory() {
         let (dn, oracle) = random_world(8, 6, 50, 0.05);
-        let mut mem = GrailMem::new(&dn, 3, 5);
-        let mut disk = GrailDisk::build(&dn, 3, 5, 256, 16).unwrap();
+        let mem = GrailMem::new(&dn, 3, 5);
+        let disk = GrailDisk::build(&dn, 3, 5, 256, 16).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..40 {
             let s = rng.gen_range(0..6u32);
@@ -903,7 +838,7 @@ mod tests {
         // Unreachable queries should be answered with far fewer visits than
         // the number of vertices, thanks to label containment pruning.
         let (dn, oracle) = random_world(2, 8, 120, 0.01);
-        let mut grail = GrailMem::new(&dn, 4, 99);
+        let grail = GrailMem::new(&dn, 4, 99);
         let mut pruned_visits = 0u64;
         let mut unreachable = 0u64;
         let mut rng = StdRng::seed_from_u64(3);
@@ -931,7 +866,7 @@ mod tests {
     fn disk_frontier_matches_oracle_arrivals() {
         for seed in 0..4u64 {
             let (dn, oracle) = random_world(seed ^ 0x51, 7, 50, 0.05);
-            let mut disk = GrailDisk::build(&dn, 3, seed, 128, 8).unwrap();
+            let disk = GrailDisk::build(&dn, 3, seed, 128, 8).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
             for _ in 0..12 {
                 let s = rng.gen_range(0..7u32);
@@ -957,8 +892,9 @@ mod tests {
     #[test]
     fn disk_chain_contacts_rebuild_the_indexed_dn() {
         let (dn, _) = random_world(23, 6, 60, 0.05);
-        let mut disk = GrailDisk::build(&dn, 2, 7, 128, 8).unwrap();
-        let chains = disk.chain_contacts().unwrap();
+        let disk = GrailDisk::build(&dn, 2, 7, 128, 8).unwrap();
+        let (chains, io) = disk.chain_contacts().unwrap();
+        assert!(io.total_reads() > 0, "reconstruction reads the device");
         // The reconstruction must agree with the in-memory extraction…
         let mut expected = reach_contact::chain_contacts(&dn);
         let mut got = chains.clone();
@@ -977,7 +913,7 @@ mod tests {
     #[test]
     fn disk_queries_cost_io() {
         let (dn, _) = random_world(7, 6, 40, 0.06);
-        let mut disk = GrailDisk::build(&dn, 2, 1, 128, 8).unwrap();
+        let disk = GrailDisk::build(&dn, 2, 1, 128, 8).unwrap();
         let q = Query::new(ObjectId(0), ObjectId(5), TimeInterval::new(0, 39));
         let r = disk.evaluate_query(&q).unwrap();
         assert!(r.stats.random_ios + r.stats.seq_ios > 0);

@@ -170,7 +170,7 @@ pub fn exp_fig8(tier: Tier) -> Vec<Table> {
     );
     let mut best = (f64::INFINITY, spatial_candidates[0]);
     for &rs in &spatial_candidates {
-        let mut grid = build_grid(
+        let grid = build_grid(
             &store,
             GridParams {
                 temporal: 20,
@@ -180,7 +180,7 @@ pub fn exp_fig8(tier: Tier) -> Vec<Table> {
                 ..GridParams::default()
             },
         );
-        let r = run_batch(&mut grid, &queries);
+        let r = run_batch(&grid, &queries);
         if r.mean_io < best.0 {
             best = (r.mean_io, rs);
         }
@@ -197,7 +197,7 @@ pub fn exp_fig8(tier: Tier) -> Vec<Table> {
         &["R_T (ticks)", "mean normalized IO"],
     );
     for rt in [5u32, 10, 20, 40, 80] {
-        let mut grid = build_grid(
+        let grid = build_grid(
             &store,
             GridParams {
                 temporal: rt,
@@ -207,7 +207,7 @@ pub fn exp_fig8(tier: Tier) -> Vec<Table> {
                 ..GridParams::default()
             },
         );
-        let r = run_batch(&mut grid, &queries);
+        let r = run_batch(&grid, &queries);
         tb.row(vec![rt.to_string(), fnum(r.mean_io)]);
     }
     vec![ta, tb]
@@ -264,9 +264,9 @@ pub fn exp_spj(tier: Tier) -> Vec<Table> {
         for spec in &series {
             let store = spec.generate();
             let queries = workload(spec, tier, 0x59);
-            let mut grid = build_grid(&store, grid_params_for(spec, tier));
-            let spj = run_batch(&mut Spj::new(&mut grid), &queries);
-            let rg = run_batch(&mut grid, &queries);
+            let grid = build_grid(&store, grid_params_for(spec, tier));
+            let spj = run_batch(&Spj::new(&grid), &queries);
+            let rg = run_batch(&grid, &queries);
             let improvement = if spj.mean_io > 0.0 {
                 100.0 * (1.0 - rg.mean_io / spj.mean_io)
             } else {
@@ -434,7 +434,7 @@ pub fn exp_fig12(tier: Tier) -> Vec<Table> {
         let mr = spec.build_multires(&dn);
         let mut col_depth = Vec::new();
         for &dp in &depths {
-            let mut rg = build_graph(
+            let rg = build_graph(
                 &dn,
                 &mr,
                 GraphParams {
@@ -442,7 +442,7 @@ pub fn exp_fig12(tier: Tier) -> Vec<Table> {
                     ..graph_params_for(tier)
                 },
             );
-            col_depth.push(run_batch(&mut rg, &queries).mean_io);
+            col_depth.push(run_batch(&rg, &queries).mean_io);
         }
         per_depth.push(col_depth);
         // Resolution-count sweep at the tuned depth.
@@ -450,7 +450,7 @@ pub fn exp_fig12(tier: Tier) -> Vec<Table> {
         for r in res_counts.clone() {
             let levels: Vec<Time> = (1..r).map(|i| 2u32 << (i - 1)).collect();
             let mr_r = MultiRes::build(&dn, &levels);
-            let mut rg = build_graph(
+            let rg = build_graph(
                 &dn,
                 &mr_r,
                 GraphParams {
@@ -458,7 +458,7 @@ pub fn exp_fig12(tier: Tier) -> Vec<Table> {
                     ..graph_params_for(tier)
                 },
             );
-            col_res.push(run_batch(&mut rg, &queries).mean_io);
+            col_res.push(run_batch(&rg, &queries).mean_io);
         }
         per_res.push(col_res);
     }
@@ -496,7 +496,7 @@ pub fn exp_fig13(tier: Tier) -> Vec<Table> {
         let store = spec.generate();
         let dn = spec.build_dn(&store);
         let mr = spec.build_multires(&dn);
-        let mut rg = build_graph(&dn, &mr, graph_params_for(tier));
+        let rg = build_graph(&dn, &mr, graph_params_for(tier));
         let queries = workload(spec, tier, 0x13);
         let mut cells = vec![spec.name.clone()];
         for kind in [
@@ -541,18 +541,18 @@ pub fn exp_fig14_15(tier: Tier) -> Vec<Table> {
     );
     for spec in [middle(&rwp), middle(&vn)] {
         let store = spec.generate();
-        let mut grid = build_grid(&store, grid_params_for(spec, tier));
+        let grid = build_grid(&store, grid_params_for(spec, tier));
         let dn = spec.build_dn(&store);
         let mr = spec.build_multires(&dn);
-        let mut rg = build_graph(&dn, &mr, GraphParams::default());
+        let rg = build_graph(&dn, &mr, GraphParams::default());
         for len in [100u32, 300, 500] {
             let queries = WorkloadConfig::fixed_length(num_queries(tier), len).generate(
                 spec.num_objects,
                 spec.horizon,
                 0x1415 ^ u64::from(len),
             );
-            let g: BatchResult = run_batch(&mut grid, &queries);
-            let h: BatchResult = run_batch(&mut rg, &queries);
+            let g: BatchResult = run_batch(&grid, &queries);
+            let h: BatchResult = run_batch(&rg, &queries);
             fig14.row(vec![
                 spec.name.clone(),
                 len.to_string(),
@@ -601,10 +601,10 @@ pub fn exp_table5(tier: Tier) -> Vec<Table> {
             horizon,
             0x55,
         );
-        let mut grail_mem = GrailMem::new(&dn_mem, 5, 0xF1);
-        let gm = run_batch(&mut grail_mem, &queries);
-        let mut mem = MemoryHn::new(&dn_mem, &mr_mem);
-        let rm = run_batch(&mut mem, &queries);
+        let grail_mem = GrailMem::new(&dn_mem, 5, 0xF1);
+        let gm = run_batch(&grail_mem, &queries);
+        let mem = MemoryHn::new(&dn_mem, &mr_mem);
+        let rm = run_batch(&mem, &queries);
         ta.row(vec![
             spec.name.clone(),
             fdur(gm.mean_cpu),
@@ -620,10 +620,10 @@ pub fn exp_table5(tier: Tier) -> Vec<Table> {
             spec.horizon,
             0x56,
         );
-        let mut grail_disk = build_grail(&dn, 5, 0xF1, tier.page_size(), 64);
-        let gd = run_batch(&mut grail_disk, &queries);
-        let mut rg = build_graph(&dn, &mr, graph_params_for(tier));
-        let rd = run_batch(&mut rg, &queries);
+        let grail_disk = build_grail(&dn, 5, 0xF1, tier.page_size(), 64);
+        let gd = run_batch(&grail_disk, &queries);
+        let rg = build_graph(&dn, &mr, graph_params_for(tier));
+        let rd = run_batch(&rg, &queries);
         let improvement = if gd.mean_io > 0.0 {
             100.0 * (1.0 - rd.mean_io / gd.mean_io)
         } else {
@@ -705,12 +705,12 @@ pub fn exp_trace(tier: Tier) -> Vec<Table> {
             format!("{:.2}", r.reachable_frac),
         ]);
     };
-    let mut grid = build_grid(&store, grid_params_for(&spec, tier));
-    row("ReachGrid", run_batch(&mut grid, &queries));
+    let grid = build_grid(&store, grid_params_for(&spec, tier));
+    row("ReachGrid", run_batch(&grid, &queries));
     let mut rg = build_graph(&dn, &mr, graph_params_for(tier));
-    row("ReachGraph (BM-BFS)", run_batch(&mut rg, &queries));
+    row("ReachGraph (BM-BFS)", run_batch(&rg, &queries));
     let mut grail = build_grail(&dn, 5, 0xF1, tier.page_size(), 64);
-    row("GRAIL (disk)", run_batch(&mut grail, &queries));
+    row("GRAIL (disk)", run_batch(&grail, &queries));
 
     let mut out = vec![inventory, t];
     if let Some(budget) = crate::datasets::build_budget_from_args() {
@@ -742,7 +742,7 @@ fn exp_trace_budgeted(
     budget: usize,
 ) -> Table {
     use reach_contact::{StreamedDn, DEFAULT_LEVELS};
-    use reach_core::ReachabilityIndex as _;
+    use reach_core::ReachIndex as _;
     use reach_storage::BuildBudget;
 
     let backend = Backend::from_args();
@@ -819,8 +819,7 @@ fn exp_trace_budgeted(
 /// one seal fired and that every query answer matches a batch-built
 /// ReachGraph over the same records.
 pub fn exp_live(tier: Tier) -> Vec<Table> {
-    use crate::runner::run_batch_shared;
-    use reach_core::ReachabilityIndex as _;
+    use reach_core::ReachIndex as _;
     use reach_live::LiveConfig;
     use reach_storage::BuildBudget;
 
@@ -916,7 +915,7 @@ pub fn exp_live(tier: Tier) -> Vec<Table> {
     // the cost reference for compaction.
     let accepted = live.replay_log().expect("log replays");
     let horizon = live.now();
-    let (mut batch, rebuild_dur) = timed(|| {
+    let (batch, rebuild_dur) = timed(|| {
         let dn = reach_contact::DnGraph::from_contacts(store.num_objects(), horizon, &accepted);
         let mr = MultiRes::build(&dn, &params.levels);
         build_graph(&dn, &mr, params.clone())
@@ -972,8 +971,8 @@ pub fn exp_live(tier: Tier) -> Vec<Table> {
             "reachable frac",
         ],
     );
-    let live_batch = run_batch_shared(&live, &queries);
-    let batch_batch = run_batch(&mut batch, &queries);
+    let live_batch = run_batch(&live, &queries);
+    let batch_batch = run_batch(&batch, &queries);
     for (name, r) in [
         ("ShardedLive (shard + delta)", live_batch),
         ("batch ReachGraph", batch_batch),
@@ -1024,8 +1023,7 @@ fn scrap(live: reach_live::ShardedLive, dir: Option<std::path::PathBuf>) {
 /// query answers exactly as a batch-built ReachGraph over the accepted
 /// records.
 pub fn exp_serve(tier: Tier) -> Vec<Table> {
-    use crate::runner::run_batch_shared;
-    use reach_core::{ReachRequest, ReachabilityIndex as _};
+    use reach_core::{ReachIndex as _, ReachRequest};
     use reach_live::LiveConfig;
     use reach_serve::{ServeConfig, Server, SubmitError};
     use reach_storage::BuildBudget;
@@ -1196,7 +1194,7 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
     // ReachGraph over the accepted records, query by query.
     let accepted = index.replay_log().expect("log replays");
     let horizon = index.now();
-    let mut batch = {
+    let batch = {
         let dn = reach_contact::DnGraph::from_contacts(store.num_objects(), horizon, &accepted);
         let mr = MultiRes::build(&dn, &params.levels);
         build_graph(&dn, &mr, params.clone())
@@ -1225,8 +1223,8 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
             "reachable frac",
         ],
     );
-    let conc_batch = run_batch_shared(&*index, &queries);
-    let graph_batch = run_batch(&mut batch, &queries);
+    let conc_batch = run_batch(&*index, &queries);
+    let graph_batch = run_batch(&batch, &queries);
     for (name, r) in [
         ("ShardedLive (shard + delta)", conc_batch),
         ("batch ReachGraph", graph_batch),
@@ -1633,7 +1631,7 @@ pub fn exp_decay(tier: Tier) -> Vec<Table> {
         "point decay verdicts vs θ; every verdict asserted against the path-enumeration oracle",
         &["theta", "reachable", "mean IO", "mean visited"],
     );
-    let mut rg = build_graph(&dn, &mr, graph_params_for(tier));
+    let rg = build_graph(&dn, &mr, graph_params_for(tier));
     for theta in [0.05, 0.2, 0.5, 0.8] {
         let (mut random, mut seq, mut visited, mut hits) = (0u64, 0u64, 0u64, 0u64);
         for (q, best) in queries.iter().zip(&best) {
@@ -1980,7 +1978,7 @@ pub fn exp_ablation(tier: Tier) -> Vec<Table> {
     let dn = spec.build_dn(&store);
     let mr = spec.build_multires(&dn);
     for cache in [1usize, 4, 16, 64] {
-        let mut rg = build_graph(
+        let rg = build_graph(
             &dn,
             &mr,
             GraphParams {
@@ -1988,7 +1986,7 @@ pub fn exp_ablation(tier: Tier) -> Vec<Table> {
                 ..graph_params_for(tier)
             },
         );
-        let r = run_batch(&mut rg, &queries);
+        let r = run_batch(&rg, &queries);
         ta.row(vec![cache.to_string(), fnum(r.mean_io)]);
     }
 
@@ -1998,14 +1996,14 @@ pub fn exp_ablation(tier: Tier) -> Vec<Table> {
         &["buffered pages", "mean IO"],
     );
     for cache in [8usize, 64, 256] {
-        let mut grid = build_grid(
+        let grid = build_grid(
             &store,
             GridParams {
                 cache_pages: cache,
                 ..grid_params_for(spec, tier)
             },
         );
-        let r = run_batch(&mut grid, &queries);
+        let r = run_batch(&grid, &queries);
         tb.row(vec![cache.to_string(), fnum(r.mean_io)]);
     }
     vec![ta, tb]

@@ -28,4 +28,4 @@ pub use datasets::{
     Family, Tier,
 };
 pub use report::{fbytes, fdur, fnum, Table};
-pub use runner::{assert_same_pages, run_batch, run_batch_shared, timed, BatchResult};
+pub use runner::{assert_same_pages, run_batch, timed, BatchResult};

@@ -24,7 +24,7 @@ use crate::datasets::DatasetSpec;
 use crate::runner::{assert_same_pages, timed};
 use reach_baselines::GrailDisk;
 use reach_contact::{MultiRes, StreamedDn, DEFAULT_LEVELS};
-use reach_core::{IndexError, Query, QueryResult, ReachIndex as _, ReachabilityIndex};
+use reach_core::{IndexError, Query, QueryResult, ReachIndex as _};
 use reach_graph::{GraphParams, ReachGraph};
 use reach_grid::{GridParams, ReachGrid};
 use reach_mobility::WorkloadConfig;
@@ -450,7 +450,7 @@ pub fn quick_suite() -> (PerfReport, f64) {
 
         // ReachGrid.
         let (device, build_io) = CountingDevice::wrap(Box::new(SimDevice::new(PERF_PAGE)));
-        let mut grid = ReachGrid::build_on(
+        let grid = ReachGrid::build_on(
             device,
             &store,
             GridParams {
@@ -691,7 +691,12 @@ pub fn quick_suite() -> (PerfReport, f64) {
             .collect();
         let window = reach_core::TimeInterval::new(0, live.now() - 1);
         let answers = live
-            .evaluate_batch(reach_core::ObjectId(0), window, &dests)
+            .evaluate_batch(
+                reach_core::ObjectId(0),
+                window,
+                &dests,
+                &reach_obs::Tracer::off(),
+            )
             .expect("perf serve batch evaluates");
         let batch_random: u64 = answers.iter().map(|a| a.stats.random_ios).sum();
         let batch_seq: u64 = answers.iter().map(|a| a.stats.seq_ios).sum();

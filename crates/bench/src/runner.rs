@@ -1,10 +1,10 @@
 //! Query-batch execution and aggregation.
 //!
 //! The paper reports per-setting averages over 400 random queries (§6); the
-//! runner executes a batch against any [`ReachabilityIndex`] and aggregates
-//! the paper's metrics (normalized IOs, CPU time) plus auxiliary counters.
+//! runner executes a batch against any [`ReachIndex`] and aggregates the
+//! paper's metrics (normalized IOs, CPU time) plus auxiliary counters.
 
-use reach_core::{Answer, Query, ReachIndex, ReachRequest, ReachabilityIndex};
+use reach_core::{Query, ReachIndex, ReachRequest};
 use reach_storage::BlockDevice;
 use std::time::Duration;
 
@@ -30,26 +30,7 @@ pub struct BatchResult {
 /// Runs `queries` against `index`, averaging the paper's metrics. Every
 /// evaluator enters through the unified [`ReachRequest`] envelope — the
 /// harness has no per-index dispatch.
-pub fn run_batch<I: ReachabilityIndex + ?Sized>(index: &mut I, queries: &[Query]) -> BatchResult {
-    aggregate(queries, |q| {
-        let name = index.name();
-        index
-            .answer(&ReachRequest::from(*q))
-            .unwrap_or_else(|e| panic!("query {q} failed on {name}: {e}"))
-    })
-}
-
-/// [`run_batch`] for shared (`&self`) evaluators behind the concurrent
-/// [`ReachIndex`] trait — what the serving experiments aggregate with.
-pub fn run_batch_shared<I: ReachIndex + ?Sized>(index: &I, queries: &[Query]) -> BatchResult {
-    aggregate(queries, |q| {
-        index
-            .answer(&ReachRequest::from(*q))
-            .unwrap_or_else(|e| panic!("query {q} failed on {}: {e}", index.name()))
-    })
-}
-
-fn aggregate(queries: &[Query], mut answer: impl FnMut(&Query) -> Answer) -> BatchResult {
+pub fn run_batch(index: &dyn ReachIndex, queries: &[Query]) -> BatchResult {
     let mut total_io = 0.0;
     let mut total_rand = 0u64;
     let mut total_seq = 0u64;
@@ -57,7 +38,9 @@ fn aggregate(queries: &[Query], mut answer: impl FnMut(&Query) -> Answer) -> Bat
     let mut total_visited = 0u64;
     let mut reachable = 0usize;
     for q in queries {
-        let r = answer(q);
+        let r = index
+            .answer(&ReachRequest::from(*q))
+            .unwrap_or_else(|e| panic!("query {q} failed on {}: {e}", index.name()));
         total_io += r.stats.normalized_io();
         total_rand += r.stats.random_ios;
         total_seq += r.stats.seq_ios;
@@ -112,11 +95,11 @@ mod tests {
     use reach_core::{IndexError, ObjectId, QueryOutcome, QueryResult, QueryStats, TimeInterval};
 
     struct Fake;
-    impl ReachabilityIndex for Fake {
+    impl ReachIndex for Fake {
         fn name(&self) -> &'static str {
             "fake"
         }
-        fn evaluate(&mut self, q: &Query) -> Result<QueryResult, IndexError> {
+        fn evaluate(&self, q: &Query) -> Result<QueryResult, IndexError> {
             Ok(QueryResult {
                 outcome: if q.source.0.is_multiple_of(2) {
                     QueryOutcome::reachable()
@@ -139,25 +122,13 @@ mod tests {
         let queries: Vec<Query> = (0..4)
             .map(|i| Query::new(ObjectId(i), ObjectId(i + 10), TimeInterval::new(0, 5)))
             .collect();
-        let r = run_batch(&mut Fake, &queries);
+        let r = run_batch(&Fake, &queries);
         assert_eq!(r.queries, 4);
         assert!((r.reachable_frac - 0.5).abs() < 1e-12);
         assert!((r.mean_io - 3.0).abs() < 1e-12);
         assert!((r.mean_random - 2.0).abs() < 1e-12);
         assert!((r.mean_visited - 5.0).abs() < 1e-12);
         assert_eq!(r.mean_cpu, Duration::from_micros(10));
-    }
-
-    #[test]
-    fn shared_batch_agrees_with_the_exclusive_path() {
-        let queries: Vec<Query> = (0..4)
-            .map(|i| Query::new(ObjectId(i), ObjectId(i + 10), TimeInterval::new(0, 5)))
-            .collect();
-        let exclusive = run_batch(&mut Fake, &queries);
-        let shared = run_batch_shared(&reach_core::Serial::new(Fake), &queries);
-        assert_eq!(shared.queries, exclusive.queries);
-        assert!((shared.mean_io - exclusive.mean_io).abs() < 1e-12);
-        assert!((shared.reachable_frac - exclusive.reachable_frac).abs() < 1e-12);
     }
 
     #[test]

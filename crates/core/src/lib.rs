@@ -14,7 +14,8 @@
 //! * [`Contact`] / [`ContactEvent`] — the atoms of a contact network;
 //! * [`Query`] / [`QueryResult`] — reachability queries and their outcomes;
 //! * [`UnionFind`] — per-snapshot connected components;
-//! * [`ReachabilityIndex`] — the trait every index and baseline implements.
+//! * [`ReachIndex`] — the one trait every index and baseline implements:
+//!   a shared `&self` image that any number of threads query at once.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -44,63 +45,3 @@ pub use unionfind::UnionFind;
 /// The paper's IO normalization constant: one random access costs as much as
 /// 20 sequential accesses (§6, citing Corral et al.).
 pub const SEQ_PER_RANDOM: u64 = 20;
-
-/// Common interface implemented by every reachability evaluation strategy in
-/// the workspace (ReachGrid, ReachGraph traversals, SPJ, GRAIL, …).
-///
-/// Evaluation takes `&mut self` because disk-backed implementations mutate
-/// their buffer pool and IO counters.
-pub trait ReachabilityIndex {
-    /// Short name used in experiment reports (e.g. `"ReachGrid"`,
-    /// `"BM-BFS"`).
-    fn name(&self) -> &'static str;
-
-    /// Evaluates one reachability query.
-    fn evaluate(&mut self, query: &Query) -> Result<QueryResult, IndexError>;
-
-    /// Evaluates one typed [`ReachRequest`] — the unified entry point the
-    /// bench harness and service loop dispatch through. The default routes
-    /// [`QueryKind::Reach`] to [`ReachabilityIndex::evaluate`] and rejects
-    /// every other kind; indexes with richer semantics (the §7 extension
-    /// indexes) override it.
-    fn answer(&mut self, request: &ReachRequest) -> Result<Answer, IndexError> {
-        match request.kind {
-            QueryKind::Reach => self.evaluate(&request.query).map(Answer::from),
-            _ => Err(request.unsupported(self.name())),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    struct Always(bool);
-    impl ReachabilityIndex for Always {
-        fn name(&self) -> &'static str {
-            "Always"
-        }
-        fn evaluate(&mut self, _q: &Query) -> Result<QueryResult, IndexError> {
-            Ok(QueryResult {
-                outcome: if self.0 {
-                    QueryOutcome::reachable()
-                } else {
-                    QueryOutcome::UNREACHABLE
-                },
-                stats: QueryStats::default(),
-            })
-        }
-    }
-
-    #[test]
-    fn trait_is_object_safe() {
-        let mut indexes: Vec<Box<dyn ReachabilityIndex>> =
-            vec![Box::new(Always(true)), Box::new(Always(false))];
-        let q = Query::new(ObjectId(0), ObjectId(1), TimeInterval::new(0, 1));
-        let r0 = indexes[0].evaluate(&q).expect("evaluation succeeds");
-        let r1 = indexes[1].evaluate(&q).expect("evaluation succeeds");
-        assert!(r0.reachable());
-        assert!(!r1.reachable());
-        assert_eq!(indexes[0].name(), "Always");
-    }
-}

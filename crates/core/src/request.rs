@@ -1,9 +1,9 @@
-//! The unified query surface: typed requests and the shared-index trait.
+//! The unified query surface: typed requests and the one index trait.
 //!
 //! Five query entry points grew up across the workspace — `ReachGrid`,
 //! `ReachGraph`, the disk GRAIL baseline, the live index, and the §7
 //! extension indexes each exposed their own signature. This module folds
-//! them into one surface with two layers:
+//! them into one surface:
 //!
 //! * [`ReachRequest`] / [`QueryKind`] — a typed request envelope. The
 //!   kind field is `#[non_exhaustive]` on purpose: the decay and top-k
@@ -11,26 +11,20 @@
 //!   boolean kinds without breaking the trait, and future kinds are
 //!   expected to do the same. The full semantics contract for every
 //!   kind lives in the repository's `QUERIES.md`.
-//! * [`ReachIndex`] — the *shared* query trait (`&self`, `Send + Sync`):
-//!   what a service loop holds. Single-threaded evaluators (everything
-//!   implementing [`ReachabilityIndex`]) enter
-//!   through the [`Serial`] adapter; natively concurrent indexes
-//!   implement it directly.
-//!
-//! The `&mut self` side lives on `ReachabilityIndex` itself: its provided
-//! `answer` method dispatches a [`ReachRequest`] to `evaluate` for
-//! [`QueryKind::Reach`] and rejects kinds the index does not speak, and
-//! indexes with richer semantics (the uncertain/non-immediate extensions)
-//! override it.
-
+//! * [`ReachIndex`] — the one index trait (`&self`, `Send + Sync`). An
+//!   index is an immutable image; each query opens its own read context
+//!   (for a disk index: a pager on a fresh device handle, started cold as
+//!   the paper's §6 cost model charges it), so many threads query one
+//!   index at once and each counts exactly the IO it would alone. The
+//!   provided [`ReachIndex::answer`] routes [`QueryKind::Reach`] to
+//!   [`ReachIndex::evaluate`] and rejects kinds the index does not speak;
+//!   indexes with richer semantics (decay, the §7 extensions) override it.
 use crate::decay::{DecayModel, RankDirection, Ranked};
 use crate::error::IndexError;
 use crate::ids::ObjectId;
 use crate::query::{Query, QueryResult, QueryStats};
 use crate::time::TimeInterval;
-use crate::ReachabilityIndex;
 use reach_obs::{IoDelta, Tracer};
-use std::sync::Mutex;
 
 /// What a [`ReachRequest`] asks of the index, beyond the source /
 /// destination / window triple.
@@ -289,22 +283,31 @@ pub fn attribute_stats(span: &mut reach_obs::Span, stats: &QueryStats) {
     }
 }
 
-/// The shared query interface: what a multi-threaded service holds.
+/// The index trait: what the bench harness and a multi-threaded service
+/// hold.
 ///
 /// Implementations take `&self` and must be safe to call from many
-/// threads at once. Everything that only offers the single-threaded
-/// [`ReachabilityIndex`] contract participates
-/// through [`Serial`], which adds the (coarse) lock; natively concurrent
-/// indexes implement `ReachIndex` directly and run readers in parallel.
+/// threads at once. A disk index answers every query on a private, cold
+/// read context, so concurrent answers count exactly the IO of the same
+/// answers made one at a time.
 pub trait ReachIndex: Send + Sync {
-    /// Short name used in reports.
+    /// Short name used in reports (e.g. `"ReachGrid"`, `"GRAIL(disk)"`).
     fn name(&self) -> &'static str;
 
-    /// Evaluates one typed request.
-    fn answer(&self, request: &ReachRequest) -> Result<Answer, IndexError>;
+    /// Evaluates one plain reachability query.
+    fn evaluate(&self, query: &Query) -> Result<QueryResult, IndexError>;
 
-    /// Evaluates one plain reachability query — the unified entry point
-    /// the ISSUE's five divergent signatures collapse into.
+    /// Evaluates one typed request. The default routes
+    /// [`QueryKind::Reach`] to [`ReachIndex::evaluate`] and rejects every
+    /// other kind; indexes with richer semantics override it.
+    fn answer(&self, request: &ReachRequest) -> Result<Answer, IndexError> {
+        match request.kind {
+            QueryKind::Reach => self.evaluate(&request.query).map(Answer::from),
+            _ => Err(request.unsupported(self.name())),
+        }
+    }
+
+    /// Evaluates one plain reachability query through [`ReachIndex::answer`].
     fn query(
         &self,
         source: ObjectId,
@@ -314,27 +317,10 @@ pub trait ReachIndex: Send + Sync {
         self.answer(&ReachRequest::reach(source, window, dest))
     }
 
-    /// Evaluates many same-source queries. The default loops; indexes
-    /// that can expand the source frontier once and read many verdicts
-    /// out of it (the serving path's batching optimization) override
-    /// this.
-    fn query_batch(
-        &self,
-        source: ObjectId,
-        window: TimeInterval,
-        dests: &[ObjectId],
-    ) -> Result<Vec<Answer>, IndexError> {
-        dests
-            .iter()
-            .map(|&dest| self.query(source, window, dest))
-            .collect()
-    }
-
-    /// Evaluates many requests sharing `template`'s source, window, and
-    /// kind, one per destination. This is the kind-aware sibling of
-    /// [`ReachIndex::query_batch`] the serving path uses to coalesce
-    /// decay cohorts; the default loops over per-destination `answer`
-    /// calls, and indexes that can expand one weighted frontier and read
+    /// Evaluates many requests sharing `template`'s source, window, kind
+    /// and tracer, one per destination — the serving path's batch entry
+    /// for every kind. The default loops over per-destination `answer`
+    /// calls; indexes that can expand the source frontier once and read
     /// many verdicts out of it override it.
     fn answer_batch(
         &self,
@@ -352,46 +338,37 @@ pub trait ReachIndex: Send + Sync {
     }
 }
 
-/// Adapter granting the shared [`ReachIndex`] interface to any
-/// single-threaded evaluator: requests serialize through a mutex.
-///
-/// This is the bridge for the build-once indexes (ReachGrid, ReachGraph,
-/// GRAIL, the §7 extensions): correct under concurrency, one request at a
-/// time. The live index (`ShardedLive`) implements
-/// [`ReachIndex`] natively and does not pass through here.
+/// A pass-through wrapper that only adds an `index/dispatch` trace span
+/// around [`ReachIndex::answer`]. Every index is shared `&self` now, so
+/// there is nothing to serialize; the wall-clock benchmark still names
+/// this type, and it goes in the next change scoped to that benchmark.
 #[derive(Debug)]
-pub struct Serial<T> {
-    inner: Mutex<T>,
-}
+pub struct Serial<T>(T);
 
-impl<T: ReachabilityIndex + Send> Serial<T> {
-    /// Wraps an evaluator for shared access.
+impl<T: ReachIndex> Serial<T> {
+    /// Wraps an index.
     pub fn new(inner: T) -> Self {
-        Self {
-            inner: Mutex::new(inner),
-        }
+        Self(inner)
     }
 
-    /// Exclusive access to the wrapped evaluator (e.g. to reset its IO
-    /// counters between query phases).
-    pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
-        self.inner.lock().expect("serial index lock poisoned")
-    }
-
-    /// Unwraps the evaluator.
+    /// Unwraps the index.
     pub fn into_inner(self) -> T {
-        self.inner.into_inner().expect("serial index lock poisoned")
+        self.0
     }
 }
 
-impl<T: ReachabilityIndex + Send> ReachIndex for Serial<T> {
+impl<T: ReachIndex> ReachIndex for Serial<T> {
     fn name(&self) -> &'static str {
-        self.lock().name()
+        self.0.name()
+    }
+
+    fn evaluate(&self, query: &Query) -> Result<QueryResult, IndexError> {
+        self.0.evaluate(query)
     }
 
     fn answer(&self, request: &ReachRequest) -> Result<Answer, IndexError> {
         let mut span = request.trace.span("index/dispatch");
-        let answer = self.lock().answer(request)?;
+        let answer = self.0.answer(request)?;
         if span.is_enabled() {
             span.label_with(|| format!("{} {}", self.name(), request.trace_label()));
             attribute_stats(&mut span, &answer.stats);
@@ -408,11 +385,11 @@ mod tests {
 
     /// Reachable iff source < dest; arrival at the window start.
     struct Ladder;
-    impl ReachabilityIndex for Ladder {
+    impl ReachIndex for Ladder {
         fn name(&self) -> &'static str {
             "Ladder"
         }
-        fn evaluate(&mut self, q: &Query) -> Result<QueryResult, IndexError> {
+        fn evaluate(&self, q: &Query) -> Result<QueryResult, IndexError> {
             Ok(QueryResult {
                 outcome: if q.source.0 < q.dest.0 {
                     QueryOutcome::reachable_at(q.interval.start)
@@ -426,7 +403,7 @@ mod tests {
 
     #[test]
     fn provided_answer_routes_reach_to_evaluate() {
-        let mut idx = Ladder;
+        let idx = Ladder;
         let req = ReachRequest::reach(ObjectId(0), TimeInterval::new(2, 9), ObjectId(3));
         let a = idx.answer(&req).expect("reach answers");
         assert_eq!(a.outcome, QueryOutcome::reachable_at(2));
@@ -434,7 +411,7 @@ mod tests {
 
     #[test]
     fn provided_answer_rejects_foreign_kinds() {
-        let mut idx = Ladder;
+        let idx = Ladder;
         let req = ReachRequest::reach(ObjectId(0), TimeInterval::new(0, 1), ObjectId(1))
             .with_kind(QueryKind::Uncertain { threshold: 0.5 });
         let err = idx.answer(&req).expect_err("kind not spoken");
@@ -442,7 +419,7 @@ mod tests {
     }
 
     #[test]
-    fn serial_adapter_shares_an_evaluator_across_threads() {
+    fn one_index_is_shared_across_threads() {
         let shared = std::sync::Arc::new(Serial::new(Ladder));
         assert_eq!(shared.name(), "Ladder");
         let handles: Vec<_> = (0..4u32)
@@ -464,18 +441,25 @@ mod tests {
 
     #[test]
     fn batch_default_loops_per_destination() {
-        let shared = Serial::new(Ladder);
-        let answers = shared
-            .query_batch(
-                ObjectId(2),
-                TimeInterval::new(0, 5),
-                &[ObjectId(0), ObjectId(2), ObjectId(7)],
-            )
+        let template = ReachRequest::reach(ObjectId(2), TimeInterval::new(0, 5), ObjectId(2));
+        let answers = Ladder
+            .answer_batch(&template, &[ObjectId(0), ObjectId(2), ObjectId(7)])
             .expect("batch answers");
         assert_eq!(
             answers.iter().map(|a| a.reachable()).collect::<Vec<_>>(),
             vec![false, false, true]
         );
+    }
+
+    #[test]
+    fn trait_is_object_safe() {
+        let indexes: Vec<Box<dyn ReachIndex>> =
+            vec![Box::new(Ladder), Box::new(Serial::new(Ladder))];
+        let q = Query::new(ObjectId(0), ObjectId(1), TimeInterval::new(0, 1));
+        for index in &indexes {
+            assert!(index.evaluate(&q).expect("evaluation succeeds").reachable());
+            assert_eq!(index.name(), "Ladder");
+        }
     }
 
     #[test]

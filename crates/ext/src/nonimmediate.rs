@@ -180,7 +180,7 @@ impl NonImmediateIndex {
     }
 }
 
-impl reach_core::ReachabilityIndex for NonImmediateIndex {
+impl reach_core::ReachIndex for NonImmediateIndex {
     fn name(&self) -> &'static str {
         "NonImmediate"
     }
@@ -189,7 +189,7 @@ impl reach_core::ReachabilityIndex for NonImmediateIndex {
     /// semantics, so both [`QueryKind::Reach`]
     /// and [`QueryKind::NonImmediate`]
     /// requests evaluate here.
-    fn evaluate(&mut self, query: &Query) -> Result<QueryResult, IndexError> {
+    fn evaluate(&self, query: &Query) -> Result<QueryResult, IndexError> {
         let started = std::time::Instant::now();
         let (ok, earliest) = self.reachable(query.source, query.dest, query.interval);
         Ok(QueryResult {
@@ -204,7 +204,7 @@ impl reach_core::ReachabilityIndex for NonImmediateIndex {
         })
     }
 
-    fn answer(&mut self, request: &ReachRequest) -> Result<Answer, IndexError> {
+    fn answer(&self, request: &ReachRequest) -> Result<Answer, IndexError> {
         match request.kind {
             QueryKind::Reach | QueryKind::NonImmediate => {
                 self.evaluate(&request.query).map(Answer::from)

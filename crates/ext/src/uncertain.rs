@@ -299,7 +299,7 @@ impl UReachGraph {
     }
 }
 
-impl reach_core::ReachabilityIndex for UReachGraph {
+impl reach_core::ReachIndex for UReachGraph {
     fn name(&self) -> &'static str {
         "U-ReachGraph"
     }
@@ -307,13 +307,13 @@ impl reach_core::ReachabilityIndex for UReachGraph {
     /// Plain reachability has no meaning over uncertain contacts (a zero
     /// threshold would make every connected pair "reachable"); queries must
     /// arrive as [`QueryKind::Uncertain`]
-    /// requests through [`ReachabilityIndex::answer`](reach_core::ReachabilityIndex::answer).
-    fn evaluate(&mut self, query: &Query) -> Result<QueryResult, IndexError> {
+    /// requests through [`ReachIndex::answer`](reach_core::ReachIndex::answer).
+    fn evaluate(&self, query: &Query) -> Result<QueryResult, IndexError> {
         Err(ReachRequest::from(*query)
             .unsupported("U-ReachGraph (plain reach; send QueryKind::Uncertain instead)"))
     }
 
-    fn answer(&mut self, request: &ReachRequest) -> Result<Answer, IndexError> {
+    fn answer(&self, request: &ReachRequest) -> Result<Answer, IndexError> {
         let QueryKind::Uncertain { threshold } = request.kind else {
             return Err(request.unsupported(self.name()));
         };

@@ -1,6 +1,6 @@
-//! The machinery under the live engine: sealed bases and their private
-//! readers, the one build every seal, merge, and compaction runs, and the
-//! admission tail (delta + durable log) appends go through.
+//! The machinery under the live engine: sealed base images, the one build
+//! every seal, merge, and compaction runs, and the admission tail (delta +
+//! durable log) appends go through.
 
 use crate::config::{AppendOutcome, BaseKind, CompactionStats, LiveConfig, LiveError, LiveStats};
 use crate::delta::DeltaDn;
@@ -10,24 +10,26 @@ use reach_contact::{ChainSweep, ErrorMode, IngestError, MultiRes, StreamedDn};
 use reach_core::frontier::{CarryGroup, WeightedFrontier, WeightedSeed};
 use reach_core::{
     Answer, Contact, DecayModel, IndexError, ObjectId, Query, QueryOutcome, QueryResult,
-    QueryStats, ReachabilityIndex, Time, TimeInterval,
+    QueryStats, ReachIndex, Time, TimeInterval,
 };
-use reach_graph::{DecayLeg, MemoryHn, ReachGraph};
-use reach_storage::{BlockDevice, IoSampler, IoStats, SharedDevice};
+use reach_graph::{DecayLeg, GraphContext, MemoryHn, ReachGraph};
+use reach_storage::{BlockDevice, IoSampler, SharedDevice};
 use std::sync::{Mutex, MutexGuard};
 
-/// A private reader over one sealed base: what every query leg and every
-/// rebuild's re-stream walks.
+/// One sealed base: an immutable index image over the shard's own device
+/// hub. Every query leg and every rebuild's re-stream reads it through a
+/// private cold context, so readers never contend on a pager and each
+/// counts exactly the IO a lone reader would.
 pub(crate) enum Base {
     /// A sealed ReachGraph.
-    Graph(Box<ReachGraph>),
+    Graph(ReachGraph),
     /// A sealed disk GRAIL.
-    Grail(Box<GrailDisk>),
+    Grail(GrailDisk),
 }
 
 impl Base {
     /// Evaluates a query whose window lies inside this base.
-    pub(crate) fn evaluate(&mut self, q: &Query) -> Result<QueryResult, IndexError> {
+    pub(crate) fn evaluate(&self, q: &Query) -> Result<QueryResult, IndexError> {
         match self {
             Base::Graph(g) => g.evaluate(q),
             Base::Grail(g) => g.evaluate(q),
@@ -38,7 +40,7 @@ impl Base {
     /// where the frontier arriving from earlier shards re-enters this
     /// base's window at each object's held arrival tick.
     pub(crate) fn reachable_set_from(
-        &mut self,
+        &self,
         seeds: &[(ObjectId, Time)],
         window: TimeInterval,
     ) -> Result<(Vec<(ObjectId, Time)>, QueryStats), IndexError> {
@@ -53,7 +55,7 @@ impl Base {
     /// the window and returns the leg's answer rows and continuation carry
     /// (see [`reach_core::frontier::WeightedFrontier`]).
     pub(crate) fn decay_states_from(
-        &mut self,
+        &self,
         seeds: &[WeightedSeed],
         carry: &[CarryGroup],
         window: TimeInterval,
@@ -67,6 +69,14 @@ impl Base {
         }
     }
 
+    /// The shared device hub the base's pages live behind.
+    pub(crate) fn hub(&self) -> &SharedDevice {
+        match self {
+            Base::Graph(g) => g.hub(),
+            Base::Grail(g) => g.hub(),
+        }
+    }
+
     /// Syncs the base's device (a rebuild's durability point).
     pub(crate) fn device_sync(&mut self) -> Result<(), IndexError> {
         match self {
@@ -74,83 +84,26 @@ impl Base {
             Base::Grail(g) => g.device_mut().sync(),
         }
     }
-
-    /// Cumulative IO of the base's device handle.
-    fn device_stats(&mut self) -> IoStats {
-        match self {
-            Base::Graph(g) => g.device_mut().stats(),
-            Base::Grail(g) => g.device_mut().stats(),
-        }
-    }
-}
-
-/// A sealed index paired with a handle on the shared device hub its pages
-/// live behind — one shard of the live timeline. The stored instance is
-/// the template readers are cloned from.
-pub(crate) enum SealedBase {
-    /// A sealed ReachGraph.
-    Graph {
-        index: Box<ReachGraph>,
-        device: SharedDevice,
-    },
-    /// A sealed disk GRAIL.
-    Grail {
-        index: Box<GrailDisk>,
-        device: SharedDevice,
-    },
-}
-
-impl SealedBase {
-    /// Wraps a freshly built base whose device is a handle on `hub`.
-    pub(crate) fn new(base: Base, hub: SharedDevice) -> Self {
-        match base {
-            Base::Graph(index) => SealedBase::Graph { index, device: hub },
-            Base::Grail(index) => SealedBase::Grail { index, device: hub },
-        }
-    }
-
-    /// The shared device hub the pages live behind.
-    pub(crate) fn hub(&self) -> &SharedDevice {
-        match self {
-            SealedBase::Graph { device, .. } | SealedBase::Grail { device, .. } => device,
-        }
-    }
-
-    /// A private reader: fresh device handle (zeroed IO counters, no head
-    /// position) + fresh pager, so per-query counters are exact no matter
-    /// how many readers interleave. When the hub carries a shared
-    /// [`PageCache`](reach_storage::PageCache), the reader's pager attaches
-    /// to it automatically and residency pools across every reader.
-    pub(crate) fn reader(&self) -> Base {
-        match self {
-            SealedBase::Graph { index, device } => {
-                Base::Graph(Box::new(index.reader(Box::new(device.clone()))))
-            }
-            SealedBase::Grail { index, device } => {
-                Base::Grail(Box::new(index.reader(Box::new(device.clone()))))
-            }
-        }
-    }
 }
 
 /// The one build behind every seal, merge, and compaction: re-streams the
-/// replaced shards (`readers`, in time order) as component chains, merges
-/// the delta's sealed head, and flows the union through the
-/// memory-bounded streaming builders into a new base over `[0, horizon)`
-/// on `device` (spilling to `scratch`).
+/// `replaced` bases (in time order) as component chains, merges the
+/// delta's sealed head, and flows the union through the memory-bounded
+/// streaming builders into a new base over `[0, horizon)` on `device`
+/// (spilling to `scratch`).
 ///
-/// With no reader the head alone feeds the build
+/// With no replaced base the head alone feeds the build
 /// ([`StreamedDn::from_contacts`]). Otherwise a graph base streams every
-/// reader's [`ChainSweep`] tick by tick beside the head's contact sweep
-/// (a lossless summary: per-tick components equal the original trace's,
-/// each shard silent outside its own span), and a GRAIL base
+/// replaced base's [`ChainSweep`] tick by tick beside the head's contact
+/// sweep (a lossless summary: per-tick components equal the original
+/// trace's, each shard silent outside its own span), and a GRAIL base
 /// materializes its chain contacts. Because DN construction depends on
 /// the event stream only through per-tick components, the result is
 /// byte-identical to a from-scratch build over the same records. Touches
 /// **no** live state — the caller commits only on `Ok`, which is what
 /// makes every rebuild failure-atomic.
 pub(crate) fn build_base(
-    readers: &mut [Base],
+    replaced: &[&Base],
     sealed: &[Contact],
     num_objects: usize,
     horizon: Time,
@@ -164,18 +117,20 @@ pub(crate) fn build_base(
         ..CompactionStats::default()
     };
     let budget = config.budget;
-    let mut sdn = if readers.is_empty() {
+    let mut sdn = if replaced.is_empty() {
         StreamedDn::from_contacts(num_objects, horizon, sealed, budget, scratch)
     } else {
         match &config.base {
             BaseKind::Graph(_) => {
-                let mut sweeps: Vec<ChainSweep<&mut ReachGraph>> = readers
-                    .iter_mut()
+                let mut contexts: Vec<GraphContext<'_>> = replaced
+                    .iter()
                     .map(|b| match b {
-                        Base::Graph(g) => ChainSweep::new(&mut **g),
+                        Base::Graph(g) => g.context(),
                         Base::Grail(_) => unreachable!("graph config builds graph shards"),
                     })
                     .collect();
+                let mut sweeps: Vec<ChainSweep<&mut GraphContext<'_>>> =
+                    contexts.iter_mut().map(ChainSweep::new).collect();
                 let mut delta_sweep = reach_contact::contact_sweep(sealed);
                 let sdn = StreamedDn::build(
                     num_objects,
@@ -190,6 +145,10 @@ pub(crate) fn build_base(
                     scratch,
                 );
                 stats.base_chains = sweeps.iter().map(|s| s.chains()).sum();
+                drop(sweeps);
+                for cx in &contexts {
+                    stats.base_read_io = stats.base_read_io + cx.io_stats();
+                }
                 sdn
             }
             BaseKind::Grail(_) => {
@@ -197,9 +156,13 @@ pub(crate) fn build_base(
                 // region, which is O(DN) resident regardless — the
                 // materialized path costs nothing extra here.
                 let mut merged = Vec::new();
-                for b in readers.iter_mut() {
+                for b in replaced {
                     match b {
-                        Base::Grail(g) => merged.extend(g.chain_contacts()?),
+                        Base::Grail(g) => {
+                            let (chains, io) = g.chain_contacts()?;
+                            merged.extend(chains);
+                            stats.base_read_io = stats.base_read_io + io;
+                        }
                         Base::Graph(_) => unreachable!("grail config builds grail shards"),
                     }
                 }
@@ -209,9 +172,6 @@ pub(crate) fn build_base(
             }
         }
     };
-    for b in readers.iter_mut() {
-        stats.base_read_io = stats.base_read_io + b.device_stats();
-    }
     let base = finish_base(config, device, &mut sdn)?;
     stats.spill = sdn.spill_stats();
     Ok((base, stats))
@@ -231,20 +191,15 @@ fn finish_base(
     Ok(match &config.base {
         BaseKind::Graph(params) => {
             let mr = MultiRes::build(&mut *sdn, &params.levels);
-            Base::Graph(Box::new(ReachGraph::build_on(
-                device,
-                sdn,
-                &mr,
-                params.clone(),
-            )?))
+            Base::Graph(ReachGraph::build_on(device, sdn, &mr, params.clone())?)
         }
-        BaseKind::Grail(cfg) => Base::Grail(Box::new(GrailDisk::build_on(
+        BaseKind::Grail(cfg) => Base::Grail(GrailDisk::build_on(
             device,
             sdn,
             cfg.d,
             cfg.seed,
             cfg.cache_pages,
-        )?)),
+        )?),
     })
 }
 
@@ -276,9 +231,8 @@ pub(crate) fn decay_delta_leg(
         return Ok(());
     }
     let span = TimeInterval::new(start, t2.min(dn.horizon() - 1));
-    let mut hn = MemoryHn::new(dn, mr);
     let (leg, ts) = reach_graph::decay_states_seeded(
-        &mut hn,
+        &mut MemoryHn::new(dn, mr),
         seeds,
         frontier.carry(),
         span,

@@ -17,7 +17,7 @@
 //! | [`log`] | [`AppendLog`] — durable, crash-recoverable record log on any [`BlockDevice`](reach_storage::BlockDevice) |
 //! | [`delta`] | [`DeltaDn`] — mutable DN fragment over `[watermark, now)`, absorbing out-of-order appends |
 //! | [`config`] | [`LiveConfig`] and the engine's errors, outcomes, and statistics |
-//! | [`shard`] | [`ShardedLive`] — the live engine: a time-ordered sequence of sealed shards plus the delta, one build behind seal / merge / compact, cross-shard frontier handoff, failure-atomic epoch directory |
+//! | [`shard`] | [`ShardedLive`] — the live engine: a time-ordered sequence of sealed shards plus the delta, one build behind seal / merge / compact, cross-shard frontier handoff, failure-atomic epoch directory. Each shard holds its sealed ReachGraph (or disk GRAIL) image; every leg calls the image's `&self` methods, which read through a cold per-query context |
 //! | [`builder`] | [`LiveBuilder`] — the engine over any storage backend |
 //!
 //! ## The three guarantees

@@ -12,15 +12,15 @@
 //!   [c_0, c_1)     [c_1, c_2)  …    [c_{k-1}, c_k)   [c_k, now)
 //! ```
 //!
-//! * every sealed shard is an ordinary [`ReachGraph`] (or disk GRAIL),
-//!   built by the ordinary streaming builders on its **own device** —
-//!   bytes indistinguishable from a batch build over its span. The pages
-//!   sit behind a [`SharedDevice`] hub: every query clones a fresh device
-//!   handle and a private reader over the shared pages, so readers never
-//!   contend on a pager and — because each handle carries its own IO
-//!   classification head — every query counts *exactly* the IO a lone
-//!   reader would (the paper's sequential/random model is per-stream; see
-//!   `reach_storage::shared`);
+//! * every sealed shard is an ordinary [`ReachGraph`] (or disk GRAIL)
+//!   image, built by the ordinary streaming builders on its **own
+//!   device** — bytes indistinguishable from a batch build over its span.
+//!   The pages sit behind a [`SharedDevice`] hub, and every leg calls the
+//!   image's `&self` methods, which read through a cold context on a fresh
+//!   device handle: readers never contend on a pager and — because each
+//!   handle carries its own IO classification head — every query counts
+//!   *exactly* the IO a lone reader would (the paper's sequential/random
+//!   model is per-stream; see `reach_storage::shared`);
 //! * `[W, now)` is served by the mutable [`DeltaDn`], which absorbs
 //!   out-of-order appends within the bounded-lateness window;
 //! * every accepted record is first made durable in the [`AppendLog`], so
@@ -73,7 +73,7 @@
 //!
 //! A build runs on the calling thread but off-lock: it publishes its plan
 //! and snapshots its inputs under a brief write lock, builds through
-//! private readers of the replaced shards while queries and appends keep
+//! private contexts of the replaced shards while queries and appends keep
 //! flowing, and commits under another brief write lock. One maintenance
 //! mutex keeps builds exclusive; an append that finds it taken leaves the
 //! seal to the running build (`tests/concurrent_serve.rs` asserts queries
@@ -111,8 +111,7 @@
 //! the commit.
 
 use crate::base::{
-    batch_answers, build_base, convert_record, decay_delta_leg, lock_stats, outcome_of, Base,
-    SealedBase, Tail,
+    batch_answers, build_base, convert_record, decay_delta_leg, lock_stats, outcome_of, Base, Tail,
 };
 use crate::config::{
     AppendOutcome, BaseKind, CompactionStats, LiveConfig, LiveError, LiveMetrics, LiveStats,
@@ -144,7 +143,7 @@ struct Shard {
     hi: Time,
     /// Device-name suffix: the base lives on `shard-base-{seq}`.
     seq: u64,
-    base: SealedBase,
+    base: Base,
 }
 
 impl Shard {
@@ -285,12 +284,12 @@ impl ShardedLive {
             for &(lo, hi, seq) in &records.shards {
                 let device = directory.open(&format!("shard-base-{seq}"), false)?;
                 let hub = DeviceDirectory::hub(device, config.shared_cache_pages, config.readahead);
-                let index = ReachGraph::open(Box::new(hub.clone()))?;
+                let index = ReachGraph::open(Box::new(hub))?;
                 shards.push(Arc::new(Shard {
                     lo,
                     hi,
                     seq,
-                    base: SealedBase::new(Base::Graph(Box::new(index)), hub),
+                    base: Base::Graph(index),
                 }));
             }
         }
@@ -737,19 +736,18 @@ impl ShardedLive {
                 self.config.shared_cache_pages,
                 self.config.readahead,
             );
-            let mut readers: Vec<Base> = replaced.iter().map(|s| s.base.reader()).collect();
+            let replaced: Vec<&Base> = replaced.iter().map(|s| &s.base).collect();
             let (mut base, mut stats) = build_base(
-                &mut readers,
+                &replaced,
                 sealed,
                 self.num_objects,
                 hi,
                 &self.config,
                 scratch,
-                Box::new(hub.clone()),
+                Box::new(hub),
             )?;
             base.device_sync()?;
             stats.duration = started.elapsed();
-            let base = SealedBase::new(base, hub);
             Ok((Shard { lo, hi, seq, base }, stats))
         })();
         let _ = self.directory.remove(&scratch_name);
@@ -842,7 +840,7 @@ impl ShardedLive {
             let mut leg_span = trace.span("shard/leg");
             leg_span.label_with(|| format!("epoch [{}, {})", shard.lo, shard.hi));
             leg_span.set_seeds(1);
-            let result = shard.base.reader().evaluate(q)?;
+            let result = shard.base.evaluate(q)?;
             attribute_stats(&mut leg_span, &result.stats);
             result
         } else {
@@ -906,9 +904,10 @@ impl ShardedLive {
             let mut leg_span = trace.span("shard/decay-leg");
             leg_span.label_with(|| format!("epoch [{}, {})", shard.lo, shard.hi));
             leg_span.set_seeds((pending.len() + frontier.carry().len()) as u64);
-            let mut base = shard.base.reader();
             let (leg, s) =
-                base.decay_states_from(&pending, frontier.carry(), span, t1, model, floor)?;
+                shard
+                    .base
+                    .decay_states_from(&pending, frontier.carry(), span, t1, model, floor)?;
             attribute_stats(&mut leg_span, &s);
             leg_span.finish();
             pending.clear();
@@ -954,12 +953,14 @@ impl ShardedLive {
     /// precise: the expansion always carries arrival times, while some
     /// sealed bases answer point queries without one). The walk's IO is
     /// attributed to the *first* answer — subsequent answers in the batch
-    /// cost no additional IO, which is the point.
+    /// cost no additional IO, which is the point. Each sealed leg records a
+    /// `shard/leg` span on `trace`, so the spans sum to the batch's IO.
     pub fn evaluate_batch(
         &self,
         source: ObjectId,
         window: TimeInterval,
         dests: &[ObjectId],
+        trace: &Tracer,
     ) -> Result<Vec<Answer>, IndexError> {
         let started = Instant::now();
         if source.index() >= self.num_objects {
@@ -974,7 +975,7 @@ impl ShardedLive {
         let st = self.read();
         let (t1, t2) = clip(window, st.tail.delta.now())?;
         let mut frontier = FrontierHandoff::seeded(source, t1);
-        let mut stats = relay(&st.shards, &mut frontier, t1, t2, None, &Tracer::off())?;
+        let mut stats = relay(&st.shards, &mut frontier, t1, t2, None, trace)?;
         let mut when = if t2 >= st.tail.delta.watermark() {
             st.tail
                 .delta
@@ -1036,10 +1037,7 @@ fn relay(
         let mut leg_span = trace.span("shard/leg");
         leg_span.label_with(|| format!("epoch [{}, {})", shard.lo, shard.hi));
         leg_span.set_seeds(frontier.seeds().len() as u64);
-        let (leg, s) = shard
-            .base
-            .reader()
-            .reachable_set_from(frontier.seeds(), span)?;
+        let (leg, s) = shard.base.reachable_set_from(frontier.seeds(), span)?;
         attribute_stats(&mut leg_span, &s);
         leg_span.finish();
         stats = stats.merged(&s);
@@ -1139,13 +1137,30 @@ impl ReachIndex for ShardedLive {
         Ok(answer)
     }
 
-    fn query_batch(
+    fn evaluate(&self, query: &Query) -> Result<QueryResult, IndexError> {
+        self.evaluate_query(query)
+    }
+
+    /// `Reach` cohorts take one cross-shard walk
+    /// ([`ShardedLive::evaluate_batch`], traced on the template's tracer);
+    /// other kinds answer per destination.
+    fn answer_batch(
         &self,
-        source: ObjectId,
-        window: TimeInterval,
+        template: &ReachRequest,
         dests: &[ObjectId],
     ) -> Result<Vec<Answer>, IndexError> {
-        self.evaluate_batch(source, window, dests)
+        let q = &template.query;
+        if template.kind == QueryKind::Reach {
+            return self.evaluate_batch(q.source, q.interval, dests, &template.trace);
+        }
+        dests
+            .iter()
+            .map(|&dest| {
+                let mut req = template.clone();
+                req.query.dest = dest;
+                self.answer(&req)
+            })
+            .collect()
     }
 }
 
@@ -1322,7 +1337,6 @@ mod tests {
     use super::*;
     use crate::config::GrailConfig;
     use reach_contact::{EdgeListSource, Oracle};
-    use reach_core::ReachabilityIndex;
     use reach_graph::GraphParams;
     use reach_storage::BuildBudget;
 
@@ -1501,7 +1515,9 @@ mod tests {
         live.append(c(3, 4, 8, 9)).unwrap();
         let dests: Vec<ObjectId> = (0..n as u32).map(ObjectId).collect();
         let window = TimeInterval::new(0, 9);
-        let batch = live.evaluate_batch(ObjectId(0), window, &dests).unwrap();
+        let batch = live
+            .evaluate_batch(ObjectId(0), window, &dests, &Tracer::off())
+            .unwrap();
         for (i, answer) in batch.iter().enumerate() {
             let single = live
                 .evaluate_query(&q(0, i as u32, 0, 9))
@@ -2069,7 +2085,7 @@ mod tests {
                     if let (Some(g), Some(w)) = (got.outcome.earliest, want.earliest) {
                         assert_eq!(g, w, "{q} arrival diverged");
                     }
-                    let Base::Graph(mut base) = shard.base.reader() else {
+                    let Base::Graph(base) = &shard.base else {
                         unreachable!("graph config")
                     };
                     let whole = if s == d || iv.start >= w {
@@ -2289,7 +2305,7 @@ mod tests {
             for src in 0..n as u32 {
                 let source = ObjectId(src);
                 let batch = idx
-                    .evaluate_batch(source, iv, &dests)
+                    .evaluate_batch(source, iv, &dests, &Tracer::off())
                     .expect("batch evaluates");
                 assert_eq!(batch.len(), dests.len());
                 for (d, got) in dests.iter().zip(&batch) {
@@ -2324,7 +2340,7 @@ mod tests {
         }
         // Empty destination list short-circuits.
         assert!(idx
-            .evaluate_batch(ObjectId(0), windows[0], &[])
+            .evaluate_batch(ObjectId(0), windows[0], &[], &Tracer::off())
             .expect("empty batch")
             .is_empty());
     }

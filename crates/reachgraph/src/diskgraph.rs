@@ -18,8 +18,10 @@
 //! [`BlockDevice`] — the layout and the counted
 //! IO are identical on all of them.
 //!
-//! Traversal fetches whole partitions and buffers a bounded number of
-//! decoded partitions, discarding the oldest (§5.2). A fetched record is
+//! The index is an immutable image; every query reads through its own
+//! [`GraphContext`], a pager on a fresh device handle that starts cold.
+//! Traversal fetches whole partitions and the context buffers a bounded
+//! number of decoded partitions, discarding the oldest (§5.2). A fetched record is
 //! validated and decoded once, in full, into a flat [`Partition`]: one
 //! `u32` arena holding every list back to back, the list boundaries, the
 //! intervals, and a sorted vertex-id → slot table. [`HnSource::vertex`]
@@ -32,35 +34,36 @@
 use crate::params::{GraphParams, TraversalKind};
 use crate::partition::Partition;
 use crate::placement::{partition, Partitioning};
-use crate::traverse::evaluate;
+use crate::traverse::{evaluate, TraversalStats};
 use crate::vertex::{HnSource, Vertex, VertexData};
 use reach_contact::{DnAccess, DnGraph, MultiRes};
-use reach_core::{IndexError, ObjectId, Query, QueryResult, QueryStats, ReachabilityIndex, Time};
+use reach_core::{
+    Answer, IndexError, ObjectId, Query, QueryKind, QueryResult, QueryStats, ReachIndex,
+    ReachRequest, Time,
+};
 use reach_storage::{
     meta, read_record, BlockDevice, ByteReader, ByteWriter, IoStats, Pager, RecordPtr,
-    RecordWriter, SimDevice, TimelineRegion,
+    RecordWriter, SharedDevice, SimDevice, TimelineRegion,
 };
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 use std::time::Instant;
 
-/// Disk-resident ReachGraph.
+/// Disk-resident ReachGraph: an immutable image (parameters, page table,
+/// partition directory, timeline region, and the device hub its pages
+/// live behind). Every query reads through its own cold
+/// [`GraphContext`], so one image serves any number of threads at once.
 pub struct ReachGraph {
     params: GraphParams,
-    pager: Pager,
+    device: SharedDevice,
     horizon: Time,
     num_objects: usize,
     num_nodes: usize,
-    /// Partition id per vertex (in-memory page table, tiny next to data;
-    /// shared by reader clones, see [`ReachGraph::reader`]).
-    partition_of: Arc<Vec<u32>>,
-    /// Record address per partition (shared by reader clones).
-    partition_ptrs: Arc<Vec<RecordPtr>>,
+    /// Partition id per vertex (in-memory page table, tiny next to data).
+    partition_of: Vec<u32>,
+    /// Record address per partition.
+    partition_ptrs: Vec<RecordPtr>,
     /// The `Ht` lookup region (shared layout with disk GRAIL).
     timeline: TimelineRegion,
-    /// Decoded-partition buffer (bounded, FIFO eviction).
-    buffer: HashMap<u32, Partition>,
-    buffer_order: VecDeque<u32>,
 }
 
 impl ReachGraph {
@@ -72,7 +75,8 @@ impl ReachGraph {
 
     /// Builds the disk layout from a DN and its long-edge bundles onto any
     /// block device. The device's page size must match
-    /// `params.page_size`.
+    /// `params.page_size`. A [`SharedDevice`] handle joins its hub (and
+    /// the hub's page cache, if any).
     ///
     /// Generic over [`DnAccess`]: pass `&dn` for a resident
     /// [`DnGraph`] (the classic path) or `&mut streamed` for a spill-backed
@@ -156,16 +160,14 @@ impl ReachGraph {
         disk.reset_stats();
 
         Ok(Self {
-            pager: Pager::new(device, 0), // partition buffer is the cache
+            device: SharedDevice::share(device),
             params,
             horizon,
             num_objects,
             num_nodes,
-            partition_of: Arc::new(parts.partition_of),
-            partition_ptrs: Arc::new(partition_ptrs),
+            partition_of: parts.partition_of,
+            partition_ptrs,
             timeline,
-            buffer: HashMap::new(),
-            buffer_order: VecDeque::new(),
         })
     }
 
@@ -173,29 +175,25 @@ impl ReachGraph {
     /// a persistent device: reads the metadata footer and reconstructs the
     /// in-memory state without touching the data regions.
     pub fn open(device: Box<dyn BlockDevice>) -> Result<Self, IndexError> {
-        let mut pager = Pager::new(device, 0);
-        let payload = meta::read_footer(&mut pager)?;
+        let device = SharedDevice::share(device);
+        let payload = meta::read_footer(&mut device.cold_pager(0))?;
         let decoded = decode_meta(&payload)?;
-        pager.reset_stats();
-        pager.clear_cache();
-        if decoded.params.page_size != pager.page_size() {
+        if decoded.params.page_size != device.page_size() {
             return Err(IndexError::Corrupt(format!(
                 "metadata page size {} does not match device page size {}",
                 decoded.params.page_size,
-                pager.page_size()
+                device.page_size()
             )));
         }
         Ok(Self {
-            pager,
+            device,
             params: decoded.params,
             horizon: decoded.horizon,
             num_objects: decoded.num_objects,
             num_nodes: decoded.num_nodes,
-            partition_of: Arc::new(decoded.partition_of),
-            partition_ptrs: Arc::new(decoded.partition_ptrs),
+            partition_of: decoded.partition_of,
+            partition_ptrs: decoded.partition_ptrs,
             timeline: decoded.timeline,
-            buffer: HashMap::new(),
-            buffer_order: VecDeque::new(),
         })
     }
 
@@ -209,9 +207,7 @@ impl ReachGraph {
         self.num_nodes
     }
 
-    /// Number of objects in the indexed dataset. (Inherent so calls stay
-    /// unambiguous now that both [`HnSource`] and [`DnAccess`] expose the
-    /// same accessor.)
+    /// Number of objects in the indexed dataset.
     pub fn num_objects(&self) -> usize {
         self.num_objects
     }
@@ -223,141 +219,43 @@ impl ReachGraph {
 
     /// Index size on the device, bytes.
     pub fn size_bytes(&self) -> u64 {
-        self.pager.device().size_bytes()
+        self.device.size_bytes()
+    }
+
+    /// The device hub the pages live behind.
+    pub fn hub(&self) -> &SharedDevice {
+        &self.device
     }
 
     /// The underlying block device (diagnostics and equivalence testing).
     pub fn device_mut(&mut self) -> &mut dyn BlockDevice {
-        self.pager.device_mut()
+        &mut self.device
     }
 
-    /// Device counters.
-    pub fn io_stats(&self) -> IoStats {
-        self.pager.stats()
-    }
-
-    /// Clears counters and all buffers (cold-cache boundary).
-    pub fn reset_io(&mut self) {
-        self.pager.reset_stats();
-        self.pager.clear_cache();
-        self.buffer.clear();
-        self.buffer_order.clear();
-    }
-
-    /// A private reader over the same index image: shares the in-memory
-    /// metadata (`Arc`-backed page table, partition directory, timeline)
-    /// and starts with empty buffers and zeroed counters on `device` —
-    /// which must address the same pages this graph was built on
-    /// (typically another [`SharedDevice`](reach_storage::SharedDevice)
-    /// handle). Concurrent query serving hands every reader thread its own
-    /// reader, so per-query IO counters are exactly the single-threaded
-    /// numbers.
-    pub fn reader(&self, device: Box<dyn BlockDevice>) -> ReachGraph {
-        assert_eq!(
-            device.page_size(),
-            self.params.page_size,
-            "reader device page size must match the index page size"
-        );
-        ReachGraph {
-            pager: Pager::new(device, 0),
-            params: self.params.clone(),
-            horizon: self.horizon,
-            num_objects: self.num_objects,
-            num_nodes: self.num_nodes,
-            partition_of: Arc::clone(&self.partition_of),
-            partition_ptrs: Arc::clone(&self.partition_ptrs),
-            timeline: self.timeline.clone(),
+    /// Opens a cold read context: a pager on a fresh device handle (zeroed
+    /// counters, no head position) and an empty partition buffer. Every
+    /// query runs on one, so its counted IO never depends on what other
+    /// queries, on this thread or another, read before or beside it.
+    pub fn context(&self) -> GraphContext<'_> {
+        GraphContext {
+            graph: self,
+            pager: self.device.cold_pager(0), // the partition buffer is the cache
             buffer: HashMap::new(),
             buffer_order: VecDeque::new(),
         }
     }
 
-    fn fetch_partition(&mut self, pid: u32) -> Result<&Partition, IndexError> {
-        if !self.buffer.contains_key(&pid) {
-            let bytes = read_record(&mut self.pager, self.partition_ptrs[pid as usize])?;
-            let partition_of = &self.partition_of;
-            let decoded = Partition::decode(&bytes, self.params.levels.len(), |v| {
-                partition_of.get(v as usize) == Some(&pid)
-            })?;
-            if self.buffer.len() >= self.params.partition_cache.max(1) {
-                if let Some(old) = self.buffer_order.pop_front() {
-                    self.buffer.remove(&old);
-                }
-            }
-            self.buffer.insert(pid, decoded);
-            self.buffer_order.push_back(pid);
-        }
-        Ok(&self.buffer[&pid])
-    }
-
-    /// Every object reachable from `source` during `interval`, with exact
-    /// earliest hold ticks (the paper's batch epidemiology / watch-list
-    /// scenarios, §1). Returns the result plus the query's IO-accounted
-    /// stats.
-    pub fn reachable_set(
-        &mut self,
-        source: ObjectId,
-        interval: reach_core::TimeInterval,
-    ) -> Result<(Vec<(ObjectId, Time)>, QueryStats), IndexError> {
-        let started = Instant::now();
-        self.reset_io();
-        self.pager.break_sequence();
-        let before = self.pager.stats();
-        let (set, tstats) = crate::traverse::reachable_set(self, source, interval)?;
-        let io = self.pager.stats().since(&before);
-        Ok((
-            set,
-            QueryStats {
-                random_ios: io.random_reads,
-                seq_ios: io.seq_reads,
-                visited: tstats.visited,
-                examined: tstats.examined,
-                cpu: started.elapsed(),
-            },
-        ))
-    }
-
-    /// Frontier-seeded variant of [`ReachGraph::reachable_set`]: the
-    /// expansion starts from a whole earliest-arrival frontier (sorted or
-    /// not; per-seed "hold from the window start" semantics) instead of a
-    /// single source. This is the sealed leg of a cross-shard handoff —
-    /// see `reach_core::FrontierHandoff`.
-    pub fn reachable_set_from(
-        &mut self,
-        seeds: &[(ObjectId, Time)],
-        interval: reach_core::TimeInterval,
-    ) -> Result<(Vec<(ObjectId, Time)>, QueryStats), IndexError> {
-        let started = Instant::now();
-        self.reset_io();
-        self.pager.break_sequence();
-        let before = self.pager.stats();
-        let (set, tstats) = crate::traverse::reachable_set_seeded(self, seeds, interval)?;
-        let io = self.pager.stats().since(&before);
-        Ok((
-            set,
-            QueryStats {
-                random_ios: io.random_reads,
-                seq_ios: io.seq_reads,
-                visited: tstats.visited,
-                examined: tstats.examined,
-                cpu: started.elapsed(),
-            },
-        ))
-    }
-
-    /// Runs one traversal under the standard cold-cache IO accounting
-    /// (reset, sequence break, counter delta), converting its
-    /// [`crate::traverse::TraversalStats`] into [`QueryStats`].
+    /// Runs one traversal on a fresh context, converting its
+    /// [`TraversalStats`] and the context's device counters into
+    /// [`QueryStats`].
     fn accounted<T>(
-        &mut self,
-        run: impl FnOnce(&mut Self) -> Result<(T, crate::traverse::TraversalStats), IndexError>,
+        &self,
+        run: impl FnOnce(&mut GraphContext<'_>) -> Result<(T, TraversalStats), IndexError>,
     ) -> Result<(T, QueryStats), IndexError> {
         let started = Instant::now();
-        self.reset_io();
-        self.pager.break_sequence();
-        let before = self.pager.stats();
-        let (value, tstats) = run(self)?;
-        let io = self.pager.stats().since(&before);
+        let mut cx = self.context();
+        let (value, tstats) = run(&mut cx)?;
+        let io = cx.io_stats();
         Ok((
             value,
             QueryStats {
@@ -370,6 +268,31 @@ impl ReachGraph {
         ))
     }
 
+    /// Every object reachable from `source` during `interval`, with exact
+    /// earliest hold ticks (the paper's batch epidemiology / watch-list
+    /// scenarios, §1). Returns the result plus the query's IO-accounted
+    /// stats.
+    pub fn reachable_set(
+        &self,
+        source: ObjectId,
+        interval: reach_core::TimeInterval,
+    ) -> Result<(Vec<(ObjectId, Time)>, QueryStats), IndexError> {
+        self.accounted(|cx| crate::traverse::reachable_set(cx, source, interval))
+    }
+
+    /// Frontier-seeded variant of [`ReachGraph::reachable_set`]: the
+    /// expansion starts from a whole earliest-arrival frontier (sorted or
+    /// not; per-seed "hold from the window start" semantics) instead of a
+    /// single source. This is the sealed leg of a cross-shard handoff —
+    /// see `reach_core::FrontierHandoff`.
+    pub fn reachable_set_from(
+        &self,
+        seeds: &[(ObjectId, Time)],
+        interval: reach_core::TimeInterval,
+    ) -> Result<(Vec<(ObjectId, Time)>, QueryStats), IndexError> {
+        self.accounted(|cx| crate::traverse::reachable_set_seeded(cx, seeds, interval))
+    }
+
     /// One decay-weighted frontier leg (the weighted sibling of
     /// [`ReachGraph::reachable_set_from`]): expands `seeds` plus the
     /// previous leg's `carry` groups over `interval` under `model`,
@@ -377,7 +300,7 @@ impl ReachGraph {
     /// `floor`. Returns the leg's answer rows and continuation carry
     /// (see [`crate::decay::DecayLeg`]).
     pub fn decay_states_from(
-        &mut self,
+        &self,
         seeds: &[reach_core::frontier::WeightedSeed],
         carry: &[reach_core::frontier::CarryGroup],
         interval: reach_core::TimeInterval,
@@ -385,8 +308,8 @@ impl ReachGraph {
         model: &reach_core::DecayModel,
         floor: f64,
     ) -> Result<(crate::decay::DecayLeg, QueryStats), IndexError> {
-        self.accounted(|g| {
-            crate::decay::decay_states_seeded(g, seeds, carry, interval, origin, model, floor)
+        self.accounted(|cx| {
+            crate::decay::decay_states_seeded(cx, seeds, carry, interval, origin, model, floor)
         })
     }
 
@@ -394,58 +317,78 @@ impl ReachGraph {
     /// of `dest` from `source`, if it clears `theta` (see
     /// [`crate::decay::decay_reachable`]).
     pub fn decay_reachable(
-        &mut self,
+        &self,
         source: ObjectId,
         dest: ObjectId,
         interval: reach_core::TimeInterval,
         model: &reach_core::DecayModel,
         theta: f64,
     ) -> Result<(Option<(f64, Time)>, QueryStats), IndexError> {
-        self.accounted(|g| crate::decay::decay_reachable(g, source, dest, interval, model, theta))
+        self.accounted(|cx| crate::decay::decay_reachable(cx, source, dest, interval, model, theta))
     }
 
     /// Top-k ranked decay query in either direction (see
     /// [`crate::decay::top_k_reachable`] / [`crate::decay::top_k_reaching`]).
     pub fn top_k(
-        &mut self,
+        &self,
         anchor: ObjectId,
         interval: reach_core::TimeInterval,
         k: usize,
         model: &reach_core::DecayModel,
         direction: reach_core::RankDirection,
     ) -> Result<(Vec<reach_core::Ranked>, QueryStats), IndexError> {
-        self.accounted(|g| match direction {
+        self.accounted(|cx| match direction {
             reach_core::RankDirection::Reachable => {
-                crate::decay::top_k_reachable(g, anchor, interval, k, model)
+                crate::decay::top_k_reachable(cx, anchor, interval, k, model)
             }
             reach_core::RankDirection::Reaching => {
-                crate::decay::top_k_reaching(g, anchor, interval, k, model)
+                crate::decay::top_k_reaching(cx, anchor, interval, k, model)
             }
         })
     }
 
     /// Evaluates with an explicit traversal strategy.
-    pub fn evaluate_with(
-        &mut self,
-        q: &Query,
-        kind: TraversalKind,
-    ) -> Result<QueryResult, IndexError> {
-        let started = Instant::now();
-        self.reset_io();
-        self.pager.break_sequence();
-        let before = self.pager.stats();
-        let (outcome, tstats) = evaluate(self, q, kind)?;
-        let io = self.pager.stats().since(&before);
-        Ok(QueryResult {
-            outcome,
-            stats: QueryStats {
-                random_ios: io.random_reads,
-                seq_ios: io.seq_reads,
-                visited: tstats.visited,
-                examined: tstats.examined,
-                cpu: started.elapsed(),
-            },
-        })
+    pub fn evaluate_with(&self, q: &Query, kind: TraversalKind) -> Result<QueryResult, IndexError> {
+        let (outcome, stats) = self.accounted(|cx| evaluate(cx, q, kind))?;
+        Ok(QueryResult { outcome, stats })
+    }
+}
+
+/// One query's private read state over a [`ReachGraph`] image (see
+/// [`ReachGraph::context`]): a pager on its own device handle plus a
+/// bounded buffer of decoded partitions, discarding the oldest (§5.2).
+/// Traversal reads it as an [`HnSource`]; live compaction re-streams it
+/// as a [`DnAccess`].
+pub struct GraphContext<'g> {
+    graph: &'g ReachGraph,
+    pager: Pager,
+    /// Decoded-partition buffer (bounded, FIFO eviction).
+    buffer: HashMap<u32, Partition>,
+    buffer_order: VecDeque<u32>,
+}
+
+impl GraphContext<'_> {
+    /// Device IO this context has counted since it was opened.
+    pub fn io_stats(&self) -> IoStats {
+        self.pager.stats()
+    }
+
+    fn fetch_partition(&mut self, pid: u32) -> Result<&Partition, IndexError> {
+        let graph = self.graph;
+        if !self.buffer.contains_key(&pid) {
+            let bytes = read_record(&mut self.pager, graph.partition_ptrs[pid as usize])?;
+            let decoded = Partition::decode(&bytes, graph.params.levels.len(), |v| {
+                graph.partition_of.get(v as usize) == Some(&pid)
+            })?;
+            if self.buffer.len() >= graph.params.partition_cache.max(1) {
+                if let Some(old) = self.buffer_order.pop_front() {
+                    self.buffer.remove(&old);
+                }
+            }
+            self.buffer.insert(pid, decoded);
+            self.buffer_order.push_back(pid);
+        }
+        Ok(&self.buffer[&pid])
     }
 }
 
@@ -583,25 +526,25 @@ const RESTREAM_IO: &str = "index device IO failed while re-streaming the DN of a
 /// A sealed ReachGraph can *re-stream* the DN it was built from: vertex
 /// records carry interval, members, and both DN1 edge directions, and the
 /// timeline region carries every object's runs — together exactly the
-/// [`DnAccess`] surface. This is what live watermark compaction consumes:
-/// the sealed base re-streams as a DN and merges with the delta through the
-/// ordinary streaming builders, no original trace required.
+/// [`DnAccess`] surface. This is what live compaction consumes: the sealed
+/// base re-streams as a DN and merges with the delta through the ordinary
+/// streaming builders, no original trace required.
 ///
-/// Reads are charged to the index device like any other access (partition
-/// fetches ride the partition buffer, timeline scans the pager), so
-/// compaction IO is honestly accounted. Device failure panics, per the
-/// [`DnAccess`] contract.
-impl DnAccess for ReachGraph {
+/// Reads are charged to the context's device handle like any other access
+/// (partition fetches ride the partition buffer, timeline scans the
+/// pager), so compaction IO is honestly accounted. Device failure panics,
+/// per the [`DnAccess`] contract.
+impl DnAccess for GraphContext<'_> {
     fn num_objects(&self) -> usize {
-        self.num_objects
+        self.graph.num_objects
     }
 
     fn horizon(&self) -> Time {
-        self.horizon
+        self.graph.horizon
     }
 
     fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.graph.num_nodes
     }
 
     fn interval(&mut self, v: u32) -> reach_core::TimeInterval {
@@ -624,35 +567,37 @@ impl DnAccess for ReachGraph {
     }
 
     fn timeline_into(&mut self, o: ObjectId, out: &mut Vec<(Time, u32)>) {
-        self.timeline
+        self.graph
+            .timeline
             .timeline_into(&mut self.pager, o, out)
             .expect(RESTREAM_IO);
     }
 
     fn timeline_total(&mut self) -> u64 {
-        self.timeline.total_entries()
+        self.graph.timeline.total_entries()
     }
 }
 
-impl HnSource for ReachGraph {
+impl HnSource for GraphContext<'_> {
     fn backing(&self) -> &'static str {
         "disk"
     }
 
     fn levels(&self) -> &[Time] {
-        &self.params.levels
+        &self.graph.params.levels
     }
 
     fn horizon(&self) -> Time {
-        self.horizon
+        self.graph.horizon
     }
 
     fn num_objects(&self) -> usize {
-        self.num_objects
+        self.graph.num_objects
     }
 
     fn vertex(&mut self, v: u32) -> Result<Vertex<'_>, IndexError> {
         let pid = *self
+            .graph
             .partition_of
             .get(v as usize)
             .ok_or_else(|| IndexError::Corrupt(format!("vertex {v} out of range")))?;
@@ -665,24 +610,20 @@ impl HnSource for ReachGraph {
         // Shared `Ht` lookup: binary search over on-disk fixed-width
         // entries, one zero-copy `with_page` probe per step — the hottest
         // per-query loop besides partition fetches.
-        self.timeline.node_of(&mut self.pager, o, t)
+        self.graph.timeline.node_of(&mut self.pager, o, t)
     }
 }
 
-impl ReachabilityIndex for ReachGraph {
+impl ReachIndex for ReachGraph {
     fn name(&self) -> &'static str {
         "ReachGraph"
     }
 
-    fn evaluate(&mut self, query: &Query) -> Result<QueryResult, IndexError> {
+    fn evaluate(&self, query: &Query) -> Result<QueryResult, IndexError> {
         self.evaluate_with(query, TraversalKind::BmBfs)
     }
 
-    fn answer(
-        &mut self,
-        request: &reach_core::ReachRequest,
-    ) -> Result<reach_core::Answer, IndexError> {
-        use reach_core::{Answer, QueryKind};
+    fn answer(&self, request: &ReachRequest) -> Result<Answer, IndexError> {
         let q = &request.query;
         match request.kind {
             QueryKind::Reach => self.evaluate(q).map(Answer::from),
@@ -754,7 +695,7 @@ mod tests {
             let n = 6;
             let horizon = 70;
             let (dn, mr, oracle) = random_world(seed, n, horizon, 0.03);
-            let mut rg = ReachGraph::build(&dn, &mr, params(256)).unwrap();
+            let rg = ReachGraph::build(&dn, &mr, params(256)).unwrap();
             let mut rng = StdRng::seed_from_u64(seed ^ 0x777);
             for _ in 0..40 {
                 let s = rng.gen_range(0..n as u32);
@@ -784,11 +725,12 @@ mod tests {
     #[test]
     fn node_of_matches_memory_graph() {
         let (dn, mr, _) = random_world(11, 5, 40, 0.08);
-        let mut rg = ReachGraph::build(&dn, &mr, params(128)).unwrap();
+        let rg = ReachGraph::build(&dn, &mr, params(128)).unwrap();
+        let mut cx = rg.context();
         for o in 0..5u32 {
             for t in 0..40 {
                 assert_eq!(
-                    rg.node_of(ObjectId(o), t).unwrap(),
+                    cx.node_of(ObjectId(o), t).unwrap(),
                     dn.node_of(ObjectId(o), t).0,
                     "timeline lookup mismatch for o{o} at t{t}"
                 );
@@ -799,22 +741,25 @@ mod tests {
     #[test]
     fn queries_cost_io_and_partition_buffer_bounds_memory() {
         let (dn, mr, _) = random_world(2, 8, 120, 0.05);
-        let mut rg = ReachGraph::build(&dn, &mr, params(256)).unwrap();
+        let rg = ReachGraph::build(&dn, &mr, params(256)).unwrap();
         let q = Query::new(ObjectId(0), ObjectId(7), TimeInterval::new(0, 119));
         let r = rg.evaluate_with(&q, TraversalKind::BmBfs).unwrap();
         assert!(
             r.stats.random_ios + r.stats.seq_ios > 0,
             "disk queries cost IO"
         );
-        assert!(rg.buffer.len() <= rg.params.partition_cache);
+        let mut cx = rg.context();
+        evaluate(&mut cx, &q, TraversalKind::BmBfs).unwrap();
+        assert!(cx.buffer.len() <= rg.params.partition_cache);
     }
 
     #[test]
     fn vertex_roundtrips_through_disk() {
         let (dn, mr, _) = random_world(5, 5, 30, 0.1);
-        let mut rg = ReachGraph::build(&dn, &mr, params(128)).unwrap();
+        let rg = ReachGraph::build(&dn, &mr, params(128)).unwrap();
+        let mut cx = rg.context();
         for v in 0..dn.num_nodes() as u32 {
-            let vd = rg.vertex(v).unwrap();
+            let vd = cx.vertex(v).unwrap();
             assert_eq!(vd.interval(), dn.node(v).interval);
             assert_eq!(
                 vd.members(),
@@ -830,19 +775,23 @@ mod tests {
     }
 
     /// The id and raw record of `rg`'s largest partition.
-    fn largest_record(rg: &mut ReachGraph) -> (u32, Vec<u8>) {
+    fn largest_record(rg: &ReachGraph) -> (u32, Vec<u8>) {
         let pid = (0..rg.num_partitions())
             .max_by_key(|&p| rg.partition_of.iter().filter(|&&q| q == p).count())
             .unwrap();
-        let bytes = read_record(&mut rg.pager, rg.partition_ptrs[pid as usize]).unwrap();
+        let bytes = read_record(
+            &mut rg.device.cold_pager(0),
+            rg.partition_ptrs[pid as usize],
+        )
+        .unwrap();
         (pid, bytes)
     }
 
     #[test]
     fn corrupt_partition_records_are_typed_errors() {
         let (dn, mr, _) = random_world(12, 6, 80, 0.06);
-        let mut rg = ReachGraph::build(&dn, &mr, params(256)).unwrap();
-        let (pid, bytes) = largest_record(&mut rg);
+        let rg = ReachGraph::build(&dn, &mr, params(256)).unwrap();
+        let (pid, bytes) = largest_record(&rg);
         let levels = rg.params.levels.len();
         let decode = |bytes: &[u8]| {
             Partition::decode(bytes, levels, |v| {
@@ -891,13 +840,18 @@ mod tests {
             .find(|&u| u != v && rg.partition_of[u as usize] == home)
             .expect("vertex 0 shares its partition");
         let elsewhere = (home + 1) % rg.num_partitions();
-        Arc::make_mut(&mut rg.partition_of)[v as usize] = elsewhere;
+        rg.partition_of[v as usize] = elsewhere;
         // The page table sends `v` to a partition that does not hold it…
-        assert!(matches!(rg.vertex(v), Err(IndexError::Corrupt(_))));
+        assert!(matches!(
+            rg.context().vertex(v),
+            Err(IndexError::Corrupt(_))
+        ));
         // …and `v`'s real partition holds a vertex the table places
         // elsewhere, so fetching any of its vertices fails too.
-        rg.reset_io();
-        assert!(matches!(rg.vertex(sibling), Err(IndexError::Corrupt(_))));
+        assert!(matches!(
+            rg.context().vertex(sibling),
+            Err(IndexError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -927,8 +881,8 @@ mod tests {
     #[test]
     fn memory_and_disk_agree_exactly() {
         let (dn, mr, _) = random_world(8, 6, 60, 0.06);
-        let mut rg = ReachGraph::build(&dn, &mr, params(256)).unwrap();
-        let mut mem = crate::memory::MemoryHn::new(&dn, &mr);
+        let rg = ReachGraph::build(&dn, &mr, params(256)).unwrap();
+        let mem = crate::memory::MemoryHn::new(&dn, &mr);
         let mut rng = StdRng::seed_from_u64(123);
         for _ in 0..40 {
             let s = rng.gen_range(0..6u32);
@@ -964,8 +918,8 @@ mod tests {
         assert_eq!(decoded.horizon, rg.horizon);
         assert_eq!(decoded.num_objects, rg.num_objects);
         assert_eq!(decoded.num_nodes, rg.num_nodes);
-        assert_eq!(decoded.partition_of, *rg.partition_of);
-        assert_eq!(decoded.partition_ptrs, *rg.partition_ptrs);
+        assert_eq!(decoded.partition_of, rg.partition_of);
+        assert_eq!(decoded.partition_ptrs, rg.partition_ptrs);
         assert_eq!(decoded.timeline.index(), rg.timeline.index());
         assert_eq!(decoded.timeline.first_page(), rg.timeline.first_page());
         // Truncations decode to errors, not panics.
@@ -994,7 +948,7 @@ mod tests {
             Err(IndexError::Corrupt(_))
         ));
         // …and a page-table entry pointing past the partition directory.
-        let mut poisoned = (*rg.partition_of).clone();
+        let mut poisoned = rg.partition_of.clone();
         poisoned[0] = u32::MAX;
         let bad_table = encode_meta(
             &rg.params,
@@ -1014,7 +968,8 @@ mod tests {
     #[test]
     fn sealed_graph_restreams_its_dn_exactly() {
         let (dn, mr, _) = random_world(14, 6, 80, 0.05);
-        let mut rg = ReachGraph::build(&dn, &mr, params(256)).unwrap();
+        let graph = ReachGraph::build(&dn, &mr, params(256)).unwrap();
+        let mut rg = graph.context();
         assert_eq!(DnAccess::num_nodes(&rg), dn.num_nodes());
         assert_eq!(DnAccess::num_objects(&rg), dn.num_objects());
         assert_eq!(DnAccess::horizon(&rg), dn.horizon());
@@ -1075,13 +1030,13 @@ mod tests {
         let mut first_answers = Vec::new();
         {
             let dev = FileDevice::create(&path, 256).unwrap();
-            let mut rg = ReachGraph::build_on(Box::new(dev), &dn, &mr, params(256)).unwrap();
+            let rg = ReachGraph::build_on(Box::new(dev), &dn, &mr, params(256)).unwrap();
             for q in &queries {
                 first_answers.push(rg.evaluate(q).unwrap());
             }
         }
         let dev = FileDevice::open(&path, 256).unwrap();
-        let mut rg = ReachGraph::open(Box::new(dev)).unwrap();
+        let rg = ReachGraph::open(Box::new(dev)).unwrap();
         for (q, first) in queries.iter().zip(&first_answers) {
             let again = rg.evaluate(q).unwrap();
             assert_eq!(again.reachable(), first.reachable(), "reopened on {q}");

@@ -8,10 +8,14 @@ use crate::params::TraversalKind;
 use crate::traverse::{evaluate, TraversalStats};
 use crate::vertex::{HnSource, Vertex};
 use reach_contact::{DnGraph, MultiRes};
-use reach_core::{IndexError, ObjectId, Query, QueryResult, QueryStats, ReachabilityIndex, Time};
+use reach_core::{
+    Answer, IndexError, ObjectId, Query, QueryKind, QueryResult, QueryStats, RankDirection,
+    ReachIndex, ReachRequest, Time,
+};
 use std::time::Instant;
 
-/// Memory-backed `HN` source.
+/// Memory-backed `HN` source. As a [`ReachIndex`] it is shared `&self`:
+/// each query walks a fresh copy with its own `members` scratch.
 pub struct MemoryHn<'a> {
     dn: &'a DnGraph,
     mr: &'a MultiRes,
@@ -30,14 +34,15 @@ impl<'a> MemoryHn<'a> {
         }
     }
 
+    /// A copy over the same DN with empty scratch: one query's walk.
+    fn fresh(&self) -> Self {
+        Self::new(self.dn, self.mr)
+    }
+
     /// Evaluates with an explicit strategy, timing the pure computation.
-    pub fn evaluate_with(
-        &mut self,
-        q: &Query,
-        kind: TraversalKind,
-    ) -> Result<QueryResult, IndexError> {
+    pub fn evaluate_with(&self, q: &Query, kind: TraversalKind) -> Result<QueryResult, IndexError> {
         let started = Instant::now();
-        let (outcome, tstats) = evaluate(self, q, kind)?;
+        let (outcome, tstats) = evaluate(&mut self.fresh(), q, kind)?;
         Ok(QueryResult {
             outcome,
             stats: QueryStats {
@@ -50,18 +55,18 @@ impl<'a> MemoryHn<'a> {
     }
 
     /// Raw traversal counters for a query (test helper).
-    pub fn raw(&mut self, q: &Query, kind: TraversalKind) -> Result<TraversalStats, IndexError> {
-        Ok(evaluate(self, q, kind)?.1)
+    pub fn raw(&self, q: &Query, kind: TraversalKind) -> Result<TraversalStats, IndexError> {
+        Ok(evaluate(&mut self.fresh(), q, kind)?.1)
     }
 
     /// Every object reachable from `source` during `interval`, with exact
     /// earliest hold ticks (the paper's batch scenarios, §1).
     pub fn reachable_set(
-        &mut self,
+        &self,
         source: ObjectId,
         interval: reach_core::TimeInterval,
     ) -> Result<Vec<(ObjectId, Time)>, IndexError> {
-        Ok(crate::traverse::reachable_set(self, source, interval)?.0)
+        Ok(crate::traverse::reachable_set(&mut self.fresh(), source, interval)?.0)
     }
 }
 
@@ -107,28 +112,24 @@ impl HnSource for MemoryHn<'_> {
     }
 }
 
-impl ReachabilityIndex for MemoryHn<'_> {
+impl ReachIndex for MemoryHn<'_> {
     fn name(&self) -> &'static str {
         "ReachGraph(mem)"
     }
 
-    fn evaluate(&mut self, query: &Query) -> Result<QueryResult, IndexError> {
+    fn evaluate(&self, query: &Query) -> Result<QueryResult, IndexError> {
         self.evaluate_with(query, TraversalKind::BmBfs)
     }
 
-    fn answer(
-        &mut self,
-        request: &reach_core::ReachRequest,
-    ) -> Result<reach_core::Answer, IndexError> {
-        use reach_core::{Answer, QueryKind, RankDirection};
+    fn answer(&self, request: &ReachRequest) -> Result<Answer, IndexError> {
         let started = Instant::now();
         let q = &request.query;
+        let hn = &mut self.fresh();
         match request.kind {
             QueryKind::Reach => self.evaluate(q).map(Answer::from),
             QueryKind::Decay { theta, model } => {
-                let (hit, tstats) = crate::decay::decay_reachable(
-                    self, q.source, q.dest, q.interval, &model, theta,
-                )?;
+                let (hit, tstats) =
+                    crate::decay::decay_reachable(hn, q.source, q.dest, q.interval, &model, theta)?;
                 Ok(Answer::decay(
                     q.dest,
                     hit,
@@ -147,10 +148,10 @@ impl ReachabilityIndex for MemoryHn<'_> {
             } => {
                 let (ranking, tstats) = match direction {
                     RankDirection::Reachable => {
-                        crate::decay::top_k_reachable(self, q.source, q.interval, k, &model)?
+                        crate::decay::top_k_reachable(hn, q.source, q.interval, k, &model)?
                     }
                     RankDirection::Reaching => {
-                        crate::decay::top_k_reaching(self, q.source, q.interval, k, &model)?
+                        crate::decay::top_k_reaching(hn, q.source, q.interval, k, &model)?
                     }
                 };
                 Ok(Answer::ranked(
@@ -209,7 +210,7 @@ mod tests {
             let n = 7;
             let horizon = 80;
             let (dn, mr, oracle) = random_world(seed, n, horizon, 0.02);
-            let mut hn = MemoryHn::new(&dn, &mr);
+            let hn = MemoryHn::new(&dn, &mr);
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5555);
             for _ in 0..60 {
                 let s = rng.gen_range(0..n as u32);
@@ -239,7 +240,7 @@ mod tests {
     #[test]
     fn instant_queries_equal_snapshot_components() {
         let (dn, mr, oracle) = random_world(42, 6, 30, 0.1);
-        let mut hn = MemoryHn::new(&dn, &mr);
+        let hn = MemoryHn::new(&dn, &mr);
         for t in 0..30 {
             for s in 0..6u32 {
                 for d in 0..6u32 {
@@ -260,7 +261,7 @@ mod tests {
         // The whole point of long edges: fewer vertex visits on long
         // reachable windows. Compare totals across a batch.
         let (dn, mr, _) = random_world(3, 8, 200, 0.03);
-        let mut hn = MemoryHn::new(&dn, &mr);
+        let hn = MemoryHn::new(&dn, &mr);
         let mut bm_total = 0u64;
         let mut b_total = 0u64;
         let mut rng = StdRng::seed_from_u64(77);
@@ -280,7 +281,7 @@ mod tests {
     #[test]
     fn unknown_object_errors() {
         let (dn, mr, _) = random_world(1, 4, 10, 0.05);
-        let mut hn = MemoryHn::new(&dn, &mr);
+        let hn = MemoryHn::new(&dn, &mr);
         let q = Query::new(ObjectId(99), ObjectId(0), TimeInterval::new(0, 5));
         assert!(matches!(
             hn.evaluate_with(&q, TraversalKind::BmBfs),
@@ -291,7 +292,7 @@ mod tests {
     #[test]
     fn out_of_horizon_errors() {
         let (dn, mr, _) = random_world(1, 4, 10, 0.05);
-        let mut hn = MemoryHn::new(&dn, &mr);
+        let hn = MemoryHn::new(&dn, &mr);
         let q = Query::new(ObjectId(0), ObjectId(1), TimeInterval::new(10, 12));
         assert!(matches!(
             hn.evaluate_with(&q, TraversalKind::BmBfs),

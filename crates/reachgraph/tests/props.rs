@@ -63,7 +63,7 @@ proptest! {
         let h = script.len() as u32;
         let dn = DnGraph::build_from_ticks(n, h, |t| script[t as usize].as_slice());
         let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
-        let mut disk = ReachGraph::build(
+        let disk = ReachGraph::build(
             &dn,
             &mr,
             GraphParams {
@@ -74,7 +74,7 @@ proptest! {
             },
         )
         .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        let mut mem = MemoryHn::new(&dn, &mr);
+        let mem = MemoryHn::new(&dn, &mr);
         for s in 0..n as u32 {
             for d in 0..n as u32 {
                 let q = Query::new(ObjectId(s), ObjectId(d), TimeInterval::new(0, h - 1));

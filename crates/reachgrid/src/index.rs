@@ -16,7 +16,7 @@
 use crate::cells::{CellArena, CellData, ChunkLayout, GridGeometry};
 use crate::params::GridParams;
 use reach_core::{Environment, IndexError, ObjectId, Time, TimeInterval};
-use reach_storage::{BlockDevice, IoStats, Pager, RecordPtr, RecordWriter, SimDevice};
+use reach_storage::{BlockDevice, Pager, RecordPtr, RecordWriter, SharedDevice, SimDevice};
 use reach_traj::TrajectoryStore;
 use std::ops::Range;
 
@@ -40,7 +40,10 @@ impl ChunkMeta {
     }
 }
 
-/// A fully constructed, disk-resident ReachGrid index.
+/// A fully constructed, disk-resident ReachGrid index: an immutable image
+/// (parameters, grid geometry, chunk directory, and the device hub its
+/// pages live behind). Every query reads through its own cold pager, so
+/// one image serves any number of threads at once.
 #[derive(Debug)]
 pub struct ReachGrid {
     pub(crate) params: GridParams,
@@ -50,7 +53,7 @@ pub struct ReachGrid {
     pub(crate) dir_first_page: u64,
     pub(crate) dir_pages_per_chunk: u64,
     pub(crate) num_objects: usize,
-    pub(crate) pager: Pager,
+    pub(crate) device: SharedDevice,
 }
 
 impl ReachGrid {
@@ -61,7 +64,8 @@ impl ReachGrid {
     }
 
     /// Builds the index for `store` onto any block device. The device's page
-    /// size must match `params.page_size`.
+    /// size must match `params.page_size`. A [`SharedDevice`] handle joins
+    /// its hub (and the hub's page cache, if any).
     pub fn build_on(
         mut device: Box<dyn BlockDevice>,
         store: &TrajectoryStore,
@@ -152,7 +156,7 @@ impl ReachGrid {
             dir_first_page,
             dir_pages_per_chunk,
             num_objects,
-            pager: Pager::new(device, params.cache_pages),
+            device: SharedDevice::share(device),
         })
     }
 
@@ -188,56 +192,51 @@ impl ReachGrid {
 
     /// Total index size on the device, in bytes.
     pub fn size_bytes(&self) -> u64 {
-        self.pager.device().size_bytes()
+        self.device.size_bytes()
     }
 
     /// The underlying block device (diagnostics and equivalence testing).
-    pub fn device_mut(&mut self) -> &mut dyn reach_storage::BlockDevice {
-        self.pager.device_mut()
+    pub fn device_mut(&mut self) -> &mut dyn BlockDevice {
+        &mut self.device
     }
 
-    /// Cumulative device IO counters (construction writes + query reads).
-    pub fn io_stats(&self) -> IoStats {
-        self.pager.stats()
-    }
-
-    /// Clears IO counters and the buffer pool (cold-cache measurement
-    /// boundary).
-    pub fn reset_io(&mut self) {
-        self.pager.reset_stats();
-        self.pager.clear_cache();
+    /// A cold pager for one query: a fresh device handle (zeroed counters,
+    /// no head position) with an empty `cache_pages` buffer pool.
+    pub(crate) fn open(&self) -> Pager {
+        self.device.cold_pager(self.params.cache_pages)
     }
 
     /// Test-only public wrapper over the directory lookup.
     #[doc(hidden)]
-    pub fn dir_lookup_for_tests(&mut self, chunk: u32, o: ObjectId) -> Result<u32, IndexError> {
-        self.dir_lookup(chunk, o)
+    pub fn dir_lookup_for_tests(&self, chunk: u32, o: ObjectId) -> Result<u32, IndexError> {
+        self.dir_lookup(&mut self.open(), chunk, o)
     }
 
     /// Test-only public reader of one cell record of `chunk`.
     #[doc(hidden)]
-    pub fn read_cell_for_tests(
-        &mut self,
-        chunk: u32,
-        ptr: RecordPtr,
-    ) -> Result<CellData, IndexError> {
+    pub fn read_cell_for_tests(&self, chunk: u32, ptr: RecordPtr) -> Result<CellData, IndexError> {
         let mut arena = CellArena::default();
         arena.reset(self.layout.window(chunk).len() as usize);
-        let entries = self.read_cell_into(ptr, &mut arena)?;
+        let entries = self.read_cell_into(&mut self.open(), ptr, &mut arena)?;
         Ok(arena.to_cell_data(entries))
     }
 
-    /// Reads one object→cell directory entry through the pager. A directory
+    /// Reads one object→cell directory entry through `pager`. A directory
     /// probe touches exactly one page, so it borrows the cached buffer via
     /// the zero-copy `with_page` path. An entry naming no cell of the grid
     /// is [`IndexError::Corrupt`].
-    pub(crate) fn dir_lookup(&mut self, chunk: u32, o: ObjectId) -> Result<u32, IndexError> {
+    pub(crate) fn dir_lookup(
+        &self,
+        pager: &mut Pager,
+        chunk: u32,
+        o: ObjectId,
+    ) -> Result<u32, IndexError> {
         let entries_per_page = self.params.page_size / 4;
         let page = self.dir_first_page
             + u64::from(chunk) * self.dir_pages_per_chunk
             + (o.index() / entries_per_page) as u64;
         let off = (o.index() % entries_per_page) * 4;
-        let cell = self.pager.with_page(page, |bytes| {
+        let cell = pager.with_page(page, |bytes| {
             u32::from_le_bytes([bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3]])
         })?;
         if cell >= self.geometry.num_cells() {
@@ -249,14 +248,15 @@ impl ReachGrid {
         Ok(cell)
     }
 
-    /// Reads one cell record through the pager and decodes it into `arena`
+    /// Reads one cell record through `pager` and decodes it into `arena`
     /// (see [`CellArena::decode`]), returning its entries.
     pub(crate) fn read_cell_into(
-        &mut self,
+        &self,
+        pager: &mut Pager,
         ptr: RecordPtr,
         arena: &mut CellArena,
     ) -> Result<Range<u32>, IndexError> {
-        let bytes = reach_storage::read_record(&mut self.pager, ptr)?;
+        let bytes = reach_storage::read_record(pager, ptr)?;
         arena.decode(&bytes, self.num_objects)
     }
 }
@@ -318,18 +318,19 @@ mod tests {
 
     #[test]
     fn directory_points_to_start_cell() {
-        let mut g = ReachGrid::build(&store(), params()).unwrap();
+        let g = ReachGrid::build(&store(), params()).unwrap();
+        let mut pager = g.open();
         // o0 at (10,10) → cell (0,0) = 0 in a 4×4 grid of 25m cells.
-        assert_eq!(g.dir_lookup(0, ObjectId(0)).unwrap(), 0);
+        assert_eq!(g.dir_lookup(&mut pager, 0, ObjectId(0)).unwrap(), 0);
         // o1 at (90,90) → cell (3,3) = 15.
-        assert_eq!(g.dir_lookup(0, ObjectId(1)).unwrap(), 15);
+        assert_eq!(g.dir_lookup(&mut pager, 0, ObjectId(1)).unwrap(), 15);
         // o2 starts chunk 1 at x=40 → col 1, row 2 → 9.
-        assert_eq!(g.dir_lookup(1, ObjectId(2)).unwrap(), 2 * 4 + 1);
+        assert_eq!(g.dir_lookup(&mut pager, 1, ObjectId(2)).unwrap(), 2 * 4 + 1);
     }
 
     #[test]
     fn cells_contain_full_segments() {
-        let mut g = ReachGrid::build(&store(), params()).unwrap();
+        let g = ReachGrid::build(&store(), params()).unwrap();
         let ptr = g.chunk(0).cell_ptr(0).expect("o0's home cell is non-empty");
         let cell = g.read_cell_for_tests(0, ptr).unwrap();
         let (o, samples) = &cell.objects[0];
@@ -339,7 +340,7 @@ mod tests {
 
     #[test]
     fn moving_object_lands_in_multiple_cells() {
-        let mut g = ReachGrid::build(&store(), params()).unwrap();
+        let g = ReachGrid::build(&store(), params()).unwrap();
         // o2 crosses x=0..36 in chunk 0 → cells (0,2) and (1,2).
         let c_a = g.chunk(0).cell_ptr(2 * 4).expect("cell (0,2)");
         let c_b = g.chunk(0).cell_ptr(2 * 4 + 1).expect("cell (1,2)");
@@ -370,11 +371,5 @@ mod tests {
                 last = ptr.page;
             }
         }
-    }
-
-    #[test]
-    fn construction_io_is_reset() {
-        let g = ReachGrid::build(&store(), params()).unwrap();
-        assert_eq!(g.io_stats(), IoStats::default());
     }
 }

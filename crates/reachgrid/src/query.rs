@@ -1,5 +1,7 @@
 //! ReachGrid query processing — Algorithm 1 of the paper (§4.2).
 //!
+//! Each query reads through its own cold pager ([`ReachGrid`] is an
+//! immutable image), so concurrent queries count exactly their lone IO.
 //! The evaluator sweeps the query interval chunk by chunk, keeping the
 //! *seed set* (objects already reachable from the query source), and stops
 //! as soon as the destination becomes a seed. Cell buffers are discarded at
@@ -38,9 +40,9 @@
 use crate::cells::{CellArena, NO_ENTRY};
 use crate::index::ReachGrid;
 use reach_core::{
-    IndexError, ObjectId, Query, QueryOutcome, QueryResult, QueryStats, ReachabilityIndex,
-    TimeInterval,
+    IndexError, ObjectId, Query, QueryOutcome, QueryResult, QueryStats, ReachIndex, TimeInterval,
 };
+use reach_storage::Pager;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -88,23 +90,26 @@ impl ChunkState {
 
 impl ReachGrid {
     /// Evaluates a reachability query with guided expansion (Algorithm 1).
-    pub fn evaluate_query(&mut self, q: &Query) -> Result<QueryResult, IndexError> {
+    pub fn evaluate_query(&self, q: &Query) -> Result<QueryResult, IndexError> {
         let started = Instant::now();
-        self.pager.clear_cache();
-        self.pager.break_sequence();
-        let before = self.pager.stats();
+        let mut pager = self.open();
         let mut stats = QueryStats::default();
 
-        let outcome = self.run_query(q, &mut stats)?;
+        let outcome = self.run_query(&mut pager, q, &mut stats)?;
 
-        let io = self.pager.stats().since(&before);
+        let io = pager.stats();
         stats.random_ios = io.random_reads;
         stats.seq_ios = io.seq_reads;
         stats.cpu = started.elapsed();
         Ok(QueryResult { outcome, stats })
     }
 
-    fn run_query(&mut self, q: &Query, stats: &mut QueryStats) -> Result<QueryOutcome, IndexError> {
+    fn run_query(
+        &self,
+        pager: &mut Pager,
+        q: &Query,
+        stats: &mut QueryStats,
+    ) -> Result<QueryOutcome, IndexError> {
         let horizon = self.horizon();
         if q.source.index() >= self.num_objects() {
             return Err(IndexError::UnknownObject(q.source));
@@ -145,8 +150,8 @@ impl ReachGrid {
             state.reset(chunk_window.len() as usize);
             // FindCells: load every current seed's directory cell.
             for &s in &seed_list {
-                let cell = self.dir_lookup(j, ObjectId(s))?;
-                let entries = self.load_cell(j, cell, &mut state, stats)?;
+                let cell = self.dir_lookup(pager, j, ObjectId(s))?;
+                let entries = self.load_cell(pager, j, cell, &mut state, stats)?;
                 if !state.arena.holds(entries, s) {
                     return Err(IndexError::Corrupt(format!(
                         "directory of chunk {j} sends o{s} to cell {cell}, which does not hold it"
@@ -163,7 +168,7 @@ impl ReachGrid {
                         around.clear();
                         self.geometry.cells_around(p, threshold, &mut around);
                         for &cell in &around {
-                            for e in self.load_cell(j, cell, &mut state, stats)? {
+                            for e in self.load_cell(pager, j, cell, &mut state, stats)? {
                                 let o = state.arena.id(e) as usize;
                                 if is_seed[o] {
                                     continue;
@@ -205,7 +210,8 @@ impl ReachGrid {
     /// Loads `cell` of `chunk` into the arena unless the chunk already
     /// has, and returns its entries.
     fn load_cell(
-        &mut self,
+        &self,
+        pager: &mut Pager,
         chunk: u32,
         cell: u32,
         state: &mut ChunkState,
@@ -217,7 +223,7 @@ impl ReachGrid {
         let entries = match self.chunks[chunk as usize].cell_ptr(cell) {
             Some(ptr) => {
                 stats.visited += 1;
-                self.read_cell_into(ptr, &mut state.arena)?
+                self.read_cell_into(pager, ptr, &mut state.arena)?
             }
             None => 0..0,
         };
@@ -237,12 +243,12 @@ impl ReachGrid {
     }
 }
 
-impl ReachabilityIndex for ReachGrid {
+impl ReachIndex for ReachGrid {
     fn name(&self) -> &'static str {
         "ReachGrid"
     }
 
-    fn evaluate(&mut self, query: &Query) -> Result<QueryResult, IndexError> {
+    fn evaluate(&self, query: &Query) -> Result<QueryResult, IndexError> {
         self.evaluate_query(query)
     }
 }
@@ -295,7 +301,7 @@ mod tests {
     #[test]
     fn relay_chain_is_found() {
         let store = relay_store();
-        let mut g = grid(&store);
+        let g = grid(&store);
         let oracle = Oracle::build(&store, 5.0);
         // o0 → o2 requires the full relay through o1.
         let full = g.evaluate_query(&q(0, 2, 0, 39)).unwrap();
@@ -310,7 +316,7 @@ mod tests {
     #[test]
     fn direction_matters() {
         let store = relay_store();
-        let mut g = grid(&store);
+        let g = grid(&store);
         let oracle = Oracle::build(&store, 5.0);
         // o2 → o0 needs the reverse chronology (o2 meets o1 *after* o1 left
         // o0), so it must be unreachable.
@@ -322,7 +328,7 @@ mod tests {
     #[test]
     fn self_query_costs_nothing() {
         let store = relay_store();
-        let mut g = grid(&store);
+        let g = grid(&store);
         let r = g.evaluate_query(&q(1, 1, 5, 10)).unwrap();
         assert!(r.reachable());
         assert_eq!(r.stats.random_ios + r.stats.seq_ios, 0);
@@ -331,7 +337,7 @@ mod tests {
     #[test]
     fn early_termination_reads_less() {
         let store = relay_store();
-        let mut g = grid(&store);
+        let g = grid(&store);
         // o0 → o1 succeeds in the first chunk; the same query over the whole
         // horizon must not read more pages than the unreachable o0 → o2 cut.
         let quick = g.evaluate_query(&q(0, 1, 0, 39)).unwrap();
@@ -346,7 +352,7 @@ mod tests {
     #[test]
     fn unknown_object_and_bad_interval_error() {
         let store = relay_store();
-        let mut g = grid(&store);
+        let g = grid(&store);
         assert!(matches!(
             g.evaluate_query(&q(9, 0, 0, 5)),
             Err(IndexError::UnknownObject(_))
@@ -360,7 +366,7 @@ mod tests {
     #[test]
     fn interval_end_clipped_to_horizon() {
         let store = relay_store();
-        let mut g = grid(&store);
+        let g = grid(&store);
         let r = g.evaluate_query(&q(0, 2, 0, 10_000)).unwrap();
         assert!(r.reachable());
     }
@@ -368,10 +374,25 @@ mod tests {
     #[test]
     fn trait_dispatch_works() {
         let store = relay_store();
-        let mut g = grid(&store);
-        let idx: &mut dyn ReachabilityIndex = &mut g;
+        let g = grid(&store);
+        let idx: &dyn ReachIndex = &g;
         assert_eq!(idx.name(), "ReachGrid");
         assert!(idx.evaluate(&q(0, 1, 0, 39)).unwrap().reachable());
+    }
+
+    #[test]
+    fn every_query_starts_cold() {
+        // A warm pager would serve the repeat from its buffer pool; each
+        // query's own cold pager pays the same IO again.
+        let store = relay_store();
+        let g = grid(&store);
+        let first = g.evaluate_query(&q(0, 2, 0, 39)).unwrap().stats;
+        let again = g.evaluate_query(&q(0, 2, 0, 39)).unwrap().stats;
+        assert!(first.random_ios > 0);
+        assert_eq!(
+            (first.random_ios, first.seq_ios, first.visited),
+            (again.random_ios, again.seq_ios, again.visited)
+        );
     }
 
     /// Overwrites the `u32` at byte `at` of `page` on the index's device.
@@ -411,7 +432,7 @@ mod tests {
             );
             assert!(
                 matches!(
-                    crate::Spj::new(&mut g).evaluate_query(&q(0, 2, 0, 39)),
+                    crate::Spj::new(&g).evaluate_query(&q(0, 2, 0, 39)),
                     Err(IndexError::Corrupt(_))
                 ),
                 "SPJ: {what}"
@@ -423,7 +444,7 @@ mod tests {
         let ptr = g.chunk(0).cell_ptr(5).unwrap();
         patch(&mut g, ptr.page, ptr.offset as usize + 8, 0);
         assert!(matches!(
-            crate::Spj::new(&mut g).evaluate_query(&q(0, 2, 0, 39)),
+            crate::Spj::new(&g).evaluate_query(&q(0, 2, 0, 39)),
             Err(IndexError::Corrupt(_))
         ));
     }

@@ -9,30 +9,29 @@
 use crate::cells::{CellArena, NO_ENTRY};
 use crate::index::ReachGrid;
 use reach_core::{
-    IndexError, Point, Query, QueryOutcome, QueryResult, QueryStats, ReachabilityIndex,
-    TimeInterval, UnionFind,
+    IndexError, Point, Query, QueryOutcome, QueryResult, QueryStats, ReachIndex, TimeInterval,
+    UnionFind,
 };
 use reach_traj::{proximity_pairs, SpatialHash};
 use std::time::Instant;
 
 /// SPJ evaluator borrowing a built ReachGrid layout.
 pub struct Spj<'a> {
-    grid: &'a mut ReachGrid,
+    grid: &'a ReachGrid,
 }
 
 impl<'a> Spj<'a> {
     /// Wraps a grid index for full-scan evaluation.
-    pub fn new(grid: &'a mut ReachGrid) -> Self {
+    pub fn new(grid: &'a ReachGrid) -> Self {
         Self { grid }
     }
 
-    /// Evaluates by full materialization of `C'` followed by propagation.
-    pub fn evaluate_query(&mut self, q: &Query) -> Result<QueryResult, IndexError> {
+    /// Evaluates by full materialization of `C'` followed by propagation,
+    /// reading through its own cold pager.
+    pub fn evaluate_query(&self, q: &Query) -> Result<QueryResult, IndexError> {
         let started = Instant::now();
-        let grid = &mut *self.grid;
-        grid.pager.clear_cache();
-        grid.pager.break_sequence();
-        let before = grid.pager.stats();
+        let grid = self.grid;
+        let mut pager = grid.open();
         let mut stats = QueryStats::default();
 
         let horizon = grid.horizon();
@@ -77,13 +76,8 @@ impl<'a> Spj<'a> {
             // entire IO bill of SPJ — no pruning, no early termination.
             arena.reset(chunk_window.len() as usize);
             entry.fill(NO_ENTRY);
-            let ptrs: Vec<_> = grid.chunks[j as usize]
-                .cells
-                .iter()
-                .map(|&(_, p)| p)
-                .collect();
-            for ptr in ptrs {
-                for e in grid.read_cell_into(ptr, &mut arena)? {
+            for &(_, ptr) in &grid.chunks[j as usize].cells {
+                for e in grid.read_cell_into(&mut pager, ptr, &mut arena)? {
                     let o = arena.id(e) as usize;
                     if entry[o] == NO_ENTRY {
                         entry[o] = e;
@@ -145,7 +139,7 @@ impl<'a> Spj<'a> {
             }
         }
 
-        let io = grid.pager.stats().since(&before);
+        let io = pager.stats();
         stats.random_ios = io.random_reads;
         stats.seq_ios = io.seq_reads;
         stats.cpu = started.elapsed();
@@ -157,12 +151,12 @@ impl<'a> Spj<'a> {
     }
 }
 
-impl ReachabilityIndex for Spj<'_> {
+impl ReachIndex for Spj<'_> {
     fn name(&self) -> &'static str {
         "SPJ"
     }
 
-    fn evaluate(&mut self, query: &Query) -> Result<QueryResult, IndexError> {
+    fn evaluate(&self, query: &Query) -> Result<QueryResult, IndexError> {
         self.evaluate_query(query)
     }
 }
@@ -214,7 +208,7 @@ mod tests {
     fn spj_matches_oracle() {
         let store = store();
         let oracle = Oracle::build(&store, 5.0);
-        let mut g = grid(&store);
+        let g = grid(&store);
         for (s, d, a, b) in [
             (0, 2, 0, 39),
             (0, 2, 0, 20),
@@ -223,7 +217,7 @@ mod tests {
             (1, 2, 20, 39),
         ] {
             let query = q(s, d, a, b);
-            let got = Spj::new(&mut g).evaluate_query(&query).unwrap();
+            let got = Spj::new(&g).evaluate_query(&query).unwrap();
             assert_eq!(got.outcome, oracle.evaluate(&query), "query {query}");
         }
     }
@@ -264,7 +258,7 @@ mod tests {
             ));
         }
         let store = TrajectoryStore::new(env, trajs).unwrap();
-        let mut g = ReachGrid::build(
+        let g = ReachGrid::build(
             &store,
             GridParams {
                 temporal: 10,
@@ -276,7 +270,7 @@ mod tests {
         )
         .unwrap();
         let query = q(0, 2, 0, 39);
-        let spj = Spj::new(&mut g).evaluate_query(&query).unwrap().stats;
+        let spj = Spj::new(&g).evaluate_query(&query).unwrap().stats;
         let grid = g.evaluate_query(&query).unwrap().stats;
         assert!(
             spj.random_ios + spj.seq_ios > grid.random_ios + grid.seq_ios,
@@ -289,10 +283,10 @@ mod tests {
     #[test]
     fn spj_io_is_interval_proportional_not_outcome_dependent() {
         let store = store();
-        let mut g = grid(&store);
+        let g = grid(&store);
         // Same interval, different destinations: identical full-scan IO.
-        let a = Spj::new(&mut g).evaluate_query(&q(0, 1, 0, 39)).unwrap();
-        let b = Spj::new(&mut g).evaluate_query(&q(0, 2, 0, 39)).unwrap();
+        let a = Spj::new(&g).evaluate_query(&q(0, 1, 0, 39)).unwrap();
+        let b = Spj::new(&g).evaluate_query(&q(0, 2, 0, 39)).unwrap();
         assert_eq!(
             a.stats.random_ios + a.stats.seq_ios,
             b.stats.random_ios + b.stats.seq_ios

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use reach_contact::Oracle;
-use reach_core::{ObjectId, Query, ReachabilityIndex, TimeInterval};
+use reach_core::{ObjectId, Query, ReachIndex, TimeInterval};
 use reach_grid::{GridParams, ReachGrid, Spj};
 use reach_mobility::{RwpConfig, WorkloadConfig};
 use reach_traj::TrajectoryStore;
@@ -33,7 +33,7 @@ proptest! {
         let store = dataset(seed, 8, 60);
         let threshold = 25.0;
         let oracle = Oracle::build(&store, threshold);
-        let mut grid = ReachGrid::build(
+        let grid = ReachGrid::build(
             &store,
             GridParams {
                 temporal,
@@ -62,7 +62,7 @@ proptest! {
                     "earliest-arrival mismatch on {}", q
                 );
             }
-            let spj = Spj::new(&mut grid).evaluate_query(q).unwrap();
+            let spj = Spj::new(&grid).evaluate_query(q).unwrap();
             prop_assert_eq!(
                 spj.outcome.reachable, expected.reachable,
                 "SPJ mismatch on {} (seed {})", q, seed
@@ -77,7 +77,7 @@ fn batch_workload_sanity_on_denser_world() {
     let store = dataset(7, 16, 120);
     let threshold = 30.0;
     let oracle = Oracle::build(&store, threshold);
-    let mut grid = ReachGrid::build(
+    let grid = ReachGrid::build(
         &store,
         GridParams {
             temporal: 20,
@@ -113,7 +113,7 @@ fn source_in_motion_across_chunk_boundaries() {
     let store = dataset(3, 10, 80);
     let threshold = 40.0;
     let oracle = Oracle::build(&store, threshold);
-    let mut grid = ReachGrid::build(
+    let grid = ReachGrid::build(
         &store,
         GridParams {
             temporal: 7, // deliberately unaligned with interval starts

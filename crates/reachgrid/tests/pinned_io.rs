@@ -40,7 +40,7 @@ fn query_io_and_outcomes_match_the_recorded_values() {
         pause_ticks_max: 2,
     }
     .generate(21);
-    let mut grid = ReachGrid::build(
+    let grid = ReachGrid::build(
         &store,
         GridParams {
             temporal: 20,

@@ -105,7 +105,7 @@ proptest! {
             pause_ticks_max: 1,
         }
         .generate(seed);
-        let mut grid = ReachGrid::build(
+        let grid = ReachGrid::build(
             &store,
             GridParams {
                 temporal,

@@ -12,14 +12,15 @@
 //!   design: a latency-bound service sheds load instead of buffering it.
 //! * **Worker pool** — `workers` threads drain the queue concurrently.
 //!   The index is held as `Arc<dyn ReachIndex>`, so anything behind the
-//!   unified query trait serves unmodified: the live index natively,
-//!   the build-once indexes through `Serial`.
+//!   one index trait serves unmodified: the live index and every
+//!   build-once index alike. A build-once disk index answers each query on
+//!   its own cold read context, so the workers serve it in parallel and
+//!   each answer counts exactly its single-threaded IO.
 //! * **Same-source batching** — when a worker dequeues a plain
 //!   reachability or decay-weighted job it also drains every queued job
 //!   with the same source, window, and kind and answers them through one
-//!   batch call ([`ReachIndex::query_batch`] for `Reach` cohorts,
-//!   [`ReachIndex::answer_batch`] for `Decay` cohorts): one frontier
-//!   expansion serves the whole cohort. The expansion's IO lands on the
+//!   [`ReachIndex::answer_batch`] call: on the live index one frontier
+//!   expansion serves a whole `Reach` cohort. The expansion's IO lands on the
 //!   first answer; the rest ride free (mirroring the contract of the
 //!   underlying batch path). Top-k jobs never coalesce — each ranks the
 //!   whole frontier already, so there is nothing to share per-destination.
@@ -54,7 +55,7 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Jobs the queue holds before [`Server::submit`] rejects.
     pub queue_capacity: usize,
-    /// Most queries one [`ReachIndex::query_batch`] call may coalesce.
+    /// Most queries one [`ReachIndex::answer_batch`] call may coalesce.
     pub max_batch: usize,
 }
 
@@ -512,14 +513,14 @@ fn drain_cohort(q: &mut QueueState, job: &Job, max_batch: usize) -> Vec<Job> {
     cohort
 }
 
-/// Answers a same-source cohort through one batch call: `query_batch` for
-/// plain reachability, the kind-aware `answer_batch` for decay cohorts.
+/// Answers a same-source cohort through one [`ReachIndex::answer_batch`]
+/// call on the leader's request.
 ///
 /// The leader's trace records a `serve/cohort` span carrying the cohort
-/// size as its seed count; decay cohorts additionally nest per-destination
-/// dispatch spans under it (the kind-aware batch path evaluates through
-/// `answer`), while `Reach` cohorts share one untraced frontier expansion
-/// whose IO lands on the first answer.
+/// size as its seed count; the batch call records its own spans under it
+/// on the same tracer (on the live index: one `shard/leg` span per sealed
+/// leg of a `Reach` cohort's shared walk, whose IO lands on the first
+/// answer).
 fn serve_batch(shared: &Shared, job: Job, cohort: Vec<Job>, claim: u64) {
     let template = job.request.clone();
     let mut cohort_span = template.trace.span("serve/cohort");
@@ -527,14 +528,7 @@ fn serve_batch(shared: &Shared, job: Job, cohort: Vec<Job>, claim: u64) {
     cohort_span.label_with(|| format!("{} x{}", template.trace_label(), 1 + cohort.len()));
     let jobs: Vec<Job> = std::iter::once(job).chain(cohort).collect();
     let dests: Vec<ObjectId> = jobs.iter().map(|j| j.request.query.dest).collect();
-    let batch = match template.kind {
-        QueryKind::Reach => {
-            shared
-                .index
-                .query_batch(template.query.source, template.query.interval, &dests)
-        }
-        _ => shared.index.answer_batch(&template, &dests),
-    };
+    let batch = shared.index.answer_batch(&template, &dests);
     cohort_span.finish();
     let done = now_ticks();
     match batch {
@@ -591,8 +585,8 @@ mod tests {
     }
 
     impl Probe {
-        fn verdict(q: &Query) -> Answer {
-            Answer::from(QueryResult {
+        fn verdict(q: &Query) -> QueryResult {
+            QueryResult {
                 outcome: if q.source.0 < q.dest.0 {
                     QueryOutcome::reachable_at(q.interval.start)
                 } else {
@@ -602,7 +596,7 @@ mod tests {
                     random_ios: u64::from(q.dest.0),
                     ..QueryStats::default()
                 },
-            })
+            }
         }
 
         fn hold(&self) {
@@ -617,6 +611,10 @@ mod tests {
             "Probe"
         }
 
+        fn evaluate(&self, q: &Query) -> Result<QueryResult, IndexError> {
+            Ok(Self::verdict(q))
+        }
+
         fn answer(&self, request: &ReachRequest) -> Result<Answer, IndexError> {
             if !batchable(&request.kind) {
                 return Err(request.unsupported(self.name()));
@@ -624,7 +622,7 @@ mod tests {
             self.entered.fetch_add(1, Ordering::Release);
             self.hold();
             self.point_calls.fetch_add(1, Ordering::Relaxed);
-            Ok(Self::verdict(&request.query))
+            self.evaluate(&request.query).map(Answer::from)
         }
 
         fn answer_batch(
@@ -635,30 +633,10 @@ mod tests {
             self.entered.fetch_add(1, Ordering::Release);
             self.hold();
             self.batch_calls.fetch_add(1, Ordering::Relaxed);
+            let q = &template.query;
             Ok(dests
                 .iter()
-                .map(|&d| {
-                    Self::verdict(&Query::new(
-                        template.query.source,
-                        d,
-                        template.query.interval,
-                    ))
-                })
-                .collect())
-        }
-
-        fn query_batch(
-            &self,
-            source: ObjectId,
-            window: TimeInterval,
-            dests: &[ObjectId],
-        ) -> Result<Vec<Answer>, IndexError> {
-            self.entered.fetch_add(1, Ordering::Release);
-            self.hold();
-            self.batch_calls.fetch_add(1, Ordering::Relaxed);
-            Ok(dests
-                .iter()
-                .map(|&d| Self::verdict(&Query::new(source, d, window)))
+                .map(|&d| Answer::from(Self::verdict(&Query::new(q.source, d, q.interval))))
                 .collect())
         }
     }

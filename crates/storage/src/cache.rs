@@ -243,11 +243,17 @@ impl PageCache {
 
     /// A one-shard cache of exactly `capacity_pages` (nonzero) pages with
     /// no readahead: a pager's private per-query buffer, in global LRU
-    /// order.
+    /// order. Every query opens one, so its tables are sized up front
+    /// instead of growing page by page.
     pub(crate) fn private(capacity_pages: usize) -> Self {
         debug_assert!(capacity_pages > 0, "a private cache needs capacity");
+        let shard = Shard {
+            slots: Vec::with_capacity(capacity_pages),
+            map: HashMap::with_capacity(capacity_pages),
+            ..Shard::new()
+        };
         Self {
-            shards: vec![Mutex::new(Shard::new())],
+            shards: vec![Mutex::new(shard)],
             shard_cap: capacity_pages,
             readahead: 0,
             stats: AtomicCacheStats::default(),

@@ -100,6 +100,13 @@ pub trait BlockDevice: std::fmt::Debug + Send + Sync {
         None
     }
 
+    /// This device as a [`SharedDevice`](crate::SharedDevice) handle, if it
+    /// is one, so [`SharedDevice::share`](crate::SharedDevice::share) can
+    /// join its hub instead of wrapping it in a second one. Default: none.
+    fn as_shared(&self) -> Option<&crate::SharedDevice> {
+        None
+    }
+
     /// Flushes buffered writes to durable storage (no-op for memory-backed
     /// devices).
     fn sync(&mut self) -> Result<(), IndexError> {

@@ -327,7 +327,7 @@ mod tests {
             (1, 0, 0),
             "single-page record must cost exactly one read"
         );
-        pager.reset_stats();
+        pager.device_mut().reset_stats();
         assert_eq!(read_record(&mut pager, spanning).unwrap(), [7u8; 150]);
         let s = pager.stats();
         // 150 B + 4 B prefix over 64 B pages = 3 pages: 1 random + 2 seq.

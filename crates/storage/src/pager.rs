@@ -13,8 +13,9 @@
 //! serving threads reuse each other's fetches — and survives query
 //! boundaries. Otherwise a nonzero `cache_pages` gives the pager its own
 //! one-shard cache of that many pages — the paper's per-query buffer, in
-//! global LRU order, emptied by [`Pager::clear_cache`] so every measured
-//! query starts cold — and zero gives it none, so every read goes to the
+//! global LRU order; every measured query opens a fresh pager
+//! ([`SharedDevice::cold_pager`](crate::SharedDevice::cold_pager)), so it
+//! starts cold — and zero gives it none, so every read goes to the
 //! device. Hits, misses, prefetch marks and write-through take the same
 //! path either way, and accounting stays exact: a hit is charged to *this*
 //! pager's device handle as a cache hit ([`IoStats::cache_hits`]), never as
@@ -58,9 +59,6 @@ pub struct Pager {
     /// The device hub's cache, this pager's own, or none (reads go
     /// straight to the device).
     cache: Option<Arc<PageCache>>,
-    /// Whether the cache (if any) is this pager's own per-query buffer,
-    /// which [`Pager::clear_cache`] empties; a hub cache is left alone.
-    owns_cache: bool,
 }
 
 impl Pager {
@@ -69,15 +67,10 @@ impl Pager {
     /// window); otherwise it owns a one-shard cache of `cache_pages` pages,
     /// or none when `cache_pages` is 0.
     pub fn new(device: Box<dyn BlockDevice>, cache_pages: usize) -> Self {
-        let shared = device.shared_cache();
-        let owns_cache = shared.is_none();
-        let cache =
-            shared.or_else(|| (cache_pages > 0).then(|| Arc::new(PageCache::private(cache_pages))));
-        Self {
-            device,
-            cache,
-            owns_cache,
-        }
+        let cache = device
+            .shared_cache()
+            .or_else(|| (cache_pages > 0).then(|| Arc::new(PageCache::private(cache_pages))));
+        Self { device, cache }
     }
 
     /// Page size of the underlying device.
@@ -93,16 +86,6 @@ impl Pager {
     /// The underlying device, read-only.
     pub fn device(&self) -> &dyn BlockDevice {
         self.device.as_ref()
-    }
-
-    /// Consumes the pager, returning the device.
-    pub fn into_device(self) -> Box<dyn BlockDevice> {
-        self.device
-    }
-
-    /// Whether this pager serves reads from a shared cross-query cache.
-    pub fn is_shared(&self) -> bool {
-        !self.owns_cache
     }
 
     /// The cache's readahead window in pages (0 = prefetch disabled).
@@ -193,28 +176,9 @@ impl Pager {
         Ok(())
     }
 
-    /// Drops this pager's *own* cached pages (e.g. at a query boundary, to
-    /// model a cold cache, or at ReachGrid chunk boundaries which discard
-    /// their buffers). A hub cache is deliberately untouched — cross-query
-    /// residency surviving query boundaries is its whole point; use
-    /// [`PageCache::invalidate_all`](crate::PageCache::invalidate_all) to
-    /// drop it explicitly.
-    pub fn clear_cache(&mut self) {
-        if self.owns_cache {
-            if let Some(cache) = &self.cache {
-                cache.invalidate_all();
-            }
-        }
-    }
-
     /// Device counters.
     pub fn stats(&self) -> IoStats {
         self.device.stats()
-    }
-
-    /// Clears device counters and head position.
-    pub fn reset_stats(&mut self) {
-        self.device.reset_stats();
     }
 
     /// Marks an access-stream boundary: the next device read counts random.
@@ -334,12 +298,15 @@ mod tests {
     }
 
     #[test]
-    fn clear_cache_forces_misses() {
-        let mut p = pager_with_pages(2, 2);
+    fn cold_pagers_start_with_an_empty_private_cache() {
+        let hub = SharedDevice::new(Box::new(device_with_pages(2)));
+        let mut p = hub.cold_pager(2);
         p.read(0).unwrap();
-        p.clear_cache();
         p.read(0).unwrap();
-        assert_eq!(p.stats().total_reads(), 2);
+        let mut q = hub.cold_pager(2);
+        q.read(0).unwrap();
+        assert_eq!((p.stats().total_reads(), p.stats().cache_hits), (1, 1));
+        assert_eq!((q.stats().total_reads(), q.stats().random_reads), (1, 1));
     }
 
     #[test]
@@ -351,7 +318,7 @@ mod tests {
     #[test]
     fn prefetch_is_a_no_op_without_a_window() {
         let mut p = pager_with_pages(4, 4);
-        assert_eq!((p.is_shared(), p.readahead()), (false, 0), "owned cache");
+        assert_eq!(p.readahead(), 0, "owned cache");
         p.prefetch(0, 4).unwrap();
         assert_eq!(p.stats(), IoStats::default());
         assert!(!p.is_cached(0));
@@ -372,8 +339,7 @@ mod tests {
     #[test]
     fn shared_pager_attaches_and_inherits_readahead() {
         let (p, _cache) = shared_pager(4, 4, 2);
-        assert!(p.is_shared());
-        assert_eq!(p.readahead(), 2);
+        assert_eq!(p.readahead(), 2, "only a hub cache has readahead");
     }
 
     #[test]
@@ -416,13 +382,14 @@ mod tests {
     }
 
     #[test]
-    fn clear_cache_leaves_shared_residency_alone() {
-        let (mut p, cache) = shared_pager(4, 4, 0);
-        p.read(0).unwrap();
-        p.clear_cache();
+    fn cold_pagers_keep_shared_residency() {
+        let cache = Arc::new(PageCache::new(4));
+        let hub = SharedDevice::with_cache(Box::new(device_with_pages(4)), cache.clone());
+        hub.cold_pager(4).read(0).unwrap();
+        let mut p = hub.cold_pager(4);
         assert!(p.is_cached(0), "shared residency survives query boundary");
         p.read(0).unwrap();
-        assert_eq!(p.stats().total_reads(), 1);
+        assert_eq!(p.stats().total_reads(), 0);
         assert_eq!(p.stats().cache_hits, 1);
         cache.invalidate_all();
         assert!(!p.is_cached(0));

@@ -23,9 +23,9 @@
 //!
 //! A hub may additionally carry a shared [`PageCache`]
 //! ([`SharedDevice::with_cache`]). Every handle advertises it through
-//! [`BlockDevice::shared_cache`], so every [`Pager`](crate::Pager) built
-//! over a handle — each `reach_serve` worker, each live shard
-//! reader — attaches to the *same* residency automatically. The cache
+//! [`BlockDevice::shared_cache`], so every [`Pager`] built over a handle —
+//! each query's cold context on an index image ([`SharedDevice::cold_pager`])
+//! — attaches to the *same* residency automatically. The cache
 //! carries bytes only; accounting stays per handle: a cache hit is noted on
 //! the handle's private tracker ([`IoStats::cache_hits`], plus the new
 //! prefetch fields) and never disturbs the sequential/random classification
@@ -37,6 +37,7 @@
 use crate::cache::PageCache;
 use crate::device::{BlockDevice, PageId};
 use crate::iostats::{IoStats, IoTracker};
+use crate::pager::Pager;
 use reach_core::IndexError;
 use std::sync::{Arc, Mutex};
 
@@ -79,6 +80,24 @@ impl SharedDevice {
             backend,
             page_size,
         }
+    }
+
+    /// The hub an index image keeps: a fresh handle on `device`'s hub when
+    /// `device` is already a handle (so a hub cache stays attached), or a
+    /// new cache-less hub around it.
+    pub fn share(device: Box<dyn BlockDevice>) -> Self {
+        match device.as_shared() {
+            Some(handle) => handle.clone(),
+            None => Self::new(device),
+        }
+    }
+
+    /// A pager on a fresh handle: zeroed counters, no head position, and
+    /// an empty private cache of `cache_pages` pages unless the hub
+    /// carries a shared one. This is the cold start every query of an
+    /// index image opens (see [`Pager::new`]).
+    pub fn cold_pager(&self, cache_pages: usize) -> Pager {
+        Pager::new(Box::new(self.clone()), cache_pages)
     }
 
     /// The hub-wide page cache, if this hub carries one.
@@ -204,8 +223,16 @@ impl BlockDevice for SharedDevice {
         self.cache.clone()
     }
 
+    fn as_shared(&self) -> Option<&SharedDevice> {
+        Some(self)
+    }
+
     fn sync(&mut self) -> Result<(), IndexError> {
         self.lock().sync()
+    }
+
+    fn size_bytes(&self) -> u64 {
+        self.lock().size_bytes()
     }
 }
 
@@ -298,6 +325,20 @@ mod tests {
         let (bytes, _) = cache.lookup(2).expect("still resident");
         assert_eq!(&bytes[..5], b"fresh");
         assert!(bytes[5..].iter().all(|&x| x == 0), "tail zero-padded");
+    }
+
+    #[test]
+    fn share_joins_an_existing_hub_and_keeps_its_cache() {
+        let mut inner = SimDevice::new(128);
+        inner.allocate(2).unwrap();
+        let cache = Arc::new(PageCache::new(4));
+        let hub = SharedDevice::with_cache(Box::new(inner), cache.clone());
+        let joined = SharedDevice::share(Box::new(hub.clone()));
+        assert_eq!(hub.handles(), 2, "no second hub wraps the handle");
+        assert!(Arc::ptr_eq(joined.cache().expect("cache kept"), &cache));
+        let fresh = SharedDevice::share(Box::new(SimDevice::new(128)));
+        assert!(fresh.cache().is_none());
+        assert_eq!(fresh.handles(), 1);
     }
 
     #[test]

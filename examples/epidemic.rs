@@ -25,7 +25,7 @@ fn main() {
     // Index once, query many times — the regime both indexes target.
     let dn = DnGraph::build(&store, d_t);
     let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
-    let mut graph = ReachGraph::build(&dn, &mr, GraphParams::default()).expect("graph builds");
+    let graph = ReachGraph::build(&dn, &mr, GraphParams::default()).expect("graph builds");
 
     // Three index cases reported on day one.
     let carriers = [ObjectId(17), ObjectId(118), ObjectId(250)];

@@ -40,7 +40,7 @@ fn main() {
     }
 
     // --- ReachGrid -------------------------------------------------------
-    let mut grid = ReachGrid::build(
+    let grid = ReachGrid::build(
         &store,
         GridParams {
             temporal: 2,
@@ -54,7 +54,7 @@ fn main() {
     // --- ReachGraph ------------------------------------------------------
     let dn = DnGraph::build(&store, d_t);
     let mr = MultiRes::build(&dn, &[2]);
-    let mut graph = ReachGraph::build(
+    let graph = ReachGraph::build(
         &dn,
         &mr,
         GraphParams {

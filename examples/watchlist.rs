@@ -26,7 +26,7 @@ fn main() {
 
     let dn = DnGraph::build(&store, d_t);
     let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
-    let mut graph = ReachGraph::build(&dn, &mr, GraphParams::default()).expect("graph builds");
+    let graph = ReachGraph::build(&dn, &mr, GraphParams::default()).expect("graph builds");
     println!(
         "fleet: {} vehicles, {} ticks; DN has {} hyper nodes in {} partitions",
         store.num_objects(),

@@ -10,7 +10,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`core`] | ticks, intervals, geometry, contacts, queries, `ReachabilityIndex` |
+//! | [`core`] | ticks, intervals, geometry, contacts, queries, the one index trait [`ReachIndex`](core::ReachIndex) |
 //! | [`storage`] | pluggable block devices (sim/file/mmap), pager, IO accounting |
 //! | [`traj`] | trajectories and spatiotemporal joins |
 //! | [`mobility`] | RWP / road-network / sparse-GPS generators, workloads |
@@ -54,17 +54,19 @@
 //! .generate(7);
 //!
 //! // Build both indexes.
-//! let mut grid = ReachGrid::build(
+//! let grid = ReachGrid::build(
 //!     &store,
 //!     GridParams { cell_size: 100.0, threshold: 25.0, ..GridParams::default() },
 //! )
 //! .expect("grid construction succeeds");
 //! let dn = DnGraph::build(&store, 25.0);
 //! let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
-//! let mut graph = ReachGraph::build(&dn, &mr, GraphParams::default())
+//! let graph = ReachGraph::build(&dn, &mr, GraphParams::default())
 //!     .expect("graph construction succeeds");
 //!
-//! // Both agree on every query.
+//! // Both agree on every query. Each index is a shared `&self` image: a
+//! // query opens its own cold read context, so the two answers below (or
+//! // any number of concurrent ones) count exactly their lone IO.
 //! let q = Query::new(ObjectId(0), ObjectId(5), TimeInterval::new(10, 300));
 //! let a = grid.evaluate(&q).expect("grid query evaluates");
 //! let b = graph.evaluate(&q).expect("graph query evaluates");
@@ -98,7 +100,7 @@
 //! let trace = ContactTrace::parse(text, &IngestOptions::default()).expect("well-formed");
 //! let dn = trace.build_dn();
 //! let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
-//! let mut graph = ReachGraph::build(&dn, &mr, GraphParams::default())
+//! let graph = ReachGraph::build(&dn, &mr, GraphParams::default())
 //!     .expect("graph construction succeeds");
 //!
 //! // One transfer delivers to object 3 at tick 1: weight 0.5 under pure
@@ -150,7 +152,7 @@
 //! // reachable from o1 (id 0) during [0, 1]? (Yes — Figure 1's example.)
 //! let dn = trace.build_dn();
 //! let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
-//! let mut graph = ReachGraph::build(&dn, &mr, GraphParams::default())
+//! let graph = ReachGraph::build(&dn, &mr, GraphParams::default())
 //!     .expect("graph construction succeeds");
 //! let q = Query::new(ObjectId(0), ObjectId(3), TimeInterval::new(0, 1));
 //! assert!(graph.evaluate(&q).expect("query evaluates").reachable());
@@ -184,13 +186,13 @@
 //! let verdict = {
 //!     // Build on a real file…
 //!     let device = cfg.create().expect("file device creates");
-//!     let mut graph = ReachGraph::build_on(device, &dn, &mr, params)
+//!     let graph = ReachGraph::build_on(device, &dn, &mr, params)
 //!         .expect("graph builds on a file");
 //!     graph.evaluate(&q).expect("query evaluates").reachable()
 //! }; // …drop the index entirely…
 //!
 //! // …and reopen it from the file alone: same answers, honest IO stats.
-//! let mut reopened = ReachGraph::open(cfg.open().expect("file device reopens"))
+//! let reopened = ReachGraph::open(cfg.open().expect("file device reopens"))
 //!     .expect("graph reopens from its metadata footer");
 //! let again = reopened.evaluate(&q).expect("query evaluates");
 //! assert_eq!(again.reachable(), verdict);
@@ -226,7 +228,7 @@
 //! // …and build exactly as with an in-memory DnGraph.
 //! let mr = MultiRes::build(&mut dn, &DEFAULT_LEVELS);
 //! let params = GraphParams { page_size: 256, ..GraphParams::default() };
-//! let mut graph = ReachGraph::build_on(
+//! let graph = ReachGraph::build_on(
 //!     StorageConfig::sim(256).create().expect("device"),
 //!     &mut dn,
 //!     &mr,
@@ -283,10 +285,10 @@
 //! ## Concurrent serving: shared queries, off-lock rebuilds
 //!
 //! The same [`ShardedLive`](live::ShardedLive) serves many threads at
-//! once: every method takes `&self`, queries answer through the unified
+//! once: every method takes `&self`, queries answer through the one
 //! [`ReachIndex`](core::ReachIndex) trait (every index in the workspace
-//! answers through it — single-threaded ones via the
-//! [`Serial`](core::Serial) adapter), appends are write-locked, and a
+//! answers through it, each disk index on a private cold read context per
+//! query), appends are write-locked, and a
 //! rebuild — a [`seal`](live::ShardedLive::seal), an epoch merge, or a
 //! [`compact`](live::ShardedLive::compact), explicit or inline in the
 //! append that crossed the budget — builds off-lock and swaps in the new
@@ -354,7 +356,7 @@ pub mod prelude {
     pub use reach_core::{
         Answer, Contact, ContactEvent, DecayModel, Environment, IndexError, Mbr, ObjectId, Point,
         Query, QueryKind, QueryOutcome, QueryResult, RankDirection, Ranked, ReachIndex,
-        ReachRequest, ReachabilityIndex, Serial, Time, TimeInterval,
+        ReachRequest, Serial, Time, TimeInterval,
     };
     pub use reach_ext::{DecayOracle, NonImmediateIndex, UReachGraph, UncertainOracle};
     pub use reach_graph::{GraphParams, MemoryHn, ReachGraph, TraversalKind};

@@ -201,15 +201,14 @@ fn reachgraph_file_reopens_after_drop_with_identical_answers() {
     let qs = queries(&store, 30, 0xD4);
 
     let first: Vec<QueryResult> = {
-        let mut graph = ReachGraph::build_on(cfg.create().expect("device"), &dn, &mr, params)
+        let graph = ReachGraph::build_on(cfg.create().expect("device"), &dn, &mr, params)
             .expect("file build");
         qs.iter()
             .map(|q| graph.evaluate(q).expect("query evaluates"))
             .collect()
     }; // the index and its device are gone; only the file remains
 
-    let mut reopened =
-        ReachGraph::open(cfg.open().expect("device reopens")).expect("graph reopens");
+    let reopened = ReachGraph::open(cfg.open().expect("device reopens")).expect("graph reopens");
     let mut any_io = 0;
     for (q, before) in qs.iter().zip(&first) {
         let after = reopened.evaluate(q).expect("query evaluates");
@@ -227,7 +226,7 @@ fn reachgraph_file_reopens_after_drop_with_identical_answers() {
     );
 
     // The mmap backend opens the very same file and agrees too.
-    let mut mapped = ReachGraph::open(
+    let mapped = ReachGraph::open(
         StorageConfig::mmap(&path, 256)
             .open()
             .expect("mmap reopens"),

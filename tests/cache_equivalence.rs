@@ -213,18 +213,16 @@ fn graph_shared_cache_preserves_answers_and_reduces_reads() {
     let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
     let qs = queries(&store, 40, 0xBEEF);
     for backend in BACKENDS {
-        let mut cold = ReachGraph::build_on(device_for(backend), &dn, &mr, graph_params())
+        let cold = ReachGraph::build_on(device_for(backend), &dn, &mr, graph_params())
             .expect("cold build");
         let cache = Arc::new(PageCache::new(2048).with_readahead(8));
         let hub = SharedDevice::with_cache(device_for(backend), Arc::clone(&cache));
-        let mut warm =
+        let warm =
             ReachGraph::build_on(Box::new(hub), &dn, &mr, graph_params()).expect("warm build");
 
         let (mut cold_reads, mut warm_reads) = (0u64, 0u64);
         for round in 0..3 {
             for q in &qs {
-                cold.reset_io();
-                warm.reset_io();
                 let a = cold.evaluate(q).expect("cold query");
                 let b = warm.evaluate(q).expect("warm query");
                 assert_eq!(

@@ -11,7 +11,10 @@
 //! 3. **Liveness** — queries are served while a compaction is building,
 //!    never blocked behind it;
 //! 4. **One API** — every index type in the workspace answers through the
-//!    unified [`ReachIndex`] envelope, with no per-index dispatch.
+//!    unified [`ReachIndex`] envelope, with no per-index dispatch;
+//! 5. **Cold readers** — one shared image of each disk index answers many
+//!    threads at once, every answer counting exactly the IO of the same
+//!    answer made alone, directly and behind a multi-worker server.
 
 mod common;
 
@@ -19,7 +22,7 @@ use common::LiveOn;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use streach::contact::extract_contacts;
 use streach::ext::UncertainEvent;
 use streach::prelude::*;
@@ -363,8 +366,8 @@ fn queries_are_served_during_a_compaction() {
 }
 
 /// Every index type answers through the unified [`ReachIndex`] envelope:
-/// ReachGrid, ReachGraph, GRAIL(disk) (all via [`Serial`]), and
-/// ShardedLive natively — one dispatch loop, no per-index arms.
+/// ReachGrid, ReachGraph, GRAIL(disk) and ShardedLive — one dispatch
+/// loop, no per-index arms, no wrapper.
 /// The ext variants ride the same envelope with their own
 /// [`QueryKind`]s.
 #[test]
@@ -410,9 +413,9 @@ fn every_index_type_answers_through_reach_index() {
 
     // One trait object per index — the loop below is the only dispatch.
     let evaluators: Vec<Box<dyn ReachIndex>> = vec![
-        Box::new(Serial::new(grid)),
-        Box::new(Serial::new(graph)),
-        Box::new(Serial::new(grail)),
+        Box::new(grid),
+        Box::new(graph),
+        Box::new(grail),
         Box::new(live),
     ];
 
@@ -444,8 +447,7 @@ fn every_index_type_answers_through_reach_index() {
             })
         })
         .collect();
-    let uncertain: Box<dyn ReachIndex> =
-        Box::new(Serial::new(UReachGraph::build(n, horizon, &uevents)));
+    let uncertain: Box<dyn ReachIndex> = Box::new(UReachGraph::build(n, horizon, &uevents));
     for q in queries.iter().take(10) {
         let req = ReachRequest::from(*q).with_kind(QueryKind::Uncertain { threshold: 0.9 });
         let a = uncertain.answer(&req).expect("uncertain query evaluates");
@@ -462,4 +464,138 @@ fn every_index_type_answers_through_reach_index() {
             Err(IndexError::Unsupported(_))
         ));
     }
+}
+
+/// What one answer must reproduce exactly: its outcome and every counter.
+type Fingerprint = (QueryOutcome, u64, u64, u64, u64);
+
+fn fingerprint(a: &Answer) -> Fingerprint {
+    let s = &a.stats;
+    (a.outcome, s.random_ios, s.seq_ios, s.visited, s.examined)
+}
+
+/// A 40-object RWP world, its queries and its oracle.
+fn cold_world() -> (TrajectoryStore, Vec<Query>, Oracle) {
+    let store = RwpConfig {
+        env: Environment::square(600.0),
+        num_objects: 40,
+        horizon: 300,
+        tick_seconds: 6.0,
+        speed_min: 1.0,
+        speed_max: 3.0,
+        pause_ticks_max: 2,
+    }
+    .generate(0xC01D);
+    let queries = WorkloadConfig {
+        num_queries: 48,
+        interval_len_min: 20,
+        interval_len_max: 200,
+    }
+    .generate(40, 300, 0xC01D);
+    let oracle = Oracle::build(&store, 25.0);
+    (store, queries, oracle)
+}
+
+fn cold_grid(store: &TrajectoryStore) -> ReachGrid {
+    ReachGrid::build(
+        store,
+        GridParams {
+            temporal: 15,
+            cell_size: 100.0,
+            threshold: 25.0,
+            cache_pages: 16,
+            page_size: PAGE,
+        },
+    )
+    .expect("grid builds")
+}
+
+/// One `Arc` each of ReachGrid, ReachGraph and GrailDisk, answered by four
+/// threads at once (released together by a barrier, each walking the
+/// queries from a different offset): every answer's outcome and
+/// random/seq/visited/examined counters equal the single-threaded answer
+/// on the same image.
+#[test]
+fn cold_readers_share_one_image_with_exact_io() {
+    let (store, queries, oracle) = cold_world();
+    let dn = DnGraph::build(&store, 25.0);
+    let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
+    let indexes: Vec<Arc<dyn ReachIndex>> = vec![
+        Arc::new(cold_grid(&store)),
+        Arc::new(ReachGraph::build(&dn, &mr, graph_params()).expect("graph builds")),
+        Arc::new(GrailDisk::build(&dn, 4, 0xD15C, PAGE, 16).expect("grail builds")),
+    ];
+    const THREADS: usize = 4;
+    for index in &indexes {
+        let alone: Vec<Fingerprint> = queries
+            .iter()
+            .map(|q| {
+                let a = index.answer(&ReachRequest::from(*q)).expect("answers");
+                assert_eq!(a.reachable(), oracle.evaluate(q).reachable, "{q}");
+                fingerprint(&a)
+            })
+            .collect();
+        assert!(alone.iter().any(|f| f.1 > 0), "{}: no IO", index.name());
+        let start = Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (index, queries, start) = (Arc::clone(index), &queries, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let n = queries.len();
+                        (0..n)
+                            .map(|k| (k + t * n / THREADS) % n)
+                            .map(|i| {
+                                let req = ReachRequest::from(queries[i]);
+                                (i, fingerprint(&index.answer(&req).expect("answers")))
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for worker in workers {
+                for (i, got) in worker.join().expect("reader thread") {
+                    assert_eq!(
+                        got,
+                        alone[i],
+                        "{}: concurrent answer to {} diverged",
+                        index.name(),
+                        queries[i]
+                    );
+                }
+            }
+        });
+    }
+}
+
+/// A 4-worker server over a bare ReachGrid (no wrapper) answers every
+/// query as the oracle does, each with exactly its single-threaded IO.
+#[test]
+fn four_workers_serve_a_bare_grid() {
+    let (store, queries, oracle) = cold_world();
+    let grid = Arc::new(cold_grid(&store));
+    let alone: Vec<Fingerprint> = queries
+        .iter()
+        .map(|q| fingerprint(&grid.answer(&ReachRequest::from(*q)).expect("answers")))
+        .collect();
+    let server = Server::start(
+        Arc::clone(&grid) as Arc<dyn ReachIndex>,
+        ServeConfig {
+            workers: 4,
+            queue_capacity: 64,
+            max_batch: 8,
+        },
+    )
+    .expect("server starts");
+    let tickets: Vec<Ticket> = queries
+        .iter()
+        .map(|q| server.submit(ReachRequest::from(*q)).expect("admitted"))
+        .collect();
+    for ((q, ticket), want) in queries.iter().zip(tickets).zip(&alone) {
+        let a = ticket.wait().expect("served");
+        assert_eq!(a.reachable(), oracle.evaluate(q).reachable, "{q} vs oracle");
+        assert_eq!(&fingerprint(&a), want, "served {q} diverged from alone");
+    }
+    assert_eq!(server.metrics().completed, queries.len() as u64);
 }

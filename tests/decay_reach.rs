@@ -96,9 +96,9 @@ fn engines_match_the_oracle_on_every_backend() {
     let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
     let oracle = DecayOracle::new(&dn);
     for backend in BACKENDS {
-        let mut rg = ReachGraph::build_on(device_for(backend), &dn, &mr, graph_params())
+        let rg = ReachGraph::build_on(device_for(backend), &dn, &mr, graph_params())
             .expect("graph builds");
-        let mut grail =
+        let grail =
             GrailDisk::build_on(device_for(backend), &dn, 4, 0x5EED, 32).expect("grail builds");
         let mut rng = StdRng::seed_from_u64(0xBAC0);
         for model in models() {
@@ -291,7 +291,7 @@ fn cross_shard_composition_matches_the_monolithic_walk() {
     let now = sharded.now();
     let dn = monolithic_over(&accepted, n as usize, now);
     let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
-    let mut mono = MemoryHn::new(&dn, &mr);
+    let mono = MemoryHn::new(&dn, &mr);
 
     let mut rng = StdRng::seed_from_u64(0x51AB);
     for model in models() {
@@ -347,7 +347,7 @@ fn cross_shard_composition_matches_the_monolithic_walk() {
     let now = live.now();
     let dn = monolithic_over(&accepted, n as usize, now);
     let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
-    let mut mono = MemoryHn::new(&dn, &mr);
+    let mono = MemoryHn::new(&dn, &mr);
     let model = DecayModel::new(0.8, 0.96).expect("factors lie in (0, 1]");
     for a in 0..now.min(40) {
         let iv = TimeInterval::new(a, now - 1);
@@ -384,8 +384,7 @@ fn end_to_end_mixed_workload_agrees_with_the_oracle() {
     let dn = DnGraph::build(&store, 25.0);
     let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
     let oracle = DecayOracle::new(&dn);
-    let mut graph =
-        ReachGraph::build(&dn, &mr, graph_params()).expect("graph construction succeeds");
+    let graph = ReachGraph::build(&dn, &mr, graph_params()).expect("graph construction succeeds");
     let model = DecayModel::per_transfer(0.9);
     let theta = 1e-6;
     let mut rng = StdRng::seed_from_u64(7);

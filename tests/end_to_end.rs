@@ -39,7 +39,7 @@ fn assert_all_agree(store: &TrajectoryStore, d_t: f32, seed: u64) {
     dn.validate().expect("DN invariants hold");
     let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
 
-    let mut grid = ReachGrid::build(
+    let grid = ReachGrid::build(
         store,
         GridParams {
             temporal: 15,
@@ -49,9 +49,9 @@ fn assert_all_agree(store: &TrajectoryStore, d_t: f32, seed: u64) {
         },
     )
     .expect("grid builds");
-    let mut graph = ReachGraph::build(&dn, &mr, GraphParams::default()).expect("graph builds");
-    let mut grail_mem = GrailMem::new(&dn, 4, seed);
-    let mut grail_disk = GrailDisk::build(&dn, 4, seed, 4096, 32).expect("grail disk builds");
+    let graph = ReachGraph::build(&dn, &mr, GraphParams::default()).expect("graph builds");
+    let grail_mem = GrailMem::new(&dn, 4, seed);
+    let grail_disk = GrailDisk::build(&dn, 4, seed, 4096, 32).expect("grail disk builds");
 
     let queries = WorkloadConfig {
         num_queries: 50,
@@ -80,7 +80,7 @@ fn assert_all_agree(store: &TrajectoryStore, d_t: f32, seed: u64) {
             let r = graph.evaluate_with(q, kind).expect("graph evaluates");
             assert_eq!(r.reachable(), expected, "{} vs oracle on {q}", kind.name());
         }
-        let mut spj = Spj::new(&mut grid);
+        let spj = Spj::new(&grid);
         assert_eq!(
             spj.evaluate(q).expect("spj evaluates").reachable(),
             expected,
@@ -96,7 +96,7 @@ fn assert_all_agree(store: &TrajectoryStore, d_t: f32, seed: u64) {
             expected,
             "GRAIL(disk) vs oracle on {q}"
         );
-        let mut mem = MemoryHn::new(&dn, &mr);
+        let mem = MemoryHn::new(&dn, &mr);
         assert_eq!(
             mem.evaluate(q).expect("memory hn").reachable(),
             expected,
@@ -135,12 +135,13 @@ fn disk_vertices_and_restream_equal_memory_on_rwp() {
         page_size: 512,
         ..GraphParams::default()
     };
-    let mut graph = ReachGraph::build(&dn, &mr, params).expect("graph builds");
+    let index = ReachGraph::build(&dn, &mr, params).expect("graph builds");
     let mut mem = MemoryHn::new(&dn, &mr);
     assert!(
-        graph.num_partitions() > 1,
+        index.num_partitions() > 1,
         "records span several partitions"
     );
+    let mut graph = index.context();
     for v in 0..dn.num_nodes() as u32 {
         let disk = graph.vertex(v).expect("disk vertex");
         let resident = mem.vertex(v).expect("memory vertex");
@@ -158,7 +159,7 @@ fn disk_vertices_and_restream_equal_memory_on_rwp() {
         }
     }
 
-    graph.reset_io();
+    let mut graph = index.context();
     assert_eq!(DnAccess::num_nodes(&graph), dn.num_nodes());
     assert_eq!(DnAccess::num_objects(&graph), dn.num_objects());
     assert_eq!(DnAccess::horizon(&graph), dn.horizon());

@@ -20,7 +20,7 @@ fn small_store(seed: u64) -> TrajectoryStore {
 #[test]
 fn grid_rejects_out_of_range_requests_without_panicking() {
     let store = small_store(1);
-    let mut grid = ReachGrid::build(
+    let grid = ReachGrid::build(
         &store,
         GridParams {
             temporal: 10,
@@ -54,7 +54,7 @@ fn graph_rejects_out_of_range_requests_without_panicking() {
     let store = small_store(2);
     let dn = DnGraph::build(&store, 25.0);
     let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
-    let mut graph = ReachGraph::build(&dn, &mr, GraphParams::default()).expect("builds");
+    let graph = ReachGraph::build(&dn, &mr, GraphParams::default()).expect("builds");
     for kind in [
         TraversalKind::EDfs,
         TraversalKind::EBfs,
@@ -155,8 +155,8 @@ fn queries_are_deterministic_across_repeats_and_cache_states() {
     let store = small_store(3);
     let dn = DnGraph::build(&store, 25.0);
     let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
-    let mut graph = ReachGraph::build(&dn, &mr, GraphParams::default()).expect("builds");
-    let mut grid = ReachGrid::build(
+    let graph = ReachGraph::build(&dn, &mr, GraphParams::default()).expect("builds");
+    let grid = ReachGrid::build(
         &store,
         GridParams {
             temporal: 10,

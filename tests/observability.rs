@@ -6,8 +6,8 @@
 //!    observability may never move a perf-gate counter;
 //! 2. **Span accounting closes** — with tracing on, the per-trace span IO
 //!    sums equal the query's own [`IoStats`]-derived counters, for
-//!    cross-shard reach queries and weighted decay queries, on sim, file,
-//!    and mmap backends;
+//!    cross-shard reach queries, batched reach cohorts, and weighted decay
+//!    queries, on sim, file, and mmap backends;
 //! 3. **Registry under concurrency** — a 4-worker serve pool feeding one
 //!    [`Registry`] yields a consistent snapshot: histogram counts match
 //!    the served totals and both output formats agree;
@@ -215,6 +215,53 @@ fn span_io_sums_to_the_query_counters() {
         assert!(
             multi_leg > 0,
             "{backend}: the workload never crossed a shard boundary — fixture too weak"
+        );
+        cleanup(live, dir);
+    }
+}
+
+/// Criterion 2 (batched cohorts): a traced `Reach` cohort answered through
+/// `answer_batch` records one `shard/leg` span per sealed leg of its
+/// shared walk, and those spans sum to the cohort's answer IO.
+#[test]
+fn batched_cohort_leg_spans_sum_to_the_cohort_io() {
+    for backend in BACKENDS {
+        let (live, dir) = sharded_fixture(backend, 12);
+        let obs = Obs::new(ObsConfig::default());
+        let dests: Vec<ObjectId> = (0..12).map(ObjectId).collect();
+        let hi = live.now() - 1;
+        let mut multi_leg = 0u32;
+        for s in 0..12u32 {
+            let window = TimeInterval::new((s % 4) * (hi / 8), hi);
+            let tracer = obs.tracer();
+            let template =
+                ReachRequest::reach(ObjectId(s), window, ObjectId(s)).with_trace(tracer.clone());
+            let answers = live
+                .answer_batch(&template, &dests)
+                .expect("cohort answers");
+            let events = tracer.take_events();
+            let legs: Vec<&SpanEvent> = events.iter().filter(|e| e.name == "shard/leg").collect();
+            let spans = legs.iter().fold((0, 0, 0), |(r, q, v), e| {
+                (r + e.io.random_reads, q + e.io.seq_reads, v + e.visited)
+            });
+            let answered = answers.iter().fold((0, 0, 0), |(r, q, v), a| {
+                (
+                    r + a.stats.random_ios,
+                    q + a.stats.seq_ios,
+                    v + a.stats.visited,
+                )
+            });
+            assert_eq!(
+                spans, answered,
+                "{backend}: leg spans diverge from the cohort of o{s} over {window}"
+            );
+            if legs.len() > 1 {
+                multi_leg += 1;
+            }
+        }
+        assert!(
+            multi_leg > 0,
+            "{backend}: no cohort crossed a shard boundary — fixture too weak"
         );
         cleanup(live, dir);
     }

@@ -51,7 +51,7 @@ fn reduction_shrinks_contact_network() {
 #[test]
 fn reachgrid_beats_spj_on_average() {
     let store = rwp(11, 120, 800);
-    let mut grid = ReachGrid::build(
+    let grid = ReachGrid::build(
         &store,
         GridParams {
             temporal: 20,
@@ -72,10 +72,7 @@ fn reachgrid_beats_spj_on_average() {
     for q in &queries {
         let a = grid.evaluate(q).expect("grid evaluates").stats;
         grid_pages += a.random_ios + a.seq_ios;
-        let b = Spj::new(&mut grid)
-            .evaluate(q)
-            .expect("spj evaluates")
-            .stats;
+        let b = Spj::new(&grid).evaluate(q).expect("spj evaluates").stats;
         spj_pages += b.random_ios + b.seq_ios;
     }
     assert!(
@@ -92,7 +89,7 @@ fn traversal_strategy_ordering() {
     let store = rwp(13, 100, 900);
     let dn = DnGraph::build(&store, 25.0);
     let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
-    let mut graph = ReachGraph::build(&dn, &mr, tuned_graph_params()).expect("builds");
+    let graph = ReachGraph::build(&dn, &mr, tuned_graph_params()).expect("builds");
     let queries = WorkloadConfig {
         num_queries: 40,
         interval_len_min: 150,
@@ -141,7 +138,7 @@ fn partition_depth_has_interior_optimum() {
     .generate(100, 900, 23);
     let mut io_by_depth = Vec::new();
     for depth in [1u32, 8, 256] {
-        let mut graph = ReachGraph::build(
+        let graph = ReachGraph::build(
             &dn,
             &mr,
             GraphParams {
@@ -169,7 +166,7 @@ fn partition_depth_has_interior_optimum() {
 #[test]
 fn interval_length_scaling() {
     let store = rwp(17, 100, 1200);
-    let mut grid = ReachGrid::build(
+    let grid = ReachGrid::build(
         &store,
         GridParams {
             temporal: 20,
@@ -181,7 +178,7 @@ fn interval_length_scaling() {
     .expect("builds");
     let dn = DnGraph::build(&store, 25.0);
     let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
-    let mut graph = ReachGraph::build(&dn, &mr, tuned_graph_params()).expect("builds");
+    let graph = ReachGraph::build(&dn, &mr, tuned_graph_params()).expect("builds");
     let mut ratios = Vec::new();
     for len in [100u32, 500] {
         let queries = WorkloadConfig::fixed_length(30, len).generate(100, 1200, 31);
@@ -206,8 +203,8 @@ fn reachgraph_beats_disk_grail() {
     let store = rwp(19, 100, 900);
     let dn = DnGraph::build(&store, 25.0);
     let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
-    let mut graph = ReachGraph::build(&dn, &mr, tuned_graph_params()).expect("builds");
-    let mut grail = GrailDisk::build(&dn, 5, 7, 512, 64).expect("builds");
+    let graph = ReachGraph::build(&dn, &mr, tuned_graph_params()).expect("builds");
+    let grail = GrailDisk::build(&dn, 5, 7, 512, 64).expect("builds");
     let queries = WorkloadConfig {
         num_queries: 40,
         interval_len_min: 150,

@@ -92,8 +92,8 @@ fn embedded_grid_agrees_with_trace_graph_and_oracle() {
     );
 
     let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
-    let mut graph = ReachGraph::build(&dn, &mr, GraphParams::default()).expect("graph builds");
-    let mut grid = ReachGrid::build(
+    let graph = ReachGraph::build(&dn, &mr, GraphParams::default()).expect("graph builds");
+    let grid = ReachGrid::build(
         &embedded,
         GridParams {
             cell_size: embedded.environment().width,
