@@ -36,7 +36,7 @@
 //! [`crate::StreamedDn`].
 
 use reach_core::{Contact, NodeId, ObjectId, Time, TimeInterval, UnionFind};
-use reach_traj::TrajectoryStore;
+use reach_traj::{TickJoin, TrajectoryStore};
 use std::collections::HashMap;
 
 /// A hyper node of `DN`: one connected component over a maximal run of
@@ -141,13 +141,14 @@ pub struct DnGraph {
 impl DnGraph {
     /// Builds the DN of `store`'s contact network with contact threshold
     /// `threshold` over the full horizon.
+    ///
+    /// Each tick's join output streams straight into the builder; no event
+    /// list or per-tick table is materialized.
     pub fn build(store: &TrajectoryStore, threshold: reach_core::Coord) -> Self {
-        let horizon = store.horizon();
-        let per_tick = crate::extract::events_by_tick(store, store.horizon_interval(), threshold);
-        let events = |t: Time| -> &[(u32, u32)] {
-            per_tick.get(t as usize).map(Vec::as_slice).unwrap_or(&[])
-        };
-        Self::build_from_ticks(store.num_objects(), horizon, events)
+        let mut join = TickJoin::new(store, threshold);
+        Self::build_streaming(store.num_objects(), store.horizon(), |t, buf| {
+            join.pairs_at(t, buf)
+        })
     }
 
     /// Builds the DN from per-tick contact pairs: `events(t)` returns the

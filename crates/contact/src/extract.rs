@@ -9,7 +9,7 @@
 //! maximal [`Contact`]s from real trace files with no trajectories at all.
 
 use reach_core::{Contact, ContactAccumulator, ContactEvent, Coord, Time, TimeInterval};
-use reach_traj::{window_self_join, TrajectoryStore};
+use reach_traj::{sweep_join, window_self_join, TrajectoryStore};
 
 /// All instantaneous proximity events of `store` during `window`, in tick
 /// order.
@@ -33,9 +33,10 @@ pub fn events_by_tick(
         return Vec::new();
     };
     let mut per_tick: Vec<Vec<(u32, u32)>> = vec![Vec::new(); window_clipped.len() as usize];
-    for ev in extract_events(store, window_clipped, threshold) {
+    sweep_join(store, window_clipped, threshold, |ev| {
         per_tick[(ev.t - window_clipped.start) as usize].push((ev.a.0, ev.b.0));
-    }
+        true
+    });
     per_tick
 }
 
@@ -47,9 +48,10 @@ pub fn extract_contacts(
     threshold: Coord,
 ) -> Vec<Contact> {
     let mut acc = ContactAccumulator::new();
-    for ev in extract_events(store, window, threshold) {
+    sweep_join(store, window, threshold, |ev| {
         acc.push(ev);
-    }
+        true
+    });
     acc.finish()
 }
 
@@ -75,14 +77,15 @@ pub fn count_events(
     let mut events = 0u64;
     let mut last_tick: Option<Time> = None;
     let mut active_ticks = 0u64;
-    for ev in extract_events(store, window, threshold) {
+    sweep_join(store, window, threshold, |ev| {
         events += 1;
         if last_tick != Some(ev.t) {
             active_ticks += 1;
             last_tick = Some(ev.t);
         }
         acc.push(ev);
-    }
+        true
+    });
     EventCounts {
         events,
         contacts: acc.finish().len() as u64,

@@ -8,13 +8,16 @@
 //! component-based reductions no longer apply; as the paper notes, the
 //! machinery instead joins *replicated trajectories* — each position is
 //! smeared over the following `T_t` ticks — and the propagation sweep works
-//! on the resulting directed events.
+//! on the resulting directed events. The join sorts the replicated points
+//! by `x` and probes each receiver's `x` window
+//! ([`reach_traj::bipartite_pairs`]), so it finds exactly the pairs
+//! [`Point::within`] accepts.
 
 use reach_core::{
     Answer, Coord, IndexError, ObjectId, Point, Query, QueryKind, QueryOutcome, QueryResult,
     QueryStats, ReachRequest, Time, TimeInterval,
 };
-use reach_traj::{SpatialHash, TrajectoryStore};
+use reach_traj::{bipartite_pairs, TrajectoryStore};
 
 /// A directed non-immediate contact event: the item can pass from `from`
 /// (who was at the meeting point at `emit`) to `to` (who is there at
@@ -36,9 +39,12 @@ pub struct DirectedEvent {
 /// degenerates to the symmetric immediate-contact join.
 ///
 /// Implementation: for every receive tick `t'`, the positions at `t'` are
-/// probed against a spatial hash of *replicated* positions — every object's
-/// samples from `t' - lifetime ..= t'` — which is exactly joining the
-/// replicated trajectories of the paper.
+/// joined against the *replicated* positions — every object's samples from
+/// `t' - lifetime ..= t'` — which is exactly joining the replicated
+/// trajectories of the paper. The join is [`bipartite_pairs`]: the
+/// replicated points are sorted by `x` once per receive tick, and each
+/// receiver binary-searches its `x` window, with the same exact `f64` prune
+/// as the self-join's sort-and-sweep kernel.
 pub fn replicated_join(
     store: &TrajectoryStore,
     threshold: Coord,
@@ -49,48 +55,41 @@ pub fn replicated_join(
     if horizon == 0 {
         return out;
     }
-    let n = store.num_objects();
-    let mut hash = SpatialHash::new(threshold.max(1e-3));
+    let mut receivers: Vec<Point> = Vec::with_capacity(store.num_objects());
+    let mut replicated: Vec<Point> = Vec::new();
+    let mut tags: Vec<(u32, Time)> = Vec::new();
+    let mut hits: Vec<(u32, u32, Time)> = Vec::new();
     for t_recv in 0..horizon {
         let lo = t_recv.saturating_sub(lifetime);
-        // Replicated positions: (object, emit tick) pairs tagged densely.
-        hash.clear();
-        let mut tags: Vec<(u32, Time)> = Vec::new();
+        // Replicated positions, tagged densely by (object, emit tick).
+        receivers.clear();
+        replicated.clear();
+        tags.clear();
         for tr in store.iter() {
+            receivers.push(tr.positions[t_recv as usize]);
             for t_emit in lo..=t_recv {
-                let p = tr.positions[t_emit as usize];
-                hash.insert(tags.len() as u32, p);
+                replicated.push(tr.positions[t_emit as usize]);
                 tags.push((tr.object.0, t_emit));
             }
         }
-        for o in 0..n as u32 {
-            let p_recv = store
-                .position(ObjectId(o), t_recv)
-                .expect("tick inside horizon");
-            let mut hits: Vec<(u32, Time)> = Vec::new();
-            hash.for_neighbors(p_recv, |tag| {
-                let (src, t_emit) = tags[tag as usize];
-                if src != o {
-                    let p_emit: Point = store
-                        .position(ObjectId(src), t_emit)
-                        .expect("tick inside horizon");
-                    if p_emit.within(&p_recv, threshold) {
-                        hits.push((src, t_emit));
-                    }
-                }
-            });
-            // Keep only the earliest emit per (from, to) pair at this
-            // receive tick: it dominates all later emits.
-            hits.sort_unstable();
-            hits.dedup_by_key(|h| h.0);
-            for (src, t_emit) in hits {
-                out.push(DirectedEvent {
-                    receive: t_recv,
-                    emit: t_emit,
-                    from: ObjectId(src),
-                    to: ObjectId(o),
-                });
+        hits.clear();
+        bipartite_pairs(&receivers, &replicated, threshold, |o, tag| {
+            let (src, t_emit) = tags[tag as usize];
+            if src != o {
+                hits.push((o, src, t_emit));
             }
+        });
+        // Keep only the earliest emit per (from, to) pair at this receive
+        // tick: it dominates all later emits.
+        hits.sort_unstable();
+        hits.dedup_by_key(|h| (h.0, h.1));
+        for &(o, src, t_emit) in &hits {
+            out.push(DirectedEvent {
+                receive: t_recv,
+                emit: t_emit,
+                from: ObjectId(src),
+                to: ObjectId(o),
+            });
         }
     }
     out.sort_by_key(|e| (e.receive, e.from, e.to));

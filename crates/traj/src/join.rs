@@ -5,103 +5,210 @@
 //! window, produced in time-sweep order so consumers can terminate early —
 //! the join strategy of Arumugam & Jermaine's CPA join \[1\]. Our positions
 //! are per-tick samples (the TEN model is per-instance anyway), so the sweep
-//! advances tick by tick and prunes candidate pairs with a uniform spatial
-//! hash of cell width `d_T`.
+//! advances tick by tick and finds each tick's pairs with a sort-and-sweep
+//! kernel: the points are ordered by `x`, and each point is compared only
+//! with the points after it whose `x` gap can still lie within `d_T`.
+//!
+//! The `x` order is carried from tick to tick in a [`SweepScratch`]. Objects
+//! move a few metres per tick, so the carried order is nearly sorted and an
+//! insertion pass restores it in about linear time; a pass that has to move
+//! too many points hands over to a full sort, so a shuffled input costs
+//! `O(n log n)`, never `O(n²)`.
+//!
+//! **The prune is exact.** [`Point::within`] accepts a pair iff
+//! `dx² + dy² ≤ d²`, evaluated in `f64` on the widened `f32` coordinates.
+//! The sweep stops scanning from a point as soon as `dx² > d²` in the same
+//! `f64` arithmetic. Rounding is monotone, and adding the non-negative
+//! `dy²` cannot round the sum below `dx²`, so `within` rejects every pair
+//! the prune stops at; and since `dx` only grows along the `x` order, it
+//! rejects every later pair too. A `NaN` gap (an infinity minus itself)
+//! never prunes, so no pair is lost to it, and a point whose `x` is `NaN`
+//! is skipped outright, as `within` never accepts it. The kernel therefore
+//! returns exactly the pairs brute-force `within` returns, for any
+//! coordinates, however far outside the environment. No integer cell
+//! arithmetic is involved, so no coordinate can overflow it.
 
 use crate::store::TrajectoryStore;
-use reach_core::{ContactEvent, Coord, ObjectId, Point, TimeInterval};
-use std::collections::HashMap;
+use reach_core::{ContactEvent, Coord, ObjectId, Point, Time, TimeInterval};
 
-/// Reusable spatial hash over points with cell width `cell`.
-///
-/// Candidates for the within-`d` predicate are found by probing the 3×3
-/// neighborhood of a point's cell, which is exhaustive when `cell ≥ d`.
-#[derive(Debug)]
-pub struct SpatialHash {
-    cell: f64,
-    buckets: HashMap<(i32, i32), Vec<u32>>,
+/// A point tagged with its index in the caller's point list.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    p: Point,
+    tag: u32,
 }
 
-impl SpatialHash {
-    /// Creates an empty hash with the given cell width (metres); `cell` must
-    /// be positive.
-    pub fn new(cell: Coord) -> Self {
-        assert!(cell > 0.0, "spatial hash cell width must be positive");
-        Self {
-            cell: f64::from(cell),
-            buckets: HashMap::new(),
-        }
+/// Total order on `x` (`NaN`s at the ends), the sweep's sort key.
+#[inline]
+fn by_x(a: &Slot, b: &Slot) -> std::cmp::Ordering {
+    a.p.x.total_cmp(&b.p.x)
+}
+
+/// Whether `a` and `b` (`a` before `b` in `x` order) are too far apart in
+/// `x` alone for `b`, or any point after it, to lie within `√d2` of `a`.
+#[inline]
+fn beyond(a: Point, b: Point, d2: f64) -> bool {
+    let dx = f64::from(b.x) - f64::from(a.x);
+    dx * dx > d2
+}
+
+/// Reusable scratch of the sort-and-sweep proximity kernel: the points of
+/// the last call, kept in ascending-`x` order and carried to the next call
+/// as its starting order.
+#[derive(Clone, Debug, Default)]
+pub struct SweepScratch {
+    slots: Vec<Slot>,
+}
+
+impl SweepScratch {
+    /// An empty scratch.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    #[inline]
-    fn key(&self, p: Point) -> (i32, i32) {
-        (
-            (f64::from(p.x) / self.cell).floor() as i32,
-            (f64::from(p.y) / self.cell).floor() as i32,
-        )
-    }
-
-    /// Removes all points but keeps bucket allocations for reuse.
-    pub fn clear(&mut self) {
-        for v in self.buckets.values_mut() {
-            v.clear();
-        }
-    }
-
-    /// Inserts a point tagged with an arbitrary `u32` payload (object id,
-    /// slot index, …).
-    pub fn insert(&mut self, tag: u32, p: Point) {
-        self.buckets.entry(self.key(p)).or_default().push(tag);
-    }
-
-    /// Calls `f(tag)` for every point in the 3×3 neighborhood of `p`'s cell
-    /// (including `p`'s own cell). Tags inserted for `p` itself are included;
-    /// callers filter.
-    pub fn for_neighbors<F: FnMut(u32)>(&self, p: Point, mut f: F) {
-        let (cx, cy) = self.key(p);
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                if let Some(v) = self.buckets.get(&(cx + dx, cy + dy)) {
-                    for &tag in v {
-                        f(tag);
-                    }
-                }
+    /// Loads `points` into the carried order (any permutation of
+    /// `0..points.len()` is a valid start) and restores ascending `x`.
+    fn load(&mut self, points: &[Point]) {
+        if self.slots.len() == points.len() {
+            for s in &mut self.slots {
+                s.p = points[s.tag as usize];
             }
+        } else {
+            self.slots.clear();
+            self.slots.extend(
+                points
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &p)| Slot { p, tag: k as u32 }),
+            );
+        }
+        restore_order(&mut self.slots);
+    }
+}
+
+/// Sorts `slots` by `x` with an insertion pass, which is linear on the
+/// nearly sorted order carried from the previous tick; once the pass has
+/// shifted more than a few slots per point it hands over to a full sort.
+fn restore_order(slots: &mut [Slot]) {
+    let budget = 8 * slots.len() + 64;
+    let mut shifted = 0;
+    for i in 1..slots.len() {
+        let cur = slots[i];
+        let mut j = i;
+        while j > 0 && by_x(&slots[j - 1], &cur).is_gt() {
+            slots[j] = slots[j - 1];
+            j -= 1;
+        }
+        slots[j] = cur;
+        shifted += i - j;
+        if shifted > budget {
+            slots.sort_unstable_by(by_x);
+            return;
         }
     }
 }
 
 /// Emits every unordered pair `(i, j)` with `i < j` among `points` whose
-/// distance is ≤ `threshold`. `points[k]` is tagged `k`. Pairs are pushed to
-/// `out` (cleared first); `scratch` is the reusable hash.
+/// distance is ≤ `threshold` ([`Point::within`]), in ascending order.
+/// `points[k]` is tagged `k`. Pairs are pushed to `out` (cleared first);
+/// `scratch` carries the `x` order between calls.
 pub fn proximity_pairs(
     points: &[Point],
     threshold: Coord,
-    scratch: &mut SpatialHash,
+    scratch: &mut SweepScratch,
     out: &mut Vec<(u32, u32)>,
 ) {
     out.clear();
-    scratch.clear();
-    for (i, &p) in points.iter().enumerate() {
-        scratch.insert(i as u32, p);
-    }
-    for (i, &p) in points.iter().enumerate() {
-        let i = i as u32;
-        scratch.for_neighbors(p, |j| {
-            if j > i && points[j as usize].within(&p, threshold) {
-                out.push((i, j));
+    scratch.load(points);
+    let d2 = f64::from(threshold) * f64::from(threshold);
+    let slots = &scratch.slots;
+    for (i, a) in slots.iter().enumerate() {
+        if a.p.x.is_nan() {
+            continue;
+        }
+        for b in &slots[i + 1..] {
+            if beyond(a.p, b.p, d2) {
+                break;
             }
-        });
+            if a.p.within(&b.p, threshold) {
+                out.push((a.tag.min(b.tag), a.tag.max(b.tag)));
+            }
+        }
     }
     out.sort_unstable();
+}
+
+/// Every `(i, j)` with `a[i]` within `threshold` of `b[j]`, the bipartite
+/// form of [`proximity_pairs`]: `b` is sorted by `x` once, and each point of
+/// `a` binary-searches the start of its `x` window and scans to its end.
+/// Calls `hit(i, j)` in no particular order.
+pub fn bipartite_pairs<F: FnMut(u32, u32)>(a: &[Point], b: &[Point], threshold: Coord, mut hit: F) {
+    let mut sorted: Vec<Slot> = b
+        .iter()
+        .enumerate()
+        .map(|(k, &p)| Slot { p, tag: k as u32 })
+        .collect();
+    sorted.sort_unstable_by(by_x);
+    let d2 = f64::from(threshold) * f64::from(threshold);
+    for (i, &p) in a.iter().enumerate() {
+        if p.x.is_nan() {
+            continue;
+        }
+        // The slots left of `p` that are `beyond` it, or `NaN`, form a
+        // prefix: the gap only shrinks towards `p`, and `NaN`s sort first.
+        let lo = sorted.partition_point(|s| {
+            s.p.x.total_cmp(&p.x).is_lt() && (s.p.x.is_nan() || beyond(s.p, p, d2))
+        });
+        for s in &sorted[lo..] {
+            if beyond(p, s.p, d2) {
+                break;
+            }
+            if p.within(&s.p, threshold) {
+                hit(i as u32, s.tag);
+            }
+        }
+    }
+}
+
+/// The self-join one tick at a time, for consumers that pull ticks in
+/// ascending order (the DN builder). Reuses one [`SweepScratch`] across
+/// ticks, so consecutive ticks pay only the insertion pass.
+#[derive(Debug)]
+pub struct TickJoin<'a> {
+    store: &'a TrajectoryStore,
+    threshold: Coord,
+    points: Vec<Point>,
+    scratch: SweepScratch,
+}
+
+impl<'a> TickJoin<'a> {
+    /// A join of `store` at contact threshold `threshold`.
+    pub fn new(store: &'a TrajectoryStore, threshold: Coord) -> Self {
+        Self {
+            store,
+            threshold,
+            points: Vec::with_capacity(store.num_objects()),
+            scratch: SweepScratch::new(),
+        }
+    }
+
+    /// Fills `out` (cleared first) with the pairs `(a, b)`, `a < b`, in
+    /// contact at tick `t`, in ascending order. `t` must lie inside the
+    /// store's horizon.
+    pub fn pairs_at(&mut self, t: Time, out: &mut Vec<(u32, u32)>) {
+        self.points.clear();
+        self.points
+            .extend(self.store.iter().map(|tr| tr.positions[t as usize]));
+        proximity_pairs(&self.points, self.threshold, &mut self.scratch, out);
+    }
 }
 
 /// The window self-join `R(w) ⋈_dT R(w)` over a trajectory store: every
 /// instantaneous proximity event inside `window`, in tick order.
 ///
-/// This is the paper's materialization step for `C'` (§4); the
-/// [`crate::join::sweep_join`] variant supports the early termination the
-/// indexes rely on.
+/// This is the paper's materialization step for `C'` (§4), for callers that
+/// need the events as a vector; [`sweep_join`] streams the same events and
+/// supports the early termination the indexes rely on.
 pub fn window_self_join(
     store: &TrajectoryStore,
     window: TimeInterval,
@@ -127,19 +234,10 @@ pub fn sweep_join<F: FnMut(ContactEvent) -> bool>(
     let Some(window) = window.intersect(&store.horizon_interval()) else {
         return;
     };
-    let n = store.num_objects();
-    if n == 0 {
-        return;
-    }
-    let mut hash = SpatialHash::new(threshold.max(1e-3));
+    let mut join = TickJoin::new(store, threshold);
     let mut pairs: Vec<(u32, u32)> = Vec::new();
-    let mut points: Vec<Point> = Vec::with_capacity(n);
     for t in window.ticks() {
-        points.clear();
-        for tr in store.iter() {
-            points.push(tr.positions[t as usize]);
-        }
-        proximity_pairs(&points, threshold, &mut hash, &mut pairs);
+        join.pairs_at(t, &mut pairs);
         for &(a, b) in pairs.iter() {
             let ev = ContactEvent::new(t, ObjectId(a), ObjectId(b));
             if !visit(ev) {
@@ -203,9 +301,8 @@ mod tests {
             Point::new(3.0, 4.0),  // 5m from 0
             Point::new(50.0, 0.0), // far
         ];
-        let mut hash = SpatialHash::new(5.0);
         let mut out = Vec::new();
-        proximity_pairs(&points, 5.0, &mut hash, &mut out);
+        proximity_pairs(&points, 5.0, &mut SweepScratch::new(), &mut out);
         assert_eq!(out, vec![(0, 1)]);
     }
 
@@ -220,9 +317,8 @@ mod tests {
             })
             .collect();
         let d = 8.0f32;
-        let mut hash = SpatialHash::new(d);
         let mut out = Vec::new();
-        proximity_pairs(&points, d, &mut hash, &mut out);
+        proximity_pairs(&points, d, &mut SweepScratch::new(), &mut out);
         let mut brute = Vec::new();
         for i in 0..points.len() as u32 {
             for j in (i + 1)..points.len() as u32 {
@@ -296,6 +392,9 @@ mod tests {
         let evs = window_self_join(&store, TimeInterval::new(0, 100), 1.0);
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].t, 0);
+        // A store with no objects has no events.
+        let empty = TrajectoryStore::new(Environment::square(10.0), Vec::new()).expect("valid");
+        assert!(window_self_join(&empty, TimeInterval::new(0, 5), 1.0).is_empty());
     }
 
     #[test]

@@ -12,6 +12,9 @@ pub mod join;
 pub mod store;
 pub mod trajectory;
 
-pub use join::{cpa_distance_sq, proximity_pairs, sweep_join, window_self_join, SpatialHash};
+pub use join::{
+    bipartite_pairs, cpa_distance_sq, proximity_pairs, sweep_join, window_self_join, SweepScratch,
+    TickJoin,
+};
 pub use store::TrajectoryStore;
 pub use trajectory::{Trajectory, TrajectorySegment};
