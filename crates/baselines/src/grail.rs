@@ -24,8 +24,8 @@ use reach_core::{
 };
 use reach_graph::{HnSource, Vertex};
 use reach_storage::{
-    read_record, BlockDevice, ByteReader, ByteWriter, IoStats, Pager, RecordPtr, RecordWriter,
-    SharedDevice, SimDevice, TimelineRegion,
+    read_record, BlockDevice, ByteReader, ByteWriter, Pager, RecordPtr, RecordWriter, SharedDevice,
+    SimDevice, TimelineRegion,
 };
 use std::time::Instant;
 
@@ -315,11 +315,6 @@ impl GrailDisk {
         })
     }
 
-    /// The device hub the pages live behind.
-    pub fn hub(&self) -> &SharedDevice {
-        &self.device
-    }
-
     /// The underlying block device (diagnostics and equivalence testing).
     pub fn device_mut(&mut self) -> &mut dyn BlockDevice {
         &mut self.device
@@ -393,9 +388,7 @@ impl GrailDisk {
     }
 
     /// Every object reachable from `source` during `interval`, with its
-    /// exact earliest hold tick — the frontier-extraction primitive live
-    /// indexes use to continue a query past a sealed base's horizon
-    /// ("frontier at a cut time": pass `[t1, cut - 1]`).
+    /// exact earliest hold tick.
     ///
     /// Semantics are *shared* with `ReachGraph::reachable_set` — both run
     /// [`reach_graph::reachable_set`], so the earliest-arrival relaxation
@@ -409,23 +402,8 @@ impl GrailDisk {
         source: ObjectId,
         interval: reach_core::TimeInterval,
     ) -> Result<(Vec<(ObjectId, Time)>, QueryStats), IndexError> {
-        self.reachable_set_from(&[(source, interval.start)], interval)
-    }
-
-    /// Frontier-seeded variant of [`GrailDisk::reachable_set`]: expands
-    /// from a whole earliest-arrival frontier (the sealed leg of a
-    /// cross-shard handoff — see `reach_core::FrontierHandoff`). Rides the
-    /// same `GrailHnView` as the single-source path, so the relaxation
-    /// semantics are shared with ReachGraph and cannot drift apart.
-    pub fn reachable_set_from(
-        &self,
-        seeds: &[(ObjectId, Time)],
-        interval: reach_core::TimeInterval,
-    ) -> Result<(Vec<(ObjectId, Time)>, QueryStats), IndexError> {
-        for &(o, _) in seeds {
-            if o.index() >= self.num_objects {
-                return Err(IndexError::UnknownObject(o));
-            }
+        if source.index() >= self.num_objects {
+            return Err(IndexError::UnknownObject(source));
         }
         if interval.start >= self.horizon {
             return Err(IndexError::IntervalOutOfRange {
@@ -434,7 +412,7 @@ impl GrailDisk {
             });
         }
         self.accounted(false, |view| {
-            reach_graph::reachable_set_seeded(view, seeds, interval)
+            reach_graph::reachable_set(view, source, interval)
         })
     }
 
@@ -506,23 +484,6 @@ impl GrailDisk {
         ))
     }
 
-    /// One decay-weighted frontier leg (the weighted sibling of
-    /// [`GrailDisk::reachable_set_from`]); see
-    /// `reach_graph::DecayLeg` and `reach_core::WeightedFrontier`.
-    pub fn decay_states_from(
-        &self,
-        seeds: &[reach_core::frontier::WeightedSeed],
-        carry: &[reach_core::frontier::CarryGroup],
-        interval: reach_core::TimeInterval,
-        origin: Time,
-        model: &reach_core::DecayModel,
-        floor: f64,
-    ) -> Result<(reach_graph::DecayLeg, QueryStats), IndexError> {
-        self.accounted(false, |view| {
-            reach_graph::decay_states_seeded(view, seeds, carry, interval, origin, model, floor)
-        })
-    }
-
     /// Point decay query (see [`reach_graph::decay_reachable`]): the
     /// member relation is reconstructed by inverting the timeline region,
     /// then the shared weighted expansion runs over the view — GRAIL pays
@@ -561,26 +522,6 @@ impl GrailDisk {
                 reach_graph::top_k_reaching(view, anchor, interval, k, model)
             }
         })
-    }
-
-    /// The component-chain contact set of the indexed DAG (the
-    /// [`reach_contact::chain_contacts`] extraction, reconstructed from
-    /// disk) — what live compaction merges with a delta when the sealed
-    /// base is a disk GRAIL — plus the device IO the reconstruction read.
-    pub fn chain_contacts(&self) -> Result<(Vec<reach_core::Contact>, IoStats), IndexError> {
-        let mut pager = self.open();
-        let (intervals, members) = self.reconstruct_components(&mut pager)?;
-        let mut out = Vec::new();
-        for (v, ms) in members.iter().enumerate() {
-            for w in ms.windows(2) {
-                out.push(reach_core::Contact::new(
-                    ObjectId(w[0]),
-                    ObjectId(w[1]),
-                    intervals[v],
-                ));
-            }
-        }
-        Ok((out, pager.stats()))
     }
 
     fn read_vertex(&self, pager: &mut Pager, v: u32) -> Result<DiskVertex, IndexError> {
@@ -886,27 +827,6 @@ mod tests {
                     "reconstruction must cost IO"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn disk_chain_contacts_rebuild_the_indexed_dn() {
-        let (dn, _) = random_world(23, 6, 60, 0.05);
-        let disk = GrailDisk::build(&dn, 2, 7, 128, 8).unwrap();
-        let (chains, io) = disk.chain_contacts().unwrap();
-        assert!(io.total_reads() > 0, "reconstruction reads the device");
-        // The reconstruction must agree with the in-memory extraction…
-        let mut expected = reach_contact::chain_contacts(&dn);
-        let mut got = chains.clone();
-        let key = |c: &reach_core::Contact| (c.interval.start, c.a, c.b, c.interval.end);
-        expected.sort_unstable_by_key(key);
-        got.sort_unstable_by_key(key);
-        assert_eq!(got, expected);
-        // …and rebuild the identical DAG.
-        let rebuilt = DnGraph::from_contacts(dn.num_objects(), dn.horizon(), &chains);
-        assert_eq!(rebuilt.nodes(), dn.nodes());
-        for v in 0..dn.num_nodes() as u32 {
-            assert_eq!(rebuilt.fwd(v), dn.fwd(v));
         }
     }
 

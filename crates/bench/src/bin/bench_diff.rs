@@ -37,7 +37,7 @@ fn main() {
         } else if a.starts_with("--") {
             // This binary is a CI gate: a misspelled flag silently falling
             // back to defaults would loosen the gate, so unknown flags are
-            // hard errors (unlike the exp_* binaries, which ignore them).
+            // hard errors (unlike `streach_exp`, which ignores them).
             eprintln!("bench_diff: unknown flag {a:?}");
             std::process::exit(2);
         } else {

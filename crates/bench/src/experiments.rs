@@ -2009,26 +2009,32 @@ pub fn exp_ablation(tier: Tier) -> Vec<Table> {
     vec![ta, tb]
 }
 
+/// One experiment: the tables it reproduces at a tier.
+pub type Experiment = fn(Tier) -> Vec<Table>;
+
+/// Every experiment under its `streach_exp` name, in paper order.
+pub const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("table2", exp_table2),
+    ("fig8", exp_fig8),
+    ("fig9", exp_fig9),
+    ("spj", exp_spj),
+    ("contact_growth", exp_contact_growth),
+    ("reduction", exp_reduction),
+    ("table4", exp_table4),
+    ("fig12", exp_fig12),
+    ("fig13", exp_fig13),
+    ("fig14_15", exp_fig14_15),
+    ("table5", exp_table5),
+    ("trace", exp_trace),
+    ("live", exp_live),
+    ("serve", exp_serve),
+    ("shard", exp_shard),
+    ("decay", exp_decay),
+    ("obs", exp_obs),
+    ("ablation", exp_ablation),
+];
+
 /// Runs the entire suite in paper order.
 pub fn all(tier: Tier) -> Vec<Table> {
-    let mut out = Vec::new();
-    out.extend(exp_table2(tier));
-    out.extend(exp_fig8(tier));
-    out.extend(exp_fig9(tier));
-    out.extend(exp_spj(tier));
-    out.extend(exp_contact_growth(tier));
-    out.extend(exp_reduction(tier));
-    out.extend(exp_table4(tier));
-    out.extend(exp_fig12(tier));
-    out.extend(exp_fig13(tier));
-    out.extend(exp_fig14_15(tier));
-    out.extend(exp_table5(tier));
-    out.extend(exp_trace(tier));
-    out.extend(exp_live(tier));
-    out.extend(exp_serve(tier));
-    out.extend(exp_shard(tier));
-    out.extend(exp_decay(tier));
-    out.extend(exp_obs(tier));
-    out.extend(exp_ablation(tier));
-    out
+    EXPERIMENTS.iter().flat_map(|(_, run)| run(tier)).collect()
 }

@@ -10,9 +10,9 @@
 //! * [`perf`] — the deterministic IO-counter suite and `bench_diff`
 //!   comparator behind the CI perf-regression gate.
 //!
-//! Binaries under `src/bin/` run individual experiments
-//! (`cargo run --release -p reach-bench --bin exp_fig14 -- --full`); the
-//! `experiments` bench target runs the whole suite during `cargo bench`.
+//! The `streach_exp` binary runs one experiment by name, or `all` of them
+//! (`cargo run --release -p reach_bench --bin streach_exp -- fig14_15 --full`);
+//! `bench_perf` and `bench_diff` are the perf gate's two halves.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -2,7 +2,7 @@
 //! prints, in markdown by default or as machine-readable JSON under
 //! `--json`.
 //!
-//! Every `exp_*` binary funnels its tables through [`emit_all`], so the
+//! `streach_exp` funnels every experiment's tables through [`emit_all`], so the
 //! output contract is uniform: markdown tables for humans, or — when the
 //! process was invoked with `--json` — a single JSON array of
 //! `{id, caption, headers, rows}` objects for scripts and CI artifacts.
@@ -124,15 +124,15 @@ impl Table {
 }
 
 /// Whether this process was asked for JSON output (`--json` anywhere in
-/// the argument list — the experiment binaries scan flags loosely, like
+/// the argument list — `streach_exp` scans flags loosely, like
 /// `--full` and `--backend=`).
 pub fn json_requested() -> bool {
     std::env::args().any(|a| a == "--json")
 }
 
 /// Emits a run's tables to stdout honoring `--json`: markdown tables by
-/// default, one JSON array of table objects otherwise. Every `exp_*`
-/// binary ends with this call.
+/// default, one JSON array of table objects otherwise. Every
+/// `streach_exp` run ends with this call.
 pub fn emit_all(tables: &[Table]) {
     if json_requested() {
         let body: Vec<String> = tables.iter().map(Table::to_json).collect();

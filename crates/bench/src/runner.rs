@@ -68,8 +68,8 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 }
 
 /// Asserts two devices hold byte-identical pages — the build-equivalence
-/// contract shared by the perf suite, `exp_trace --build-budget`, and the
-/// tier-1 streaming suite. Resets both devices' counters afterwards (the
+/// contract shared by the perf suite, `streach_exp trace --build-budget`,
+/// and the tier-1 streaming suite. Resets both devices' counters afterwards (the
 /// dump itself must not pollute IO accounting).
 pub fn assert_same_pages(a: &mut dyn BlockDevice, b: &mut dyn BlockDevice, what: &str) {
     assert_eq!(a.page_size(), b.page_size(), "{what}: page size differs");

@@ -1,116 +1,46 @@
-//! The machinery under the live engine: sealed base images, the one build
-//! every seal, merge, and compaction runs, and the admission tail (delta +
-//! durable log) appends go through.
+//! The machinery under the live engine: the one build every seal, merge,
+//! and compaction runs, and the admission tail (delta + durable log)
+//! appends go through.
 
-use crate::config::{AppendOutcome, BaseKind, CompactionStats, LiveConfig, LiveError, LiveStats};
+use crate::config::{AppendOutcome, CompactionStats, LiveConfig, LiveError, LiveStats};
 use crate::delta::DeltaDn;
 use crate::log::AppendLog;
-use reach_baselines::GrailDisk;
 use reach_contact::{ChainSweep, ErrorMode, IngestError, MultiRes, StreamedDn};
-use reach_core::frontier::{CarryGroup, WeightedFrontier, WeightedSeed};
+use reach_core::frontier::{WeightedFrontier, WeightedSeed};
 use reach_core::{
-    Answer, Contact, DecayModel, IndexError, ObjectId, Query, QueryOutcome, QueryResult,
-    QueryStats, ReachIndex, Time, TimeInterval,
+    Answer, Contact, DecayModel, IndexError, ObjectId, QueryOutcome, QueryResult, QueryStats, Time,
+    TimeInterval,
 };
-use reach_graph::{DecayLeg, GraphContext, MemoryHn, ReachGraph};
-use reach_storage::{BlockDevice, IoSampler, SharedDevice};
+use reach_graph::{GraphContext, MemoryHn, ReachGraph};
+use reach_storage::{BlockDevice, IoSampler};
 use std::sync::{Mutex, MutexGuard};
-
-/// One sealed base: an immutable index image over the shard's own device
-/// hub. Every query leg and every rebuild's re-stream reads it through a
-/// private cold context, so readers never contend on a pager and each
-/// counts exactly the IO a lone reader would.
-pub(crate) enum Base {
-    /// A sealed ReachGraph.
-    Graph(ReachGraph),
-    /// A sealed disk GRAIL.
-    Grail(GrailDisk),
-}
-
-impl Base {
-    /// Evaluates a query whose window lies inside this base.
-    pub(crate) fn evaluate(&self, q: &Query) -> Result<QueryResult, IndexError> {
-        match self {
-            Base::Graph(g) => g.evaluate(q),
-            Base::Grail(g) => g.evaluate(q),
-        }
-    }
-
-    /// Multi-seed frontier expansion — one leg of the cross-shard relay,
-    /// where the frontier arriving from earlier shards re-enters this
-    /// base's window at each object's held arrival tick.
-    pub(crate) fn reachable_set_from(
-        &self,
-        seeds: &[(ObjectId, Time)],
-        window: TimeInterval,
-    ) -> Result<(Vec<(ObjectId, Time)>, QueryStats), IndexError> {
-        match self {
-            Base::Graph(g) => g.reachable_set_from(seeds, window),
-            Base::Grail(g) => g.reachable_set_from(seeds, window),
-        }
-    }
-
-    /// Decay-weighted sibling of [`Base::reachable_set_from`]: expands a
-    /// weighted seed frontier (plus the previous leg's carry groups) over
-    /// the window and returns the leg's answer rows and continuation carry
-    /// (see [`reach_core::frontier::WeightedFrontier`]).
-    pub(crate) fn decay_states_from(
-        &self,
-        seeds: &[WeightedSeed],
-        carry: &[CarryGroup],
-        window: TimeInterval,
-        origin: Time,
-        model: &DecayModel,
-        floor: f64,
-    ) -> Result<(DecayLeg, QueryStats), IndexError> {
-        match self {
-            Base::Graph(g) => g.decay_states_from(seeds, carry, window, origin, model, floor),
-            Base::Grail(g) => g.decay_states_from(seeds, carry, window, origin, model, floor),
-        }
-    }
-
-    /// The shared device hub the base's pages live behind.
-    pub(crate) fn hub(&self) -> &SharedDevice {
-        match self {
-            Base::Graph(g) => g.hub(),
-            Base::Grail(g) => g.hub(),
-        }
-    }
-
-    /// Syncs the base's device (a rebuild's durability point).
-    pub(crate) fn device_sync(&mut self) -> Result<(), IndexError> {
-        match self {
-            Base::Graph(g) => g.device_mut().sync(),
-            Base::Grail(g) => g.device_mut().sync(),
-        }
-    }
-}
 
 /// The one build behind every seal, merge, and compaction: re-streams the
 /// `replaced` bases (in time order) as component chains, merges the
 /// delta's sealed head, and flows the union through the memory-bounded
-/// streaming builders into a new base over `[0, horizon)` on `device`
-/// (spilling to `scratch`).
+/// streaming builders into a new ReachGraph over `[0, horizon)` on
+/// `device` (spilling to `scratch`).
 ///
 /// With no replaced base the head alone feeds the build
-/// ([`StreamedDn::from_contacts`]). Otherwise a graph base streams every
-/// replaced base's [`ChainSweep`] tick by tick beside the head's contact
-/// sweep (a lossless summary: per-tick components equal the original
-/// trace's, each shard silent outside its own span), and a GRAIL base
-/// materializes its chain contacts. Because DN construction depends on
+/// ([`StreamedDn::from_contacts`]). Otherwise every replaced base's
+/// [`ChainSweep`] streams tick by tick beside the head's contact sweep (a
+/// lossless summary: per-tick components equal the original trace's, each
+/// shard silent outside its own span). Because DN construction depends on
 /// the event stream only through per-tick components, the result is
-/// byte-identical to a from-scratch build over the same records. Touches
-/// **no** live state — the caller commits only on `Ok`, which is what
-/// makes every rebuild failure-atomic.
+/// byte-identical to a from-scratch build over the same records. Each
+/// replaced base is read through a private cold context, so the rebuild
+/// never contends with queries on a pager. Touches **no** live state —
+/// the caller commits only on `Ok`, which is what makes every rebuild
+/// failure-atomic.
 pub(crate) fn build_base(
-    replaced: &[&Base],
+    replaced: &[&ReachGraph],
     sealed: &[Contact],
     num_objects: usize,
     horizon: Time,
     config: &LiveConfig,
     scratch: Box<dyn BlockDevice>,
     device: Box<dyn BlockDevice>,
-) -> Result<(Base, CompactionStats), IndexError> {
+) -> Result<(ReachGraph, CompactionStats), IndexError> {
     let mut stats = CompactionStats {
         watermark: horizon,
         delta_contacts: sealed.len() as u64,
@@ -120,87 +50,33 @@ pub(crate) fn build_base(
     let mut sdn = if replaced.is_empty() {
         StreamedDn::from_contacts(num_objects, horizon, sealed, budget, scratch)
     } else {
-        match &config.base {
-            BaseKind::Graph(_) => {
-                let mut contexts: Vec<GraphContext<'_>> = replaced
-                    .iter()
-                    .map(|b| match b {
-                        Base::Graph(g) => g.context(),
-                        Base::Grail(_) => unreachable!("graph config builds graph shards"),
-                    })
-                    .collect();
-                let mut sweeps: Vec<ChainSweep<&mut GraphContext<'_>>> =
-                    contexts.iter_mut().map(ChainSweep::new).collect();
-                let mut delta_sweep = reach_contact::contact_sweep(sealed);
-                let sdn = StreamedDn::build(
-                    num_objects,
-                    horizon,
-                    |t, buf| {
-                        for s in sweeps.iter_mut() {
-                            s.emit(t, buf);
-                        }
-                        delta_sweep(t, buf);
-                    },
-                    budget,
-                    scratch,
-                );
-                stats.base_chains = sweeps.iter().map(|s| s.chains()).sum();
-                drop(sweeps);
-                for cx in &contexts {
-                    stats.base_read_io = stats.base_read_io + cx.io_stats();
+        let mut contexts: Vec<GraphContext<'_>> = replaced.iter().map(|g| g.context()).collect();
+        let mut sweeps: Vec<ChainSweep<&mut GraphContext<'_>>> =
+            contexts.iter_mut().map(ChainSweep::new).collect();
+        let mut delta_sweep = reach_contact::contact_sweep(sealed);
+        let sdn = StreamedDn::build(
+            num_objects,
+            horizon,
+            |t, buf| {
+                for s in sweeps.iter_mut() {
+                    s.emit(t, buf);
                 }
-                sdn
-            }
-            BaseKind::Grail(_) => {
-                // The GRAIL baseline reconstructs members from its timeline
-                // region, which is O(DN) resident regardless — the
-                // materialized path costs nothing extra here.
-                let mut merged = Vec::new();
-                for b in replaced {
-                    match b {
-                        Base::Grail(g) => {
-                            let (chains, io) = g.chain_contacts()?;
-                            merged.extend(chains);
-                            stats.base_read_io = stats.base_read_io + io;
-                        }
-                        Base::Graph(_) => unreachable!("grail config builds grail shards"),
-                    }
-                }
-                stats.base_chains = merged.len() as u64;
-                merged.extend_from_slice(sealed);
-                StreamedDn::from_contacts(num_objects, horizon, &merged, budget, scratch)
-            }
+                delta_sweep(t, buf);
+            },
+            budget,
+            scratch,
+        );
+        stats.base_chains = sweeps.iter().map(|s| s.chains()).sum();
+        drop(sweeps);
+        for cx in &contexts {
+            stats.base_read_io = stats.base_read_io + cx.io_stats();
         }
+        sdn
     };
-    let base = finish_base(config, device, &mut sdn)?;
+    let mr = MultiRes::build(&mut sdn, &config.params.levels);
+    let base = ReachGraph::build_on(device, &mut sdn, &mr, config.params.clone())?;
     stats.spill = sdn.spill_stats();
     Ok((base, stats))
-}
-
-/// Finishes a streamed DN into the configured base kind on `device`.
-fn finish_base(
-    config: &LiveConfig,
-    device: Box<dyn BlockDevice>,
-    sdn: &mut StreamedDn,
-) -> Result<Base, IndexError> {
-    assert_eq!(
-        device.page_size(),
-        config.base.page_size(),
-        "device page size must match the configured base"
-    );
-    Ok(match &config.base {
-        BaseKind::Graph(params) => {
-            let mr = MultiRes::build(&mut *sdn, &params.levels);
-            Base::Graph(ReachGraph::build_on(device, sdn, &mr, params.clone())?)
-        }
-        BaseKind::Grail(cfg) => Base::Grail(GrailDisk::build_on(
-            device,
-            sdn,
-            cfg.d,
-            cfg.seed,
-            cfg.cache_pages,
-        )?),
-    })
 }
 
 /// Expands a weighted frontier through the delta's DN view over

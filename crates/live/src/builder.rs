@@ -1,7 +1,7 @@
 //! Fluent construction of the live engine over any storage backend.
 //!
-//! Start from a [`LiveConfig`] (base kind + build budget, knobs through
-//! its `with_*` methods), pick where the index lives with
+//! Start from a [`LiveConfig`] (ReachGraph params + build budget, knobs
+//! through its `with_*` methods), pick where the index lives with
 //! [`LiveBuilder::backend`] (`sim` needs nothing; `file`/`mmap` treat the
 //! configured path as a directory holding `shard-log.pages`,
 //! `shard-dir.pages`, and one `shard-base-{seq}.pages` per sealed shard),
@@ -22,13 +22,12 @@ pub struct LiveBuilder {
 
 impl LiveConfig {
     /// Starts a builder from this config. The storage backend defaults to
-    /// the simulator at the base's page size; override it with
+    /// the simulator at the params' page size; override it with
     /// [`LiveBuilder::backend`].
     pub fn builder(self) -> LiveBuilder {
-        let page_size = self.base.page_size();
         LiveBuilder {
+            storage: StorageConfig::sim(self.params.page_size),
             config: self,
-            storage: StorageConfig::sim(page_size),
         }
     }
 }
@@ -36,12 +35,11 @@ impl LiveConfig {
 impl LiveBuilder {
     /// Where the index lives: the simulator (default), or a directory of
     /// real files for the `file`/`mmap` backends. The storage page size
-    /// must match the configured base's.
+    /// must match the configured params'.
     pub fn backend(mut self, storage: StorageConfig) -> Self {
         assert_eq!(
-            storage.page_size,
-            self.config.base.page_size(),
-            "storage page size must match the configured base"
+            storage.page_size, self.config.params.page_size,
+            "storage page size must match the configured params"
         );
         self.storage = storage;
         self

@@ -8,39 +8,6 @@ use reach_graph::GraphParams;
 use reach_storage::{BuildBudget, IoStats, SpillStats};
 use std::time::Duration;
 
-/// Which sealed index every shard build produces.
-#[derive(Clone, Debug)]
-pub enum BaseKind {
-    /// The paper's ReachGraph (BM-BFS at query time) — the intended
-    /// production base.
-    Graph(GraphParams),
-    /// Disk-adopted GRAIL — the baseline base, mostly for comparisons.
-    Grail(GrailConfig),
-}
-
-/// Parameters of a [`BaseKind::Grail`] base.
-#[derive(Clone, Copy, Debug)]
-pub struct GrailConfig {
-    /// Label dimensions `d`.
-    pub d: usize,
-    /// Labeling seed.
-    pub seed: u64,
-    /// Device page size.
-    pub page_size: usize,
-    /// Query-time pager capacity.
-    pub cache_pages: usize,
-}
-
-impl BaseKind {
-    /// Page size the base's devices must have.
-    pub fn page_size(&self) -> usize {
-        match self {
-            BaseKind::Graph(p) => p.page_size,
-            BaseKind::Grail(g) => g.page_size,
-        }
-    }
-}
-
 /// Configuration of a [`ShardedLive`](crate::ShardedLive).
 #[derive(Clone, Debug)]
 pub struct LiveConfig {
@@ -48,8 +15,9 @@ pub struct LiveConfig {
     /// the append with [`LiveError::Late`]; `Lossy` clamps partially-late
     /// records to the watermark and drops wholly-late ones, counting both.
     pub mode: ErrorMode,
-    /// The sealed index every seal, merge, and compaction builds.
-    pub base: BaseKind,
+    /// The ReachGraph every seal, merge, and compaction builds; its
+    /// `page_size` is the page size of every device the engine opens.
+    pub params: GraphParams,
     /// Spill-pool budget of the streaming builds (the
     /// [`StreamedDn`](reach_contact::StreamedDn) bound; independent of the
     /// delta trigger).
@@ -78,21 +46,12 @@ pub struct LiveConfig {
 }
 
 impl LiveConfig {
-    /// A ReachGraph-based config with the given params and budget,
-    /// lossy lateness handling, and automatic seals on.
+    /// A config sealing ReachGraph shards with the given params and
+    /// budget, lossy lateness handling, and automatic seals on.
     pub fn graph(params: GraphParams, budget: BuildBudget) -> Self {
-        Self::with_base(BaseKind::Graph(params), budget)
-    }
-
-    /// A disk-GRAIL-based config (the baseline comparison).
-    pub fn grail(grail: GrailConfig, budget: BuildBudget) -> Self {
-        Self::with_base(BaseKind::Grail(grail), budget)
-    }
-
-    fn with_base(base: BaseKind, budget: BuildBudget) -> Self {
         Self {
             mode: ErrorMode::Lossy,
-            base,
+            params,
             budget,
             delta_budget: budget.max_resident_bytes,
             lateness: 0,

@@ -17,7 +17,7 @@
 //! | [`log`] | [`AppendLog`] — durable, crash-recoverable record log on any [`BlockDevice`](reach_storage::BlockDevice) |
 //! | [`delta`] | [`DeltaDn`] — mutable DN fragment over `[watermark, now)`, absorbing out-of-order appends |
 //! | [`config`] | [`LiveConfig`] and the engine's errors, outcomes, and statistics |
-//! | [`shard`] | [`ShardedLive`] — the live engine: a time-ordered sequence of sealed shards plus the delta, one build behind seal / merge / compact, cross-shard frontier handoff, failure-atomic epoch directory. Each shard holds its sealed ReachGraph (or disk GRAIL) image; every leg calls the image's `&self` methods, which read through a cold per-query context |
+//! | [`shard`] | [`ShardedLive`] — the live engine: a time-ordered sequence of sealed shards plus the delta, one build behind seal / merge / compact, cross-shard frontier handoff, failure-atomic epoch directory. Each shard holds its sealed ReachGraph image, reopened from its own footer on recovery; every leg calls the image's `&self` methods, which read through a cold per-query context |
 //! | [`builder`] | [`LiveBuilder`] — the engine over any storage backend |
 //!
 //! ## The three guarantees
@@ -47,8 +47,7 @@ pub mod shard;
 
 pub use builder::LiveBuilder;
 pub use config::{
-    AppendOutcome, BaseKind, CompactionStats, GrailConfig, LiveConfig, LiveError, LiveMetrics,
-    LiveStats, SourceReport,
+    AppendOutcome, CompactionStats, LiveConfig, LiveError, LiveMetrics, LiveStats, SourceReport,
 };
 pub use delta::DeltaDn;
 pub use log::{AppendLog, LogRecovery};

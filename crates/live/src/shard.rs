@@ -12,9 +12,10 @@
 //!   [c_0, c_1)     [c_1, c_2)  …    [c_{k-1}, c_k)   [c_k, now)
 //! ```
 //!
-//! * every sealed shard is an ordinary [`ReachGraph`] (or disk GRAIL)
-//!   image, built by the ordinary streaming builders on its **own
-//!   device** — bytes indistinguishable from a batch build over its span.
+//! * every sealed shard is an ordinary [`ReachGraph`] image, built by the
+//!   ordinary streaming builders on its **own device** — bytes
+//!   indistinguishable from a batch build over its span — and reopened
+//!   from its own footer on recovery.
 //!   The pages sit behind a [`SharedDevice`] hub, and every leg calls the
 //!   image's `&self` methods, which read through a cold context on a fresh
 //!   device handle: readers never contend on a pager and — because each
@@ -33,8 +34,8 @@
 //!
 //! ## Cross-boundary queries
 //!
-//! A window inside one shard is that shard's own point query (BM-BFS on a
-//! graph base). A window spanning cuts walks the shards in time order
+//! A window inside one shard is that shard's own point query (BM-BFS). A
+//! window spanning cuts walks the shards in time order
 //! carrying a [`FrontierHandoff`]: the per-object earliest-arrival
 //! frontier leaves shard *i* at its cut and seeds shard *i+1*'s
 //! multi-seed expansion ([`reachable_set_seeded`](reach_graph::reachable_set_seeded)),
@@ -111,11 +112,10 @@
 //! the commit.
 
 use crate::base::{
-    batch_answers, build_base, convert_record, decay_delta_leg, lock_stats, outcome_of, Base, Tail,
+    batch_answers, build_base, convert_record, decay_delta_leg, lock_stats, outcome_of, Tail,
 };
 use crate::config::{
-    AppendOutcome, BaseKind, CompactionStats, LiveConfig, LiveError, LiveMetrics, LiveStats,
-    SourceReport,
+    AppendOutcome, CompactionStats, LiveConfig, LiveError, LiveMetrics, LiveStats, SourceReport,
 };
 use crate::delta::DeltaDn;
 use crate::log::{AppendLog, LogRecovery};
@@ -135,7 +135,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::{Duration, Instant};
 
-/// One sealed epoch: an immutable base over `[lo, hi)` on its own device.
+/// One sealed epoch: an immutable ReachGraph over `[lo, hi)` on its own
+/// device hub.
 struct Shard {
     /// Inclusive epoch start (== the previous shard's `hi`, or 0).
     lo: Time,
@@ -143,7 +144,7 @@ struct Shard {
     hi: Time,
     /// Device-name suffix: the base lives on `shard-base-{seq}`.
     seq: u64,
-    base: Base,
+    base: ReachGraph,
 }
 
 impl Shard {
@@ -267,31 +268,20 @@ impl ShardedLive {
     }
 
     /// Recovers an index from its durable devices: the epoch directory
-    /// names the shard set, each shard's base reopens from its own device,
-    /// and the log's tail (records at or above the top cut) replays into
-    /// the delta. Only ReachGraph bases carry the reopenable metadata
-    /// footer; any other base kind is rebuilt from the log instead — every
-    /// record replays into the delta and one [`ShardedLive::compact`]
-    /// seals it into a new directory generation.
+    /// names the shard set, each shard's ReachGraph reopens from the
+    /// metadata footer on its own device, and the log's tail (records at
+    /// or above the top cut) replays into the delta.
     pub fn open(
         directory: DeviceDirectory,
         config: LiveConfig,
     ) -> Result<(Self, ShardRecovery), IndexError> {
         let (dir, records) = EpochDirectory::open(directory.open("shard-dir", true)?)?;
-        let reopenable = matches!(config.base, BaseKind::Graph(_));
         let mut shards: Vec<Arc<Shard>> = Vec::new();
-        if reopenable {
-            for &(lo, hi, seq) in &records.shards {
-                let device = directory.open(&format!("shard-base-{seq}"), false)?;
-                let hub = DeviceDirectory::hub(device, config.shared_cache_pages, config.readahead);
-                let index = ReachGraph::open(Box::new(hub))?;
-                shards.push(Arc::new(Shard {
-                    lo,
-                    hi,
-                    seq,
-                    base: Base::Graph(index),
-                }));
-            }
+        for &(lo, hi, seq) in &records.shards {
+            let device = directory.open(&format!("shard-base-{seq}"), false)?;
+            let hub = DeviceDirectory::hub(device, config.shared_cache_pages, config.readahead);
+            let base = ReachGraph::open(Box::new(hub))?;
+            shards.push(Arc::new(Shard { lo, hi, seq, base }));
         }
         let next_seq = records.shards.iter().map(|s| s.2 + 1).max().unwrap_or(0);
         let top_cut = shards.last().map_or(0, |s| s.hi);
@@ -321,11 +311,6 @@ impl ShardedLive {
             records.generation,
             maintenance,
         );
-        if !reopenable && live.compact()?.is_some() {
-            for &(_, _, seq) in &records.shards {
-                let _ = live.directory.remove(&format!("shard-base-{seq}"));
-            }
-        }
         let recovery = ShardRecovery {
             log: log_recovery,
             shards: live.shard_count(),
@@ -345,8 +330,8 @@ impl ShardedLive {
     ) -> Self {
         assert_eq!(
             directory.page_size(),
-            config.base.page_size(),
-            "device directory page size must match the configured base"
+            config.params.page_size,
+            "device directory page size must match the configured params"
         );
         let stats = LiveStats {
             append_io: log.io_stats(),
@@ -736,7 +721,7 @@ impl ShardedLive {
                 self.config.shared_cache_pages,
                 self.config.readahead,
             );
-            let replaced: Vec<&Base> = replaced.iter().map(|s| &s.base).collect();
+            let replaced: Vec<&ReachGraph> = replaced.iter().map(|s| &s.base).collect();
             let (mut base, mut stats) = build_base(
                 &replaced,
                 sealed,
@@ -746,7 +731,7 @@ impl ShardedLive {
                 scratch,
                 Box::new(hub),
             )?;
-            base.device_sync()?;
+            base.device_mut().sync()?;
             stats.duration = started.elapsed();
             Ok((Shard { lo, hi, seq, base }, stats))
         })();
@@ -836,7 +821,7 @@ impl ShardedLive {
             }
         } else if let Some(shard) = st.shards.iter().find(|s| s.lo <= t1 && t2 < s.hi) {
             // Wholly inside one sealed epoch: the shard's own point query
-            // (BM-BFS on a graph base) answers alone.
+            // (BM-BFS) answers alone.
             let mut leg_span = trace.span("shard/leg");
             leg_span.label_with(|| format!("epoch [{}, {})", shard.lo, shard.hi));
             leg_span.set_seeds(1);
@@ -1335,7 +1320,6 @@ fn fnv64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::GrailConfig;
     use reach_contact::{EdgeListSource, Oracle};
     use reach_graph::GraphParams;
     use reach_storage::BuildBudget;
@@ -1470,37 +1454,6 @@ mod tests {
         assert!(live.merge_epochs(0, 5).unwrap().is_none());
     }
 
-    /// GRAIL shards hand the frontier across cuts exactly like graph shards.
-    #[test]
-    fn grail_shards_answer_cross_epoch_queries() {
-        let n = 5usize;
-        let config = LiveConfig::grail(
-            GrailConfig {
-                d: 3,
-                seed: 0xF1,
-                page_size: PAGE,
-                cache_pages: 16,
-            },
-            BuildBudget::bytes(1 << 20),
-        )
-        .manual_compaction();
-        let live = sim(n, config);
-        live.append(c(0, 1, 0, 2)).unwrap();
-        live.append(c(1, 2, 4, 5)).unwrap();
-        live.seal(6).unwrap().unwrap();
-        live.append(c(2, 3, 7, 7)).unwrap();
-        live.seal(8).unwrap().unwrap();
-        live.append(c(3, 4, 9, 9)).unwrap();
-        let r = live.evaluate_query(&q(0, 4, 0, 9)).unwrap();
-        assert_eq!(r.outcome, QueryOutcome::reachable_at(9));
-        assert!(!live.evaluate_query(&q(4, 0, 0, 9)).unwrap().reachable());
-        live.merge_epochs(0, 1)
-            .unwrap()
-            .expect("grail shards merge");
-        let r = live.evaluate_query(&q(0, 4, 0, 9)).unwrap();
-        assert_eq!(r.outcome, QueryOutcome::reachable_at(9));
-    }
-
     /// Batch answers equal per-query answers, with IO on the first answer
     /// only.
     #[test]
@@ -1562,6 +1515,24 @@ mod tests {
         live.seal(12).unwrap().unwrap();
         assert_eq!(live.shard_spans(), vec![(0, 4), (4, 8), (8, 12)]);
         check_all_pairs(&live, n, "sealed after recovery");
+        // Superseded shards' devices are removed: after a merge and a
+        // compaction exactly the live shards' base files remain.
+        live.merge_epochs(0, 1).unwrap().unwrap();
+        live.compact().unwrap().unwrap();
+        assert_eq!(live.shard_spans(), vec![(0, 12)]);
+        let mut on_disk: Vec<String> = std::fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("shard-base-"))
+            .collect();
+        on_disk.sort();
+        let live_bases: Vec<String> = live
+            .read()
+            .shards
+            .iter()
+            .map(|s| format!("shard-base-{}.pages", s.seq))
+            .collect();
+        assert_eq!(on_disk, live_bases);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -1776,81 +1747,6 @@ mod tests {
                 "tiny budget must force seals (seed {seed})"
             );
         }
-    }
-
-    #[test]
-    fn grail_base_answers_cross_boundary_queries() {
-        let live = sim(5, grail_config().manual_compaction());
-        live.append(c(0, 1, 0, 2)).unwrap();
-        live.append(c(1, 2, 4, 5)).unwrap();
-        live.compact().unwrap().unwrap();
-        assert_eq!(live.watermark(), 6);
-        live.append(c(2, 3, 7, 7)).unwrap();
-        live.append(c(3, 4, 9, 9)).unwrap();
-        // Spans the watermark: 0 →(base)→ 2 →(delta)→ 4.
-        let r = live.evaluate_query(&q(0, 4, 0, 9)).unwrap();
-        assert_eq!(r.outcome, QueryOutcome::reachable_at(9));
-        // Chronology violated: no path 4 → 0.
-        assert!(!live.evaluate_query(&q(4, 0, 0, 9)).unwrap().reachable());
-        // Sealed-only query still works after compaction.
-        assert!(live.evaluate_query(&q(0, 2, 0, 5)).unwrap().reachable());
-    }
-
-    fn grail_config() -> LiveConfig {
-        LiveConfig::grail(
-            GrailConfig {
-                d: 3,
-                seed: 0xF1,
-                page_size: PAGE,
-                cache_pages: 16,
-            },
-            BuildBudget::bytes(1 << 20),
-        )
-    }
-
-    /// GRAIL bases carry no reopenable footer: recovery replays the whole
-    /// log, compacts it into one shard under a new directory generation,
-    /// and answers exactly as the oracle — and the recovered layout
-    /// reopens the same way again.
-    #[test]
-    fn grail_recovery_rebuilds_from_the_log() {
-        let root = std::env::temp_dir().join(format!("streach-grail-rec-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let directory = DeviceDirectory::file(&root, PAGE);
-        let n = 5usize;
-        let config = grail_config().manual_compaction();
-        {
-            let live = ShardedLive::create(directory.clone(), n, config.clone()).unwrap();
-            live.append(c(0, 1, 0, 2)).unwrap();
-            live.append(c(1, 2, 4, 5)).unwrap();
-            live.seal(4).unwrap().unwrap();
-            live.append(c(2, 3, 7, 7)).unwrap();
-            live.seal(8).unwrap().unwrap();
-            live.append(c(3, 4, 9, 9)).unwrap();
-            assert_eq!(live.generation(), 2);
-            live.sync().unwrap();
-        } // crash
-        for round in 0..2u64 {
-            let (live, recovery) = ShardedLive::open(directory.clone(), config.clone()).unwrap();
-            assert_eq!(recovery.log.records, 4, "round {round}");
-            assert_eq!(recovery.shards, 1, "one compacted shard (round {round})");
-            assert_eq!(recovery.top_cut, 10);
-            assert_eq!(live.generation(), 3 + round, "a new generation commits");
-            assert_eq!(live.shard_spans(), vec![(0, 10)]);
-            check_all_pairs(&live, n, "grail recovery");
-            assert!(live.evaluate_query(&q(0, 4, 0, 9)).unwrap().reachable());
-            assert!(!live.evaluate_query(&q(4, 0, 0, 9)).unwrap().reachable());
-        }
-        // Superseded shard devices are gone; only the live one remains.
-        let bases = std::fs::read_dir(&root)
-            .unwrap()
-            .filter(|e| {
-                let name = e.as_ref().unwrap().file_name();
-                name.to_string_lossy().starts_with("shard-base-")
-            })
-            .count();
-        assert_eq!(bases, 1);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -2085,16 +1981,13 @@ mod tests {
                     if let (Some(g), Some(w)) = (got.outcome.earliest, want.earliest) {
                         assert_eq!(g, w, "{q} arrival diverged");
                     }
-                    let Base::Graph(base) = &shard.base else {
-                        unreachable!("graph config")
-                    };
                     let whole = if s == d || iv.start >= w {
                         QueryStats::default()
                     } else if iv.end < w {
-                        base.evaluate(&q).expect("point query").stats
+                        shard.base.evaluate(&q).expect("point query").stats
                     } else {
                         let cut = TimeInterval::new(iv.start, w - 1);
-                        base.reachable_set(q.source, cut).expect("frontier").1
+                        shard.base.reachable_set(q.source, cut).expect("frontier").1
                     };
                     assert_eq!(
                         (got.stats.random_ios, got.stats.seq_ios),

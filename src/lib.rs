@@ -362,8 +362,8 @@ pub mod prelude {
     pub use reach_graph::{GraphParams, MemoryHn, ReachGraph, TraversalKind};
     pub use reach_grid::{GridParams, ReachGrid, Spj};
     pub use reach_live::{
-        AppendLog, BaseKind, CompactionStats, DeltaDn, GrailConfig, LiveBuilder, LiveConfig,
-        LiveError, LiveMetrics, LiveStats, LogRecovery, ShardRecovery, ShardedLive,
+        AppendLog, CompactionStats, DeltaDn, LiveBuilder, LiveConfig, LiveError, LiveMetrics,
+        LiveStats, LogRecovery, ShardRecovery, ShardedLive,
     };
     pub use reach_mobility::{RoadNetwork, RwpConfig, VehicleConfig, WorkloadConfig};
     pub use reach_obs::{

@@ -16,7 +16,7 @@ pub struct LiveOn {
 impl LiveOn {
     pub fn new(backend: &str, config: LiveConfig, num_objects: usize) -> Self {
         static NEXT: AtomicU64 = AtomicU64::new(0);
-        let page = config.base.page_size();
+        let page = config.params.page_size;
         let dir = (backend != "sim").then(|| {
             std::env::temp_dir().join(format!(
                 "streach-live-{backend}-{}-{}",

@@ -211,57 +211,6 @@ fn compacted_base_is_byte_identical_to_batch_build() {
     }
 }
 
-/// Same byte-identity for a disk-GRAIL base (sim backend).
-#[test]
-fn compacted_grail_base_is_byte_identical() {
-    let n = 6usize;
-    let records = stream(11, n as u32, 60, 80);
-    let grail = GrailConfig {
-        d: 4,
-        seed: 0xF1,
-        page_size: PAGE,
-        cache_pages: 32,
-    };
-    let live = LiveOn::new(
-        "sim",
-        LiveConfig::grail(grail, BuildBudget::bytes(1 << 20)),
-        n,
-    );
-    for (i, &c) in records.iter().enumerate() {
-        live.append(c).expect("append accepted");
-        if i == 30 {
-            live.compact().expect("mid-stream compaction");
-        }
-    }
-    live.compact().expect("final compaction");
-    let accepted = live.replay_log().expect("log replays");
-    let mut sdn = StreamedDn::from_contacts(
-        n,
-        live.now(),
-        &accepted,
-        BuildBudget::bytes(1 << 20),
-        device_for("sim"),
-    );
-    let mut batch = GrailDisk::build_on(
-        device_for("sim"),
-        &mut sdn,
-        grail.d,
-        grail.seed,
-        grail.cache_pages,
-    )
-    .expect("batch grail builds");
-    assert_eq!(live.shard_count(), 1, "compaction coalesces");
-    let mut live_dev = live.shard_device(0).expect("a sealed shard exists");
-    let batch_dev = batch.device_mut();
-    assert_eq!(live_dev.len_pages(), batch_dev.len_pages());
-    let (mut a, mut b) = (vec![0u8; PAGE], vec![0u8; PAGE]);
-    for p in 0..live_dev.len_pages() {
-        live_dev.read_page_into(p, &mut a).expect("live page");
-        batch_dev.read_page_into(p, &mut b).expect("batch page");
-        assert_eq!(a, b, "grail page {p} differs");
-    }
-}
-
 /// Lateness semantics: what the index accepted (clamped records included)
 /// is exactly what the oracle sees — queries agree even when the schedule
 /// was lossy.
@@ -386,6 +335,88 @@ fn append_log_recovers_after_a_crash() {
             );
         }
     }
+    drop(live);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `shard-base-*` files in an epoch directory.
+fn base_files(dir: &std::path::Path) -> usize {
+    std::fs::read_dir(dir)
+        .expect("epoch directory lists")
+        .filter(|e| {
+            e.as_ref()
+                .expect("directory entry")
+                .file_name()
+                .to_string_lossy()
+                .starts_with("shard-base-")
+        })
+        .count()
+}
+
+/// Compaction after recovery: a reopened index folds its restored shards
+/// and the replayed log tail into one base, removes the superseded
+/// `shard-base-*` files, and reopens once more to the same answers.
+#[test]
+fn compaction_after_recovery_removes_superseded_bases() {
+    let dir = std::env::temp_dir().join(format!("streach-live-recompact-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || {
+        LiveConfig::graph(graph_params(), BuildBudget::bytes(1 << 20))
+            .manual_compaction()
+            .builder()
+            .backend(StorageConfig::file(&dir, PAGE))
+    };
+    let n = 6usize;
+    let records = stream(11, n as u32, 60, 80);
+    {
+        let live = config().build_sharded(n).expect("live index creates");
+        for (i, &c) in records.iter().enumerate() {
+            live.append(c).expect("append accepted");
+            if i == 30 || i == 55 {
+                live.compact()
+                    .expect("compaction")
+                    .expect("something to seal");
+            }
+        }
+        live.sync().expect("durable");
+        assert_eq!(live.shard_count(), 1, "each compaction coalesces");
+    } // drop everything but the files
+    assert_eq!(base_files(&dir), 1, "the first base was superseded");
+
+    let (live, recovery) = config().open_sharded().expect("recovery succeeds");
+    assert_eq!(recovery.shards, 1);
+    assert!(recovery.log.records > 0, "a log tail replays");
+    live.compact()
+        .expect("compaction after recovery")
+        .expect("the log tail seals");
+    assert_eq!(live.shard_count(), 1);
+    assert_eq!(base_files(&dir), 1, "the restored base was superseded");
+    let sealed_at = live.watermark();
+    let accepted = live.replay_log().expect("log replays");
+    let oracle = oracle_of(n, live.now(), &accepted);
+    let sweep = |live: &ShardedLive, when: &str| {
+        for s in 0..n as u32 {
+            for d in 0..n as u32 {
+                let q = Query::new(
+                    ObjectId(s),
+                    ObjectId(d),
+                    TimeInterval::new(0, live.now() - 1),
+                );
+                assert_eq!(
+                    live.evaluate_query(&q).expect("query").reachable(),
+                    oracle.evaluate(&q).reachable,
+                    "{q} diverged {when}"
+                );
+            }
+        }
+    };
+    sweep(&live, "after compacting the recovered index");
+    drop(live);
+
+    let (live, recovery) = config().open_sharded().expect("second recovery");
+    assert_eq!(recovery.shards, 1);
+    assert_eq!(recovery.top_cut, sealed_at);
+    sweep(&live, "after the second recovery");
     drop(live);
     let _ = std::fs::remove_dir_all(&dir);
 }
