@@ -37,7 +37,7 @@
 
 use reach_core::{Contact, NodeId, ObjectId, Time, TimeInterval, UnionFind};
 use reach_traj::{TickJoin, TrajectoryStore};
-use std::collections::HashMap;
+use std::mem::take;
 
 /// A hyper node of `DN`: one connected component over a maximal run of
 /// ticks.
@@ -86,16 +86,22 @@ impl Csr {
         Self { offsets, targets }
     }
 
-    /// Builds a CSR from per-node target lists.
-    pub fn from_lists(lists: &[Vec<u32>]) -> Self {
-        let mut offsets = Vec::with_capacity(lists.len() + 1);
-        offsets.push(0u64);
-        let mut targets = Vec::new();
-        for l in lists {
-            targets.extend_from_slice(l);
-            offsets.push(targets.len() as u64);
+    /// An empty CSR with room for `rows` rows and `edges` targets, to be
+    /// filled in source order with [`Csr::push_row`].
+    pub(crate) fn with_capacity(rows: usize, edges: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Self {
+            offsets,
+            targets: Vec::with_capacity(edges),
         }
-        Self { offsets, targets }
+    }
+
+    /// Appends the out-neighbors of the next source slot.
+    #[inline]
+    pub(crate) fn push_row(&mut self, row: &[u32]) {
+        self.targets.extend_from_slice(row);
+        self.offsets.push(self.targets.len() as u64);
     }
 
     /// Out-neighbors of node `n`.
@@ -562,57 +568,30 @@ pub fn contact_sweep(contacts: &[Contact]) -> impl FnMut(Time, &mut Vec<(u32, u3
     }
 }
 
-/// Extracts a *component-chain* contact set from a reduced DAG: for every
-/// multi-member hyper node `{m_0 < m_1 < … < m_k}@[s, e]`, the chain
-/// contacts `(m_0, m_1)@[s, e], …, (m_{k-1}, m_k)@[s, e]`.
+/// Streams a DN's *component-chain* events tick by tick: for every
+/// multi-member hyper node `{m_0 < m_1 < … < m_k}@[s, e]`, the pairs
+/// `(m_0, m_1), …, (m_{k-1}, m_k)` at every tick of `[s, e]`.
 ///
-/// The chain set is a lossless summary of the DN in the only sense DN
-/// construction cares about: at every tick its pairwise events induce
-/// **exactly the same connected components** as the original contact
-/// network's, so rebuilding through [`DnGraph::from_contacts`] (or
-/// [`crate::StreamedDn::from_contacts`]) reproduces the identical DAG —
-/// same nodes, ids, edges, and timelines. Because per-tick components of a
-/// union depend on each part only through its partition, the chains can
-/// also be **merged with later events**: building over
-/// `chain_contacts(dn) ∪ Δ` equals building over `original ∪ Δ` for any
-/// event set `Δ`. That is the algebra live watermark compaction runs on — a
-/// sealed index re-streams its DN as chains and merges the delta through
-/// the ordinary streaming builders (cf. Brito et al. 2021, PAPERS.md).
+/// The chain events are a lossless summary of the DN in the only sense DN
+/// construction cares about: at every tick their pairs induce **exactly
+/// the same connected components** as the original contact network's, so
+/// feeding them into the streaming builders reproduces the identical DAG —
+/// same nodes, ids, edges, and timelines, byte for byte. Because per-tick
+/// components of a union depend on each part only through its partition,
+/// the chains can also be **merged with later events**: building over the
+/// chains ∪ `Δ` equals building over the original ∪ `Δ` for any event set
+/// `Δ`. That is the algebra live merges and compactions run on — a sealed
+/// index re-streams its DN as chains and merges through the ordinary
+/// streaming builders (cf. Brito et al. 2021, PAPERS.md).
 ///
-/// Size: one contact per adjacent member pair per node, i.e. `Σ_v (|v| - 1)`
-/// — never more than the node member total the DN already stores. Output
-/// order is node-id (topological) order; consumers that need the canonical
-/// `(start, a, b)` order must sort, but every `from_contacts` path accepts
-/// arbitrary order.
-pub fn chain_contacts<D: DnAccess>(mut dn: D) -> Vec<Contact> {
-    let mut out = Vec::new();
-    let mut members: Vec<u32> = Vec::new();
-    for v in 0..dn.num_nodes() as u32 {
-        dn.members_into(v, &mut members);
-        if members.len() < 2 {
-            continue;
-        }
-        let interval = dn.interval(v);
-        for w in members.windows(2) {
-            out.push(Contact::new(ObjectId(w[0]), ObjectId(w[1]), interval));
-        }
-    }
-    out
-}
-
-/// Streams a DN's component-chain events tick by tick — the memory-bounded
-/// counterpart of [`chain_contacts`].
-///
-/// Where `chain_contacts` materializes every chain contact up front (fine
-/// for resident-scale DNs, fatal for the larger-than-memory case the
-/// streaming builders exist for), `ChainSweep` activates nodes in id order
-/// (ids are start-sorted) and keeps only the *open* multi-member
+/// Size: one pair per adjacent member pair per node and tick, from
+/// `Σ_v (|v| - 1)` distinct chain contacts — never more than the node
+/// member total the DN already stores. The sweep activates nodes in id
+/// order (ids are start-sorted) and keeps only the *open* multi-member
 /// components resident — `O(|O|)`, the same bound as the DN construction
-/// sweep itself. Drive it like any per-tick event callback: call
-/// [`ChainSweep::emit`] once per tick, ascending from 0; the emitted pairs
-/// have exactly the original trace's per-tick connected components, so
-/// feeding them (optionally unioned with newer events) into the streaming
-/// builders reproduces the batch-built index byte for byte.
+/// sweep itself, so the chains are never materialized. Drive it like any
+/// per-tick event callback: call [`ChainSweep::emit`] once per tick,
+/// ascending from 0.
 pub struct ChainSweep<D: DnAccess> {
     dn: D,
     num_nodes: usize,
@@ -677,9 +656,8 @@ impl<D: DnAccess> ChainSweep<D> {
         });
     }
 
-    /// Distinct chain contacts streamed so far (`Σ_v (|v| - 1)` over the
-    /// activated multi-member nodes) — the count [`chain_contacts`] would
-    /// have materialized.
+    /// Distinct chain contacts streamed so far: `Σ_v (|v| - 1)` over the
+    /// activated multi-member nodes.
     pub fn chains(&self) -> u64 {
         self.chains
     }
@@ -708,10 +686,17 @@ pub(crate) fn assert_contacts_valid(num_objects: usize, horizon: Time, contacts:
 }
 
 /// The sink behind the in-memory constructors: keeps every sealed node.
+///
+/// Nodes arrive in end-tick order, not id order, so their DN1 rows are
+/// staged in one flat arena and both CSRs are written in a single id-order
+/// pass at the end.
 struct CollectSink {
     nodes: Vec<Option<DnNode>>,
-    fwd: Vec<Vec<u32>>,
-    rev: Vec<Vec<u32>>,
+    /// Every sealed node's out-edges followed by its in-edges.
+    arena: Vec<u32>,
+    /// Per node id: `(arena start, out-degree, in-degree)`.
+    rows: Vec<(usize, u32, u32)>,
+    fwd_total: usize,
     timelines: Vec<Vec<(Time, u32)>>,
 }
 
@@ -719,22 +704,31 @@ impl CollectSink {
     fn new(num_objects: usize) -> Self {
         Self {
             nodes: Vec::new(),
-            fwd: Vec::new(),
-            rev: Vec::new(),
+            arena: Vec::new(),
+            rows: Vec::new(),
+            fwd_total: 0,
             timelines: vec![Vec::new(); num_objects],
         }
     }
 
     fn finish(self, num_nodes: usize, num_objects: usize, horizon: Time) -> DnGraph {
         debug_assert_eq!(self.nodes.len(), num_nodes);
+        let rev_total = self.arena.len() - self.fwd_total;
+        let mut fwd = Csr::with_capacity(num_nodes, self.fwd_total);
+        let mut rev = Csr::with_capacity(num_nodes, rev_total);
+        for &(lo, out, inn) in &self.rows {
+            let mid = lo + out as usize;
+            fwd.push_row(&self.arena[lo..mid]);
+            rev.push_row(&self.arena[mid..mid + inn as usize]);
+        }
         DnGraph {
             nodes: self
                 .nodes
                 .into_iter()
                 .map(|n| n.expect("every dense id is sealed exactly once"))
                 .collect(),
-            fwd: Csr::from_lists(&self.fwd),
-            rev: Csr::from_lists(&self.rev),
+            fwd,
+            rev,
             timelines: self.timelines,
             num_objects,
             horizon,
@@ -747,12 +741,13 @@ impl DnSink for CollectSink {
         let i = id as usize;
         if self.nodes.len() <= i {
             self.nodes.resize_with(i + 1, || None);
-            self.fwd.resize_with(i + 1, Vec::new);
-            self.rev.resize_with(i + 1, Vec::new);
+            self.rows.resize(i + 1, (0, 0, 0));
         }
         self.nodes[i] = Some(node);
-        self.fwd[i] = fwd;
-        self.rev[i] = rev;
+        self.rows[i] = (self.arena.len(), fwd.len() as u32, rev.len() as u32);
+        self.fwd_total += fwd.len();
+        self.arena.extend_from_slice(&fwd);
+        self.arena.extend_from_slice(&rev);
     }
 
     fn timeline_push(&mut self, o: ObjectId, start: Time, node: u32) {
@@ -760,30 +755,80 @@ impl DnSink for CollectSink {
     }
 }
 
-/// One still-open run: its start tick, frozen member set, and the
-/// (complete-at-open) DN1 in-edges.
+/// `OpenRun::multi_pos` of a run with a single member.
+const NOT_MULTI: u32 = u32::MAX;
+
+/// One still-open run, in a [`Builder`] slab slot.
 struct OpenRun {
+    /// Node id the run is sealed under.
+    id: u32,
+    start: Time,
+    /// Frozen member set (sorted).
+    members: Vec<ObjectId>,
+    /// DN1 in-edges, complete when the run opens.
+    rev: Vec<u32>,
+    /// Position in `Builder::multi_open`, or [`NOT_MULTI`].
+    multi_pos: u32,
+    /// Last tick at which the run's exact component reappeared.
+    continued_at: Time,
+}
+
+/// A run closing in the current step, taken out of its slab slot; it
+/// collects its out-edges until the step seals it.
+struct Closing {
+    id: u32,
+    slot: u32,
     start: Time,
     members: Vec<ObjectId>,
     rev: Vec<u32>,
+    fwd: Vec<u32>,
 }
 
-/// Incremental run-tracking builder over a sink. Resident state is the open
-/// runs only — their member sets partition the objects, so this is `O(|O|)`
-/// regardless of horizon or output size.
+/// Incremental run-tracking builder over a sink.
+///
+/// What stays resident is `O(|O|)` regardless of horizon or output size:
+/// the open runs, in a slab of at most `2·|O|` slots (runs open at a tick
+/// partition the objects, and a step frees the slots of the runs it closes
+/// only after it has opened their successors), the object → slot map
+/// `run_of` and the per-root component index, the union-find, and per-step
+/// scratch buffers that are cleared and reused each tick, so they grow only
+/// to the busiest tick's size. No table indexed by node id is kept. The
+/// only per-node allocations are the ones the sink takes ownership of: a
+/// node's member list and its non-empty DN1 rows.
 struct Builder<'s, S: DnSink> {
     sink: &'s mut S,
     num_objects: usize,
     horizon: Time,
     next_id: u32,
     sealed: usize,
-    /// Open run data by node id.
-    open: HashMap<u32, OpenRun>,
-    /// Open run (node id) of each object.
+    /// Open runs; free slots are listed in `free`.
+    runs: Vec<OpenRun>,
+    free: Vec<u32>,
+    /// Slab slot of each object's open run.
     run_of: Vec<u32>,
-    /// Open runs with ≥ 2 members (they must close on a silent tick).
-    multi_open: HashMap<u32, ()>,
+    /// Slots of open runs with ≥ 2 members (they must close on a silent
+    /// tick).
+    multi_open: Vec<u32>,
     uf: UnionFind,
+    /// Objects in contact this tick, sorted.
+    touched: Vec<u32>,
+    /// Per root object: the tick it last rooted a component, and that
+    /// component's index in `comps`.
+    root_comp: Vec<(Time, u32)>,
+    /// Component index of each object in `touched`.
+    comp_of: Vec<u32>,
+    /// Members of this tick's components, back to back, each ascending.
+    comp_members: Vec<ObjectId>,
+    /// `(lo, hi)` of each component in `comp_members`, ordered by smallest
+    /// member.
+    comps: Vec<(u32, u32)>,
+    /// The components that are new nodes, a subsequence of `comps`.
+    groups: Vec<(u32, u32)>,
+    /// `(id, slot)` of the runs closing this tick, ascending by id.
+    closing: Vec<(u32, u32)>,
+    /// The closing runs' data, parallel to `closing`.
+    sealing: Vec<Closing>,
+    pred_scratch: Vec<u32>,
 }
 
 impl<'s, S: DnSink> Builder<'s, S> {
@@ -794,10 +839,20 @@ impl<'s, S: DnSink> Builder<'s, S> {
             horizon,
             next_id: 0,
             sealed: 0,
-            open: HashMap::with_capacity(num_objects.min(1 << 16)),
+            runs: Vec::new(),
+            free: Vec::new(),
             run_of: vec![u32::MAX; num_objects],
-            multi_open: HashMap::new(),
+            multi_open: Vec::new(),
             uf: UnionFind::new(num_objects),
+            touched: Vec::new(),
+            root_comp: vec![(Time::MAX, 0); num_objects],
+            comp_of: Vec::new(),
+            comp_members: Vec::new(),
+            comps: Vec::new(),
+            groups: Vec::new(),
+            closing: Vec::new(),
+            sealing: Vec::new(),
+            pred_scratch: Vec::new(),
         }
     }
 
@@ -819,31 +874,58 @@ impl<'s, S: DnSink> Builder<'s, S> {
             }
             self.step(t, &buf);
         }
-        // Seal every run still open at the horizon (no out-edges).
-        let horizon = self.horizon;
-        let mut remaining: Vec<u32> = self.open.keys().copied().collect();
+        // Seal every run still open at the horizon (no out-edges), in id
+        // order. The open runs partition the objects, so `run_of` names
+        // each of them.
+        let mut remaining = take(&mut self.closing);
+        remaining.clear();
+        remaining.extend(self.run_of.iter().map(|&s| (self.runs[s as usize].id, s)));
         remaining.sort_unstable();
-        for id in remaining {
-            let run = self.open.remove(&id).expect("run is open");
-            self.seal(id, run, horizon - 1, Vec::new());
+        remaining.dedup();
+        for &(id, slot) in &remaining {
+            let run = self.close(id, slot);
+            self.seal(run, self.horizon - 1);
         }
         self.sealed
     }
 
+    /// Takes the open run in `slot` out of the open set, to collect its
+    /// out-edges until it is sealed. The slot stays reserved until the
+    /// caller frees it.
+    fn close(&mut self, id: u32, slot: u32) -> Closing {
+        let run = &mut self.runs[slot as usize];
+        let pos = std::mem::replace(&mut run.multi_pos, NOT_MULTI);
+        let closing = Closing {
+            id,
+            slot,
+            start: run.start,
+            members: take(&mut run.members),
+            rev: take(&mut run.rev),
+            fwd: Vec::new(),
+        };
+        if pos != NOT_MULTI {
+            self.multi_open.swap_remove(pos as usize);
+            if let Some(&moved) = self.multi_open.get(pos as usize) {
+                self.runs[moved as usize].multi_pos = pos;
+            }
+        }
+        closing
+    }
+
     /// Emits one finished node to the sink.
-    fn seal(&mut self, id: u32, run: OpenRun, end: Time, mut fwd: Vec<u32>) {
+    fn seal(&mut self, mut run: Closing, end: Time) {
         // Out-edges were recorded in ascending-target order; keep the
         // canonical CSR row shape explicit regardless.
-        fwd.sort_unstable();
-        fwd.dedup();
+        run.fwd.sort_unstable();
+        run.fwd.dedup();
         self.sealed += 1;
         self.sink.node(
-            id,
+            run.id,
             DnNode {
                 interval: TimeInterval::new(run.start, end),
                 members: run.members,
             },
-            fwd,
+            run.fwd,
             run.rev,
         );
     }
@@ -852,22 +934,64 @@ impl<'s, S: DnSink> Builder<'s, S> {
     fn open(&mut self, members: Vec<ObjectId>, t: Time, rev: Vec<u32>) -> u32 {
         let id = self.next_id;
         self.next_id += 1;
+        let slot = self.free.pop().unwrap_or(self.runs.len() as u32);
         for m in &members {
-            self.run_of[m.index()] = id;
+            self.run_of[m.index()] = slot;
             self.sink.timeline_push(*m, t, id);
         }
-        if members.len() >= 2 {
-            self.multi_open.insert(id, ());
-        }
-        self.open.insert(
+        let multi_pos = if members.len() >= 2 {
+            self.multi_open.push(slot);
+            (self.multi_open.len() - 1) as u32
+        } else {
+            NOT_MULTI
+        };
+        let run = OpenRun {
             id,
-            OpenRun {
-                start: t,
-                members,
-                rev,
-            },
-        );
+            start: t,
+            members,
+            rev,
+            multi_pos,
+            continued_at: t,
+        };
+        match self.runs.get_mut(slot as usize) {
+            Some(free) => *free = run,
+            None => self.runs.push(run),
+        }
         id
+    }
+
+    /// Splits the sorted `touched` objects of tick `t` into their
+    /// union-find components, filling `comp_members` and `comps`: a counting
+    /// placement, so components come out ordered by smallest member — the
+    /// order new nodes take ids in — and members ascending, with no sort.
+    fn split_components(&mut self, t: Time) {
+        self.comps.clear();
+        self.comp_of.clear();
+        for &o in &self.touched {
+            let (stamp, comp) = &mut self.root_comp[self.uf.find(o) as usize];
+            if *stamp != t {
+                *stamp = t;
+                *comp = self.comps.len() as u32;
+                self.comps.push((0, 0));
+            }
+            self.comps[*comp as usize].1 += 1;
+            self.comp_of.push(*comp);
+        }
+        // Sizes → empty ranges at their final offsets; `hi` is then the
+        // fill cursor and ends at the range's end.
+        let mut lo = 0;
+        for c in &mut self.comps {
+            let size = c.1;
+            *c = (lo, lo);
+            lo += size;
+        }
+        self.comp_members.clear();
+        self.comp_members.resize(self.touched.len(), ObjectId(0));
+        for (&o, &c) in self.touched.iter().zip(&self.comp_of) {
+            let range = &mut self.comps[c as usize];
+            self.comp_members[range.1 as usize] = ObjectId(o);
+            range.1 += 1;
+        }
     }
 
     fn initial_tick(&mut self, pairs: &[(u32, u32)]) {
@@ -875,125 +999,133 @@ impl<'s, S: DnSink> Builder<'s, S> {
         for &(a, b) in pairs {
             self.uf.union(a, b);
         }
-        // Group members by root, in ascending object order for determinism.
-        let mut groups: HashMap<u32, Vec<ObjectId>> = HashMap::new();
-        for o in 0..self.num_objects as u32 {
-            groups.entry(self.uf.find(o)).or_default().push(ObjectId(o));
-        }
-        let mut ordered: Vec<Vec<ObjectId>> = groups.into_values().collect();
-        ordered.sort_by_key(|g| g[0]);
-        for g in ordered {
-            self.open(g, 0, Vec::new());
+        self.touched.clear();
+        self.touched.extend(0..self.num_objects as u32);
+        self.split_components(0);
+        for ci in 0..self.comps.len() {
+            let (lo, hi) = self.comps[ci];
+            let members = self.comp_members[lo as usize..hi as usize].to_vec();
+            self.open(members, 0, Vec::new());
         }
     }
 
     fn step(&mut self, t: Time, pairs: &[(u32, u32)]) {
         // 1. Components among touched objects.
         self.uf.reset();
-        let mut touched: Vec<u32> = Vec::with_capacity(pairs.len() * 2);
+        self.touched.clear();
         for &(a, b) in pairs {
             self.uf.union(a, b);
-            touched.push(a);
-            touched.push(b);
+            self.touched.push(a);
+            self.touched.push(b);
         }
-        touched.sort_unstable();
-        touched.dedup();
-        let mut keyed: Vec<(u32, u32)> = touched.iter().map(|&o| (self.uf.find(o), o)).collect();
-        keyed.sort_unstable();
+        self.touched.sort_unstable();
+        self.touched.dedup();
+        self.split_components(t);
         // 2. Classify groups: continuation vs new.
-        let mut new_groups: Vec<Vec<ObjectId>> = Vec::new();
-        let mut continued: HashMap<u32, ()> = HashMap::new();
-        let mut i = 0;
-        while i < keyed.len() {
-            let root = keyed[i].0;
-            let mut g: Vec<ObjectId> = Vec::new();
-            while i < keyed.len() && keyed[i].0 == root {
-                g.push(ObjectId(keyed[i].1));
-                i += 1;
-            }
-            let r = self.run_of[g[0].index()];
-            let is_continuation = {
-                let run = &self.open[&r];
-                run.members == g && g.iter().all(|m| self.run_of[m.index()] == r)
-            };
-            if is_continuation {
-                continued.insert(r, ());
+        self.groups.clear();
+        for &(lo, hi) in &self.comps {
+            let g = &self.comp_members[lo as usize..hi as usize];
+            let run = &mut self.runs[self.run_of[g[0].index()] as usize];
+            if run.members == g {
+                // The same member set again; runs partition the objects,
+                // so every member still points at this run.
+                run.continued_at = t;
             } else {
-                new_groups.push(g);
+                self.groups.push((lo, hi));
             }
         }
-        new_groups.sort_by_key(|g| g[0]);
         // 3. Collect runs that close at t-1: previous runs of new-group
         //    members, plus multi-member runs that were not continued.
-        let mut closing: Vec<u32> = Vec::new();
-        for g in &new_groups {
-            for m in g {
-                closing.push(self.run_of[m.index()]);
+        self.closing.clear();
+        for &(lo, hi) in &self.groups {
+            for m in &self.comp_members[lo as usize..hi as usize] {
+                let slot = self.run_of[m.index()];
+                self.closing.push((self.runs[slot as usize].id, slot));
             }
         }
-        for (&r, _) in self.multi_open.iter() {
-            if !continued.contains_key(&r) {
-                closing.push(r);
+        for &slot in &self.multi_open {
+            let run = &self.runs[slot as usize];
+            if run.continued_at != t {
+                self.closing.push((run.id, slot));
             }
         }
-        closing.sort_unstable();
-        closing.dedup();
-        if closing.is_empty() {
+        self.closing.sort_unstable();
+        self.closing.dedup();
+        if self.closing.is_empty() {
             return; // silent continuation everywhere
         }
         // Pull closing runs out of the open set; they accumulate out-edges
         // during this step and are sealed at its end. Every out-edge a run
         // ever gets is created in the step that closes it, so sealing here
         // loses nothing — this is what makes streaming construction
-        // possible.
-        let mut sealing: Vec<(u32, OpenRun, Vec<u32>)> = Vec::with_capacity(closing.len());
-        let mut seal_idx: HashMap<u32, usize> = HashMap::with_capacity(closing.len() * 2);
-        for &r in &closing {
-            let run = self.open.remove(&r).expect("closing run is open");
-            self.multi_open.remove(&r);
-            seal_idx.insert(r, sealing.len());
-            sealing.push((r, run, Vec::new()));
+        // possible. Their slots stay reserved until the step ends, so
+        // `run_of` of a member not yet reopened still names its old run.
+        let mut sealing = take(&mut self.sealing);
+        for i in 0..self.closing.len() {
+            let (id, slot) = self.closing[i];
+            sealing.push(self.close(id, slot));
         }
         // 4. Open new group nodes with edges from each member's old run.
-        let mut pred_scratch: Vec<u32> = Vec::new();
-        for g in std::mem::take(&mut new_groups) {
-            pred_scratch.clear();
-            pred_scratch.extend(g.iter().map(|m| self.run_of[m.index()]));
-            pred_scratch.sort_unstable();
-            pred_scratch.dedup();
-            let id = self.open(g, t, pred_scratch.clone());
-            for &p in &pred_scratch {
-                sealing[seal_idx[&p]].2.push(id);
+        for gi in 0..self.groups.len() {
+            let (lo, hi) = self.groups[gi];
+            let members = &self.comp_members[lo as usize..hi as usize];
+            self.pred_scratch.clear();
+            for m in members {
+                let slot = self.run_of[m.index()];
+                self.pred_scratch.push(self.runs[slot as usize].id);
+            }
+            self.pred_scratch.sort_unstable();
+            self.pred_scratch.dedup();
+            let (members, rev) = (members.to_vec(), self.pred_scratch.clone());
+            let id = self.open(members, t, rev);
+            for &p in &self.pred_scratch {
+                let si = self
+                    .closing
+                    .binary_search_by_key(&p, |&(id, _)| id)
+                    .expect("a predecessor of a new node is closing");
+                sealing[si].fwd.push(id);
             }
         }
         // 5. Members of closed runs that did not join a new group become
-        //    fresh singletons. (Collect first: the membership test reads
-        //    `run_of` as left by phase 4, and singleton opens don't affect
-        //    other objects' entries.)
-        let singles: Vec<(usize, u32, ObjectId)> = sealing
-            .iter()
-            .enumerate()
-            .flat_map(|(si, (r, run, _))| {
-                run.members
-                    .iter()
-                    .filter(|m| self.run_of[m.index()] == *r)
-                    .map(move |&m| (si, *r, m))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        for (si, r, m) in singles {
-            let id = self.open(vec![m], t, vec![r]);
-            sealing[si].2.push(id);
+        //    fresh singletons. Opening one rewrites only that object's
+        //    `run_of` entry, so the test can run while they open.
+        for c in &mut sealing {
+            for &m in &c.members {
+                if self.run_of[m.index()] == c.slot {
+                    let id = self.open(vec![m], t, vec![c.id]);
+                    c.fwd.push(id);
+                }
+            }
         }
-        for (r, run, out) in sealing {
-            self.seal(r, run, t - 1, out);
+        for run in sealing.drain(..) {
+            self.seal(run, t - 1);
         }
+        self.sealing = sealing;
+        self.free.extend(self.closing.iter().map(|&(_, slot)| slot));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The component-chain contacts of a DN materialized at once, in node
+    /// order: what [`ChainSweep`] streams, as maximal-interval contacts.
+    fn chain_contacts<D: DnAccess>(mut dn: D) -> Vec<Contact> {
+        let mut out = Vec::new();
+        let mut members: Vec<u32> = Vec::new();
+        for v in 0..dn.num_nodes() as u32 {
+            dn.members_into(v, &mut members);
+            if members.len() < 2 {
+                continue;
+            }
+            let interval = dn.interval(v);
+            for w in members.windows(2) {
+                out.push(Contact::new(ObjectId(w[0]), ObjectId(w[1]), interval));
+            }
+        }
+        out
+    }
 
     /// Builds a DN from a compact event script: `script[t]` lists the pairs
     /// in contact at tick `t`.
@@ -1340,9 +1472,14 @@ mod tests {
     }
 
     #[test]
-    fn csr_from_lists_preserves_order() {
-        let csr = Csr::from_lists(&[vec![2, 1], vec![], vec![0]]);
+    fn csr_rows_keep_push_order() {
+        let mut csr = Csr::with_capacity(3, 0);
+        for row in [&[2, 1][..], &[], &[0]] {
+            csr.push_row(row);
+        }
         assert_eq!(csr.out(0), &[2, 1]);
+        assert_eq!(csr.out(1), &[] as &[u32]);
         assert_eq!(csr.out(2), &[0]);
+        assert_eq!(csr.num_nodes(), 3);
     }
 }

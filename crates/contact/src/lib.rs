@@ -40,8 +40,7 @@ pub mod oracle;
 pub mod stats;
 
 pub use dag::{
-    chain_contacts, contact_sweep, ChainSweep, Csr, DnAccess, DnEventStream, DnGraph, DnNode,
-    DnSink, GraphSize,
+    contact_sweep, ChainSweep, Csr, DnAccess, DnEventStream, DnGraph, DnNode, DnSink, GraphSize,
 };
 pub use dag_stream::StreamedDn;
 pub use extract::{count_events, events_by_tick, extract_contacts, extract_events, EventCounts};

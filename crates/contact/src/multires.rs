@@ -15,6 +15,16 @@
 //! Construction is by exact composition: the bundle at level `2k` is the
 //! level-`k` advance applied twice, because a node dying inside a half-window
 //! launches its stored level-`k` bundle at exactly that half-window boundary.
+//!
+//! Each level is one [`Csr`], written directly in node-id order: a node's
+//! bundle is composed in one reused scratch buffer and appended as the next
+//! row, so a level costs its two CSR vectors, not a list per node. The
+//! [`DnAccess`] calls — which node's interval or DN1 successors are read,
+//! and in what order — are exactly those of composing each bundle on its
+//! own. On a spill-backed [`StreamedDn`](crate::StreamedDn) that call
+//! sequence alone decides which segments are loaded and evicted, so its
+//! spill counters and the index bytes written after it do not depend on how
+//! the bundles are stored.
 
 use crate::dag::{Csr, DnAccess, DnGraph};
 use reach_core::{Time, TimeInterval};
@@ -66,28 +76,26 @@ impl MultiRes {
         let n = dn.num_nodes();
         let mut bundles: Vec<Csr> = Vec::with_capacity(levels.len());
         let mut scratch: Vec<u32> = Vec::new();
+        let mut succ: Vec<u32> = Vec::new();
         let mut fwd_buf: Vec<u32> = Vec::new();
         for (idx, &level) in levels.iter().enumerate() {
-            let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n];
+            // The level below is the best guess at this level's size.
+            let hint = bundles.last().map_or(n, |b| b.num_edges() as usize);
+            let mut csr = Csr::with_capacity(n, hint);
             for v in 0..n as u32 {
                 let Some(ta) = launch_boundary(dn.interval(v), level, horizon) else {
+                    csr.push_row(&[]);
                     continue;
                 };
-                let bundle = if idx == 0 {
-                    level2_bundle(&mut dn, v, ta, &mut scratch, &mut fwd_buf)
+                if idx == 0 {
+                    level2_bundle(&mut dn, v, ta, &mut scratch, &mut succ, &mut fwd_buf);
                 } else {
-                    compose(
-                        &mut dn,
-                        &bundles[idx - 1],
-                        levels[idx - 1],
-                        v,
-                        ta,
-                        &mut scratch,
-                    )
-                };
-                lists[v as usize] = bundle;
+                    let (lower, k) = (&bundles[idx - 1], levels[idx - 1]);
+                    compose(&mut dn, lower, k, v, ta, &mut scratch);
+                }
+                csr.push_row(&scratch);
             }
-            bundles.push(Csr::from_lists(&lists));
+            bundles.push(csr);
         }
         Self {
             levels: levels.to_vec(),
@@ -133,26 +141,27 @@ impl MultiRes {
     }
 }
 
-/// Level-2 base case: the hold set two ticks after `ta`, starting from `v`
-/// alive at `ta` (with `v.end ∈ {ta, ta+1}` by launch-boundary construction).
+/// Level-2 base case: fills `scratch` with the hold set two ticks after
+/// `ta`, starting from `v` alive at `ta` (with `v.end ∈ {ta, ta+1}` by
+/// launch-boundary construction).
 fn level2_bundle<D: DnAccess>(
     dn: &mut D,
     v: u32,
     ta: Time,
     scratch: &mut Vec<u32>,
+    succ: &mut Vec<u32>,
     fwd_buf: &mut Vec<u32>,
-) -> Vec<u32> {
+) {
     scratch.clear();
     let end = dn.interval(v).end;
     debug_assert!(end == ta || end == ta + 1, "launch window must contain end");
-    dn.fwd_into(v, fwd_buf);
+    dn.fwd_into(v, succ);
     if end == ta + 1 {
         // Alive through ta+1; one DN1 dispersal lands exactly at ta+2.
-        scratch.extend_from_slice(fwd_buf);
+        scratch.extend_from_slice(succ);
     } else {
         // Dies at ta: successors live at ta+1; advance each one more tick.
-        let succ: Vec<u32> = std::mem::take(fwd_buf);
-        for &w in &succ {
+        for &w in succ.iter() {
             if dn.interval(w).end >= ta + 2 {
                 scratch.push(w);
             } else {
@@ -160,15 +169,13 @@ fn level2_bundle<D: DnAccess>(
                 scratch.extend_from_slice(fwd_buf);
             }
         }
-        *fwd_buf = succ;
     }
     scratch.sort_unstable();
     scratch.dedup();
-    scratch.clone()
 }
 
-/// Doubling composition: the level-`2k` bundle of `v` at `ta` is the
-/// level-`k` advance applied at `ta` and again at `ta + k`.
+/// Doubling composition: fills `scratch` with the level-`2k` bundle of `v`
+/// at `ta`, the level-`k` advance applied at `ta` and again at `ta + k`.
 fn compose<D: DnAccess>(
     dn: &mut D,
     lower: &Csr,
@@ -176,12 +183,19 @@ fn compose<D: DnAccess>(
     v: u32,
     ta: Time,
     scratch: &mut Vec<u32>,
-) -> Vec<u32> {
-    // Hold set at ta + k.
-    let mid: Vec<u32> = advance_one(dn, lower, k, v, ta);
+) {
+    // Hold set at ta + k: `v` itself if it outlives the half-window, else
+    // its stored level-k bundle (its level-k launch is exactly ta).
+    let only_v = [v];
+    let mid: &[u32] = if dn.interval(v).end >= ta + k {
+        &only_v
+    } else {
+        debug_assert_eq!((dn.interval(v).end / k) * k, ta);
+        lower.out(v)
+    };
     // Hold set at ta + 2k.
     scratch.clear();
-    for m in mid {
+    for &m in mid {
         if dn.interval(m).end >= ta + 2 * k {
             scratch.push(m);
         } else {
@@ -193,16 +207,6 @@ fn compose<D: DnAccess>(
     }
     scratch.sort_unstable();
     scratch.dedup();
-    scratch.clone()
-}
-
-fn advance_one<D: DnAccess>(dn: &mut D, lower: &Csr, k: Time, v: u32, ta: Time) -> Vec<u32> {
-    if dn.interval(v).end >= ta + k {
-        vec![v]
-    } else {
-        debug_assert_eq!((dn.interval(v).end / k) * k, ta);
-        lower.out(v).to_vec()
-    }
 }
 
 /// Reference hold-set computation on `DN_1` alone: every node alive at
@@ -272,6 +276,9 @@ mod tests {
             let dn = random_world(seed, 6, 40, 0.08);
             let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
             for (idx, &level) in mr.levels().iter().enumerate() {
+                // `bundle` and `avg_degree` index rows by node id, so each
+                // level spans every node, bundle or not.
+                assert_eq!(mr.bundles[idx].num_nodes(), dn.num_nodes());
                 for v in 0..dn.num_nodes() as u32 {
                     let expected = match launch_boundary(dn.node(v).interval, level, dn.horizon()) {
                         Some(ta) => hold_set_dn1(&dn, v, ta + level),
@@ -308,6 +315,33 @@ mod tests {
         // Degenerate empty chain is also allowed.
         let none = MultiRes::build(&dn, &[]);
         assert!(none.levels().is_empty());
+    }
+
+    #[test]
+    fn zero_node_dn_gives_empty_levels() {
+        let dn = DnGraph::build_from_ticks(0, 40, |_| &[]);
+        assert_eq!(dn.num_nodes(), 0);
+        let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
+        for (idx, csr) in mr.bundles.iter().enumerate() {
+            assert_eq!(csr.num_nodes(), 0);
+            assert_eq!(mr.num_edges(idx), 0);
+            assert_eq!(mr.avg_degree(idx), 0.0);
+        }
+    }
+
+    #[test]
+    fn levels_past_the_horizon_are_empty_but_sized() {
+        // Horizon 12: no window of level 16 or 32 ends by tick 11, so those
+        // levels carry no edges, yet every level still has a row per node.
+        let dn = random_world(2, 6, 12, 0.15);
+        let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
+        assert!(mr.num_edges(0) > 0, "level 2 fits inside the horizon");
+        for (idx, &level) in mr.levels().iter().enumerate() {
+            assert_eq!(mr.bundles[idx].num_nodes(), dn.num_nodes());
+            if level > dn.horizon() - 1 {
+                assert_eq!(mr.num_edges(idx), 0, "level {level}");
+            }
+        }
     }
 
     #[test]

@@ -5,9 +5,13 @@
 //! cannot catch a join that drops or invents a pair. The figures below were
 //! recorded with the spatial-hash join that preceded the sort-and-sweep
 //! kernel; any change to the pair set of any tick shows up here as an exact
-//! mismatch.
+//! mismatch. The long-edge bundles built on that DN are pinned the same
+//! way, so a change to how `MultiRes` stores or composes them cannot alter
+//! a single edge unnoticed.
 
-use reach_contact::{count_events, extract_contacts, DnGraph, EventCounts};
+use reach_contact::{
+    count_events, extract_contacts, DnGraph, EventCounts, MultiRes, DEFAULT_LEVELS,
+};
 use reach_core::{Coord, Environment, ObjectId, TimeInterval};
 use reach_mobility::RwpConfig;
 use reach_traj::{sweep_join, TrajectoryStore};
@@ -24,6 +28,13 @@ const DN_EDGES: u64 = 16_198;
 const TIMELINE_TOTAL: u64 = 21_520;
 /// FNV-1a over every node's interval and members, in node order.
 const DN_CHECKSUM: u64 = 0x13ee_a708_6d4d_b57b;
+/// `num_edges` of each `DEFAULT_LEVELS` level on the pinned DN, recorded
+/// with the per-node-list `MultiRes::build` that preceded the direct CSR
+/// writer.
+const BUNDLE_EDGES: [u64; 5] = [14_969, 14_196, 15_524, 21_695, 38_859];
+/// FNV-1a over `(level, v, bundle length, targets)` of every non-empty
+/// bundle, levels ascending, nodes in id order.
+const BUNDLE_CHECKSUM: u64 = 0xaefa_7caa_6139_6132;
 
 fn store() -> TrajectoryStore {
     RwpConfig {
@@ -112,4 +123,29 @@ fn dn_matches_the_recorded_values() {
         (size.vertices, size.edges, timeline_total, h.0),
         (DN_NODES, DN_EDGES, TIMELINE_TOTAL, DN_CHECKSUM)
     );
+}
+
+#[test]
+fn bundles_match_the_recorded_values() {
+    let store = store();
+    let dn = DnGraph::build(&store, THRESHOLD);
+    let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
+    let mut h = Fnv::new();
+    let mut edges = [0u64; DEFAULT_LEVELS.len()];
+    for (idx, &level) in DEFAULT_LEVELS.iter().enumerate() {
+        edges[idx] = mr.num_edges(idx);
+        for v in 0..dn.num_nodes() as u32 {
+            let bundle = mr.bundle(idx, v);
+            if bundle.is_empty() {
+                continue;
+            }
+            h.word(level);
+            h.word(v);
+            h.word(bundle.len() as u32);
+            for &w in bundle {
+                h.word(w);
+            }
+        }
+    }
+    assert_eq!((edges, h.0), (BUNDLE_EDGES, BUNDLE_CHECKSUM));
 }

@@ -35,7 +35,7 @@ use crate::params::{GraphParams, TraversalKind};
 use crate::partition::Partition;
 use crate::placement::{partition, Partitioning};
 use crate::traverse::{evaluate, TraversalStats};
-use crate::vertex::{HnSource, Vertex, VertexData};
+use crate::vertex::{encode_vertex, HnSource, Vertex};
 use reach_contact::{DnAccess, DnGraph, MultiRes};
 use reach_core::{
     Answer, IndexError, ObjectId, Query, QueryKind, QueryResult, QueryStats, ReachIndex,
@@ -118,28 +118,20 @@ impl ReachGraph {
         let parts: Partitioning = partition(&mut dn, params.partition_depth);
         let mut writer = RecordWriter::new(disk)?;
         let mut partition_ptrs = Vec::with_capacity(parts.num_partitions as usize);
-        // One scratch record, refilled per vertex.
-        let mut vd = VertexData {
-            interval: reach_core::TimeInterval::instant(0),
-            members: Vec::new(),
-            fwd: Vec::new(),
-            rev: Vec::new(),
-            bundles: vec![Vec::new(); mr.levels().len()],
-        };
+        // Scratch lists refilled per vertex; bundles are encoded straight
+        // from `mr`.
+        let (mut members, mut fwd, mut rev) = (Vec::new(), Vec::new(), Vec::new());
         for mine in &parts.members {
             let mut w = ByteWriter::with_capacity(64 * mine.len());
             w.put_u32(mine.len() as u32);
             for &v in mine {
-                vd.interval = dn.interval(v);
-                for (idx, bundle) in vd.bundles.iter_mut().enumerate() {
-                    bundle.clear();
-                    bundle.extend_from_slice(mr.bundle(idx, v));
-                }
-                dn.members_into(v, &mut vd.members);
-                dn.fwd_into(v, &mut vd.fwd);
-                dn.rev_into(v, &mut vd.rev);
+                let interval = dn.interval(v);
+                dn.members_into(v, &mut members);
+                dn.fwd_into(v, &mut fwd);
+                dn.rev_into(v, &mut rev);
                 w.put_u32(v);
-                vd.encode(&mut w);
+                let bundles = (0..mr.levels().len()).map(|idx| mr.bundle(idx, v));
+                encode_vertex(&mut w, interval, &members, &fwd, &rev, bundles);
             }
             writer.align_to_page(disk)?;
             partition_ptrs.push(writer.append(disk, w.as_bytes())?);

@@ -3,8 +3,8 @@
 //! Traversal reads vertices through [`Vertex`], a borrowed view that every
 //! [`HnSource`] hands out: the disk index points it into a decoded
 //! partition's arena ([`crate::Partition`]), the memory index into the DN's
-//! own adjacency. [`VertexData`] is the owned form index construction
-//! serializes.
+//! own adjacency. [`VertexData`] is the owned form of a record; index
+//! construction writes the same layout from borrowed parts.
 
 use reach_contact::MultiRes;
 use reach_core::{IndexError, ObjectId, Time, TimeInterval};
@@ -31,15 +31,36 @@ impl VertexData {
     /// Serializes the vertex: interval, members, fwd, rev, then a one-byte
     /// bundle count and the bundles, every list `u32`-length-prefixed.
     pub fn encode(&self, w: &mut ByteWriter) {
-        w.put_u32(self.interval.start);
-        w.put_u32(self.interval.end);
-        w.put_u32_slice(&self.members);
-        w.put_u32_slice(&self.fwd);
-        w.put_u32_slice(&self.rev);
-        w.put_u8(self.bundles.len() as u8);
-        for b in &self.bundles {
-            w.put_u32_slice(b);
-        }
+        encode_vertex(
+            w,
+            self.interval,
+            &self.members,
+            &self.fwd,
+            &self.rev,
+            self.bundles.iter().map(Vec::as_slice),
+        );
+    }
+}
+
+/// Writes one vertex in the [`VertexData::encode`] layout from borrowed
+/// parts, so construction can pass bundle slices straight from a
+/// [`MultiRes`].
+pub(crate) fn encode_vertex<'b>(
+    w: &mut ByteWriter,
+    interval: TimeInterval,
+    members: &[u32],
+    fwd: &[u32],
+    rev: &[u32],
+    bundles: impl ExactSizeIterator<Item = &'b [u32]>,
+) {
+    w.put_u32(interval.start);
+    w.put_u32(interval.end);
+    w.put_u32_slice(members);
+    w.put_u32_slice(fwd);
+    w.put_u32_slice(rev);
+    w.put_u8(bundles.len() as u8);
+    for b in bundles {
+        w.put_u32_slice(b);
     }
 }
 
