@@ -72,7 +72,8 @@ pub struct Csr {
 
 impl Csr {
     /// Builds a CSR from `(src, dst)` pairs over `n` nodes.
-    pub fn from_pairs(n: usize, mut pairs: Vec<(u32, u32)>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_pairs(n: usize, mut pairs: Vec<(u32, u32)>) -> Self {
         pairs.sort_unstable();
         pairs.dedup();
         let mut offsets = vec![0u64; n + 1];
@@ -496,8 +497,9 @@ impl<T: DnAccess> DnAccess for &mut T {
 /// spillable pool so the whole DN never has to be resident at once.
 pub trait DnSink {
     /// One sealed hyper node with its complete DN1 adjacency (both lists
-    /// sorted, deduplicated).
-    fn node(&mut self, id: u32, node: DnNode, fwd: Vec<u32>, rev: Vec<u32>);
+    /// sorted, deduplicated). The rows borrow the builder's scratch; a sink
+    /// that keeps them copies them.
+    fn node(&mut self, id: u32, node: DnNode, fwd: &[u32], rev: &[u32]);
 
     /// One `(start_tick, node)` run of object `o`'s timeline.
     fn timeline_push(&mut self, o: ObjectId, start: Time, node: u32);
@@ -737,7 +739,7 @@ impl CollectSink {
 }
 
 impl DnSink for CollectSink {
-    fn node(&mut self, id: u32, node: DnNode, fwd: Vec<u32>, rev: Vec<u32>) {
+    fn node(&mut self, id: u32, node: DnNode, fwd: &[u32], rev: &[u32]) {
         let i = id as usize;
         if self.nodes.len() <= i {
             self.nodes.resize_with(i + 1, || None);
@@ -746,8 +748,8 @@ impl DnSink for CollectSink {
         self.nodes[i] = Some(node);
         self.rows[i] = (self.arena.len(), fwd.len() as u32, rev.len() as u32);
         self.fwd_total += fwd.len();
-        self.arena.extend_from_slice(&fwd);
-        self.arena.extend_from_slice(&rev);
+        self.arena.extend_from_slice(fwd);
+        self.arena.extend_from_slice(rev);
     }
 
     fn timeline_push(&mut self, o: ObjectId, start: Time, node: u32) {
@@ -767,21 +769,24 @@ struct OpenRun {
     members: Vec<ObjectId>,
     /// DN1 in-edges, complete when the run opens.
     rev: Vec<u32>,
+    /// DN1 out-edges, collected in the step that closes the run. Like
+    /// `rev`, this is slot scratch: a reopened slot clears and refills
+    /// both, keeping their capacity.
+    fwd: Vec<u32>,
     /// Position in `Builder::multi_open`, or [`NOT_MULTI`].
     multi_pos: u32,
     /// Last tick at which the run's exact component reappeared.
     continued_at: Time,
 }
 
-/// A run closing in the current step, taken out of its slab slot; it
-/// collects its out-edges until the step seals it.
+/// A run closing in the current step, taken out of the open set. Its slab
+/// slot stays reserved until the step seals it, holding the run's DN1 rows
+/// while its out-edges are collected.
 struct Closing {
     id: u32,
     slot: u32,
     start: Time,
     members: Vec<ObjectId>,
-    rev: Vec<u32>,
-    fwd: Vec<u32>,
 }
 
 /// Incremental run-tracking builder over a sink.
@@ -792,9 +797,10 @@ struct Closing {
 /// only after it has opened their successors), the object → slot map
 /// `run_of` and the per-root component index, the union-find, and per-step
 /// scratch buffers that are cleared and reused each tick, so they grow only
-/// to the busiest tick's size. No table indexed by node id is kept. The
-/// only per-node allocations are the ones the sink takes ownership of: a
-/// node's member list and its non-empty DN1 rows.
+/// to the busiest tick's size. No table indexed by node id is kept. A
+/// node's DN1 rows live in its slab slot's reused buffers and reach the
+/// sink as slices, so the only per-node allocation is the member list the
+/// sink takes ownership of.
 struct Builder<'s, S: DnSink> {
     sink: &'s mut S,
     num_objects: usize,
@@ -900,8 +906,6 @@ impl<'s, S: DnSink> Builder<'s, S> {
             slot,
             start: run.start,
             members: take(&mut run.members),
-            rev: take(&mut run.rev),
-            fwd: Vec::new(),
         };
         if pos != NOT_MULTI {
             self.multi_open.swap_remove(pos as usize);
@@ -913,11 +917,12 @@ impl<'s, S: DnSink> Builder<'s, S> {
     }
 
     /// Emits one finished node to the sink.
-    fn seal(&mut self, mut run: Closing, end: Time) {
+    fn seal(&mut self, run: Closing, end: Time) {
+        let OpenRun { fwd, rev, .. } = &mut self.runs[run.slot as usize];
         // Out-edges were recorded in ascending-target order; keep the
         // canonical CSR row shape explicit regardless.
-        run.fwd.sort_unstable();
-        run.fwd.dedup();
+        fwd.sort_unstable();
+        fwd.dedup();
         self.sealed += 1;
         self.sink.node(
             run.id,
@@ -925,13 +930,14 @@ impl<'s, S: DnSink> Builder<'s, S> {
                 interval: TimeInterval::new(run.start, end),
                 members: run.members,
             },
-            run.fwd,
-            run.rev,
+            fwd,
+            rev,
         );
     }
 
-    /// Opens a node for `members` (sorted) starting at `t`; returns its id.
-    fn open(&mut self, members: Vec<ObjectId>, t: Time, rev: Vec<u32>) -> u32 {
+    /// Opens a node for `members` (sorted) starting at `t` with in-edges
+    /// `rev`; returns its id.
+    fn open(&mut self, members: Vec<ObjectId>, t: Time, rev: &[u32]) -> u32 {
         let id = self.next_id;
         self.next_id += 1;
         let slot = self.free.pop().unwrap_or(self.runs.len() as u32);
@@ -945,17 +951,26 @@ impl<'s, S: DnSink> Builder<'s, S> {
         } else {
             NOT_MULTI
         };
-        let run = OpenRun {
-            id,
-            start: t,
-            members,
-            rev,
-            multi_pos,
-            continued_at: t,
-        };
         match self.runs.get_mut(slot as usize) {
-            Some(free) => *free = run,
-            None => self.runs.push(run),
+            Some(run) => {
+                run.id = id;
+                run.start = t;
+                run.members = members;
+                run.rev.clear();
+                run.rev.extend_from_slice(rev);
+                run.fwd.clear();
+                run.multi_pos = multi_pos;
+                run.continued_at = t;
+            }
+            None => self.runs.push(OpenRun {
+                id,
+                start: t,
+                members,
+                rev: rev.to_vec(),
+                fwd: Vec::new(),
+                multi_pos,
+                continued_at: t,
+            }),
         }
         id
     }
@@ -1005,7 +1020,7 @@ impl<'s, S: DnSink> Builder<'s, S> {
         for ci in 0..self.comps.len() {
             let (lo, hi) = self.comps[ci];
             let members = self.comp_members[lo as usize..hi as usize].to_vec();
-            self.open(members, 0, Vec::new());
+            self.open(members, 0, &[]);
         }
     }
 
@@ -1076,24 +1091,26 @@ impl<'s, S: DnSink> Builder<'s, S> {
             }
             self.pred_scratch.sort_unstable();
             self.pred_scratch.dedup();
-            let (members, rev) = (members.to_vec(), self.pred_scratch.clone());
-            let id = self.open(members, t, rev);
-            for &p in &self.pred_scratch {
+            let members = members.to_vec();
+            let preds = take(&mut self.pred_scratch);
+            let id = self.open(members, t, &preds);
+            for &p in &preds {
                 let si = self
                     .closing
                     .binary_search_by_key(&p, |&(id, _)| id)
                     .expect("a predecessor of a new node is closing");
-                sealing[si].fwd.push(id);
+                self.runs[self.closing[si].1 as usize].fwd.push(id);
             }
+            self.pred_scratch = preds;
         }
         // 5. Members of closed runs that did not join a new group become
         //    fresh singletons. Opening one rewrites only that object's
         //    `run_of` entry, so the test can run while they open.
-        for c in &mut sealing {
+        for c in &sealing {
             for &m in &c.members {
                 if self.run_of[m.index()] == c.slot {
-                    let id = self.open(vec![m], t, vec![c.id]);
-                    c.fwd.push(id);
+                    let id = self.open(vec![m], t, &[c.id]);
+                    self.runs[c.slot as usize].fwd.push(id);
                 }
             }
         }

@@ -180,12 +180,12 @@ struct SpoolSink<'a> {
 }
 
 impl DnSink for SpoolSink<'_> {
-    fn node(&mut self, id: u32, node: DnNode, fwd: Vec<u32>, rev: Vec<u32>) {
+    fn node(&mut self, id: u32, node: DnNode, fwd: &[u32], rev: &[u32]) {
         let rec = NodeRec {
             interval: node.interval,
             members: node.members.iter().map(|m| m.0).collect(),
-            fwd,
-            rev,
+            fwd: fwd.to_vec(),
+            rev: rev.to_vec(),
         };
         self.pool
             .update(node_key(id), Seg::empty_nodes, |seg| {

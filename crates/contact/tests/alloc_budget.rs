@@ -2,11 +2,10 @@
 //! `pinned_dn.rs` (RWP 150 × 400, seed 23, `d_T = 25`).
 //!
 //! The DN builder and `MultiRes::build` reuse their scratch across nodes
-//! and ticks, so they allocate per level or per build, plus what each
-//! sealed node hands the sink: its member list and non-empty DN1 rows. A
-//! return to per-node scratch (a `Vec` per bundle or per closing run)
-//! multiplies these counts and fails here; one extra buffer per tick stays
-//! inside the headroom. The counter is thread-local, so the test harness's
+//! and ticks, so they allocate per level or per build, plus the member
+//! list each sealed node hands the sink. A return to per-node scratch (a
+//! `Vec` per bundle or per closing run) multiplies these counts and fails
+//! here; one extra buffer per tick stays inside the headroom. The counter is thread-local, so the test harness's
 //! own threads do not disturb it.
 
 use reach_contact::{DnGraph, MultiRes, DEFAULT_LEVELS};
@@ -18,13 +17,15 @@ use std::cell::Cell;
 
 const THRESHOLD: Coord = 25.0;
 
-/// Allocations per sealed node of `DnGraph::build`, join included: 3.08
-/// measured. The floor is the sealed node's member list plus its non-empty
-/// DN1 rows, which `DnSink::node` takes by value: 2.98 per node here. The
-/// builder that kept its open runs in hash maps and allocated its step
-/// scratch every tick made 4.55 per node here (5.3 on the 1000-object
-/// benchmark dataset).
-const DN_ALLOCS_PER_NODE: f64 = 3.4;
+/// Allocations per sealed node of `DnGraph::build`, join included: 1.13
+/// measured. The floor is the sealed node's member list, the one row the
+/// sink takes by value; `DnSink::node` borrows the DN1 rows from the
+/// builder's slot scratch. When it took them by value the floor was 2.98
+/// per node here, 3.08 measured under a budget of 3.4. The builder that
+/// kept its open runs in hash maps and allocated its step scratch every
+/// tick made 4.55 per node here (5.3 on the 1000-object benchmark
+/// dataset).
+const DN_ALLOCS_PER_NODE: f64 = 1.24;
 /// Allocations per level of `MultiRes::build`, independent of the node
 /// count: 5.6 measured (the two CSR vectors of each level plus shared
 /// scratch). The builder that kept one `Vec` per node per level made

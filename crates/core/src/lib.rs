@@ -14,6 +14,7 @@
 //! * [`Contact`] / [`ContactEvent`] — the atoms of a contact network;
 //! * [`Query`] / [`QueryResult`] — reachability queries and their outcomes;
 //! * [`UnionFind`] — per-snapshot connected components;
+//! * [`FxHashMap`] — a fixed integer hasher for maps keyed by internal ids;
 //! * [`ReachIndex`] — the one trait every index and baseline implements:
 //!   a shared `&self` image that any number of threads query at once.
 
@@ -25,6 +26,7 @@ pub mod decay;
 pub mod error;
 pub mod frontier;
 pub mod geom;
+pub mod hash;
 pub mod ids;
 pub mod query;
 pub mod request;
@@ -36,6 +38,7 @@ pub use decay::{DecayModel, RankDirection, Ranked};
 pub use error::IndexError;
 pub use frontier::{FrontierHandoff, WeightedFrontier};
 pub use geom::{Coord, Environment, Mbr, Point};
+pub use hash::{FxHashMap, FxHasher};
 pub use ids::{NodeId, ObjectId};
 pub use query::{Query, QueryOutcome, QueryResult, QueryStats};
 pub use request::{attribute_stats, Answer, QueryKind, ReachIndex, ReachRequest, Serial};

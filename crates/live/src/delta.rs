@@ -20,7 +20,7 @@
 
 use reach_contact::{DnGraph, MultiRes};
 use reach_core::{Contact, ObjectId, Time, TimeInterval, UnionFind};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// Deterministic per-pair overhead in the resident-byte accounting
@@ -312,6 +312,15 @@ impl DeltaDn {
     /// tick's events close over connected components (the paper's snapshot
     /// transitivity). Returns each object's earliest hold tick, stopping
     /// early once `stop_at` is infected.
+    ///
+    /// Each active tick unions its pairs in an epoch-reset [`UnionFind`],
+    /// then closes in two passes over the same pairs: the first stamps the
+    /// root of every pair with a holding endpoint as *hot*, the second
+    /// infects both endpoints of every pair whose root is hot. A component
+    /// is hot exactly when one of its members held the item by `t`, so
+    /// this is the snapshot closure without materializing any component.
+    /// Every buffer is allocated once per call and reused across ticks: a
+    /// tick allocates nothing, hashes nothing and sorts nothing.
     pub fn propagate(
         &self,
         num_objects: usize,
@@ -325,7 +334,10 @@ impl DeltaDn {
             *slot = Some(slot.map_or(t, |have: Time| have.min(t)));
         }
         if let Some(d) = stop_at {
-            if when[d.index()].is_some() {
+            // No delta event precedes the watermark, so a destination
+            // seeded by then already has its earliest arrival. One seeded
+            // later can still be reached sooner by the sweep.
+            if when[d.index()].is_some_and(|w| w <= self.watermark) {
                 return when;
             }
         }
@@ -348,7 +360,10 @@ impl DeltaDn {
         let contacts = contacts.as_slice();
         let mut uf = UnionFind::new(num_objects);
         let mut buf: Vec<(u32, u32)> = Vec::new();
-        let mut groups: HashMap<u32, Vec<u32>> = HashMap::new();
+        // `hot[root] == t`: the component rooted there holds the item at
+        // active tick `t`. An active tick lies inside a stored run, which
+        // ends before `Time::MAX`, so the fill value is never a tick.
+        let mut hot: Vec<Time> = vec![Time::MAX; num_objects];
         // Event-driven interval sweep: cost is O(active pair-ticks), not
         // O(horizon span) — silent stretches (an `advance`d clock, sparse
         // feeds) are jumped over, not iterated.
@@ -385,21 +400,17 @@ impl DeltaDn {
             for &(a, b) in &buf {
                 uf.union(a, b);
             }
-            groups.clear();
+            let holds = |m: u32| when[m as usize].is_some_and(|w| w <= t);
             for &(a, b) in &buf {
-                groups.entry(uf.find(a)).or_default().push(a);
-                groups.entry(uf.find(b)).or_default().push(b);
+                if holds(a) || holds(b) {
+                    hot[uf.find(a) as usize] = t;
+                }
             }
-            for members in groups.values_mut() {
-                members.sort_unstable();
-                members.dedup();
-                let infected = members
-                    .iter()
-                    .any(|&m| when[m as usize].is_some_and(|w| w <= t));
-                if !infected {
+            for &(a, b) in &buf {
+                if hot[uf.find(a) as usize] != t {
                     continue;
                 }
-                for &m in members.iter() {
+                for m in [a, b] {
                     let slot = &mut when[m as usize];
                     if slot.is_none_or(|w| w > t) {
                         *slot = Some(t);

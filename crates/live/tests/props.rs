@@ -2,13 +2,14 @@
 //! and whole-history compactions interleaved, including
 //! late, out-of-window, and self-contact records — are result-identical to
 //! a batch-built oracle over the accepted trace (ISSUE 5 acceptance
-//! criterion).
+//! criterion). The delta's own closure, `DeltaDn::propagate`, is checked
+//! against the oracle directly on random multi-seed frontiers.
 
 use proptest::prelude::*;
 use reach_contact::Oracle;
 use reach_core::{Contact, ObjectId, Query, Time, TimeInterval};
 use reach_graph::GraphParams;
-use reach_live::{LiveConfig, LiveError, ShardedLive};
+use reach_live::{DeltaDn, LiveConfig, LiveError, ShardedLive};
 use reach_storage::BuildBudget;
 
 const HORIZON: Time = 48;
@@ -80,8 +81,86 @@ fn live_index(n: usize, budget: usize) -> ShardedLive {
     .expect("live index creates")
 }
 
+/// Ticks a random delta spans past its watermark.
+const DELTA_SPAN: Time = 30;
+
+/// A random delta: `(objects, watermark, contacts in insertion order)`.
+/// Insertion order is random, so runs arrive out of order, and with 10–40
+/// objects and up to 160 contacts of up to four ticks, active ticks hold
+/// multi-pair components.
+fn delta_strategy() -> impl Strategy<Value = (usize, Time, Vec<Contact>)> {
+    (10usize..=40, 0 as Time..20).prop_flat_map(|(n, watermark)| {
+        let contact = (0..n as u32, 1..n as u32, 0..DELTA_SPAN, 0 as Time..4).prop_map(
+            move |(a, hop, start, len)| {
+                let b = (a + hop) % n as u32;
+                let start = watermark + start;
+                Contact::new(
+                    ObjectId(a),
+                    ObjectId(b),
+                    TimeInterval::new(start, start + len),
+                )
+            },
+        );
+        prop::collection::vec(contact, 0..160).prop_map(move |cs| (n, watermark, cs))
+    })
+}
+
+/// Earliest-arrival ground truth for a seeded frontier: a seed `(o, t)`
+/// holds from `t` on, and an object's arrival is the earliest over the
+/// seeds of the oracle's single-source spread (one seed's spread never
+/// depends on another's).
+fn seeded_oracle(oracle: &Oracle, seeds: &[(ObjectId, Time)], until: Time) -> Vec<Option<Time>> {
+    let mut when: Vec<Option<Time>> = vec![None; oracle.num_objects()];
+    for &(o, t) in seeds {
+        let reached = if t <= until {
+            oracle.spread(o, TimeInterval::new(t, until), None).1
+        } else {
+            let mut only = vec![None; oracle.num_objects()];
+            only[o.index()] = Some(t);
+            only
+        };
+        for (slot, r) in when.iter_mut().zip(reached) {
+            if let Some(r) = r {
+                *slot = Some(slot.map_or(r, |w: Time| w.min(r)));
+            }
+        }
+    }
+    when
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `DeltaDn::propagate` returns the oracle's earliest arrival for every
+    /// object, from multi-seed frontiers whose hold times fall before, at
+    /// and after the watermark; with `stop_at` set, the destination's
+    /// arrival still matches.
+    #[test]
+    fn delta_propagation_matches_the_oracle(
+        (n, watermark, contacts) in delta_strategy(),
+        raw_seeds in prop::collection::vec((0u32..40, 0 as Time..50), 1..6),
+        until in 0 as Time..55,
+        stop in 0u32..40,
+    ) {
+        let mut delta = DeltaDn::new(watermark);
+        for &c in &contacts {
+            delta.insert(c);
+        }
+        let oracle = oracle_of(n, watermark + DELTA_SPAN + 4, &contacts);
+        let seeds: Vec<(ObjectId, Time)> = raw_seeds
+            .iter()
+            .map(|&(o, t)| (ObjectId(o % n as u32), t))
+            .collect();
+        let want = seeded_oracle(&oracle, &seeds, until);
+        let got = delta.propagate(n, &seeds, until, None);
+        prop_assert_eq!(&got, &want, "seeds {:?} until {} (watermark {})", seeds, until, watermark);
+        let d = ObjectId(stop % n as u32);
+        let got = delta.propagate(n, &seeds, until, Some(d));
+        prop_assert_eq!(
+            got[d.index()], want[d.index()],
+            "stop at {} from seeds {:?} until {}", d, seeds, until
+        );
+    }
 
     /// Every query in a random schedule answers exactly as the batch
     /// oracle over the records the live index accepted, and a final sweep

@@ -822,6 +822,45 @@ mod tests {
     }
 
     #[test]
+    fn member_ids_outside_the_universe_are_corrupt() {
+        let (dn, mr, _) = random_world(12, 6, 80, 0.06);
+        let mut rg = ReachGraph::build(&dn, &mr, params(256)).unwrap();
+        // A partition record whose length prefix, vertex count, first
+        // vertex id and interval, and first member all lie on its first
+        // page: the member sits 4 + 20 bytes past the record pointer.
+        let ptr = *rg
+            .partition_ptrs
+            .iter()
+            .find(|p| p.offset as usize + 28 <= 256)
+            .expect("a record starting early in its page");
+        let mut page = vec![0u8; 256];
+        rg.device_mut().read_page_into(ptr.page, &mut page).unwrap();
+        let at = ptr.offset as usize + 4;
+        let field = |at: usize| u32::from_le_bytes(page[at..at + 4].try_into().unwrap());
+        let v = field(at + 4);
+        let node = dn.node(v);
+        assert_eq!(field(at + 8), node.interval.start);
+        assert_eq!(field(at + 20), node.members[0].0);
+        // The member list still decodes; it now names object 6 of 6.
+        page[at + 20..at + 24].copy_from_slice(&6u32.to_le_bytes());
+        rg.device_mut().write_page(ptr.page, &page).unwrap();
+        let seed = (node.members[0], node.interval.start);
+        let window = TimeInterval::new(node.interval.start, 79);
+        assert!(matches!(
+            rg.reachable_set_from(&[seed], window),
+            Err(IndexError::Corrupt(_))
+        ));
+        // Point traversals key their maps by member id and must not panic
+        // either, whatever they answer.
+        for kind in [TraversalKind::BBfs, TraversalKind::BmBfs] {
+            for d in 0..6 {
+                let q = Query::new(seed.0, ObjectId(d), window);
+                let _ = rg.evaluate_with(&q, kind);
+            }
+        }
+    }
+
+    #[test]
     fn page_table_disagreeing_with_a_partition_is_corrupt() {
         let (dn, mr, _) = random_world(12, 6, 80, 0.06);
         let mut rg = ReachGraph::build(&dn, &mr, params(256)).unwrap();

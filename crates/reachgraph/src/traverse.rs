@@ -37,10 +37,10 @@
 use crate::params::TraversalKind;
 use crate::vertex::{HnSource, Vertex};
 use reach_contact::launch_boundary;
-use reach_core::{IndexError, Query, QueryOutcome, Time, TimeInterval};
+use reach_core::{FxHashMap, IndexError, Query, QueryOutcome, Time, TimeInterval};
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Work counters of one traversal.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
@@ -111,6 +111,9 @@ pub fn reachable_set<S: HnSource>(
 /// it and are skipped. With a single seed `(source, interval.start)` this
 /// is byte-for-byte the single-source expansion, so the sealed→delta and
 /// shard→shard handoffs share one relaxation rule and cannot drift apart.
+///
+/// Rows come out strictly ascending by object id. A fetched vertex naming
+/// a member outside the object universe is [`IndexError::Corrupt`].
 pub fn reachable_set_seeded<S: HnSource>(
     src: &mut S,
     seeds: &[(reach_core::ObjectId, Time)],
@@ -132,8 +135,11 @@ pub fn reachable_set_seeded<S: HnSource>(
     let interval = TimeInterval::new(interval.start, interval.end.min(horizon - 1));
     let (t1, t2) = (interval.start, interval.end);
 
-    let mut ea: HashMap<u32, Time> = HashMap::new();
-    let mut best: HashMap<u32, Time> = HashMap::new();
+    // Earliest hold tick per object, dense over the object universe;
+    // `Time::MAX` marks an object not reached (every arrival is `≤ t2`).
+    let num_objects = src.num_objects();
+    let mut ea: Vec<Time> = vec![Time::MAX; num_objects];
+    let mut best: FxHashMap<u32, Time> = FxHashMap::default();
     let mut heap: BinaryHeap<Reverse<(Time, u32)>> = BinaryHeap::new();
     for &(o, t) in seeds {
         let entry = t.max(t1);
@@ -160,19 +166,16 @@ pub fn reachable_set_seeded<S: HnSource>(
         stats.visited += 1;
         let vd = src.vertex(v)?;
         for &m in vd.members() {
-            match ea.entry(m) {
-                Entry::Occupied(mut e) if *e.get() > a => {
-                    e.insert(a);
-                }
-                Entry::Vacant(e) => {
-                    e.insert(a);
-                }
-                _ => {}
-            }
+            let slot = ea.get_mut(m as usize).ok_or_else(|| {
+                IndexError::Corrupt(format!(
+                    "vertex {v} has member {m} outside {num_objects} objects"
+                ))
+            })?;
+            *slot = (*slot).min(a);
         }
         let relax = |w: u32,
                      arr: Time,
-                     best: &mut HashMap<u32, Time>,
+                     best: &mut FxHashMap<u32, Time>,
                      heap: &mut BinaryHeap<Reverse<(Time, u32)>>,
                      stats: &mut TraversalStats| {
             stats.examined += 1;
@@ -194,11 +197,12 @@ pub fn reachable_set_seeded<S: HnSource>(
             }
         }
     }
-    let mut out: Vec<(reach_core::ObjectId, Time)> = ea
-        .into_iter()
+    // Read in id order, so the rows come out ascending by object.
+    let out = (0..)
+        .zip(ea)
+        .filter(|&(_, t)| t != Time::MAX)
         .map(|(o, t)| (reach_core::ObjectId(o), t))
         .collect();
-    out.sort_unstable();
     Ok((out, stats))
 }
 
@@ -216,7 +220,7 @@ fn unidirectional<S: HnSource>(
     let horizon = src.horizon();
     let levels: Vec<Time> = src.levels().to_vec();
 
-    let mut best: HashMap<u32, Time> = HashMap::new();
+    let mut best: FxHashMap<u32, Time> = FxHashMap::default();
     best.insert(v1, t1);
     // One container, two disciplines: LIFO for DFS, FIFO for BFS.
     let mut pending: std::collections::VecDeque<(u32, Time)> = std::collections::VecDeque::new();
@@ -288,16 +292,16 @@ fn bidirectional<S: HnSource>(
     let v2 = src.node_of(q.dest, t2)?;
 
     // Forward: earliest known hold time per object / arrival per vertex.
-    let mut fwd_ea: HashMap<u32, Time> = HashMap::new();
-    let mut fwd_best: HashMap<u32, Time> = HashMap::new();
+    let mut fwd_ea: FxHashMap<u32, Time> = FxHashMap::default();
+    let mut fwd_best: FxHashMap<u32, Time> = FxHashMap::default();
     let mut fq: BinaryHeap<Reverse<(Time, u32)>> = BinaryHeap::new();
     fwd_best.insert(v1, t1);
     fq.push(Reverse((t1, v1)));
 
     // Backward: latest useful delivery time per object / latest presence per
     // vertex.
-    let mut bwd_ld: HashMap<u32, Time> = HashMap::new();
-    let mut bwd_best: HashMap<u32, Time> = HashMap::new();
+    let mut bwd_ld: FxHashMap<u32, Time> = FxHashMap::default();
+    let mut bwd_best: FxHashMap<u32, Time> = FxHashMap::default();
     let mut bq: BinaryHeap<(Time, u32)> = BinaryHeap::new();
     bwd_best.insert(v2, t2);
     bq.push((t2, v2));
@@ -409,7 +413,7 @@ fn expand_forward(
     horizon: Time,
     levels: &[Time],
     multires: bool,
-    fwd_best: &mut HashMap<u32, Time>,
+    fwd_best: &mut FxHashMap<u32, Time>,
     fq: &mut BinaryHeap<Reverse<(Time, u32)>>,
     stats: &mut TraversalStats,
 ) {

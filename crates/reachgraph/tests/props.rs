@@ -4,8 +4,10 @@
 
 use proptest::prelude::*;
 use reach_contact::{DnGraph, MultiRes, Oracle, DEFAULT_LEVELS};
-use reach_core::{ObjectId, Query, TimeInterval};
-use reach_graph::{reachable_set, GraphParams, MemoryHn, ReachGraph, TraversalKind};
+use reach_core::{ObjectId, Query, Time, TimeInterval};
+use reach_graph::{
+    reachable_set, reachable_set_seeded, GraphParams, MemoryHn, ReachGraph, TraversalKind,
+};
 
 fn script_strategy(
     max_objects: usize,
@@ -19,8 +21,83 @@ fn script_strategy(
     })
 }
 
+/// The oracle's answer to a seeded expansion over `[t1, t2]`: a seed
+/// `(o, t)` holds from `max(t, t1)` and is skipped past `t2`, and each
+/// object's row is its earliest arrival over the seeds' single-source
+/// spreads, ascending by object id.
+fn seeded_expected(
+    oracle: &Oracle,
+    seeds: &[(ObjectId, Time)],
+    t1: Time,
+    t2: Time,
+) -> Vec<(ObjectId, Time)> {
+    let mut when: Vec<Option<Time>> = vec![None; oracle.num_objects()];
+    for &(o, t) in seeds {
+        let entry = t.max(t1);
+        if entry > t2 {
+            continue;
+        }
+        let (_, reached) = oracle.spread(o, TimeInterval::new(entry, t2), None);
+        for (slot, r) in when.iter_mut().zip(reached) {
+            if let Some(r) = r {
+                *slot = Some(slot.map_or(r, |w: Time| w.min(r)));
+            }
+        }
+    }
+    (0..)
+        .zip(when)
+        .filter_map(|(o, w)| w.map(|t| (ObjectId(o), t)))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Multi-seed expansion (memory and disk backing) ≡ the earliest
+    /// arrival over the seeds' oracle spreads, with rows strictly ascending
+    /// by object id — the order `FrontierHandoff::absorb` relies on.
+    #[test]
+    fn seeded_reachable_set_matches_oracle(
+        (n, script) in script_strategy(9, 24),
+        raw_seeds in prop::collection::vec((0u32..9, 0u32..30), 1..5),
+        raw_window in (0u32..24, 0u32..24),
+    ) {
+        let h = script.len() as u32;
+        let dn = DnGraph::build_from_ticks(n, h, |t| script[t as usize].as_slice());
+        let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
+        let oracle = Oracle::from_events(n, script);
+        let disk = ReachGraph::build(
+            &dn,
+            &mr,
+            GraphParams {
+                partition_depth: 4,
+                page_size: 256,
+                ..GraphParams::default()
+            },
+        )
+        .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let mut mem = MemoryHn::new(&dn, &mr);
+        let seeds: Vec<(ObjectId, Time)> = raw_seeds
+            .iter()
+            .map(|&(o, t)| (ObjectId(o % n as u32), t))
+            .collect();
+        let (a, b) = (raw_window.0 % h, raw_window.1 % h);
+        let iv = TimeInterval::new(a.min(b), a.max(b));
+        let expected = seeded_expected(&oracle, &seeds, iv.start, iv.end);
+        let from_mem = reachable_set_seeded(&mut mem, &seeds, iv)
+            .map_err(|e| TestCaseError::fail(e.to_string()))?
+            .0;
+        let from_disk = disk
+            .reachable_set_from(&seeds, iv)
+            .map_err(|e| TestCaseError::fail(e.to_string()))?
+            .0;
+        prop_assert!(
+            from_mem.windows(2).all(|w| w[0].0 < w[1].0),
+            "rows not strictly ascending: {:?}", from_mem
+        );
+        prop_assert_eq!(&from_mem, &expected, "seeds {:?} over {} (n={}, h={})", seeds, iv, n, h);
+        prop_assert_eq!(&from_disk, &expected, "disk, seeds {:?} over {}", seeds, iv);
+    }
 
     /// Batch reachable-set (memory backing) ≡ oracle spread, including the
     /// exact earliest hold tick of every object.

@@ -92,9 +92,8 @@ impl RecordWriter {
         payload: &[u8],
     ) -> Result<RecordPtr, IndexError> {
         let ptr = self.tell();
-        let mut header = ByteWriter::with_capacity(4);
-        header.put_u32(u32::try_from(payload.len()).expect("record length fits u32"));
-        self.push_bytes(disk, header.as_bytes())?;
+        let len = u32::try_from(payload.len()).expect("record length fits u32");
+        self.push_bytes(disk, &len.to_le_bytes())?;
         self.push_bytes(disk, payload)?;
         Ok(ptr)
     }
