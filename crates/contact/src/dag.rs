@@ -105,6 +105,21 @@ impl Csr {
         self.offsets.push(self.targets.len() as u64);
     }
 
+    /// Reverses the order of the rows, each row's targets keeping theirs:
+    /// a CSR filled last source first becomes one filled in source order.
+    pub(crate) fn reverse_rows(&mut self) {
+        let total = self.targets.len() as u64;
+        self.targets.reverse();
+        self.offsets.reverse();
+        for o in &mut self.offsets {
+            *o = total - *o;
+        }
+        for r in 0..self.num_nodes() {
+            let (lo, hi) = (self.offsets[r] as usize, self.offsets[r + 1] as usize);
+            self.targets[lo..hi].reverse();
+        }
+    }
+
     /// Out-neighbors of node `n`.
     #[inline]
     pub fn out(&self, n: u32) -> &[u32] {
@@ -396,6 +411,22 @@ pub trait DnAccess {
     fn fwd_into(&mut self, v: u32, out: &mut Vec<u32>);
     /// Replaces `out` with the sorted DN1 in-edges of node `v`.
     fn rev_into(&mut self, v: u32, out: &mut Vec<u32>);
+    /// Replaces `members`, `fwd` and `rev` with node `v`'s three lists (as
+    /// the `*_into` accessors do) and returns its interval. A spill-backed
+    /// implementation serves the whole node from one segment access
+    /// instead of four.
+    fn node_into(
+        &mut self,
+        v: u32,
+        members: &mut Vec<u32>,
+        fwd: &mut Vec<u32>,
+        rev: &mut Vec<u32>,
+    ) -> TimeInterval {
+        self.members_into(v, members);
+        self.fwd_into(v, fwd);
+        self.rev_into(v, rev);
+        self.interval(v)
+    }
     /// Replaces `out` with object `o`'s `(start_tick, node)` runs, ascending.
     fn timeline_into(&mut self, o: ObjectId, out: &mut Vec<(Time, u32)>);
     /// Total timeline entries over all objects (Σ per-node member counts);
@@ -472,6 +503,16 @@ impl<T: DnAccess> DnAccess for &mut T {
 
     fn rev_into(&mut self, v: u32, out: &mut Vec<u32>) {
         (**self).rev_into(v, out)
+    }
+
+    fn node_into(
+        &mut self,
+        v: u32,
+        members: &mut Vec<u32>,
+        fwd: &mut Vec<u32>,
+        rev: &mut Vec<u32>,
+    ) -> TimeInterval {
+        (**self).node_into(v, members, fwd, rev)
     }
 
     fn timeline_into(&mut self, o: ObjectId, out: &mut Vec<(Time, u32)>) {

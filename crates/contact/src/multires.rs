@@ -16,15 +16,16 @@
 //! level-`k` advance applied twice, because a node dying inside a half-window
 //! launches its stored level-`k` bundle at exactly that half-window boundary.
 //!
-//! Each level is one [`Csr`], written directly in node-id order: a node's
-//! bundle is composed in one reused scratch buffer and appended as the next
-//! row, so a level costs its two CSR vectors, not a list per node. The
-//! [`DnAccess`] calls — which node's interval or DN1 successors are read,
-//! and in what order — are exactly those of composing each bundle on its
-//! own. On a spill-backed [`StreamedDn`](crate::StreamedDn) that call
-//! sequence alone decides which segments are loaded and evicted, so its
-//! spill counters and the index bytes written after it do not depend on how
-//! the bundles are stored.
+//! Every level is built in **one sweep over the node ids, descending**. A
+//! level-`2k` bundle composes level-`k` bundles of the node's descendants,
+//! and a descendant starts after the node ends, so its id is larger and all
+//! of its levels are already built when the sweep reaches the node. The
+//! sweep reads each node's interval once for all levels, so a spill-backed
+//! [`StreamedDn`](crate::StreamedDn) streams through the DN once, not once
+//! per level. Each level is one [`Csr`]: a node's bundle is composed in one
+//! reused scratch buffer and appended as the next row, so the rows arrive
+//! last node first and each level is flipped in place at the end. A level
+//! costs its two CSR vectors, not a list per node.
 
 use crate::dag::{Csr, DnAccess, DnGraph};
 use reach_core::{Time, TimeInterval};
@@ -74,28 +75,47 @@ impl MultiRes {
         }
         let horizon = dn.horizon();
         let n = dn.num_nodes();
-        let mut bundles: Vec<Csr> = Vec::with_capacity(levels.len());
+        let mut bundles: Vec<Csr> = levels.iter().map(|_| Csr::with_capacity(n, n)).collect();
         let mut scratch: Vec<u32> = Vec::new();
         let mut succ: Vec<u32> = Vec::new();
         let mut fwd_buf: Vec<u32> = Vec::new();
-        for (idx, &level) in levels.iter().enumerate() {
-            // The level below is the best guess at this level's size.
-            let hint = bundles.last().map_or(n, |b| b.num_edges() as usize);
-            let mut csr = Csr::with_capacity(n, hint);
-            for v in 0..n as u32 {
-                let Some(ta) = launch_boundary(dn.interval(v), level, horizon) else {
-                    csr.push_row(&[]);
+        for v in (0..n as u32).rev() {
+            let interval = dn.interval(v);
+            for (idx, &level) in levels.iter().enumerate() {
+                let Some(ta) = launch_boundary(interval, level, horizon) else {
+                    bundles[idx].push_row(&[]);
                     continue;
                 };
                 if idx == 0 {
-                    level2_bundle(&mut dn, v, ta, &mut scratch, &mut succ, &mut fwd_buf);
+                    level2_bundle(
+                        &mut dn,
+                        v,
+                        interval.end,
+                        ta,
+                        &mut scratch,
+                        &mut succ,
+                        &mut fwd_buf,
+                    );
                 } else {
-                    let (lower, k) = (&bundles[idx - 1], levels[idx - 1]);
-                    compose(&mut dn, lower, k, v, ta, &mut scratch);
+                    let lower = Built {
+                        csr: &bundles[idx - 1],
+                        n,
+                    };
+                    compose(
+                        &mut dn,
+                        lower,
+                        levels[idx - 1],
+                        v,
+                        interval.end,
+                        ta,
+                        &mut scratch,
+                    );
                 }
-                csr.push_row(&scratch);
+                bundles[idx].push_row(&scratch);
             }
-            bundles.push(csr);
+        }
+        for csr in &mut bundles {
+            csr.reverse_rows();
         }
         Self {
             levels: levels.to_vec(),
@@ -141,19 +161,33 @@ impl MultiRes {
     }
 }
 
+/// A level's bundles so far, rows pushed in descending node order: the
+/// row of node `m` is row `n - 1 - m`.
+#[derive(Clone, Copy)]
+struct Built<'a> {
+    csr: &'a Csr,
+    n: usize,
+}
+
+impl Built<'_> {
+    fn out(&self, m: u32) -> &[u32] {
+        self.csr.out((self.n - 1) as u32 - m)
+    }
+}
+
 /// Level-2 base case: fills `scratch` with the hold set two ticks after
-/// `ta`, starting from `v` alive at `ta` (with `v.end ∈ {ta, ta+1}` by
-/// launch-boundary construction).
+/// `ta`, starting from `v` (which ends at `end`) alive at `ta` (with
+/// `end ∈ {ta, ta+1}` by launch-boundary construction).
 fn level2_bundle<D: DnAccess>(
     dn: &mut D,
     v: u32,
+    end: Time,
     ta: Time,
     scratch: &mut Vec<u32>,
     succ: &mut Vec<u32>,
     fwd_buf: &mut Vec<u32>,
 ) {
     scratch.clear();
-    let end = dn.interval(v).end;
     debug_assert!(end == ta || end == ta + 1, "launch window must contain end");
     dn.fwd_into(v, succ);
     if end == ta + 1 {
@@ -175,22 +209,24 @@ fn level2_bundle<D: DnAccess>(
 }
 
 /// Doubling composition: fills `scratch` with the level-`2k` bundle of `v`
-/// at `ta`, the level-`k` advance applied at `ta` and again at `ta + k`.
+/// (which ends at `end`) at `ta`, the level-`k` advance applied at `ta`
+/// and again at `ta + k`.
 fn compose<D: DnAccess>(
     dn: &mut D,
-    lower: &Csr,
+    lower: Built<'_>,
     k: Time,
     v: u32,
+    end: Time,
     ta: Time,
     scratch: &mut Vec<u32>,
 ) {
     // Hold set at ta + k: `v` itself if it outlives the half-window, else
-    // its stored level-k bundle (its level-k launch is exactly ta).
+    // its level-k bundle (its level-k launch is exactly ta).
     let only_v = [v];
-    let mid: &[u32] = if dn.interval(v).end >= ta + k {
+    let mid: &[u32] = if end >= ta + k {
         &only_v
     } else {
-        debug_assert_eq!((dn.interval(v).end / k) * k, ta);
+        debug_assert_eq!((end / k) * k, ta);
         lower.out(v)
     };
     // Hold set at ta + 2k.
@@ -199,8 +235,8 @@ fn compose<D: DnAccess>(
         if dn.interval(m).end >= ta + 2 * k {
             scratch.push(m);
         } else {
-            // m dies inside [ta+k, ta+2k) ⇒ its stored level-k launch is
-            // exactly ta+k, so its bundle is the advance we need.
+            // m dies inside [ta+k, ta+2k) ⇒ its level-k launch is exactly
+            // ta+k, so its bundle is the advance we need.
             debug_assert_eq!((dn.interval(m).end / k) * k, ta + k);
             scratch.extend_from_slice(lower.out(m));
         }

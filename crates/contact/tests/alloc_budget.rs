@@ -27,8 +27,9 @@ const THRESHOLD: Coord = 25.0;
 /// dataset).
 const DN_ALLOCS_PER_NODE: f64 = 1.24;
 /// Allocations per level of `MultiRes::build`, independent of the node
-/// count: 5.6 measured (the two CSR vectors of each level plus shared
-/// scratch). The builder that kept one `Vec` per node per level made
+/// count: 6.0 measured (the two CSR vectors of each level plus shared
+/// scratch; 5.6 when each level had its own pass and its CSR was sized
+/// from the level below). The builder that kept one `Vec` per node per level made
 /// 41,615 here, 3.6 per node summed over the five levels (6.2 on the
 /// 1000-object benchmark dataset).
 const MR_ALLOCS_PER_LEVEL: f64 = 6.2;

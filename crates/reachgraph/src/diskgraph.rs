@@ -33,7 +33,7 @@
 
 use crate::params::{GraphParams, TraversalKind};
 use crate::partition::Partition;
-use crate::placement::{partition, Partitioning};
+use crate::placement::Sweep;
 use crate::traverse::{evaluate, TraversalStats};
 use crate::vertex::{encode_vertex, HnSource, Vertex};
 use reach_contact::{DnAccess, DnGraph, MultiRes};
@@ -82,9 +82,10 @@ impl ReachGraph {
     /// [`DnGraph`] (the classic path) or `&mut streamed` for a spill-backed
     /// [`StreamedDn`](reach_contact::StreamedDn) built under a
     /// [`BuildBudget`](reach_storage::BuildBudget) — the construction sweep
-    /// touches one partition's vertices at a time, so the whole DN never
-    /// needs to be resident, and the resulting pages are byte-identical
-    /// either way (asserted by `tests/streaming_build.rs`).
+    /// touches one partition's vertices at a time and reads each vertex
+    /// once ([`DnAccess::node_into`]), as the partitioning assigns it, so
+    /// the whole DN never needs to be resident, and the resulting pages are
+    /// byte-identical either way (asserted by `tests/streaming_build.rs`).
     pub fn build_on<D: DnAccess>(
         mut device: Box<dyn BlockDevice>,
         mut dn: D,
@@ -115,27 +116,30 @@ impl ReachGraph {
             })?;
 
         // --- Partition region ----------------------------------------------
-        let parts: Partitioning = partition(&mut dn, params.partition_depth);
+        // One sweep places and encodes: each vertex is read once, when the
+        // partitioning assigns it, into one record buffer and three scratch
+        // lists refilled per vertex; bundles are encoded straight from `mr`.
         let mut writer = RecordWriter::new(disk)?;
-        let mut partition_ptrs = Vec::with_capacity(parts.num_partitions as usize);
-        // Scratch lists refilled per vertex; bundles are encoded straight
-        // from `mr`.
-        let (mut members, mut fwd, mut rev) = (Vec::new(), Vec::new(), Vec::new());
-        for mine in &parts.members {
-            let mut w = ByteWriter::with_capacity(64 * mine.len());
-            w.put_u32(mine.len() as u32);
-            for &v in mine {
-                let interval = dn.interval(v);
-                dn.members_into(v, &mut members);
-                dn.fwd_into(v, &mut fwd);
-                dn.rev_into(v, &mut rev);
+        let mut partition_ptrs = Vec::new();
+        let mut sweep = Sweep::new(num_nodes, params.partition_depth);
+        let mut w = ByteWriter::new();
+        let (mut members, mut rev) = (Vec::new(), Vec::new());
+        loop {
+            w.clear();
+            w.put_u32(0); // member count, set once the partition is complete
+            let placed = sweep.next(|v, fwd| {
+                let interval = dn.node_into(v, &mut members, fwd, &mut rev);
                 w.put_u32(v);
                 let bundles = (0..mr.levels().len()).map(|idx| mr.bundle(idx, v));
-                encode_vertex(&mut w, interval, &members, &fwd, &rev, bundles);
-            }
+                encode_vertex(&mut w, interval, &members, fwd, &rev, bundles);
+                Ok::<(), IndexError>(())
+            });
+            let Some(mine) = placed else { break };
+            w.set_u32(0, mine?.len() as u32);
             writer.align_to_page(disk)?;
             partition_ptrs.push(writer.append(disk, w.as_bytes())?);
         }
+        let parts = sweep.finish();
         writer.finish(disk)?;
 
         // --- Metadata footer ----------------------------------------------

@@ -8,7 +8,7 @@
 //! are written to disk in creation order.
 
 use reach_contact::DnAccess;
-use std::collections::VecDeque;
+use std::convert::Infallible;
 
 /// Result of partitioning: assignment and partition count.
 #[derive(Clone, Debug)]
@@ -17,8 +17,19 @@ pub struct Partitioning {
     pub partition_of: Vec<u32>,
     /// Number of partitions.
     pub num_partitions: u32,
-    /// Vertices of each partition, in assignment order.
-    pub members: Vec<Vec<u32>>,
+    /// Every partition's vertices back to back, each in assignment order.
+    members: Vec<u32>,
+    /// Partition `p` is `members[offsets[p]..offsets[p + 1]]`.
+    offsets: Vec<u32>,
+}
+
+impl Partitioning {
+    /// Every partition's vertices, in partition order.
+    pub fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        self.offsets
+            .windows(2)
+            .map(|w| &self.members[w[0] as usize..w[1] as usize])
+    }
 }
 
 /// Partitions `dn` with depth `depth` (the paper's `d_p`). Generic over
@@ -26,40 +37,99 @@ pub struct Partitioning {
 /// a spill-backed `StreamedDn` (the assignment table and member lists — the
 /// in-memory page table the final index keeps anyway — stay resident).
 pub fn partition<D: DnAccess>(mut dn: D, depth: u32) -> Partitioning {
-    let n = dn.num_nodes();
-    let mut partition_of = vec![u32::MAX; n];
-    let mut members: Vec<Vec<u32>> = Vec::new();
-    let mut queue: VecDeque<(u32, u32)> = VecDeque::new();
-    let mut fwd_buf: Vec<u32> = Vec::new();
-    for root in 0..n as u32 {
-        if partition_of[root as usize] != u32::MAX {
-            continue;
+    let mut sweep = Sweep::new(dn.num_nodes(), depth);
+    while sweep
+        .next(|v, fwd| {
+            dn.fwd_into(v, fwd);
+            Ok::<(), Infallible>(())
+        })
+        .is_some()
+    {}
+    sweep.finish()
+}
+
+/// The partitioning sweep, one partition at a time, with the caller
+/// reading each vertex: [`Sweep::next`] grows the next partition
+/// breadth-first from the lowest unassigned id and hands every vertex it
+/// assigns to a `visit` callback, in assignment order, which must leave
+/// the vertex's DN1 out-edges in `fwd`. ReachGraph's build encodes each
+/// vertex's record inside `visit`, so it reads every vertex once.
+///
+/// The partition's member list is its BFS queue: vertices are visited in
+/// assignment order and expanded while they lie less than `depth` hops
+/// from the root.
+pub(crate) struct Sweep {
+    depth: u32,
+    next_root: u32,
+    partition_of: Vec<u32>,
+    members: Vec<u32>,
+    offsets: Vec<u32>,
+    fwd: Vec<u32>,
+}
+
+impl Sweep {
+    pub(crate) fn new(num_nodes: usize, depth: u32) -> Self {
+        Self {
+            depth,
+            next_root: 0,
+            partition_of: vec![u32::MAX; num_nodes],
+            members: Vec::with_capacity(num_nodes),
+            offsets: vec![0],
+            fwd: Vec::new(),
         }
-        let pid = members.len() as u32;
-        let mut mine = Vec::new();
-        queue.clear();
-        queue.push_back((root, 0));
-        partition_of[root as usize] = pid;
-        mine.push(root);
-        while let Some((v, d)) = queue.pop_front() {
-            if d == depth {
-                continue;
+    }
+
+    /// Grows the next partition, visiting each of its vertices; returns its
+    /// members, `None` once every vertex is placed, or the first error a
+    /// visit returned.
+    pub(crate) fn next<E>(
+        &mut self,
+        mut visit: impl FnMut(u32, &mut Vec<u32>) -> Result<(), E>,
+    ) -> Option<Result<&[u32], E>> {
+        let n = self.partition_of.len() as u32;
+        while self.next_root < n && self.partition_of[self.next_root as usize] != u32::MAX {
+            self.next_root += 1;
+        }
+        if self.next_root == n {
+            return None;
+        }
+        let pid = (self.offsets.len() - 1) as u32;
+        let start = self.members.len();
+        self.partition_of[self.next_root as usize] = pid;
+        self.members.push(self.next_root);
+        // `members[head..level_end]` is the rest of BFS level `d`.
+        let (mut head, mut level_end, mut d) = (start, start + 1, 0);
+        while head < self.members.len() {
+            if let Err(e) = visit(self.members[head], &mut self.fwd) {
+                return Some(Err(e));
             }
-            dn.fwd_into(v, &mut fwd_buf);
-            for &w in &fwd_buf {
-                if partition_of[w as usize] == u32::MAX {
-                    partition_of[w as usize] = pid;
-                    mine.push(w);
-                    queue.push_back((w, d + 1));
+            head += 1;
+            if d < self.depth {
+                for &w in &self.fwd {
+                    if self.partition_of[w as usize] == u32::MAX {
+                        self.partition_of[w as usize] = pid;
+                        self.members.push(w);
+                    }
                 }
             }
+            if head == level_end {
+                d += 1;
+                level_end = self.members.len();
+            }
         }
-        members.push(mine);
+        self.offsets.push(self.members.len() as u32);
+        Some(Ok(&self.members[start..]))
     }
-    Partitioning {
-        num_partitions: members.len() as u32,
-        partition_of,
-        members,
+
+    /// The partitioning swept so far (all of it once `next` returned
+    /// `None`).
+    pub(crate) fn finish(self) -> Partitioning {
+        Partitioning {
+            num_partitions: (self.offsets.len() - 1) as u32,
+            partition_of: self.partition_of,
+            members: self.members,
+            offsets: self.offsets,
+        }
     }
 }
 
@@ -89,10 +159,10 @@ mod tests {
         let p = partition(&dn, 2);
         assert_eq!(p.partition_of.len(), dn.num_nodes());
         assert!(p.partition_of.iter().all(|&x| x != u32::MAX));
-        let total: usize = p.members.iter().map(Vec::len).sum();
+        let total: usize = p.iter().map(<[u32]>::len).sum();
         assert_eq!(total, dn.num_nodes());
         // Assignment table and member lists agree.
-        for (pid, mine) in p.members.iter().enumerate() {
+        for (pid, mine) in p.iter().enumerate() {
             for &v in mine {
                 assert_eq!(p.partition_of[v as usize], pid as u32);
             }
@@ -120,7 +190,7 @@ mod tests {
         // The first vertex of partition k+1 must have a higher id than the
         // first vertex of partition k (roots are swept in topological id
         // order).
-        let roots: Vec<u32> = p.members.iter().map(|m| m[0]).collect();
+        let roots: Vec<u32> = p.iter().map(|m| m[0]).collect();
         assert!(roots.windows(2).all(|w| w[0] < w[1]));
     }
 

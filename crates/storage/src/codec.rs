@@ -46,6 +46,17 @@ impl ByteWriter {
         &self.buf
     }
 
+    /// Overwrites the four bytes at `at` with `v`: a count written as a
+    /// placeholder before its list was complete.
+    pub fn set_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Empties the writer, keeping its buffer for the next record.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Writes one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -80,6 +91,7 @@ impl ByteWriter {
     /// Writes a `u32`-length-prefixed list of `u32`s.
     pub fn put_u32_slice(&mut self, v: &[u32]) {
         self.put_u32(u32::try_from(v.len()).expect("slice length fits u32"));
+        self.buf.reserve(4 * v.len());
         for &x in v {
             self.put_u32(x);
         }

@@ -12,25 +12,30 @@
 //!   access pays no codec cost;
 //! * a [`BuildBudget`] caps the total resident bytes; exceeding it evicts
 //!   the least-recently-used segments, encoding dirty ones onto a scratch
-//!   [`BlockDevice`] through a [`Pager`];
+//!   [`BlockDevice`];
 //! * scratch traffic is accounted on the scratch device's own [`IoStats`],
 //!   kept strictly separate from the index device's counters — spill IO is
 //!   a *construction* cost and must never pollute the paper's query-cost
 //!   metrics (see [`SpillStats`]).
 //!
+//! Bookkeeping is `O(1)` per access. [`SpillPool::insert`] hands out dense
+//! segment ids, so the slot table is a `Vec` indexed by id; resident
+//! segments sit on an intrusive doubly-linked LRU list threaded through
+//! that table (touch = unlink + append, victim = list head); and the
+//! resident byte total is adjusted by each segment's change in
+//! [`Spillable::resident_bytes`], which implementors keep `O(1)`.
+//!
 //! Spilled segments are written page-aligned with the standard
-//! `[len][payload]` record framing, so reloads ride the shared
-//! [`read_record`] path. Rewrites of re-dirtied segments allocate fresh
-//! scratch pages (the scratch device is a temporary, discarded after the
-//! build; reclaiming holes would buy nothing).
+//! `[len][payload]` record framing, so a reload reads exactly the pages
+//! [`read_record`](crate::read_record) would. A re-dirtied segment is
+//! rewritten in place when its new encoding fits the pages it already
+//! holds, and onto fresh pages otherwise; scratch pages are never freed
+//! (the scratch device is a temporary, discarded after the build).
 
 use crate::codec::{ByteReader, ByteWriter};
-use crate::device::BlockDevice;
+use crate::device::{BlockDevice, PageId};
 use crate::iostats::IoStats;
-use crate::layout::{read_record, RecordPtr};
-use crate::pager::Pager;
 use reach_core::IndexError;
-use std::collections::{BTreeSet, HashMap};
 
 /// Memory budget of one construction run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,7 +65,9 @@ impl BuildBudget {
 /// `decode(encode(v))` must reproduce `v` exactly, and `resident_bytes`
 /// must be a *deterministic* function of the value (it feeds the
 /// budget accounting and the `peak_resident_bytes` counter reported to the
-/// perf-regression gate, so it must not depend on allocator state).
+/// perf-regression gate, so it must not depend on allocator state). The
+/// pool calls it after every [`SpillPool::update`], so it should be `O(1)`:
+/// derive it from lengths, never by walking the contents.
 pub trait Spillable: Sized {
     /// Approximate decoded in-memory size, in bytes.
     fn resident_bytes(&self) -> usize;
@@ -79,6 +86,10 @@ pub struct SpillStats {
     pub reloaded: u64,
     /// High-water mark of resident decoded bytes.
     pub peak_resident_bytes: u64,
+    /// High-water mark of one segment's resident bytes. The pool makes
+    /// room before a segment arrives, so `peak_resident_bytes` never
+    /// exceeds the budget plus this.
+    pub largest_segment_bytes: u64,
     /// Scratch-device page IO (classified seq/random like any device;
     /// strictly separate from the index device's counters).
     pub io: IoStats,
@@ -91,57 +102,68 @@ impl SpillStats {
     }
 }
 
-#[derive(Debug)]
-struct Resident<V> {
-    value: V,
-    bytes: usize,
-    dirty: bool,
-    /// Clean copy on scratch, if one exists (skip rewriting on eviction).
-    on_scratch: Option<RecordPtr>,
-    last_used: u64,
-}
+/// End of the LRU list.
+const NIL: u32 = u32::MAX;
 
+/// One segment's slot: its decoded value while resident, and where its
+/// last encoding lives on scratch.
 #[derive(Debug)]
-enum Slot<V> {
-    Resident(Resident<V>),
-    Spilled(RecordPtr),
+struct Slot<V> {
+    value: Option<V>,
+    /// Resident bytes as last measured (0 while spilled).
+    bytes: usize,
+    /// The scratch copy, if any, still equals the value.
+    clean: bool,
+    /// First page and page count of the last encoding written.
+    scratch: Option<(PageId, u32)>,
+    /// LRU neighbours (towards the least / most recently used end).
+    prev: u32,
+    next: u32,
 }
 
 /// An LRU buffer of decoded segments with a byte budget and scratch
 /// spill-through (see the module docs).
 #[derive(Debug)]
 pub struct SpillPool<V: Spillable> {
-    pager: Pager,
+    device: Box<dyn BlockDevice>,
     budget: usize,
-    slots: HashMap<u64, Slot<V>>,
-    /// Resident keys ordered by recency stamp: `(last_used, key)`. Victim
-    /// selection pops from the front instead of scanning every slot, so a
-    /// tight-budget build stays `O(log segments)` per eviction.
-    lru: BTreeSet<(u64, u64)>,
+    slots: Vec<Slot<V>>,
+    /// Least recently used resident segment (the next victim).
+    head: u32,
+    /// Most recently used resident segment.
+    tail: u32,
     resident_bytes: usize,
-    clock: u64,
     spilled: u64,
     reloaded: u64,
     peak_resident_bytes: u64,
+    largest_segment_bytes: u64,
+    /// Encoding buffer, reused by every spill.
+    enc: ByteWriter,
+    /// Page buffer, reused by every scratch read and write.
+    page: Vec<u8>,
+    /// Framed record bytes of the segment being reloaded.
+    record: Vec<u8>,
 }
 
 impl<V: Spillable> SpillPool<V> {
     /// Creates a pool spilling to `scratch` when `budget` is exceeded. The
     /// scratch device should be empty; the pool allocates from its end.
     pub fn new(scratch: Box<dyn BlockDevice>, budget: BuildBudget) -> Self {
+        let page_size = scratch.page_size();
         Self {
-            // Cacheless pager: the pool itself is the cache of decoded
-            // values; caching their encodings too would double-count the
-            // budget.
-            pager: Pager::new(scratch, 0),
+            device: scratch,
             budget: budget.max_resident_bytes,
-            slots: HashMap::new(),
-            lru: BTreeSet::new(),
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
             resident_bytes: 0,
-            clock: 0,
             spilled: 0,
             reloaded: 0,
             peak_resident_bytes: 0,
+            largest_segment_bytes: 0,
+            enc: ByteWriter::new(),
+            page: vec![0; page_size],
+            record: Vec::new(),
         }
     }
 
@@ -155,196 +177,213 @@ impl<V: Spillable> SpillPool<V> {
         self.slots.is_empty()
     }
 
-    /// Whether `key` exists (resident or spilled).
-    pub fn contains(&self, key: u64) -> bool {
-        self.slots.contains_key(&key)
-    }
-
     /// Spill counters so far.
     pub fn stats(&self) -> SpillStats {
         SpillStats {
             spilled: self.spilled,
             reloaded: self.reloaded,
             peak_resident_bytes: self.peak_resident_bytes,
-            io: self.pager.stats(),
+            largest_segment_bytes: self.largest_segment_bytes,
+            io: self.device.stats(),
         }
     }
 
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
+    /// Adds `value` as a new resident, dirty segment and returns its id
+    /// (ids are dense: the `n`-th insert returns `n`).
+    pub fn insert(&mut self, value: V) -> Result<u32, IndexError> {
+        let id = u32::try_from(self.slots.len()).expect("segment ids fit u32");
+        assert!(id != NIL, "segment ids fit u32");
+        let bytes = value.resident_bytes();
+        self.make_room(bytes)?;
+        self.slots.push(Slot {
+            value: Some(value),
+            bytes,
+            clean: false,
+            scratch: None,
+            prev: NIL,
+            next: NIL,
+        });
+        self.push_back(id);
+        self.add_resident(bytes);
+        Ok(id)
     }
 
-    fn note_peak(&mut self) {
-        self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes as u64);
+    /// Read-only access to segment `id`. Errors if no such segment was
+    /// inserted or scratch IO fails.
+    pub fn read<R>(&mut self, id: u32, f: impl FnOnce(&V) -> R) -> Result<R, IndexError> {
+        self.make_resident(id)?;
+        let value = self.slots[id as usize].value.as_ref();
+        Ok(f(value.expect("made resident")))
     }
 
-    /// Stamps `key` most-recently-used (it must be resident).
-    fn touch(&mut self, key: u64, old_stamp: u64) -> u64 {
-        let stamp = self.tick();
-        self.lru.remove(&(old_stamp, key));
-        self.lru.insert((stamp, key));
-        stamp
+    /// Mutable access to segment `id`, which is re-measured after `f` and
+    /// marked dirty.
+    pub fn update<R>(&mut self, id: u32, f: impl FnOnce(&mut V) -> R) -> Result<R, IndexError> {
+        self.make_resident(id)?;
+        let slot = &mut self.slots[id as usize];
+        let value = slot.value.as_mut().expect("made resident");
+        let out = f(value);
+        let bytes = value.resident_bytes();
+        self.resident_bytes = self.resident_bytes - slot.bytes + bytes;
+        slot.bytes = bytes;
+        slot.clean = false;
+        self.largest_segment_bytes = self.largest_segment_bytes.max(bytes as u64);
+        self.settle(id)?;
+        Ok(out)
     }
 
-    /// Writes one encoded segment page-aligned onto fresh scratch pages.
-    fn write_segment(&mut self, bytes: &[u8]) -> Result<RecordPtr, IndexError> {
-        let page_size = self.pager.page_size();
-        let framed = 4 + bytes.len();
-        let pages = framed.div_ceil(page_size).max(1);
-        let first = self.pager.device_mut().allocate(pages)?;
-        let mut buf = Vec::with_capacity(page_size);
-        let mut page = first;
-        buf.extend_from_slice(
-            &u32::try_from(bytes.len())
-                .expect("segment fits u32")
-                .to_le_bytes(),
-        );
-        let mut rest = bytes;
-        loop {
-            let room = page_size - buf.len();
-            let n = room.min(rest.len());
-            buf.extend_from_slice(&rest[..n]);
-            rest = &rest[n..];
-            self.pager.write(page, &buf)?;
-            buf.clear();
-            if rest.is_empty() {
-                break;
+    /// Makes `id` resident (reloading it from scratch if spilled) and most
+    /// recently used.
+    fn make_resident(&mut self, id: u32) -> Result<(), IndexError> {
+        let Some(slot) = self.slots.get(id as usize) else {
+            return Err(IndexError::Corrupt(format!(
+                "spill pool has no segment {id}"
+            )));
+        };
+        if slot.value.is_some() {
+            if self.tail != id {
+                self.unlink(id);
+                self.push_back(id);
             }
-            page += 1;
+            return Ok(());
         }
-        Ok(RecordPtr {
-            page: first,
-            offset: 0,
-        })
+        let (first, _) = slot.scratch.expect("a spilled segment has a scratch copy");
+        let value = self.read_segment(first)?;
+        self.reloaded += 1;
+        let bytes = value.resident_bytes();
+        self.make_room(bytes)?;
+        let slot = &mut self.slots[id as usize];
+        slot.value = Some(value);
+        slot.bytes = bytes;
+        slot.clean = true;
+        self.push_back(id);
+        self.add_resident(bytes);
+        Ok(())
     }
 
-    /// Evicts least-recently-used resident segments (never `pin`) until the
-    /// budget holds or only the pinned segment remains.
-    fn enforce_budget(&mut self, pin: u64) -> Result<(), IndexError> {
-        while self.resident_bytes > self.budget {
-            let victim = self.lru.iter().find(|&&(_, k)| k != pin).copied();
-            let Some(entry @ (_, key)) = victim else {
-                return Ok(()); // only the pinned segment is resident
-            };
-            self.lru.remove(&entry);
-            let Some(Slot::Resident(res)) = self.slots.remove(&key) else {
-                unreachable!("victim was resident");
-            };
-            let ptr = match (res.dirty, res.on_scratch) {
-                (false, Some(ptr)) => ptr, // clean copy already on scratch
-                _ => {
-                    let mut w = ByteWriter::with_capacity(res.bytes.min(1 << 20));
-                    res.value.encode(&mut w);
-                    self.spilled += 1;
-                    self.write_segment(w.as_bytes())?
-                }
-            };
-            self.resident_bytes -= res.bytes;
-            self.slots.insert(key, Slot::Spilled(ptr));
+    /// Evicts least-recently-used segments until `incoming` more bytes fit
+    /// the budget or nothing is left to evict. Making room *before* a
+    /// segment arrives keeps the peak at most the budget plus the largest
+    /// segment, however small the budget.
+    fn make_room(&mut self, incoming: usize) -> Result<(), IndexError> {
+        while self.head != NIL && self.resident_bytes.saturating_add(incoming) > self.budget {
+            self.evict(self.head)?;
         }
         Ok(())
     }
 
-    /// Makes `key` resident (reloading from scratch if spilled), returning
-    /// whether it exists.
-    fn ensure_resident(&mut self, key: u64) -> Result<bool, IndexError> {
-        match self.slots.get(&key) {
-            None => return Ok(false),
-            Some(Slot::Resident(_)) => return Ok(true),
-            Some(Slot::Spilled(_)) => {}
-        }
-        let Some(Slot::Spilled(ptr)) = self.slots.remove(&key) else {
-            unreachable!("checked spilled above");
-        };
-        self.pager.break_sequence();
-        let bytes = read_record(&mut self.pager, ptr)?;
-        let mut r = ByteReader::new(&bytes);
-        let value = V::decode(&mut r)?;
-        self.reloaded += 1;
-        let size = value.resident_bytes();
-        self.resident_bytes += size;
-        let stamp = self.tick();
-        self.lru.insert((stamp, key));
-        self.slots.insert(
-            key,
-            Slot::Resident(Resident {
-                value,
-                bytes: size,
-                dirty: false,
-                on_scratch: Some(ptr),
-                last_used: stamp,
-            }),
-        );
-        self.note_peak();
-        self.enforce_budget(key)?;
-        Ok(true)
+    fn add_resident(&mut self, bytes: usize) {
+        self.largest_segment_bytes = self.largest_segment_bytes.max(bytes as u64);
+        self.resident_bytes += bytes;
+        self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes as u64);
     }
 
-    /// Read-only access to the segment at `key`. Errors if the key was
-    /// never inserted or scratch IO fails.
-    pub fn read<R>(&mut self, key: u64, f: impl FnOnce(&V) -> R) -> Result<R, IndexError> {
-        if !self.ensure_resident(key)? {
-            return Err(IndexError::Corrupt(format!(
-                "spill pool has no segment {key}"
-            )));
+    /// Records the peak after segment `pin` changed size, then evicts
+    /// least-recently-used segments other than `pin` until the budget holds
+    /// or only `pin` is resident.
+    fn settle(&mut self, pin: u32) -> Result<(), IndexError> {
+        self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes as u64);
+        while self.resident_bytes > self.budget {
+            let victim = if self.head == pin {
+                self.slots[pin as usize].next
+            } else {
+                self.head
+            };
+            if victim == NIL {
+                return Ok(()); // only the pinned segment is resident
+            }
+            self.evict(victim)?;
         }
-        let old_stamp = match self.slots.get(&key) {
-            Some(Slot::Resident(res)) => res.last_used,
-            _ => unreachable!("ensure_resident returned true"),
-        };
-        let stamp = self.touch(key, old_stamp);
-        let Some(Slot::Resident(res)) = self.slots.get_mut(&key) else {
-            unreachable!("ensure_resident returned true");
-        };
-        res.last_used = stamp;
-        Ok(f(&res.value))
+        Ok(())
     }
 
-    /// Mutable access to the segment at `key`, creating it with `default`
-    /// when absent. The segment is re-measured after `f` and marked dirty.
-    pub fn update<R>(
+    /// Spills resident segment `id`, writing it to scratch unless its
+    /// scratch copy is current.
+    fn evict(&mut self, id: u32) -> Result<(), IndexError> {
+        self.unlink(id);
+        let slot = &mut self.slots[id as usize];
+        let value = slot.value.take().expect("victims are resident");
+        self.resident_bytes -= slot.bytes;
+        slot.bytes = 0;
+        if slot.clean {
+            return Ok(());
+        }
+        self.enc.clear();
+        value.encode(&mut self.enc);
+        self.spilled += 1;
+        let at = self.write_segment(self.slots[id as usize].scratch)?;
+        let slot = &mut self.slots[id as usize];
+        slot.scratch = Some(at);
+        slot.clean = true;
+        Ok(())
+    }
+
+    /// Writes the encoded segment in `enc` page-aligned with `[len]`
+    /// framing: over `previous` when it fits there, else onto fresh pages.
+    fn write_segment(
         &mut self,
-        key: u64,
-        default: impl FnOnce() -> V,
-        f: impl FnOnce(&mut V) -> R,
-    ) -> Result<R, IndexError> {
-        if !self.ensure_resident(key)? {
-            let value = default();
-            let size = value.resident_bytes();
-            self.resident_bytes += size;
-            let stamp = self.tick();
-            self.lru.insert((stamp, key));
-            self.slots.insert(
-                key,
-                Slot::Resident(Resident {
-                    value,
-                    bytes: size,
-                    dirty: true,
-                    on_scratch: None,
-                    last_used: stamp,
-                }),
-            );
+        previous: Option<(PageId, u32)>,
+    ) -> Result<(PageId, u32), IndexError> {
+        let page_size = self.page.len();
+        let bytes = self.enc.as_bytes();
+        let len = u32::try_from(bytes.len()).expect("segment fits u32");
+        let pages = (4 + bytes.len()).div_ceil(page_size) as u32;
+        let first = match previous {
+            Some((first, held)) if pages <= held => first,
+            _ => self.device.allocate(pages as usize)?,
+        };
+        let mut rest = bytes;
+        for p in 0..u64::from(pages) {
+            let mut n = 0;
+            if p == 0 {
+                self.page[..4].copy_from_slice(&len.to_le_bytes());
+                n = 4;
+            }
+            let take = (page_size - n).min(rest.len());
+            self.page[n..n + take].copy_from_slice(&rest[..take]);
+            rest = &rest[take..];
+            self.device.write_page(first + p, &self.page[..n + take])?;
         }
-        let old_stamp = match self.slots.get(&key) {
-            Some(Slot::Resident(res)) => res.last_used,
-            _ => unreachable!("ensured or inserted above"),
-        };
-        let stamp = self.touch(key, old_stamp);
-        let Some(Slot::Resident(res)) = self.slots.get_mut(&key) else {
-            unreachable!("ensured or inserted above");
-        };
-        res.last_used = stamp;
-        let out = f(&mut res.value);
-        res.dirty = true;
-        res.on_scratch = None;
-        let new_size = res.value.resident_bytes();
-        let old_size = res.bytes;
-        res.bytes = new_size;
-        self.resident_bytes = self.resident_bytes + new_size - old_size;
-        self.note_peak();
-        self.enforce_budget(key)?;
-        Ok(out)
+        Ok((first, pages))
+    }
+
+    /// Reads and decodes the segment framed at `first`.
+    fn read_segment(&mut self, first: PageId) -> Result<V, IndexError> {
+        self.device.break_sequence();
+        self.record.clear();
+        let mut page = first;
+        loop {
+            self.device.read_page_into(page, &mut self.page)?;
+            self.record.extend_from_slice(&self.page);
+            let len = u32::from_le_bytes(self.record[..4].try_into().expect("4 bytes")) as usize;
+            if self.record.len() >= 4 + len {
+                return V::decode(&mut ByteReader::new(&self.record[4..4 + len]));
+            }
+            page += 1;
+        }
+    }
+
+    fn unlink(&mut self, id: u32) {
+        let Slot { prev, next, .. } = self.slots[id as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    fn push_back(&mut self, id: u32) {
+        let slot = &mut self.slots[id as usize];
+        slot.prev = self.tail;
+        slot.next = NIL;
+        match self.tail {
+            NIL => self.head = id,
+            t => self.slots[t as usize].next = id,
+        }
+        self.tail = id;
     }
 }
 
@@ -373,57 +412,64 @@ mod tests {
         SpillPool::new(Box::new(SimDevice::new(128)), BuildBudget::bytes(budget))
     }
 
+    fn filled(p: &mut SpillPool<Seg>, k: u32, n: u32) -> u32 {
+        p.insert(Seg((0..n).map(|i| i + k).collect())).unwrap()
+    }
+
+    #[test]
+    fn ids_are_dense() {
+        let mut p = pool(usize::MAX);
+        for k in 0..5 {
+            assert_eq!(filled(&mut p, k, 3), k);
+        }
+        assert_eq!(p.len(), 5);
+    }
+
     #[test]
     fn unbounded_pool_never_spills() {
         let mut p = pool(usize::MAX);
-        for k in 0..20u64 {
-            p.update(k, || Seg(Vec::new()), |s| s.0.extend(0..50))
-                .unwrap();
+        for k in 0..20 {
+            filled(&mut p, k, 50);
         }
-        for k in 0..20u64 {
+        for k in 0..20 {
             let len = p.read(k, |s| s.0.len()).unwrap();
             assert_eq!(len, 50);
         }
         let s = p.stats();
         assert_eq!((s.spilled, s.reloaded), (0, 0));
         assert_eq!(s.io, IoStats::default());
-        assert!(s.peak_resident_bytes > 0);
+        assert_eq!(s.peak_resident_bytes, 20 * 224);
     }
 
     #[test]
     fn tight_budget_spills_and_reloads_exactly() {
-        // Each segment ≈ 224 bytes; budget of 500 holds two.
+        // Each segment is 224 bytes; a budget of 500 holds two.
         let mut p = pool(500);
-        for k in 0..6u64 {
-            p.update(
-                k,
-                || Seg(Vec::new()),
-                |s| s.0.extend((0..50).map(|i| i + k as u32)),
-            )
-            .unwrap();
+        for k in 0..6 {
+            filled(&mut p, k, 50);
         }
         let s = p.stats();
-        assert!(s.spilled >= 4, "expected spills, got {}", s.spilled);
-        assert!(s.io.total_writes() > 0, "spills must cost scratch writes");
-        // Everything reloads intact, costing scratch reads.
-        for k in 0..6u64 {
+        assert_eq!(s.spilled, 4, "the four oldest segments spill");
+        // 4 + 200 framed bytes over 128-byte pages: two pages each.
+        assert_eq!(s.io.total_writes(), 8);
+        // Everything reloads intact, two pages per reload.
+        for k in 0..6 {
             let first = p.read(k, |s| s.0[0]).unwrap();
-            assert_eq!(first, k as u32);
+            assert_eq!(first, k);
         }
         let s = p.stats();
-        assert!(s.reloaded >= 4);
-        assert!(s.io.total_reads() > 0);
+        assert_eq!(s.reloaded, 6);
+        assert_eq!(s.io.total_reads(), 12);
+        assert!(s.peak_resident_bytes <= 500);
+        assert_eq!(s.largest_segment_bytes, 224);
     }
 
     #[test]
     fn dirty_resegments_rewrite_but_clean_reloads_do_not() {
         let mut p = pool(300);
-        p.update(0, || Seg(Vec::new()), |s| s.0.extend(0..60))
-            .unwrap();
-        p.update(1, || Seg(Vec::new()), |s| s.0.extend(0..60))
-            .unwrap(); // spills 0
-        let after_first = p.stats().spilled;
-        assert!(after_first >= 1);
+        filled(&mut p, 0, 60);
+        filled(&mut p, 1, 60); // spills 0
+        assert_eq!(p.stats().spilled, 1);
         p.read(0, |_| ()).unwrap(); // reload 0, spilling 1
         p.read(1, |_| ()).unwrap(); // reload 1, spilling 0 again — clean, no rewrite
         let s = p.stats();
@@ -435,44 +481,76 @@ mod tests {
     }
 
     #[test]
+    fn rewrites_reuse_their_pages_when_they_fit() {
+        let mut p = pool(300);
+        filled(&mut p, 0, 60);
+        filled(&mut p, 1, 60); // spills 0 onto two pages
+        let pages = p.device.len_pages();
+        p.update(0, |s| s.0[0] = 99).unwrap(); // spills 1 onto two more
+        p.read(1, |_| ()).unwrap(); // spills dirty 0 in place
+        assert_eq!(p.device.len_pages(), pages + 2);
+        p.update(0, |s| s.0.extend(0..40)).unwrap(); // outgrows its pages
+        p.read(1, |_| ()).unwrap();
+        assert_eq!(p.device.len_pages(), pages + 2 + 4);
+        assert_eq!(p.read(0, |s| (s.0[0], s.0.len())).unwrap(), (99, 100));
+    }
+
+    #[test]
+    fn lru_evicts_the_least_recently_touched() {
+        let mut p = pool(3 * 64);
+        for k in 0..3 {
+            filled(&mut p, k, 10); // 64 bytes each: all three fit
+        }
+        p.read(0, |_| ()).unwrap(); // order now 1, 2, 0
+        filled(&mut p, 3, 10); // evicts 1
+        let s = p.stats();
+        assert_eq!((s.spilled, s.reloaded), (1, 0));
+        p.read(0, |_| ()).unwrap();
+        p.read(2, |_| ()).unwrap();
+        assert_eq!(p.stats().reloaded, 0, "0 and 2 stayed resident");
+        p.read(1, |_| ()).unwrap();
+        assert_eq!(p.stats().reloaded, 1);
+    }
+
+    #[test]
     fn peak_tracks_high_water_mark() {
         let mut p = pool(10_000);
-        p.update(0, || Seg(Vec::new()), |s| s.0.extend(0..100))
-            .unwrap();
+        filled(&mut p, 0, 100);
         let peak1 = p.stats().peak_resident_bytes;
-        p.update(1, || Seg(Vec::new()), |s| s.0.extend(0..100))
-            .unwrap();
+        filled(&mut p, 1, 100);
         let peak2 = p.stats().peak_resident_bytes;
         assert!(peak2 > peak1);
     }
 
     #[test]
-    fn missing_key_is_an_error() {
+    fn missing_segment_is_an_error() {
         let mut p = pool(100);
         assert!(p.read(42, |_| ()).is_err());
+        assert!(p.update(0, |_| ()).is_err());
     }
 
     #[test]
     fn budget_smaller_than_one_segment_still_works() {
         let mut p = pool(1);
-        for k in 0..4u64 {
-            p.update(k, || Seg(Vec::new()), |s| s.0.extend(0..30))
-                .unwrap();
+        for k in 0..4 {
+            filled(&mut p, k, 30);
         }
-        for k in 0..4u64 {
+        for k in 0..4 {
             assert_eq!(p.read(k, |s| s.0.len()).unwrap(), 30);
         }
-        assert!(p.stats().spilled >= 3);
+        let s = p.stats();
+        assert!(s.spilled >= 3);
+        assert_eq!(s.peak_resident_bytes, 144, "one segment at a time");
+        assert_eq!(s.largest_segment_bytes, 144);
     }
 
     #[test]
     fn update_grows_accounting() {
         let mut p = pool(usize::MAX);
-        p.update(7, || Seg(Vec::new()), |s| s.0.push(1)).unwrap();
+        let id = filled(&mut p, 0, 1);
         let before = p.stats().peak_resident_bytes;
-        p.update(7, || unreachable!(), |s| s.0.extend(0..1000))
-            .unwrap();
-        assert!(p.stats().peak_resident_bytes > before);
-        assert_eq!(p.read(7, |s| s.0.len()).unwrap(), 1001);
+        p.update(id, |s| s.0.extend(0..1000)).unwrap();
+        assert_eq!(p.stats().peak_resident_bytes, before + 4000);
+        assert_eq!(p.read(id, |s| s.0.len()).unwrap(), 1001);
     }
 }
