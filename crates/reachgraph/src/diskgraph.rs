@@ -21,14 +21,15 @@
 //! The index is an immutable image; every query reads through its own
 //! [`GraphContext`], a pager on a fresh device handle that starts cold.
 //! Traversal fetches whole partitions and the context buffers a bounded
-//! number of decoded partitions, discarding the oldest (§5.2). A fetched record is
-//! validated and decoded once, in full, into a flat [`Partition`]: one
-//! `u32` arena holding every list back to back, the list boundaries, the
-//! intervals, and a sorted vertex-id → slot table. [`HnSource::vertex`]
-//! then returns a [`Vertex`] view borrowing that
-//! partition, so a visit costs a table lookup, not an allocation, and
-//! the re-streaming [`DnAccess`] surface copies only the list it is asked
-//! for. Neither the record format nor the counted IO depends on this:
+//! number of them, discarding the oldest (§5.2). A fetched record is read
+//! into a reused buffer and its framing is checked once, in full, by
+//! [`Partition::decode`]; a vertex's lists are decoded only when
+//! [`HnSource::vertex`] asks for that vertex, into one scratch buffer the
+//! context owns, and the returned [`Vertex`] view borrows it. A query thus
+//! decodes the vertices it visits, not every vertex of every partition it
+//! reads, and the re-streaming [`DnAccess`] surface decodes each vertex
+//! once per call ([`DnAccess::node_into`] serves all three lists from one
+//! decode). Neither the record format nor the counted IO depends on this:
 //! decoding happens after the pages are read.
 
 use crate::params::{GraphParams, TraversalKind};
@@ -38,14 +39,14 @@ use crate::traverse::{evaluate, TraversalStats};
 use crate::vertex::{encode_vertex, HnSource, Vertex};
 use reach_contact::{DnAccess, DnGraph, MultiRes};
 use reach_core::{
-    Answer, IndexError, ObjectId, Query, QueryKind, QueryResult, QueryStats, ReachIndex,
-    ReachRequest, Time,
+    Answer, FxHashMap, IndexError, ObjectId, Query, QueryKind, QueryResult, QueryStats, ReachIndex,
+    ReachRequest, Time, TimeInterval,
 };
 use reach_storage::{
-    meta, read_record, BlockDevice, ByteReader, ByteWriter, IoStats, Pager, RecordPtr,
+    meta, read_record_into, BlockDevice, ByteReader, ByteWriter, IoStats, Pager, RecordPtr,
     RecordWriter, SharedDevice, SimDevice, TimelineRegion,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Disk-resident ReachGraph: an immutable image (parameters, page table,
@@ -236,8 +237,9 @@ impl ReachGraph {
         GraphContext {
             graph: self,
             pager: self.device.cold_pager(0), // the partition buffer is the cache
-            buffer: HashMap::new(),
+            buffer: FxHashMap::default(),
             buffer_order: VecDeque::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -351,16 +353,19 @@ impl ReachGraph {
 }
 
 /// One query's private read state over a [`ReachGraph`] image (see
-/// [`ReachGraph::context`]): a pager on its own device handle plus a
-/// bounded buffer of decoded partitions, discarding the oldest (§5.2).
-/// Traversal reads it as an [`HnSource`]; live compaction re-streams it
-/// as a [`DnAccess`].
+/// [`ReachGraph::context`]): a pager on its own device handle, a bounded
+/// buffer of fetched partitions, discarding the oldest (§5.2), and the
+/// scratch buffer the last vertex handed out was decoded into. Traversal
+/// reads it as an [`HnSource`]; live compaction re-streams it as a
+/// [`DnAccess`].
 pub struct GraphContext<'g> {
     graph: &'g ReachGraph,
     pager: Pager,
-    /// Decoded-partition buffer (bounded, FIFO eviction).
-    buffer: HashMap<u32, Partition>,
+    /// Fetched-partition buffer (bounded, FIFO eviction).
+    buffer: FxHashMap<u32, Partition>,
     buffer_order: VecDeque<u32>,
+    /// Lists of the vertex last handed out (see [`Partition::vertex`]).
+    scratch: Vec<u32>,
 }
 
 impl GraphContext<'_> {
@@ -369,23 +374,42 @@ impl GraphContext<'_> {
         self.pager.stats()
     }
 
-    fn fetch_partition(&mut self, pid: u32) -> Result<&Partition, IndexError> {
+    /// Buffers the partition holding vertex `v`, fetching it on a miss,
+    /// and returns its id.
+    fn fetch_holder(&mut self, v: u32) -> Result<u32, IndexError> {
         let graph = self.graph;
-        if !self.buffer.contains_key(&pid) {
-            let bytes = read_record(&mut self.pager, graph.partition_ptrs[pid as usize])?;
-            let decoded = Partition::decode(&bytes, graph.params.levels.len(), |v| {
-                graph.partition_of.get(v as usize) == Some(&pid)
-            })?;
-            if self.buffer.len() >= graph.params.partition_cache.max(1) {
-                if let Some(old) = self.buffer_order.pop_front() {
-                    self.buffer.remove(&old);
-                }
-            }
-            self.buffer.insert(pid, decoded);
-            self.buffer_order.push_back(pid);
+        let pid = *graph
+            .partition_of
+            .get(v as usize)
+            .ok_or_else(|| IndexError::Corrupt(format!("vertex {v} out of range")))?;
+        if self.buffer.contains_key(&pid) {
+            return Ok(pid);
         }
-        Ok(&self.buffer[&pid])
+        // Evict first, so the fetch reads into the evicted record's buffer.
+        let mut record = Vec::new();
+        if self.buffer.len() >= graph.params.partition_cache.max(1) {
+            let oldest = self.buffer_order.pop_front();
+            if let Some(evicted) = oldest.and_then(|old| self.buffer.remove(&old)) {
+                record = evicted.into_record();
+            }
+        }
+        read_record_into(
+            &mut self.pager,
+            graph.partition_ptrs[pid as usize],
+            &mut record,
+        )?;
+        let fetched = Partition::decode(record, graph.params.levels.len(), |u| {
+            graph.partition_of.get(u as usize) == Some(&pid)
+        })?;
+        self.buffer.insert(pid, fetched);
+        self.buffer_order.push_back(pid);
+        Ok(pid)
     }
+}
+
+/// The page table sends `v` to partition `pid`, which does not hold it.
+fn missing(v: u32, pid: u32) -> IndexError {
+    IndexError::Corrupt(format!("vertex {v} missing from partition {pid}"))
 }
 
 /// Decoded metadata payload (see [`encode_meta`]).
@@ -543,8 +567,12 @@ impl DnAccess for GraphContext<'_> {
         self.graph.num_nodes
     }
 
-    fn interval(&mut self, v: u32) -> reach_core::TimeInterval {
-        self.vertex(v).expect(RESTREAM_IO).interval()
+    fn interval(&mut self, v: u32) -> TimeInterval {
+        let pid = self.fetch_holder(v).expect(RESTREAM_IO);
+        self.buffer[&pid]
+            .interval(v)
+            .ok_or_else(|| missing(v, pid))
+            .expect(RESTREAM_IO)
     }
 
     fn members_into(&mut self, v: u32, out: &mut Vec<u32>) {
@@ -560,6 +588,21 @@ impl DnAccess for GraphContext<'_> {
     fn rev_into(&mut self, v: u32, out: &mut Vec<u32>) {
         out.clear();
         out.extend_from_slice(self.vertex(v).expect(RESTREAM_IO).rev());
+    }
+
+    fn node_into(
+        &mut self,
+        v: u32,
+        members: &mut Vec<u32>,
+        fwd: &mut Vec<u32>,
+        rev: &mut Vec<u32>,
+    ) -> TimeInterval {
+        let vd = self.vertex(v).expect(RESTREAM_IO);
+        for (out, list) in [(members, vd.members()), (fwd, vd.fwd()), (rev, vd.rev())] {
+            out.clear();
+            out.extend_from_slice(list);
+        }
+        vd.interval()
     }
 
     fn timeline_into(&mut self, o: ObjectId, out: &mut Vec<(Time, u32)>) {
@@ -592,14 +635,10 @@ impl HnSource for GraphContext<'_> {
     }
 
     fn vertex(&mut self, v: u32) -> Result<Vertex<'_>, IndexError> {
-        let pid = *self
-            .graph
-            .partition_of
-            .get(v as usize)
-            .ok_or_else(|| IndexError::Corrupt(format!("vertex {v} out of range")))?;
-        self.fetch_partition(pid)?
-            .vertex(v)
-            .ok_or_else(|| IndexError::Corrupt(format!("vertex {v} missing from partition {pid}")))
+        let pid = self.fetch_holder(v)?;
+        self.buffer[&pid]
+            .vertex(v, &mut self.scratch)
+            .ok_or_else(|| missing(v, pid))
     }
 
     fn node_of(&mut self, o: ObjectId, t: Time) -> Result<u32, IndexError> {
@@ -647,8 +686,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use reach_contact::{Oracle, DEFAULT_LEVELS};
-    use reach_core::TimeInterval;
-    use reach_storage::FileDevice;
+    use reach_storage::{read_record, FileDevice};
 
     fn random_world(
         seed: u64,
@@ -719,6 +757,30 @@ mod tests {
     }
 
     #[test]
+    fn graph_without_long_edge_levels_matches_oracle() {
+        let (dn, _, oracle) = random_world(3, 6, 70, 0.04);
+        let mr = MultiRes::build(&dn, &[]);
+        let rg = ReachGraph::build(
+            &dn,
+            &mr,
+            GraphParams {
+                levels: Vec::new(),
+                ..params(256)
+            },
+        )
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(0x0DD);
+        for _ in 0..40 {
+            let (s, d) = (rng.gen_range(0..6u32), rng.gen_range(0..6u32));
+            let a = rng.gen_range(0..70);
+            let b = rng.gen_range(a..70);
+            let q = Query::new(ObjectId(s), ObjectId(d), TimeInterval::new(a, b));
+            let got = rg.evaluate_with(&q, TraversalKind::BmBfs).unwrap();
+            assert_eq!(got.reachable(), oracle.evaluate(&q).reachable, "{q}");
+        }
+    }
+
+    #[test]
     fn node_of_matches_memory_graph() {
         let (dn, mr, _) = random_world(11, 5, 40, 0.08);
         let rg = ReachGraph::build(&dn, &mr, params(128)).unwrap();
@@ -752,20 +814,33 @@ mod tests {
     #[test]
     fn vertex_roundtrips_through_disk() {
         let (dn, mr, _) = random_world(5, 5, 30, 0.1);
-        let rg = ReachGraph::build(&dn, &mr, params(128)).unwrap();
-        let mut cx = rg.context();
-        for v in 0..dn.num_nodes() as u32 {
-            let vd = cx.vertex(v).unwrap();
-            assert_eq!(vd.interval(), dn.node(v).interval);
-            assert_eq!(
-                vd.members(),
-                dn.node(v).members.iter().map(|m| m.0).collect::<Vec<_>>()
-            );
-            assert_eq!(vd.fwd(), dn.fwd(v));
-            assert_eq!(vd.rev(), dn.rev(v));
-            assert_eq!(vd.num_bundles(), mr.levels().len());
-            for idx in 0..mr.levels().len() {
-                assert_eq!(vd.bundle(idx), mr.bundle(idx, v));
+        // A one-partition buffer evicts on nearly every step, so fetches
+        // read into evicted partitions' record buffers of other sizes.
+        for partition_cache in [1, 8] {
+            let rg = ReachGraph::build(
+                &dn,
+                &mr,
+                GraphParams {
+                    partition_cache,
+                    ..params(128)
+                },
+            )
+            .unwrap();
+            assert!(rg.num_partitions() > 2);
+            let mut cx = rg.context();
+            for v in 0..dn.num_nodes() as u32 {
+                let vd = cx.vertex(v).unwrap();
+                assert_eq!(vd.interval(), dn.node(v).interval);
+                assert_eq!(
+                    vd.members(),
+                    dn.node(v).members.iter().map(|m| m.0).collect::<Vec<_>>()
+                );
+                assert_eq!(vd.fwd(), dn.fwd(v));
+                assert_eq!(vd.rev(), dn.rev(v));
+                assert_eq!(vd.num_bundles(), mr.levels().len());
+                for idx in 0..mr.levels().len() {
+                    assert_eq!(vd.bundle(idx), mr.bundle(idx, v));
+                }
             }
         }
     }
@@ -1018,6 +1093,13 @@ mod tests {
             assert_eq!(buf.as_slice(), dn.fwd(v), "fwd of {v}");
             rg.rev_into(v, &mut buf);
             assert_eq!(buf.as_slice(), dn.rev(v), "rev of {v}");
+            let (mut m, mut f, mut r) = (vec![9], vec![9], vec![9]);
+            let interval = rg.node_into(v, &mut m, &mut f, &mut r);
+            assert_eq!(interval, dn.node(v).interval, "node_into interval of {v}");
+            assert_eq!(
+                (m, f.as_slice(), r.as_slice()),
+                (expect, dn.fwd(v), dn.rev(v))
+            );
         }
         let mut tl = Vec::new();
         let mut total = 0u64;

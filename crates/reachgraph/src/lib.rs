@@ -8,7 +8,8 @@
 //! * [`GraphParams`] / [`TraversalKind`] — tuning and strategy selection;
 //! * [`placement`] — depth-`d_p` topological partitioning (§5.1.3);
 //! * [`ReachGraph`] — the disk-resident index, whose partition records
-//!   decode into flat [`Partition`] tables. It is an immutable image that
+//!   are kept as framing-checked [`Partition`]s that decode only the
+//!   vertices a query visits. It is an immutable image that
 //!   implements [`ReachIndex`](reach_core::ReachIndex) with `&self`: every
 //!   query reads through its own cold [`GraphContext`] (a pager on a fresh
 //!   device handle plus the partition buffer), so one image serves many

@@ -25,14 +25,15 @@
 //! Storage note: the traversal's page traffic flows through
 //! [`HnSource::node_of`] (timeline binary-search probes, each a zero-copy
 //! `Pager::with_page` borrow of one page) and [`HnSource::vertex`]
-//! (partition records, read whole through `read_record`, since a record
-//! spanning pages cannot be borrowed from one pool slot). The disk backing
-//! decodes each fetched record once into a flat
-//! [`Partition`](crate::Partition) and `vertex` returns a
-//! [`Vertex`] view into it, so expanding a vertex costs a slot lookup and
-//! slice reads — no allocation, no copy. Every source returns the same
-//! view type; a view borrows its source, so each step reads what it needs
-//! from the view before the next `vertex` or `node_of` call.
+//! (partition records, read whole through `read_record_into`, since a
+//! record spanning pages cannot be borrowed from one pool slot). The disk
+//! backing keeps each fetched record as a framing-checked
+//! [`Partition`](crate::Partition), and `vertex` decodes just that
+//! vertex's lists into the source's scratch buffer and returns a
+//! [`Vertex`] view of them, so expanding a vertex costs a slot lookup and
+//! one copy of its own lists — no allocation. Every source returns the
+//! same view type; a view borrows its source, so each step reads what it
+//! needs from the view before the next `vertex` or `node_of` call.
 
 use crate::params::TraversalKind;
 use crate::vertex::{HnSource, Vertex};

@@ -1,9 +1,9 @@
 //! Vertex records: the unit of traversal, memory- or disk-backed.
 //!
 //! Traversal reads vertices through [`Vertex`], a borrowed view that every
-//! [`HnSource`] hands out: the disk index points it into a decoded
-//! partition's arena ([`crate::Partition`]), the memory index into the DN's
-//! own adjacency. [`VertexData`] is the owned form of a record; index
+//! [`HnSource`] hands out: the disk index points it at the lists of one
+//! vertex decoded from a partition record ([`crate::Partition`]), the
+//! memory index into the DN's own adjacency. [`VertexData`] is the owned form of a record; index
 //! construction writes the same layout from borrowed parts.
 
 use reach_contact::MultiRes;

@@ -55,6 +55,8 @@ pub struct CellArena {
     ids: Vec<u32>,
     /// Samples of every entry, entry-major.
     pts: Vec<Point>,
+    /// Bytes of the cell record last read, refilled by every read.
+    pub(crate) record: Vec<u8>,
 }
 
 impl CellArena {
@@ -180,8 +182,8 @@ impl GridGeometry {
     /// clamped to the border cells).
     #[inline]
     pub fn cell_of(&self, p: Point) -> u32 {
-        let cx = ((p.x / self.cell_size).floor() as i64).clamp(0, i64::from(self.cols) - 1) as u32;
-        let cy = ((p.y / self.cell_size).floor() as i64).clamp(0, i64::from(self.rows) - 1) as u32;
+        let cx = grid_index(p.x / self.cell_size, self.cols);
+        let cy = grid_index(p.y / self.cell_size, self.rows);
         cy * self.cols + cx
     }
 
@@ -189,19 +191,30 @@ impl GridGeometry {
     /// `margin` around `p` — the cells a `d_T`-inflated seed position can
     /// touch (the potential-seed cells `N_i` of §4.2).
     pub fn cells_around(&self, p: Point, margin: Coord, out: &mut Vec<u32>) {
-        let lo_x =
-            (((p.x - margin) / self.cell_size).floor() as i64).clamp(0, i64::from(self.cols) - 1);
-        let hi_x =
-            (((p.x + margin) / self.cell_size).floor() as i64).clamp(0, i64::from(self.cols) - 1);
-        let lo_y =
-            (((p.y - margin) / self.cell_size).floor() as i64).clamp(0, i64::from(self.rows) - 1);
-        let hi_y =
-            (((p.y + margin) / self.cell_size).floor() as i64).clamp(0, i64::from(self.rows) - 1);
+        let lo_x = grid_index((p.x - margin) / self.cell_size, self.cols);
+        let hi_x = grid_index((p.x + margin) / self.cell_size, self.cols);
+        let lo_y = grid_index((p.y - margin) / self.cell_size, self.rows);
+        let hi_y = grid_index((p.y + margin) / self.cell_size, self.rows);
         for cy in lo_y..=hi_y {
             for cx in lo_x..=hi_x {
-                out.push(cy as u32 * self.cols + cx as u32);
+                out.push(cy * self.cols + cx);
             }
         }
+    }
+}
+
+/// `⌊q⌋` clamped to `[0, n - 1]`, for a coordinate `q` in cell units.
+///
+/// Below 1 the clamp gives 0 whatever the floor is, and from 1 up the
+/// truncating cast is the floor (saturating at `i64::MAX` for huge or
+/// infinite `q`; NaN casts to 0). This avoids `f32::floor`, which baseline
+/// x86-64 (no SSE4.1 `roundss`) compiles to a library call.
+#[inline]
+fn grid_index(q: Coord, n: u32) -> u32 {
+    if q < 1.0 {
+        0
+    } else {
+        (q as i64).min(i64::from(n) - 1) as u32
     }
 }
 
@@ -367,6 +380,57 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A coordinate in cell units: any bit pattern (NaN, ±∞, negative,
+    /// subnormal, |q| ≥ 2⁶³), one of a list of edge values, or a cell
+    /// boundary `k` nudged by at most one ulp.
+    fn cell_units() -> impl Strategy<Value = f32> {
+        let two63 = (1u64 << 63) as f32;
+        let special = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            two63,
+            -two63,
+            two63.next_down(),
+            two63.next_up(),
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            1.0f32.next_down(),
+            -1.0f32.next_up(),
+        ];
+        (0u8..3, any::<u32>(), -3i32..70, -1i32..=1).prop_map(move |(kind, bits, k, ulps)| {
+            match kind {
+                0 => f32::from_bits(bits),
+                1 => special[bits as usize % special.len()],
+                _ => {
+                    let line = k as f32;
+                    match ulps {
+                        -1 => line.next_down(),
+                        1 => line.next_up(),
+                        _ => line,
+                    }
+                }
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// `grid_index` is the floor-and-clamp it replaces, on every kind
+        /// of input.
+        #[test]
+        fn grid_index_is_floor_then_clamp(q in cell_units(), n in 1u32..64) {
+            let expect = (q.floor() as i64).clamp(0, i64::from(n) - 1) as u32;
+            prop_assert_eq!(grid_index(q, n), expect, "q = {:?}, n = {}", q, n);
         }
     }
 

@@ -248,16 +248,20 @@ impl ReachGrid {
         Ok(cell)
     }
 
-    /// Reads one cell record through `pager` and decodes it into `arena`
-    /// (see [`CellArena::decode`]), returning its entries.
+    /// Reads one cell record through `pager` into the arena's record
+    /// buffer and decodes it into `arena` (see [`CellArena::decode`]),
+    /// returning its entries.
     pub(crate) fn read_cell_into(
         &self,
         pager: &mut Pager,
         ptr: RecordPtr,
         arena: &mut CellArena,
     ) -> Result<Range<u32>, IndexError> {
-        let bytes = reach_storage::read_record(pager, ptr)?;
-        arena.decode(&bytes, self.num_objects)
+        let mut record = std::mem::take(&mut arena.record);
+        reach_storage::read_record_into(pager, ptr, &mut record)?;
+        let entries = arena.decode(&record, self.num_objects);
+        arena.record = record;
+        entries
     }
 }
 

@@ -149,31 +149,49 @@ impl RecordWriter {
     }
 }
 
-/// Reads one record (written by [`RecordWriter::append`]) through the pager.
+/// Reads one record (written by [`RecordWriter::append`]) through the pager
+/// into a new buffer; see [`read_record_into`].
+pub fn read_record(pager: &mut Pager, ptr: RecordPtr) -> Result<Vec<u8>, IndexError> {
+    let mut out = Vec::new();
+    read_record_into(pager, ptr, &mut out)?;
+    Ok(out)
+}
+
+/// Reads one record (written by [`RecordWriter::append`]) through the pager
+/// into `out`, replacing its contents and reusing its capacity.
 ///
 /// Each page is fetched through [`Pager::with_page`] **exactly once**, and
 /// its bytes — length-prefix bytes and payload bytes alike — are consumed in
 /// that single visit. That preserves the device's accounting contract (one
-/// counted read per page touched, same as the original owning reader) even
-/// on a zero-capacity pool, while copying each byte only once, straight from
-/// the pool buffer into the returned record. The result is owned because
-/// records span pages.
-pub fn read_record(pager: &mut Pager, ptr: RecordPtr) -> Result<Vec<u8>, IndexError> {
+/// counted read per page touched) even without a page cache, while copying
+/// each byte only once, straight from the page into `out`. A length larger
+/// than the whole device is [`IndexError::Corrupt`], reported before `out`
+/// grows or takes a byte of the payload.
+pub fn read_record_into(
+    pager: &mut Pager,
+    ptr: RecordPtr,
+    out: &mut Vec<u8>,
+) -> Result<(), IndexError> {
     let page_size = pager.page_size();
     let device_bytes = pager.device().size_bytes();
     let mut page_id = ptr.page;
     let mut off = ptr.offset as usize;
-    let mut len_bytes: [u8; 4] = [0; 4];
+    let mut len_bytes = [0u8; 4];
     let mut len_filled = 0usize;
-    let mut total: Option<usize> = None;
-    let mut out: Vec<u8> = Vec::new();
     let mut prefetched = false;
+    out.clear();
+    if off > page_size {
+        return Err(IndexError::Corrupt(format!(
+            "record pointer offset {off} lies past its {page_size}-byte page {page_id}"
+        )));
+    }
     loop {
         if off == page_size {
             page_id += 1;
             off = 0;
         }
-        off = pager.with_page(page_id, |page| {
+        // `None`: the length prefix is complete and claims too much.
+        let next = pager.with_page(page_id, |page| {
             let mut pos = off;
             // Finish the 4-byte length prefix first…
             while len_filled < 4 && pos < page_size {
@@ -181,44 +199,43 @@ pub fn read_record(pager: &mut Pager, ptr: RecordPtr) -> Result<Vec<u8>, IndexEr
                 len_filled += 1;
                 pos += 1;
             }
-            if len_filled == 4 && total.is_none() {
-                total = Some(u32::from_le_bytes(len_bytes) as usize);
+            if len_filled < 4 {
+                return Some(pos);
+            }
+            let len = u32::from_le_bytes(len_bytes) as usize;
+            if len as u64 > device_bytes {
+                return None;
             }
             // …then take as much payload as this page still holds.
-            if let Some(len) = total {
-                let chunk = (len - out.len()).min(page_size - pos);
-                out.extend_from_slice(&page[pos..pos + chunk]);
-                pos += chunk;
-            }
-            pos
+            out.reserve_exact(len - out.len());
+            let chunk = (len - out.len()).min(page_size - pos);
+            out.extend_from_slice(&page[pos..pos + chunk]);
+            Some(pos + chunk)
         })?;
-        if let Some(len) = total {
-            // Guard against corrupt pointers: a record cannot be larger than
-            // the remaining device (at most one page of it was copied above
-            // before this check runs).
-            if (len as u64) > device_bytes {
-                return Err(IndexError::Corrupt(format!(
-                    "record at page {} offset {} claims {} bytes",
-                    ptr.page, ptr.offset, len
-                )));
-            }
-            // Reserve only after the guard above has vetted the length (the
-            // closure never copies more than one page before reaching here).
-            if out.capacity() < len {
-                out.reserve_exact(len - out.len());
-            }
-            if out.len() == len {
-                return Ok(out);
-            }
-            // The record continues on the pages that follow; with readahead
-            // enabled, pull a window of them in ahead of the scan. (The
-            // record always resumes at the next page: the closure drains the
-            // current page before leaving the payload short.)
-            if !prefetched {
-                prefetched = true;
-                let span = (len - out.len()).div_ceil(page_size);
-                pager.prefetch(page_id + 1, span)?;
-            }
+        let Some(next) = next else {
+            return Err(IndexError::Corrupt(format!(
+                "record at page {} offset {} claims {} bytes",
+                ptr.page,
+                ptr.offset,
+                u32::from_le_bytes(len_bytes)
+            )));
+        };
+        off = next;
+        if len_filled < 4 {
+            continue;
+        }
+        let len = u32::from_le_bytes(len_bytes) as usize;
+        if out.len() == len {
+            return Ok(());
+        }
+        // The record continues on the pages that follow; with readahead
+        // enabled, pull a window of them in ahead of the scan. (The record
+        // always resumes at the next page: the closure drains the current
+        // page before leaving the payload short.)
+        if !prefetched {
+            prefetched = true;
+            let span = (len - out.len()).div_ceil(page_size);
+            pager.prefetch(page_id + 1, span)?;
         }
     }
 }
@@ -345,6 +362,76 @@ mod tests {
         let mut pager = Pager::new(Box::new(disk), 4);
         let bogus = RecordPtr { page: p, offset: 0 };
         assert!(read_record(&mut pager, bogus).is_err());
+    }
+
+    #[test]
+    fn read_record_into_roundtrips_from_every_start_and_reuses_its_buffer() {
+        const PAGE: usize = 64;
+        let mut out = Vec::new();
+        for start in [0, 1, PAGE / 2, PAGE - 3, PAGE - 2, PAGE - 1] {
+            // Payloads whose prefix and bytes end on the first page (when
+            // that page has room), on the second, and ten pages on.
+            let room = (PAGE - start).saturating_sub(4);
+            for len in [0, room, room + 1, room + PAGE, room + 10 * PAGE - 7] {
+                let mut disk = SimDevice::new(PAGE);
+                let mut w = RecordWriter::new(&mut disk).unwrap();
+                if start > 0 {
+                    // A filler record (its prefix and `start - 4` bytes)
+                    // moves the next one to `start`; below 4 it takes a
+                    // page, and the record starts `start` bytes after
+                    // a filler that ends `PAGE + start` bytes in.
+                    let filler = if start >= 4 { start } else { PAGE + start };
+                    w.append(&mut disk, &vec![0xEE; filler - 4]).unwrap();
+                }
+                let payload: Vec<u8> = (0..len).map(|i| (i * 7 + start) as u8).collect();
+                let ptr = w.append(&mut disk, &payload).unwrap();
+                assert_eq!(ptr.offset as usize, start);
+                w.finish(&mut disk).unwrap();
+                disk.reset_stats();
+
+                let mut pager = Pager::new(Box::new(disk), 0);
+                read_record_into(&mut pager, ptr, &mut out).unwrap();
+                assert_eq!(out, payload, "{len} bytes from offset {start}");
+                let pages = (start + 4 + len).div_ceil(PAGE) as u64;
+                let s = pager.stats();
+                assert_eq!(
+                    (s.random_reads, s.total_reads()),
+                    (1, pages),
+                    "{len} bytes from offset {start}: one read per page"
+                );
+            }
+        }
+        assert!(out.capacity() >= 10 * PAGE, "the buffer kept its capacity");
+    }
+
+    #[test]
+    fn oversized_length_is_corrupt_before_the_buffer_grows() {
+        let mut disk = SimDevice::new(64);
+        let p = disk.allocate(2).unwrap();
+        // A length claiming more than the device straddles pages p, p + 1.
+        let mut page = vec![0u8; 64];
+        page[62..].copy_from_slice(&[0xFF, 0xFF]);
+        disk.write_page(p, &page).unwrap();
+        disk.write_page(p + 1, &[0xFF, 0x7F]).unwrap();
+        let mut pager = Pager::new(Box::new(disk), 0);
+        let mut out = Vec::new();
+        let ptr = RecordPtr {
+            page: p,
+            offset: 62,
+        };
+        assert!(matches!(
+            read_record_into(&mut pager, ptr, &mut out),
+            Err(IndexError::Corrupt(_))
+        ));
+        assert_eq!(out.capacity(), 0, "nothing reserved for a corrupt length");
+        let past = RecordPtr {
+            page: p,
+            offset: 65,
+        };
+        assert!(matches!(
+            read_record_into(&mut pager, past, &mut out),
+            Err(IndexError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -31,8 +31,9 @@
 //!   default so the paper's cold-cache counters stay the reference tier;
 //! * [`ByteWriter`] / [`ByteReader`] — the checked binary codec for on-page
 //!   records;
-//! * [`RecordWriter`] / [`read_record`] — variable-length records spanning
-//!   pages, with page-aligned placement control;
+//! * [`RecordWriter`] / [`read_record`] / [`read_record_into`] —
+//!   variable-length records spanning pages, with page-aligned placement
+//!   control; `read_record_into` refills a caller's buffer;
 //! * [`SpillPool`] — the spillable decoded-segment buffer behind
 //!   memory-bounded ([`BuildBudget`]) index construction, with spill IO
 //!   accounted separately from index IO;
@@ -69,7 +70,7 @@ pub use device::{BlockDevice, PageId, DEFAULT_PAGE_SIZE};
 pub use directory::{DeviceDirectory, DirectoryBackend};
 pub use file::FileDevice;
 pub use iostats::{IoSampler, IoStats};
-pub use layout::{read_record, RecordPtr, RecordWriter};
+pub use layout::{read_record, read_record_into, RecordPtr, RecordWriter};
 pub use mmap::MmapDevice;
 pub use pager::Pager;
 pub use shared::SharedDevice;

@@ -59,6 +59,9 @@ pub struct Pager {
     /// The device hub's cache, this pager's own, or none (reads go
     /// straight to the device).
     cache: Option<Arc<PageCache>>,
+    /// The buffer every cache miss and prefetch reads into: sized at the
+    /// first device read, then reused, so a read allocates no page.
+    page: Vec<u8>,
 }
 
 impl Pager {
@@ -70,7 +73,11 @@ impl Pager {
         let cache = device
             .shared_cache()
             .or_else(|| (cache_pages > 0).then(|| Arc::new(PageCache::private(cache_pages))));
-        Self { device, cache }
+        Self {
+            device,
+            cache,
+            page: Vec::new(),
+        }
     }
 
     /// Page size of the underlying device.
@@ -106,8 +113,9 @@ impl Pager {
 
     /// Zero-copy read path: runs `f` over the cached page buffer without
     /// materializing an owned copy. On a cache hit the closure borrows the
-    /// resident buffer directly; on a miss the page is fetched, inserted,
-    /// and borrowed in place. IO accounting is identical to [`Pager::read`].
+    /// resident buffer directly; on a miss the page is read into the
+    /// pager's own page buffer, inserted into the cache (if any), and
+    /// borrowed from there. IO accounting is identical to [`Pager::read`].
     pub fn with_page<R>(
         &mut self,
         page: PageId,
@@ -120,12 +128,12 @@ impl Pager {
             }
             return Ok(f(&bytes));
         }
-        let mut buf = vec![0u8; self.device.page_size()];
-        self.device.read_page_into(page, &mut buf)?;
+        self.page.resize(self.device.page_size(), 0);
+        self.device.read_page_into(page, &mut self.page)?;
         if let Some(cache) = &self.cache {
-            cache.insert(page, &buf);
+            cache.insert(page, &self.page);
         }
-        Ok(f(&buf))
+        Ok(f(&self.page))
     }
 
     /// Declares that the `count` consecutive pages starting at `start` are
@@ -145,14 +153,14 @@ impl Pager {
             return Ok(());
         }
         let end = (start + window as u64).min(self.device.len_pages());
-        let mut buf = vec![0u8; self.device.page_size()];
+        self.page.resize(self.device.page_size(), 0);
         for page in start..end {
             if cache.contains(page) {
                 continue;
             }
-            self.device.read_page_into(page, &mut buf)?;
+            self.device.read_page_into(page, &mut self.page)?;
             self.device.note_prefetched();
-            cache.insert_prefetched(page, &buf);
+            cache.insert_prefetched(page, &self.page);
         }
         Ok(())
     }

@@ -144,8 +144,8 @@ fn vertex_decode_rejects_truncation_everywhere() {
             "prefix of {cut} bytes decoded successfully"
         );
     }
-    let p = Partition::decode(&bytes, 2, |_| true).expect("full decode");
-    assert_eq!(p.vertex(5).expect("vertex 5").to_data(), v);
+    let p = Partition::decode(bytes, 2, |_| true).expect("full decode");
+    assert_eq!(p.vertex(5, &mut Vec::new()).expect("vertex 5").to_data(), v);
 }
 
 #[test]
