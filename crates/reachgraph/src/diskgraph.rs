@@ -7,11 +7,17 @@
 //!    hash tables; same role: locating the vertex of `o_i(t)`);
 //! 2. the *partition region* — one page-aligned record per partition, in
 //!    creation (topological) order; a partition record holds its vertices
-//!    (interval, members, DN1 edges both directions, long-edge bundles);
+//!    (interval, members, DN1 edges both directions, long-edge bundles)
+//!    behind a slot table sorted by vertex id, each vertex's lists
+//!    delimited by fixed-width cumulative ends (layout in
+//!    [`crate::partition`]);
 //! 3. the *metadata footer* (`reach_storage::meta`) — everything needed to
 //!    reconstruct the in-memory state (params, page table, record
 //!    directory), so an index built on a persistent backend can be dropped
-//!    and reopened with [`ReachGraph::open`].
+//!    and reopened with [`ReachGraph::open`]. It opens with a tag naming
+//!    the partition record layout; a footer with another tag, or one
+//!    written before the tag existed, fails to open with
+//!    [`IndexError::Corrupt`].
 //!
 //! The index is backend-agnostic: [`ReachGraph::build`] keeps the paper's
 //! simulator, [`ReachGraph::build_on`] accepts any
@@ -23,8 +29,9 @@
 //! Traversal fetches whole partitions and the context buffers a bounded
 //! number of them, discarding the oldest (§5.2). A fetched record is read
 //! into a reused buffer and its framing is checked once, in full, by
-//! [`Partition::decode`]; a vertex's lists are decoded only when
-//! [`HnSource::vertex`] asks for that vertex, into one scratch buffer the
+//! [`Partition::decode`] in one pass over its slot table; a vertex's lists
+//! are decoded only when [`HnSource::vertex`] asks for that vertex (a
+//! binary search of the record's slot table), into one scratch buffer the
 //! context owns, and the returned [`Vertex`] view borrows it. A query thus
 //! decodes the vertices it visits, not every vertex of every partition it
 //! reads, and the re-streaming [`DnAccess`] surface decodes each vertex
@@ -33,10 +40,10 @@
 //! decoding happens after the pages are read.
 
 use crate::params::{GraphParams, TraversalKind};
-use crate::partition::Partition;
+use crate::partition::{Partition, PartitionEncoder};
 use crate::placement::Sweep;
 use crate::traverse::{evaluate, TraversalStats};
-use crate::vertex::{encode_vertex, HnSource, Vertex};
+use crate::vertex::{HnSource, Vertex};
 use reach_contact::{DnAccess, DnGraph, MultiRes};
 use reach_core::{
     Answer, FxHashMap, IndexError, ObjectId, Query, QueryKind, QueryResult, QueryStats, ReachIndex,
@@ -118,27 +125,25 @@ impl ReachGraph {
 
         // --- Partition region ----------------------------------------------
         // One sweep places and encodes: each vertex is read once, when the
-        // partitioning assigns it, into one record buffer and three scratch
-        // lists refilled per vertex; bundles are encoded straight from `mr`.
+        // partitioning assigns it, into three scratch lists refilled per
+        // vertex, and pushed into one encoder whose buffers every partition
+        // reuses; bundles are pushed straight from `mr`.
         let mut writer = RecordWriter::new(disk)?;
         let mut partition_ptrs = Vec::new();
         let mut sweep = Sweep::new(num_nodes, params.partition_depth);
-        let mut w = ByteWriter::new();
+        let mut encoder = PartitionEncoder::new(mr.levels().len());
         let (mut members, mut rev) = (Vec::new(), Vec::new());
         loop {
-            w.clear();
-            w.put_u32(0); // member count, set once the partition is complete
             let placed = sweep.next(|v, fwd| {
                 let interval = dn.node_into(v, &mut members, fwd, &mut rev);
-                w.put_u32(v);
                 let bundles = (0..mr.levels().len()).map(|idx| mr.bundle(idx, v));
-                encode_vertex(&mut w, interval, &members, fwd, &rev, bundles);
+                encoder.push(v, interval, &members, fwd, &rev, bundles);
                 Ok::<(), IndexError>(())
             });
             let Some(mine) = placed else { break };
-            w.set_u32(0, mine?.len() as u32);
+            mine?;
             writer.align_to_page(disk)?;
-            partition_ptrs.push(writer.append(disk, w.as_bytes())?);
+            partition_ptrs.push(writer.append(disk, encoder.finish())?);
         }
         let parts = sweep.finish();
         writer.finish(disk)?;
@@ -412,6 +417,12 @@ fn missing(v: u32, pid: u32) -> IndexError {
     IndexError::Corrupt(format!("vertex {v} missing from partition {pid}"))
 }
 
+/// Tag of the partition record layout, the first field of the metadata
+/// footer: `RGP2`, the slot-table layout of [`crate::partition`]. The
+/// length-prefixed layout it replaced had no tag; its footers start with
+/// the partition depth, so they fail the check too.
+const RECORD_FORMAT: u32 = u32::from_le_bytes(*b"RGP2");
+
 /// Decoded metadata payload (see [`encode_meta`]).
 struct DecodedMeta {
     params: GraphParams,
@@ -435,8 +446,9 @@ fn encode_meta(
 ) -> Vec<u8> {
     let timeline_index = timeline.index();
     let mut w = ByteWriter::with_capacity(
-        64 + 4 * partition_of.len() + 12 * partition_ptrs.len() + 12 * timeline_index.len(),
+        68 + 4 * partition_of.len() + 12 * partition_ptrs.len() + 12 * timeline_index.len(),
     );
+    w.put_u32(RECORD_FORMAT);
     w.put_u32(params.partition_depth);
     w.put_u32_slice(&params.levels);
     w.put_u64(params.partition_cache as u64);
@@ -461,6 +473,12 @@ fn encode_meta(
 fn decode_meta(payload: &[u8]) -> Result<DecodedMeta, IndexError> {
     let corrupt = |what: String| IndexError::Corrupt(format!("ReachGraph metadata: {what}"));
     let mut r = ByteReader::new(payload);
+    let format = r.get_u32()?;
+    if format != RECORD_FORMAT {
+        return Err(corrupt(format!(
+            "partition record format {format:#010x}, this build reads {RECORD_FORMAT:#010x}"
+        )));
+    }
     let partition_depth = r.get_u32()?;
     let levels = r.get_u32_vec()?;
     let partition_cache = r.get_u64()? as usize;
@@ -858,6 +876,11 @@ mod tests {
         (pid, bytes)
     }
 
+    /// The little-endian `u32` at `at` of `bytes`.
+    fn u32_at(bytes: &[u8], at: usize) -> u32 {
+        u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+    }
+
     #[test]
     fn corrupt_partition_records_are_typed_errors() {
         let (dn, mr, _) = random_world(12, 6, 80, 0.06);
@@ -869,34 +892,52 @@ mod tests {
                 rg.partition_of.get(v as usize) == Some(&pid)
             })
         };
+        let corrupt = |bytes: &[u8]| matches!(decode(bytes), Err(IndexError::Corrupt(_)));
         decode(&bytes).unwrap();
-        assert!(
-            rg.partition_of.iter().filter(|&&p| p == pid).count() > 1,
-            "a multi-vertex partition"
-        );
+        // Header `[count: u32][w: u8]`, then `[id: u32][body: u32]` slots.
+        let (count, width) = (u32_at(&bytes, 0) as usize, usize::from(bytes[4]));
+        assert!(count > 1, "a multi-vertex partition");
         for cut in 0..bytes.len() {
-            assert!(
-                matches!(decode(&bytes[..cut]), Err(IndexError::Corrupt(_))),
-                "prefix of {cut} bytes decoded"
-            );
+            assert!(corrupt(&bytes[..cut]), "prefix of {cut} bytes decoded");
         }
-        // Every length prefix of the first vertex, with a high bit flipped,
-        // claims a list running past the record. The first vertex's lists
-        // start after the count, its id, and its interval.
         assert!(bytes.len() < 1 << 16);
-        let mut at = 16;
-        for list in 0..3 + levels {
-            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-            for bit in 16..32 {
-                let mut flipped = bytes.clone();
-                flipped[at + bit / 8] ^= 1 << (bit % 8);
+        for slot in (5..5 + 8 * count).step_by(8) {
+            // A high bit flipped in an id names a vertex out of order or
+            // placed elsewhere; in a body offset, a body elsewhere.
+            for at in [slot, slot + 4] {
+                for bit in 16..32 {
+                    let mut flipped = bytes.clone();
+                    flipped[at + bit / 8] ^= 1 << (bit % 8);
+                    assert!(
+                        corrupt(&flipped),
+                        "byte {at} with bit {bit} flipped decoded"
+                    );
+                }
+            }
+            let body = u32_at(&bytes, slot + 4) as usize;
+            let (start, end) = (u32_at(&bytes, body), u32_at(&bytes, body + 4));
+            let mut backwards = bytes.clone();
+            backwards[body..body + 4].copy_from_slice(&(end + 1).to_le_bytes());
+            assert!(corrupt(&backwards), "interval [{}, {end}] decoded", end + 1);
+            assert!(start <= end);
+            // Any list end raised past the vertex's last end either
+            // decreases into the next end or runs the last list into the
+            // next body.
+            let ends = body + 8;
+            let last = ends + (2 + levels) * width;
+            let mut total = [0u8; 4];
+            total[..width].copy_from_slice(&bytes[last..last + width]);
+            let beyond = (u32::from_le_bytes(total) + 1).to_le_bytes();
+            assert!(width == 4 || beyond[width] == 0, "the raised end fits");
+            for list in 0..3 + levels {
+                let at = ends + list * width;
+                let mut raised = bytes.clone();
+                raised[at..at + width].copy_from_slice(&beyond[..width]);
                 assert!(
-                    matches!(decode(&flipped), Err(IndexError::Corrupt(_))),
-                    "list {list} length with bit {bit} flipped decoded"
+                    corrupt(&raised),
+                    "list {list} end of the body at {body} raised"
                 );
             }
-            // The bundle count byte sits between rev and the bundles.
-            at += 4 + 4 * len + usize::from(list == 2);
         }
     }
 
@@ -904,25 +945,34 @@ mod tests {
     fn member_ids_outside_the_universe_are_corrupt() {
         let (dn, mr, _) = random_world(12, 6, 80, 0.06);
         let mut rg = ReachGraph::build(&dn, &mr, params(256)).unwrap();
-        // A partition record whose length prefix, vertex count, first
-        // vertex id and interval, and first member all lie on its first
-        // page: the member sits 4 + 20 bytes past the record pointer.
-        let ptr = *rg
-            .partition_ptrs
-            .iter()
-            .find(|p| p.offset as usize + 28 <= 256)
-            .expect("a record starting early in its page");
-        let mut page = vec![0u8; 256];
-        rg.device_mut().read_page_into(ptr.page, &mut page).unwrap();
-        let at = ptr.offset as usize + 4;
-        let field = |at: usize| u32::from_le_bytes(page[at..at + 4].try_into().unwrap());
-        let v = field(at + 4);
+        let lists = 3 + rg.params.levels.len();
+        // A partition whose first vertex's first member lies on one page:
+        // records start a page, and record byte `p` sits 4 + p bytes (past
+        // the storage length prefix) into it.
+        let (page, at, v) = (0..rg.num_partitions() as usize)
+            .find_map(|pid| {
+                let ptr = rg.partition_ptrs[pid];
+                let bytes = read_record(&mut rg.device.cold_pager(0), ptr).unwrap();
+                let (v, body) = (u32_at(&bytes, 5), u32_at(&bytes, 9) as usize);
+                let member = 4 + body + 8 + lists * usize::from(bytes[4]);
+                assert_eq!(u32_at(&bytes, body), dn.node(v).interval.start);
+                assert_eq!(u32_at(&bytes, member - 4), dn.node(v).members[0].0);
+                (member % 256 + 4 <= 256).then_some((
+                    ptr.page + (member / 256) as u64,
+                    member % 256,
+                    v,
+                ))
+            })
+            .expect("a first member on one page");
+        let mut page_bytes = vec![0u8; 256];
+        rg.device_mut()
+            .read_page_into(page, &mut page_bytes)
+            .unwrap();
         let node = dn.node(v);
-        assert_eq!(field(at + 8), node.interval.start);
-        assert_eq!(field(at + 20), node.members[0].0);
+        assert_eq!(u32_at(&page_bytes, at), node.members[0].0);
         // The member list still decodes; it now names object 6 of 6.
-        page[at + 20..at + 24].copy_from_slice(&6u32.to_le_bytes());
-        rg.device_mut().write_page(ptr.page, &page).unwrap();
+        page_bytes[at..at + 4].copy_from_slice(&6u32.to_le_bytes());
+        rg.device_mut().write_page(page, &page_bytes).unwrap();
         let seed = (node.members[0], node.interval.start);
         let window = TimeInterval::new(node.interval.start, 79);
         assert!(matches!(
@@ -1167,6 +1217,47 @@ mod tests {
                 (first.stats.random_ios, first.stats.seq_ios),
                 "IO accounting changed across reopen on {q}"
             );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn footers_of_another_record_format_fail_to_open() {
+        let mut path = std::env::temp_dir();
+        path.push(format!(
+            "streach-diskgraph-format-{}.pages",
+            std::process::id()
+        ));
+        let (dn, mr, _) = random_world(4, 6, 60, 0.05);
+        let dev = FileDevice::create(&path, 256).unwrap();
+        ReachGraph::build_on(Box::new(dev), &dn, &mr, params(256)).unwrap();
+        let payload = {
+            let dev = FileDevice::open(&path, 256).unwrap();
+            meta::read_footer(&mut Pager::new(Box::new(dev), 0)).unwrap()
+        };
+        assert_eq!(&payload[..4], b"RGP2");
+        let mut old_tag = payload.clone();
+        old_tag[..4].copy_from_slice(b"RGP1");
+        // The length-prefixed layout wrote its footers without a tag.
+        let untagged = payload[4..].to_vec();
+        // Each footer is appended and becomes the device's last; the
+        // original goes last, so the patching is shown to reopen.
+        for (footer, opens) in [(old_tag, false), (untagged, false), (payload, true)] {
+            let mut dev = FileDevice::open(&path, 256).unwrap();
+            meta::write_footer(&mut dev, &footer).unwrap();
+            drop(dev);
+            let reopened = ReachGraph::open(Box::new(FileDevice::open(&path, 256).unwrap()));
+            match reopened {
+                Ok(rg) => {
+                    assert!(opens, "a footer tagged {:?} opened", &footer[..4]);
+                    assert_eq!(rg.num_nodes(), dn.num_nodes());
+                }
+                Err(e) => assert!(
+                    !opens && matches!(e, IndexError::Corrupt(_)),
+                    "footer tagged {:?}: {e}",
+                    &footer[..4]
+                ),
+            }
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -8,8 +8,9 @@
 //! * [`GraphParams`] / [`TraversalKind`] — tuning and strategy selection;
 //! * [`placement`] — depth-`d_p` topological partitioning (§5.1.3);
 //! * [`ReachGraph`] — the disk-resident index, whose partition records
-//!   are kept as framing-checked [`Partition`]s that decode only the
-//!   vertices a query visits. It is an immutable image that
+//!   (written by [`PartitionEncoder`]: an id-sorted slot table over
+//!   fixed-width vertex bodies) are kept as framing-checked [`Partition`]s
+//!   that decode only the vertices a query visits. It is an immutable image that
 //!   implements [`ReachIndex`](reach_core::ReachIndex) with `&self`: every
 //!   query reads through its own cold [`GraphContext`] (a pager on a fresh
 //!   device handle plus the partition buffer), so one image serves many
@@ -37,7 +38,7 @@ pub use decay::{decay_reachable, decay_states_seeded, top_k_reachable, top_k_rea
 pub use diskgraph::{GraphContext, ReachGraph};
 pub use memory::MemoryHn;
 pub use params::{GraphParams, TraversalKind};
-pub use partition::Partition;
+pub use partition::{Partition, PartitionEncoder};
 pub use placement::{partition, Partitioning};
 pub use traverse::{reachable_set, reachable_set_seeded, TraversalStats};
 pub use vertex::{HnSource, Vertex, VertexData};

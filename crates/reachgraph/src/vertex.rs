@@ -3,12 +3,14 @@
 //! Traversal reads vertices through [`Vertex`], a borrowed view that every
 //! [`HnSource`] hands out: the disk index points it at the lists of one
 //! vertex decoded from a partition record ([`crate::Partition`]), the
-//! memory index into the DN's own adjacency. [`VertexData`] is the owned form of a record; index
-//! construction writes the same layout from borrowed parts.
+//! memory index into the DN's own adjacency. [`VertexData`] is the owned
+//! form of a vertex; [`VertexData::encode`] adds it to a partition record
+//! through the same [`PartitionEncoder`] index construction feeds from
+//! borrowed parts.
 
+use crate::partition::PartitionEncoder;
 use reach_contact::MultiRes;
 use reach_core::{IndexError, ObjectId, Time, TimeInterval};
-use reach_storage::ByteWriter;
 use std::fmt;
 
 /// Owned `HN` vertex: what index construction writes into a partition
@@ -28,39 +30,22 @@ pub struct VertexData {
 }
 
 impl VertexData {
-    /// Serializes the vertex: interval, members, fwd, rev, then a one-byte
-    /// bundle count and the bundles, every list `u32`-length-prefixed.
-    pub fn encode(&self, w: &mut ByteWriter) {
-        encode_vertex(
-            w,
+    /// Adds the vertex to the partition record `encoder` is writing, under
+    /// id `id`. The record stores its interval, one cumulative list end per
+    /// list (members, fwd, rev, then one bundle per level) and the lists'
+    /// entries (see [`crate::partition`]).
+    ///
+    /// # Panics
+    /// If the vertex does not hold one bundle per level of the encoder.
+    pub fn encode(&self, id: u32, encoder: &mut PartitionEncoder) {
+        encoder.push(
+            id,
             self.interval,
             &self.members,
             &self.fwd,
             &self.rev,
             self.bundles.iter().map(Vec::as_slice),
         );
-    }
-}
-
-/// Writes one vertex in the [`VertexData::encode`] layout from borrowed
-/// parts, so construction can pass bundle slices straight from a
-/// [`MultiRes`].
-pub(crate) fn encode_vertex<'b>(
-    w: &mut ByteWriter,
-    interval: TimeInterval,
-    members: &[u32],
-    fwd: &[u32],
-    rev: &[u32],
-    bundles: impl ExactSizeIterator<Item = &'b [u32]>,
-) {
-    w.put_u32(interval.start);
-    w.put_u32(interval.end);
-    w.put_u32_slice(members);
-    w.put_u32_slice(fwd);
-    w.put_u32_slice(rev);
-    w.put_u8(bundles.len() as u8);
-    for b in bundles {
-        w.put_u32_slice(b);
     }
 }
 

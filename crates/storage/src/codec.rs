@@ -46,12 +46,6 @@ impl ByteWriter {
         &self.buf
     }
 
-    /// Overwrites the four bytes at `at` with `v`: a count written as a
-    /// placeholder before its list was complete.
-    pub fn set_u32(&mut self, at: usize, v: u32) {
-        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
-    }
-
     /// Empties the writer, keeping its buffer for the next record.
     pub fn clear(&mut self) {
         self.buf.clear();

@@ -118,8 +118,7 @@ fn corrupt_records_decode_to_errors_not_panics() {
 
 #[test]
 fn vertex_decode_rejects_truncation_everywhere() {
-    use streach::graph::{Partition, VertexData};
-    use streach::storage::ByteWriter;
+    use streach::graph::{Partition, PartitionEncoder, VertexData};
     let v = VertexData {
         interval: TimeInterval::new(3, 9),
         members: vec![1, 4, 7],
@@ -127,12 +126,10 @@ fn vertex_decode_rejects_truncation_everywhere() {
         rev: vec![0],
         bundles: vec![vec![20], vec![30, 31]],
     };
-    // A one-vertex partition record: vertex count, then id and vertex.
-    let mut w = ByteWriter::new();
-    w.put_u32(1);
-    w.put_u32(5);
-    v.encode(&mut w);
-    let bytes = w.into_bytes();
+    // A one-vertex partition record: header, one slot, then the body.
+    let mut encoder = PartitionEncoder::new(2);
+    v.encode(5, &mut encoder);
+    let bytes = encoder.finish().to_vec();
     // Every strict prefix must fail cleanly (no panic, no partial success
     // that silently drops edges).
     for cut in 0..bytes.len() {
@@ -206,7 +203,7 @@ fn sharded_rig(tag: &str) -> (ShardedLive, std::path::PathBuf) {
     (live, dir)
 }
 
-fn reopen_sharded(dir: &std::path::Path) -> (ShardedLive, ShardRecovery) {
+fn try_reopen_sharded(dir: &std::path::Path) -> Result<(ShardedLive, ShardRecovery), IndexError> {
     LiveConfig::graph(
         GraphParams {
             partition_depth: 8,
@@ -219,7 +216,10 @@ fn reopen_sharded(dir: &std::path::Path) -> (ShardedLive, ShardRecovery) {
     .builder()
     .backend(StorageConfig::file(dir, 256))
     .open_sharded()
-    .expect("sharded index reopens")
+}
+
+fn reopen_sharded(dir: &std::path::Path) -> (ShardedLive, ShardRecovery) {
+    try_reopen_sharded(dir).expect("sharded index reopens")
 }
 
 /// The batch oracle over the accepted trace, plus an all-pairs sweep.
@@ -263,6 +263,41 @@ fn shard_contacts() -> Vec<Contact> {
         Contact::new(ObjectId(4), ObjectId(5), TimeInterval::new(16, 18)),
         Contact::new(ObjectId(0), ObjectId(5), TimeInterval::new(21, 22)),
     ]
+}
+
+/// A sealed shard whose base footer names another partition record layout
+/// (`RGP1`, one before this layout's `RGP2`) fails recovery with a typed
+/// error instead of being decoded in the wrong layout.
+#[test]
+fn recovery_rejects_a_shard_base_of_another_record_format() {
+    use streach::storage::{meta, FileDevice};
+    let (live, dir) = sharded_rig("format");
+    for c in shard_contacts() {
+        live.append(c).expect("append accepted");
+    }
+    live.seal(10).expect("clean seal");
+    drop(live);
+    let mut bases = 0;
+    for entry in std::fs::read_dir(&dir).expect("rig directory lists") {
+        let path = entry.expect("directory entry").path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if !name.starts_with("shard-base-") {
+            continue;
+        }
+        let device = FileDevice::open(&path, 256).expect("base reopens");
+        let mut pager = Pager::new(Box::new(device), 0);
+        let mut footer = meta::read_footer(&mut pager).expect("base footer reads");
+        assert_eq!(&footer[..4], b"RGP2");
+        footer[..4].copy_from_slice(b"RGP1");
+        meta::write_footer(pager.device_mut(), &footer).expect("patched footer writes");
+        bases += 1;
+    }
+    assert_eq!(bases, 1, "one sealed shard");
+    assert!(matches!(
+        try_reopen_sharded(&dir),
+        Err(IndexError::Corrupt(_))
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A crash between any two phases of a seal commit recovers to exactly
