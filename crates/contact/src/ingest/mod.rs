@@ -16,11 +16,13 @@
 //! * [`EdgeListSource`] — whitespace/CSV temporal edge lists
 //!   `u v t [duration]` (SNAP style) or `t u v` (SocioPatterns style);
 //! * [`IntervalSource`] — interval contact records `u v start end`;
+//! * [`RecordMap`] — the one raw-record conversion (time rebasing and
+//!   scaling, numeric ids), shared with the live engine's `append_source`;
 //! * [`ContactTrace::load`] — normalization: id mapping, time rebasing and
 //!   scaling, merging into maximal [`Contact`]s, universe/horizon
-//!   resolution, with [`ErrorMode::Strict`] (first malformed line aborts
-//!   with its line number) or [`ErrorMode::Lossy`] (malformed lines are
-//!   skipped and counted) semantics;
+//!   resolution, with [`ErrorMode::Strict`] (the earliest malformed line
+//!   aborts with its line number) or [`ErrorMode::Lossy`] (malformed lines
+//!   are skipped and counted) semantics;
 //! * [`write_events`] / [`write_intervals`] — the synthetic-trace writers
 //!   that make round-trip testing (and CI without network access) possible;
 //! * [`embed`] — a component-colocation embedding of a trace into a
@@ -313,29 +315,74 @@ impl IngestOptions {
         self.numeric_ids = Some(numeric);
         self
     }
+}
 
-    /// Whether these options pin every normalization parameter — origin,
-    /// time scale (nonzero), and id policy — so no late `#!` directive can
-    /// change how a record is interpreted.
+/// The one raw-record conversion of the ingestion layer, shared by batch
+/// [`ContactTrace::load`] and the live engine's `append_source`:
+/// `tick = (raw − origin) / time_scale` (floor division), with timestamps
+/// before the origin and ticks past the [`Time`] range rejected as per-line
+/// errors, and — under the numeric id policy — a label *is* its dense id.
+/// Self-contacts are left to the caller, which reports them in its own
+/// shape.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RecordMap {
+    origin: u64,
+    time_scale: u64,
+}
+
+impl RecordMap {
+    /// Rebases raw timestamps at `origin` and buckets `time_scale` raw
+    /// units per tick; a zero scale is [`IngestError::Inconsistent`].
+    pub fn new(origin: u64, time_scale: u64) -> Result<Self, IngestError> {
+        if time_scale == 0 {
+            return Err(IngestError::Inconsistent("time_scale must be ≥ 1".into()));
+        }
+        Ok(Self { origin, time_scale })
+    }
+
+    /// The tick interval of the inclusive raw interval `[start, end]` read
+    /// from source line `line`.
     ///
-    /// When pinned, [`ContactTrace::load`] validates and converts each
-    /// record the moment it arrives and coalesces adjacent same-pair
-    /// records through a bounded merge window, instead of buffering the
-    /// whole trace first; the result is identical either way (asserted by
-    /// the ingestion tests), but peak memory drops from `O(records)` to
-    /// `O(contacts + window)` for time-sorted traces.
-    pub fn is_pinned(&self) -> bool {
-        self.origin.is_some()
-            && self.time_scale.is_some_and(|s| s != 0)
-            && self.numeric_ids.is_some()
+    /// # Panics
+    ///
+    /// Panics if `end < start`, which [`RawRecord`] rules out (the
+    /// built-in sources reject reversed intervals as malformed lines).
+    pub fn interval(&self, line: u64, start: u64, end: u64) -> Result<TimeInterval, IngestError> {
+        if start < self.origin {
+            return Err(IngestError::parse(
+                line,
+                format!("timestamp {start} precedes the origin {}", self.origin),
+            ));
+        }
+        let tick = |raw: u64| {
+            Time::try_from((raw - self.origin) / self.time_scale).map_err(|_| {
+                IngestError::parse(line, format!("timestamp {raw} overflows the tick range"))
+            })
+        };
+        Ok(TimeInterval::new(tick(start)?, tick(end)?))
+    }
+
+    /// Converts a record whose labels are numeric ids into its endpoints
+    /// (in source order, possibly equal) and tick interval.
+    pub fn numeric(
+        &self,
+        line: u64,
+        u: &str,
+        v: &str,
+        start: u64,
+        end: u64,
+    ) -> Result<(u32, u32, TimeInterval), IngestError> {
+        let id = |label: &str| {
+            label.parse::<u32>().map_err(|_| {
+                IngestError::parse(line, format!("id {label:?} is not numeric (ids=numeric)"))
+            })
+        };
+        Ok((id(u)?, id(v)?, self.interval(line, start, end)?))
     }
 }
 
-/// Pairs a bounded merge window can hold open before flushing the oldest.
-const MERGE_WINDOW_PAIRS: usize = 1024;
-
-/// First-seen-order string interner: deferred normalization stores two
-/// `u32`s per record instead of two heap strings.
+/// First-seen-order string interner: a pending record stores two `u32`s
+/// instead of two heap strings.
 #[derive(Default)]
 struct Interner {
     map: HashMap<String, u32>,
@@ -354,69 +401,13 @@ impl Interner {
     }
 }
 
-/// One compact pending record (deferred normalization): interned labels,
-/// raw times, source line.
+/// One compact pending record: interned labels, raw times, source line.
 struct Pending {
     line: u64,
     a: u32,
     b: u32,
     start: u64,
     end: u64,
-}
-
-/// The bounded merge window of pinned-options loading: per-pair open
-/// intervals, coalescing overlapping/abutting tick intervals on arrival,
-/// flushing the oldest pair when `cap` pairs are open. Purely a memory
-/// optimization — [`merge_tuples`] re-merges at the end, so splitting a
-/// pair across flushes loses nothing.
-struct MergeWindow {
-    cap: usize,
-    open: HashMap<(u32, u32), TimeInterval>,
-    order: std::collections::VecDeque<(u32, u32)>,
-}
-
-impl MergeWindow {
-    fn new(cap: usize) -> Self {
-        Self {
-            cap: cap.max(1),
-            open: HashMap::new(),
-            order: std::collections::VecDeque::new(),
-        }
-    }
-
-    fn push(
-        &mut self,
-        pair: (u32, u32),
-        iv: TimeInterval,
-        out: &mut Vec<(u32, u32, TimeInterval)>,
-    ) {
-        if let Some(cur) = self.open.get_mut(&pair) {
-            let overlaps =
-                iv.start <= cur.end.saturating_add(1) && cur.start <= iv.end.saturating_add(1);
-            if overlaps {
-                cur.start = cur.start.min(iv.start);
-                cur.end = cur.end.max(iv.end);
-            } else {
-                out.push((pair.0, pair.1, *cur));
-                *cur = iv; // keeps its slot in `order`
-            }
-            return;
-        }
-        if self.open.len() == self.cap {
-            let oldest = self.order.pop_front().expect("cap ≥ 1 entries open");
-            let iv = self.open.remove(&oldest).expect("ordered pair is open");
-            out.push((oldest.0, oldest.1, iv));
-        }
-        self.open.insert(pair, iv);
-        self.order.push_back(pair);
-    }
-
-    fn flush(mut self, out: &mut Vec<(u32, u32, TimeInterval)>) {
-        while let Some(pair) = self.order.pop_front() {
-            let iv = self.open.remove(&pair).expect("ordered pair is open");
-            out.push((pair.0, pair.1, iv));
-        }
-    }
 }
 
 /// A normalized contact dataset: dense object ids, tick times, maximal
@@ -452,373 +443,106 @@ impl ContactTrace {
     ///
     /// Normalization steps, in order:
     ///
-    /// 1. **Drain** — per-record parse errors abort ([`ErrorMode::Strict`])
-    ///    or are counted and skipped ([`ErrorMode::Lossy`]). Records are
-    ///    never materialized as [`RawRecord`]s: labels go through an
-    ///    interner, so a pending record is two `u32`s and two raw
-    ///    timestamps. With pinned options ([`IngestOptions::is_pinned`])
-    ///    even that buffer disappears: records validate, convert, and
-    ///    coalesce through a bounded merge window as they arrive.
-    /// 2. **Time mapping** — `tick = (raw − origin) / time_scale`; records
-    ///    before the origin are malformed.
-    /// 3. **Id mapping** — numeric policy: a label *is* its dense id;
-    ///    dense policy: distinct labels are sorted (numerically when every
-    ///    label is a number, else lexicographically) and numbered `0..`.
-    ///    Self-contacts are malformed.
-    /// 4. **Merge** — overlapping or abutting records of one pair fuse into
+    /// 1. **Drain** — records are kept as interned labels and raw
+    ///    timestamps (never as [`RawRecord`]s), because `#!` directives may
+    ///    appear anywhere and decide how every record is read. A line the
+    ///    source cannot parse is counted and skipped ([`ErrorMode::Lossy`])
+    ///    or ends the drain ([`ErrorMode::Strict`]).
+    /// 2. **Resolution** — origin, time scale and id policy come from the
+    ///    options, then the directives, then the defaults (the smallest
+    ///    timestamp, 1, dense).
+    /// 3. **Conversion** — every record goes through one [`RecordMap`]:
+    ///    `tick = (raw − origin) / time_scale`, records before the origin
+    ///    are malformed; numeric policy: a label *is* its dense id. A
+    ///    self-contact is malformed. In strict mode the earliest failing
+    ///    line wins, whether the source could not parse it or the
+    ///    conversion rejected it.
+    /// 4. **Id mapping** — dense policy: distinct labels of the surviving
+    ///    records are sorted (numerically when every label is a number,
+    ///    else lexicographically) and numbered `0..`.
+    /// 5. **Merge** — overlapping or abutting records of one pair fuse into
     ///    maximal [`Contact`]s (the paper's §3.1 contact definition; two
     ///    meetings separated by a gap stay distinct).
-    /// 5. **Universe/horizon resolution** — declared values (options, then
+    /// 6. **Universe/horizon resolution** — declared values (options, then
     ///    directives) must cover the observed data, and extend it with
     ///    silent objects/ticks when larger.
-    pub fn load<S: ContactSource>(source: S, options: &IngestOptions) -> Result<Self, IngestError> {
-        if options.is_pinned() {
-            Self::load_pinned(source, options)
-        } else {
-            Self::load_deferred(source, options)
-        }
-    }
-
-    /// Deferred path: directives may appear anywhere, so records that parse
-    /// are compacted (interned labels + raw times) and interpreted only
-    /// after the source is drained.
-    fn load_deferred<S: ContactSource>(
+    pub fn load<S: ContactSource>(
         mut source: S,
         options: &IngestOptions,
     ) -> Result<Self, IngestError> {
         let mut interner = Interner::default();
         let mut pending: Vec<Pending> = Vec::new();
         let mut skipped = 0u64;
+        let mut source_err = None;
         while let Some(r) = source.next_record() {
-            match r {
-                Ok(rec) => pending.push(Pending {
+            match (r, options.mode) {
+                (Ok(rec), _) => pending.push(Pending {
                     line: rec.line,
                     a: interner.intern(&rec.u),
                     b: interner.intern(&rec.v),
                     start: rec.start,
                     end: rec.end,
                 }),
-                Err(e) => match options.mode {
-                    ErrorMode::Strict => return Err(e),
-                    ErrorMode::Lossy => skipped += 1,
-                },
+                (Err(_), ErrorMode::Lossy) => skipped += 1,
+                (Err(e), ErrorMode::Strict) => {
+                    source_err = Some(e);
+                    break;
+                }
             }
         }
         let dir = source.directives();
-        Self::finalize_deferred(pending, interner, skipped, &dir, options)
-    }
-
-    /// Pinned path: every normalization parameter is fixed by the options,
-    /// so each record is validated and tick-converted on arrival and folded
-    /// through the bounded merge window — nothing but open window pairs and
-    /// finished tuples stays in memory.
-    fn load_pinned<S: ContactSource>(
-        mut source: S,
-        options: &IngestOptions,
-    ) -> Result<Self, IngestError> {
-        let mode = options.mode;
-        let origin = options.origin.expect("pinned options carry an origin");
-        let scale = options.time_scale.expect("pinned options carry a scale");
-        let numeric = options
-            .numeric_ids
-            .expect("pinned options carry an id policy");
-        let mut interner = Interner::default();
-        let mut used: Vec<bool> = Vec::new();
-        let mut window = MergeWindow::new(MERGE_WINDOW_PAIRS);
-        let mut tuples: Vec<(u32, u32, TimeInterval)> = Vec::new();
-        let mut records = 0u64;
-        let mut skipped = 0u64;
-        let mut observed_objects = 0usize;
-        let mut strict_err: Option<IngestError> = None;
-        let mut skip = |e: IngestError, skipped: &mut u64| -> bool {
-            match mode {
-                ErrorMode::Strict => {
-                    strict_err = Some(e);
-                    false
-                }
-                ErrorMode::Lossy => {
-                    *skipped += 1;
-                    true
-                }
-            }
-        };
-        while let Some(r) = source.next_record() {
-            let rec = match r {
-                Ok(rec) => rec,
-                Err(e) => {
-                    if skip(e, &mut skipped) {
-                        continue;
-                    }
-                    break;
-                }
-            };
-            let pair = if numeric {
-                let id_of = |label: &str| -> Result<u32, IngestError> {
-                    label.parse::<u32>().map_err(|_| {
-                        IngestError::parse(
-                            rec.line,
-                            format!("id {label:?} is not numeric (trace declares ids=numeric)"),
-                        )
-                    })
-                };
-                let (a, b) = match (id_of(&rec.u), id_of(&rec.v)) {
-                    (Ok(a), Ok(b)) => (a, b),
-                    (Err(e), _) | (_, Err(e)) => {
-                        if skip(e, &mut skipped) {
-                            continue;
-                        }
-                        break;
-                    }
-                };
-                if a == b {
-                    if skip(
-                        IngestError::parse(rec.line, format!("self-contact of id {a}")),
-                        &mut skipped,
-                    ) {
-                        continue;
-                    }
-                    break;
-                }
-                (a.min(b), a.max(b))
-            } else {
-                if rec.u == rec.v {
-                    if skip(
-                        IngestError::parse(rec.line, format!("self-contact of {:?}", rec.u)),
-                        &mut skipped,
-                    ) {
-                        continue;
-                    }
-                    break;
-                }
-                let a = interner.intern(&rec.u);
-                let b = interner.intern(&rec.v);
-                used.resize(interner.labels.len(), false);
-                (a.min(b), a.max(b))
-            };
-            if rec.start < origin {
-                if skip(
-                    IngestError::parse(
-                        rec.line,
-                        format!("timestamp {} precedes the origin {origin}", rec.start),
-                    ),
-                    &mut skipped,
-                ) {
-                    continue;
-                }
-                break;
-            }
-            let interval = match (
-                time_to_tick(rec.start, origin, scale, rec.line),
-                time_to_tick(rec.end, origin, scale, rec.line),
-            ) {
-                (Ok(start), Ok(end)) => TimeInterval::new(start, end),
-                (Err(e), _) | (_, Err(e)) => {
-                    if skip(e, &mut skipped) {
-                        continue;
-                    }
-                    break;
-                }
-            };
-            records += 1;
-            // Only *surviving* records shape the universe (like the
-            // deferred path): a record skipped by a later check must not
-            // have inflated the observed id range.
-            if numeric {
-                observed_objects = observed_objects.max(pair.1 as usize + 1);
-            } else {
-                used[pair.0 as usize] = true;
-                used[pair.1 as usize] = true;
-            }
-            window.push(pair, interval, &mut tuples);
-        }
-        if let Some(e) = strict_err {
-            return Err(e);
-        }
-        window.flush(&mut tuples);
-        let dir = source.directives();
-        let labels = if numeric {
-            Vec::new()
-        } else {
-            let (sorted, final_of) = dense_rank(&interner, &used);
-            for (a, b, _) in &mut tuples {
-                let (fa, fb) = (final_of[*a as usize], final_of[*b as usize]);
-                (*a, *b) = (fa.min(fb), fa.max(fb));
-            }
-            observed_objects = sorted.len();
-            sorted
-        };
-        Self::assemble(
-            numeric,
-            labels,
-            observed_objects,
-            tuples,
-            records,
-            skipped,
-            &dir,
-            options,
-        )
-    }
-
-    fn finalize_deferred(
-        pending: Vec<Pending>,
-        interner: Interner,
-        mut skipped: u64,
-        dir: &Directives,
-        options: &IngestOptions,
-    ) -> Result<Self, IngestError> {
-        let mode = options.mode;
-        let scale = options.time_scale.or(dir.time_scale).unwrap_or(1);
-        if scale == 0 {
-            return Err(IngestError::Inconsistent("time_scale must be ≥ 1".into()));
-        }
-        let origin = options
-            .origin
-            .or(dir.origin)
-            .or_else(|| pending.iter().map(|r| r.start).min())
-            .unwrap_or(0);
+        let map = RecordMap::new(
+            options
+                .origin
+                .or(dir.origin)
+                .or_else(|| pending.iter().map(|r| r.start).min())
+                .unwrap_or(0),
+            options.time_scale.or(dir.time_scale).unwrap_or(1),
+        )?;
         let numeric = options.numeric_ids.or(dir.ids_numeric).unwrap_or(false);
 
-        let skip_or = |e: IngestError, skipped: &mut u64| -> Result<(), IngestError> {
-            match mode {
-                ErrorMode::Strict => Err(e),
-                ErrorMode::Lossy => {
-                    *skipped += 1;
-                    Ok(())
-                }
-            }
-        };
-
-        // Per-record validation in source terms, in arrival order (so strict
-        // mode reports the first malformed line). Only surviving records
-        // contribute anything downstream: in dense mode a record skipped
-        // here must not add its labels to the universe. (Dense ids map
-        // distinct labels to distinct ids, so a self-contact is exactly
-        // textual label equality — interned-id equality; numeric mode must
-        // parse first — "01" and "1" are the same object.)
-        let parsed: Vec<Option<u32>> = if numeric {
-            interner
-                .labels
-                .iter()
-                .map(|l| l.parse::<u32>().ok())
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut used = vec![false; interner.labels.len()];
+        // Conversion in line order; every pending record precedes the
+        // source error, if any, so a failure here is the earlier line. Only
+        // surviving records contribute downstream. (Dense ids map distinct
+        // labels to distinct ids, so a dense self-contact is interned-id
+        // equality; numeric ids compare after parsing — "01" and "1" are
+        // the same object.)
         let mut tuples: Vec<(u32, u32, TimeInterval)> = Vec::with_capacity(pending.len());
-        let mut observed_objects = 0usize;
         for r in &pending {
-            let pair = if numeric {
-                let id_of = |i: u32| -> Result<u32, IngestError> {
-                    parsed[i as usize].ok_or_else(|| {
-                        IngestError::parse(
-                            r.line,
-                            format!(
-                                "id {:?} is not numeric (trace declares ids=numeric)",
-                                interner.labels[i as usize]
-                            ),
-                        )
-                    })
-                };
-                let (a, b) = match (id_of(r.a), id_of(r.b)) {
-                    (Ok(a), Ok(b)) => (a, b),
-                    (Err(e), _) | (_, Err(e)) => {
-                        skip_or(e, &mut skipped)?;
-                        continue;
-                    }
-                };
-                if a == b {
-                    skip_or(
-                        IngestError::parse(r.line, format!("self-contact of id {a}")),
-                        &mut skipped,
-                    )?;
-                    continue;
-                }
-                Some((a, b))
-            } else if r.a == r.b {
-                skip_or(
-                    IngestError::parse(
-                        r.line,
-                        format!("self-contact of {:?}", interner.labels[r.a as usize]),
-                    ),
-                    &mut skipped,
-                )?;
-                continue;
+            let label = |i: u32| interner.labels[i as usize].as_str();
+            let converted = if numeric {
+                map.numeric(r.line, label(r.a), label(r.b), r.start, r.end)
             } else {
-                None
+                map.interval(r.line, r.start, r.end)
+                    .map(|iv| (r.a, r.b, iv))
             };
-            if r.start < origin {
-                skip_or(
-                    IngestError::parse(
-                        r.line,
-                        format!("timestamp {} precedes the origin {origin}", r.start),
-                    ),
-                    &mut skipped,
-                )?;
-                continue;
+            let tuple = converted.and_then(|(a, b, iv)| {
+                if a == b {
+                    let msg = format!("self-contact of {:?}", label(r.a));
+                    Err(IngestError::parse(r.line, msg))
+                } else {
+                    Ok((a.min(b), a.max(b), iv))
+                }
+            });
+            match (tuple, options.mode) {
+                (Ok(t), _) => tuples.push(t),
+                (Err(_), ErrorMode::Lossy) => skipped += 1,
+                (Err(e), ErrorMode::Strict) => return Err(e),
             }
-            let interval = match (
-                time_to_tick(r.start, origin, scale, r.line),
-                time_to_tick(r.end, origin, scale, r.line),
-            ) {
-                (Ok(start), Ok(end)) => TimeInterval::new(start, end),
-                (Err(e), _) | (_, Err(e)) => {
-                    skip_or(e, &mut skipped)?;
-                    continue;
-                }
-            };
-            match pair {
-                Some((a, b)) => {
-                    observed_objects = observed_objects.max(a.max(b) as usize + 1);
-                    tuples.push((a.min(b), a.max(b), interval));
-                }
-                None => {
-                    used[r.a as usize] = true;
-                    used[r.b as usize] = true;
-                    tuples.push((r.a, r.b, interval)); // interned ids; remapped below
-                }
-            }
+        }
+        if let Some(e) = source_err {
+            return Err(e);
         }
         let records = tuples.len() as u64;
 
-        // Id mapping over the surviving records only.
-        let labels = if numeric {
-            Vec::new()
+        let (mut labels, observed_objects) = if numeric {
+            let observed = tuples.iter().map(|&(_, b, _)| b as usize + 1).max();
+            (Vec::new(), observed.unwrap_or(0))
         } else {
-            let (sorted, final_of) = dense_rank(&interner, &used);
-            for (a, b, _) in &mut tuples {
-                let (fa, fb) = (final_of[*a as usize], final_of[*b as usize]);
-                (*a, *b) = (fa.min(fb), fa.max(fb));
-            }
-            observed_objects = sorted.len();
-            sorted
+            let labels = dense_rank(&interner, &mut tuples);
+            let observed = labels.len();
+            (labels, observed)
         };
-        Self::assemble(
-            numeric,
-            labels,
-            observed_objects,
-            tuples,
-            records,
-            skipped,
-            dir,
-            options,
-        )
-    }
-
-    /// Universe/horizon resolution shared by both loading paths: `tuples`
-    /// carry final dense ids, `labels` the sorted survivor labels (dense
-    /// mode) or nothing (numeric mode).
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        numeric: bool,
-        mut labels: Vec<String>,
-        observed_objects: usize,
-        tuples: Vec<(u32, u32, TimeInterval)>,
-        records: u64,
-        skipped: u64,
-        dir: &Directives,
-        options: &IngestOptions,
-    ) -> Result<Self, IngestError> {
         let num_objects = options
             .num_objects
             .or(dir.num_objects)
@@ -835,7 +559,6 @@ impl ContactTrace {
             labels.extend((labels.len()..num_objects).map(|i| format!("#{i}")));
         }
 
-        // Horizon resolution.
         let observed_horizon = tuples
             .iter()
             .map(|&(_, _, iv)| iv.end + 1)
@@ -991,21 +714,20 @@ impl ContactTrace {
     }
 }
 
-fn time_to_tick(raw: u64, origin: u64, scale: u64, line: u64) -> Result<Time, IngestError> {
-    let tick = (raw - origin) / scale;
-    Time::try_from(tick)
-        .map_err(|_| IngestError::parse(line, format!("timestamp {raw} overflows the tick range")))
-}
-
-/// Dense-id ranking over the labels actually used by surviving records:
-/// returns the sorted label list (numerically when every used label parses
-/// as a number, lexicographically otherwise) and the interned-id → final-id
-/// permutation.
-fn dense_rank(interner: &Interner, used: &[bool]) -> (Vec<String>, Vec<u32>) {
+/// Dense-id ranking over the labels of the surviving records: renumbers
+/// `tuples` (interned ids in, final dense ids out, each pair ordered) and
+/// returns the sorted label list — numerically when every used label
+/// parses as a number, lexicographically otherwise.
+fn dense_rank(interner: &Interner, tuples: &mut [(u32, u32, TimeInterval)]) -> Vec<String> {
+    let mut used = vec![false; interner.labels.len()];
+    for &(a, b, _) in tuples.iter() {
+        used[a as usize] = true;
+        used[b as usize] = true;
+    }
     let mut distinct: Vec<&str> = interner
         .labels
         .iter()
-        .zip(used)
+        .zip(&used)
         .filter(|&(_, &u)| u)
         .map(|(l, _)| l.as_str())
         .collect();
@@ -1017,7 +739,11 @@ fn dense_rank(interner: &Interner, used: &[bool]) -> (Vec<String>, Vec<u32>) {
     for (rank, &l) in distinct.iter().enumerate() {
         final_of[interner.map[l] as usize] = rank as u32;
     }
-    (distinct.iter().map(|l| l.to_string()).collect(), final_of)
+    for (a, b, _) in tuples.iter_mut() {
+        let (fa, fb) = (final_of[*a as usize], final_of[*b as usize]);
+        (*a, *b) = (fa.min(fb), fa.max(fb));
+    }
+    distinct.iter().map(|l| l.to_string()).collect()
 }
 
 /// Merges per-pair overlapping/abutting intervals into maximal contacts and
@@ -1235,6 +961,16 @@ mod tests {
         assert!(matches!(err, IngestError::Parse { line: 4, .. }), "{err}");
         let err = ContactTrace::parse("0 1 0\nbroken\n", &IngestOptions::default()).unwrap_err();
         assert!(matches!(err, IngestError::Parse { line: 2, .. }), "{err}");
+        // The earliest failing line wins, whether normalization rejects it
+        // (the self-contact on line 2) or the parser does (line 3), under
+        // either id policy.
+        for opts in [
+            IngestOptions::strict(),
+            IngestOptions::strict().with_numeric_ids(true),
+        ] {
+            let err = ContactTrace::parse("0 1 5\n1 1 7\nbroken\n", &opts).unwrap_err();
+            assert!(matches!(err, IngestError::Parse { line: 2, .. }), "{err}");
+        }
     }
 
     #[test]
@@ -1324,39 +1060,37 @@ mod tests {
     }
 
     #[test]
-    fn pinned_and_deferred_paths_agree() {
+    fn options_and_directives_agree() {
         // Dirty input: short line, self-contact, bad time, plus mergeable
-        // adjacent records — both loading paths must produce the same trace
-        // (contacts, labels, counts) under both id policies.
+        // adjacent records — the same parameters set by options or by
+        // directives must produce the same trace (contacts, labels, counts)
+        // under both id policies.
         let dirty = "0 1 0\nbroken\n1 1 2\n2 3 nope\n1 2 3\n0 1 4\n0 1 5 3\n";
         for numeric in [false, true] {
             let ids = if numeric { "numeric" } else { "dense" };
             let with_directives =
                 format!("#! streach-trace origin=0 time_scale=1 ids={ids}\n{dirty}");
-            let pinned = IngestOptions::lossy()
+            let set = IngestOptions::lossy()
                 .with_origin(0)
                 .with_time_scale(1)
                 .with_numeric_ids(numeric);
-            assert!(pinned.is_pinned());
-            assert!(!IngestOptions::lossy().is_pinned());
-            let eager = ContactTrace::parse(dirty, &pinned).unwrap();
-            let deferred = ContactTrace::parse(&with_directives, &IngestOptions::lossy()).unwrap();
-            assert_eq!(eager.contacts(), deferred.contacts(), "ids={ids}");
-            assert_eq!(eager.records(), deferred.records(), "ids={ids}");
-            assert_eq!(eager.skipped(), deferred.skipped(), "ids={ids}");
-            assert_eq!(eager.num_objects(), deferred.num_objects(), "ids={ids}");
-            assert_eq!(eager.horizon(), deferred.horizon(), "ids={ids}");
-            assert!(eager.skipped() > 0, "dirty input must count skips");
+            let by_options = ContactTrace::parse(dirty, &set).unwrap();
+            let by_directives =
+                ContactTrace::parse(&with_directives, &IngestOptions::lossy()).unwrap();
+            assert_eq!(by_options, by_directives, "ids={ids}");
+            assert_eq!(by_options.records(), by_directives.records(), "ids={ids}");
+            assert_eq!(by_options.skipped(), by_directives.skipped(), "ids={ids}");
+            assert!(by_options.skipped() > 0, "dirty input must count skips");
         }
     }
 
     #[test]
-    fn pinned_skipped_records_do_not_inflate_the_numeric_universe() {
+    fn skipped_records_do_not_inflate_the_numeric_universe() {
         // The second record references id 9 but precedes the declared
         // origin, so it is skipped in lossy mode — the universe must stay
-        // at 2 objects on both loading paths.
+        // at the ids of the surviving records, however the origin is set.
         let body = "10 1 12\n0 9 5\n";
-        let pinned = ContactTrace::parse(
+        let by_options = ContactTrace::parse(
             body,
             &IngestOptions::lossy()
                 .with_origin(10)
@@ -1364,15 +1098,18 @@ mod tests {
                 .with_numeric_ids(true),
         )
         .unwrap();
-        let deferred = ContactTrace::parse(
+        let by_directives = ContactTrace::parse(
             &format!("#! streach-trace origin=10 time_scale=1 ids=numeric\n{body}"),
             &IngestOptions::lossy(),
         )
         .unwrap();
-        assert_eq!(pinned.num_objects(), 11, "ids 0..=10 observed via id 10");
-        assert_eq!(pinned.num_objects(), deferred.num_objects());
-        assert_eq!(pinned.skipped(), 1);
-        assert_eq!(pinned.contacts(), deferred.contacts());
+        assert_eq!(
+            by_options.num_objects(),
+            11,
+            "ids 0..=10 observed via id 10"
+        );
+        assert_eq!(by_options, by_directives);
+        assert_eq!(by_options.skipped(), 1);
         // And with only small surviving ids, the skipped 9 must vanish.
         let small = ContactTrace::parse(
             "0 1 12\n0 9 5\n",
@@ -1386,13 +1123,12 @@ mod tests {
     }
 
     #[test]
-    fn pinned_strict_reports_the_same_first_error() {
-        // One trace, parameters identical by directive (deferred) and by
-        // option (pinned): strict mode must fail on the same line either
-        // way.
+    fn options_and_directives_report_the_same_first_error() {
+        // One trace, parameters identical by directive and by option:
+        // strict mode must fail on the same line either way.
         let text = "#! streach-trace ids=numeric\n0 1 5\n1 1 7\n";
-        let deferred = ContactTrace::parse(text, &IngestOptions::strict()).unwrap_err();
-        let pinned = ContactTrace::parse(
+        let by_directives = ContactTrace::parse(text, &IngestOptions::strict()).unwrap_err();
+        let by_options = ContactTrace::parse(
             text,
             &IngestOptions::strict()
                 .with_origin(5)
@@ -1400,43 +1136,22 @@ mod tests {
                 .with_numeric_ids(true),
         )
         .unwrap_err();
-        assert_eq!(deferred, pinned);
-        assert!(matches!(deferred, IngestError::Parse { line: 3, .. }));
+        assert_eq!(by_directives, by_options);
+        assert!(matches!(by_directives, IngestError::Parse { line: 3, .. }));
     }
 
     #[test]
-    fn zero_time_scale_never_takes_the_pinned_path() {
-        let opts = IngestOptions::strict()
-            .with_origin(0)
-            .with_time_scale(0)
-            .with_numeric_ids(true);
-        assert!(!opts.is_pinned(), "scale 0 must fall back to deferred");
+    fn zero_time_scale_is_inconsistent() {
+        let opts = IngestOptions::strict().with_time_scale(0);
         let err = ContactTrace::parse("0 1 0\n", &opts).unwrap_err();
         assert!(matches!(err, IngestError::Inconsistent(_)), "{err}");
+        assert_eq!(RecordMap::new(0, 0), Err(err));
     }
 
     #[test]
-    fn merge_window_coalesces_and_flushes() {
-        let iv = TimeInterval::new;
-        let mut w = MergeWindow::new(2);
-        let mut out = Vec::new();
-        w.push((0, 1), iv(0, 1), &mut out);
-        w.push((0, 1), iv(2, 3), &mut out); // abuts → coalesce in place
-        assert!(out.is_empty());
-        w.push((0, 1), iv(10, 10), &mut out); // gap → previous run flushes
-        assert_eq!(out, vec![(0, 1, iv(0, 3))]);
-        w.push((2, 3), iv(0, 0), &mut out);
-        w.push((4, 5), iv(0, 0), &mut out); // over cap → oldest pair flushes
-        assert_eq!(out.len(), 2);
-        w.flush(&mut out);
-        assert_eq!(out.len(), 4, "all open pairs flush at the end");
-    }
-
-    #[test]
-    fn sorted_trace_through_pinned_path_matches_from_parts() {
-        // A SocioPatterns-ish sorted stream of repeated snapshots: the merge
-        // window should fold each pair's run; final contacts match the
-        // in-memory constructor.
+    fn sorted_trace_with_set_options_merges_runs() {
+        // A SocioPatterns-ish sorted stream of repeated snapshots: each
+        // pair's run folds into maximal contacts.
         let mut text = String::new();
         for t in 0..50u32 {
             text.push_str(&format!("0 1 {t}\n"));

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use reach_contact::ingest::{embed, write_events, write_intervals, EMBED_THRESHOLD};
-use reach_contact::{ContactTrace, DnGraph, IngestOptions};
+use reach_contact::{ContactTrace, DnGraph, IngestError, IngestOptions};
 use reach_core::{ContactAccumulator, ContactEvent, ObjectId, Time};
 
 /// Random event script: `script[t]` = pairs in contact at tick `t`.
@@ -97,5 +97,32 @@ proptest! {
         let lossy = ContactTrace::parse(&dirty, &IngestOptions::lossy()).expect("lossy survives");
         prop_assert_eq!(lossy.skipped(), 1);
         prop_assert_eq!(lossy.contacts(), trace.contacts());
+    }
+
+    /// Strict mode reports the earliest failing line, whichever check
+    /// fails it: a self-contact (rejected by normalization) on a random
+    /// line of a written trace wins over an unparsable line after it.
+    #[test]
+    fn strict_reports_the_earliest_failing_line(
+        (n, script) in script_strategy(5, 10),
+        at in 0usize..1000,
+        gap in 0usize..1000,
+    ) {
+        let trace = trace_of_script(n, &script);
+        let mut buf = Vec::new();
+        write_events(&trace, &mut buf).expect("in-memory write");
+        let mut lines: Vec<String> =
+            String::from_utf8(buf).unwrap().lines().map(String::from).collect();
+        let self_contact = at % (lines.len() + 1);
+        lines.insert(self_contact, "0 0 0".to_string());
+        let garbage = self_contact + 1 + gap % (lines.len() - self_contact);
+        lines.insert(garbage, "garbage line".to_string());
+        let text = lines.join("\n") + "\n";
+        match ContactTrace::parse(&text, &IngestOptions::default()) {
+            Err(IngestError::Parse { line, .. }) => {
+                prop_assert_eq!(line, self_contact as u64 + 1, "trace:\n{}", text);
+            }
+            other => prop_assert!(false, "expected a parse error, got {:?}", other),
+        }
     }
 }

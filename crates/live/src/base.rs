@@ -5,7 +5,7 @@
 use crate::config::{AppendOutcome, CompactionStats, LiveConfig, LiveError, LiveStats};
 use crate::delta::DeltaDn;
 use crate::log::AppendLog;
-use reach_contact::{ChainSweep, ErrorMode, IngestError, MultiRes, StreamedDn};
+use reach_contact::{ChainSweep, ErrorMode, MultiRes, StreamedDn};
 use reach_core::frontier::{WeightedFrontier, WeightedSeed};
 use reach_core::{
     Answer, Contact, DecayModel, IndexError, ObjectId, QueryOutcome, QueryResult, QueryStats, Time,
@@ -278,44 +278,4 @@ impl Tail {
 /// Locks the engine's lifetime accounting.
 pub(crate) fn lock_stats(stats: &Mutex<LiveStats>) -> MutexGuard<'_, LiveStats> {
     stats.lock().expect("live stats lock poisoned")
-}
-
-/// Parses one raw source record into a tick-space contact.
-pub(crate) fn convert_record(
-    r: Result<reach_contact::ingest::RawRecord, IngestError>,
-    origin: u64,
-    time_scale: u64,
-) -> Result<Contact, LiveError> {
-    let rec = r.map_err(LiveError::Ingest)?;
-    let id = |label: &str| -> Result<u32, LiveError> {
-        label.parse::<u32>().map_err(|_| {
-            LiveError::Ingest(IngestError::parse(
-                rec.line,
-                format!("id {label:?} is not numeric (live appends require numeric ids)"),
-            ))
-        })
-    };
-    let (a, b) = (id(&rec.u)?, id(&rec.v)?);
-    if a == b {
-        return Err(LiveError::SelfContact(ObjectId(a)));
-    }
-    if rec.start < origin {
-        return Err(LiveError::Ingest(IngestError::parse(
-            rec.line,
-            format!("timestamp {} precedes the origin {origin}", rec.start),
-        )));
-    }
-    let tick = |raw: u64| -> Result<Time, LiveError> {
-        Time::try_from((raw - origin) / time_scale).map_err(|_| {
-            LiveError::Ingest(IngestError::parse(
-                rec.line,
-                format!("timestamp {raw} overflows the tick range"),
-            ))
-        })
-    };
-    Ok(Contact::new(
-        ObjectId(a),
-        ObjectId(b),
-        TimeInterval::new(tick(rec.start)?, tick(rec.end)?),
-    ))
 }

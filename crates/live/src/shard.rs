@@ -111,15 +111,14 @@
 //! Superseded shard devices are removed, and their caches dropped, after
 //! the commit.
 
-use crate::base::{
-    batch_answers, build_base, convert_record, decay_delta_leg, lock_stats, outcome_of, Tail,
-};
+use crate::base::{batch_answers, build_base, decay_delta_leg, lock_stats, outcome_of, Tail};
 use crate::config::{
     AppendOutcome, CompactionStats, LiveConfig, LiveError, LiveMetrics, LiveStats, SourceReport,
 };
 use crate::delta::DeltaDn;
 use crate::log::{AppendLog, LogRecovery};
-use reach_contact::{ContactSource, ErrorMode, IngestError};
+use reach_contact::ingest::RecordMap;
+use reach_contact::{ContactSource, ErrorMode};
 use reach_core::attribute_stats;
 use reach_core::frontier::WeightedFrontier;
 use reach_core::{
@@ -541,24 +540,27 @@ impl ShardedLive {
     /// Drains a [`ContactSource`] into the index — the ingestion layer's
     /// parsers (and any custom feed implementing the trait) plug into the
     /// live path unchanged. Records must use numeric labels; raw times are
-    /// rebased/scaled by `origin` and `time_scale` exactly as pinned batch
-    /// ingestion does. Parse and conversion failures follow
-    /// [`LiveConfig::mode`] (strict aborts with the offending line, lossy
-    /// counts and skips), as do late records.
+    /// rebased/scaled by `origin` and `time_scale` through the same
+    /// [`RecordMap`] batch ingestion uses. Parse and conversion failures
+    /// follow [`LiveConfig::mode`] (strict aborts with the offending line,
+    /// lossy counts and skips), as do late records.
     pub fn append_source<S: ContactSource>(
         &self,
         mut source: S,
         origin: u64,
         time_scale: u64,
     ) -> Result<SourceReport, LiveError> {
-        if time_scale == 0 {
-            return Err(LiveError::Ingest(IngestError::Inconsistent(
-                "time_scale must be ≥ 1".into(),
-            )));
-        }
+        let map = RecordMap::new(origin, time_scale)?;
         let mut report = SourceReport::default();
         while let Some(r) = source.next_record() {
-            match convert_record(r, origin, time_scale).and_then(|c| self.append(c)) {
+            let converted =
+                r.and_then(|rec| map.numeric(rec.line, &rec.u, &rec.v, rec.start, rec.end));
+            let contact = match converted {
+                Ok((a, b, _)) if a == b => Err(LiveError::SelfContact(ObjectId(a))),
+                Ok((a, b, iv)) => Ok(Contact::new(ObjectId(a), ObjectId(b), iv)),
+                Err(e) => Err(LiveError::Ingest(e)),
+            };
+            match contact.and_then(|c| self.append(c)) {
                 Ok(o) if o.logged => {
                     report.appended += 1;
                     report.clamped += u64::from(o.clamped);

@@ -10,7 +10,7 @@
 //!    (interval, members, DN1 edges both directions, long-edge bundles)
 //!    behind a slot table sorted by vertex id, each vertex's lists
 //!    delimited by fixed-width cumulative ends (layout in
-//!    [`crate::partition`]);
+//!    [`crate::partition`](mod@crate::partition));
 //! 3. the *metadata footer* (`reach_storage::meta`) — everything needed to
 //!    reconstruct the in-memory state (params, page table, record
 //!    directory), so an index built on a persistent backend can be dropped

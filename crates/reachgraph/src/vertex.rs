@@ -33,7 +33,7 @@ impl VertexData {
     /// Adds the vertex to the partition record `encoder` is writing, under
     /// id `id`. The record stores its interval, one cumulative list end per
     /// list (members, fwd, rev, then one bundle per level) and the lists'
-    /// entries (see [`crate::partition`]).
+    /// entries (see [`crate::partition`](mod@crate::partition)).
     ///
     /// # Panics
     /// If the vertex does not hold one bundle per level of the encoder.

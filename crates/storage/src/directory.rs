@@ -20,92 +20,71 @@
 //! the per-shard cache plumbing the sharded index builds on.
 
 use crate::cache::PageCache;
-use crate::config::StorageConfig;
+use crate::config::{StorageBackend, StorageConfig};
 use crate::device::BlockDevice;
 use crate::shared::SharedDevice;
 use reach_core::IndexError;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Which concrete backend a [`DeviceDirectory`] hands out.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum DirectoryBackend {
-    /// Memory-backed simulator devices; nothing persists.
-    Sim,
-    /// Positioned file IO under the given root directory.
-    File(PathBuf),
-    /// Memory-mapped-style devices under the given root directory
-    /// (durable roots still use positioned file IO; see the module docs).
-    Mmap(PathBuf),
-}
-
-/// A named-device factory (see the module docs).
+/// A named-device factory (see the module docs): a [`StorageConfig`] whose
+/// `file`/`mmap` path is the root directory the named devices live under.
 #[derive(Clone, Debug)]
 pub struct DeviceDirectory {
-    backend: DirectoryBackend,
-    page_size: usize,
+    storage: StorageConfig,
 }
 
 impl DeviceDirectory {
     /// A directory handing out simulator devices.
     pub fn sim(page_size: usize) -> Self {
-        Self {
-            backend: DirectoryBackend::Sim,
-            page_size,
-        }
+        Self::from_storage(&StorageConfig::sim(page_size))
     }
 
     /// A directory of real files under `root` (created on demand).
     pub fn file(root: impl Into<PathBuf>, page_size: usize) -> Self {
-        Self {
-            backend: DirectoryBackend::File(root.into()),
-            page_size,
-        }
+        Self::from_storage(&StorageConfig::file(root, page_size))
     }
 
     /// A directory of mapped devices under `root` (created on demand).
     pub fn mmap(root: impl Into<PathBuf>, page_size: usize) -> Self {
-        Self {
-            backend: DirectoryBackend::Mmap(root.into()),
-            page_size,
-        }
+        Self::from_storage(&StorageConfig::mmap(root, page_size))
     }
 
     /// Builds a directory from a [`StorageConfig`], treating a `file`/
     /// `mmap` path as the root directory (the live builder's convention).
     pub fn from_storage(storage: &StorageConfig) -> Self {
-        match &storage.backend {
-            crate::config::StorageBackend::Sim => Self::sim(storage.page_size),
-            crate::config::StorageBackend::File(p) => Self::file(p, storage.page_size),
-            crate::config::StorageBackend::Mmap(p) => Self::mmap(p, storage.page_size),
+        Self {
+            storage: storage.clone(),
         }
     }
 
     /// Device page size every handed-out device uses.
     pub fn page_size(&self) -> usize {
-        self.page_size
+        self.storage.page_size
     }
 
     /// Whether devices from this directory survive a process restart.
     pub fn is_durable(&self) -> bool {
-        !matches!(self.backend, DirectoryBackend::Sim)
+        self.storage.backend != StorageBackend::Sim
     }
 
-    /// Short backend name for reports ("sim" / "file" / "mmap").
-    pub fn backend_name(&self) -> &'static str {
-        match self.backend {
-            DirectoryBackend::Sim => "sim",
-            DirectoryBackend::File(_) => "file",
-            DirectoryBackend::Mmap(_) => "mmap",
-        }
-    }
-
-    fn path_of(&self, name: &str) -> Option<PathBuf> {
-        let root = match &self.backend {
-            DirectoryBackend::Sim => return None,
-            DirectoryBackend::File(p) | DirectoryBackend::Mmap(p) => p,
+    /// The storage recipe of the device named `name`: the simulator for a
+    /// sim directory, else `<root>/<name>.pages`. `durable_root` forces
+    /// positioned file IO even under the `mmap` backend.
+    fn config_for(&self, name: &str, durable_root: bool) -> StorageConfig {
+        let backend = match &self.storage.backend {
+            StorageBackend::Sim => StorageBackend::Sim,
+            StorageBackend::Mmap(root) if !durable_root => {
+                StorageBackend::Mmap(root.join(format!("{name}.pages")))
+            }
+            StorageBackend::File(root) | StorageBackend::Mmap(root) => {
+                StorageBackend::File(root.join(format!("{name}.pages")))
+            }
         };
-        Some(root.join(format!("{name}.pages")))
+        StorageConfig {
+            backend,
+            page_size: self.storage.page_size,
+        }
     }
 
     /// Creates a fresh, empty device under `name` (truncating any existing
@@ -117,48 +96,32 @@ impl DeviceDirectory {
         name: &str,
         durable_root: bool,
     ) -> Result<Box<dyn BlockDevice>, IndexError> {
-        match self.path_of(name) {
-            None => StorageConfig::sim(self.page_size).create(),
-            Some(path) => {
-                if let Some(parent) = path.parent() {
-                    std::fs::create_dir_all(parent)
-                        .map_err(|e| IndexError::io("create device directory root", &e))?;
-                }
-                self.config_for(&path, durable_root).create()
-            }
+        let config = self.config_for(name, durable_root);
+        if let Some(parent) = path_of(&config).and_then(Path::parent) {
+            std::fs::create_dir_all(parent)
+                .map_err(|e| IndexError::io("create device directory root", &e))?;
         }
+        config.create()
     }
 
     /// Opens the existing device under `name`. The simulator has nothing
     /// durable and returns [`IndexError::Unsupported`].
     pub fn open(&self, name: &str, durable_root: bool) -> Result<Box<dyn BlockDevice>, IndexError> {
-        match self.path_of(name) {
-            None => Err(IndexError::Unsupported(
-                "the sim backend is memory-only; nothing persists to reopen".into(),
-            )),
-            Some(path) => self.config_for(&path, durable_root).open(),
-        }
+        self.config_for(name, durable_root).open()
     }
 
     /// Removes the device under `name` if it exists (a no-op on the
     /// simulator). Used to garbage-collect superseded shard bases after a
     /// merge commits.
     pub fn remove(&self, name: &str) -> Result<(), IndexError> {
-        if let Some(path) = self.path_of(name) {
-            match std::fs::remove_file(&path) {
+        if let Some(path) = path_of(&self.config_for(name, false)) {
+            match std::fs::remove_file(path) {
                 Ok(()) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                 Err(e) => return Err(IndexError::io("remove directory device", &e)),
             }
         }
         Ok(())
-    }
-
-    fn config_for(&self, path: &std::path::Path, durable_root: bool) -> StorageConfig {
-        match (&self.backend, durable_root) {
-            (DirectoryBackend::Mmap(_), false) => StorageConfig::mmap(path, self.page_size),
-            _ => StorageConfig::file(path, self.page_size),
-        }
     }
 
     /// Wraps a device into the multi-handle [`SharedDevice`] hub a sealed
@@ -174,6 +137,14 @@ impl DeviceDirectory {
                 Arc::new(PageCache::new(cache_pages).with_readahead(readahead)),
             )
         }
+    }
+}
+
+/// The file a `file`/`mmap` config names; `None` for the simulator.
+fn path_of(config: &StorageConfig) -> Option<&Path> {
+    match &config.backend {
+        StorageBackend::Sim => None,
+        StorageBackend::File(p) | StorageBackend::Mmap(p) => Some(p),
     }
 }
 

@@ -67,7 +67,7 @@ pub use cache::{CacheStats, PageCache};
 pub use codec::{ByteReader, ByteWriter};
 pub use config::{StorageBackend, StorageConfig};
 pub use device::{BlockDevice, PageId, DEFAULT_PAGE_SIZE};
-pub use directory::{DeviceDirectory, DirectoryBackend};
+pub use directory::DeviceDirectory;
 pub use file::FileDevice;
 pub use iostats::{IoSampler, IoStats};
 pub use layout::{read_record, read_record_into, RecordPtr, RecordWriter};
