@@ -21,11 +21,12 @@
 
 use reach_contact::ingest::{ContactTrace, IngestError, IngestOptions, EMBED_THRESHOLD};
 use reach_contact::{DnGraph, MultiRes, DEFAULT_LEVELS};
-use reach_core::{Coord, Environment, Time};
+use reach_core::{Contact, Coord, Environment, Time};
+use reach_live::{LiveConfig, ShardedLive};
 use reach_mobility::{sparsify, RwpConfig, VehicleConfig, BEIJING_KEEP_EVERY};
 use reach_storage::{BlockDevice, StorageConfig};
 use reach_traj::TrajectoryStore;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -199,6 +200,12 @@ impl DatasetSpec {
         }
     }
 
+    /// The contacts of `store` at this spec's threshold over the whole
+    /// horizon.
+    pub fn contacts(&self, store: &TrajectoryStore) -> Vec<Contact> {
+        reach_contact::extract_contacts(store, store.horizon_interval(), self.threshold)
+    }
+
     /// Builds the default multi-resolution bundles for a DN.
     pub fn build_multires(&self, dn: &DnGraph) -> MultiRes {
         MultiRes::build(dn, &DEFAULT_LEVELS)
@@ -230,9 +237,10 @@ pub fn prefix_store(store: &TrajectoryStore, horizon: Time) -> TrajectoryStore {
 
 /// The benchmark tier: `quick` keeps the full suite under a few minutes,
 /// `full` matches the scales reported in EXPERIMENTS.md.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Tier {
-    /// Small datasets for smoke runs and `cargo bench`.
+    /// Small datasets for smoke runs (the default).
+    #[default]
     Quick,
     /// The scales used for the recorded results.
     Full,
@@ -249,22 +257,12 @@ impl Tier {
             Tier::Full => 2048,
         }
     }
-
-    /// Parses `--quick` / `--full` from process args (default: quick).
-    pub fn from_args() -> Tier {
-        if std::env::args().any(|a| a == "--full") {
-            Tier::Full
-        } else {
-            Tier::Quick
-        }
-    }
 }
 
-/// Storage backend the experiment harness builds its indexes on. Selected
-/// at run time from `--backend=sim|file|mmap` (or the `STREACH_BACKEND`
-/// environment variable); `sim` — the paper's measurement model — is the
-/// default, the other two run the identical experiments against real files
-/// so wall-clock numbers reflect actual IO.
+/// Storage backend the experiment harness builds its indexes on
+/// (`--backend=sim|file|mmap`). `sim` — the paper's measurement model — is
+/// the default; the other two run the identical experiments against real
+/// files so wall-clock numbers reflect actual IO.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Backend {
     /// Memory-backed simulator (default; the paper's IO-count model).
@@ -277,27 +275,11 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Parses `--backend=…` from process args, falling back to the
-    /// `STREACH_BACKEND` environment variable, then to `sim`.
-    pub fn from_args() -> Backend {
-        for a in std::env::args() {
-            if let Some(v) = a.strip_prefix("--backend=") {
-                return Backend::parse(v);
-            }
-        }
-        match std::env::var("STREACH_BACKEND") {
-            Ok(v) => Backend::parse(&v),
-            Err(_) => Backend::Sim,
-        }
-    }
-
-    fn parse(v: &str) -> Backend {
-        match v {
-            "sim" => Backend::Sim,
-            "file" => Backend::File,
-            "mmap" => Backend::Mmap,
-            other => panic!("unknown storage backend {other:?} (expected sim|file|mmap)"),
-        }
+    fn parse(v: &str) -> Result<Backend, String> {
+        [Backend::Sim, Backend::File, Backend::Mmap]
+            .into_iter()
+            .find(|b| b.name() == v)
+            .ok_or_else(|| format!("unknown storage backend {v:?} (expected sim|file|mmap)"))
     }
 
     /// Report name.
@@ -306,31 +288,6 @@ impl Backend {
             Backend::Sim => "sim",
             Backend::File => "file",
             Backend::Mmap => "mmap",
-        }
-    }
-
-    /// A [`StorageConfig`] rooted in a fresh per-call scratch path, for
-    /// subsystems that manage a whole *directory* of named devices (the
-    /// epoch-sharded live timeline keeps one device per sealed shard plus
-    /// a log and an epoch directory). Unlike [`Backend::device`], the
-    /// files must keep their names (shards are reopened by name), so the
-    /// caller removes the directory when done.
-    pub fn storage_config(self, page_size: usize) -> StorageConfig {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        match self {
-            Backend::Sim => StorageConfig::sim(page_size),
-            Backend::File | Backend::Mmap => {
-                let dir = std::env::temp_dir().join(format!(
-                    "streach-bench-shard-{}-{}",
-                    std::process::id(),
-                    NEXT.fetch_add(1, Ordering::Relaxed)
-                ));
-                if self == Backend::File {
-                    StorageConfig::file(&dir, page_size)
-                } else {
-                    StorageConfig::mmap(&dir, page_size)
-                }
-            }
         }
     }
 
@@ -377,41 +334,145 @@ impl Backend {
     }
 }
 
-/// Parses `--build-budget=BYTES` from process args (falling back to the
-/// `STREACH_BUILD_BUDGET` environment variable): the resident-byte cap for
-/// memory-bounded streaming index construction. Accepts `k`/`m` suffixes
-/// (KiB / MiB). `None` means unbounded (the classic in-memory build).
-pub fn build_budget_from_args() -> Option<usize> {
-    let raw = std::env::args()
-        .find_map(|a| a.strip_prefix("--build-budget=").map(String::from))
-        .or_else(|| std::env::var("STREACH_BUILD_BUDGET").ok())?;
+/// One `streach_exp` run's settings, parsed once from the flags after the
+/// experiment name and handed to every experiment.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Run {
+    /// `--full`: the recorded scales (default: the quick tier).
+    pub tier: Tier,
+    /// `--backend=sim|file|mmap`: the storage backend of every device.
+    pub backend: Backend,
+    /// `--json`: one JSON array of tables instead of markdown.
+    pub json: bool,
+    /// `--trace=PATH`: the contact trace `exp_trace` loads (default: a
+    /// synthetic one).
+    pub trace: Option<PathBuf>,
+    /// `--build-budget=BYTES[k|m]`: the resident-byte cap of the
+    /// memory-bounded streaming builds (KiB / MiB suffixes).
+    pub build_budget: Option<usize>,
+    /// `--warm-cache`: `exp_serve`'s shared-cache tier.
+    pub warm_cache: bool,
+}
+
+impl Run {
+    /// Parses the flags; an unknown flag or a malformed value is an error.
+    pub fn parse<S: AsRef<str>>(args: impl IntoIterator<Item = S>) -> Result<Run, String> {
+        let mut run = Run::default();
+        for arg in args {
+            let arg = arg.as_ref();
+            match arg.split_once('=') {
+                None if arg == "--quick" => run.tier = Tier::Quick,
+                None if arg == "--full" => run.tier = Tier::Full,
+                None if arg == "--json" => run.json = true,
+                None if arg == "--warm-cache" => run.warm_cache = true,
+                Some(("--backend", v)) => run.backend = Backend::parse(v)?,
+                Some(("--trace", v)) => run.trace = Some(PathBuf::from(v)),
+                Some(("--build-budget", v)) => run.build_budget = Some(parse_bytes(v)?),
+                _ => return Err(format!("unknown flag {arg:?}")),
+            }
+        }
+        Ok(run)
+    }
+}
+
+/// `BYTES[k|m]` (KiB / MiB suffixes, case-insensitive).
+fn parse_bytes(raw: &str) -> Result<usize, String> {
     let lower = raw.trim().to_ascii_lowercase();
     let (digits, mult) = if let Some(d) = lower.strip_suffix('k') {
-        (d, 1024usize)
+        (d, 1024)
     } else if let Some(d) = lower.strip_suffix('m') {
         (d, 1024 * 1024)
     } else {
         (lower.as_str(), 1)
     };
-    let n: usize = digits
-        .parse()
-        .unwrap_or_else(|_| panic!("--build-budget expects BYTES[k|m], got {raw:?}"));
-    Some(n * mult)
+    digits
+        .parse::<usize>()
+        .ok()
+        .and_then(|n| n.checked_mul(mult))
+        .ok_or_else(|| format!("--build-budget expects BYTES[k|m], got {raw:?}"))
 }
 
-/// Parses `--epoch-records=N` from process args (falling back to the
-/// `STREACH_EPOCH_RECORDS` environment variable): the target number of
-/// delta-resident contact records per sealed epoch in the live
-/// experiments. `None` means the tier default.
-pub fn epoch_records_from_args() -> Option<usize> {
-    let raw = std::env::args()
-        .find_map(|a| a.strip_prefix("--epoch-records=").map(String::from))
-        .or_else(|| std::env::var("STREACH_EPOCH_RECORDS").ok())?;
-    let n: usize = raw
-        .trim()
-        .parse()
-        .unwrap_or_else(|_| panic!("--epoch-records expects a count, got {raw:?}"));
-    Some(n.max(1))
+/// A [`ShardedLive`] on a run's backend that owns its storage directory
+/// (`file`/`mmap`: a fresh path under the system temp dir; `sim`: none).
+/// Shards are reopened by name, so unlike [`Backend::device`]'s files they
+/// stay linked until the guard drops and removes the directory — also when
+/// an experiment's assertion panics. Derefs to the index;
+/// [`ScratchLive::shared`] hands out the `Arc` a server or thread needs.
+pub struct ScratchLive {
+    live: Arc<ShardedLive>,
+    // Declared after `live`, so the directory goes after the index closes.
+    dir: RemoveOnDrop,
+}
+
+struct RemoveOnDrop(Option<PathBuf>);
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        if let Some(dir) = &self.0 {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+impl ScratchLive {
+    /// Creates an empty live index for `num_objects` objects from `config`
+    /// on `backend`.
+    pub fn new(backend: Backend, config: LiveConfig, num_objects: usize) -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let page_size = config.params.page_size;
+        let path = std::env::temp_dir().join(format!(
+            "streach-bench-shard-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let (storage, dir) = match backend {
+            Backend::Sim => (StorageConfig::sim(page_size), None),
+            Backend::File => (StorageConfig::file(&path, page_size), Some(path)),
+            Backend::Mmap => (StorageConfig::mmap(&path, page_size), Some(path)),
+        };
+        // The guard exists before the build, so a failed build cleans up too.
+        let dir = RemoveOnDrop(dir);
+        let live = config
+            .builder()
+            .backend(storage)
+            .build_sharded(num_objects)
+            .expect("live index creates");
+        Self {
+            live: Arc::new(live),
+            dir,
+        }
+    }
+
+    /// Appends `contacts` in order, asserting no inline seal failed;
+    /// returns how many were logged.
+    pub fn append_all(&self, contacts: &[Contact]) -> u64 {
+        let mut logged = 0;
+        for &c in contacts {
+            let outcome = self.append(c).expect("lossy appends never error");
+            let failed = outcome.compaction_error;
+            assert!(failed.is_none(), "inline seal failed: {failed:?}");
+            logged += u64::from(outcome.logged);
+        }
+        logged
+    }
+
+    /// The storage directory (`None` on `sim`).
+    pub fn dir(&self) -> Option<&Path> {
+        self.dir.0.as_deref()
+    }
+
+    /// A shared handle to the index (it outlives the directory if held
+    /// past this guard's drop).
+    pub fn shared(&self) -> Arc<ShardedLive> {
+        Arc::clone(&self.live)
+    }
+}
+
+impl std::ops::Deref for ScratchLive {
+    type Target = ShardedLive;
+    fn deref(&self) -> &ShardedLive {
+        &self.live
+    }
 }
 
 /// The three RWP sizes of the tier (paper: RWP10k/20k/40k).
@@ -484,8 +545,7 @@ pub fn synthetic_trace(tier: Tier, dir: &Path) -> (DatasetSpec, std::path::PathB
         Tier::Full => DatasetSpec::rwp("trace-rwp", 1000, 4000, 77),
     };
     let store = source.generate();
-    let contacts =
-        reach_contact::extract_contacts(&store, store.horizon_interval(), source.threshold);
+    let contacts = source.contacts(&store);
     let trace = ContactTrace::from_parts(store.num_objects(), store.horizon(), contacts)
         .expect("extracted contacts fit their own universe");
     let path = dir.join(format!("streach-synth-{}.trace", std::process::id()));
@@ -499,6 +559,7 @@ pub fn synthetic_trace(tier: Tier, dir: &Path) -> (DatasetSpec, std::path::PathB
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reach_core::{ObjectId, TimeInterval};
 
     #[test]
     fn specs_generate_expected_shapes() {
@@ -543,10 +604,7 @@ mod tests {
     }
 
     #[test]
-    fn backend_parsing_and_devices() {
-        assert_eq!(Backend::parse("sim"), Backend::Sim);
-        assert_eq!(Backend::parse("file"), Backend::File);
-        assert_eq!(Backend::parse("mmap"), Backend::Mmap);
+    fn backend_devices() {
         for be in [Backend::Sim, Backend::File, Backend::Mmap] {
             let mut dev = be.device(128);
             assert_eq!(dev.backend(), be.name());
@@ -557,9 +615,73 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown storage backend")]
-    fn unknown_backend_rejected() {
-        Backend::parse("tape");
+    fn run_flags_parse_and_unknown_ones_are_rejected() {
+        assert_eq!(Run::parse(Vec::<String>::new()), Ok(Run::default()));
+        let run = Run::parse([
+            "--full",
+            "--json",
+            "--backend=mmap",
+            "--trace=t.txt",
+            "--build-budget=64k",
+            "--warm-cache",
+        ]);
+        let want = Run {
+            tier: Tier::Full,
+            backend: Backend::Mmap,
+            json: true,
+            trace: Some(PathBuf::from("t.txt")),
+            build_budget: Some(64 << 10),
+            warm_cache: true,
+        };
+        assert_eq!(run, Ok(want));
+        assert_eq!(Run::parse(["--full", "--quick"]).unwrap().tier, Tier::Quick);
+        for (flag, bytes) in [("=2m", 2 << 20), ("=2M", 2 << 20), ("=4096", 4096)] {
+            let run = Run::parse([format!("--build-budget{flag}")]).unwrap();
+            assert_eq!(run.build_budget, Some(bytes));
+        }
+        let bad = [
+            "--backend-file",
+            "--backend=disk",
+            "--build-budget=x",
+            "--help",
+        ];
+        for bad in bad
+            .into_iter()
+            .chain(["--epoch-records=10", "--json=1", "fig8"])
+        {
+            assert!(Run::parse([bad]).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn scratch_live_removes_its_directory_on_drop_and_unwind() {
+        let params = reach_graph::GraphParams {
+            page_size: 256,
+            ..Default::default()
+        };
+        let config = LiveConfig::graph(params, reach_storage::BuildBudget::unbounded());
+        let fill = |live: &ScratchLive| {
+            let c = Contact::new(ObjectId(0), ObjectId(1), TimeInterval::new(0, 3));
+            live.append(c).unwrap();
+            live.compact().unwrap();
+            let dir = live.dir().expect("file backend has a directory");
+            assert!(dir.read_dir().unwrap().count() > 0, "shard files exist");
+            dir.to_path_buf()
+        };
+        let live = ScratchLive::new(Backend::File, config.clone(), 2);
+        let dir = fill(&live);
+        drop(live);
+        assert!(!dir.exists(), "{} left behind", dir.display());
+
+        let mut seen = None;
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let live = ScratchLive::new(Backend::File, config, 2);
+            seen = Some(fill(&live));
+            panic!("an experiment assertion fails");
+        }));
+        assert!(unwound.is_err());
+        let dir = seen.expect("the closure ran up to its panic");
+        assert!(!dir.exists(), "{} left behind after a panic", dir.display());
     }
 
     #[test]
@@ -605,8 +727,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let tiny = DatasetSpec::rwp("tiny", 40, 120, 9);
         let store = tiny.generate();
-        let contacts =
-            reach_contact::extract_contacts(&store, store.horizon_interval(), tiny.threshold);
+        let contacts = tiny.contacts(&store);
         let trace =
             ContactTrace::from_parts(store.num_objects(), store.horizon(), contacts).unwrap();
         let path = dir.join(format!("streach-test-{}.trace", std::process::id()));

@@ -7,34 +7,39 @@
 //! the crossovers sit. EXPERIMENTS.md records the comparison.
 
 use crate::datasets::{
-    middle, prefix_store, rwp_series, vn_series, vnr, Backend, DatasetSpec, Tier,
+    middle, prefix_store, rwp_series, vn_series, vnr, DatasetSpec, Run, ScratchLive, Tier,
 };
 use crate::report::{fbytes, fdur, fnum, Table};
-use crate::runner::{assert_same_pages, run_batch, timed, BatchResult};
+use crate::runner::{
+    answer_traced, assert_same_pages, cold_vs_warm_reads, run_batch, timed, BatchResult,
+};
 use reach_baselines::{GrailDisk, GrailMem};
 use reach_contact::{reduction_stats_for, DnGraph, MultiRes};
-use reach_core::{Query, Time};
+use reach_core::{Contact, Query, ReachIndex as _, Time};
 use reach_graph::{GraphParams, MemoryHn, ReachGraph, TraversalKind};
 use reach_grid::{GridParams, ReachGrid, Spj};
+use reach_live::{LiveConfig, ShardedLive};
 use reach_mobility::WorkloadConfig;
+use reach_storage::BuildBudget;
 use reach_traj::TrajectoryStore;
 
 /// Builds a ReachGrid on the run's configured storage backend.
-fn build_grid(store: &TrajectoryStore, params: GridParams) -> ReachGrid {
-    let device = Backend::from_args().device(params.page_size);
+fn build_grid(run: &Run, store: &TrajectoryStore, params: GridParams) -> ReachGrid {
+    let device = run.backend.device(params.page_size);
     ReachGrid::build_on(device, store, params).expect("grid builds")
 }
 
 /// Builds a ReachGraph on the run's configured storage backend.
-fn build_graph(dn: &DnGraph, mr: &MultiRes, params: GraphParams) -> ReachGraph {
-    let device = Backend::from_args().device(params.page_size);
+fn build_graph(run: &Run, dn: &DnGraph, mr: &MultiRes, params: GraphParams) -> ReachGraph {
+    let device = run.backend.device(params.page_size);
     ReachGraph::build_on(device, dn, mr, params).expect("graph builds")
 }
 
-/// Builds a disk GRAIL on the run's configured storage backend.
-fn build_grail(dn: &DnGraph, d: usize, seed: u64, page_size: usize, cache: usize) -> GrailDisk {
-    let device = Backend::from_args().device(page_size);
-    GrailDisk::build_on(device, dn, d, seed, cache).expect("grail builds")
+/// Builds a disk GRAIL (5 labels, seed 0xF1, 64 cached pages) on the run's
+/// configured storage backend.
+fn build_grail(run: &Run, dn: &DnGraph) -> GrailDisk {
+    let device = run.backend.device(run.tier.page_size());
+    GrailDisk::build_on(device, dn, 5, 0xF1, 64).expect("grail builds")
 }
 
 /// Queries per batch (paper: 400; quick tier trims for turnaround).
@@ -89,22 +94,106 @@ fn graph_params_for(tier: Tier) -> GraphParams {
     }
 }
 
-/// Delta trigger sized to one target *epoch* of records — not to the
-/// whole stream. The previous formula (a third of `contacts.len()`
-/// worth of resident bytes) grew the auto-compaction trigger with the
-/// entire history, so longer runs compacted less often while each
-/// compaction still re-streamed everything: compaction cost scaled with
-/// the timeline, not with the new data. Fixing the budget to a
-/// per-epoch record count (override with `--epoch-records=N` /
-/// `STREACH_EPOCH_RECORDS`) keeps each seal proportional to one epoch
-/// and lets seal *frequency* scale with stream length instead — the
+/// Delta trigger sized to one target *epoch* of records (1,500 quick,
+/// 4,000 full), not to the whole stream: each seal stays proportional to
+/// one epoch, and seal *frequency* scales with stream length instead — the
 /// scaling exp_shard measures directly.
 fn epoch_delta_budget(tier: Tier) -> usize {
-    let records = crate::datasets::epoch_records_from_args().unwrap_or(match tier {
+    let records = match tier {
         Tier::Quick => 1500,
         Tier::Full => 4000,
-    });
+    };
     (records * reach_live::DeltaDn::MAX_RECORD_RESIDENT_BYTES).max(16 << 10)
+}
+
+/// The live experiments' dataset: RWP 400 × 1200 (quick) or 1000 × 4000
+/// (full) under a per-experiment name and seed.
+fn live_spec(tier: Tier, name: &str, seed: u64) -> DatasetSpec {
+    match tier {
+        Tier::Quick => DatasetSpec::rwp(name, 400, 1200, seed),
+        Tier::Full => DatasetSpec::rwp(name, 1000, 4000, seed),
+    }
+}
+
+/// The contacts of `store` in arrival order: ascending start with local
+/// shuffling — the out-of-order-within-a-window pattern the delta absorbs.
+/// Disjoint swaps displace each record by at most two positions (a
+/// cascading swap chain would carry the earliest record to the very end
+/// and make it unboundedly late).
+fn arrival_stream(spec: &DatasetSpec, store: &TrajectoryStore) -> Vec<Contact> {
+    let mut contacts = spec.contacts(store);
+    contacts.sort_by_key(|c| (c.interval.start, c.a, c.b));
+    for i in (4..contacts.len()).step_by(4) {
+        contacts.swap(i, i - 2);
+    }
+    contacts
+}
+
+/// The live experiments' index config: ReachGraph shards at the tier's
+/// params, sealed under `--build-budget` (unbounded by default).
+fn live_config(run: &Run) -> LiveConfig {
+    let budget = run
+        .build_budget
+        .map_or_else(BuildBudget::unbounded, BuildBudget::bytes);
+    LiveConfig::graph(graph_params_for(run.tier), budget)
+}
+
+/// A batch ReachGraph over the records `live` accepted, at the live
+/// experiments' params: their answer oracle and rebuild-cost reference.
+fn batch_graph(run: &Run, live: &ShardedLive, accepted: &[Contact]) -> ReachGraph {
+    let dn = DnGraph::from_contacts(live.num_objects(), live.now(), accepted);
+    let params = graph_params_for(run.tier);
+    let mr = MultiRes::build(&dn, &params.levels);
+    build_graph(run, &dn, &mr, params)
+}
+
+/// Asserts `live` answers every query as `batch` does, then tabulates the
+/// two evaluators' mean cost.
+fn live_vs_batch(
+    id: &str,
+    caption: &str,
+    live: &ShardedLive,
+    batch: &ReachGraph,
+    queries: &[Query],
+) -> Table {
+    for q in queries {
+        let a = live.evaluate_query(q).expect("live query");
+        let b = batch.evaluate(q).expect("batch query");
+        assert_eq!(
+            a.reachable(),
+            b.reachable(),
+            "live and batch disagree on {q} (watermark {})",
+            live.watermark()
+        );
+    }
+    let mut t = cost_table(id, caption, "evaluator");
+    t.row(cost_row(
+        "ShardedLive (shard + delta)",
+        run_batch(live, queries),
+    ));
+    t.row(cost_row("batch ReachGraph", run_batch(batch, queries)));
+    t
+}
+
+/// A table of per-evaluator mean query cost, one [`cost_row`] per
+/// evaluator.
+fn cost_table(id: &str, caption: &str, evaluator: &str) -> Table {
+    let headers = [
+        evaluator,
+        "mean normalized IO",
+        "mean CPU",
+        "reachable frac",
+    ];
+    Table::new(id, caption, &headers)
+}
+
+fn cost_row(name: &str, r: BatchResult) -> Vec<String> {
+    vec![
+        name.to_string(),
+        fnum(r.mean_io),
+        fdur(r.mean_cpu),
+        format!("{:.2}", r.reachable_frac),
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -112,16 +201,16 @@ fn epoch_delta_budget(tier: Tier) -> usize {
 // ---------------------------------------------------------------------------
 
 /// Table 2: the data-collection sizes.
-pub fn exp_table2(tier: Tier) -> Vec<Table> {
+pub fn exp_table2(run: &Run) -> Vec<Table> {
     let mut t = Table::new(
         "Table 2",
         "data collection sizes (raw packed trajectory samples)",
         &["dataset", "objects", "ticks", "env side (m)", "raw size"],
     );
-    for spec in rwp_series(tier)
+    for spec in rwp_series(run.tier)
         .into_iter()
-        .chain(vn_series(tier))
-        .chain([vnr(tier)])
+        .chain(vn_series(run.tier))
+        .chain([vnr(run.tier)])
     {
         let store = spec.generate();
         t.row(vec![
@@ -140,11 +229,11 @@ pub fn exp_table2(tier: Tier) -> Vec<Table> {
 // ---------------------------------------------------------------------------
 
 /// Figure 8(a,b): query IO vs spatial / temporal grid resolution.
-pub fn exp_fig8(tier: Tier) -> Vec<Table> {
-    let rwp = rwp_series(tier);
+pub fn exp_fig8(run: &Run) -> Vec<Table> {
+    let rwp = rwp_series(run.tier);
     let spec = middle(&rwp);
     let store = spec.generate();
-    let queries = workload(spec, tier, 0x8A);
+    let queries = workload(spec, run.tier, 0x8A);
 
     let side = spec.env_side();
     let spatial_candidates: Vec<f32> = [
@@ -171,13 +260,11 @@ pub fn exp_fig8(tier: Tier) -> Vec<Table> {
     let mut best = (f64::INFINITY, spatial_candidates[0]);
     for &rs in &spatial_candidates {
         let grid = build_grid(
+            run,
             &store,
             GridParams {
-                temporal: 20,
                 cell_size: rs,
-                threshold: spec.threshold,
-                page_size: tier.page_size(),
-                ..GridParams::default()
+                ..grid_params_for(spec, run.tier)
             },
         );
         let r = run_batch(&grid, &queries);
@@ -198,13 +285,12 @@ pub fn exp_fig8(tier: Tier) -> Vec<Table> {
     );
     for rt in [5u32, 10, 20, 40, 80] {
         let grid = build_grid(
+            run,
             &store,
             GridParams {
                 temporal: rt,
                 cell_size: best.1,
-                threshold: spec.threshold,
-                page_size: tier.page_size(),
-                ..GridParams::default()
+                ..grid_params_for(spec, run.tier)
             },
         );
         let r = run_batch(&grid, &queries);
@@ -218,11 +304,11 @@ pub fn exp_fig8(tier: Tier) -> Vec<Table> {
 // ---------------------------------------------------------------------------
 
 /// Figure 9(a,b): ReachGrid construction time vs horizon for both families.
-pub fn exp_fig9(tier: Tier) -> Vec<Table> {
+pub fn exp_fig9(run: &Run) -> Vec<Table> {
     let mut out = Vec::new();
     for (fig, series) in [
-        ("Figure 9(a)", rwp_series(tier)),
-        ("Figure 9(b)", vn_series(tier)),
+        ("Figure 9(a)", rwp_series(run.tier)),
+        ("Figure 9(b)", vn_series(run.tier)),
     ] {
         let mut t = Table::new(
             fig,
@@ -234,8 +320,8 @@ pub fn exp_fig9(tier: Tier) -> Vec<Table> {
             for frac in [4u32, 2, 1] {
                 let horizon = spec.horizon / frac;
                 let prefix = prefix_store(&store, horizon);
-                let params = grid_params_for(spec, tier);
-                let (grid, dur) = timed(|| build_grid(&prefix, params));
+                let params = grid_params_for(spec, run.tier);
+                let (grid, dur) = timed(|| build_grid(run, &prefix, params));
                 t.row(vec![
                     spec.name.clone(),
                     horizon.to_string(),
@@ -254,17 +340,17 @@ pub fn exp_fig9(tier: Tier) -> Vec<Table> {
 // ---------------------------------------------------------------------------
 
 /// §6.1.2: ReachGrid vs the naïve SPJ baseline (paper: ≥96 % better).
-pub fn exp_spj(tier: Tier) -> Vec<Table> {
+pub fn exp_spj(run: &Run) -> Vec<Table> {
     let mut t = Table::new(
         "§6.1.2",
         "ReachGrid vs SPJ (mean normalized IO; paper reports ≥96% improvement)",
         &["dataset", "SPJ IO", "ReachGrid IO", "improvement"],
     );
-    for series in [rwp_series(tier), vn_series(tier)] {
+    for series in [rwp_series(run.tier), vn_series(run.tier)] {
         for spec in &series {
             let store = spec.generate();
-            let queries = workload(spec, tier, 0x59);
-            let grid = build_grid(&store, grid_params_for(spec, tier));
+            let queries = workload(spec, run.tier, 0x59);
+            let grid = build_grid(run, &store, grid_params_for(spec, run.tier));
             let spj = run_batch(&Spj::new(&grid), &queries);
             let rg = run_batch(&grid, &queries);
             let improvement = if spj.mean_io > 0.0 {
@@ -289,7 +375,7 @@ pub fn exp_spj(tier: Tier) -> Vec<Table> {
 
 /// Figure 10(a,b): DN edges/vertices vs |T|; Figure 11(a,b): DN construction
 /// time vs |T|.
-pub fn exp_contact_growth(tier: Tier) -> Vec<Table> {
+pub fn exp_contact_growth(run: &Run) -> Vec<Table> {
     let mut fig10 = Table::new(
         "Figure 10",
         "contact network (DN) size vs |T| (RWP series; (a)=edges, (b)=vertices)",
@@ -300,7 +386,7 @@ pub fn exp_contact_growth(tier: Tier) -> Vec<Table> {
         "contact network (DN) construction time vs |T| ((a)=RWP, (b)=VN)",
         &["dataset", "|T| (ticks)", "build time"],
     );
-    for series in [rwp_series(tier), vn_series(tier)] {
+    for series in [rwp_series(run.tier), vn_series(run.tier)] {
         for spec in &series {
             let store = spec.generate();
             for frac in [4u32, 2, 1] {
@@ -325,7 +411,7 @@ pub fn exp_contact_growth(tier: Tier) -> Vec<Table> {
 
 /// §6.2.1.1: TEN→DN reduction (paper: ≈81 %/80 % for RWP, ≈64 %/61 % for
 /// VN).
-pub fn exp_reduction(tier: Tier) -> Vec<Table> {
+pub fn exp_reduction(run: &Run) -> Vec<Table> {
     let mut t = Table::new(
         "§6.2.1.1",
         "reduction step: TEN vs DN sizes",
@@ -339,7 +425,7 @@ pub fn exp_reduction(tier: Tier) -> Vec<Table> {
             "edge reduction",
         ],
     );
-    for series in [rwp_series(tier), vn_series(tier)] {
+    for series in [rwp_series(run.tier), vn_series(run.tier)] {
         for spec in &series {
             let store = spec.generate();
             let dn = spec.build_dn(&store);
@@ -364,13 +450,13 @@ pub fn exp_reduction(tier: Tier) -> Vec<Table> {
 
 /// Table 4: average vertex degree at DN_2 … DN_32 for the largest RWP/VN
 /// datasets plus VNR.
-pub fn exp_table4(tier: Tier) -> Vec<Table> {
-    let rwp = rwp_series(tier);
-    let vn = vn_series(tier);
+pub fn exp_table4(run: &Run) -> Vec<Table> {
+    let rwp = rwp_series(run.tier);
+    let vn = vn_series(run.tier);
     let specs = [
         vn.last().expect("vn series non-empty").clone(),
         rwp.last().expect("rwp series non-empty").clone(),
-        vnr(tier),
+        vnr(run.tier),
     ];
     let mut t = Table::new(
         "Table 4",
@@ -405,9 +491,9 @@ pub fn exp_table4(tier: Tier) -> Vec<Table> {
 
 /// Figure 12: BM-BFS IO vs partition depth; companion sweep over the number
 /// of resolutions (§6.2.1.4; paper optima d_p=32, six resolutions).
-pub fn exp_fig12(tier: Tier) -> Vec<Table> {
-    let rwp = rwp_series(tier);
-    let vn = vn_series(tier);
+pub fn exp_fig12(run: &Run) -> Vec<Table> {
+    let rwp = rwp_series(run.tier);
+    let vn = vn_series(run.tier);
     let mut depth_table = Table::new(
         "Figure 12",
         "ReachGraph IO vs partition depth d_p (BM-BFS, 6 resolutions)",
@@ -429,17 +515,18 @@ pub fn exp_fig12(tier: Tier) -> Vec<Table> {
     for spec in [middle(&rwp), middle(&vn)] {
         let store = spec.generate();
         let dn = spec.build_dn(&store);
-        let queries = workload(spec, tier, 0x12);
+        let queries = workload(spec, run.tier, 0x12);
         // Depth sweep at full resolutions.
         let mr = spec.build_multires(&dn);
         let mut col_depth = Vec::new();
         for &dp in &depths {
             let rg = build_graph(
+                run,
                 &dn,
                 &mr,
                 GraphParams {
                     partition_depth: dp,
-                    ..graph_params_for(tier)
+                    ..graph_params_for(run.tier)
                 },
             );
             col_depth.push(run_batch(&rg, &queries).mean_io);
@@ -451,11 +538,12 @@ pub fn exp_fig12(tier: Tier) -> Vec<Table> {
             let levels: Vec<Time> = (1..r).map(|i| 2u32 << (i - 1)).collect();
             let mr_r = MultiRes::build(&dn, &levels);
             let rg = build_graph(
+                run,
                 &dn,
                 &mr_r,
                 GraphParams {
                     levels,
-                    ..graph_params_for(tier)
+                    ..graph_params_for(run.tier)
                 },
             );
             col_res.push(run_batch(&rg, &queries).mean_io);
@@ -484,9 +572,9 @@ pub fn exp_fig12(tier: Tier) -> Vec<Table> {
 // ---------------------------------------------------------------------------
 
 /// Figure 13: BM-BFS vs B-BFS vs E-DFS (plus E-BFS) IO.
-pub fn exp_fig13(tier: Tier) -> Vec<Table> {
-    let rwp = rwp_series(tier);
-    let vn = vn_series(tier);
+pub fn exp_fig13(run: &Run) -> Vec<Table> {
+    let rwp = rwp_series(run.tier);
+    let vn = vn_series(run.tier);
     let mut t = Table::new(
         "Figure 13",
         "ReachGraph query IO by traversal strategy (paper: BM-BFS ≥80% under E-DFS, ≥15% under B-BFS)",
@@ -496,8 +584,8 @@ pub fn exp_fig13(tier: Tier) -> Vec<Table> {
         let store = spec.generate();
         let dn = spec.build_dn(&store);
         let mr = spec.build_multires(&dn);
-        let rg = build_graph(&dn, &mr, graph_params_for(tier));
-        let queries = workload(spec, tier, 0x13);
+        let rg = build_graph(run, &dn, &mr, graph_params_for(run.tier));
+        let queries = workload(spec, run.tier, 0x13);
         let mut cells = vec![spec.name.clone()];
         for kind in [
             TraversalKind::EDfs,
@@ -526,9 +614,9 @@ pub fn exp_fig13(tier: Tier) -> Vec<Table> {
 
 /// Figure 14(a,b) (IO) and Figure 15(a,b) (CPU time): ReachGrid vs
 /// ReachGraph across query-interval lengths 100/300/500.
-pub fn exp_fig14_15(tier: Tier) -> Vec<Table> {
-    let rwp = rwp_series(tier);
-    let vn = vn_series(tier);
+pub fn exp_fig14_15(run: &Run) -> Vec<Table> {
+    let rwp = rwp_series(run.tier);
+    let vn = vn_series(run.tier);
     let mut fig14 = Table::new(
         "Figure 14",
         "ReachGrid vs ReachGraph mean IO by query interval length",
@@ -541,12 +629,12 @@ pub fn exp_fig14_15(tier: Tier) -> Vec<Table> {
     );
     for spec in [middle(&rwp), middle(&vn)] {
         let store = spec.generate();
-        let grid = build_grid(&store, grid_params_for(spec, tier));
+        let grid = build_grid(run, &store, grid_params_for(spec, run.tier));
         let dn = spec.build_dn(&store);
         let mr = spec.build_multires(&dn);
-        let rg = build_graph(&dn, &mr, GraphParams::default());
+        let rg = build_graph(run, &dn, &mr, GraphParams::default());
         for len in [100u32, 300, 500] {
-            let queries = WorkloadConfig::fixed_length(num_queries(tier), len).generate(
+            let queries = WorkloadConfig::fixed_length(num_queries(run.tier), len).generate(
                 spec.num_objects,
                 spec.horizon,
                 0x1415 ^ u64::from(len),
@@ -576,9 +664,9 @@ pub fn exp_fig14_15(tier: Tier) -> Vec<Table> {
 
 /// Table 5(a,b): GRAIL vs ReachGraph, memory-resident runtime and
 /// disk-resident IO (paper setting: |T| = 1000, interval length 300).
-pub fn exp_table5(tier: Tier) -> Vec<Table> {
-    let rwp = rwp_series(tier);
-    let vn = vn_series(tier);
+pub fn exp_table5(run: &Run) -> Vec<Table> {
+    let rwp = rwp_series(run.tier);
+    let vn = vn_series(run.tier);
     let mut ta = Table::new(
         "Table 5(a)",
         "memory-resident: GRAIL vs ReachGraph mean query runtime (|T|=1000, |Tp|=300)",
@@ -596,11 +684,8 @@ pub fn exp_table5(tier: Tier) -> Vec<Table> {
         let prefix = prefix_store(&store, horizon);
         let dn_mem = DnGraph::build(&prefix, spec.threshold);
         let mr_mem = spec.build_multires(&dn_mem);
-        let queries = WorkloadConfig::fixed_length(num_queries(tier), 300.min(horizon)).generate(
-            spec.num_objects,
-            horizon,
-            0x55,
-        );
+        let queries = WorkloadConfig::fixed_length(num_queries(run.tier), 300.min(horizon))
+            .generate(spec.num_objects, horizon, 0x55);
         let grail_mem = GrailMem::new(&dn_mem, 5, 0xF1);
         let gm = run_batch(&grail_mem, &queries);
         let mem = MemoryHn::new(&dn_mem, &mr_mem);
@@ -615,14 +700,14 @@ pub fn exp_table5(tier: Tier) -> Vec<Table> {
         // disk resident contact datasets").
         let dn = spec.build_dn(&store);
         let mr = spec.build_multires(&dn);
-        let queries = WorkloadConfig::fixed_length(num_queries(tier), 300).generate(
+        let queries = WorkloadConfig::fixed_length(num_queries(run.tier), 300).generate(
             spec.num_objects,
             spec.horizon,
             0x56,
         );
-        let grail_disk = build_grail(&dn, 5, 0xF1, tier.page_size(), 64);
+        let grail_disk = build_grail(run, &dn);
         let gd = run_batch(&grail_disk, &queries);
-        let rg = build_graph(&dn, &mr, graph_params_for(tier));
+        let rg = build_graph(run, &dn, &mr, graph_params_for(run.tier));
         let rd = run_batch(&rg, &queries);
         let improvement = if gd.mean_io > 0.0 {
             100.0 * (1.0 - rd.mean_io / gd.mean_io)
@@ -653,16 +738,15 @@ pub fn exp_table5(tier: Tier) -> Vec<Table> {
 /// `DATAFORMATS.md`); otherwise a synthetic trace is written through the
 /// full text pipeline ([`crate::datasets::synthetic_trace`]) so the
 /// experiment — and its CI smoke run — needs no network access.
-pub fn exp_trace(tier: Tier) -> Vec<Table> {
-    let explicit = std::env::args().find_map(|a| a.strip_prefix("--trace=").map(String::from));
-    let (spec, temp_path) = match explicit {
+pub fn exp_trace(run: &Run) -> Vec<Table> {
+    let (spec, temp_path) = match &run.trace {
         Some(path) => (
-            DatasetSpec::trace("trace", &path)
-                .unwrap_or_else(|e| panic!("loading trace {path}: {e}")),
+            DatasetSpec::trace("trace", path)
+                .unwrap_or_else(|e| panic!("loading trace {}: {e}", path.display())),
             None,
         ),
         None => {
-            let (spec, path) = crate::datasets::synthetic_trace(tier, &std::env::temp_dir());
+            let (spec, path) = crate::datasets::synthetic_trace(run.tier, &std::env::temp_dir());
             (spec, Some(path))
         }
     };
@@ -683,39 +767,31 @@ pub fn exp_trace(tier: Tier) -> Vec<Table> {
         trace.skipped().to_string(),
     ]);
 
-    let mut t = Table::new(
+    let mut t = cost_table(
         "exp_trace",
         "ReachGrid vs ReachGraph vs GRAIL on an ingested contact trace (event-direct DN)",
-        &["index", "mean normalized IO", "mean CPU", "reachable frac"],
+        "index",
     );
     assert!(
         spec.num_objects >= 2 && spec.horizon >= 2,
         "trace {} is too small for a query workload",
         spec.name
     );
-    let queries = workload(&spec, tier, 0x7C);
+    let queries = workload(&spec, run.tier, 0x7C);
     let store = spec.generate();
     let dn = spec.build_dn(&store);
     let mr = spec.build_multires(&dn);
-    let mut row = |name: &str, r: BatchResult| {
-        t.row(vec![
-            name.to_string(),
-            fnum(r.mean_io),
-            fdur(r.mean_cpu),
-            format!("{:.2}", r.reachable_frac),
-        ]);
-    };
-    let grid = build_grid(&store, grid_params_for(&spec, tier));
-    row("ReachGrid", run_batch(&grid, &queries));
-    let mut rg = build_graph(&dn, &mr, graph_params_for(tier));
-    row("ReachGraph (BM-BFS)", run_batch(&rg, &queries));
-    let mut grail = build_grail(&dn, 5, 0xF1, tier.page_size(), 64);
-    row("GRAIL (disk)", run_batch(&grail, &queries));
+    let grid = build_grid(run, &store, grid_params_for(&spec, run.tier));
+    t.row(cost_row("ReachGrid", run_batch(&grid, &queries)));
+    let mut rg = build_graph(run, &dn, &mr, graph_params_for(run.tier));
+    t.row(cost_row("ReachGraph (BM-BFS)", run_batch(&rg, &queries)));
+    let mut grail = build_grail(run, &dn);
+    t.row(cost_row("GRAIL (disk)", run_batch(&grail, &queries)));
 
     let mut out = vec![inventory, t];
-    if let Some(budget) = crate::datasets::build_budget_from_args() {
+    if let Some(budget) = run.build_budget {
         out.push(exp_trace_budgeted(
-            tier, trace, &queries, &mut rg, &mut grail, budget,
+            run, trace, &queries, &mut rg, &mut grail, budget,
         ));
     }
 
@@ -732,9 +808,8 @@ pub fn exp_trace(tier: Tier) -> Vec<Table> {
 /// are byte-identical to the unbounded in-memory build just measured.
 /// The returned table reports the spill counters — the price of the bound —
 /// and the peak resident bytes the budget actually enforced.
-#[allow(clippy::too_many_arguments)]
 fn exp_trace_budgeted(
-    tier: Tier,
+    run: &Run,
     trace: &reach_contact::ContactTrace,
     queries: &[Query],
     rg: &mut ReachGraph,
@@ -742,29 +817,21 @@ fn exp_trace_budgeted(
     budget: usize,
 ) -> Table {
     use reach_contact::{StreamedDn, DEFAULT_LEVELS};
-    use reach_core::ReachIndex as _;
-    use reach_storage::BuildBudget;
 
-    let backend = Backend::from_args();
-    let scratch = || backend.device(tier.page_size());
+    let device = || run.backend.device(run.tier.page_size());
     let ((mut rg_s, mut grail_s, spill), dur) = timed(|| {
         let mut sdn = StreamedDn::from_contacts(
             trace.num_objects(),
             trace.horizon(),
             trace.contacts(),
             BuildBudget::bytes(budget),
-            scratch(),
+            device(),
         );
         let mr = MultiRes::build(&mut sdn, &DEFAULT_LEVELS);
-        let rg_s = ReachGraph::build_on(
-            backend.device(tier.page_size()),
-            &mut sdn,
-            &mr,
-            graph_params_for(tier),
-        )
-        .expect("budgeted graph builds");
-        let grail_s = GrailDisk::build_on(backend.device(tier.page_size()), &mut sdn, 5, 0xF1, 64)
-            .expect("budgeted grail builds");
+        let rg_s = ReachGraph::build_on(device(), &mut sdn, &mr, graph_params_for(run.tier))
+            .expect("budgeted graph builds");
+        let grail_s =
+            GrailDisk::build_on(device(), &mut sdn, 5, 0xF1, 64).expect("budgeted grail builds");
         (rg_s, grail_s, sdn.spill_stats())
     });
 
@@ -818,63 +885,20 @@ fn exp_trace_budgeted(
 /// cross-boundary query IO, and **asserts** along the way that at least
 /// one seal fired and that every query answer matches a batch-built
 /// ReachGraph over the same records.
-pub fn exp_live(tier: Tier) -> Vec<Table> {
-    use reach_core::ReachIndex as _;
-    use reach_live::LiveConfig;
-    use reach_storage::BuildBudget;
-
-    let backend = Backend::from_args();
-    let spec = match tier {
-        Tier::Quick => DatasetSpec::rwp("live-rwp", 400, 1200, 53),
-        Tier::Full => DatasetSpec::rwp("live-rwp", 1000, 4000, 53),
-    };
+pub fn exp_live(run: &Run) -> Vec<Table> {
+    let spec = live_spec(run.tier, "live-rwp", 53);
     let store = spec.generate();
-    let mut contacts =
-        reach_contact::extract_contacts(&store, store.horizon_interval(), spec.threshold);
-    // Arrival order: ascending start with local shuffling — the
-    // out-of-order-within-a-window pattern the delta absorbs. Disjoint
-    // swaps displace each record by at most two positions (a cascading
-    // swap chain would carry the earliest record to the very end and make
-    // it unboundedly late).
-    contacts.sort_by_key(|c| (c.interval.start, c.a, c.b));
-    for i in (4..contacts.len()).step_by(4) {
-        contacts.swap(i, i - 2);
-    }
-
+    let contacts = arrival_stream(&spec, &store);
     // Delta trigger = one epoch of records (see `epoch_delta_budget`):
     // forces mid-run seals at a rate set by the epoch size, not by the
-    // stream length. The *rebuild* budget is independent
-    // (`--build-budget=BYTES` to bound it; generous default) and the
-    // lateness slack keeps the locally-shuffled arrivals inside the
-    // mutable window.
-    let delta_budget = epoch_delta_budget(tier);
-    let build_budget = crate::datasets::build_budget_from_args()
-        .map(BuildBudget::bytes)
-        .unwrap_or_else(BuildBudget::unbounded);
-    let params = graph_params_for(tier);
-    let storage = backend.storage_config(params.page_size);
-    let scratch_dir = storage_dir(&storage);
-    let live = LiveConfig::graph(params.clone(), build_budget)
-        .with_delta_budget(delta_budget)
-        .with_lateness(16)
-        .builder()
-        .backend(storage)
-        .build_sharded(store.num_objects())
-        .expect("live index creates");
+    // stream length; the lateness slack keeps the locally-shuffled
+    // arrivals inside the mutable window.
+    let config = live_config(run)
+        .with_delta_budget(epoch_delta_budget(run.tier))
+        .with_lateness(16);
+    let live = ScratchLive::new(run.backend, config, store.num_objects());
 
-    let (appended, append_dur) = timed(|| {
-        let mut n = 0u64;
-        for &c in &contacts {
-            let outcome = live.append(c).expect("lossy appends never error");
-            assert!(
-                outcome.compaction_error.is_none(),
-                "auto-seal failed mid-run: {:?}",
-                outcome.compaction_error
-            );
-            n += u64::from(outcome.logged);
-        }
-        n
-    });
+    let (appended, append_dur) = timed(|| live.append_all(&contacts));
     let seals = live.stats().compactions;
     assert!(
         seals >= 1,
@@ -914,12 +938,7 @@ pub fn exp_live(tier: Tier) -> Vec<Table> {
     // Batch rebuild over the accepted records: the oracle for answers and
     // the cost reference for compaction.
     let accepted = live.replay_log().expect("log replays");
-    let horizon = live.now();
-    let (batch, rebuild_dur) = timed(|| {
-        let dn = reach_contact::DnGraph::from_contacts(store.num_objects(), horizon, &accepted);
-        let mr = MultiRes::build(&dn, &params.levels);
-        build_graph(&dn, &mr, params.clone())
-    });
+    let (batch, rebuild_dur) = timed(|| batch_graph(run, &live, &accepted));
 
     let mut append_t = Table::new(
         "exp_live (append + compaction)",
@@ -950,61 +969,14 @@ pub fn exp_live(tier: Tier) -> Vec<Table> {
 
     // Query comparison: live (cross-boundary) vs the batch index — and the
     // answers must agree, query by query.
-    let queries = workload(&spec, tier, 0x1BEE);
-    for q in &queries {
-        let a = live.evaluate_query(q).expect("live query");
-        let b = batch.evaluate(q).expect("batch query");
-        assert_eq!(
-            a.reachable(),
-            b.reachable(),
-            "live and batch disagree on {q} (watermark {})",
-            live.watermark()
-        );
-    }
-    let mut query_t = Table::new(
+    let query_t = live_vs_batch(
         "exp_live (queries)",
         "query cost across the sealed/live boundary (answers asserted identical to batch)",
-        &[
-            "evaluator",
-            "mean normalized IO",
-            "mean CPU",
-            "reachable frac",
-        ],
+        &live,
+        &batch,
+        &workload(&spec, run.tier, 0x1BEE),
     );
-    let live_batch = run_batch(&live, &queries);
-    let batch_batch = run_batch(&batch, &queries);
-    for (name, r) in [
-        ("ShardedLive (shard + delta)", live_batch),
-        ("batch ReachGraph", batch_batch),
-    ] {
-        query_t.row(vec![
-            name.to_string(),
-            fnum(r.mean_io),
-            fdur(r.mean_cpu),
-            format!("{:.2}", r.reachable_frac),
-        ]);
-    }
-    scrap(live, scratch_dir);
     vec![inventory, append_t, query_t]
-}
-
-/// The root directory of a `file`/`mmap` storage config (`None` for the
-/// simulator): what [`scrap`] removes once a live index is done.
-fn storage_dir(storage: &reach_storage::StorageConfig) -> Option<std::path::PathBuf> {
-    match &storage.backend {
-        reach_storage::StorageBackend::File(p) | reach_storage::StorageBackend::Mmap(p) => {
-            Some(p.clone())
-        }
-        reach_storage::StorageBackend::Sim => None,
-    }
-}
-
-/// Drops a live index, then removes its storage directory (if any).
-fn scrap(live: reach_live::ShardedLive, dir: Option<std::path::PathBuf>) {
-    drop(live);
-    if let Some(dir) = dir {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1022,53 +994,22 @@ fn scrap(live: reach_live::ShardedLive, dir: Option<std::path::PathBuf>) {
 /// non-blocking-readers contract); and, after quiescing, every workload
 /// query answers exactly as a batch-built ReachGraph over the accepted
 /// records.
-pub fn exp_serve(tier: Tier) -> Vec<Table> {
-    use reach_core::{ReachIndex as _, ReachRequest};
-    use reach_live::LiveConfig;
+pub fn exp_serve(run: &Run) -> Vec<Table> {
+    use reach_core::ReachRequest;
     use reach_serve::{ServeConfig, Server, SubmitError};
-    use reach_storage::BuildBudget;
     use std::sync::Arc;
 
-    let backend = Backend::from_args();
-    let spec = match tier {
-        Tier::Quick => DatasetSpec::rwp("serve-rwp", 400, 1200, 57),
-        Tier::Full => DatasetSpec::rwp("serve-rwp", 1000, 4000, 57),
-    };
+    let spec = live_spec(run.tier, "serve-rwp", 57);
     let store = spec.generate();
-    let mut contacts =
-        reach_contact::extract_contacts(&store, store.horizon_interval(), spec.threshold);
-    contacts.sort_by_key(|c| (c.interval.start, c.a, c.b));
-    for i in (4..contacts.len()).step_by(4) {
-        contacts.swap(i, i - 2);
-    }
-
-    let delta_budget = epoch_delta_budget(tier);
-    let build_budget = crate::datasets::build_budget_from_args()
-        .map(BuildBudget::bytes)
-        .unwrap_or_else(BuildBudget::unbounded);
-    let params = graph_params_for(tier);
-    let storage = backend.storage_config(params.page_size);
-    let scratch_dir = storage_dir(&storage);
-    let index = Arc::new(
-        LiveConfig::graph(params.clone(), build_budget)
-            .with_delta_budget(delta_budget)
-            .with_lateness(16)
-            .builder()
-            .backend(storage)
-            .build_sharded(store.num_objects())
-            .expect("live index creates"),
-    );
+    let contacts = arrival_stream(&spec, &store);
+    let config = live_config(run)
+        .with_delta_budget(epoch_delta_budget(run.tier))
+        .with_lateness(16);
+    let index = ScratchLive::new(run.backend, config, store.num_objects());
 
     // Phase 1 — ingest the whole stream. Over-budget appends seal inline,
     // so ingest throughput includes the seals.
-    let (appended, append_dur) = timed(|| {
-        let mut n = 0u64;
-        for &c in &contacts {
-            let outcome = index.append(c).expect("lossy appends never error");
-            n += u64::from(outcome.logged);
-        }
-        n
-    });
+    let (appended, append_dur) = timed(|| index.append_all(&contacts));
 
     // Coalesce the ingested stream into one shard so the overlap phase's
     // queries exercise a sealed base (and pay counted IO), not just the
@@ -1086,7 +1027,7 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
     }
     index.set_compaction_pause_ms(80);
     let server = Server::start(
-        Arc::clone(&index) as Arc<dyn reach_core::ReachIndex>,
+        index.shared() as Arc<dyn reach_core::ReachIndex>,
         ServeConfig {
             workers: 4,
             queue_capacity: 256,
@@ -1095,7 +1036,7 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
     )
     .expect("server starts");
     let compaction_thread = {
-        let index = Arc::clone(&index);
+        let index = index.shared();
         std::thread::spawn(move || index.compact())
     };
     let overlap_deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
@@ -1192,50 +1133,18 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
 
     // Phase 3 — quiesce and prove exactness: the live index vs a batch
     // ReachGraph over the accepted records, query by query.
-    let accepted = index.replay_log().expect("log replays");
-    let horizon = index.now();
-    let batch = {
-        let dn = reach_contact::DnGraph::from_contacts(store.num_objects(), horizon, &accepted);
-        let mr = MultiRes::build(&dn, &params.levels);
-        build_graph(&dn, &mr, params.clone())
-    };
-    let queries: Vec<Query> = workload(&spec, tier, 0x5E12E)
+    let batch = batch_graph(run, &index, &index.replay_log().expect("log replays"));
+    let queries: Vec<Query> = workload(&spec, run.tier, 0x5E12E)
         .into_iter()
-        .filter(|q| q.interval.start < horizon)
+        .filter(|q| q.interval.start < index.now())
         .collect();
-    for q in &queries {
-        let a = index.evaluate_query(q).expect("live query");
-        let b = batch.evaluate(q).expect("batch query");
-        assert_eq!(
-            a.reachable(),
-            b.reachable(),
-            "live and batch disagree on {q} (watermark {})",
-            index.watermark()
-        );
-    }
-    let mut query_t = Table::new(
+    let query_t = live_vs_batch(
         "exp_serve (queries)",
         "quiesced query cost (answers asserted identical to a batch ReachGraph)",
-        &[
-            "evaluator",
-            "mean normalized IO",
-            "mean CPU",
-            "reachable frac",
-        ],
+        &index,
+        &batch,
+        &queries,
     );
-    let conc_batch = run_batch(&*index, &queries);
-    let graph_batch = run_batch(&batch, &queries);
-    for (name, r) in [
-        ("ShardedLive (shard + delta)", conc_batch),
-        ("batch ReachGraph", graph_batch),
-    ] {
-        query_t.row(vec![
-            name.to_string(),
-            fnum(r.mean_io),
-            fdur(r.mean_cpu),
-            format!("{:.2}", r.reachable_frac),
-        ]);
-    }
     let mut tables = vec![inventory, service, query_t];
 
     // Phase 4 (`--warm-cache`) — the full deterministic stream through two
@@ -1247,46 +1156,25 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
     // cold index pays the base reads every round, the warm one absorbs
     // the repeats as shared residency. Answers are asserted identical
     // query by query.
-    if std::env::args().any(|a| a == "--warm-cache") {
+    if run.warm_cache {
         let replay = |cache_pages: usize, window: usize| {
-            let mut cfg = LiveConfig::graph(params.clone(), build_budget).manual_compaction();
+            let mut cfg = live_config(run).manual_compaction();
             if cache_pages > 0 {
                 cfg = cfg.with_shared_cache(cache_pages).with_readahead(window);
             }
-            let storage = backend.storage_config(params.page_size);
-            let dir = storage_dir(&storage);
-            let idx = cfg
-                .builder()
-                .backend(storage)
-                .build_sharded(store.num_objects())
-                .expect("replay live index creates");
-            for &c in &contacts {
-                idx.append(c).expect("replay append accepted");
-            }
+            let idx = ScratchLive::new(run.backend, cfg, store.num_objects());
+            idx.append_all(&contacts);
             idx.advance(store.horizon());
             idx.compact().expect("replay compaction succeeds");
-            (idx, dir)
+            idx
         };
-        let (cold, cold_dir) = replay(0, 0);
-        let (warm, warm_dir) = replay(8192, 8);
-        let warm_queries: Vec<Query> = workload(&spec, tier, 0x5E12E)
+        let cold = replay(0, 0);
+        let warm = replay(8192, 8);
+        let warm_queries: Vec<Query> = workload(&spec, run.tier, 0x5E12E)
             .into_iter()
             .filter(|q| q.interval.start < store.horizon())
             .collect();
-        let (mut cold_reads, mut warm_reads) = (0u64, 0u64);
-        for _round in 0..2 {
-            for q in &warm_queries {
-                let a = cold.evaluate_query(q).expect("cold query");
-                let b = warm.evaluate_query(q).expect("warm query");
-                assert_eq!(
-                    a.reachable(),
-                    b.reachable(),
-                    "warm shared cache changed the answer of {q}"
-                );
-                cold_reads += a.stats.random_ios + a.stats.seq_ios;
-                warm_reads += b.stats.random_ios + b.stats.seq_ios;
-            }
-        }
+        let (cold_reads, warm_reads) = cold_vs_warm_reads(&cold, &warm, &warm_queries, 2);
         assert!(
             warm_reads < cold_reads,
             "warm shared cache must reduce repeated-serve device reads \
@@ -1309,7 +1197,7 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
             ],
         );
         warm_t.row(vec![
-            backend.name().to_string(),
+            run.backend.name().to_string(),
             cold_reads.to_string(),
             warm_reads.to_string(),
             format!(
@@ -1325,12 +1213,6 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
             cache.evictions.to_string(),
         ]);
         tables.push(warm_t);
-        scrap(cold, cold_dir);
-        scrap(warm, warm_dir);
-    }
-    drop(index);
-    if let Some(dir) = scratch_dir {
-        let _ = std::fs::remove_dir_all(&dir);
     }
     tables
 }
@@ -1349,50 +1231,35 @@ pub fn exp_serve(tier: Tier) -> Vec<Table> {
 /// compaction re-reads grow with the timeline), and cross-shard query IO
 /// before and after `merge_epochs`. **Asserts** along the way that every
 /// probed sharded answer matches a batch oracle over the accepted trace.
-pub fn exp_shard(tier: Tier) -> Vec<Table> {
-    use reach_live::{LiveConfig, ShardedLive};
-    use reach_storage::BuildBudget;
-
-    let backend = Backend::from_args();
-    let spec = match tier {
-        Tier::Quick => DatasetSpec::rwp("shard-rwp", 400, 1200, 59),
-        Tier::Full => DatasetSpec::rwp("shard-rwp", 1000, 4000, 59),
-    };
+pub fn exp_shard(run: &Run) -> Vec<Table> {
+    let spec = live_spec(run.tier, "shard-rwp", 59);
     let store = spec.generate();
-    let mut contacts =
-        reach_contact::extract_contacts(&store, store.horizon_interval(), spec.threshold);
-    contacts.sort_by_key(|c| (c.interval.start, c.a, c.b));
-    for i in (4..contacts.len()).step_by(4) {
-        contacts.swap(i, i - 2);
-    }
+    let contacts = arrival_stream(&spec, &store);
     let total = contacts.len();
-    let params = graph_params_for(tier);
     // Unlike the other live experiments, the rebuild budget defaults to a
     // *bounded* value here: seal cost then shows up as scratch (spill)
     // traffic, which is what the epoch-size sweep measures. Override with
     // `--build-budget=BYTES`.
-    let build_budget =
-        BuildBudget::bytes(crate::datasets::build_budget_from_args().unwrap_or(96 << 10));
+    let config = LiveConfig::graph(
+        graph_params_for(run.tier),
+        BuildBudget::bytes(run.build_budget.unwrap_or(96 << 10)),
+    )
+    .with_lateness(16);
 
     // One sharded timeline over a stream prefix, auto-sealing whenever
     // the delta holds ~`epoch_records`, with a final flush seal so the
-    // whole prefix is sealed. Returns the index plus its scratch
-    // directory (real backends only; removed by the caller).
+    // whole prefix is sealed.
     let sharded_over = |count: usize, epoch_records: usize| {
-        let storage = backend.storage_config(params.page_size);
-        let dir = storage_dir(&storage);
-        let live = LiveConfig::graph(params.clone(), build_budget)
-            .with_delta_budget(epoch_records * reach_live::DeltaDn::MAX_RECORD_RESIDENT_BYTES)
-            .with_lateness(16)
-            .builder()
-            .backend(storage)
-            .build_sharded(store.num_objects())
-            .expect("sharded index creates");
-        for &c in &contacts[..count] {
-            live.append(c).expect("lossy appends never error");
-        }
+        let live = ScratchLive::new(
+            run.backend,
+            config
+                .clone()
+                .with_delta_budget(epoch_records * reach_live::DeltaDn::MAX_RECORD_RESIDENT_BYTES),
+            store.num_objects(),
+        );
+        live.append_all(&contacts[..count]);
         live.seal_now().expect("flush seal succeeds");
-        (live, dir)
+        live
     };
 
     // Table 1 — seal cost vs epoch size, full history. Scratch traffic
@@ -1410,7 +1277,7 @@ pub fn exp_shard(tier: Tier) -> Vec<Table> {
     );
     for divisor in [8usize, 4, 2] {
         let epoch_records = (total / divisor).max(1);
-        let (live, dir) = sharded_over(total, epoch_records);
+        let live = sharded_over(total, epoch_records);
         let stats = live.stats().clone();
         assert!(stats.compactions >= 1, "at least the flush seal ran");
         assert_eq!(
@@ -1427,7 +1294,6 @@ pub fn exp_shard(tier: Tier) -> Vec<Table> {
             fnum(spill as f64 / stats.compactions as f64),
             stats.compaction_read_io.total_reads().to_string(),
         ]);
-        scrap(live, dir);
     }
 
     // Table 2 — seal cost vs history length at a fixed epoch size,
@@ -1449,26 +1315,20 @@ pub fn exp_shard(tier: Tier) -> Vec<Table> {
     let mut mono_last_reads = Vec::new();
     let mut sharded_per_seal = Vec::new();
     for count in [total / 2, total] {
-        let (live, dir) = sharded_over(count, epoch_records);
-        let stats = live.stats().clone();
+        let stats = sharded_over(count, epoch_records).stats().clone();
         let spill =
             stats.compaction_spill_io.total_reads() + stats.compaction_spill_io.total_writes();
         let per_seal = spill as f64 / stats.compactions.max(1) as f64;
         sharded_per_seal.push(per_seal);
-        scrap(live, dir);
 
-        let storage = backend.storage_config(params.page_size);
-        let mono_dir = storage_dir(&storage);
-        let mono = LiveConfig::graph(params.clone(), build_budget)
-            .with_lateness(16)
-            .manual_compaction()
-            .builder()
-            .backend(storage)
-            .build_sharded(store.num_objects())
-            .expect("monolithic live index creates");
-        for (i, &c) in contacts[..count].iter().enumerate() {
-            mono.append(c).expect("lossy appends never error");
-            if (i + 1) % epoch_records == 0 {
+        let mono = ScratchLive::new(
+            run.backend,
+            config.clone().manual_compaction(),
+            store.num_objects(),
+        );
+        for chunk in contacts[..count].chunks(epoch_records) {
+            mono.append_all(chunk);
+            if chunk.len() == epoch_records {
                 mono.compact().expect("monolithic compaction succeeds");
             }
         }
@@ -1480,7 +1340,6 @@ pub fn exp_shard(tier: Tier) -> Vec<Table> {
             .base_read_io
             .total_reads();
         mono_last_reads.push(last_reads);
-        scrap(mono, mono_dir);
         by_history.row(vec![
             count.to_string(),
             fnum(per_seal),
@@ -1506,7 +1365,7 @@ pub fn exp_shard(tier: Tier) -> Vec<Table> {
     // Table 3 — cross-shard queries and epoch merging. Every probe is
     // asserted against a batch oracle over the accepted trace; merging
     // epochs changes layout and IO, never answers.
-    let (live, dir) = sharded_over(total, (total / 8).max(1));
+    let live = sharded_over(total, (total / 8).max(1));
     let accepted = live.replay_log().expect("log replays");
     let horizon = live.now();
     let mut per_tick: Vec<Vec<(u32, u32)>> = vec![Vec::new(); horizon as usize];
@@ -1516,7 +1375,7 @@ pub fn exp_shard(tier: Tier) -> Vec<Table> {
         }
     }
     let oracle = reach_contact::Oracle::from_events(store.num_objects(), per_tick);
-    let queries: Vec<Query> = workload(&spec, tier, 0x5A)
+    let queries: Vec<Query> = workload(&spec, run.tier, 0x5A)
         .into_iter()
         .map(|q| {
             let end = q.interval.end.min(horizon - 1);
@@ -1578,7 +1437,6 @@ pub fn exp_shard(tier: Tier) -> Vec<Table> {
         fnum(seqf),
         merge_reads.to_string(),
     ]);
-    scrap(live, dir);
 
     vec![by_epoch, by_history, merged_table]
 }
@@ -1597,11 +1455,11 @@ pub fn exp_shard(tier: Tier) -> Vec<Table> {
 /// ([`reach_ext::DecayOracle`]), so running this under
 /// `--backend=sim|file|mmap` revalidates the decay semantics on each
 /// storage backend.
-pub fn exp_decay(tier: Tier) -> Vec<Table> {
+pub fn exp_decay(run: &Run) -> Vec<Table> {
     use reach_core::{DecayModel, ObjectId, RankDirection, TimeInterval};
     use reach_ext::DecayOracle;
 
-    let spec = match tier {
+    let spec = match run.tier {
         Tier::Quick => DatasetSpec::rwp("decay-rwp", 120, 600, 37),
         Tier::Full => DatasetSpec::rwp("decay-rwp", 300, 1500, 37),
     };
@@ -1613,7 +1471,7 @@ pub fn exp_decay(tier: Tier) -> Vec<Table> {
     // wide windows near-worthless anyway, and the oracle enumerates every
     // in-window path.
     let queries: Vec<Query> = WorkloadConfig {
-        num_queries: num_queries(tier),
+        num_queries: num_queries(run.tier),
         interval_len_min: 60,
         interval_len_max: 160,
     }
@@ -1631,7 +1489,7 @@ pub fn exp_decay(tier: Tier) -> Vec<Table> {
         "point decay verdicts vs θ; every verdict asserted against the path-enumeration oracle",
         &["theta", "reachable", "mean IO", "mean visited"],
     );
-    let rg = build_graph(&dn, &mr, graph_params_for(tier));
+    let rg = build_graph(run, &dn, &mr, graph_params_for(run.tier));
     for theta in [0.05, 0.2, 0.5, 0.8] {
         let (mut random, mut seq, mut visited, mut hits) = (0u64, 0u64, 0u64, 0u64);
         for (q, best) in queries.iter().zip(&best) {
@@ -1766,41 +1624,22 @@ pub fn exp_decay(tier: Tier) -> Vec<Table> {
 /// kind emits, and that per-trace span IO sums to the query's own
 /// counters), and *overhead* (wall time with tracing off vs on, plus the
 /// recorder's retention).
-pub fn exp_obs(tier: Tier) -> Vec<Table> {
-    use reach_core::{DecayModel, ObjectId, ReachIndex as _, ReachRequest, TimeInterval};
-    use reach_live::LiveConfig;
+pub fn exp_obs(run: &Run) -> Vec<Table> {
+    use reach_core::{DecayModel, ObjectId, ReachRequest, TimeInterval};
     use reach_obs::{Obs, ObsConfig};
-    use reach_storage::BuildBudget;
 
-    let backend = Backend::from_args();
-    let spec = match tier {
-        Tier::Quick => DatasetSpec::rwp("obs-rwp", 400, 1200, 61),
-        Tier::Full => DatasetSpec::rwp("obs-rwp", 1000, 4000, 61),
-    };
+    let spec = live_spec(run.tier, "obs-rwp", 61);
     let store = spec.generate();
-    let mut contacts =
-        reach_contact::extract_contacts(&store, store.horizon_interval(), spec.threshold);
+    let mut contacts = spec.contacts(&store);
     contacts.sort_by_key(|c| (c.interval.start, c.a, c.b));
-    let params = graph_params_for(tier);
-    let build_budget = crate::datasets::build_budget_from_args()
-        .map(BuildBudget::bytes)
-        .unwrap_or_else(BuildBudget::unbounded);
-
     // An epoch-sharded timeline (~4 epochs), so traces carry real
     // cross-shard leg spans, on the run's configured backend.
-    let storage = backend.storage_config(params.page_size);
-    let scratch_dir = storage_dir(&storage);
     let epoch_records = (contacts.len() / 4).max(1);
-    let index = LiveConfig::graph(params.clone(), build_budget)
+    let config = live_config(run)
         .with_delta_budget(epoch_records * reach_live::DeltaDn::MAX_RECORD_RESIDENT_BYTES)
-        .with_lateness(16)
-        .builder()
-        .backend(storage)
-        .build_sharded(store.num_objects())
-        .expect("sharded index creates");
-    for &c in &contacts {
-        index.append(c).expect("lossy appends never error");
-    }
+        .with_lateness(16);
+    let index = ScratchLive::new(run.backend, config, store.num_objects());
+    index.append_all(&contacts);
     index.seal_now().expect("flush seal succeeds");
 
     // The workload: reach queries over windows that straddle shard cuts,
@@ -1809,7 +1648,7 @@ pub fn exp_obs(tier: Tier) -> Vec<Table> {
     let now = index.now();
     let n = store.num_objects() as u32;
     let mut requests = Vec::new();
-    for (i, q) in workload(&spec, tier, 0x0B5).into_iter().enumerate() {
+    for (i, q) in workload(&spec, run.tier, 0x0B5).into_iter().enumerate() {
         requests.push(ReachRequest::from(q));
         if i % 4 == 0 {
             let window = TimeInterval::new(now / 4, now.saturating_sub(1).max(1));
@@ -1846,22 +1685,7 @@ pub fn exp_obs(tier: Tier) -> Vec<Table> {
     let (on_totals, on_dur) = timed(|| {
         let mut totals = std::collections::BTreeMap::new();
         for r in &requests {
-            let tracer = obs_on.tracer();
-            let a = index
-                .answer(&r.clone().with_trace(tracer.clone()))
-                .expect("traced answer");
-            let events = tracer.take_events();
-            let (mut rand, mut seq) = (0u64, 0u64);
-            for ev in &events {
-                rand += ev.io.random_reads;
-                seq += ev.io.seq_reads;
-            }
-            assert_eq!(
-                (rand, seq),
-                (a.stats.random_ios, a.stats.seq_ios),
-                "span IO must sum to the query's own counters ({})",
-                r.trace_label()
-            );
+            let (a, events) = answer_traced(&*index, r, &obs_on.tracer());
             let e = totals.entry(kind_name(r)).or_insert((0u64, 0u64, 0u64));
             e.0 += 1;
             e.1 += a.stats.random_ios;
@@ -1940,8 +1764,6 @@ pub fn exp_obs(tier: Tier) -> Vec<Table> {
         recorder.dump().len().to_string(),
         fbytes(recorder.bytes_recorded()),
     ]);
-
-    scrap(index, scratch_dir);
     vec![identity, composition, overhead]
 }
 
@@ -1964,11 +1786,11 @@ fn kind_name(r: &reach_core::ReachRequest) -> &'static str {
 
 /// Ablations: buffer sizes for both indexes (placement-adjacent knobs the
 /// paper fixes after tuning).
-pub fn exp_ablation(tier: Tier) -> Vec<Table> {
-    let rwp = rwp_series(tier);
+pub fn exp_ablation(run: &Run) -> Vec<Table> {
+    let rwp = rwp_series(run.tier);
     let spec = middle(&rwp);
     let store = spec.generate();
-    let queries = workload(spec, tier, 0xAB);
+    let queries = workload(spec, run.tier, 0xAB);
 
     let mut ta = Table::new(
         "Ablation A",
@@ -1979,11 +1801,12 @@ pub fn exp_ablation(tier: Tier) -> Vec<Table> {
     let mr = spec.build_multires(&dn);
     for cache in [1usize, 4, 16, 64] {
         let rg = build_graph(
+            run,
             &dn,
             &mr,
             GraphParams {
                 partition_cache: cache,
-                ..graph_params_for(tier)
+                ..graph_params_for(run.tier)
             },
         );
         let r = run_batch(&rg, &queries);
@@ -1997,10 +1820,11 @@ pub fn exp_ablation(tier: Tier) -> Vec<Table> {
     );
     for cache in [8usize, 64, 256] {
         let grid = build_grid(
+            run,
             &store,
             GridParams {
                 cache_pages: cache,
-                ..grid_params_for(spec, tier)
+                ..grid_params_for(spec, run.tier)
             },
         );
         let r = run_batch(&grid, &queries);
@@ -2009,8 +1833,8 @@ pub fn exp_ablation(tier: Tier) -> Vec<Table> {
     vec![ta, tb]
 }
 
-/// One experiment: the tables it reproduces at a tier.
-pub type Experiment = fn(Tier) -> Vec<Table>;
+/// One experiment: the tables it reproduces for a run's settings.
+pub type Experiment = fn(&Run) -> Vec<Table>;
 
 /// Every experiment under its `streach_exp` name, in paper order.
 pub const EXPERIMENTS: &[(&str, Experiment)] = &[
@@ -2035,6 +1859,6 @@ pub const EXPERIMENTS: &[(&str, Experiment)] = &[
 ];
 
 /// Runs the entire suite in paper order.
-pub fn all(tier: Tier) -> Vec<Table> {
-    EXPERIMENTS.iter().flat_map(|(_, run)| run(tier)).collect()
+pub fn all(run: &Run) -> Vec<Table> {
+    EXPERIMENTS.iter().flat_map(|(_, exp)| exp(run)).collect()
 }

@@ -3,7 +3,8 @@
 //! The experiment harness reproducing every table and figure of the paper's
 //! evaluation (§6):
 //!
-//! * [`datasets`] — the scaled dataset presets (RWP / VN / VNR families);
+//! * [`datasets`] — the scaled dataset presets (RWP / VN / VNR families),
+//!   a run's settings ([`Run`]) and the live experiments' scratch index;
 //! * [`runner`] — query-batch execution and metric aggregation;
 //! * [`report`] — paper-style table rendering;
 //! * [`experiments`] — one function per table/figure, plus ablations;
@@ -25,7 +26,7 @@ pub mod runner;
 
 pub use datasets::{
     middle, prefix_store, rwp_series, synthetic_trace, vn_series, vnr, Backend, DatasetSpec,
-    Family, Tier,
+    Family, Run, Tier,
 };
 pub use report::{fbytes, fdur, fnum, Table};
 pub use runner::{assert_same_pages, run_batch, timed, BatchResult};

@@ -20,18 +20,18 @@
 //! `cargo run --release -p reach_bench --bin bench_perf -- --out=BENCH_quick.json`
 //! whenever a PR *intentionally* changes IO behavior, and say why in the PR.
 
-use crate::datasets::DatasetSpec;
-use crate::runner::{assert_same_pages, timed};
+use crate::datasets::{Backend, DatasetSpec, ScratchLive};
+use crate::runner::{answer_traced, assert_same_pages, cold_vs_warm_reads, timed};
 use reach_baselines::GrailDisk;
 use reach_contact::{MultiRes, StreamedDn, DEFAULT_LEVELS};
-use reach_core::{IndexError, Query, QueryResult, ReachIndex as _};
+use reach_core::{Answer, IndexError, Query, QueryResult, ReachIndex as _};
 use reach_graph::{GraphParams, ReachGraph};
 use reach_grid::{GridParams, ReachGrid};
 use reach_mobility::WorkloadConfig;
+use reach_obs::json::Json;
 use reach_storage::{BlockDevice, BuildBudget, IoStats, PageId, SimDevice};
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 /// Schema version of the report format.
@@ -52,22 +52,20 @@ pub struct PerfReport {
 }
 
 impl PerfReport {
-    /// Renders the report as pretty-printed JSON (trailing newline).
+    /// Renders the report through the [`reach_obs::json`] writer (trailing
+    /// newline).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"schema\": {},", self.schema);
-        let _ = writeln!(out, "  \"tier\": \"{}\",", self.tier);
-        let _ = writeln!(out, "  \"backend\": \"{}\",", self.backend);
-        let _ = writeln!(out, "  \"counters\": {{");
-        let n = self.counters.len();
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            let comma = if i + 1 < n { "," } else { "" };
-            let _ = writeln!(out, "    \"{k}\": {v}{comma}");
-        }
-        let _ = writeln!(out, "  }}");
-        let _ = writeln!(out, "}}");
-        out
+        let counters = self
+            .counters
+            .iter()
+            .map(|(k, &v)| (k.clone(), Json::Uint(v)));
+        Json::object([
+            ("schema", Json::Uint(self.schema.into())),
+            ("tier", Json::Str(self.tier.clone())),
+            ("backend", Json::Str(self.backend.clone())),
+            ("counters", Json::object(counters)),
+        ])
+        .render()
     }
 
     /// Parses a report written by [`PerfReport::to_json`] (tolerating any
@@ -405,23 +403,33 @@ fn perf_queries(spec: &DatasetSpec, n: usize) -> Vec<Query> {
     .generate(spec.num_objects, spec.horizon, 0x9E9F)
 }
 
+/// A query batch's summed `[random reads, sequential reads, visited,
+/// positive verdicts]`.
+fn batch_totals<R: Into<Answer>>(
+    what: &str,
+    queries: &[Query],
+    mut evaluate: impl FnMut(&Query) -> Result<R, IndexError>,
+) -> [u64; 4] {
+    let mut totals = [0u64; 4];
+    for q in queries {
+        let r: Answer = evaluate(q)
+            .unwrap_or_else(|e| panic!("perf query {q} failed on {what}: {e}"))
+            .into();
+        totals[0] += r.stats.random_ios;
+        totals[1] += r.stats.seq_ios;
+        totals[2] += r.stats.visited;
+        totals[3] += u64::from(r.reachable());
+    }
+    totals
+}
+
 fn record_batch(
     counters: &mut BTreeMap<String, u64>,
     prefix: &str,
     queries: &[Query],
-    mut evaluate: impl FnMut(&Query) -> Result<QueryResult, IndexError>,
+    evaluate: impl FnMut(&Query) -> Result<QueryResult, IndexError>,
 ) {
-    let mut random = 0u64;
-    let mut seq = 0u64;
-    let mut visited = 0u64;
-    let mut reachable = 0u64;
-    for q in queries {
-        let r = evaluate(q).unwrap_or_else(|e| panic!("perf query {q} failed on {prefix}: {e}"));
-        random += r.stats.random_ios;
-        seq += r.stats.seq_ios;
-        visited += r.stats.visited;
-        reachable += u64::from(r.reachable());
-    }
+    let [random, seq, visited, reachable] = batch_totals(prefix, queries, evaluate);
     counters.insert(format!("{prefix}/query/random_reads"), random);
     counters.insert(format!("{prefix}/query/seq_reads"), seq);
     counters.insert(format!("{prefix}/query/visited"), visited);
@@ -565,8 +573,7 @@ pub fn quick_suite() -> (PerfReport, f64) {
 
         // Memory-bounded streaming build: spill counters + peak resident
         // bytes, and a byte-identity check against the resident build.
-        let contacts =
-            reach_contact::extract_contacts(&store, store.horizon_interval(), spec.threshold);
+        let contacts = spec.contacts(&store);
         let mut sdn = StreamedDn::from_contacts(
             store.num_objects(),
             store.horizon(),
@@ -575,9 +582,13 @@ pub fn quick_suite() -> (PerfReport, f64) {
             Box::new(SimDevice::new(PERF_PAGE)),
         );
         let mr_s = MultiRes::build(&mut sdn, &DEFAULT_LEVELS);
-        let mut graph_s =
-            ReachGraph::build_on(Box::new(SimDevice::new(PERF_PAGE)), &mut sdn, &mr_s, params)
-                .expect("perf streaming graph builds");
+        let mut graph_s = ReachGraph::build_on(
+            Box::new(SimDevice::new(PERF_PAGE)),
+            &mut sdn,
+            &mr_s,
+            params.clone(),
+        )
+        .expect("perf streaming graph builds");
         assert_same_pages(
             graph.device_mut(),
             graph_s.device_mut(),
@@ -600,36 +611,24 @@ pub fn quick_suite() -> (PerfReport, f64) {
         // forced mid-run compactions (each coalesces the timeline into one
         // whole-history shard), then a cross-boundary query batch. Counted
         // IO only — append-log writes, delta peak, compaction base-read
-        // and spill traffic, and query reads that span the watermark.
-        let live = reach_live::LiveConfig::graph(
-            GraphParams {
-                partition_depth: 8,
-                page_size: PERF_PAGE,
-                ..GraphParams::default()
-            },
-            BuildBudget::bytes(PERF_BUDGET_BYTES),
-        )
-        .manual_compaction()
-        .builder()
-        .build_sharded(store.num_objects())
-        .expect("perf live index creates");
+        // and spill traffic, and query reads that span the watermark. All
+        // three live indexes of the suite seal with its params and budget,
+        // and only when told to.
+        let live_config =
+            reach_live::LiveConfig::graph(params, BuildBudget::bytes(PERF_BUDGET_BYTES))
+                .manual_compaction();
+        let live = ScratchLive::new(Backend::Sim, live_config.clone(), store.num_objects());
         // Deterministic three-chunk schedule with two seals: the second
         // compaction re-streams the first sealed base, so the base-read
         // counter gates real chain-extraction IO (one compaction would
         // leave it structurally zero), and the last chunk stays in the
         // delta so the query batch crosses the watermark.
         let (cut1, cut2) = (contacts.len() / 3, contacts.len() * 2 / 3);
-        let feed = |live: &reach_live::ShardedLive, span: &[reach_core::Contact]| {
-            for &c in span {
-                let o = live.append(c).expect("perf append accepted");
-                assert!(o.compaction_error.is_none(), "compaction must not fail");
-            }
-        };
-        feed(&live, &contacts[..cut1]);
+        live.append_all(&contacts[..cut1]);
         live.compact().expect("perf compaction succeeds");
-        feed(&live, &contacts[cut1..cut2]);
+        live.append_all(&contacts[cut1..cut2]);
         live.compact().expect("perf recompaction succeeds");
-        feed(&live, &contacts[cut2..]);
+        live.append_all(&contacts[cut2..]);
         let live_stats = live.stats();
         counters.insert("rwp/live/appended".into(), live_stats.appended);
         counters.insert(
@@ -665,15 +664,9 @@ pub fn quick_suite() -> (PerfReport, f64) {
         // exactly, and they must match the direct totals above. A
         // same-source batch is counted too: one expansion's IO, however
         // many destinations ride it.
-        let (mut random, mut seq, mut reachable) = (0u64, 0u64, 0u64);
-        for q in &queries {
-            let r = live
-                .answer(&reach_core::ReachRequest::from(*q))
-                .unwrap_or_else(|e| panic!("perf serve query {q} failed: {e}"));
-            random += r.stats.random_ios;
-            seq += r.stats.seq_ios;
-            reachable += u64::from(r.reachable());
-        }
+        let [random, seq, _, reachable] = batch_totals("rwp/serve", &queries, |q| {
+            live.answer(&reach_core::ReachRequest::from(*q))
+        });
         assert_eq!(
             (random, seq),
             (
@@ -716,43 +709,17 @@ pub fn quick_suite() -> (PerfReport, f64) {
         // are deterministic, so the warm counters gate exactly. The cold
         // tiers above never see a cache (default hubs carry none), so all
         // pre-existing counters are byte-identical.
-        let warm = reach_live::LiveConfig::graph(
-            GraphParams {
-                partition_depth: 8,
-                page_size: PERF_PAGE,
-                ..GraphParams::default()
-            },
-            BuildBudget::bytes(PERF_BUDGET_BYTES),
-        )
-        .manual_compaction()
-        .with_shared_cache(WARM_CACHE_PAGES)
-        .with_readahead(WARM_READAHEAD)
-        .builder()
-        .build_sharded(store.num_objects())
-        .expect("perf warm live index creates");
-        feed(&warm, &contacts[..cut1]);
+        let warm = live_config
+            .clone()
+            .with_shared_cache(WARM_CACHE_PAGES)
+            .with_readahead(WARM_READAHEAD);
+        let warm = ScratchLive::new(Backend::Sim, warm, store.num_objects());
+        warm.append_all(&contacts[..cut1]);
         warm.compact().expect("perf warm compaction succeeds");
-        feed(&warm, &contacts[cut1..cut2]);
+        warm.append_all(&contacts[cut1..cut2]);
         warm.compact().expect("perf warm recompaction succeeds");
-        feed(&warm, &contacts[cut2..]);
-        let (mut cold_reads, mut warm_reads) = (0u64, 0u64);
-        for _round in 0..WARM_ROUNDS {
-            for q in &queries {
-                let cold = live
-                    .evaluate_query(q)
-                    .unwrap_or_else(|e| panic!("perf cold query {q} failed: {e}"));
-                let hot = warm
-                    .evaluate_query(q)
-                    .unwrap_or_else(|e| panic!("perf warm query {q} failed: {e}"));
-                assert_eq!(
-                    cold.reachable(),
-                    hot.reachable(),
-                    "warm cache changed the answer of {q}"
-                );
-                cold_reads += cold.stats.random_ios + cold.stats.seq_ios;
-                warm_reads += hot.stats.random_ios + hot.stats.seq_ios;
-            }
-        }
+        warm.append_all(&contacts[cut2..]);
+        let (cold_reads, warm_reads) = cold_vs_warm_reads(&live, &warm, &queries, WARM_ROUNDS);
         let cache = warm
             .cache_stats()
             .expect("warm serving index carries a cache");
@@ -785,28 +752,12 @@ pub fn quick_suite() -> (PerfReport, f64) {
         // readers with per-query exact counted IO: the serve layer's
         // worker pool must count identical IO to the single-threaded
         // walk below, query for query.
-        let shard = reach_live::LiveConfig::graph(
-            GraphParams {
-                partition_depth: 8,
-                page_size: PERF_PAGE,
-                ..GraphParams::default()
-            },
-            BuildBudget::bytes(PERF_BUDGET_BYTES),
-        )
-        .manual_compaction()
-        .builder()
-        .build_sharded(store.num_objects())
-        .expect("perf sharded index creates");
-        let feed_sharded = |shard: &reach_live::ShardedLive, span: &[reach_core::Contact]| {
-            for &c in span {
-                shard.append(c).expect("perf sharded append accepted");
-            }
-        };
-        feed_sharded(&shard, &contacts[..cut1]);
+        let shard = ScratchLive::new(Backend::Sim, live_config, store.num_objects());
+        shard.append_all(&contacts[..cut1]);
         shard.seal_now().expect("perf first seal succeeds");
-        feed_sharded(&shard, &contacts[cut1..cut2]);
+        shard.append_all(&contacts[cut1..cut2]);
         shard.seal_now().expect("perf second seal succeeds");
-        feed_sharded(&shard, &contacts[cut2..]);
+        shard.append_all(&contacts[cut2..]);
         shard.seal_now().expect("perf third seal succeeds");
         let sealed = shard.stats().clone();
         assert_eq!(
@@ -820,15 +771,8 @@ pub fn quick_suite() -> (PerfReport, f64) {
             sealed.compaction_spill_io.total_reads() + sealed.compaction_spill_io.total_writes(),
         );
         counters.insert("rwp/shard/delta_peak_bytes".into(), sealed.delta_peak_bytes);
-        let (mut srandom, mut sseq, mut sreachable) = (0u64, 0u64, 0u64);
-        for q in &queries {
-            let r = shard
-                .evaluate_query(q)
-                .unwrap_or_else(|e| panic!("perf sharded query {q} failed: {e}"));
-            srandom += r.stats.random_ios;
-            sseq += r.stats.seq_ios;
-            sreachable += u64::from(r.reachable());
-        }
+        let [srandom, sseq, _, sreachable] =
+            batch_totals("rwp/shard", &queries, |q| shard.evaluate_query(q));
         counters.insert("rwp/shard/query/random_reads".into(), srandom);
         counters.insert("rwp/shard/query/seq_reads".into(), sseq);
         counters.insert("rwp/shard/query/reachable".into(), sreachable);
@@ -844,19 +788,12 @@ pub fn quick_suite() -> (PerfReport, f64) {
             shard.shard_count() as u64,
         );
         // Single-threaded reference over the merged layout…
-        let (mut mrandom, mut mseq) = (0u64, 0u64);
-        for q in &queries {
-            let r = shard
-                .evaluate_query(q)
-                .unwrap_or_else(|e| panic!("perf merged query {q} failed: {e}"));
-            mrandom += r.stats.random_ios;
-            mseq += r.stats.seq_ios;
-        }
+        let [mrandom, mseq, ..] =
+            batch_totals("rwp/shard merged", &queries, |q| shard.evaluate_query(q));
         // …then the same queries through the serve layer's worker pool:
         // concurrency must not change one counted read.
-        let shard = std::sync::Arc::new(shard);
         let pool = reach_serve::Server::start(
-            std::sync::Arc::clone(&shard) as std::sync::Arc<dyn reach_core::ReachIndex>,
+            shard.shared() as std::sync::Arc<dyn reach_core::ReachIndex>,
             reach_serve::ServeConfig {
                 workers: 4,
                 queue_capacity: queries.len().max(1),
@@ -903,21 +840,8 @@ pub fn quick_suite() -> (PerfReport, f64) {
         let (mut trandom, mut tseq, mut spans) = (0u64, 0u64, 0u64);
         for q in &queries {
             let tracer = obs.tracer();
-            let req = reach_core::ReachRequest::from(*q).with_trace(tracer.clone());
-            let a = shard
-                .answer(&req)
-                .unwrap_or_else(|e| panic!("perf traced query {q} failed: {e}"));
-            let events = tracer.take_events();
-            let (mut erandom, mut eseq) = (0u64, 0u64);
-            for ev in &events {
-                erandom += ev.io.random_reads;
-                eseq += ev.io.seq_reads;
-            }
-            assert_eq!(
-                (erandom, eseq),
-                (a.stats.random_ios, a.stats.seq_ios),
-                "span IO must sum to the query's own counters for {q}"
-            );
+            let req = reach_core::ReachRequest::from(*q);
+            let (a, events) = answer_traced(&*shard, &req, &tracer);
             spans += events.len() as u64;
             trandom += a.stats.random_ios;
             tseq += a.stats.seq_ios;

@@ -7,6 +7,7 @@
 //! process was invoked with `--json` — a single JSON array of
 //! `{id, caption, headers, rows}` objects for scripts and CI artifacts.
 
+use reach_obs::json::Json;
 use std::fmt::Write as _;
 
 /// A titled table with a caption tying it to the paper artifact it
@@ -81,88 +82,37 @@ impl Table {
         out
     }
 
-    /// Prints the table to stdout.
-    pub fn print(&self) {
-        println!("{}", self.to_markdown());
-    }
-
-    /// Renders the table as one JSON object:
+    /// The table as one JSON object:
     /// `{"id": …, "caption": …, "headers": […], "rows": [[…], …]}`.
     /// All cells stay strings — the markdown cells are the contract, JSON
     /// is just a parseable container for them.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"id\":{},\"caption\":{},\"headers\":[",
-            json_str(&self.id),
-            json_str(&self.caption)
-        );
-        for (i, h) in self.headers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_str(h));
-        }
-        out.push_str("],\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (j, cell) in row.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_str(cell));
-            }
-            out.push(']');
-        }
-        out.push_str("]}");
-        out
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("id", Json::Str(self.id.clone())),
+            ("caption", Json::Str(self.caption.clone())),
+            ("headers", Json::strings(&self.headers)),
+            (
+                "rows",
+                Json::Array(self.rows.iter().map(|r| Json::strings(r)).collect()),
+            ),
+        ])
     }
 }
 
-/// Whether this process was asked for JSON output (`--json` anywhere in
-/// the argument list — `streach_exp` scans flags loosely, like
-/// `--full` and `--backend=`).
-pub fn json_requested() -> bool {
-    std::env::args().any(|a| a == "--json")
-}
-
-/// Emits a run's tables to stdout honoring `--json`: markdown tables by
-/// default, one JSON array of table objects otherwise. Every
-/// `streach_exp` run ends with this call.
-pub fn emit_all(tables: &[Table]) {
-    if json_requested() {
-        let body: Vec<String> = tables.iter().map(Table::to_json).collect();
-        println!("[{}]", body.join(","));
+/// Emits a run's tables to stdout: markdown tables, or with `json` one
+/// JSON array of table objects rendered by the [`reach_obs::json`] writer.
+/// Every `streach_exp` run ends with this call.
+pub fn emit_all(tables: &[Table], json: bool) {
+    if json {
+        print!(
+            "{}",
+            Json::Array(tables.iter().map(Table::to_json).collect()).render()
+        );
     } else {
         for t in tables {
-            t.print();
+            println!("{}", t.to_markdown());
         }
     }
-}
-
-/// Minimal JSON string encoding (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Compact float formatting for table cells.
@@ -229,17 +179,6 @@ mod tests {
     fn ragged_rows_rejected() {
         let mut t = Table::new("x", "y", &["a"]);
         t.row(vec!["1".into(), "2".into()]);
-    }
-
-    #[test]
-    fn json_shape_and_escaping() {
-        let mut t = Table::new("Figure 0", "quo\"te — em", &["a", "b"]);
-        t.row(vec!["1".into(), "line\nbreak".into()]);
-        let j = t.to_json();
-        assert!(j.starts_with("{\"id\":\"Figure 0\""));
-        assert!(j.contains("\"caption\":\"quo\\\"te — em\""));
-        assert!(j.contains("\"headers\":[\"a\",\"b\"]"));
-        assert!(j.contains("\"rows\":[[\"1\",\"line\\nbreak\"]]"));
     }
 
     #[test]

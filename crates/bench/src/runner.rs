@@ -4,7 +4,9 @@
 //! runner executes a batch against any [`ReachIndex`] and aggregates the
 //! paper's metrics (normalized IOs, CPU time) plus auxiliary counters.
 
-use reach_core::{Query, ReachIndex, ReachRequest};
+use reach_core::{Answer, Query, ReachIndex, ReachRequest};
+use reach_live::ShardedLive;
+use reach_obs::{SpanEvent, Tracer};
 use reach_storage::BlockDevice;
 use std::time::Duration;
 
@@ -58,6 +60,56 @@ pub fn run_batch(index: &dyn ReachIndex, queries: &[Query]) -> BatchResult {
         mean_cpu: total_cpu.div_f64(n),
         mean_visited: total_visited as f64 / n,
     }
+}
+
+/// Answers `request` traced by `tracer` and asserts the trace's span IO
+/// sums to the answer's own counters — the attribution contract `exp_obs`
+/// and the perf gate both check. Returns the answer and the drained spans.
+pub(crate) fn answer_traced(
+    index: &dyn ReachIndex,
+    request: &ReachRequest,
+    tracer: &Tracer,
+) -> (Answer, Vec<SpanEvent>) {
+    let a = index
+        .answer(&request.clone().with_trace(tracer.clone()))
+        .unwrap_or_else(|e| panic!("traced {} failed: {e}", request.trace_label()));
+    let events = tracer.take_events();
+    let span_io = events.iter().fold((0, 0), |(random, seq), ev| {
+        (random + ev.io.random_reads, seq + ev.io.seq_reads)
+    });
+    assert_eq!(
+        span_io,
+        (a.stats.random_ios, a.stats.seq_ios),
+        "span IO must sum to the query's own counters ({})",
+        request.trace_label()
+    );
+    (a, events)
+}
+
+/// Evaluates `queries` `rounds` times on a cold live index and on its
+/// shared-cache twin, asserting identical answers; returns the device
+/// pages each read in total, `(cold, warm)`.
+pub(crate) fn cold_vs_warm_reads(
+    cold: &ShardedLive,
+    warm: &ShardedLive,
+    queries: &[Query],
+    rounds: usize,
+) -> (u64, u64) {
+    let (mut cold_reads, mut warm_reads) = (0, 0);
+    for _ in 0..rounds {
+        for q in queries {
+            let a = cold.evaluate_query(q).expect("cold query");
+            let b = warm.evaluate_query(q).expect("warm query");
+            assert_eq!(
+                a.reachable(),
+                b.reachable(),
+                "warm shared cache changed the answer of {q}"
+            );
+            cold_reads += a.stats.random_ios + a.stats.seq_ios;
+            warm_reads += b.stats.random_ios + b.stats.seq_ios;
+        }
+    }
+    (cold_reads, warm_reads)
 }
 
 /// Wall-clock timing of a construction step.

@@ -447,7 +447,8 @@ impl ContactTrace {
     ///    timestamps (never as [`RawRecord`]s), because `#!` directives may
     ///    appear anywhere and decide how every record is read. A line the
     ///    source cannot parse is counted and skipped ([`ErrorMode::Lossy`])
-    ///    or ends the drain ([`ErrorMode::Strict`]).
+    ///    or ends the drain ([`ErrorMode::Strict`]); a failed read
+    ///    ([`IngestError::Io`]) ends it in both modes.
     /// 2. **Resolution** — origin, time scale and id policy come from the
     ///    options, then the directives, then the defaults (the smallest
     ///    timestamp, 1, dense).
@@ -483,11 +484,11 @@ impl ContactTrace {
                     start: rec.start,
                     end: rec.end,
                 }),
-                (Err(_), ErrorMode::Lossy) => skipped += 1,
-                (Err(e), ErrorMode::Strict) => {
+                (Err(e @ IngestError::Io(_)), _) | (Err(e), ErrorMode::Strict) => {
                     source_err = Some(e);
                     break;
                 }
+                (Err(_), ErrorMode::Lossy) => skipped += 1,
             }
         }
         let dir = source.directives();
@@ -789,11 +790,13 @@ fn sniff_directives(text: &str) -> Directives {
 }
 
 /// Shared line scanner: skips blanks and comments, accumulates `#!`
-/// directives, splits data lines on whitespace / `,` / `;`.
+/// directives, splits data lines on whitespace / `,` / `;`. A line that is
+/// not UTF-8 is a malformed line; a failed read is an [`IngestError::Io`]
+/// that ends the drain in either [`ErrorMode`].
 pub(crate) struct LineCursor<R: BufRead> {
     reader: R,
     line: u64,
-    buf: String,
+    buf: Vec<u8>,
     directives: Directives,
 }
 
@@ -802,7 +805,7 @@ impl<R: BufRead> LineCursor<R> {
         Self {
             reader,
             line: 0,
-            buf: String::new(),
+            buf: Vec::new(),
             directives: Directives::default(),
         }
     }
@@ -816,7 +819,7 @@ impl<R: BufRead> LineCursor<R> {
     pub(crate) fn next_fields(&mut self) -> Option<Result<(u64, Vec<String>), IngestError>> {
         loop {
             self.buf.clear();
-            match self.reader.read_line(&mut self.buf) {
+            match self.reader.read_until(b'\n', &mut self.buf) {
                 Ok(0) => return None,
                 Ok(_) => {}
                 Err(e) => {
@@ -827,7 +830,10 @@ impl<R: BufRead> LineCursor<R> {
                 }
             }
             self.line += 1;
-            let t = self.buf.trim();
+            let Ok(text) = std::str::from_utf8(&self.buf) else {
+                return Some(Err(IngestError::parse(self.line, "line is not UTF-8")));
+            };
+            let t = text.trim();
             if t.is_empty() {
                 continue;
             }

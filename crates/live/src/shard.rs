@@ -117,7 +117,7 @@ use crate::config::{
 };
 use crate::delta::DeltaDn;
 use crate::log::{AppendLog, LogRecovery};
-use reach_contact::ingest::RecordMap;
+use reach_contact::ingest::{IngestError, RecordMap};
 use reach_contact::{ContactSource, ErrorMode};
 use reach_core::attribute_stats;
 use reach_core::frontier::WeightedFrontier;
@@ -543,7 +543,8 @@ impl ShardedLive {
     /// rebased/scaled by `origin` and `time_scale` through the same
     /// [`RecordMap`] batch ingestion uses. Parse and conversion failures
     /// follow [`LiveConfig::mode`] (strict aborts with the offending line,
-    /// lossy counts and skips), as do late records.
+    /// lossy counts and skips), as do late records; a failed read of the
+    /// source ([`IngestError::Io`]) ends the drain in both modes.
     pub fn append_source<S: ContactSource>(
         &self,
         mut source: S,
@@ -572,10 +573,12 @@ impl ShardedLive {
                     }
                 }
                 Ok(_) => report.skipped += 1, // lossy-dropped late record
-                // Storage failures always propagate; *record* problems
-                // (parse, self-contact, unknown id, strict-late) follow the
-                // configured error mode.
-                Err(e @ LiveError::Index(_)) => return Err(e),
+                // Storage and source read failures always propagate;
+                // *record* problems (parse, self-contact, unknown id,
+                // strict-late) follow the configured error mode.
+                Err(e @ (LiveError::Index(_) | LiveError::Ingest(IngestError::Io(_)))) => {
+                    return Err(e)
+                }
                 Err(e) => match self.config.mode {
                     ErrorMode::Strict => return Err(e),
                     ErrorMode::Lossy => {

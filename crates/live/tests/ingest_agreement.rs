@@ -6,7 +6,9 @@
 //! `RecordMap`, so a drift in either shows here.
 
 use proptest::prelude::*;
-use reach_contact::ingest::{ContactTrace, EdgeListSource, IngestError, IngestOptions};
+use reach_contact::ingest::{
+    ContactSource, ContactTrace, EdgeListSource, IngestError, IngestOptions,
+};
 use reach_core::Contact;
 use reach_graph::GraphParams;
 use reach_live::{LiveConfig, LiveError, ShardedLive};
@@ -124,4 +126,78 @@ proptest! {
         };
         prop_assert_eq!(live_line, batch_line, "feed:\n{}", text);
     }
+}
+
+/// A reader whose first `failures` reads fail, then reports end of input.
+struct FailingReader {
+    failures: u32,
+}
+
+impl std::io::Read for FailingReader {
+    fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+        if self.failures == 0 {
+            return Ok(0);
+        }
+        self.failures -= 1;
+        Err(std::io::Error::other("device gone"))
+    }
+}
+
+fn failing_source() -> EdgeListSource<std::io::BufReader<FailingReader>> {
+    EdgeListSource::new(std::io::BufReader::new(FailingReader { failures: 1000 }))
+}
+
+#[test]
+fn a_failing_reader_ends_the_drain_in_both_modes() {
+    for options in [IngestOptions::lossy(), IngestOptions::strict()] {
+        let batch = ContactTrace::load(failing_source(), &options);
+        assert!(
+            matches!(batch, Err(IngestError::Io(_))),
+            "{options:?}: {batch:?}"
+        );
+    }
+    for config in [graph_config(), graph_config().strict()] {
+        let live = live_index(config).append_source(failing_source(), 0, 1);
+        assert!(
+            matches!(live, Err(LiveError::Ingest(IngestError::Io(_)))),
+            "{live:?}"
+        );
+    }
+}
+
+#[test]
+fn a_line_that_is_not_utf8_is_one_malformed_line() {
+    let feed: &[u8] = b"0 1 5\n\xff\n2 3 7\nbad\n";
+    let mut source = EdgeListSource::new(feed);
+    let lines: Vec<Result<u64, u64>> = std::iter::from_fn(|| source.next_record())
+        .map(|r| match r {
+            Ok(rec) => Ok(rec.line),
+            Err(IngestError::Parse { line, .. }) => Err(line),
+            Err(e) => panic!("{e}"),
+        })
+        .collect();
+    assert_eq!(lines, [Ok(1), Err(2), Ok(3), Err(4)]);
+
+    let options = batch_options(IngestOptions::lossy(), 0, 1);
+    let batch = ContactTrace::load(EdgeListSource::new(feed), &options).unwrap();
+    assert_eq!((batch.records(), batch.skipped()), (2, 2));
+    let report = live_index(graph_config())
+        .append_source(EdgeListSource::new(feed), 0, 1)
+        .unwrap();
+    assert_eq!((report.appended, report.skipped), (2, 2));
+
+    let options = batch_options(IngestOptions::strict(), 0, 1);
+    let batch = ContactTrace::load(EdgeListSource::new(feed), &options);
+    assert!(
+        matches!(batch, Err(IngestError::Parse { line: 2, .. })),
+        "{batch:?}"
+    );
+    let live = live_index(graph_config().strict()).append_source(EdgeListSource::new(feed), 0, 1);
+    assert!(
+        matches!(
+            live,
+            Err(LiveError::Ingest(IngestError::Parse { line: 2, .. }))
+        ),
+        "{live:?}"
+    );
 }

@@ -19,6 +19,9 @@
 //!   ring of recent span events plus a bounded log of threshold-crossing
 //!   queries, dumped on demand or on worker panic.
 //!
+//! [`json`] is the workspace's one JSON writer (the registry snapshot, the
+//! perf-gate report and `streach_exp --json` all render through it).
+//!
 //! The binding contract, asserted by the tier-1 `observability.rs` suite:
 //! **attaching observability must not change the paper's counted-IO
 //! numbers** — tracing only observes counters the evaluation computes
@@ -27,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
 pub mod recorder;
 pub mod registry;
 pub mod span;

@@ -19,6 +19,7 @@
 //! metrics publish p50/p99 from a fixed array of atomics instead of an
 //! unbounded sample vector.
 
+use crate::json::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -290,42 +291,34 @@ impl Registry {
     }
 
     /// JSON snapshot: `{"counters": {...}, "gauges": {...}, "histograms":
-    /// {"name": {"count": n, "sum": s, "p50": v, "p99": v}}}`, sorted and
-    /// integer-valued (percentiles are bucket bounds).
+    /// {"name": {"count": n, "sum": s, "p50": v, "p99": v}}}`, sorted,
+    /// integer-valued (percentiles are bucket bounds), and rendered by the
+    /// [`crate::json`] writer.
     pub fn snapshot_json(&self) -> String {
         let metrics = self.metrics.lock().expect("registry poisoned").clone();
-        let section = |out: &mut String, title: &str, body: Vec<String>, last: bool| {
-            let _ = writeln!(out, "  \"{title}\": {{");
-            let n = body.len();
-            for (i, line) in body.into_iter().enumerate() {
-                let comma = if i + 1 < n { "," } else { "" };
-                let _ = writeln!(out, "    {line}{comma}");
-            }
-            let _ = writeln!(out, "  }}{}", if last { "" } else { "," });
-        };
-        let mut counters = Vec::new();
-        let mut gauges = Vec::new();
-        let mut hists = Vec::new();
+        let (mut counters, mut gauges, mut hists) = (Vec::new(), Vec::new(), Vec::new());
         for (name, metric) in &metrics {
             let name = sanitize(name);
             match metric {
-                Metric::Counter(c) => counters.push(format!("\"{name}\": {}", c.get())),
-                Metric::Gauge(g) => gauges.push(format!("\"{name}\": {}", g.get())),
-                Metric::Histogram(h) => hists.push(format!(
-                    "\"{name}\": {{\"count\": {}, \"sum\": {}, \"p50\": {}, \"p99\": {}}}",
-                    h.count(),
-                    h.sum(),
-                    h.quantile(0.50),
-                    h.quantile(0.99)
+                Metric::Counter(c) => counters.push((name, Json::Uint(c.get()))),
+                Metric::Gauge(g) => gauges.push((name, Json::Uint(g.get()))),
+                Metric::Histogram(h) => hists.push((
+                    name,
+                    Json::object([
+                        ("count", Json::Uint(h.count())),
+                        ("sum", Json::Uint(h.sum())),
+                        ("p50", Json::Uint(h.quantile(0.50))),
+                        ("p99", Json::Uint(h.quantile(0.99))),
+                    ]),
                 )),
             }
         }
-        let mut out = String::from("{\n");
-        section(&mut out, "counters", counters, false);
-        section(&mut out, "gauges", gauges, false);
-        section(&mut out, "histograms", hists, true);
-        out.push_str("}\n");
-        out
+        Json::object([
+            ("counters", Json::Object(counters)),
+            ("gauges", Json::Object(gauges)),
+            ("histograms", Json::Object(hists)),
+        ])
+        .render()
     }
 }
 
@@ -438,13 +431,14 @@ mod tests {
         r.counter("c").add(1);
         r.set_gauge("g", 2);
         r.histogram("h").record(5);
-        let json = r.snapshot_json();
-        assert!(json.contains("\"counters\""), "{json}");
-        assert!(json.contains("\"c\": 1"), "{json}");
-        assert!(json.contains("\"g\": 2"), "{json}");
-        assert!(
-            json.contains("\"h\": {\"count\": 1, \"sum\": 5, \"p50\": 5, \"p99\": 5}"),
-            "{json}"
+        r.histogram("serve/io-x20").record(40); // sanitized; p50/p99 are the bucket bound 43
+        assert_eq!(
+            r.snapshot_json(),
+            "{\n  \"counters\": {\n    \"c\": 1\n  },\n  \"gauges\": {\n    \"g\": 2\n  },\n  \
+             \"histograms\": {\n    \
+             \"h\": {\n      \"count\": 1,\n      \"sum\": 5,\n      \"p50\": 5,\n      \"p99\": 5\n    },\n    \
+             \"serve_io_x20\": {\n      \"count\": 1,\n      \"sum\": 40,\n      \"p50\": 43,\n      \"p99\": 43\n    }\n  \
+             }\n}\n"
         );
     }
 
