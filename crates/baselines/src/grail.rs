@@ -20,9 +20,9 @@ use rand::SeedableRng;
 use reach_contact::{DnAccess, DnGraph};
 use reach_core::{
     Answer, IndexError, ObjectId, Query, QueryKind, QueryOutcome, QueryResult, QueryStats,
-    ReachIndex, ReachRequest, Time, TimeInterval,
+    RankDirection, ReachIndex, ReachRequest, Time, TimeInterval,
 };
-use reach_graph::{HnSource, Vertex};
+use reach_graph::{query_stats, HnSource, Vertex};
 use reach_storage::{
     read_record, BlockDevice, ByteReader, ByteWriter, Pager, RecordPtr, RecordWriter, SharedDevice,
     SimDevice, TimelineRegion,
@@ -173,35 +173,29 @@ impl<'a> GrailMem<'a> {
         }
         (false, count)
     }
+}
 
-    /// Evaluates a contact-network reachability query.
-    pub fn evaluate_query(&self, q: &Query) -> Result<QueryResult, IndexError> {
+impl ReachIndex for GrailMem<'_> {
+    fn name(&self) -> &'static str {
+        "GRAIL(mem)"
+    }
+
+    /// The label-pruned DFS from the source's vertex at `t1` to the
+    /// destination's vertex at `t2`.
+    fn evaluate(&self, q: &Query) -> Result<QueryResult, IndexError> {
         let started = Instant::now();
-        let horizon = self.dn.horizon();
-        if q.source.index() >= self.dn.num_objects() {
-            return Err(IndexError::UnknownObject(q.source));
-        }
-        if q.dest.index() >= self.dn.num_objects() {
-            return Err(IndexError::UnknownObject(q.dest));
-        }
-        if q.interval.start >= horizon {
-            return Err(IndexError::IntervalOutOfRange {
-                requested: q.interval,
-                horizon,
-            });
-        }
+        let window = q.admit(self.dn.num_objects(), self.dn.horizon())?;
         if q.source == q.dest {
             return Ok(QueryResult {
-                outcome: QueryOutcome::reachable_at(q.interval.start),
+                outcome: QueryOutcome::reachable_at(window.start),
                 stats: QueryStats {
                     cpu: started.elapsed(),
                     ..Default::default()
                 },
             });
         }
-        let t2 = q.interval.end.min(horizon - 1);
-        let u = self.dn.node_of(q.source, q.interval.start).0;
-        let v = self.dn.node_of(q.dest, t2).0;
+        let u = self.dn.node_of(q.source, window.start).0;
+        let v = self.dn.node_of(q.dest, window.end).0;
         let (reachable, visited) = self.reach(u, v);
         Ok(QueryResult {
             outcome: if reachable {
@@ -215,16 +209,6 @@ impl<'a> GrailMem<'a> {
                 ..Default::default()
             },
         })
-    }
-}
-
-impl ReachIndex for GrailMem<'_> {
-    fn name(&self) -> &'static str {
-        "GRAIL(mem)"
-    }
-
-    fn evaluate(&self, query: &Query) -> Result<QueryResult, IndexError> {
-        self.evaluate_query(query)
     }
 }
 
@@ -402,18 +386,10 @@ impl GrailDisk {
         source: ObjectId,
         interval: reach_core::TimeInterval,
     ) -> Result<(Vec<(ObjectId, Time)>, QueryStats), IndexError> {
-        if source.index() >= self.num_objects {
-            return Err(IndexError::UnknownObject(source));
-        }
-        if interval.start >= self.horizon {
-            return Err(IndexError::IntervalOutOfRange {
-                requested: interval,
-                horizon: self.horizon,
-            });
-        }
-        self.accounted(false, |view| {
-            reach_graph::reachable_set(view, source, interval)
-        })
+        let started = Instant::now();
+        let mut view = self.view(false)?;
+        let (rows, walk) = reach_graph::reachable_set(&mut view, source, interval)?;
+        Ok((rows, query_stats(view.pager.stats(), walk, started)))
     }
 
     /// Derives the DN₁ *reverse* adjacency from a reconstruction: an
@@ -450,77 +426,24 @@ impl GrailDisk {
         rev
     }
 
-    /// Runs one traversal through a reconstructed [`GrailHnView`] on a
-    /// cold pager, converting its counters into [`QueryStats`]. `with_rev`
-    /// additionally derives the reverse adjacency (reverse top-k needs it).
-    fn accounted<T>(
-        &self,
-        with_rev: bool,
-        run: impl FnOnce(&mut GrailHnView<'_>) -> Result<(T, reach_graph::TraversalStats), IndexError>,
-    ) -> Result<(T, QueryStats), IndexError> {
-        let started = Instant::now();
+    /// Opens one walk's [`GrailHnView`]: a cold pager, the member relation
+    /// reconstructed from the timeline region through it, and, when
+    /// `with_rev` (reverse top-k needs them), the derived reverse lists.
+    fn view(&self, with_rev: bool) -> Result<GrailHnView<'_>, IndexError> {
         let mut pager = self.open();
         let (intervals, members) = self.reconstruct_components(&mut pager)?;
-        let rev = with_rev.then(|| Self::derive_rev(&intervals, &members, self.num_objects));
-        let mut view = GrailHnView {
+        let rev = if with_rev {
+            Self::derive_rev(&intervals, &members, self.num_objects)
+        } else {
+            Vec::new()
+        };
+        Ok(GrailHnView {
             disk: self,
             pager,
-            intervals: &intervals,
-            members: &members,
-            rev: rev.as_deref(),
+            intervals,
+            members,
+            rev,
             fwd: Vec::new(),
-        };
-        let (value, tstats) = run(&mut view)?;
-        let io = view.pager.stats();
-        Ok((
-            value,
-            QueryStats {
-                random_ios: io.random_reads,
-                seq_ios: io.seq_reads,
-                visited: tstats.visited,
-                examined: tstats.examined,
-                cpu: started.elapsed(),
-            },
-        ))
-    }
-
-    /// Point decay query (see [`reach_graph::decay_reachable`]): the
-    /// member relation is reconstructed by inverting the timeline region,
-    /// then the shared weighted expansion runs over the view — GRAIL pays
-    /// its layout price on decay queries exactly as it does on frontier
-    /// extraction.
-    pub fn decay_reachable(
-        &self,
-        source: ObjectId,
-        dest: ObjectId,
-        interval: reach_core::TimeInterval,
-        model: &reach_core::DecayModel,
-        theta: f64,
-    ) -> Result<(Option<(f64, Time)>, QueryStats), IndexError> {
-        self.accounted(false, |view| {
-            reach_graph::decay_reachable(view, source, dest, interval, model, theta)
-        })
-    }
-
-    /// Top-k ranked decay query in either direction. The reverse walk
-    /// additionally derives DN₁ predecessor lists from the reconstruction
-    /// (GRAIL stores none on disk).
-    pub fn top_k(
-        &self,
-        anchor: ObjectId,
-        interval: reach_core::TimeInterval,
-        k: usize,
-        model: &reach_core::DecayModel,
-        direction: reach_core::RankDirection,
-    ) -> Result<(Vec<reach_core::Ranked>, QueryStats), IndexError> {
-        let reaching = direction == reach_core::RankDirection::Reaching;
-        self.accounted(reaching, |view| match direction {
-            reach_core::RankDirection::Reachable => {
-                reach_graph::top_k_reachable(view, anchor, interval, k, model)
-            }
-            reach_core::RankDirection::Reaching => {
-                reach_graph::top_k_reaching(view, anchor, interval, k, model)
-            }
         })
     }
 
@@ -536,43 +459,18 @@ impl GrailDisk {
         Ok((fwd, labels))
     }
 
-    /// Evaluates a query on a cold pager, counting IO.
-    pub fn evaluate_query(&self, q: &Query) -> Result<QueryResult, IndexError> {
-        let started = Instant::now();
-        let mut pager = self.open();
-        let mut stats = QueryStats::default();
-        let outcome = self.run(&mut pager, q, &mut stats)?;
-        let io = pager.stats();
-        stats.random_ios = io.random_reads;
-        stats.seq_ios = io.seq_reads;
-        stats.cpu = started.elapsed();
-        Ok(QueryResult { outcome, stats })
-    }
-
     fn run(
         &self,
         pager: &mut Pager,
         q: &Query,
         stats: &mut QueryStats,
     ) -> Result<QueryOutcome, IndexError> {
-        if q.source.index() >= self.num_objects {
-            return Err(IndexError::UnknownObject(q.source));
-        }
-        if q.dest.index() >= self.num_objects {
-            return Err(IndexError::UnknownObject(q.dest));
-        }
-        if q.interval.start >= self.horizon {
-            return Err(IndexError::IntervalOutOfRange {
-                requested: q.interval,
-                horizon: self.horizon,
-            });
-        }
+        let window = q.admit(self.num_objects, self.horizon)?;
         if q.source == q.dest {
-            return Ok(QueryOutcome::reachable_at(q.interval.start));
+            return Ok(QueryOutcome::reachable_at(window.start));
         }
-        let t2 = q.interval.end.min(self.horizon - 1);
-        let u = self.timeline.node_of(pager, q.source, q.interval.start)?;
-        let v = self.timeline.node_of(pager, q.dest, t2)?;
+        let u = self.timeline.node_of(pager, q.source, window.start)?;
+        let v = self.timeline.node_of(pager, q.dest, window.end)?;
         let (_, target_labels) = self.read_vertex(pager, v)?;
         let contained = |labels: &[(u32, u32)]| -> bool {
             labels
@@ -611,14 +509,15 @@ impl GrailDisk {
 /// DN1 out-edges, `Ht` lookup), so the frontier extraction runs the same
 /// code as ReachGraph's. GRAIL has no reverse
 /// edges or long-edge bundles on disk; forward-only walks get them empty
-/// (they never look), while the reverse top-k walk passes predecessor
+/// (they never look), while the reverse top-k walk gets predecessor
 /// lists derived in memory from the reconstruction (`rev`).
 struct GrailHnView<'a> {
     disk: &'a GrailDisk,
     pager: Pager,
-    intervals: &'a [TimeInterval],
-    members: &'a [Vec<u32>],
-    rev: Option<&'a [Vec<u32>]>,
+    intervals: Vec<TimeInterval>,
+    members: Vec<Vec<u32>>,
+    /// Per vertex, or empty when not derived.
+    rev: Vec<Vec<u32>>,
     /// The last visited vertex's out-edges, as read from its record.
     fwd: Vec<u32>,
 }
@@ -650,7 +549,7 @@ impl HnSource for GrailHnView<'_> {
             interval,
             &self.members[v as usize],
             &self.fwd,
-            self.rev.map_or(&[], |r| &r[v as usize]),
+            self.rev.get(v as usize).map_or(&[], Vec::as_slice),
         ))
     }
 
@@ -664,26 +563,39 @@ impl ReachIndex for GrailDisk {
         "GRAIL(disk)"
     }
 
+    /// The label-pruned DFS on a cold pager, counting IO.
     fn evaluate(&self, query: &Query) -> Result<QueryResult, IndexError> {
-        self.evaluate_query(query)
+        let started = Instant::now();
+        let mut pager = self.open();
+        let mut stats = QueryStats::default();
+        let outcome = self.run(&mut pager, query, &mut stats)?;
+        let io = pager.stats();
+        stats.random_ios = io.random_reads;
+        stats.seq_ios = io.seq_reads;
+        stats.cpu = started.elapsed();
+        Ok(QueryResult { outcome, stats })
     }
 
+    /// `Reach` runs the label-pruned DFS. `Decay` and `TopK` reconstruct
+    /// the member relation from the timeline region and run the shared
+    /// weighted walks over it ([`reach_graph::answer`]): GRAIL pays its
+    /// layout price on them exactly as it does on frontier extraction.
     fn answer(&self, request: &ReachRequest) -> Result<Answer, IndexError> {
-        let q = &request.query;
         match request.kind {
-            QueryKind::Reach => self.evaluate(q).map(Answer::from),
-            QueryKind::Decay { theta, model } => {
-                let (hit, stats) =
-                    self.decay_reachable(q.source, q.dest, q.interval, &model, theta)?;
-                Ok(Answer::decay(q.dest, hit, stats))
-            }
-            QueryKind::TopK {
-                k,
-                model,
-                direction,
-            } => {
-                let (ranking, stats) = self.top_k(q.source, q.interval, k, &model, direction)?;
-                Ok(Answer::ranked(ranking, stats))
+            QueryKind::Reach => self.evaluate(&request.query).map(Answer::from),
+            QueryKind::Decay { .. } | QueryKind::TopK { .. } => {
+                let started = Instant::now();
+                let reaching = matches!(
+                    request.kind,
+                    QueryKind::TopK {
+                        direction: RankDirection::Reaching,
+                        ..
+                    }
+                );
+                let mut view = self.view(reaching)?;
+                let (mut answer, walk) = reach_graph::answer(&mut view, request, self.name())?;
+                answer.stats = query_stats(view.pager.stats(), walk, started);
+                Ok(answer)
             }
             _ => Err(request.unsupported(self.name())),
         }
@@ -747,7 +659,7 @@ mod tests {
                 let b = rng.gen_range(a..60);
                 let q = Query::new(ObjectId(s), ObjectId(d), TimeInterval::new(a, b));
                 assert_eq!(
-                    grail.evaluate_query(&q).unwrap().reachable(),
+                    grail.evaluate(&q).unwrap().reachable(),
                     oracle.evaluate(&q).reachable,
                     "GRAIL(mem) mismatch on {q} (seed {seed})"
                 );
@@ -767,8 +679,8 @@ mod tests {
             let a = rng.gen_range(0..50);
             let b = rng.gen_range(a..50);
             let q = Query::new(ObjectId(s), ObjectId(d), TimeInterval::new(a, b));
-            let m = mem.evaluate_query(&q).unwrap().reachable();
-            let dk = disk.evaluate_query(&q).unwrap();
+            let m = mem.evaluate(&q).unwrap().reachable();
+            let dk = disk.evaluate(&q).unwrap();
             assert_eq!(m, dk.reachable(), "disk/mem GRAIL disagree on {q}");
             assert_eq!(m, oracle.evaluate(&q).reachable, "GRAIL wrong on {q}");
         }
@@ -788,7 +700,7 @@ mod tests {
             let d = rng.gen_range(0..8u32);
             let q = Query::new(ObjectId(s), ObjectId(d), TimeInterval::new(0, 119));
             if s != d && !oracle.evaluate(&q).reachable {
-                let r = grail.evaluate_query(&q).unwrap();
+                let r = grail.evaluate(&q).unwrap();
                 pruned_visits += r.stats.visited;
                 unreachable += 1;
             }
@@ -835,7 +747,7 @@ mod tests {
         let (dn, _) = random_world(7, 6, 40, 0.06);
         let disk = GrailDisk::build(&dn, 2, 1, 128, 8).unwrap();
         let q = Query::new(ObjectId(0), ObjectId(5), TimeInterval::new(0, 39));
-        let r = disk.evaluate_query(&q).unwrap();
+        let r = disk.evaluate(&q).unwrap();
         assert!(r.stats.random_ios + r.stats.seq_ios > 0);
     }
 }

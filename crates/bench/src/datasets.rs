@@ -404,12 +404,25 @@ pub struct ScratchLive {
     dir: RemoveOnDrop,
 }
 
-struct RemoveOnDrop(Option<PathBuf>);
+/// Removes a scratch path (a directory tree or a file) when dropped, also
+/// while a panic unwinds. `None` guards nothing.
+pub struct RemoveOnDrop(Option<PathBuf>);
+
+impl RemoveOnDrop {
+    /// The guarded path.
+    pub fn path(&self) -> Option<&Path> {
+        self.0.as_deref()
+    }
+}
 
 impl Drop for RemoveOnDrop {
     fn drop(&mut self) {
-        if let Some(dir) = &self.0 {
-            let _ = std::fs::remove_dir_all(dir);
+        if let Some(path) = &self.0 {
+            let _ = if path.is_dir() {
+                std::fs::remove_dir_all(path)
+            } else {
+                std::fs::remove_file(path)
+            };
         }
     }
 }
@@ -458,7 +471,7 @@ impl ScratchLive {
 
     /// The storage directory (`None` on `sim`).
     pub fn dir(&self) -> Option<&Path> {
-        self.dir.0.as_deref()
+        self.dir.path()
     }
 
     /// A shared handle to the index (it outlives the directory if held
@@ -537,23 +550,35 @@ pub fn vnr(tier: Tier) -> DatasetSpec {
 /// from the file. `exp_trace` uses this as its no-network fallback, so CI
 /// exercises writer, parser, and the event-direct DN build end to end.
 ///
-/// Returns the spec and the path of the written trace (caller owns the
-/// file).
-pub fn synthetic_trace(tier: Tier, dir: &Path) -> (DatasetSpec, std::path::PathBuf) {
+/// Returns the spec and a guard that removes the written trace file when
+/// dropped, also if the caller panics.
+pub fn synthetic_trace(tier: Tier, dir: &Path) -> (DatasetSpec, RemoveOnDrop) {
     let source = match tier {
         Tier::Quick => DatasetSpec::rwp("trace-rwp", 500, 1500, 77),
         Tier::Full => DatasetSpec::rwp("trace-rwp", 1000, 4000, 77),
     };
+    write_trace(&source, dir)
+}
+
+/// Writes `source`'s contacts to a fresh trace file in `dir` and re-ingests
+/// it (see [`synthetic_trace`]).
+fn write_trace(source: &DatasetSpec, dir: &Path) -> (DatasetSpec, RemoveOnDrop) {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
     let store = source.generate();
     let contacts = source.contacts(&store);
     let trace = ContactTrace::from_parts(store.num_objects(), store.horizon(), contacts)
         .expect("extracted contacts fit their own universe");
-    let path = dir.join(format!("streach-synth-{}.trace", std::process::id()));
+    let path = dir.join(format!(
+        "streach-synth-{}-{}.trace",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let guard = RemoveOnDrop(Some(path.clone()));
     let file = std::fs::File::create(&path).expect("synthetic trace file creates");
     reach_contact::ingest::write_events(&trace, std::io::BufWriter::new(file))
         .expect("synthetic trace writes");
-    let spec = DatasetSpec::trace("trace-rwp", &path).expect("own trace re-ingests");
-    (spec, path)
+    let spec = DatasetSpec::trace(&source.name, &path).expect("own trace re-ingests");
+    (spec, guard)
 }
 
 #[cfg(test)]
@@ -724,19 +749,28 @@ mod tests {
 
     #[test]
     fn synthetic_trace_round_trips_through_a_file() {
-        let dir = std::env::temp_dir();
         let tiny = DatasetSpec::rwp("tiny", 40, 120, 9);
-        let store = tiny.generate();
-        let contacts = tiny.contacts(&store);
-        let trace =
-            ContactTrace::from_parts(store.num_objects(), store.horizon(), contacts).unwrap();
-        let path = dir.join(format!("streach-test-{}.trace", std::process::id()));
-        let f = std::fs::File::create(&path).unwrap();
-        reach_contact::ingest::write_events(&trace, f).unwrap();
-        let spec = DatasetSpec::trace("tiny-trace", &path).unwrap();
-        let _ = std::fs::remove_file(&path);
+        let (spec, guard) = write_trace(&tiny, &std::env::temp_dir());
+        let path = guard.path().expect("a file is guarded").to_path_buf();
+        assert!(path.is_file());
         let direct = spec.build_dn(&spec.generate());
-        let reference = tiny.build_dn(&store);
+        let reference = tiny.build_dn(&tiny.generate());
         assert_eq!(direct.nodes(), reference.nodes());
+        drop(guard);
+        assert!(!path.exists(), "dropping the guard removes the trace");
+    }
+
+    #[test]
+    fn a_panic_removes_the_synthetic_trace() {
+        let tiny = DatasetSpec::rwp("tiny", 20, 40, 3);
+        let written = std::sync::Mutex::new(None);
+        let unwound = std::panic::catch_unwind(|| {
+            let (_spec, guard) = write_trace(&tiny, &std::env::temp_dir());
+            *written.lock().unwrap() = guard.path().map(Path::to_path_buf);
+            panic!("experiment failed while the trace was in use");
+        });
+        assert!(unwound.is_err());
+        let path = written.into_inner().unwrap().expect("a file was written");
+        assert!(!path.exists(), "{} outlived the panic", path.display());
     }
 }

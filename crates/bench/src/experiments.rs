@@ -15,7 +15,7 @@ use crate::runner::{
 };
 use reach_baselines::{GrailDisk, GrailMem};
 use reach_contact::{reduction_stats_for, DnGraph, MultiRes};
-use reach_core::{Contact, Query, ReachIndex as _, Time};
+use reach_core::{Contact, Query, ReachIndex as _, ReachRequest, Time};
 use reach_graph::{GraphParams, MemoryHn, ReachGraph, TraversalKind};
 use reach_grid::{GridParams, ReachGrid, Spj};
 use reach_live::{LiveConfig, ShardedLive};
@@ -157,7 +157,7 @@ fn live_vs_batch(
     queries: &[Query],
 ) -> Table {
     for q in queries {
-        let a = live.evaluate_query(q).expect("live query");
+        let a = live.evaluate(q).expect("live query");
         let b = batch.evaluate(q).expect("batch query");
         assert_eq!(
             a.reachable(),
@@ -739,15 +739,16 @@ pub fn exp_table5(run: &Run) -> Vec<Table> {
 /// full text pipeline ([`crate::datasets::synthetic_trace`]) so the
 /// experiment — and its CI smoke run — needs no network access.
 pub fn exp_trace(run: &Run) -> Vec<Table> {
-    let (spec, temp_path) = match &run.trace {
+    // Holds the synthetic trace file until the experiment ends or panics.
+    let (spec, _synthetic) = match &run.trace {
         Some(path) => (
             DatasetSpec::trace("trace", path)
                 .unwrap_or_else(|e| panic!("loading trace {}: {e}", path.display())),
             None,
         ),
         None => {
-            let (spec, path) = crate::datasets::synthetic_trace(run.tier, &std::env::temp_dir());
-            (spec, Some(path))
+            let (spec, guard) = crate::datasets::synthetic_trace(run.tier, &std::env::temp_dir());
+            (spec, Some(guard))
         }
     };
     let trace = spec.contact_trace().expect("trace spec carries its trace");
@@ -793,10 +794,6 @@ pub fn exp_trace(run: &Run) -> Vec<Table> {
         out.push(exp_trace_budgeted(
             run, trace, &queries, &mut rg, &mut grail, budget,
         ));
-    }
-
-    if let Some(path) = temp_path {
-        let _ = std::fs::remove_file(path);
     }
     out
 }
@@ -1389,7 +1386,7 @@ pub fn exp_shard(run: &Run) -> Vec<Table> {
     let probe = |live: &ShardedLive, tag: &str| -> (f64, f64) {
         let (mut random, mut seq) = (0u64, 0u64);
         for q in &queries {
-            let got = live.evaluate_query(q).expect("sharded query evaluates");
+            let got = live.evaluate(q).expect("sharded query evaluates");
             let want = oracle.evaluate(q);
             assert_eq!(
                 got.reachable(),
@@ -1493,9 +1490,15 @@ pub fn exp_decay(run: &Run) -> Vec<Table> {
     for theta in [0.05, 0.2, 0.5, 0.8] {
         let (mut random, mut seq, mut visited, mut hits) = (0u64, 0u64, 0u64, 0u64);
         for (q, best) in queries.iter().zip(&best) {
-            let (got, stats) = rg
-                .decay_reachable(q.source, q.dest, q.interval, &model, theta)
+            let answer = rg
+                .answer(&ReachRequest::decay(
+                    q.source, q.interval, q.dest, theta, model,
+                ))
                 .expect("decay query evaluates");
+            let (got, stats) = (
+                answer.ranking.first().map(|r| (r.weight, r.arrival)),
+                answer.stats,
+            );
             let want = oracle.lookup(best, q.dest).filter(|&(w, _)| w >= theta);
             assert_eq!(
                 got, want,
@@ -1526,9 +1529,16 @@ pub fn exp_decay(run: &Run) -> Vec<Table> {
     let io_of = |stats: &reach_core::QueryStats| stats.random_ios + stats.seq_ios;
     let mut full_io = 0u64;
     let mut full_lists = Vec::new();
+    let top_k = |a, iv, k, direction| {
+        let request = match direction {
+            RankDirection::Reachable => ReachRequest::top_k_reachable(a, iv, k, model),
+            RankDirection::Reaching => ReachRequest::top_k_reaching(a, iv, k, model),
+        };
+        rg.answer(&request)
+            .map(|answer| (answer.ranking, answer.stats))
+    };
     for &(a, iv) in &anchors {
-        let (list, stats) = rg
-            .top_k(a, iv, store.num_objects(), &model, RankDirection::Reachable)
+        let (list, stats) = top_k(a, iv, store.num_objects(), RankDirection::Reachable)
             .expect("full enumeration evaluates");
         full_io += io_of(&stats);
         full_lists.push(list);
@@ -1546,9 +1556,7 @@ pub fn exp_decay(run: &Run) -> Vec<Table> {
     for k in [1usize, 5, 20] {
         let mut k_io = 0u64;
         for (i, &(a, iv)) in anchors.iter().enumerate() {
-            let (list, stats) = rg
-                .top_k(a, iv, k, &model, RankDirection::Reachable)
-                .expect("top-k evaluates");
+            let (list, stats) = top_k(a, iv, k, RankDirection::Reachable).expect("top-k evaluates");
             k_io += io_of(&stats);
             assert_eq!(
                 list,
@@ -1585,9 +1593,7 @@ pub fn exp_decay(run: &Run) -> Vec<Table> {
         let (mut io, mut visited) = (0u64, 0u64);
         let probes = &anchors[..8.min(anchors.len())];
         for &(a, iv) in probes {
-            let (list, stats) = rg
-                .top_k(a, iv, 5, &model, direction)
-                .expect("ranked query evaluates");
+            let (list, stats) = top_k(a, iv, 5, direction).expect("ranked query evaluates");
             io += io_of(&stats);
             visited += stats.visited;
             let want = match direction {

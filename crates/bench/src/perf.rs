@@ -24,7 +24,7 @@ use crate::datasets::{Backend, DatasetSpec, ScratchLive};
 use crate::runner::{answer_traced, assert_same_pages, cold_vs_warm_reads, timed};
 use reach_baselines::GrailDisk;
 use reach_contact::{MultiRes, StreamedDn, DEFAULT_LEVELS};
-use reach_core::{Answer, IndexError, Query, QueryResult, ReachIndex as _};
+use reach_core::{Answer, IndexError, Query, QueryResult, ReachIndex as _, ReachRequest};
 use reach_graph::{GraphParams, ReachGraph};
 use reach_grid::{GridParams, ReachGrid};
 use reach_mobility::WorkloadConfig;
@@ -510,38 +510,29 @@ pub fn quick_suite() -> (PerfReport, f64) {
         let decay_model = reach_core::DecayModel::new(0.7, 0.99).expect("factors lie in (0, 1]");
         let (mut drandom, mut dseq, mut dreachable) = (0u64, 0u64, 0u64);
         for q in &queries {
-            let (hit, stats) = graph
-                .decay_reachable(q.source, q.dest, q.interval, &decay_model, 0.02)
+            let request = ReachRequest::decay(q.source, q.interval, q.dest, 0.02, decay_model);
+            let a = graph
+                .answer(&request)
                 .unwrap_or_else(|e| panic!("perf decay query {q} failed: {e}"));
-            drandom += stats.random_ios;
-            dseq += stats.seq_ios;
-            dreachable += u64::from(hit.is_some());
+            drandom += a.stats.random_ios;
+            dseq += a.stats.seq_ios;
+            dreachable += u64::from(a.reachable());
         }
         counters.insert("rwp/decay/point/random_reads".into(), drandom);
         counters.insert("rwp/decay/point/seq_reads".into(), dseq);
         counters.insert("rwp/decay/point/reachable".into(), dreachable);
         let (mut topk_reads, mut full_reads) = (0u64, 0u64);
         for q in queries.iter().take(20) {
-            let (short, stats) = graph
-                .top_k(
-                    q.source,
-                    q.interval,
-                    5,
-                    &decay_model,
-                    reach_core::RankDirection::Reachable,
-                )
+            let top_k = |k| ReachRequest::top_k_reachable(q.source, q.interval, k, decay_model);
+            let short = graph
+                .answer(&top_k(5))
                 .unwrap_or_else(|e| panic!("perf top-k query failed: {e}"));
-            topk_reads += stats.random_ios + stats.seq_ios;
-            let (full, stats) = graph
-                .top_k(
-                    q.source,
-                    q.interval,
-                    store.num_objects(),
-                    &decay_model,
-                    reach_core::RankDirection::Reachable,
-                )
+            topk_reads += short.stats.random_ios + short.stats.seq_ios;
+            let full = graph
+                .answer(&top_k(store.num_objects()))
                 .unwrap_or_else(|e| panic!("perf full-enumeration query failed: {e}"));
-            full_reads += stats.random_ios + stats.seq_ios;
+            full_reads += full.stats.random_ios + full.stats.seq_ios;
+            let (short, full) = (short.ranking, full.ranking);
             assert_eq!(
                 short.as_slice(),
                 &full[..5.min(full.len())],
@@ -653,9 +644,7 @@ pub fn quick_suite() -> (PerfReport, f64) {
             live_stats.compaction_spill_io.total_reads()
                 + live_stats.compaction_spill_io.total_writes(),
         );
-        record_batch(&mut counters, "rwp/live", &queries, |q| {
-            live.evaluate_query(q)
-        });
+        record_batch(&mut counters, "rwp/live", &queries, |q| live.evaluate(q));
 
         // Serving: the same queries through the `ReachIndex` envelope the
         // serve layer dispatches on. Quiesced, per-query counted IO is a
@@ -684,11 +673,9 @@ pub fn quick_suite() -> (PerfReport, f64) {
             .collect();
         let window = reach_core::TimeInterval::new(0, live.now() - 1);
         let answers = live
-            .evaluate_batch(
-                reach_core::ObjectId(0),
-                window,
+            .answer_batch(
+                &ReachRequest::reach(reach_core::ObjectId(0), window, reach_core::ObjectId(0)),
                 &dests,
-                &reach_obs::Tracer::off(),
             )
             .expect("perf serve batch evaluates");
         let batch_random: u64 = answers.iter().map(|a| a.stats.random_ios).sum();
@@ -772,7 +759,7 @@ pub fn quick_suite() -> (PerfReport, f64) {
         );
         counters.insert("rwp/shard/delta_peak_bytes".into(), sealed.delta_peak_bytes);
         let [srandom, sseq, _, sreachable] =
-            batch_totals("rwp/shard", &queries, |q| shard.evaluate_query(q));
+            batch_totals("rwp/shard", &queries, |q| shard.evaluate(q));
         counters.insert("rwp/shard/query/random_reads".into(), srandom);
         counters.insert("rwp/shard/query/seq_reads".into(), sseq);
         counters.insert("rwp/shard/query/reachable".into(), sreachable);
@@ -788,8 +775,7 @@ pub fn quick_suite() -> (PerfReport, f64) {
             shard.shard_count() as u64,
         );
         // Single-threaded reference over the merged layout…
-        let [mrandom, mseq, ..] =
-            batch_totals("rwp/shard merged", &queries, |q| shard.evaluate_query(q));
+        let [mrandom, mseq, ..] = batch_totals("rwp/shard merged", &queries, |q| shard.evaluate(q));
         // …then the same queries through the serve layer's worker pool:
         // concurrency must not change one counted read.
         let pool = reach_serve::Server::start(

@@ -98,8 +98,8 @@ pub(crate) fn cold_vs_warm_reads(
     let (mut cold_reads, mut warm_reads) = (0, 0);
     for _ in 0..rounds {
         for q in queries {
-            let a = cold.evaluate_query(q).expect("cold query");
-            let b = warm.evaluate_query(q).expect("warm query");
+            let a = cold.evaluate(q).expect("cold query");
+            let b = warm.evaluate(q).expect("warm query");
             assert_eq!(
                 a.reachable(),
                 b.reachable(),

@@ -40,7 +40,7 @@ pub use frontier::{FrontierHandoff, WeightedFrontier};
 pub use geom::{Coord, Environment, Mbr, Point};
 pub use hash::{FxHashMap, FxHasher};
 pub use ids::{NodeId, ObjectId};
-pub use query::{Query, QueryOutcome, QueryResult, QueryStats};
+pub use query::{admit_object, admit_window, Query, QueryOutcome, QueryResult, QueryStats};
 pub use request::{attribute_stats, Answer, QueryKind, ReachIndex, ReachRequest, Serial};
 pub use time::{Time, TimeInterval};
 pub use unionfind::UnionFind;

@@ -1,5 +1,6 @@
 //! Reachability queries and their results.
 
+use crate::error::IndexError;
 use crate::ids::ObjectId;
 use crate::time::{Time, TimeInterval};
 use std::fmt;
@@ -28,6 +29,40 @@ impl Query {
             interval,
         }
     }
+
+    /// The admission check every index runs before it walks (`QUERIES.md`):
+    /// the source, then the destination, must lie in the object universe
+    /// `[0, num_objects)`, and the window must pass [`admit_window`]. Returns
+    /// the window clipped to the horizon.
+    pub fn admit(&self, num_objects: usize, horizon: Time) -> Result<TimeInterval, IndexError> {
+        admit_object(self.source, num_objects)?;
+        admit_object(self.dest, num_objects)?;
+        admit_window(self.interval, horizon)
+    }
+}
+
+/// `UnknownObject(o)` unless `o` lies in the object universe
+/// `[0, num_objects)`: the object half of [`Query::admit`], which seeded
+/// walks run per seed.
+pub fn admit_object(o: ObjectId, num_objects: usize) -> Result<(), IndexError> {
+    if o.index() < num_objects {
+        Ok(())
+    } else {
+        Err(IndexError::UnknownObject(o))
+    }
+}
+
+/// The window half of [`Query::admit`]: `IntervalOutOfRange` when `window`
+/// starts at or past `horizon` (the indexed ticks are `[0, horizon)`),
+/// otherwise `window` with its end clipped to `horizon - 1`.
+pub fn admit_window(window: TimeInterval, horizon: Time) -> Result<TimeInterval, IndexError> {
+    if window.start >= horizon {
+        return Err(IndexError::IntervalOutOfRange {
+            requested: window,
+            horizon,
+        });
+    }
+    Ok(TimeInterval::new(window.start, window.end.min(horizon - 1)))
 }
 
 impl fmt::Display for Query {
@@ -136,6 +171,24 @@ mod tests {
     fn display_formats_like_the_paper() {
         let q = Query::new(ObjectId(1), ObjectId(4), TimeInterval::new(0, 1));
         assert_eq!(format!("{q}"), "o1 ~[0, 1]~> o4");
+    }
+
+    #[test]
+    fn admission_checks_source_then_dest_then_window() {
+        let q = |s, d, a, b| Query::new(ObjectId(s), ObjectId(d), TimeInterval::new(a, b));
+        let unknown = |o| Err(IndexError::UnknownObject(ObjectId(o)));
+        assert_eq!(q(5, 7, 20, 30).admit(3, 10), unknown(5));
+        assert_eq!(q(0, 7, 20, 30).admit(3, 10), unknown(7));
+        assert_eq!(
+            q(0, 2, 10, 30).admit(3, 10),
+            Err(IndexError::IntervalOutOfRange {
+                requested: TimeInterval::new(10, 30),
+                horizon: 10
+            })
+        );
+        assert_eq!(q(0, 2, 9, 30).admit(3, 10), Ok(TimeInterval::new(9, 9)));
+        assert_eq!(q(1, 1, 2, 4).admit(3, 10), Ok(TimeInterval::new(2, 4)));
+        assert!(admit_window(TimeInterval::instant(0), 0).is_err());
     }
 
     #[test]

@@ -1,9 +1,5 @@
-//! The unified query surface: typed requests and the one index trait.
-//!
-//! Five query entry points grew up across the workspace — `ReachGrid`,
-//! `ReachGraph`, the disk GRAIL baseline, the live index, and the §7
-//! extension indexes each exposed their own signature. This module folds
-//! them into one surface:
+//! The one query surface: typed requests and the one index trait, the
+//! only way to query any index in the workspace.
 //!
 //! * [`ReachRequest`] / [`QueryKind`] — a typed request envelope. The
 //!   kind field is `#[non_exhaustive]` on purpose: the decay and top-k
@@ -19,6 +15,7 @@
 //!   provided [`ReachIndex::answer`] routes [`QueryKind::Reach`] to
 //!   [`ReachIndex::evaluate`] and rejects kinds the index does not speak;
 //!   indexes with richer semantics (decay, the §7 extensions) override it.
+//!   Every index admits a query through [`Query::admit`] before it walks.
 use crate::decay::{DecayModel, RankDirection, Ranked};
 use crate::error::IndexError;
 use crate::ids::ObjectId;

@@ -190,7 +190,8 @@ impl reach_core::ReachIndex for NonImmediateIndex {
     /// requests evaluate here.
     fn evaluate(&self, query: &Query) -> Result<QueryResult, IndexError> {
         let started = std::time::Instant::now();
-        let (ok, earliest) = self.reachable(query.source, query.dest, query.interval);
+        let window = query.admit(self.num_objects, self.per_tick.len() as Time)?;
+        let (ok, earliest) = self.reachable(query.source, query.dest, window);
         Ok(QueryResult {
             outcome: QueryOutcome {
                 reachable: ok,

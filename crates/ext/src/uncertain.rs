@@ -224,10 +224,9 @@ impl UReachGraph {
         p_threshold: f64,
     ) -> f64 {
         let n = self.num_objects();
-        if source.index() >= n || dest.index() >= n || interval.start >= self.horizon {
+        let Ok(interval) = Query::new(source, dest, interval).admit(n, self.horizon) else {
             return 0.0;
-        }
-        let interval = TimeInterval::new(interval.start, interval.end.min(self.horizon - 1));
+        };
         if source == dest {
             return 1.0;
         }
@@ -324,7 +323,8 @@ impl reach_core::ReachIndex for UReachGraph {
         }
         let started = std::time::Instant::now();
         let q = &request.query;
-        let p = self.best_probability(q.source, q.dest, q.interval, threshold);
+        let window = q.admit(self.num_objects(), self.horizon)?;
+        let p = self.best_probability(q.source, q.dest, window, threshold);
         Ok(Answer::from(QueryResult {
             outcome: if p >= threshold && p > 0.0 {
                 QueryOutcome::reachable()

@@ -68,7 +68,7 @@ impl LiveBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach_core::{Contact, ObjectId, Query, TimeInterval};
+    use reach_core::{Contact, ObjectId, Query, ReachIndex, TimeInterval};
     use reach_graph::GraphParams;
     use reach_storage::BuildBudget;
     use std::path::PathBuf;
@@ -122,7 +122,7 @@ mod tests {
             .expect("file-backed index reopens");
         assert_eq!(recovery.log.records, contacts.len() as u64);
         let q = Query::new(ObjectId(0), ObjectId(3), TimeInterval::new(0, 8));
-        assert!(reopened.evaluate_query(&q).expect("query").reachable());
+        assert!(reopened.evaluate(&q).expect("query").reachable());
         drop(reopened);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -157,7 +157,7 @@ mod tests {
         assert_eq!(recovery.shards, 1);
         assert_eq!(recovery.top_cut, 5);
         let q = Query::new(ObjectId(0), ObjectId(3), TimeInterval::new(0, 8));
-        assert!(live.evaluate_query(&q).expect("query").reachable());
+        assert!(live.evaluate(&q).expect("query").reachable());
         drop(live);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -34,7 +34,9 @@
 //!
 //! ## Cross-boundary queries
 //!
-//! A window inside one shard is that shard's own point query (BM-BFS). A
+//! Queries arrive through [`ReachIndex`] and are admitted against the live
+//! horizon `now`. A window inside one shard is that shard's own point
+//! query (BM-BFS). A
 //! window spanning cuts walks the shards in time order
 //! carrying a [`FrontierHandoff`]: the per-object earliest-arrival
 //! frontier leaves shard *i* at its cut and seeds shard *i+1*'s
@@ -119,12 +121,11 @@ use crate::delta::DeltaDn;
 use crate::log::{AppendLog, LogRecovery};
 use reach_contact::ingest::{IngestError, RecordMap};
 use reach_contact::{ContactSource, ErrorMode};
-use reach_core::attribute_stats;
 use reach_core::frontier::WeightedFrontier;
 use reach_core::{
-    Answer, Contact, DecayModel, FrontierHandoff, IndexError, ObjectId, Query, QueryKind,
-    QueryOutcome, QueryResult, QueryStats, RankDirection, Ranked, ReachIndex, ReachRequest, Time,
-    TimeInterval,
+    admit_object, admit_window, attribute_stats, Answer, Contact, DecayModel, FrontierHandoff,
+    IndexError, ObjectId, Query, QueryKind, QueryOutcome, QueryResult, QueryStats, RankDirection,
+    Ranked, ReachIndex, ReachRequest, Time, TimeInterval,
 };
 use reach_graph::ReachGraph;
 use reach_obs::Tracer;
@@ -209,9 +210,9 @@ pub struct ShardRecovery {
 }
 
 /// The live index (see the module docs). Shared by reference: every
-/// method takes `&self` and [`ReachIndex`] is implemented natively, so one
-/// index serves many reader threads while appends — and the rebuilds they
-/// trigger — run on others.
+/// method takes `&self`, and queries go only through [`ReachIndex`]
+/// (`evaluate`, `answer`, `answer_batch`), so one index serves many reader
+/// threads while appends — and the rebuilds they trigger — run on others.
 pub struct ShardedLive {
     num_objects: usize,
     config: LiveConfig,
@@ -794,31 +795,17 @@ impl ShardedLive {
 
     /// Evaluates a time-respecting reachability query over the full live
     /// horizon `[0, now)`: one shard's point query, or the cross-shard
-    /// frontier relay finished by the delta (see the module docs). Safe to
-    /// call from many threads at once; never blocked by an in-flight build.
-    pub fn evaluate_query(&self, q: &Query) -> Result<QueryResult, IndexError> {
-        self.evaluate_query_traced(q, &Tracer::off())
-    }
-
-    /// [`ShardedLive::evaluate_query`] with per-leg trace spans: every
-    /// sealed-epoch leg records a `shard/leg` span carrying its handoff
-    /// seed count and the leg's counted IO, and the delta tail records a
-    /// `shard/delta` span. Leg spans partition the query's `QueryStats`
-    /// exactly (each span observes the same per-leg stats the walk merges),
-    /// so summing span IO reproduces the answer's totals.
-    pub fn evaluate_query_traced(
-        &self,
-        q: &Query,
-        trace: &Tracer,
-    ) -> Result<QueryResult, IndexError> {
+    /// frontier relay finished by the delta (see the module docs). Every
+    /// sealed-epoch leg records a `shard/leg` span on `trace` carrying its
+    /// handoff seed count and the leg's counted IO, and the delta tail
+    /// records a `shard/delta` span. Leg spans partition the query's
+    /// `QueryStats` exactly (each span observes the same per-leg stats the
+    /// walk merges), so summing span IO reproduces the answer's totals.
+    fn reach(&self, q: &Query, trace: &Tracer) -> Result<QueryResult, IndexError> {
         let started = Instant::now();
         let st = self.read();
-        for o in [q.source, q.dest] {
-            if o.index() >= self.num_objects {
-                return Err(IndexError::UnknownObject(o));
-            }
-        }
-        let (t1, t2) = clip(q.interval, st.tail.delta.now())?;
+        let window = q.admit(self.num_objects, st.tail.delta.now())?;
+        let (t1, t2) = (window.start, window.end);
         let mut result = if q.source == q.dest {
             QueryResult {
                 outcome: QueryOutcome::reachable_at(t1),
@@ -863,9 +850,10 @@ impl ShardedLive {
         Ok(result)
     }
 
-    /// Composes the decay-weighted frontier of `source` across the shard
+    /// Composes the decay-weighted frontier of `q.source` across the shard
     /// sequence and the delta — the weighted sibling of the boolean relay
-    /// in [`ShardedLive::evaluate_query`]. The epoch covering `t1` seeds
+    /// in [`ShardedLive::reach`] — after admitting `q` (so `q.dest` must be
+    /// known too). The epoch covering `t1` seeds
     /// the source at face value; every later leg continues from the
     /// previous leg's carry groups, which preserve run-chain transfers up
     /// to the epoch cut and charge the boundary hop exactly when the
@@ -875,17 +863,14 @@ impl ShardedLive {
     /// every leg; ranked queries pass `0.0`.
     fn decay_frontier(
         &self,
-        source: ObjectId,
-        interval: TimeInterval,
+        q: &Query,
         model: &DecayModel,
         floor: f64,
         trace: &Tracer,
     ) -> Result<(WeightedFrontier, QueryStats), IndexError> {
         let st = self.read();
-        if source.index() >= self.num_objects {
-            return Err(IndexError::UnknownObject(source));
-        }
-        let (t1, t2) = clip(interval, st.tail.delta.now())?;
+        let window = q.admit(self.num_objects, st.tail.delta.now())?;
+        let (source, t1, t2) = (q.source, window.start, window.end);
         let w = st.tail.delta.watermark();
         let mut frontier = WeightedFrontier::seeded(source, t1);
         let mut stats = QueryStats::default();
@@ -945,7 +930,7 @@ impl ShardedLive {
     /// attributed to the *first* answer — subsequent answers in the batch
     /// cost no additional IO, which is the point. Each sealed leg records a
     /// `shard/leg` span on `trace`, so the spans sum to the batch's IO.
-    pub fn evaluate_batch(
+    fn reach_batch(
         &self,
         source: ObjectId,
         window: TimeInterval,
@@ -953,17 +938,15 @@ impl ShardedLive {
         trace: &Tracer,
     ) -> Result<Vec<Answer>, IndexError> {
         let started = Instant::now();
-        if source.index() >= self.num_objects {
-            return Err(IndexError::UnknownObject(source));
-        }
-        if let Some(&bad) = dests.iter().find(|d| d.index() >= self.num_objects) {
-            return Err(IndexError::UnknownObject(bad));
+        for &o in std::iter::once(&source).chain(dests) {
+            admit_object(o, self.num_objects)?;
         }
         if dests.is_empty() {
             return Ok(Vec::new());
         }
         let st = self.read();
-        let (t1, t2) = clip(window, st.tail.delta.now())?;
+        let window = admit_window(window, st.tail.delta.now())?;
+        let (t1, t2) = (window.start, window.end);
         let mut frontier = FrontierHandoff::seeded(source, t1);
         let mut stats = relay(&st.shards, &mut frontier, t1, t2, None, trace)?;
         let mut when = if t2 >= st.tail.delta.watermark() {
@@ -985,18 +968,6 @@ impl ShardedLive {
         self.note_answered(answers.iter().map(|a| &a.stats));
         Ok(answers)
     }
-}
-
-/// Clips a query window to the live horizon `now`: its `(t1, t2)`, or
-/// `IntervalOutOfRange` when it starts at or past `now`.
-fn clip(window: TimeInterval, now: Time) -> Result<(Time, Time), IndexError> {
-    if window.start >= now {
-        return Err(IndexError::IntervalOutOfRange {
-            requested: window,
-            horizon: now,
-        });
-    }
-    Ok((window.start, window.end.min(now - 1)))
 }
 
 /// The shards `[t1, t2]` overlaps, in time order, each paired with the
@@ -1053,17 +1024,10 @@ impl ReachIndex for ShardedLive {
         let mut dispatch = request.trace.span("index/dispatch");
         dispatch.label_with(|| format!("{} {}", self.name(), request.trace_label()));
         let answer = match request.kind {
-            QueryKind::Reach => {
-                return self
-                    .evaluate_query_traced(q, &request.trace)
-                    .map(Answer::from)
-            }
+            QueryKind::Reach => return self.reach(q, &request.trace).map(Answer::from),
             QueryKind::Decay { theta, model } => {
-                if q.dest.index() >= self.num_objects {
-                    return Err(IndexError::UnknownObject(q.dest));
-                }
                 let (frontier, mut stats) =
-                    self.decay_frontier(q.source, q.interval, &model, theta, &request.trace)?;
+                    self.decay_frontier(q, &model, theta, &request.trace)?;
                 let hit = frontier
                     .best_of(q.dest, &model)
                     .filter(|&(weight, _)| weight >= theta);
@@ -1075,8 +1039,10 @@ impl ReachIndex for ShardedLive {
                 model,
                 direction: RankDirection::Reachable,
             } => {
+                // The dest is ignored: only the anchor is admitted.
+                let anchored = Query::new(q.source, q.source, q.interval);
                 let (frontier, mut stats) =
-                    self.decay_frontier(q.source, q.interval, &model, 0.0, &request.trace)?;
+                    self.decay_frontier(&anchored, &model, 0.0, &request.trace)?;
                 stats.cpu = started.elapsed();
                 Answer::ranked(frontier.rank(&model, k, q.source), stats)
             }
@@ -1089,9 +1055,7 @@ impl ReachIndex for ShardedLive {
                 // candidate source — exact across every epoch boundary,
                 // priced accordingly (see `QUERIES.md`).
                 let anchor = q.source;
-                if anchor.index() >= self.num_objects {
-                    return Err(IndexError::UnknownObject(anchor));
-                }
+                Query::new(anchor, anchor, q.interval).admit(self.num_objects, self.now())?;
                 let mut stats = QueryStats::default();
                 let mut best: Vec<Ranked> = Vec::new();
                 for o in 0..self.num_objects as u32 {
@@ -1099,8 +1063,9 @@ impl ReachIndex for ShardedLive {
                     if source == anchor {
                         continue;
                     }
+                    let candidate = Query::new(source, anchor, q.interval);
                     let (frontier, s) =
-                        self.decay_frontier(source, q.interval, &model, 0.0, &request.trace)?;
+                        self.decay_frontier(&candidate, &model, 0.0, &request.trace)?;
                     stats = stats.merged(&s);
                     if let Some((weight, arrival)) = frontier.best_of(anchor, &model) {
                         best.push(Ranked {
@@ -1128,12 +1093,12 @@ impl ReachIndex for ShardedLive {
     }
 
     fn evaluate(&self, query: &Query) -> Result<QueryResult, IndexError> {
-        self.evaluate_query(query)
+        self.reach(query, &Tracer::off())
     }
 
-    /// `Reach` cohorts take one cross-shard walk
-    /// ([`ShardedLive::evaluate_batch`], traced on the template's tracer);
-    /// other kinds answer per destination.
+    /// `Reach` cohorts take one cross-shard walk and at most one delta
+    /// propagation, traced on the template's tracer; the walk's IO lands
+    /// on the first answer. Other kinds answer per destination.
     fn answer_batch(
         &self,
         template: &ReachRequest,
@@ -1141,7 +1106,7 @@ impl ReachIndex for ShardedLive {
     ) -> Result<Vec<Answer>, IndexError> {
         let q = &template.query;
         if template.kind == QueryKind::Reach {
-            return self.evaluate_batch(q.source, q.interval, dests, &template.trace);
+            return self.reach_batch(q.source, q.interval, dests, &template.trace);
         }
         dests
             .iter()
@@ -1381,7 +1346,7 @@ mod tests {
                         continue;
                     }
                     let query = q(s, d, a, b);
-                    let got = live.evaluate_query(&query).expect("query");
+                    let got = live.evaluate(&query).expect("query");
                     let want = oracle.evaluate(&query);
                     assert_eq!(
                         got.reachable(),
@@ -1418,12 +1383,12 @@ mod tests {
         check_all_pairs(&live, n, "three cuts");
         // A chain crossing every boundary: 0→1 (epoch 0), →2, →3 (epoch 1),
         // →4 (epoch 2), with exact arrival.
-        let r = live.evaluate_query(&q(0, 4, 0, 12)).unwrap();
+        let r = live.evaluate(&q(0, 4, 0, 12)).unwrap();
         assert_eq!(r.outcome, QueryOutcome::reachable_at(6));
-        let r = live.evaluate_query(&q(3, 4, 0, 12)).unwrap();
+        let r = live.evaluate(&q(3, 4, 0, 12)).unwrap();
         assert_eq!(r.outcome, QueryOutcome::reachable_at(8), "3→4 only at 8");
         // …and a path that needs the delta leg after the full walk.
-        let r = live.evaluate_query(&q(3, 0, 0, 12)).unwrap();
+        let r = live.evaluate(&q(3, 0, 0, 12)).unwrap();
         assert_eq!(
             r.outcome,
             QueryOutcome::reachable_at(11),
@@ -1457,38 +1422,6 @@ mod tests {
         // Degenerate requests are no-ops, not errors.
         assert!(live.merge_epochs(0, 0).unwrap().is_none());
         assert!(live.merge_epochs(0, 5).unwrap().is_none());
-    }
-
-    /// Batch answers equal per-query answers, with IO on the first answer
-    /// only.
-    #[test]
-    fn batches_match_single_queries() {
-        let n = 5usize;
-        let live = sim(n, manual());
-        live.append(c(0, 1, 0, 2)).unwrap();
-        live.append(c(1, 2, 1, 5)).unwrap();
-        live.seal(4).unwrap().unwrap();
-        live.append(c(2, 3, 4, 7)).unwrap();
-        live.seal(8).unwrap().unwrap();
-        live.append(c(3, 4, 8, 9)).unwrap();
-        let dests: Vec<ObjectId> = (0..n as u32).map(ObjectId).collect();
-        let window = TimeInterval::new(0, 9);
-        let batch = live
-            .evaluate_batch(ObjectId(0), window, &dests, &Tracer::off())
-            .unwrap();
-        for (i, answer) in batch.iter().enumerate() {
-            let single = live
-                .evaluate_query(&q(0, i as u32, 0, 9))
-                .expect("single query");
-            assert_eq!(
-                answer.reachable(),
-                single.reachable(),
-                "dest {i} diverged from the single-query path"
-            );
-            if i > 0 {
-                assert_eq!(answer.stats.random_ios + answer.stats.seq_ios, 0);
-            }
-        }
     }
 
     /// File-backed round trip: seal twice, drop everything, reopen from
@@ -1591,18 +1524,18 @@ mod tests {
         live.append(c(0, 1, 0, 0)).unwrap();
         live.append(c(1, 3, 1, 1)).unwrap();
         // o4 reachable from o1 during [0,1] — answered from the delta alone.
-        let r = live.evaluate_query(&q(0, 3, 0, 1)).unwrap();
+        let r = live.evaluate(&q(0, 3, 0, 1)).unwrap();
         assert_eq!(r.outcome, QueryOutcome::reachable_at(1));
-        assert!(!live.evaluate_query(&q(3, 0, 0, 1)).unwrap().reachable());
+        assert!(!live.evaluate(&q(3, 0, 0, 1)).unwrap().reachable());
 
         live.compact().unwrap().expect("something to seal");
         assert_eq!(live.watermark(), 2);
         live.append(c(2, 3, 1, 2)).unwrap(); // lossy: clamped to [2, 2]
         live.append(c(0, 1, 2, 3)).unwrap();
         // The full Figure 1 answers, now spanning the watermark.
-        let r = live.evaluate_query(&q(3, 0, 1, 3)).unwrap();
+        let r = live.evaluate(&q(3, 0, 1, 3)).unwrap();
         assert_eq!(r.outcome, QueryOutcome::reachable_at(2));
-        assert!(live.evaluate_query(&q(0, 1, 2, 3)).unwrap().reachable());
+        assert!(live.evaluate(&q(0, 1, 2, 3)).unwrap().reachable());
         assert_eq!(live.stats().clamped, 1);
     }
 
@@ -1683,12 +1616,12 @@ mod tests {
         // delta intact, queries still exact.
         assert_eq!(live.watermark(), 0);
         assert_eq!(live.now(), 6);
-        let r = live.evaluate_query(&q(0, 2, 0, 5)).unwrap();
+        let r = live.evaluate(&q(0, 2, 0, 5)).unwrap();
         assert_eq!(r.outcome, QueryOutcome::reachable_at(4));
         // Disarmed: the retried compaction succeeds and agrees.
         live.compact().unwrap().unwrap();
         assert_eq!(live.watermark(), 6);
-        assert!(live.evaluate_query(&q(0, 2, 0, 5)).unwrap().reachable());
+        assert!(live.evaluate(&q(0, 2, 0, 5)).unwrap().reachable());
         // Armed again: the next over-budget append's seal fails after the
         // record is durable.
         live.inject_crash(ShardCrashPoint::BeforeDirectory);
@@ -1696,7 +1629,7 @@ mod tests {
         assert!(o.logged);
         assert!(o.compaction_error.is_some());
         assert_eq!(live.log_len(), 3, "the append itself was durable");
-        assert!(live.evaluate_query(&q(2, 3, 8, 9)).unwrap().reachable());
+        assert!(live.evaluate(&q(2, 3, 8, 9)).unwrap().reachable());
     }
 
     /// Random interleavings of appends, seals, and queries answer exactly
@@ -1732,7 +1665,7 @@ mod tests {
                         let a = rng.gen_range(0..live.now());
                         let b = rng.gen_range(a..live.now());
                         let query = q(s, d, a, b);
-                        let got = live.evaluate_query(&query).unwrap();
+                        let got = live.evaluate(&query).unwrap();
                         let want = oracle.evaluate(&query);
                         assert_eq!(
                             got.reachable(),
@@ -1765,7 +1698,7 @@ mod tests {
         assert_eq!(report.skipped, 2, "parse error + self-contact");
         assert_eq!(live.now(), 5);
         // 0 →1 at tick 0, 1→2 over [2,3], 2→4 at tick 4.
-        let r = live.evaluate_query(&q(0, 4, 0, 4)).unwrap();
+        let r = live.evaluate(&q(0, 4, 0, 4)).unwrap();
         assert_eq!(r.outcome, QueryOutcome::reachable_at(4));
         // Strict mode surfaces the first bad line instead.
         let strict = sim(5, graph_config(1 << 20).strict());
@@ -1787,9 +1720,9 @@ mod tests {
         assert!(o.logged && !o.clamped);
         assert_eq!(live.stats().clamped, 0);
         // …and queries across the split contact stay exact.
-        let r = live.evaluate_query(&q(0, 1, 0, 9)).unwrap();
+        let r = live.evaluate(&q(0, 1, 0, 9)).unwrap();
         assert!(r.reachable());
-        let r = live.evaluate_query(&q(2, 3, 6, 7)).unwrap();
+        let r = live.evaluate(&q(2, 3, 6, 7)).unwrap();
         assert_eq!(r.outcome, QueryOutcome::reachable_at(6));
         // Compacting again advances the watermark by what `now` allows.
         live.compact().unwrap();
@@ -1834,7 +1767,7 @@ mod tests {
         for s in 0..6u32 {
             let query = q(s, (s + 1) % 6, 0, live.now() - 1);
             assert_eq!(
-                live.evaluate_query(&query).unwrap().reachable(),
+                live.evaluate(&query).unwrap().reachable(),
                 oracle.evaluate(&query).reachable,
                 "{query} diverged under backoff"
             );
@@ -1849,12 +1782,12 @@ mod tests {
         live.advance(10);
         assert_eq!(live.now(), 10);
         // The extended horizon is queryable; nothing new is reachable.
-        let r = live.evaluate_query(&q(0, 2, 0, 9)).unwrap();
+        let r = live.evaluate(&q(0, 2, 0, 9)).unwrap();
         assert!(!r.reachable());
         // And compaction seals the silent ticks too.
         live.compact().unwrap().unwrap();
         assert_eq!(live.watermark(), 10);
-        assert!(live.evaluate_query(&q(0, 1, 0, 9)).unwrap().reachable());
+        assert!(live.evaluate(&q(0, 1, 0, 9)).unwrap().reachable());
     }
 
     /// A crash after a compaction: the epoch directory restores the
@@ -1882,11 +1815,11 @@ mod tests {
         assert_eq!(live.now(), 7, "the log tail refilled the delta");
         // Entirely sealed: answered by BM-BFS on the reopened shard
         // (reachable, no arrival tick — that is the base's contract).
-        assert!(live.evaluate_query(&q(0, 2, 0, 4)).unwrap().reachable());
+        assert!(live.evaluate(&q(0, 2, 0, 4)).unwrap().reachable());
         // Spanning into the replayed delta.
-        let r = live.evaluate_query(&q(0, 3, 0, 6)).unwrap();
+        let r = live.evaluate(&q(0, 3, 0, 6)).unwrap();
         assert!(r.reachable());
-        assert!(!live.evaluate_query(&q(3, 0, 0, 6)).unwrap().reachable());
+        assert!(!live.evaluate(&q(3, 0, 0, 6)).unwrap().reachable());
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -1897,7 +1830,7 @@ mod tests {
         live.append(c(1, 2, 5, 6)).unwrap();
         let append_io = live.stats().append_io;
         assert!(append_io.total_writes() >= 2, "durable writes counted");
-        live.evaluate_query(&q(0, 2, 0, 6)).unwrap();
+        live.evaluate(&q(0, 2, 0, 6)).unwrap();
         assert_eq!(
             live.stats().append_io,
             append_io,
@@ -1980,7 +1913,7 @@ mod tests {
             for d in 0..n as u32 {
                 for iv in windows {
                     let q = Query::new(ObjectId(s), ObjectId(d), iv);
-                    let got = idx.evaluate_query(&q).expect("query");
+                    let got = idx.evaluate(&q).expect("query");
                     let want = oracle.evaluate(&q);
                     assert_eq!(got.reachable(), want.reachable, "{q} outcome diverged");
                     if let (Some(g), Some(w)) = (got.outcome.earliest, want.earliest) {
@@ -2073,7 +2006,7 @@ mod tests {
                 // A wholly-below-barrier record is dropped outright.
                 let dropped = idx.append(c(2, 3, 0, 1)).expect("late append");
                 assert!(!dropped.logged && !dropped.clamped, "{op}");
-                idx.evaluate_query(&probe).expect("query during the build");
+                idx.evaluate(&probe).expect("query during the build");
                 let done = build.join().expect("build thread");
                 assert!(done.expect("build commits").is_some(), "{op}");
             });
@@ -2083,10 +2016,7 @@ mod tests {
             // The clamped record survived the commit: it reaches from the
             // barrier on.
             let reach = q(0, 1, barrier, HORIZON - 1);
-            assert!(
-                idx.evaluate_query(&reach).expect("query").reachable(),
-                "{op}"
-            );
+            assert!(idx.evaluate(&reach).expect("query").reachable(), "{op}");
             // And the log agrees with what the index holds.
             let accepted = idx.replay_log().expect("log replays");
             assert!(accepted
@@ -2097,7 +2027,7 @@ mod tests {
                 for d in 0..n as u32 {
                     let sweep = q(s, d, 0, HORIZON - 1);
                     assert_eq!(
-                        idx.evaluate_query(&sweep).expect("sweep").reachable(),
+                        idx.evaluate(&sweep).expect("sweep").reachable(),
                         oracle.evaluate(&sweep).reachable,
                         "{op}: {sweep} diverged after mid-build appends"
                     );
@@ -2122,7 +2052,7 @@ mod tests {
             wait_until("compaction starts", || idx.metrics().compacting);
             let mut served = 0u64;
             while idx.metrics().compacting {
-                idx.evaluate_query(&query).expect("query during build");
+                idx.evaluate(&query).expect("query during build");
                 served += 1;
             }
             assert!(served > 0, "no query completed during the build window");
@@ -2167,7 +2097,7 @@ mod tests {
             for d in 0..n as u32 {
                 let sweep = q(s, d, 0, idx.now() - 1);
                 assert_eq!(
-                    idx.evaluate_query(&sweep).expect("sweep").reachable(),
+                    idx.evaluate(&sweep).expect("sweep").reachable(),
                     oracle.evaluate(&sweep).reachable,
                     "{sweep} diverged after inline seals"
                 );
@@ -2177,70 +2107,81 @@ mod tests {
 
     /// A batch over every destination answers identically to the same
     /// queries evaluated one at a time, with the expansion's IO attributed
-    /// to the first answer only.
+    /// to the first answer only: on a world sealed twice by hand and on a
+    /// random stream compacted mid-way.
     #[test]
     fn batches_answer_identically_to_single_queries() {
-        let n = 6;
-        let idx = sim(n, manual());
-        let contacts = stream(0xba7c4, n as u32, 70);
-        for (i, c) in contacts.iter().enumerate() {
-            idx.append(*c).expect("append");
+        // Epochs [0, 4) and [4, 8), then a delta.
+        let two_seals = sim(5, manual());
+        two_seals.append(c(0, 1, 0, 2)).unwrap();
+        two_seals.append(c(1, 2, 1, 5)).unwrap();
+        two_seals.seal(4).unwrap().unwrap();
+        two_seals.append(c(2, 3, 4, 7)).unwrap();
+        two_seals.seal(8).unwrap().unwrap();
+        two_seals.append(c(3, 4, 8, 9)).unwrap();
+        let compacted = sim(6, manual());
+        for (i, c) in stream(0xba7c4, 6, 70).iter().enumerate() {
+            compacted.append(*c).expect("append");
             if i == 35 {
-                idx.compact().expect("compaction");
+                compacted.compact().expect("compaction");
             }
         }
-        let w = idx.watermark();
-        assert!(w > 0);
-        let dests: Vec<ObjectId> = (0..n as u32).map(ObjectId).collect();
-        // Spanning, sealed-only, and delta-only windows all batch exactly.
-        let last = idx.now() - 1;
-        let windows = [
-            TimeInterval::new(0, last),
-            TimeInterval::new(0, w - 1),
-            TimeInterval::new(w.min(last), last),
-        ];
-        for iv in windows {
-            for src in 0..n as u32 {
-                let source = ObjectId(src);
-                let batch = idx
-                    .evaluate_batch(source, iv, &dests, &Tracer::off())
-                    .expect("batch evaluates");
-                assert_eq!(batch.len(), dests.len());
-                for (d, got) in dests.iter().zip(&batch) {
-                    let single = Query::new(source, *d, iv);
-                    let want = idx.evaluate_query(&single).expect("single query");
-                    assert_eq!(
-                        got.outcome.reachable, want.outcome.reachable,
-                        "{single} batch verdict diverged"
-                    );
-                    // The batch may know an arrival the point query does
-                    // not (sealed bases answer without one); when both
-                    // know it, they must agree.
-                    if let (Some(g), Some(w)) = (got.outcome.earliest, want.outcome.earliest) {
-                        assert_eq!(g, w, "{single} batch arrival diverged");
+        for idx in [&two_seals, &compacted] {
+            let n = idx.num_objects();
+            let w = idx.watermark();
+            assert!(w > 0);
+            let dests: Vec<ObjectId> = (0..n as u32).map(ObjectId).collect();
+            // Spanning, sealed-only, and delta-only windows all batch exactly.
+            let last = idx.now() - 1;
+            let windows = [
+                TimeInterval::new(0, last),
+                TimeInterval::new(0, w - 1),
+                TimeInterval::new(w.min(last), last),
+            ];
+            for iv in windows {
+                for src in 0..n as u32 {
+                    let source = ObjectId(src);
+                    let batch = idx
+                        .answer_batch(&ReachRequest::reach(source, iv, source), &dests)
+                        .expect("batch evaluates");
+                    assert_eq!(batch.len(), dests.len());
+                    for (d, got) in dests.iter().zip(&batch) {
+                        let single = Query::new(source, *d, iv);
+                        let want = idx.evaluate(&single).expect("single query");
+                        assert_eq!(
+                            got.outcome.reachable, want.outcome.reachable,
+                            "{single} batch verdict diverged"
+                        );
+                        // The batch may know an arrival the point query does
+                        // not (sealed bases answer without one); when both
+                        // know it, they must agree.
+                        if let (Some(g), Some(w)) = (got.outcome.earliest, want.outcome.earliest) {
+                            assert_eq!(g, w, "{single} batch arrival diverged");
+                        }
+                        if want.outcome.earliest.is_some() {
+                            assert!(
+                                got.outcome.earliest.is_some(),
+                                "{single} batch lost the arrival"
+                            );
+                        }
                     }
-                    if want.outcome.earliest.is_some() {
-                        assert!(
-                            got.outcome.earliest.is_some(),
-                            "{single} batch lost the arrival"
+                    // All IO rides on the first answer.
+                    for (d, got) in dests.iter().zip(&batch).skip(1) {
+                        assert_eq!(
+                            (got.stats.random_ios, got.stats.seq_ios),
+                            (0, 0),
+                            "batch answer for {d:?} re-paid IO"
                         );
                     }
                 }
-                // All IO rides on the first answer.
-                for (d, got) in dests.iter().zip(&batch).skip(1) {
-                    assert_eq!(
-                        (got.stats.random_ios, got.stats.seq_ios),
-                        (0, 0),
-                        "batch answer for {d:?} re-paid IO"
-                    );
-                }
             }
+            // Empty destination list short-circuits.
+            let template = ReachRequest::reach(ObjectId(0), windows[0], ObjectId(0));
+            assert!(idx
+                .answer_batch(&template, &[])
+                .expect("empty batch")
+                .is_empty());
         }
-        // Empty destination list short-circuits.
-        assert!(idx
-            .evaluate_batch(ObjectId(0), windows[0], &[], &Tracer::off())
-            .expect("empty batch")
-            .is_empty());
     }
 
     /// The `ReachIndex` implementation routes `Reach` requests to the
@@ -2257,7 +2198,7 @@ mod tests {
         let via_trait = idx
             .answer(&ReachRequest::from(query))
             .expect("trait answer");
-        let direct = idx.evaluate_query(&query).expect("direct answer");
+        let direct = idx.evaluate(&query).expect("direct answer");
         assert_eq!(via_trait.outcome, direct.outcome);
         let foreign = ReachRequest::from(query).with_kind(QueryKind::Uncertain { threshold: 0.5 });
         assert!(matches!(
@@ -2286,7 +2227,7 @@ mod tests {
                     }
                     other => panic!("{op}: expected Late against the barrier, got {other:?}"),
                 }
-                idx.evaluate_query(&probe).expect("query during the build");
+                idx.evaluate(&probe).expect("query during the build");
                 let done = build.join().expect("build thread");
                 assert!(done.expect("build commits").is_some(), "{op}");
             });

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use reach_contact::Oracle;
-use reach_core::{Contact, ObjectId, Query, Time, TimeInterval};
+use reach_core::{Contact, ObjectId, Query, ReachIndex, Time, TimeInterval};
 use reach_graph::GraphParams;
 use reach_live::{DeltaDn, LiveConfig, LiveError, ShardedLive};
 use reach_storage::BuildBudget;
@@ -218,7 +218,7 @@ proptest! {
                     let accepted = live.replay_log().expect("log replays");
                     let oracle = oracle_of(n, live.now(), &accepted);
                     let q = Query::new(ObjectId(s), ObjectId(d), TimeInterval::new(t1, t2));
-                    let got = live.evaluate_query(&q).expect("live query evaluates");
+                    let got = live.evaluate(&q).expect("live query evaluates");
                     let want = oracle.evaluate(&q);
                     prop_assert_eq!(
                         got.reachable(),
@@ -247,7 +247,7 @@ proptest! {
                 for d in 0..n as u32 {
                     for iv in intervals {
                         let q = Query::new(ObjectId(s), ObjectId(d), iv);
-                        let got = live.evaluate_query(&q).expect("sweep query");
+                        let got = live.evaluate(&q).expect("sweep query");
                         let want = oracle.evaluate(&q);
                         prop_assert_eq!(
                             got.reachable(),

@@ -43,7 +43,7 @@ use crate::traverse::TraversalStats;
 use crate::vertex::HnSource;
 use reach_core::decay::{DecayModel, Ranked};
 use reach_core::frontier::{CarryGroup, WeightedSeed};
-use reach_core::{IndexError, ObjectId, Time, TimeInterval};
+use reach_core::{admit_object, admit_window, IndexError, ObjectId, Query, Time, TimeInterval};
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -133,28 +133,14 @@ fn forward<S: HnSource>(
     stop: Stop,
 ) -> Result<Expansion, IndexError> {
     let mut stats = TraversalStats::default();
-    let horizon = src.horizon();
-    for &(o, _, _) in seeds {
-        if o.index() >= src.num_objects() {
-            return Err(IndexError::UnknownObject(o));
-        }
+    let seeded = seeds.iter().map(|&(o, _, _)| o);
+    let carried = carry
+        .iter()
+        .flat_map(|g| g.members.iter().map(|&m| ObjectId(m)));
+    for o in seeded.chain(carried) {
+        admit_object(o, src.num_objects())?;
     }
-    for group in carry {
-        if let Some(&m) = group
-            .members
-            .iter()
-            .find(|&&m| m as usize >= src.num_objects())
-        {
-            return Err(IndexError::UnknownObject(ObjectId(m)));
-        }
-    }
-    if interval.start >= horizon {
-        return Err(IndexError::IntervalOutOfRange {
-            requested: interval,
-            horizon,
-        });
-    }
-    let interval = TimeInterval::new(interval.start, interval.end.min(horizon - 1));
+    let interval = admit_window(interval, src.horizon())?;
     let (t1, t2) = (interval.start, interval.end);
 
     let weigh = |h: u32, e: Time| model.weight(h, e.saturating_sub(origin));
@@ -361,9 +347,7 @@ pub fn decay_reachable<S: HnSource>(
     model: &DecayModel,
     theta: f64,
 ) -> Result<(Option<(f64, Time)>, TraversalStats), IndexError> {
-    if dest.index() >= src.num_objects() {
-        return Err(IndexError::UnknownObject(dest));
-    }
+    Query::new(source, dest, interval).admit(src.num_objects(), src.horizon())?;
     let seeds = [(source, 0u32, interval.start)];
     let ex = forward(
         src,
@@ -445,17 +429,8 @@ pub fn top_k_reaching<S: HnSource>(
     model: &DecayModel,
 ) -> Result<(Vec<Ranked>, TraversalStats), IndexError> {
     let mut stats = TraversalStats::default();
-    let horizon = src.horizon();
-    if anchor.index() >= src.num_objects() {
-        return Err(IndexError::UnknownObject(anchor));
-    }
-    if interval.start >= horizon {
-        return Err(IndexError::IntervalOutOfRange {
-            requested: interval,
-            horizon,
-        });
-    }
-    let interval = TimeInterval::new(interval.start, interval.end.min(horizon - 1));
+    admit_object(anchor, src.num_objects())?;
+    let interval = admit_window(interval, src.horizon())?;
     let (t1, t2) = (interval.start, interval.end);
     let weigh = |h: u32, e: Time| model.weight(h, e.saturating_sub(t1));
 

@@ -24,8 +24,9 @@
 //! [`BlockDevice`] — the layout and the counted
 //! IO are identical on all of them.
 //!
-//! The index is an immutable image; every query reads through its own
-//! [`GraphContext`], a pager on a fresh device handle that starts cold.
+//! The index is an immutable image; every query, of any kind (one dispatch,
+//! [`crate::traverse::answer`]), reads through its own [`GraphContext`], a
+//! pager on a fresh device handle that starts cold.
 //! Traversal fetches whole partitions and the context buffers a bounded
 //! number of them, discarding the oldest (§5.2). A fetched record is read
 //! into a reused buffer and its framing is checked once, in full, by
@@ -42,11 +43,11 @@
 use crate::params::{GraphParams, TraversalKind};
 use crate::partition::{Partition, PartitionEncoder};
 use crate::placement::Sweep;
-use crate::traverse::{evaluate, TraversalStats};
+use crate::traverse::{evaluate, query_stats, TraversalStats};
 use crate::vertex::{HnSource, Vertex};
 use reach_contact::{DnAccess, DnGraph, MultiRes};
 use reach_core::{
-    Answer, FxHashMap, IndexError, ObjectId, Query, QueryKind, QueryResult, QueryStats, ReachIndex,
+    Answer, FxHashMap, IndexError, ObjectId, Query, QueryResult, QueryStats, ReachIndex,
     ReachRequest, Time, TimeInterval,
 };
 use reach_storage::{
@@ -257,18 +258,8 @@ impl ReachGraph {
     ) -> Result<(T, QueryStats), IndexError> {
         let started = Instant::now();
         let mut cx = self.context();
-        let (value, tstats) = run(&mut cx)?;
-        let io = cx.io_stats();
-        Ok((
-            value,
-            QueryStats {
-                random_ios: io.random_reads,
-                seq_ios: io.seq_reads,
-                visited: tstats.visited,
-                examined: tstats.examined,
-                cpu: started.elapsed(),
-            },
-        ))
+        let (value, walk) = run(&mut cx)?;
+        Ok((value, query_stats(cx.io_stats(), walk, started)))
     }
 
     /// Every object reachable from `source` during `interval`, with exact
@@ -313,40 +304,6 @@ impl ReachGraph {
     ) -> Result<(crate::decay::DecayLeg, QueryStats), IndexError> {
         self.accounted(|cx| {
             crate::decay::decay_states_seeded(cx, seeds, carry, interval, origin, model, floor)
-        })
-    }
-
-    /// Point decay query: best weight and earliest maximum-weight arrival
-    /// of `dest` from `source`, if it clears `theta` (see
-    /// [`crate::decay::decay_reachable`]).
-    pub fn decay_reachable(
-        &self,
-        source: ObjectId,
-        dest: ObjectId,
-        interval: reach_core::TimeInterval,
-        model: &reach_core::DecayModel,
-        theta: f64,
-    ) -> Result<(Option<(f64, Time)>, QueryStats), IndexError> {
-        self.accounted(|cx| crate::decay::decay_reachable(cx, source, dest, interval, model, theta))
-    }
-
-    /// Top-k ranked decay query in either direction (see
-    /// [`crate::decay::top_k_reachable`] / [`crate::decay::top_k_reaching`]).
-    pub fn top_k(
-        &self,
-        anchor: ObjectId,
-        interval: reach_core::TimeInterval,
-        k: usize,
-        model: &reach_core::DecayModel,
-        direction: reach_core::RankDirection,
-    ) -> Result<(Vec<reach_core::Ranked>, QueryStats), IndexError> {
-        self.accounted(|cx| match direction {
-            reach_core::RankDirection::Reachable => {
-                crate::decay::top_k_reachable(cx, anchor, interval, k, model)
-            }
-            reach_core::RankDirection::Reaching => {
-                crate::decay::top_k_reaching(cx, anchor, interval, k, model)
-            }
         })
     }
 
@@ -677,24 +634,10 @@ impl ReachIndex for ReachGraph {
     }
 
     fn answer(&self, request: &ReachRequest) -> Result<Answer, IndexError> {
-        let q = &request.query;
-        match request.kind {
-            QueryKind::Reach => self.evaluate(q).map(Answer::from),
-            QueryKind::Decay { theta, model } => {
-                let (hit, stats) =
-                    self.decay_reachable(q.source, q.dest, q.interval, &model, theta)?;
-                Ok(Answer::decay(q.dest, hit, stats))
-            }
-            QueryKind::TopK {
-                k,
-                model,
-                direction,
-            } => {
-                let (ranking, stats) = self.top_k(q.source, q.interval, k, &model, direction)?;
-                Ok(Answer::ranked(ranking, stats))
-            }
-            _ => Err(request.unsupported(self.name())),
-        }
+        let (mut answer, stats) =
+            self.accounted(|cx| crate::traverse::answer(cx, request, self.name()))?;
+        answer.stats = stats;
+        Ok(answer)
     }
 }
 

@@ -40,5 +40,5 @@ pub use memory::MemoryHn;
 pub use params::{GraphParams, TraversalKind};
 pub use partition::{Partition, PartitionEncoder};
 pub use placement::{partition, Partitioning};
-pub use traverse::{reachable_set, reachable_set_seeded, TraversalStats};
+pub use traverse::{answer, query_stats, reachable_set, reachable_set_seeded, TraversalStats};
 pub use vertex::{HnSource, Vertex, VertexData};

@@ -5,13 +5,13 @@
 //! [`DnGraph`] + [`MultiRes`] pair directly to the traversal algorithms.
 
 use crate::params::TraversalKind;
-use crate::traverse::{evaluate, TraversalStats};
+use crate::traverse::{evaluate, query_stats, TraversalStats};
 use crate::vertex::{HnSource, Vertex};
 use reach_contact::{DnGraph, MultiRes};
 use reach_core::{
-    Answer, IndexError, ObjectId, Query, QueryKind, QueryResult, QueryStats, RankDirection,
-    ReachIndex, ReachRequest, Time,
+    admit_object, Answer, IndexError, ObjectId, Query, QueryResult, ReachIndex, ReachRequest, Time,
 };
+use reach_storage::IoStats;
 use std::time::Instant;
 
 /// Memory-backed `HN` source. As a [`ReachIndex`] it is shared `&self`:
@@ -42,16 +42,9 @@ impl<'a> MemoryHn<'a> {
     /// Evaluates with an explicit strategy, timing the pure computation.
     pub fn evaluate_with(&self, q: &Query, kind: TraversalKind) -> Result<QueryResult, IndexError> {
         let started = Instant::now();
-        let (outcome, tstats) = evaluate(&mut self.fresh(), q, kind)?;
-        Ok(QueryResult {
-            outcome,
-            stats: QueryStats {
-                visited: tstats.visited,
-                examined: tstats.examined,
-                cpu: started.elapsed(),
-                ..Default::default()
-            },
-        })
+        let (outcome, walk) = evaluate(&mut self.fresh(), q, kind)?;
+        let stats = query_stats(IoStats::default(), walk, started);
+        Ok(QueryResult { outcome, stats })
     }
 
     /// Raw traversal counters for a query (test helper).
@@ -105,9 +98,7 @@ impl HnSource for MemoryHn<'_> {
     }
 
     fn node_of(&mut self, o: ObjectId, t: Time) -> Result<u32, IndexError> {
-        if o.index() >= self.dn.num_objects() {
-            return Err(IndexError::UnknownObject(o));
-        }
+        admit_object(o, self.dn.num_objects())?;
         Ok(self.dn.node_of(o, t).0)
     }
 }
@@ -123,49 +114,9 @@ impl ReachIndex for MemoryHn<'_> {
 
     fn answer(&self, request: &ReachRequest) -> Result<Answer, IndexError> {
         let started = Instant::now();
-        let q = &request.query;
-        let hn = &mut self.fresh();
-        match request.kind {
-            QueryKind::Reach => self.evaluate(q).map(Answer::from),
-            QueryKind::Decay { theta, model } => {
-                let (hit, tstats) =
-                    crate::decay::decay_reachable(hn, q.source, q.dest, q.interval, &model, theta)?;
-                Ok(Answer::decay(
-                    q.dest,
-                    hit,
-                    QueryStats {
-                        visited: tstats.visited,
-                        examined: tstats.examined,
-                        cpu: started.elapsed(),
-                        ..Default::default()
-                    },
-                ))
-            }
-            QueryKind::TopK {
-                k,
-                model,
-                direction,
-            } => {
-                let (ranking, tstats) = match direction {
-                    RankDirection::Reachable => {
-                        crate::decay::top_k_reachable(hn, q.source, q.interval, k, &model)?
-                    }
-                    RankDirection::Reaching => {
-                        crate::decay::top_k_reaching(hn, q.source, q.interval, k, &model)?
-                    }
-                };
-                Ok(Answer::ranked(
-                    ranking,
-                    QueryStats {
-                        visited: tstats.visited,
-                        examined: tstats.examined,
-                        cpu: started.elapsed(),
-                        ..Default::default()
-                    },
-                ))
-            }
-            _ => Err(request.unsupported(self.name())),
-        }
+        let (mut answer, walk) = crate::traverse::answer(&mut self.fresh(), request, self.name())?;
+        answer.stats = query_stats(IoStats::default(), walk, started);
+        Ok(answer)
     }
 }
 

@@ -35,13 +35,19 @@
 //! same view type; a view borrows its source, so each step reads what it
 //! needs from the view before the next `vertex` or `node_of` call.
 
+use crate::decay;
 use crate::params::TraversalKind;
 use crate::vertex::{HnSource, Vertex};
 use reach_contact::launch_boundary;
-use reach_core::{FxHashMap, IndexError, Query, QueryOutcome, Time, TimeInterval};
+use reach_core::{
+    admit_object, admit_window, Answer, FxHashMap, IndexError, Query, QueryKind, QueryOutcome,
+    QueryResult, QueryStats, RankDirection, ReachRequest, Time, TimeInterval,
+};
+use reach_storage::IoStats;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
+use std::time::Instant;
 
 /// Work counters of one traversal.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
@@ -58,20 +64,7 @@ pub fn evaluate<S: HnSource>(
     q: &Query,
     kind: TraversalKind,
 ) -> Result<(QueryOutcome, TraversalStats), IndexError> {
-    let horizon = src.horizon();
-    if q.source.index() >= src.num_objects() {
-        return Err(IndexError::UnknownObject(q.source));
-    }
-    if q.dest.index() >= src.num_objects() {
-        return Err(IndexError::UnknownObject(q.dest));
-    }
-    if q.interval.start >= horizon {
-        return Err(IndexError::IntervalOutOfRange {
-            requested: q.interval,
-            horizon,
-        });
-    }
-    let interval = TimeInterval::new(q.interval.start, q.interval.end.min(horizon - 1));
+    let interval = q.admit(src.num_objects(), src.horizon())?;
     if q.source == q.dest {
         return Ok((
             QueryOutcome::reachable_at(interval.start),
@@ -83,6 +76,64 @@ pub fn evaluate<S: HnSource>(
         TraversalKind::EBfs => unidirectional(src, q, interval, false),
         TraversalKind::BBfs => bidirectional(src, q, interval, false),
         TraversalKind::BmBfs => bidirectional(src, q, interval, true),
+    }
+}
+
+/// The one kind dispatch of every index that walks an [`HnSource`]:
+/// `Reach` by BM-BFS, `Decay` by the weighted point walk, `TopK` in either
+/// direction ([`crate::decay`]); any other kind is `Unsupported` by
+/// `index`. Each walk runs the query's admission check. The answer's stats
+/// are left unset, because the caller owns the device counters: it builds
+/// them from the returned traversal counters with [`query_stats`].
+pub fn answer<S: HnSource>(
+    src: &mut S,
+    request: &ReachRequest,
+    index: &str,
+) -> Result<(Answer, TraversalStats), IndexError> {
+    let q = &request.query;
+    let unset = QueryStats::default();
+    Ok(match request.kind {
+        QueryKind::Reach => {
+            let (outcome, walk) = evaluate(src, q, TraversalKind::BmBfs)?;
+            let result = QueryResult {
+                outcome,
+                stats: unset,
+            };
+            (result.into(), walk)
+        }
+        QueryKind::Decay { theta, model } => {
+            let (hit, walk) =
+                decay::decay_reachable(src, q.source, q.dest, q.interval, &model, theta)?;
+            (Answer::decay(q.dest, hit, unset), walk)
+        }
+        QueryKind::TopK {
+            k,
+            model,
+            direction,
+        } => {
+            let (ranking, walk) = match direction {
+                RankDirection::Reachable => {
+                    decay::top_k_reachable(src, q.source, q.interval, k, &model)?
+                }
+                RankDirection::Reaching => {
+                    decay::top_k_reaching(src, q.source, q.interval, k, &model)?
+                }
+            };
+            (Answer::ranked(ranking, unset), walk)
+        }
+        _ => return Err(request.unsupported(index)),
+    })
+}
+
+/// The [`QueryStats`] of one `HN` walk: the device counters `io` of its
+/// read context, the walk's own counters, and the time since `started`.
+pub fn query_stats(io: IoStats, walk: TraversalStats, started: Instant) -> QueryStats {
+    QueryStats {
+        random_ios: io.random_reads,
+        seq_ios: io.seq_reads,
+        visited: walk.visited,
+        examined: walk.examined,
+        cpu: started.elapsed(),
     }
 }
 
@@ -121,19 +172,10 @@ pub fn reachable_set_seeded<S: HnSource>(
     interval: TimeInterval,
 ) -> Result<(Vec<(reach_core::ObjectId, Time)>, TraversalStats), IndexError> {
     let mut stats = TraversalStats::default();
-    let horizon = src.horizon();
     for &(o, _) in seeds {
-        if o.index() >= src.num_objects() {
-            return Err(IndexError::UnknownObject(o));
-        }
+        admit_object(o, src.num_objects())?;
     }
-    if interval.start >= horizon {
-        return Err(IndexError::IntervalOutOfRange {
-            requested: interval,
-            horizon,
-        });
-    }
-    let interval = TimeInterval::new(interval.start, interval.end.min(horizon - 1));
+    let interval = admit_window(interval, src.horizon())?;
     let (t1, t2) = (interval.start, interval.end);
 
     // Earliest hold tick per object, dense over the object universe;

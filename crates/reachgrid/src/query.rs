@@ -39,9 +39,7 @@
 
 use crate::cells::{CellArena, NO_ENTRY};
 use crate::index::ReachGrid;
-use reach_core::{
-    IndexError, ObjectId, Query, QueryOutcome, QueryResult, QueryStats, ReachIndex, TimeInterval,
-};
+use reach_core::{IndexError, ObjectId, Query, QueryOutcome, QueryResult, QueryStats, ReachIndex};
 use reach_storage::Pager;
 use std::ops::Range;
 use std::time::Instant;
@@ -89,44 +87,17 @@ impl ChunkState {
 }
 
 impl ReachGrid {
-    /// Evaluates a reachability query with guided expansion (Algorithm 1).
-    pub fn evaluate_query(&self, q: &Query) -> Result<QueryResult, IndexError> {
-        let started = Instant::now();
-        let mut pager = self.open();
-        let mut stats = QueryStats::default();
-
-        let outcome = self.run_query(&mut pager, q, &mut stats)?;
-
-        let io = pager.stats();
-        stats.random_ios = io.random_reads;
-        stats.seq_ios = io.seq_reads;
-        stats.cpu = started.elapsed();
-        Ok(QueryResult { outcome, stats })
-    }
-
+    /// Algorithm 1 for one query on `pager`.
     fn run_query(
         &self,
         pager: &mut Pager,
         q: &Query,
         stats: &mut QueryStats,
     ) -> Result<QueryOutcome, IndexError> {
-        let horizon = self.horizon();
-        if q.source.index() >= self.num_objects() {
-            return Err(IndexError::UnknownObject(q.source));
-        }
-        if q.dest.index() >= self.num_objects() {
-            return Err(IndexError::UnknownObject(q.dest));
-        }
-        if q.interval.start >= horizon {
-            return Err(IndexError::IntervalOutOfRange {
-                requested: q.interval,
-                horizon,
-            });
-        }
+        let interval = q.admit(self.num_objects(), self.horizon())?;
         if q.source == q.dest {
-            return Ok(QueryOutcome::reachable_at(q.interval.start));
+            return Ok(QueryOutcome::reachable_at(interval.start));
         }
-        let interval = TimeInterval::new(q.interval.start, q.interval.end.min(horizon - 1));
         let threshold = self.params.threshold;
 
         let mut is_seed = vec![false; self.num_objects()];
@@ -248,8 +219,17 @@ impl ReachIndex for ReachGrid {
         "ReachGrid"
     }
 
+    /// Guided expansion (Algorithm 1) on a cold pager of its own.
     fn evaluate(&self, query: &Query) -> Result<QueryResult, IndexError> {
-        self.evaluate_query(query)
+        let started = Instant::now();
+        let mut pager = self.open();
+        let mut stats = QueryStats::default();
+        let outcome = self.run_query(&mut pager, query, &mut stats)?;
+        let io = pager.stats();
+        stats.random_ios = io.random_reads;
+        stats.seq_ios = io.seq_reads;
+        stats.cpu = started.elapsed();
+        Ok(QueryResult { outcome, stats })
     }
 }
 
@@ -258,7 +238,7 @@ mod tests {
     use super::*;
     use crate::params::GridParams;
     use reach_contact::Oracle;
-    use reach_core::{Environment, Point, Time};
+    use reach_core::{Environment, Point, Time, TimeInterval};
     use reach_traj::{Trajectory, TrajectoryStore};
 
     /// Three walkers on a line: o0 stays west, o1 walks from o0 to o2,
@@ -304,11 +284,11 @@ mod tests {
         let g = grid(&store);
         let oracle = Oracle::build(&store, 5.0);
         // o0 → o2 requires the full relay through o1.
-        let full = g.evaluate_query(&q(0, 2, 0, 39)).unwrap();
+        let full = g.evaluate(&q(0, 2, 0, 39)).unwrap();
         assert_eq!(full.outcome, oracle.evaluate(&q(0, 2, 0, 39)));
         assert!(full.reachable());
         // Cutting the interval before o1 meets o2 breaks the chain.
-        let cut = g.evaluate_query(&q(0, 2, 0, 20)).unwrap();
+        let cut = g.evaluate(&q(0, 2, 0, 20)).unwrap();
         assert_eq!(cut.outcome, oracle.evaluate(&q(0, 2, 0, 20)));
         assert!(!cut.reachable());
     }
@@ -320,7 +300,7 @@ mod tests {
         let oracle = Oracle::build(&store, 5.0);
         // o2 → o0 needs the reverse chronology (o2 meets o1 *after* o1 left
         // o0), so it must be unreachable.
-        let r = g.evaluate_query(&q(2, 0, 0, 39)).unwrap();
+        let r = g.evaluate(&q(2, 0, 0, 39)).unwrap();
         assert_eq!(r.outcome, oracle.evaluate(&q(2, 0, 0, 39)));
         assert!(!r.reachable());
     }
@@ -329,7 +309,7 @@ mod tests {
     fn self_query_costs_nothing() {
         let store = relay_store();
         let g = grid(&store);
-        let r = g.evaluate_query(&q(1, 1, 5, 10)).unwrap();
+        let r = g.evaluate(&q(1, 1, 5, 10)).unwrap();
         assert!(r.reachable());
         assert_eq!(r.stats.random_ios + r.stats.seq_ios, 0);
     }
@@ -340,8 +320,8 @@ mod tests {
         let g = grid(&store);
         // o0 → o1 succeeds in the first chunk; the same query over the whole
         // horizon must not read more pages than the unreachable o0 → o2 cut.
-        let quick = g.evaluate_query(&q(0, 1, 0, 39)).unwrap();
-        let slow = g.evaluate_query(&q(0, 2, 0, 20)).unwrap();
+        let quick = g.evaluate(&q(0, 1, 0, 39)).unwrap();
+        let slow = g.evaluate(&q(0, 2, 0, 20)).unwrap();
         assert!(quick.reachable());
         assert!(
             quick.stats.normalized_io() <= slow.stats.normalized_io(),
@@ -354,11 +334,11 @@ mod tests {
         let store = relay_store();
         let g = grid(&store);
         assert!(matches!(
-            g.evaluate_query(&q(9, 0, 0, 5)),
+            g.evaluate(&q(9, 0, 0, 5)),
             Err(IndexError::UnknownObject(_))
         ));
         assert!(matches!(
-            g.evaluate_query(&q(0, 1, 100, 120)),
+            g.evaluate(&q(0, 1, 100, 120)),
             Err(IndexError::IntervalOutOfRange { .. })
         ));
     }
@@ -367,7 +347,7 @@ mod tests {
     fn interval_end_clipped_to_horizon() {
         let store = relay_store();
         let g = grid(&store);
-        let r = g.evaluate_query(&q(0, 2, 0, 10_000)).unwrap();
+        let r = g.evaluate(&q(0, 2, 0, 10_000)).unwrap();
         assert!(r.reachable());
     }
 
@@ -386,8 +366,8 @@ mod tests {
         // query's own cold pager pays the same IO again.
         let store = relay_store();
         let g = grid(&store);
-        let first = g.evaluate_query(&q(0, 2, 0, 39)).unwrap().stats;
-        let again = g.evaluate_query(&q(0, 2, 0, 39)).unwrap().stats;
+        let first = g.evaluate(&q(0, 2, 0, 39)).unwrap().stats;
+        let again = g.evaluate(&q(0, 2, 0, 39)).unwrap().stats;
         assert!(first.random_ios > 0);
         assert_eq!(
             (first.random_ios, first.seq_ios, first.visited),
@@ -421,18 +401,15 @@ mod tests {
             (at, u32::MAX, "count overrunning the record"),
         ] {
             let mut g = grid(&store);
-            assert!(g.evaluate_query(&q(0, 2, 0, 39)).is_ok());
+            assert!(g.evaluate(&q(0, 2, 0, 39)).is_ok());
             patch(&mut g, ptr.page, field, value);
             assert!(
-                matches!(
-                    g.evaluate_query(&q(0, 2, 0, 39)),
-                    Err(IndexError::Corrupt(_))
-                ),
+                matches!(g.evaluate(&q(0, 2, 0, 39)), Err(IndexError::Corrupt(_))),
                 "ReachGrid: {what}"
             );
             assert!(
                 matches!(
-                    crate::Spj::new(&g).evaluate_query(&q(0, 2, 0, 39)),
+                    crate::Spj::new(&g).evaluate(&q(0, 2, 0, 39)),
                     Err(IndexError::Corrupt(_))
                 ),
                 "SPJ: {what}"
@@ -444,7 +421,7 @@ mod tests {
         let ptr = g.chunk(0).cell_ptr(5).unwrap();
         patch(&mut g, ptr.page, ptr.offset as usize + 8, 0);
         assert!(matches!(
-            crate::Spj::new(&g).evaluate_query(&q(0, 2, 0, 39)),
+            crate::Spj::new(&g).evaluate(&q(0, 2, 0, 39)),
             Err(IndexError::Corrupt(_))
         ));
     }
@@ -460,14 +437,11 @@ mod tests {
             (48, "empty cell"),
         ] {
             let mut g = grid(&store);
-            assert!(g.evaluate_query(&q(0, 2, 0, 39)).is_ok());
+            assert!(g.evaluate(&q(0, 2, 0, 39)).is_ok());
             let page = g.dir_first_page;
             patch(&mut g, page, 0, cell);
             assert!(
-                matches!(
-                    g.evaluate_query(&q(0, 2, 0, 39)),
-                    Err(IndexError::Corrupt(_))
-                ),
+                matches!(g.evaluate(&q(0, 2, 0, 39)), Err(IndexError::Corrupt(_))),
                 "{what}"
             );
         }

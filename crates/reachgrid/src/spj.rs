@@ -15,8 +15,7 @@
 use crate::cells::{CellArena, NO_ENTRY};
 use crate::index::ReachGrid;
 use reach_core::{
-    IndexError, Point, Query, QueryOutcome, QueryResult, QueryStats, ReachIndex, TimeInterval,
-    UnionFind,
+    IndexError, Point, Query, QueryOutcome, QueryResult, QueryStats, ReachIndex, UnionFind,
 };
 use reach_traj::{proximity_pairs, SweepScratch};
 use std::time::Instant;
@@ -31,29 +30,21 @@ impl<'a> Spj<'a> {
     pub fn new(grid: &'a ReachGrid) -> Self {
         Self { grid }
     }
+}
 
-    /// Evaluates by full materialization of `C'` followed by propagation,
-    /// reading through its own cold pager.
-    pub fn evaluate_query(&self, q: &Query) -> Result<QueryResult, IndexError> {
+impl ReachIndex for Spj<'_> {
+    fn name(&self) -> &'static str {
+        "SPJ"
+    }
+
+    /// Full materialization of `C'` followed by propagation, reading
+    /// through its own cold pager.
+    fn evaluate(&self, q: &Query) -> Result<QueryResult, IndexError> {
         let started = Instant::now();
         let grid = self.grid;
         let mut pager = grid.open();
         let mut stats = QueryStats::default();
-
-        let horizon = grid.horizon();
-        if q.source.index() >= grid.num_objects() {
-            return Err(IndexError::UnknownObject(q.source));
-        }
-        if q.dest.index() >= grid.num_objects() {
-            return Err(IndexError::UnknownObject(q.dest));
-        }
-        if q.interval.start >= horizon {
-            return Err(IndexError::IntervalOutOfRange {
-                requested: q.interval,
-                horizon,
-            });
-        }
-        let interval = TimeInterval::new(q.interval.start, q.interval.end.min(horizon - 1));
+        let interval = q.admit(grid.num_objects(), grid.horizon())?;
 
         let n = grid.num_objects();
         let mut infected = vec![false; n];
@@ -157,22 +148,12 @@ impl<'a> Spj<'a> {
     }
 }
 
-impl ReachIndex for Spj<'_> {
-    fn name(&self) -> &'static str {
-        "SPJ"
-    }
-
-    fn evaluate(&self, query: &Query) -> Result<QueryResult, IndexError> {
-        self.evaluate_query(query)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::GridParams;
     use reach_contact::Oracle;
-    use reach_core::{Environment, ObjectId, Time};
+    use reach_core::{Environment, ObjectId, Time, TimeInterval};
     use reach_traj::{Trajectory, TrajectoryStore};
 
     fn store() -> TrajectoryStore {
@@ -223,7 +204,7 @@ mod tests {
             (1, 2, 20, 39),
         ] {
             let query = q(s, d, a, b);
-            let got = Spj::new(&g).evaluate_query(&query).unwrap();
+            let got = Spj::new(&g).evaluate(&query).unwrap();
             assert_eq!(got.outcome, oracle.evaluate(&query), "query {query}");
         }
     }
@@ -276,8 +257,8 @@ mod tests {
         )
         .unwrap();
         let query = q(0, 2, 0, 39);
-        let spj = Spj::new(&g).evaluate_query(&query).unwrap().stats;
-        let grid = g.evaluate_query(&query).unwrap().stats;
+        let spj = Spj::new(&g).evaluate(&query).unwrap().stats;
+        let grid = g.evaluate(&query).unwrap().stats;
         assert!(
             spj.random_ios + spj.seq_ios > grid.random_ios + grid.seq_ios,
             "SPJ ({spj:?}) should read strictly more pages than guided expansion ({grid:?})"
@@ -291,8 +272,8 @@ mod tests {
         let store = store();
         let g = grid(&store);
         // Same interval, different destinations: identical full-scan IO.
-        let a = Spj::new(&g).evaluate_query(&q(0, 1, 0, 39)).unwrap();
-        let b = Spj::new(&g).evaluate_query(&q(0, 2, 0, 39)).unwrap();
+        let a = Spj::new(&g).evaluate(&q(0, 1, 0, 39)).unwrap();
+        let b = Spj::new(&g).evaluate(&q(0, 2, 0, 39)).unwrap();
         assert_eq!(
             a.stats.random_ios + a.stats.seq_ios,
             b.stats.random_ios + b.stats.seq_ios

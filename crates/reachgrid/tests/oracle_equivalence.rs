@@ -51,7 +51,7 @@ proptest! {
         .generate(8, 60, seed ^ 0xABCD);
         for q in &queries {
             let expected = oracle.evaluate(q);
-            let got = grid.evaluate_query(q).unwrap();
+            let got = grid.evaluate(q).unwrap();
             prop_assert_eq!(
                 got.outcome.reachable, expected.reachable,
                 "grid mismatch on {} (seed {}, RT {}, RS {})", q, seed, temporal, cell
@@ -62,7 +62,7 @@ proptest! {
                     "earliest-arrival mismatch on {}", q
                 );
             }
-            let spj = Spj::new(&grid).evaluate_query(q).unwrap();
+            let spj = Spj::new(&grid).evaluate(q).unwrap();
             prop_assert_eq!(
                 spj.outcome.reachable, expected.reachable,
                 "SPJ mismatch on {} (seed {})", q, seed
@@ -128,7 +128,7 @@ fn source_in_motion_across_chunk_boundaries() {
         for d in 0..10u32 {
             let q = Query::new(ObjectId(s), ObjectId(d), TimeInterval::new(13, 66));
             assert_eq!(
-                grid.evaluate_query(&q).unwrap().reachable(),
+                grid.evaluate(&q).unwrap().reachable(),
                 oracle.evaluate(&q).reachable,
                 "query {q}"
             );

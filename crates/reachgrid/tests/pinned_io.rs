@@ -8,7 +8,7 @@
 //! order shows up here as an exact mismatch, not as drift within the
 //! `bench_diff` gate's tolerance.
 
-use reach_core::{Environment, Time};
+use reach_core::{Environment, ReachIndex, Time};
 use reach_grid::{GridParams, ReachGrid};
 use reach_mobility::{RwpConfig, WorkloadConfig};
 
@@ -61,7 +61,7 @@ fn query_io_and_outcomes_match_the_recorded_values() {
     let (mut random, mut seq, mut visited) = (0, 0, 0);
     let mut arrivals = Vec::new();
     for q in &queries {
-        let r = grid.evaluate_query(q).expect("query answers");
+        let r = grid.evaluate(q).expect("query answers");
         random += r.stats.random_ios;
         seq += r.stats.seq_ios;
         visited += r.stats.visited;

@@ -166,8 +166,13 @@ impl Shared {
         self.queue.lock().expect("serve queue poisoned")
     }
 
-    fn record(&self, result: &Result<Answer, IndexError>) {
-        match result {
+    /// Delivers one claimed job's result: counts it, feeds the wall-clock
+    /// histograms and (when observed) the slow-query log, lowers the
+    /// in-flight gauge, and only then replies — so a caller whose `wait`
+    /// has returned never sees its own job still in flight.
+    fn deliver(&self, job: Job, result: Result<Answer, IndexError>, claim: u64, done: u64) {
+        let served_ns = done.saturating_sub(claim);
+        match &result {
             Ok(a) => {
                 self.completed.fetch_add(1, Ordering::Relaxed);
                 self.io_hist
@@ -177,27 +182,19 @@ impl Shared {
                 self.failed.fetch_add(1, Ordering::Relaxed);
             }
         }
-    }
-
-    /// Feeds one served job into the wall-clock histograms and (when
-    /// observed) the slow-query log.
-    fn note_served(
-        &self,
-        job_request: &ReachRequest,
-        result: &Result<Answer, IndexError>,
-        waited_ns: u64,
-        served_ns: u64,
-    ) {
-        self.queue_wait.record(waited_ns / 1_000);
+        self.queue_wait
+            .record(claim.saturating_sub(job.submitted) / 1_000);
         self.service_time.record(served_ns / 1_000);
-        if let (Some(obs), Ok(a)) = (&self.obs, result) {
+        if let (Some(obs), Ok(a)) = (&self.obs, &result) {
             obs.observe_query(
-                job_request.trace.trace_id(),
-                &job_request.trace_label(),
+                job.request.trace.trace_id(),
+                &job.request.trace_label(),
                 a.stats.random_ios + a.stats.seq_ios,
                 served_ns,
             );
         }
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        let _ = job.reply.send(result);
     }
 }
 
@@ -463,27 +460,19 @@ fn worker_loop(shared: &Shared) {
         for j in cohort.iter_mut() {
             drop(j.queue_span.take());
         }
-        let claimed = 1 + cohort.len() as u64;
-        shared.in_flight.fetch_add(claimed, Ordering::Relaxed);
+        shared
+            .in_flight
+            .fetch_add(1 + cohort.len() as u64, Ordering::Relaxed);
         if cohort.is_empty() {
             let result = {
                 let mut serve_span = job.request.trace.span("serve/serve");
                 serve_span.label_with(|| job.request.trace_label());
                 shared.index.answer(&job.request)
             };
-            let done = now_ticks();
-            shared.record(&result);
-            shared.note_served(
-                &job.request,
-                &result,
-                claim.saturating_sub(job.submitted),
-                done.saturating_sub(claim),
-            );
-            let _ = job.reply.send(result);
+            shared.deliver(job, result, claim, now_ticks());
         } else {
             serve_batch(shared, job, cohort, claim);
         }
-        shared.in_flight.fetch_sub(claimed, Ordering::Relaxed);
     }
 }
 
@@ -538,30 +527,14 @@ fn serve_batch(shared: &Shared, job: Job, cohort: Vec<Job>, claim: u64) {
                 .batched
                 .fetch_add(jobs.len() as u64 - 1, Ordering::Relaxed);
             for (j, a) in jobs.into_iter().zip(answers) {
-                let result = Ok(a);
-                shared.record(&result);
-                shared.note_served(
-                    &j.request,
-                    &result,
-                    claim.saturating_sub(j.submitted),
-                    done.saturating_sub(claim),
-                );
-                let _ = j.reply.send(result);
+                shared.deliver(j, Ok(a), claim, done);
             }
         }
         Err(e) => {
             // A cohort-wide failure (e.g. the window slid past the
             // horizon) reports to every member.
             for j in jobs {
-                let result = Err(e.clone());
-                shared.record(&result);
-                shared.note_served(
-                    &j.request,
-                    &result,
-                    claim.saturating_sub(j.submitted),
-                    done.saturating_sub(claim),
-                );
-                let _ = j.reply.send(result);
+                shared.deliver(j, Err(e.clone()), claim, done);
             }
         }
     }
@@ -938,5 +911,46 @@ mod tests {
             .expect_err("kind unsupported");
         assert!(matches!(err, IndexError::Unsupported(_)), "{err}");
         assert_eq!(srv.metrics().failed, 1);
+    }
+
+    /// The gauge drops before the reply goes out: once every ticket of a
+    /// round has returned from `wait` (a lone job, a four-job cohort and a
+    /// failing job), nothing is in flight.
+    #[test]
+    fn nothing_is_in_flight_once_every_ticket_answered() {
+        let probe = Arc::new(Probe::default());
+        let srv = server(
+            &probe,
+            ServeConfig {
+                workers: 1,
+                queue_capacity: 16,
+                max_batch: 16,
+            },
+        );
+        let w = TimeInterval::new(0, 9);
+        for round in 0..200u64 {
+            // Hold the worker inside a lone job while the cohort queues.
+            probe.gate.store(true, Ordering::Release);
+            let mut tickets = vec![srv
+                .submit(ReachRequest::reach(ObjectId(7), w, ObjectId(1)))
+                .expect("admitted")];
+            while probe.entered.load(Ordering::Acquire) < 2 * round + 1 {
+                std::thread::yield_now();
+            }
+            for d in 1..5u32 {
+                let req = ReachRequest::reach(ObjectId(0), w, ObjectId(d));
+                tickets.push(srv.submit(req).expect("admitted"));
+            }
+            let failing =
+                ReachRequest::reach(ObjectId(0), w, ObjectId(1)).with_kind(QueryKind::NonImmediate);
+            tickets.push(srv.submit(failing).expect("admitted"));
+            probe.gate.store(false, Ordering::Release);
+            for t in tickets {
+                let _ = t.wait();
+            }
+            assert_eq!(srv.metrics().in_flight, 0, "round {round}");
+        }
+        let m = srv.metrics();
+        assert_eq!((m.completed, m.failed, m.batched), (1000, 200, 600));
     }
 }

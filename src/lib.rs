@@ -270,7 +270,7 @@
 //!
 //! // …and are queryable immediately: o4 reachable from o1 during [0, 1].
 //! let q = Query::new(ObjectId(0), ObjectId(3), TimeInterval::new(0, 1));
-//! assert!(live.evaluate_query(&q).expect("query evaluates").reachable());
+//! assert!(live.evaluate(&q).expect("query evaluates").reachable());
 //!
 //! // Seal what we have, then keep appending: the next query spans the
 //! // watermark — the shard hands its arrival frontier at the cut to the
@@ -279,7 +279,7 @@
 //! live.append(Contact::new(ObjectId(2), ObjectId(3), TimeInterval::new(2, 2)))
 //!     .expect("append accepted");
 //! let q = Query::new(ObjectId(0), ObjectId(2), TimeInterval::new(0, 2));
-//! assert!(live.evaluate_query(&q).expect("query evaluates").reachable());
+//! assert!(live.evaluate(&q).expect("query evaluates").reachable());
 //! ```
 
 //! ## Concurrent serving: shared queries, off-lock rebuilds

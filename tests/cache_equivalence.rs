@@ -289,7 +289,7 @@ fn concurrent_serve_with_shared_cache_matches_single_threaded() {
         }
         let expected: Vec<bool> = sweep
             .iter()
-            .map(|q| cold.evaluate_query(q).expect("cold query").reachable())
+            .map(|q| cold.evaluate(q).expect("cold query").reachable())
             .collect();
 
         let warm = Arc::new(warm);
@@ -305,7 +305,7 @@ fn concurrent_serve_with_shared_cache_matches_single_threaded() {
                     for i in 0..sweep.len() {
                         let at = (start + i) % sweep.len();
                         let q = &sweep[at];
-                        let got = warm.evaluate_query(q).expect("warm query").reachable();
+                        let got = warm.evaluate(q).expect("warm query").reachable();
                         assert_eq!(
                             got, expected[at],
                             "{q} diverged under the shared cache ({backend}, reader {reader})"
@@ -354,7 +354,7 @@ fn epoch_swaps_never_serve_stale_cached_pages() {
             for d in 0..n as u32 {
                 for (a, b) in [(0, now - 1), (now / 3, 2 * now / 3), (now / 2, now - 1)] {
                     let q = Query::new(ObjectId(s), ObjectId(d), TimeInterval::new(a, b.max(a)));
-                    let got = index.evaluate_query(&q).expect("post-swap query");
+                    let got = index.evaluate(&q).expect("post-swap query");
                     assert_eq!(
                         got.reachable(),
                         oracle.evaluate(&q).reachable,
@@ -369,7 +369,7 @@ fn epoch_swaps_never_serve_stale_cached_pages() {
             let q = Query::new(ObjectId(s), ObjectId((s + 3) % n as u32), {
                 TimeInterval::new(0, now - 1)
             });
-            index.evaluate_query(&q).expect("warming query");
+            index.evaluate(&q).expect("warming query");
         }
         let stats = index.cache_stats().expect("shard carries a cache");
         assert!(

@@ -128,7 +128,7 @@ fn concurrent_interleavings_quiesce_to_the_batch_oracle() {
                             // for liveness here; exactness is asserted by
                             // the post-quiesce sweep below and bracketed by
                             // the monotone-bounds test.
-                            index.evaluate_query(&q).expect("concurrent query");
+                            index.evaluate(&q).expect("concurrent query");
                             served.fetch_add(1, Ordering::Relaxed);
                         }
                     });
@@ -165,7 +165,7 @@ fn concurrent_interleavings_quiesce_to_the_batch_oracle() {
                     for (a, b) in [(0, now - 1), (now / 3, 2 * now / 3), (now / 2, now - 1)] {
                         let q =
                             Query::new(ObjectId(s), ObjectId(d), TimeInterval::new(a, b.max(a)));
-                        let got = index.evaluate_query(&q).expect("quiesced query");
+                        let got = index.evaluate(&q).expect("quiesced query");
                         let want = oracle.evaluate(&q);
                         assert_eq!(
                             got.reachable(),
@@ -223,10 +223,7 @@ fn concurrent_answers_are_bracketed_by_prefix_and_full_oracles() {
                     let d = rng.gen_range(0..n as u32);
                     let a = rng.gen_range(0..window_end);
                     let q = Query::new(ObjectId(s), ObjectId(d), TimeInterval::new(a, window_end));
-                    let got = index
-                        .evaluate_query(&q)
-                        .expect("concurrent query")
-                        .reachable();
+                    let got = index.evaluate(&q).expect("concurrent query").reachable();
                     if prefix_oracle.evaluate(&q).reachable {
                         assert!(got, "{q}: sealed-prefix reachability was lost mid-append");
                     }
@@ -289,7 +286,7 @@ fn epoch_swaps_never_serve_a_torn_base() {
                     let a = rng.gen_range(0..data_now - 1);
                     let b = rng.gen_range(a..data_now);
                     let q = Query::new(ObjectId(s), ObjectId(d), TimeInterval::new(a, b));
-                    let got = index.evaluate_query(&q).expect("query during swaps");
+                    let got = index.evaluate(&q).expect("query during swaps");
                     assert_eq!(
                         got.reachable(),
                         oracle.evaluate(&q).reachable,
@@ -351,7 +348,7 @@ fn queries_are_served_during_a_compaction() {
             ObjectId((during as u32 + 3) % n as u32),
             TimeInterval::new(0, now - 1),
         );
-        index.evaluate_query(&q).expect("query during compaction");
+        index.evaluate(&q).expect("query during compaction");
         during += 1;
     }
     worker

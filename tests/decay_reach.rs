@@ -109,39 +109,40 @@ fn engines_match_the_oracle_on_every_backend() {
                 let iv = TimeInterval::new(a, rng.gen_range(a..horizon));
                 let theta = [0.01, 0.2, 0.6][rng.gen_range(0..3usize)];
                 let want = oracle.decay_reachable(s, d, iv, &model, theta);
-                let (got, _) = rg
-                    .decay_reachable(s, d, iv, &model, theta)
-                    .expect("graph decay evaluates");
-                assert_eq!(got, want, "{backend}: graph {s:?}->{d:?} {iv} θ={theta}");
-                let (got, _) = grail
-                    .decay_reachable(s, d, iv, &model, theta)
-                    .expect("grail decay evaluates");
-                assert_eq!(got, want, "{backend}: grail {s:?}->{d:?} {iv} θ={theta}");
+                let decay = ReachRequest::decay(s, iv, d, theta, model);
+                for index in [&rg as &dyn ReachIndex, &grail] {
+                    let got = index.answer(&decay).expect("decay evaluates");
+                    let got = got.ranking.first().map(|r| (r.weight, r.arrival));
+                    assert_eq!(
+                        got,
+                        want,
+                        "{backend}: {} {s:?}->{d:?} {iv} θ={theta}",
+                        index.name()
+                    );
+                }
 
                 let k = rng.gen_range(1..=n);
                 for direction in [RankDirection::Reachable, RankDirection::Reaching] {
-                    let want = match direction {
-                        RankDirection::Reachable => oracle.top_k_reachable(s, iv, k, &model),
-                        RankDirection::Reaching => oracle.top_k_reaching(s, iv, k, &model),
+                    let (want, top_k) = match direction {
+                        RankDirection::Reachable => (
+                            oracle.top_k_reachable(s, iv, k, &model),
+                            ReachRequest::top_k_reachable(s, iv, k, model),
+                        ),
+                        RankDirection::Reaching => (
+                            oracle.top_k_reaching(s, iv, k, &model),
+                            ReachRequest::top_k_reaching(s, iv, k, model),
+                        ),
                     };
-                    let (got, _) = rg
-                        .top_k(s, iv, k, &model, direction)
-                        .expect("graph top-k evaluates");
-                    assert_eq!(
-                        got,
-                        want,
-                        "{backend}: graph top-{k} {} from {s:?} {iv}",
-                        direction.name()
-                    );
-                    let (got, _) = grail
-                        .top_k(s, iv, k, &model, direction)
-                        .expect("grail top-k evaluates");
-                    assert_eq!(
-                        got,
-                        want,
-                        "{backend}: grail top-{k} {} from {s:?} {iv}",
-                        direction.name()
-                    );
+                    for index in [&rg as &dyn ReachIndex, &grail] {
+                        let got = index.answer(&top_k).expect("top-k evaluates");
+                        assert_eq!(
+                            got.ranking,
+                            want,
+                            "{backend}: {} top-{k} {} from {s:?} {iv}",
+                            index.name(),
+                            direction.name()
+                        );
+                    }
                 }
             }
         }

@@ -243,7 +243,7 @@ fn check_sharded_against_oracle(live: &ShardedLive, tag: &str) {
                 TimeInterval::new(last / 2, last),
             ] {
                 let q = Query::new(ObjectId(s), ObjectId(d), iv);
-                let got = live.evaluate_query(&q).expect("query evaluates");
+                let got = live.evaluate(&q).expect("query evaluates");
                 let want = oracle.evaluate(&q);
                 assert_eq!(got.reachable(), want.reachable, "{tag}: {q}");
                 if let (Some(gt), Some(wt)) = (got.outcome.earliest, want.earliest) {

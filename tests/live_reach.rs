@@ -125,7 +125,7 @@ fn interleavings_match_batch_rebuild() {
                     };
                     let b = rng.gen_range(a..live.now());
                     let q = Query::new(ObjectId(s), ObjectId(d), TimeInterval::new(a, b));
-                    let got = live.evaluate_query(&q).expect("live query");
+                    let got = live.evaluate(&q).expect("live query");
                     let want = oracle.evaluate(&q);
                     assert_eq!(
                         got.reachable(),
@@ -151,7 +151,7 @@ fn interleavings_match_batch_rebuild() {
                     TimeInterval::new(w - 1, live.now() - 1),
                 );
                 assert_eq!(
-                    live.evaluate_query(&q).expect("sweep query").reachable(),
+                    live.evaluate(&q).expect("sweep query").reachable(),
                     oracle.evaluate(&q).reachable,
                     "final sweep {q} (seed {seed})"
                 );
@@ -254,7 +254,7 @@ fn lossy_lateness_stays_equivalent() {
                 TimeInterval::new(0, live.now() - 1),
             );
             assert_eq!(
-                live.evaluate_query(&q).expect("query").reachable(),
+                live.evaluate(&q).expect("query").reachable(),
                 oracle.evaluate(&q).reachable,
                 "{q} diverged on the lossy schedule"
             );
@@ -329,7 +329,7 @@ fn append_log_recovers_after_a_crash() {
                 TimeInterval::new(0, live.now() - 1),
             );
             assert_eq!(
-                live.evaluate_query(&q).expect("query").reachable(),
+                live.evaluate(&q).expect("query").reachable(),
                 oracle.evaluate(&q).reachable,
                 "{q} diverged after recovery"
             );
@@ -403,7 +403,7 @@ fn compaction_after_recovery_removes_superseded_bases() {
                     TimeInterval::new(0, live.now() - 1),
                 );
                 assert_eq!(
-                    live.evaluate_query(&q).expect("query").reachable(),
+                    live.evaluate(&q).expect("query").reachable(),
                     oracle.evaluate(&q).reachable,
                     "{q} diverged {when}"
                 );

@@ -112,7 +112,7 @@ fn oracle_of(live: &ShardedLive) -> Oracle {
 
 /// Asserts one query against the oracle: verdict and arrival tick.
 fn check_query(live: &ShardedLive, oracle: &Oracle, q: &Query, tag: &str) {
-    let got = live.evaluate_query(q).expect("sharded query evaluates");
+    let got = live.evaluate(q).expect("sharded query evaluates");
     let want = oracle.evaluate(q);
     assert_eq!(
         got.reachable(),
@@ -396,7 +396,7 @@ fn serving_io_equals_the_single_threaded_sharded_walk() {
         let single: Vec<(u64, u64, u64)> = queries
             .iter()
             .map(|q| {
-                let a = live.evaluate_query(q).expect("reference query");
+                let a = live.evaluate(q).expect("reference query");
                 (a.stats.random_ios, a.stats.seq_ios, a.stats.visited)
             })
             .collect();
