@@ -13,7 +13,7 @@
 //! * `--full` — the recorded scales (`--quick`, the default: the quick tier);
 //! * `--json` — one JSON array of `{id, caption, headers, rows}` objects
 //!   instead of markdown tables;
-//! * `--backend=sim|file|mmap` — the storage backend of every device;
+//! * `--backend=sim|file` — the storage backend of every device;
 //! * `--trace=PATH` — a real trace for `trace` (see DATAFORMATS.md);
 //! * `--build-budget=BYTES[k|m]` — the streaming builds' resident bound;
 //! * `--warm-cache` — `serve`'s shared-cache tier.
@@ -38,7 +38,7 @@ fn main() -> ExitCode {
                 eprintln!("streach_exp: {e}");
             }
             let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
-            eprintln!("usage: streach_exp <name> [--full] [--json] [--backend=sim|file|mmap] [--trace=PATH] [--build-budget=BYTES[k|m]] [--warm-cache]");
+            eprintln!("usage: streach_exp <name> [--full] [--json] [--backend=sim|file] [--trace=PATH] [--build-budget=BYTES[k|m]] [--warm-cache]");
             eprintln!("names: {} all", names.join(" "));
             return ExitCode::FAILURE;
         }

@@ -260,9 +260,9 @@ impl Tier {
 }
 
 /// Storage backend the experiment harness builds its indexes on
-/// (`--backend=sim|file|mmap`). `sim` — the paper's measurement model — is
-/// the default; the other two run the identical experiments against real
-/// files so wall-clock numbers reflect actual IO.
+/// (`--backend=sim|file`). `sim` — the paper's measurement model — is the
+/// default; `file` runs the identical experiments against real files so
+/// wall-clock numbers reflect actual IO.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Backend {
     /// Memory-backed simulator (default; the paper's IO-count model).
@@ -270,16 +270,14 @@ pub enum Backend {
     Sim,
     /// Real file with positioned IO, one temp file per index build.
     File,
-    /// Read-optimized memory-resident image over a temp file.
-    Mmap,
 }
 
 impl Backend {
     fn parse(v: &str) -> Result<Backend, String> {
-        [Backend::Sim, Backend::File, Backend::Mmap]
+        [Backend::Sim, Backend::File]
             .into_iter()
             .find(|b| b.name() == v)
-            .ok_or_else(|| format!("unknown storage backend {v:?} (expected sim|file|mmap)"))
+            .ok_or_else(|| format!("unknown storage backend {v:?} (expected sim|file)"))
     }
 
     /// Report name.
@@ -287,7 +285,6 @@ impl Backend {
         match self {
             Backend::Sim => "sim",
             Backend::File => "file",
-            Backend::Mmap => "mmap",
         }
     }
 
@@ -305,7 +302,7 @@ impl Backend {
                     .create()
                     .expect("sim device creates")
             }
-            Backend::File | Backend::Mmap => {
+            Backend::File => {
                 let dir =
                     std::env::temp_dir().join(format!("streach-bench-{}", std::process::id()));
                 std::fs::create_dir_all(&dir).expect("temp device dir creates");
@@ -315,12 +312,9 @@ impl Backend {
                 ))
             }
         };
-        let config = if self == Backend::File {
-            StorageConfig::file(&path, page_size)
-        } else {
-            StorageConfig::mmap(&path, page_size)
-        };
-        let device = config.create().expect("experiment device creates");
+        let device = StorageConfig::file(&path, page_size)
+            .create()
+            .expect("experiment device creates");
         // Benchmark devices are never reopened, so the anonymous-file trick
         // applies: with the descriptor held, the name can go away now (and
         // removing the directory succeeds exactly when it is empty).
@@ -340,7 +334,7 @@ impl Backend {
 pub struct Run {
     /// `--full`: the recorded scales (default: the quick tier).
     pub tier: Tier,
-    /// `--backend=sim|file|mmap`: the storage backend of every device.
+    /// `--backend=sim|file`: the storage backend of every device.
     pub backend: Backend,
     /// `--json`: one JSON array of tables instead of markdown.
     pub json: bool,
@@ -393,7 +387,7 @@ fn parse_bytes(raw: &str) -> Result<usize, String> {
 }
 
 /// A [`ShardedLive`] on a run's backend that owns its storage directory
-/// (`file`/`mmap`: a fresh path under the system temp dir; `sim`: none).
+/// (`file`: a fresh path under the system temp dir; `sim`: none).
 /// Shards are reopened by name, so unlike [`Backend::device`]'s files they
 /// stay linked until the guard drops and removes the directory — also when
 /// an experiment's assertion panics. Derefs to the index;
@@ -441,7 +435,6 @@ impl ScratchLive {
         let (storage, dir) = match backend {
             Backend::Sim => (StorageConfig::sim(page_size), None),
             Backend::File => (StorageConfig::file(&path, page_size), Some(path)),
-            Backend::Mmap => (StorageConfig::mmap(&path, page_size), Some(path)),
         };
         // The guard exists before the build, so a failed build cleans up too.
         let dir = RemoveOnDrop(dir);
@@ -630,7 +623,7 @@ mod tests {
 
     #[test]
     fn backend_devices() {
-        for be in [Backend::Sim, Backend::File, Backend::Mmap] {
+        for be in [Backend::Sim, Backend::File] {
             let mut dev = be.device(128);
             assert_eq!(dev.backend(), be.name());
             assert_eq!(dev.page_size(), 128);
@@ -645,14 +638,14 @@ mod tests {
         let run = Run::parse([
             "--full",
             "--json",
-            "--backend=mmap",
+            "--backend=file",
             "--trace=t.txt",
             "--build-budget=64k",
             "--warm-cache",
         ]);
         let want = Run {
             tier: Tier::Full,
-            backend: Backend::Mmap,
+            backend: Backend::File,
             json: true,
             trace: Some(PathBuf::from("t.txt")),
             build_budget: Some(64 << 10),
@@ -667,6 +660,7 @@ mod tests {
         let bad = [
             "--backend-file",
             "--backend=disk",
+            "--backend=mmap",
             "--build-budget=x",
             "--help",
         ];

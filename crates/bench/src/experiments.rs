@@ -1450,7 +1450,7 @@ pub fn exp_shard(run: &Run) -> Vec<Table> {
 /// strictly), and forward vs reverse ranking cost. **Asserts** every
 /// verdict and ranking against the exhaustive path-enumeration oracle
 /// ([`reach_ext::DecayOracle`]), so running this under
-/// `--backend=sim|file|mmap` revalidates the decay semantics on each
+/// `--backend=sim|file` revalidates the decay semantics on each
 /// storage backend.
 pub fn exp_decay(run: &Run) -> Vec<Table> {
     use reach_core::{DecayModel, ObjectId, RankDirection, TimeInterval};

@@ -3,7 +3,7 @@
 //!
 //! Wall-clock numbers are hostage to the runner; **counted IO is not**: the
 //! device counters are a pure function of the code (backend equivalence
-//! guarantees sim == file == mmap, and every seed is fixed), so a committed
+//! guarantees sim == file, and every seed is fixed), so a committed
 //! baseline can be compared exactly. The pipeline:
 //!
 //! 1. [`quick_suite`] builds the three indexes plus a budgeted streaming

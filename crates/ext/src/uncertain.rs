@@ -324,13 +324,18 @@ impl reach_core::ReachIndex for UReachGraph {
         let started = std::time::Instant::now();
         let q = &request.query;
         let window = q.admit(self.num_objects(), self.horizon)?;
-        let p = self.best_probability(q.source, q.dest, window, threshold);
-        Ok(Answer::from(QueryResult {
-            outcome: if p >= threshold && p > 0.0 {
+        let outcome = if q.source == q.dest {
+            QueryOutcome::reachable_at(window.start)
+        } else {
+            let p = self.best_probability(q.source, q.dest, window, threshold);
+            if p >= threshold && p > 0.0 {
                 QueryOutcome::reachable()
             } else {
                 QueryOutcome::UNREACHABLE
-            },
+            }
+        };
+        Ok(Answer::from(QueryResult {
+            outcome,
             stats: QueryStats {
                 cpu: started.elapsed(),
                 ..QueryStats::default()

@@ -2,7 +2,7 @@
 //!
 //! Start from a [`LiveConfig`] (ReachGraph params + build budget, knobs
 //! through its `with_*` methods), pick where the index lives with
-//! [`LiveBuilder::backend`] (`sim` needs nothing; `file`/`mmap` treat the
+//! [`LiveBuilder::backend`] (`sim` needs nothing; `file` treats the
 //! configured path as a directory holding `shard-log.pages`,
 //! `shard-dir.pages`, and one `shard-base-{seq}.pages` per sealed shard),
 //! then [`LiveBuilder::build_sharded`] a fresh [`ShardedLive`] or
@@ -34,7 +34,7 @@ impl LiveConfig {
 
 impl LiveBuilder {
     /// Where the index lives: the simulator (default), or a directory of
-    /// real files for the `file`/`mmap` backends. The storage page size
+    /// real files for the `file` backend. The storage page size
     /// must match the configured params'.
     pub fn backend(mut self, storage: StorageConfig) -> Self {
         assert_eq!(

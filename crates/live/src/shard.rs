@@ -249,9 +249,9 @@ impl ShardedLive {
         num_objects: usize,
         config: LiveConfig,
     ) -> Result<Self, IndexError> {
-        let log = AppendLog::create(directory.create("shard-log", true)?, num_objects)?;
+        let log = AppendLog::create(directory.create("shard-log")?, num_objects)?;
         let dir = if directory.is_durable() {
-            Some(EpochDirectory::create(directory.create("shard-dir", true)?))
+            Some(EpochDirectory::create(directory.create("shard-dir")?))
         } else {
             None
         };
@@ -275,17 +275,17 @@ impl ShardedLive {
         directory: DeviceDirectory,
         config: LiveConfig,
     ) -> Result<(Self, ShardRecovery), IndexError> {
-        let (dir, records) = EpochDirectory::open(directory.open("shard-dir", true)?)?;
+        let (dir, records) = EpochDirectory::open(directory.open("shard-dir")?)?;
         let mut shards: Vec<Arc<Shard>> = Vec::new();
         for &(lo, hi, seq) in &records.shards {
-            let device = directory.open(&format!("shard-base-{seq}"), false)?;
+            let device = directory.open(&format!("shard-base-{seq}"))?;
             let hub = DeviceDirectory::hub(device, config.shared_cache_pages, config.readahead);
             let base = ReachGraph::open(Box::new(hub))?;
             shards.push(Arc::new(Shard { lo, hi, seq, base }));
         }
         let next_seq = records.shards.iter().map(|s| s.2 + 1).max().unwrap_or(0);
         let top_cut = shards.last().map_or(0, |s| s.hi);
-        let (log, replayed, log_recovery) = AppendLog::open(directory.open("shard-log", true)?)?;
+        let (log, replayed, log_recovery) = AppendLog::open(directory.open("shard-log")?)?;
         let mut delta = DeltaDn::new(top_cut);
         for c in replayed {
             if c.interval.end < top_cut {
@@ -720,8 +720,8 @@ impl ShardedLive {
         let started = Instant::now();
         let scratch_name = format!("shard-scratch-{seq}");
         let built = (|| {
-            let scratch = self.directory.create(&scratch_name, false)?;
-            let device = self.directory.create(&format!("shard-base-{seq}"), false)?;
+            let scratch = self.directory.create(&scratch_name)?;
+            let device = self.directory.create(&format!("shard-base-{seq}"))?;
             let hub = DeviceDirectory::hub(
                 device,
                 self.config.shared_cache_pages,
@@ -1482,19 +1482,19 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let d = DeviceDirectory::file(&root, PAGE);
         {
-            let mut dir = EpochDirectory::create(d.create("dir", true).unwrap());
+            let mut dir = EpochDirectory::create(d.create("dir").unwrap());
             dir.commit(1, &[(0, 4, 0)]).unwrap();
             dir.commit(2, &[(0, 4, 0), (4, 9, 1)]).unwrap();
             dir.commit_torn(3, &[(0, 4, 0), (4, 9, 1), (9, 20, 2)])
                 .unwrap();
         }
-        let (mut dir, records) = EpochDirectory::open(d.open("dir", true).unwrap()).unwrap();
+        let (mut dir, records) = EpochDirectory::open(d.open("dir").unwrap()).unwrap();
         assert_eq!(records.generation, 2, "torn record must not win");
         assert_eq!(records.shards, vec![(0, 4, 0), (4, 9, 1)]);
         // Appending after recovery overwrites the torn tail…
         dir.commit(3, &[(0, 9, 2)]).unwrap();
         drop(dir);
-        let (_, records) = EpochDirectory::open(d.open("dir", true).unwrap()).unwrap();
+        let (_, records) = EpochDirectory::open(d.open("dir").unwrap()).unwrap();
         assert_eq!(records.generation, 3);
         assert_eq!(records.shards, vec![(0, 9, 2)]);
         let _ = std::fs::remove_dir_all(&root);

@@ -1,7 +1,7 @@
 //! Serve a live reachability index from a synthetic contact stream.
 //!
 //! ```text
-//! streach_serve [--backend=sim|file=DIR|mmap=DIR] [--workers=N]
+//! streach_serve [--backend=sim|file:DIR] [--workers=N]
 //!               [--clients=N] [--queries=N] [--objects=N]
 //!               [--contacts=N] [--queue=N] [--sharded=EPOCHS]
 //!               [--cache=PAGES] [--metrics-out=PATH] [--metrics-json=PATH]
@@ -88,12 +88,8 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     StorageConfig::sim(PAGE)
                 } else if let Some(dir) = value.strip_prefix("file:") {
                     StorageConfig::file(dir, PAGE)
-                } else if let Some(dir) = value.strip_prefix("mmap:") {
-                    StorageConfig::mmap(dir, PAGE)
                 } else {
-                    return Err(format!(
-                        "--backend wants sim, file:DIR, or mmap:DIR, got `{value}`"
-                    ));
+                    return Err(format!("--backend wants sim or file:DIR, got `{value}`"));
                 };
             }
             "--workers" => args.workers = number()? as usize,

@@ -25,8 +25,7 @@
 //!   reader can keep using the bytes while another thread evicts or
 //!   invalidates the entry, because eviction only drops the cache's own
 //!   reference.
-//! * **Explicit invalidation** — [`PageCache::invalidate`] removes one
-//!   page (write-through coherence), [`PageCache::invalidate_all`] empties
+//! * **Explicit invalidation** — [`PageCache::invalidate_all`] empties
 //!   the cache (epoch retirement: when a compaction commits a new sealed
 //!   base, the superseded epoch's pages are dropped so the warm set never
 //!   serves a stale base).
@@ -102,7 +101,6 @@ struct Slot {
 #[derive(Debug, Default)]
 struct Shard {
     slots: Vec<Slot>,
-    free: Vec<usize>,
     map: HashMap<PageId, usize>,
     head: usize,
     tail: usize,
@@ -158,16 +156,6 @@ impl Shard {
             self.touch(i);
             return false;
         }
-        let mut evicted = false;
-        if self.map.len() >= cap {
-            let victim = self.tail;
-            debug_assert_ne!(victim, NIL);
-            self.unlink(victim);
-            let old = self.slots[victim].page;
-            self.map.remove(&old);
-            self.free.push(victim);
-            evicted = true;
-        }
         let slot = Slot {
             page,
             data,
@@ -175,9 +163,16 @@ impl Shard {
             prev: NIL,
             next: NIL,
         };
-        let i = if let Some(i) = self.free.pop() {
-            self.slots[i] = slot;
-            i
+        // Slots only grow while the shard is below capacity; a full shard
+        // reuses its LRU victim's slot.
+        let evicted = self.map.len() >= cap;
+        let i = if evicted {
+            let victim = self.tail;
+            debug_assert_ne!(victim, NIL);
+            self.unlink(victim);
+            self.map.remove(&self.slots[victim].page);
+            self.slots[victim] = slot;
+            victim
         } else {
             self.slots.push(slot);
             self.slots.len() - 1
@@ -187,17 +182,9 @@ impl Shard {
         evicted
     }
 
-    fn remove(&mut self, page: PageId) {
-        if let Some(i) = self.map.remove(&page) {
-            self.unlink(i);
-            self.free.push(i);
-        }
-    }
-
     fn clear(&mut self) {
         self.map.clear();
         self.slots.clear();
-        self.free.clear();
         self.head = NIL;
         self.tail = NIL;
     }
@@ -367,14 +354,6 @@ impl PageCache {
         }
     }
 
-    /// Drops one page (explicit invalidation).
-    pub fn invalidate(&self, page: PageId) {
-        self.shard(page)
-            .lock()
-            .expect("page cache shard poisoned")
-            .remove(page);
-    }
-
     /// Drops every resident page (epoch retirement — pinned readers keep
     /// their `Arc`s; only the cache's references go).
     pub fn invalidate_all(&self) {
@@ -462,16 +441,14 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_remove_then_reuse_slot() {
+    fn one_shard_reuses_the_evicted_slot() {
         let c = PageCache::private(3);
-        c.insert(1, b"1");
-        c.insert(2, b"2");
-        c.invalidate(1);
-        assert!(c.lookup(1).is_none());
-        c.insert(3, b"3");
-        c.insert(4, b"4");
-        assert_eq!((c.len(), c.stats().evictions), (3, 0));
-        assert!(c.contains(2) && c.contains(3) && c.contains(4));
+        for p in 1..=5u64 {
+            c.insert(p, &[p as u8]);
+        }
+        assert_eq!((c.len(), c.stats().evictions), (3, 2));
+        assert_eq!(c.shards[0].lock().unwrap().slots.len(), 3);
+        assert!(c.contains(3) && c.contains(4) && c.contains(5));
     }
 
     #[test]
@@ -531,15 +508,12 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_drops_one_page_and_invalidate_all_empties() {
+    fn invalidate_all_empties_every_shard() {
         let c = PageCache::new(16);
         for p in 0..10u64 {
             c.insert(p, &[p as u8]);
         }
         assert_eq!(c.len(), 10);
-        c.invalidate(3);
-        assert!(!c.contains(3));
-        assert_eq!(c.len(), 9);
         c.invalidate_all();
         assert!(c.is_empty());
     }

@@ -2,7 +2,7 @@
 //!
 //! All on-disk structures in the workspace serialize through these two
 //! cursors. Encoding is little-endian, fixed-width for numbers plus
-//! length-prefixed slices; decoding is bounds-checked and returns
+//! length-prefixed `u32` lists; decoding is bounds-checked and returns
 //! [`IndexError::Corrupt`] instead of panicking.
 
 use reach_core::IndexError;
@@ -56,11 +56,6 @@ impl ByteWriter {
         self.buf.push(v);
     }
 
-    /// Writes a little-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Writes a little-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -74,12 +69,6 @@ impl ByteWriter {
     /// Writes a little-endian IEEE-754 `f32`.
     pub fn put_f32(&mut self, v: f32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a `u32`-length-prefixed byte slice.
-    pub fn put_bytes(&mut self, v: &[u8]) {
-        self.put_u32(u32::try_from(v.len()).expect("slice length fits u32"));
-        self.buf.extend_from_slice(v);
     }
 
     /// Writes a `u32`-length-prefixed list of `u32`s.
@@ -133,12 +122,6 @@ impl<'a> ByteReader<'a> {
         Ok(self.take(1, "u8")?[0])
     }
 
-    /// Reads a little-endian `u16`.
-    pub fn get_u16(&mut self) -> Result<u16, IndexError> {
-        let s = self.take(2, "u16")?;
-        Ok(u16::from_le_bytes([s[0], s[1]]))
-    }
-
     /// Reads a little-endian `u32`.
     pub fn get_u32(&mut self) -> Result<u32, IndexError> {
         let s = self.take(4, "u32")?;
@@ -151,25 +134,6 @@ impl<'a> ByteReader<'a> {
         let mut b = [0u8; 8];
         b.copy_from_slice(s);
         Ok(u64::from_le_bytes(b))
-    }
-
-    /// Reads a little-endian `f32`.
-    pub fn get_f32(&mut self) -> Result<f32, IndexError> {
-        let s = self.take(4, "f32")?;
-        Ok(f32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    /// Reads a `u32`-length-prefixed byte slice.
-    pub fn get_bytes(&mut self) -> Result<&'a [u8], IndexError> {
-        let len = self.get_u32()? as usize;
-        self.take(len, "length-prefixed bytes")
-    }
-
-    /// Reads a `u32`-length-prefixed list of `u32`s without copying it:
-    /// returns the list's raw little-endian bytes, four per element.
-    pub fn get_u32_list_bytes(&mut self) -> Result<&'a [u8], IndexError> {
-        let len = self.get_u32()? as usize;
-        self.take(len.saturating_mul(4), "u32 list")
     }
 
     /// Reads a `u32`-length-prefixed list of `u32`s.
@@ -194,33 +158,30 @@ mod tests {
     fn roundtrip_all_primitives() {
         let mut w = ByteWriter::new();
         w.put_u8(7);
-        w.put_u16(300);
         w.put_u32(70_000);
         w.put_u64(u64::MAX - 1);
         w.put_f32(3.25);
-        w.put_bytes(b"abc");
         w.put_u32_slice(&[1, 2, 3]);
         let bytes = w.into_bytes();
 
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 7);
-        assert_eq!(r.get_u16().unwrap(), 300);
         assert_eq!(r.get_u32().unwrap(), 70_000);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.get_f32().unwrap(), 3.25);
-        assert_eq!(r.get_bytes().unwrap(), b"abc");
+        assert_eq!(f32::from_bits(r.get_u32().unwrap()), 3.25);
         assert_eq!(r.get_u32_vec().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.remaining(), 0);
     }
 
     #[test]
-    fn u32_list_bytes_borrow_the_encoded_elements() {
+    fn u32_list_leaves_the_cursor_after_its_elements() {
         let mut w = ByteWriter::new();
         w.put_u32_slice(&[1, 2, 3]);
         w.put_u8(9);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.get_u32_list_bytes().unwrap(), &bytes[4..16]);
+        assert_eq!(r.get_u32_vec().unwrap(), vec![1, 2, 3]);
+        assert_eq!(r.position(), 16);
         assert_eq!(r.get_u8().unwrap(), 9);
     }
 
@@ -230,7 +191,7 @@ mod tests {
         assert!(r.get_u32().is_err());
         // Cursor unchanged after failed read keeps the reader usable.
         assert_eq!(r.remaining(), 2);
-        assert_eq!(r.get_u16().unwrap(), u16::from_le_bytes([1, 2]));
+        assert_eq!((r.get_u8().unwrap(), r.get_u8().unwrap()), (1, 2));
     }
 
     #[test]
@@ -239,25 +200,17 @@ mod tests {
         w.put_u32(1_000_000); // claims a million bytes follow
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        assert!(matches!(r.get_bytes(), Err(IndexError::Corrupt(_))));
-        let mut r2 = ByteReader::new(&bytes);
-        assert!(matches!(r2.get_u32_vec(), Err(IndexError::Corrupt(_))));
-        let mut r3 = ByteReader::new(&bytes);
-        assert!(matches!(
-            r3.get_u32_list_bytes(),
-            Err(IndexError::Corrupt(_))
-        ));
+        assert!(matches!(r.get_u32_vec(), Err(IndexError::Corrupt(_))));
     }
 
     #[test]
     fn empty_collections_roundtrip() {
         let mut w = ByteWriter::new();
-        w.put_bytes(b"");
         w.put_u32_slice(&[]);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.get_bytes().unwrap(), b"");
         assert_eq!(r.get_u32_vec().unwrap(), Vec::<u32>::new());
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]

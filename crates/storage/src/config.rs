@@ -8,7 +8,6 @@
 
 use crate::device::{BlockDevice, DEFAULT_PAGE_SIZE};
 use crate::file::FileDevice;
-use crate::mmap::MmapDevice;
 use crate::sim::SimDevice;
 use reach_core::IndexError;
 use std::path::PathBuf;
@@ -21,18 +20,14 @@ pub enum StorageBackend {
     Sim,
     /// Real file with positioned IO at the given path.
     File(PathBuf),
-    /// Read-optimized memory-mapped-style device over the file at the given
-    /// path.
-    Mmap(PathBuf),
 }
 
 impl StorageBackend {
-    /// Short name for reports ("sim" / "file" / "mmap").
+    /// Short name for reports ("sim" / "file").
     pub fn name(&self) -> &'static str {
         match self {
             StorageBackend::Sim => "sim",
             StorageBackend::File(_) => "file",
-            StorageBackend::Mmap(_) => "mmap",
         }
     }
 }
@@ -69,21 +64,12 @@ impl StorageConfig {
         }
     }
 
-    /// Mapped-device config.
-    pub fn mmap(path: impl Into<PathBuf>, page_size: usize) -> Self {
-        Self {
-            backend: StorageBackend::Mmap(path.into()),
-            page_size,
-        }
-    }
-
     /// Creates a fresh, empty device (truncating any existing file for the
-    /// file-backed backends). Hand the result to an index *builder*.
+    /// file backend). Hand the result to an index *builder*.
     pub fn create(&self) -> Result<Box<dyn BlockDevice>, IndexError> {
         Ok(match &self.backend {
             StorageBackend::Sim => Box::new(SimDevice::new(self.page_size)),
             StorageBackend::File(path) => Box::new(FileDevice::create(path, self.page_size)?),
-            StorageBackend::Mmap(path) => Box::new(MmapDevice::create(path, self.page_size)?),
         })
     }
 
@@ -99,7 +85,6 @@ impl StorageConfig {
                 ))
             }
             StorageBackend::File(path) => Box::new(FileDevice::open(path, self.page_size)?),
-            StorageBackend::Mmap(path) => Box::new(MmapDevice::open(path, self.page_size)?),
         })
     }
 }
@@ -127,7 +112,7 @@ mod tests {
     }
 
     #[test]
-    fn file_and_mmap_factories_produce_their_backends() {
+    fn file_factory_produces_its_backend() {
         let mut path = std::env::temp_dir();
         path.push(format!("streach-config-{}.pages", std::process::id()));
         let cfg = StorageConfig::file(&path, 128);
@@ -140,9 +125,6 @@ mod tests {
         }
         let reopened = cfg.open().unwrap();
         assert_eq!(reopened.len_pages(), 1);
-        let mapped = StorageConfig::mmap(&path, 128).open().unwrap();
-        assert_eq!(mapped.backend(), "mmap");
-        assert_eq!(mapped.len_pages(), 1);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -5,9 +5,8 @@
 //! *random* (everything else) and normalized 20:1. [`BlockDevice`] captures
 //! exactly that contract — fixed-size pages, append-only allocation, and IO
 //! accounting through [`IoStats`] — so the same index code runs unchanged on
-//! the in-memory simulator ([`SimDevice`](crate::SimDevice)), a real file
-//! ([`FileDevice`](crate::FileDevice)), or the read-optimized mapped device
-//! ([`MmapDevice`](crate::MmapDevice)), and every backend reports the same
+//! the in-memory simulator ([`SimDevice`](crate::SimDevice)) or a real file
+//! ([`FileDevice`](crate::FileDevice)), and both report the same
 //! paper-comparable counters.
 //!
 //! All accounting flows through [`IoTracker`](crate::iostats::IoTracker), so
@@ -43,7 +42,7 @@ pub type PageId = u64;
 /// [`SharedDevice`](crate::SharedDevice), which serializes the page
 /// traffic while keeping per-handle IO classification exact.
 pub trait BlockDevice: std::fmt::Debug + Send + Sync {
-    /// Short backend name for reports ("sim" / "file" / "mmap").
+    /// Short backend name for reports ("sim" / "file").
     fn backend(&self) -> &'static str;
 
     /// Page size in bytes.
@@ -131,67 +130,4 @@ pub(crate) fn check_page(id: PageId, pages: u64) -> Result<(), IndexError> {
 /// Page-size sanity check shared by the backends.
 pub(crate) fn check_page_size(page_size: usize) {
     assert!(page_size >= 64, "page size {page_size} unreasonably small");
-}
-
-/// Positioned full-buffer write shared by the file-backed devices
-/// (`pwrite`-style on Unix, seek+write elsewhere).
-pub(crate) fn pwrite_at(file: &mut std::fs::File, off: u64, buf: &[u8]) -> std::io::Result<()> {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::FileExt;
-        file.write_all_at(buf, off)
-    }
-    #[cfg(not(unix))]
-    {
-        use std::io::{Seek, SeekFrom, Write};
-        file.seek(SeekFrom::Start(off))?;
-        file.write_all(buf)
-    }
-}
-
-/// Positioned read shared by the file-backed devices; short reads past EOF
-/// zero-fill the tail (sparse tails of partially written files), matching
-/// the simulator.
-pub(crate) fn pread_at(file: &mut std::fs::File, off: u64, buf: &mut [u8]) -> std::io::Result<()> {
-    let n = {
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::FileExt;
-            let mut filled = 0usize;
-            loop {
-                match file.read_at(&mut buf[filled..], off + filled as u64) {
-                    Ok(0) => break filled,
-                    Ok(k) => {
-                        filled += k;
-                        if filled == buf.len() {
-                            break filled;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        #[cfg(not(unix))]
-        {
-            use std::io::{Read, Seek, SeekFrom};
-            file.seek(SeekFrom::Start(off))?;
-            let mut filled = 0usize;
-            loop {
-                match file.read(&mut buf[filled..]) {
-                    Ok(0) => break filled,
-                    Ok(k) => {
-                        filled += k;
-                        if filled == buf.len() {
-                            break filled;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-    };
-    buf[n..].fill(0);
-    Ok(())
 }

@@ -8,11 +8,8 @@
 //!
 //! * under the simulator every name is a fresh [`SimDevice`](crate::SimDevice) (nothing
 //!   persists, so `open` is [`IndexError::Unsupported`]);
-//! * under the `file`/`mmap` backends a name maps to `<root>/<name>.pages`,
-//!   so a reopened directory finds every shard where the sealing run left
-//!   it. Durable roots (logs, directories) always use positioned file IO
-//!   even under `mmap`, mirroring the live builder's log policy; only
-//!   sealed, read-heavy bases get the mapped device.
+//! * under the `file` backend a name maps to `<root>/<name>.pages`, so a
+//!   reopened directory finds every shard where the sealing run left it.
 //!
 //! [`DeviceDirectory::hub`] wraps a device into the [`SharedDevice`]
 //! multi-handle hub every sealed shard serves queries through, attaching a
@@ -28,7 +25,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// A named-device factory (see the module docs): a [`StorageConfig`] whose
-/// `file`/`mmap` path is the root directory the named devices live under.
+/// `file` path is the root directory the named devices live under.
 #[derive(Clone, Debug)]
 pub struct DeviceDirectory {
     storage: StorageConfig,
@@ -45,13 +42,8 @@ impl DeviceDirectory {
         Self::from_storage(&StorageConfig::file(root, page_size))
     }
 
-    /// A directory of mapped devices under `root` (created on demand).
-    pub fn mmap(root: impl Into<PathBuf>, page_size: usize) -> Self {
-        Self::from_storage(&StorageConfig::mmap(root, page_size))
-    }
-
-    /// Builds a directory from a [`StorageConfig`], treating a `file`/
-    /// `mmap` path as the root directory (the live builder's convention).
+    /// Builds a directory from a [`StorageConfig`], treating a `file` path
+    /// as the root directory (the live builder's convention).
     pub fn from_storage(storage: &StorageConfig) -> Self {
         Self {
             storage: storage.clone(),
@@ -69,17 +61,11 @@ impl DeviceDirectory {
     }
 
     /// The storage recipe of the device named `name`: the simulator for a
-    /// sim directory, else `<root>/<name>.pages`. `durable_root` forces
-    /// positioned file IO even under the `mmap` backend.
-    fn config_for(&self, name: &str, durable_root: bool) -> StorageConfig {
+    /// sim directory, else `<root>/<name>.pages`.
+    fn config_for(&self, name: &str) -> StorageConfig {
         let backend = match &self.storage.backend {
             StorageBackend::Sim => StorageBackend::Sim,
-            StorageBackend::Mmap(root) if !durable_root => {
-                StorageBackend::Mmap(root.join(format!("{name}.pages")))
-            }
-            StorageBackend::File(root) | StorageBackend::Mmap(root) => {
-                StorageBackend::File(root.join(format!("{name}.pages")))
-            }
+            StorageBackend::File(root) => StorageBackend::File(root.join(format!("{name}.pages"))),
         };
         StorageConfig {
             backend,
@@ -88,15 +74,9 @@ impl DeviceDirectory {
     }
 
     /// Creates a fresh, empty device under `name` (truncating any existing
-    /// file). `durable_root` forces positioned file IO even under the
-    /// `mmap` backend — for write-heavy roots whose torn-write semantics
-    /// recovery depends on.
-    pub fn create(
-        &self,
-        name: &str,
-        durable_root: bool,
-    ) -> Result<Box<dyn BlockDevice>, IndexError> {
-        let config = self.config_for(name, durable_root);
+    /// file).
+    pub fn create(&self, name: &str) -> Result<Box<dyn BlockDevice>, IndexError> {
+        let config = self.config_for(name);
         if let Some(parent) = path_of(&config).and_then(Path::parent) {
             std::fs::create_dir_all(parent)
                 .map_err(|e| IndexError::io("create device directory root", &e))?;
@@ -106,15 +86,15 @@ impl DeviceDirectory {
 
     /// Opens the existing device under `name`. The simulator has nothing
     /// durable and returns [`IndexError::Unsupported`].
-    pub fn open(&self, name: &str, durable_root: bool) -> Result<Box<dyn BlockDevice>, IndexError> {
-        self.config_for(name, durable_root).open()
+    pub fn open(&self, name: &str) -> Result<Box<dyn BlockDevice>, IndexError> {
+        self.config_for(name).open()
     }
 
     /// Removes the device under `name` if it exists (a no-op on the
     /// simulator). Used to garbage-collect superseded shard bases after a
     /// merge commits.
     pub fn remove(&self, name: &str) -> Result<(), IndexError> {
-        if let Some(path) = path_of(&self.config_for(name, false)) {
+        if let Some(path) = path_of(&self.config_for(name)) {
             match std::fs::remove_file(path) {
                 Ok(()) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -140,11 +120,11 @@ impl DeviceDirectory {
     }
 }
 
-/// The file a `file`/`mmap` config names; `None` for the simulator.
+/// The file a `file` config names; `None` for the simulator.
 fn path_of(config: &StorageConfig) -> Option<&Path> {
     match &config.backend {
         StorageBackend::Sim => None,
-        StorageBackend::File(p) | StorageBackend::Mmap(p) => Some(p),
+        StorageBackend::File(p) => Some(p),
     }
 }
 
@@ -162,10 +142,10 @@ mod tests {
     fn sim_directory_creates_but_never_reopens() {
         let d = DeviceDirectory::sim(128);
         assert!(!d.is_durable());
-        let dev = d.create("anything", true).expect("sim device");
+        let dev = d.create("anything").expect("sim device");
         assert_eq!(dev.backend(), "sim");
         assert!(matches!(
-            d.open("anything", true),
+            d.open("anything"),
             Err(IndexError::Unsupported(_))
         ));
         d.remove("anything").expect("sim remove is a no-op");
@@ -177,13 +157,13 @@ mod tests {
         let d = DeviceDirectory::file(&root, 128);
         assert!(d.is_durable());
         {
-            let mut dev = d.create("shard-base-3", false).expect("creates");
+            let mut dev = d.create("shard-base-3").expect("creates");
             let p = dev.allocate(1).expect("allocate");
             dev.write_page(p, b"epoch").expect("write");
             dev.sync().expect("sync");
         }
         assert!(root.join("shard-base-3.pages").is_file());
-        let mut reopened = d.open("shard-base-3", false).expect("reopens");
+        let mut reopened = d.open("shard-base-3").expect("reopens");
         let mut buf = vec![0u8; 128];
         reopened.read_page_into(0, &mut buf).expect("read");
         assert_eq!(&buf[..5], b"epoch");
@@ -194,35 +174,11 @@ mod tests {
     }
 
     #[test]
-    fn mmap_directory_keeps_durable_roots_on_file_io() {
-        let root = scratch_root("mmap");
-        let d = DeviceDirectory::mmap(&root, 128);
-        {
-            let mut log = d.create("shard-log", true).expect("creates");
-            assert_eq!(log.backend(), "file", "durable roots use positioned IO");
-            log.allocate(1).expect("allocate");
-            log.sync().expect("sync");
-        }
-        {
-            let mut base = d.create("shard-base-1", false).expect("creates");
-            assert_eq!(base.backend(), "mmap");
-            base.allocate(1).expect("allocate");
-            base.sync().expect("sync");
-        }
-        assert_eq!(d.open("shard-log", true).expect("log").backend(), "file");
-        assert_eq!(
-            d.open("shard-base-1", false).expect("base").backend(),
-            "mmap"
-        );
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
     fn hub_carries_a_cache_only_when_asked() {
         let d = DeviceDirectory::sim(128);
-        let plain = DeviceDirectory::hub(d.create("a", false).expect("dev"), 0, 4);
+        let plain = DeviceDirectory::hub(d.create("a").expect("dev"), 0, 4);
         assert!(plain.cache().is_none());
-        let cached = DeviceDirectory::hub(d.create("b", false).expect("dev"), 16, 4);
+        let cached = DeviceDirectory::hub(d.create("b").expect("dev"), 16, 4);
         assert!(cached.cache().is_some());
     }
 }

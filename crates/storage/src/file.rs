@@ -15,7 +15,7 @@
 //! Pages that were allocated but never written read back as zeros, exactly
 //! like the simulator.
 
-use crate::device::{check_page, check_page_size, pread_at, pwrite_at, BlockDevice, PageId};
+use crate::device::{check_page, check_page_size, BlockDevice, PageId};
 use crate::iostats::{IoStats, IoTracker};
 use reach_core::IndexError;
 use std::fs::{File, OpenOptions};
@@ -84,11 +84,6 @@ impl FileDevice {
             scratch: vec![0u8; page_size],
             tracker: IoTracker::new(),
         })
-    }
-
-    /// Path of the backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -176,6 +171,68 @@ impl BlockDevice for FileDevice {
             .sync_all()
             .map_err(|e| IndexError::io(&format!("sync {}", self.path.display()), &e))
     }
+}
+
+/// Positioned full-buffer write (`pwrite`-style on Unix, seek+write
+/// elsewhere).
+fn pwrite_at(file: &mut File, off: u64, buf: &[u8]) -> std::io::Result<()> {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::FileExt;
+        file.write_all_at(buf, off)
+    }
+    #[cfg(not(unix))]
+    {
+        use std::io::{Seek, SeekFrom, Write};
+        file.seek(SeekFrom::Start(off))?;
+        file.write_all(buf)
+    }
+}
+
+/// Positioned read; short reads past EOF zero-fill the tail (sparse tails
+/// of partially written files), matching the simulator.
+fn pread_at(file: &mut File, off: u64, buf: &mut [u8]) -> std::io::Result<()> {
+    let n = {
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::FileExt;
+            let mut filled = 0usize;
+            loop {
+                match file.read_at(&mut buf[filled..], off + filled as u64) {
+                    Ok(0) => break filled,
+                    Ok(k) => {
+                        filled += k;
+                        if filled == buf.len() {
+                            break filled;
+                        }
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
+        }
+        #[cfg(not(unix))]
+        {
+            use std::io::{Read, Seek, SeekFrom};
+            file.seek(SeekFrom::Start(off))?;
+            let mut filled = 0usize;
+            loop {
+                match file.read(&mut buf[filled..]) {
+                    Ok(0) => break filled,
+                    Ok(k) => {
+                        filled += k;
+                        if filled == buf.len() {
+                            break filled;
+                        }
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
+        }
+    };
+    buf[n..].fill(0);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -269,12 +269,6 @@ impl IoSampler {
         self.last = current;
         delta
     }
-
-    /// Moves the sampling point to `current` without reporting the
-    /// intervening counters (e.g. to exclude a warm-up phase).
-    pub fn skip_to(&mut self, current: IoStats) {
-        self.last = current;
-    }
 }
 
 #[cfg(test)]
@@ -402,12 +396,11 @@ mod tests {
     }
 
     #[test]
-    fn sampler_skip_to_discards_a_phase() {
+    fn sampler_starting_at_excludes_earlier_counters() {
         let mut t = IoTracker::new();
         t.note_read(0);
-        let mut sampler = IoSampler::starting_at(t.stats());
         t.note_read(5);
-        sampler.skip_to(t.stats()); // warm-up excluded
+        let mut sampler = IoSampler::starting_at(t.stats()); // warm-up excluded
         t.note_read(9);
         let s = sampler.sample(t.stats());
         assert_eq!(s.total_reads(), 1);

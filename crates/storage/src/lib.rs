@@ -7,15 +7,14 @@
 //! consecutive blocks so query-time traversal turns random IO into
 //! sequential scans, and both report cost in normalized IOs (random +
 //! sequential/20, §6). This crate reproduces that measurement model behind a
-//! [`BlockDevice`] trait with three interchangeable backends:
+//! [`BlockDevice`] trait with two interchangeable backends:
 //!
 //! | backend | persistence | use |
 //! |---|---|---|
 //! | [`SimDevice`] | none (memory) | the paper's IO-count evaluation model |
 //! | [`FileDevice`] | real file, positioned IO | persistence + wall-clock benchmarking |
-//! | [`MmapDevice`] | real file, memory-resident image | read-heavy query workloads |
 //!
-//! All three share one accounting path ([`IoStats`] via
+//! Both share one accounting path ([`IoStats`] via
 //! `iostats::IoTracker`), so an index costs *identical counted IO* on every
 //! backend — which the backend-equivalence test suite asserts. Around the
 //! devices sit:
@@ -56,7 +55,6 @@ pub mod file;
 pub mod iostats;
 pub mod layout;
 pub mod meta;
-pub mod mmap;
 pub mod pager;
 pub mod shared;
 pub mod sim;
@@ -71,7 +69,6 @@ pub use directory::DeviceDirectory;
 pub use file::FileDevice;
 pub use iostats::{IoSampler, IoStats};
 pub use layout::{read_record, read_record_into, RecordPtr, RecordWriter};
-pub use mmap::MmapDevice;
 pub use pager::Pager;
 pub use shared::SharedDevice;
 pub use sim::SimDevice;

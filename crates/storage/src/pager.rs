@@ -39,11 +39,11 @@
 //! The pager owns its device as `Box<dyn BlockDevice>` rather than a type
 //! parameter. The trade was deliberate: backend choice is a *runtime*
 //! decision (benchmarks and the [`StorageConfig`](crate::StorageConfig)
-//! factory pick sim/file/mmap from configuration), which dynamic dispatch
+//! factory pick sim or file from configuration), which dynamic dispatch
 //! serves directly, whereas `Pager<D>` would ripple a type parameter through
 //! `ReachGrid`, `ReachGraph`, `GrailDisk`, `Spj`, and every function that
 //! touches them — for no measurable gain, since one virtual call per *page
-//! IO* is noise next to the page copy (sim/mmap) or syscall (file) it
+//! IO* is noise next to the page copy (sim) or syscall (file) it
 //! fronts, and the hot cache-hit path never reaches the device at all.
 
 use crate::cache::PageCache;

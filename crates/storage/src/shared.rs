@@ -110,39 +110,6 @@ impl SharedDevice {
         Arc::strong_count(&self.hub)
     }
 
-    /// Counters of the *underlying* device: the union of all handles'
-    /// traffic, classified by the hub's own interleaved head position.
-    /// Useful as a total-traffic gauge; per-stream attribution lives on
-    /// the handles.
-    pub fn hub_stats(&self) -> IoStats {
-        self.lock().stats()
-    }
-
-    /// Recovers the inner device if this is the last handle; otherwise
-    /// returns `self` unchanged.
-    // The Err variant hands the whole handle back by design — callers
-    // keep using it when other handles are still alive.
-    #[allow(clippy::result_large_err)]
-    pub fn try_unwrap(self) -> Result<Box<dyn BlockDevice>, SharedDevice> {
-        let SharedDevice {
-            hub,
-            cache,
-            tracker,
-            backend,
-            page_size,
-        } = self;
-        match Arc::try_unwrap(hub) {
-            Ok(mutex) => Ok(mutex.into_inner().expect("shared device lock poisoned")),
-            Err(hub) => Err(SharedDevice {
-                hub,
-                cache,
-                tracker,
-                backend,
-                page_size,
-            }),
-        }
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, Box<dyn BlockDevice>> {
         self.hub.lock().expect("shared device lock poisoned")
     }
@@ -298,17 +265,15 @@ mod tests {
         a.reset_stats();
         assert_eq!(a.stats(), IoStats::default());
         assert_eq!(b.stats().total_reads(), 1);
-        assert_eq!(a.hub_stats().total_reads(), 2, "hub keeps the union");
     }
 
     #[test]
-    fn try_unwrap_returns_the_device_only_when_sole_handle() {
+    fn handles_counts_only_live_clones() {
         let a = shared(1);
         let b = a.clone();
-        let a = a.try_unwrap().expect_err("two handles alive");
+        assert_eq!((a.handles(), b.handles()), (2, 2));
         drop(b);
-        let inner = a.try_unwrap().expect("last handle unwraps");
-        assert_eq!(inner.len_pages(), 1);
+        assert_eq!(a.handles(), 1);
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! model with a memory-backed page store: every access is classified as
 //! *sequential* (immediately follows the previous access of its stream) or
 //! *random* (everything else), matching the 20:1 normalization of §6. It is
-//! the reference implementation of [`BlockDevice`] — the other backends must
+//! the reference implementation of [`BlockDevice`] — the file backend must
 //! produce byte-identical pages and identical counters.
 
-use crate::device::{check_page, check_page_size, BlockDevice, PageId, DEFAULT_PAGE_SIZE};
+use crate::device::{check_page, check_page_size, BlockDevice, PageId};
 use crate::iostats::{IoStats, IoTracker};
 use reach_core::IndexError;
 
@@ -45,14 +45,9 @@ impl SimDevice {
         }
     }
 
-    /// Creates an empty device with the paper's 4 KB pages.
-    pub fn with_default_page_size() -> Self {
-        Self::new(DEFAULT_PAGE_SIZE)
-    }
-
     /// Reads a page in place (zero-copy variant of
     /// [`BlockDevice::read_page_into`]), classifying the access.
-    pub fn read_page(&mut self, id: PageId) -> Result<&[u8], IndexError> {
+    fn read_page(&mut self, id: PageId) -> Result<&[u8], IndexError> {
         check_page(id, self.len_pages)?;
         self.tracker.note_read(id);
         let (chunk, at) = self.locate(id);

@@ -98,15 +98,16 @@ proptest! {
     fn io_classification_extremes(n in 2usize..50) {
         let mut d = SimDevice::new(64);
         d.allocate(2 * n).unwrap();
+        let mut buf = vec![0u8; 64];
         for i in 0..n as u64 {
-            d.read_page(i).unwrap();
+            d.read_page_into(i, &mut buf).unwrap();
         }
         prop_assert_eq!(d.stats().random_reads, 1);
         prop_assert_eq!(d.stats().seq_reads, (n - 1) as u64);
 
         d.reset_stats();
         for i in 0..n as u64 {
-            d.read_page(i * 2).unwrap();
+            d.read_page_into(i * 2, &mut buf).unwrap();
         }
         prop_assert_eq!(d.stats().random_reads, n as u64);
         prop_assert_eq!(d.stats().seq_reads, 0);

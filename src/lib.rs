@@ -11,7 +11,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`core`] | ticks, intervals, geometry, contacts, queries, the one index trait [`ReachIndex`](core::ReachIndex) |
-//! | [`storage`] | pluggable block devices (sim/file/mmap), pager, IO accounting |
+//! | [`storage`] | pluggable block devices (sim/file), pager, IO accounting |
 //! | [`traj`] | trajectories and spatiotemporal joins |
 //! | [`mobility`] | RWP / road-network / sparse-GPS generators, workloads |
 //! | [`contact`] | contact extraction, trace ingestion, TEN→DN reduction, multi-resolution, oracle |
@@ -33,11 +33,9 @@
 //! |---|---|---|---|---|
 //! | [`SimDevice`](storage::SimDevice) | `StorageConfig::sim(page_size)` | no (memory) | yes | the paper's IO-count evaluation model |
 //! | [`FileDevice`](storage::FileDevice) | `StorageConfig::file(path, page_size)` | yes (positioned file IO) | yes | persistence across runs, wall-clock benchmarks |
-//! | [`MmapDevice`](storage::MmapDevice) | `StorageConfig::mmap(path, page_size)` | yes (write-through image) | yes | read-heavy query serving |
 //!
-//! The three backends share one accounting path, so a query costs *identical
-//! counted IO* on all of them (asserted by `tests/backend_equivalence.rs`),
-//! and files written by `FileDevice` and `MmapDevice` are interchangeable.
+//! The two backends share one accounting path, so a query costs *identical
+//! counted IO* on both (asserted by `tests/backend_equivalence.rs`).
 //!
 //! ## Quickstart
 //!
@@ -372,8 +370,7 @@ pub mod prelude {
     pub use reach_serve::{ServeConfig, ServeMetrics, Server, SubmitError, Ticket};
     pub use reach_storage::{
         BlockDevice, BuildBudget, CacheStats, DeviceDirectory, FileDevice, IoSampler, IoStats,
-        MmapDevice, PageCache, Pager, SharedDevice, SimDevice, SpillStats, StorageBackend,
-        StorageConfig,
+        PageCache, Pager, SharedDevice, SimDevice, SpillStats, StorageBackend, StorageConfig,
     };
     pub use reach_traj::{Trajectory, TrajectoryStore};
 }

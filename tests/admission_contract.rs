@@ -101,10 +101,10 @@ fn every_index_admits_queries_alike() {
         );
         let own = ask(1, 1, TimeInterval::new(3, h + 5)).expect("self query answers");
         assert!(own.reachable(), "{name}: a self query is reachable");
-        assert!(
-            own.outcome.earliest.is_none_or(|t| t == 3),
-            "{name}: a self query arrives at its window start, not {:?}",
-            own.outcome.earliest
+        assert_eq!(
+            own.outcome.earliest,
+            Some(3),
+            "{name}: a self query arrives at its window start"
         );
     }
 }

@@ -1,5 +1,5 @@
 //! Backend-equivalence suite: every index must behave *identically* on the
-//! memory-backed simulator and the real-file backends — byte-identical
+//! memory-backed simulator and the real-file backend — byte-identical
 //! on-device pages, identical query outcomes, and identical counted IO —
 //! and file-backed indexes must survive being dropped and reopened.
 //!
@@ -106,55 +106,32 @@ fn reachgraph_identical_on_all_backends() {
     };
     let mut on_sim = ReachGraph::build(&dn, &mr, params.clone()).expect("sim build");
     let file_path = temp_path("graph-file");
-    let mmap_path = temp_path("graph-mmap");
     let mut on_file = ReachGraph::build_on(
         StorageConfig::file(&file_path, params.page_size)
             .create()
             .expect("file device"),
         &dn,
         &mr,
-        params.clone(),
-    )
-    .expect("file build");
-    let mut on_mmap = ReachGraph::build_on(
-        StorageConfig::mmap(&mmap_path, params.page_size)
-            .create()
-            .expect("mmap device"),
-        &dn,
-        &mr,
         params,
     )
-    .expect("mmap build");
+    .expect("file build");
 
     assert_same_pages(
         on_sim.device_mut(),
         on_file.device_mut(),
         "ReachGraph sim/file",
     );
-    assert_same_pages(
-        on_sim.device_mut(),
-        on_mmap.device_mut(),
-        "ReachGraph sim/mmap",
-    );
     for q in &queries(&store, 40, 0xB2) {
         let a = on_sim.evaluate(q).expect("sim query");
         let b = on_file.evaluate(q).expect("file query");
-        let c = on_mmap.evaluate(q).expect("mmap query");
         assert_eq!(a.outcome, b.outcome, "sim/file outcome differs on {q}");
-        assert_eq!(a.outcome, c.outcome, "sim/mmap outcome differs on {q}");
         assert_eq!(
             (a.stats.random_ios, a.stats.seq_ios, a.stats.visited),
             (b.stats.random_ios, b.stats.seq_ios, b.stats.visited),
             "sim/file IO differs on {q}"
         );
-        assert_eq!(
-            (a.stats.random_ios, a.stats.seq_ios, a.stats.visited),
-            (c.stats.random_ios, c.stats.seq_ios, c.stats.visited),
-            "sim/mmap IO differs on {q}"
-        );
     }
     let _ = std::fs::remove_file(&file_path);
-    let _ = std::fs::remove_file(&mmap_path);
 }
 
 #[test]
@@ -224,17 +201,5 @@ fn reachgraph_file_reopens_after_drop_with_identical_answers() {
         any_io > 0,
         "reopened queries must pay plausible (nonzero) IO"
     );
-
-    // The mmap backend opens the very same file and agrees too.
-    let mapped = ReachGraph::open(
-        StorageConfig::mmap(&path, 256)
-            .open()
-            .expect("mmap reopens"),
-    )
-    .expect("graph opens on mmap");
-    for (q, before) in qs.iter().zip(&first) {
-        let got = mapped.evaluate(q).expect("query evaluates");
-        assert_eq!(got.outcome, before.outcome, "mmap outcome differs on {q}");
-    }
     let _ = std::fs::remove_file(&path);
 }

@@ -2,9 +2,9 @@
 //!
 //! 1. **Answer invariance** — query answers (and the on-device page
 //!    bytes) are byte-identical with the cache off, with a private LRU
-//!    pool, and with a shared [`PageCache`] (with readahead), on sim,
-//!    file, and mmap — the cache changes *where bytes are read from*,
-//!    never *what is read*;
+//!    pool, and with a shared [`PageCache`] (with readahead), on sim and
+//!    file — the cache changes *where bytes are read from*, never *what
+//!    is read*;
 //! 2. **Concurrent sharing** — multi-threaded serving over a warm shared
 //!    cache answers exactly as the single-threaded cold path, while the
 //!    cache demonstrably absorbs reads;
@@ -15,39 +15,13 @@
 
 mod common;
 
-use common::LiveOn;
+use common::{device_for, LiveOn, BACKENDS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use streach::prelude::*;
 
 const PAGE: usize = 256;
-const BACKENDS: [&str; 3] = ["sim", "file", "mmap"];
-
-/// A fresh device of the named backend. File-backed devices are unlinked
-/// while open (Unix), so the suite leaves nothing behind.
-fn device_for(backend: &str) -> Box<dyn BlockDevice> {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    match backend {
-        "sim" => StorageConfig::sim(PAGE).create().expect("sim device"),
-        _ => {
-            let path = std::env::temp_dir().join(format!(
-                "streach-cache-{}-{}.pages",
-                std::process::id(),
-                NEXT.fetch_add(1, Ordering::Relaxed)
-            ));
-            let cfg = if backend == "file" {
-                StorageConfig::file(&path, PAGE)
-            } else {
-                StorageConfig::mmap(&path, PAGE)
-            };
-            let dev = cfg.create().expect("temp device creates");
-            let _ = std::fs::remove_file(&path);
-            dev
-        }
-    }
-}
 
 fn graph_params() -> GraphParams {
     GraphParams {
@@ -155,12 +129,12 @@ fn grid_answers_and_pages_identical_across_cache_modes() {
         page_size: PAGE,
     };
     for backend in BACKENDS {
-        let mut off =
-            ReachGrid::build_on(device_for(backend), &store, params(0)).expect("cache-off build");
-        let mut private =
-            ReachGrid::build_on(device_for(backend), &store, params(32)).expect("private build");
+        let mut off = ReachGrid::build_on(device_for(backend, PAGE), &store, params(0))
+            .expect("cache-off build");
+        let mut private = ReachGrid::build_on(device_for(backend, PAGE), &store, params(32))
+            .expect("private build");
         let cache = Arc::new(PageCache::new(512).with_readahead(4));
-        let hub = SharedDevice::with_cache(device_for(backend), Arc::clone(&cache));
+        let hub = SharedDevice::with_cache(device_for(backend, PAGE), Arc::clone(&cache));
         let mut shared =
             ReachGrid::build_on(Box::new(hub), &store, params(0)).expect("shared build");
 
@@ -213,10 +187,10 @@ fn graph_shared_cache_preserves_answers_and_reduces_reads() {
     let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
     let qs = queries(&store, 40, 0xBEEF);
     for backend in BACKENDS {
-        let cold = ReachGraph::build_on(device_for(backend), &dn, &mr, graph_params())
+        let cold = ReachGraph::build_on(device_for(backend, PAGE), &dn, &mr, graph_params())
             .expect("cold build");
         let cache = Arc::new(PageCache::new(2048).with_readahead(8));
-        let hub = SharedDevice::with_cache(device_for(backend), Arc::clone(&cache));
+        let hub = SharedDevice::with_cache(device_for(backend, PAGE), Arc::clone(&cache));
         let warm =
             ReachGraph::build_on(Box::new(hub), &dn, &mr, graph_params()).expect("warm build");
 

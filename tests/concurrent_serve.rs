@@ -3,7 +3,7 @@
 //! 1. **Equivalence** — any tested interleaving of concurrent queries,
 //!    appends, seals, and compactions (inline on the appending thread or
 //!    on their own) quiesces to exactly the single-threaded batch-oracle
-//!    answers, on sim, file, and mmap;
+//!    answers, on sim and file;
 //! 2. **Safety while moving** — answers produced *during* concurrent
 //!    appends are bracketed by the prefix/full oracles, and a shard swap
 //!    never exposes a torn base (answers over a static record set stay
@@ -18,7 +18,7 @@
 
 mod common;
 
-use common::LiveOn;
+use common::{LiveOn, BACKENDS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -28,7 +28,6 @@ use streach::ext::UncertainEvent;
 use streach::prelude::*;
 
 const PAGE: usize = 256;
-const BACKENDS: [&str; 3] = ["sim", "file", "mmap"];
 
 fn graph_params() -> GraphParams {
     GraphParams {

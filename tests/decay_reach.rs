@@ -3,7 +3,7 @@
 //!
 //! 1. **Oracle equality** — decay point verdicts and top-k rankings from
 //!    ReachGraph and disk GRAIL equal the exhaustive path-enumeration
-//!    oracle, weight for weight, on sim, file, and mmap backends;
+//!    oracle, weight for weight, on sim and file backends;
 //! 2. **Dispatch stability** — answers are identical whether a decay
 //!    cohort goes through `answer_batch` (the serving path's coalescing)
 //!    or per-request `answer`, and whether requests flow through the
@@ -12,44 +12,21 @@
 //!    epoch shards (and the sealed/delta boundary of a compacting live
 //!    index) reproduces the monolithic in-memory walk bit for bit.
 
+mod common;
+
+use common::{device_for, BACKENDS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use streach::prelude::*;
 
 const PAGE: usize = 256;
-const BACKENDS: [&str; 3] = ["sim", "file", "mmap"];
 
 fn graph_params() -> GraphParams {
     GraphParams {
         partition_depth: 8,
         page_size: PAGE,
         ..GraphParams::default()
-    }
-}
-
-/// A fresh device of the named backend. File-backed devices are unlinked
-/// while open (Unix), so the suite leaves nothing behind.
-fn device_for(backend: &str) -> Box<dyn BlockDevice> {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    match backend {
-        "sim" => StorageConfig::sim(PAGE).create().expect("sim device"),
-        _ => {
-            let path = std::env::temp_dir().join(format!(
-                "streach-decay-{}-{}.pages",
-                std::process::id(),
-                NEXT.fetch_add(1, Ordering::Relaxed)
-            ));
-            let cfg = if backend == "file" {
-                StorageConfig::file(&path, PAGE)
-            } else {
-                StorageConfig::mmap(&path, PAGE)
-            };
-            let dev = cfg.create().expect("temp device creates");
-            let _ = std::fs::remove_file(&path);
-            dev
-        }
     }
 }
 
@@ -96,10 +73,10 @@ fn engines_match_the_oracle_on_every_backend() {
     let mr = MultiRes::build(&dn, &DEFAULT_LEVELS);
     let oracle = DecayOracle::new(&dn);
     for backend in BACKENDS {
-        let rg = ReachGraph::build_on(device_for(backend), &dn, &mr, graph_params())
+        let rg = ReachGraph::build_on(device_for(backend, PAGE), &dn, &mr, graph_params())
             .expect("graph builds");
-        let grail =
-            GrailDisk::build_on(device_for(backend), &dn, 4, 0x5EED, 32).expect("grail builds");
+        let grail = GrailDisk::build_on(device_for(backend, PAGE), &dn, 4, 0x5EED, 32)
+            .expect("grail builds");
         let mut rng = StdRng::seed_from_u64(0xBAC0);
         for model in models() {
             for _ in 0..20 {

@@ -5,14 +5,14 @@
 //!    seals, and compactions answers exactly as a batch rebuild over the
 //!    accepted trace;
 //! 2. **Byte-identity** — a compacted shard equals a from-scratch
-//!    streaming build over the full log, byte for byte, on sim, file, and
-//!    mmap backends;
+//!    streaming build over the full log, byte for byte, on sim and file
+//!    backends;
 //! 3. **Durability** — a live index recovers from its epoch directory and
 //!    append log, and a torn log tail page truncates cleanly.
 
 mod common;
 
-use common::LiveOn;
+use common::{device_for, LiveOn, BACKENDS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use streach::prelude::*;
@@ -30,31 +30,6 @@ fn graph_params() -> GraphParams {
 fn live_on(backend: &'static str, budget: usize, num_objects: usize) -> LiveOn {
     let config = LiveConfig::graph(graph_params(), BuildBudget::bytes(budget));
     LiveOn::new(backend, config, num_objects)
-}
-
-/// A fresh device of the named backend for the from-scratch reference
-/// builds. File-backed devices are unlinked while open (Unix), so the
-/// suite leaves nothing behind.
-fn device_for(backend: &str) -> Box<dyn BlockDevice> {
-    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    match backend {
-        "sim" => StorageConfig::sim(PAGE).create().expect("sim device"),
-        _ => {
-            let path = std::env::temp_dir().join(format!(
-                "streach-live-{}-{}.pages",
-                std::process::id(),
-                NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-            ));
-            let cfg = if backend == "file" {
-                StorageConfig::file(&path, PAGE)
-            } else {
-                StorageConfig::mmap(&path, PAGE)
-            };
-            let dev = cfg.create().expect("temp device creates");
-            let _ = std::fs::remove_file(&path);
-            dev
-        }
-    }
 }
 
 /// A deterministic synthetic append stream with out-of-order arrivals.
@@ -162,10 +137,10 @@ fn interleavings_match_batch_rebuild() {
 
 /// Byte-identity: after any number of incremental compactions, the one
 /// compacted shard equals a from-scratch streaming build over the whole
-/// log — on all three storage backends.
+/// log — on both storage backends.
 #[test]
 fn compacted_base_is_byte_identical_to_batch_build() {
-    for backend in ["sim", "file", "mmap"] {
+    for backend in BACKENDS {
         let n = 8usize;
         let records = stream(7, n as u32, 80, 120);
         let live = live_on(backend, 1 << 20, n);
@@ -188,11 +163,12 @@ fn compacted_base_is_byte_identical_to_batch_build() {
             live.now(),
             &accepted,
             BuildBudget::bytes(1 << 20),
-            device_for(backend),
+            device_for(backend, PAGE),
         );
         let mr = MultiRes::build(&mut sdn, &graph_params().levels);
-        let mut batch = ReachGraph::build_on(device_for(backend), &mut sdn, &mr, graph_params())
-            .expect("batch build succeeds");
+        let mut batch =
+            ReachGraph::build_on(device_for(backend, PAGE), &mut sdn, &mr, graph_params())
+                .expect("batch build succeeds");
 
         assert_eq!(live.shard_count(), 1, "{backend}: compaction coalesces");
         let mut live_dev = live.shard_device(0).expect("a sealed shard exists");

@@ -7,23 +7,24 @@
 //! 2. **Span accounting closes** — with tracing on, the per-trace span IO
 //!    sums equal the query's own [`IoStats`]-derived counters, for
 //!    cross-shard reach queries, batched reach cohorts, and weighted decay
-//!    queries, on sim, file, and mmap backends;
+//!    queries, on sim and file backends;
 //! 3. **Registry under concurrency** — a 4-worker serve pool feeding one
 //!    [`Registry`] yields a consistent snapshot: histogram counts match
 //!    the served totals and both output formats agree;
 //! 4. **Flight recorder wraparound** — overfilling the ring keeps exactly
 //!    the newest events in sequence order.
 
+mod common;
+
+use common::{cleanup, sharded_on, BACKENDS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use streach::prelude::*;
 
 const PAGE: usize = 256;
 const HORIZON: Time = 48;
-const BACKENDS: [&str; 3] = ["sim", "file", "mmap"];
 
 fn graph_params() -> GraphParams {
     GraphParams {
@@ -33,44 +34,9 @@ fn graph_params() -> GraphParams {
     }
 }
 
-/// A sharded live index on the named backend, plus the scratch directory
-/// to remove once the index is dropped (`None` for the simulator).
-fn sharded_on(backend: &str, num_objects: usize) -> (ShardedLive, Option<PathBuf>) {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let storage = match backend {
-        "sim" => StorageConfig::sim(PAGE),
-        _ => {
-            let dir = std::env::temp_dir().join(format!(
-                "streach-obstest-{}-{}",
-                std::process::id(),
-                NEXT.fetch_add(1, Ordering::Relaxed)
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            if backend == "file" {
-                StorageConfig::file(&dir, PAGE)
-            } else {
-                StorageConfig::mmap(&dir, PAGE)
-            }
-        }
-    };
-    let dir = match &storage.backend {
-        StorageBackend::File(p) | StorageBackend::Mmap(p) => Some(p.clone()),
-        StorageBackend::Sim => None,
-    };
-    let live = LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10))
-        .manual_compaction()
-        .builder()
-        .backend(storage)
-        .build_sharded(num_objects)
-        .expect("sharded index creates");
-    (live, dir)
-}
-
-fn cleanup(live: ShardedLive, dir: Option<PathBuf>) {
-    drop(live);
-    if let Some(dir) = dir {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+/// The live config every index here runs: seals only when a test asks.
+fn manual() -> LiveConfig {
+    LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10)).manual_compaction()
 }
 
 /// A deterministic synthetic append stream (same recipe as
@@ -101,7 +67,7 @@ fn stream(seed: u64, n: u32, horizon: u32, count: usize) -> Vec<Contact> {
 /// queries cross shard boundaries *and* the sealed/delta frontier.
 fn sharded_fixture(backend: &str, n: u32) -> (ShardedLive, Option<PathBuf>) {
     let contacts = stream(0x0B5E, n, HORIZON, 160);
-    let (live, dir) = sharded_on(backend, n as usize);
+    let (live, dir) = sharded_on(backend, manual(), n as usize);
     let chunk = contacts.len() / 4;
     for (i, &c) in contacts.iter().enumerate() {
         live.append(c).expect("lossy appends never error");

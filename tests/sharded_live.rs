@@ -3,24 +3,24 @@
 //!
 //! 1. **Equivalence** — randomized interleavings of appends, seals, epoch
 //!    merges, and queries are result-identical to the monolithic batch
-//!    oracle over the accepted trace, on sim, file, and mmap backends;
+//!    oracle over the accepted trace, on sim and file backends;
 //! 2. **Cross-shard handoff** — query windows spanning three or more
 //!    epoch boundaries, and windows straddling the sealed/delta frontier,
 //!    return the exact monolithic answer *and* arrival tick;
 //! 3. **IO exactness** — per-query counted IO under concurrent serving
 //!    equals the single-threaded sharded walk, query for query.
 
+mod common;
+
+use common::{cleanup, sharded_on, BACKENDS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use streach::prelude::*;
 
 const PAGE: usize = 256;
 const HORIZON: Time = 48;
-const BACKENDS: [&str; 3] = ["sim", "file", "mmap"];
 
 fn graph_params() -> GraphParams {
     GraphParams {
@@ -30,47 +30,9 @@ fn graph_params() -> GraphParams {
     }
 }
 
-/// A sharded live index on the named backend, plus the scratch directory
-/// to remove once the index is dropped (`None` for the simulator).
-fn sharded_on(backend: &str, num_objects: usize) -> (ShardedLive, Option<PathBuf>) {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let storage = match backend {
-        "sim" => StorageConfig::sim(PAGE),
-        _ => {
-            let dir = std::env::temp_dir().join(format!(
-                "streach-shardtest-{}-{}",
-                std::process::id(),
-                NEXT.fetch_add(1, Ordering::Relaxed)
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            if backend == "file" {
-                StorageConfig::file(&dir, PAGE)
-            } else {
-                StorageConfig::mmap(&dir, PAGE)
-            }
-        }
-    };
-    let dir = match backend {
-        "sim" => None,
-        _ => match &storage.backend {
-            StorageBackend::File(p) | StorageBackend::Mmap(p) => Some(p.clone()),
-            StorageBackend::Sim => None,
-        },
-    };
-    let live = LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10))
-        .manual_compaction()
-        .builder()
-        .backend(storage)
-        .build_sharded(num_objects)
-        .expect("sharded index creates");
-    (live, dir)
-}
-
-fn cleanup(live: ShardedLive, dir: Option<PathBuf>) {
-    drop(live);
-    if let Some(dir) = dir {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+/// The live config every index here runs: seals only when a test asks.
+fn manual() -> LiveConfig {
+    LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10)).manual_compaction()
 }
 
 /// A deterministic synthetic append stream (same recipe as
@@ -207,7 +169,7 @@ fn op_strategy(n: u32) -> impl Strategy<Value = Op> {
 /// Drives one schedule on one backend and asserts every query plus a
 /// final all-pairs sweep against the monolithic oracle.
 fn run_schedule(backend: &str, n: usize, ops: &[Op]) {
-    let (live, dir) = sharded_on(backend, n);
+    let (live, dir) = sharded_on(backend, manual(), n);
     let fold = |o: u32| o % n as u32;
     for op in ops {
         match *op {
@@ -277,31 +239,18 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// And on the mmap backend (write-through image shards).
-    #[test]
-    fn mmap_schedules_match_the_monolithic_oracle(
-        n in 3usize..6,
-        ops in prop::collection::vec(op_strategy(5), 1..50),
-    ) {
-        run_schedule("mmap", n.min(5), &ops);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Deterministic cross-shard walks.
 // ---------------------------------------------------------------------------
 
 /// Windows spanning three or more epoch boundaries — and straddling the
-/// delta — agree with the oracle on verdicts *and* arrival ticks, on all
-/// three backends.
+/// delta — agree with the oracle on verdicts *and* arrival ticks, on both
+/// backends.
 #[test]
 fn windows_spanning_three_epochs_and_the_delta_match_the_oracle() {
     for backend in BACKENDS {
         let n = 8u32;
-        let (live, dir) = sharded_on(backend, n as usize);
+        let (live, dir) = sharded_on(backend, manual(), n as usize);
         for c in stream(0xEB0C, n, 40, 120) {
             live.append(c).expect("append accepted");
         }
@@ -345,7 +294,7 @@ fn windows_spanning_three_epochs_and_the_delta_match_the_oracle() {
 fn merging_epochs_down_to_one_preserves_every_answer() {
     for backend in BACKENDS {
         let n = 7u32;
-        let (live, dir) = sharded_on(backend, n as usize);
+        let (live, dir) = sharded_on(backend, manual(), n as usize);
         for c in stream(0x3A6E, n, 44, 110) {
             live.append(c).expect("append accepted");
         }
@@ -378,7 +327,7 @@ fn merging_epochs_down_to_one_preserves_every_answer() {
 fn serving_io_equals_the_single_threaded_sharded_walk() {
     for backend in BACKENDS {
         let n = 8usize;
-        let (live, dir) = sharded_on(backend, n);
+        let (live, dir) = sharded_on(backend, manual(), n);
         for c in stream(0x0010_EAC7, n as u32, 40, 130) {
             live.append(c).expect("append accepted");
         }

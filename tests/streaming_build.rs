@@ -5,16 +5,11 @@
 //! spills. The perf-regression gate (`bench_diff`) is exercised against the
 //! committed `BENCH_quick.json` baseline.
 
-use reach_bench::assert_same_pages;
-use std::path::PathBuf;
-use streach::prelude::*;
-use streach::storage::BlockDevice;
+mod common;
 
-fn temp_path(tag: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("streach-stream-{}-{tag}.pages", std::process::id()));
-    p
-}
+use common::{device_for, BACKENDS};
+use reach_bench::assert_same_pages;
+use streach::prelude::*;
 
 fn small_store(seed: u64) -> TrajectoryStore {
     RwpConfig {
@@ -38,39 +33,6 @@ fn queries(store: &TrajectoryStore, n: usize, seed: u64) -> Vec<Query> {
     .generate(store.num_objects(), store.horizon(), seed)
 }
 
-/// Device factory per backend name (file-backed ones under a temp path).
-fn device_for(
-    backend: &str,
-    tag: &str,
-    page_size: usize,
-) -> (Box<dyn BlockDevice>, Option<PathBuf>) {
-    match backend {
-        "sim" => (
-            StorageConfig::sim(page_size).create().expect("sim device"),
-            None,
-        ),
-        "file" => {
-            let p = temp_path(tag);
-            (
-                StorageConfig::file(&p, page_size)
-                    .create()
-                    .expect("file device"),
-                Some(p),
-            )
-        }
-        "mmap" => {
-            let p = temp_path(tag);
-            (
-                StorageConfig::mmap(&p, page_size)
-                    .create()
-                    .expect("mmap device"),
-                Some(p),
-            )
-        }
-        other => panic!("unknown backend {other}"),
-    }
-}
-
 /// The core contract: streaming build == in-memory build, bit for bit, on
 /// every backend — with both an unbounded budget (no spills) and a tight
 /// one (provable spills).
@@ -87,14 +49,14 @@ fn streaming_build_is_byte_identical_on_all_backends() {
     };
     let qs = queries(&store, 30, 0xE5);
 
-    for backend in ["sim", "file", "mmap"] {
+    for backend in BACKENDS {
         for (budget, expect_spills) in [
             (BuildBudget::unbounded(), false),
             (BuildBudget::bytes(2048), true),
         ] {
             let tag = format!("{backend}-{}", if expect_spills { "tight" } else { "wide" });
             // Reference: the classic in-memory build.
-            let (dev, path_a) = device_for(backend, &format!("{tag}-mem"), params.page_size);
+            let dev = device_for(backend, params.page_size);
             let mut reference =
                 ReachGraph::build_on(dev, &dn, &mr, params.clone()).expect("in-memory build");
             // Candidate: streaming build from contacts under the budget.
@@ -106,7 +68,7 @@ fn streaming_build_is_byte_identical_on_all_backends() {
                 Box::new(SimDevice::new(256)),
             );
             let mr_s = MultiRes::build(&mut sdn, &DEFAULT_LEVELS);
-            let (dev, path_b) = device_for(backend, &format!("{tag}-stream"), params.page_size);
+            let dev = device_for(backend, params.page_size);
             let mut streamed = ReachGraph::build_on(dev, &mut sdn, &mr_s, params.clone())
                 .expect("streaming build");
 
@@ -146,9 +108,6 @@ fn streaming_build_is_byte_identical_on_all_backends() {
                     (0, 0, 0),
                     "[{tag}] unbounded budget must never touch scratch"
                 );
-            }
-            for p in [path_a, path_b].into_iter().flatten() {
-                let _ = std::fs::remove_file(p);
             }
         }
     }
