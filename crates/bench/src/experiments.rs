@@ -1365,13 +1365,7 @@ pub fn exp_shard(run: &Run) -> Vec<Table> {
     let live = sharded_over(total, (total / 8).max(1));
     let accepted = live.replay_log().expect("log replays");
     let horizon = live.now();
-    let mut per_tick: Vec<Vec<(u32, u32)>> = vec![Vec::new(); horizon as usize];
-    for c in &accepted {
-        for t in c.interval.ticks() {
-            per_tick[t as usize].push((c.a.0, c.b.0));
-        }
-    }
-    let oracle = reach_contact::Oracle::from_events(store.num_objects(), per_tick);
+    let oracle = reach_contact::Oracle::from_contacts(store.num_objects(), horizon, &accepted);
     let queries: Vec<Query> = workload(&spec, run.tier, 0x5A)
         .into_iter()
         .map(|q| {

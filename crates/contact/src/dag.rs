@@ -50,12 +50,6 @@ pub struct DnNode {
 }
 
 impl DnNode {
-    /// Whether the node is alive at tick `t`.
-    #[inline]
-    pub fn alive_at(&self, t: Time) -> bool {
-        self.interval.contains(t)
-    }
-
     /// Whether `o` belongs to this component.
     #[inline]
     pub fn contains(&self, o: ObjectId) -> bool {
@@ -331,7 +325,7 @@ impl DnGraph {
         for t in 0..self.horizon {
             membership.iter_mut().for_each(|m| *m = 0);
             for (i, node) in self.nodes.iter().enumerate() {
-                if node.alive_at(t) {
+                if node.interval.contains(t) {
                     for m in &node.members {
                         membership[m.index()] += 1;
                         let _ = i;
@@ -348,7 +342,7 @@ impl DnGraph {
             for t in 0..self.horizon {
                 let nid = self.node_of(o, t);
                 let node = self.node(nid.0);
-                if !node.alive_at(t) || !node.contains(o) {
+                if !node.interval.contains(t) || !node.contains(o) {
                     return Err(format!("timeline of {o} wrong at tick {t}"));
                 }
             }
@@ -1241,7 +1235,7 @@ mod tests {
             (0..g.num_nodes() as u32)
                 .find(|&i| {
                     let n = g.node(i);
-                    n.alive_at(t)
+                    n.interval.contains(t)
                         && n.members == members.iter().map(|&m| ObjectId(m)).collect::<Vec<_>>()
                 })
                 .unwrap_or_else(|| panic!("no node {members:?} at t={t}"))
@@ -1310,7 +1304,7 @@ mod tests {
         for t in 0..4 {
             for o in 0..3u32 {
                 let nid = g.node_of(ObjectId(o), t);
-                assert!(g.node(nid.0).alive_at(t));
+                assert!(g.node(nid.0).interval.contains(t));
                 assert!(g.node(nid.0).contains(ObjectId(o)));
             }
         }

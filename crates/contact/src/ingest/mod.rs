@@ -298,18 +298,6 @@ impl IngestOptions {
         self
     }
 
-    /// Declares the universe size.
-    pub fn with_num_objects(mut self, n: usize) -> Self {
-        self.num_objects = Some(n);
-        self
-    }
-
-    /// Declares the horizon in ticks.
-    pub fn with_horizon(mut self, horizon: Time) -> Self {
-        self.horizon = Some(horizon);
-        self
-    }
-
     /// Selects the id-mapping policy.
     pub fn with_numeric_ids(mut self, numeric: bool) -> Self {
         self.numeric_ids = Some(numeric);
@@ -954,7 +942,11 @@ mod tests {
     fn declared_horizon_too_small_is_inconsistent() {
         let err = ContactTrace::parse(
             "0 1 9\n",
-            &IngestOptions::default().with_horizon(5).with_origin(0),
+            &IngestOptions {
+                horizon: Some(5),
+                ..IngestOptions::default()
+            }
+            .with_origin(0),
         )
         .unwrap_err();
         assert!(matches!(err, IngestError::Inconsistent(_)), "{err}");

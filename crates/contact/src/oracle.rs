@@ -8,7 +8,7 @@
 //! 5.1/5.2). Quadratic-ish and memory-hungry — exists purely as the oracle
 //! every index in the workspace is validated against.
 
-use reach_core::{Coord, ObjectId, Query, QueryOutcome, Time, TimeInterval, UnionFind};
+use reach_core::{Contact, Coord, ObjectId, Query, QueryOutcome, Time, TimeInterval, UnionFind};
 use reach_traj::TrajectoryStore;
 use std::collections::HashMap;
 
@@ -35,6 +35,24 @@ impl Oracle {
             per_tick,
             num_objects,
         }
+    }
+
+    /// Builds the oracle from interval contacts over ticks `0..horizon`,
+    /// expanding each contact tick by tick into the events it stands for.
+    /// Shares no code with the DN builders' sweeps, so it stays an
+    /// independent reference for them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a contact runs past `horizon`.
+    pub fn from_contacts(num_objects: usize, horizon: Time, contacts: &[Contact]) -> Self {
+        let mut per_tick: Vec<Vec<(u32, u32)>> = vec![Vec::new(); horizon as usize];
+        for c in contacts {
+            for t in c.interval.ticks() {
+                per_tick[t as usize].push((c.a.0, c.b.0));
+            }
+        }
+        Self::from_events(num_objects, per_tick)
     }
 
     /// Number of objects.

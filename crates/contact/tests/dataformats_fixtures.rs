@@ -61,8 +61,7 @@ fn example_1_is_the_papers_figure_1() {
     let dn = trace.build_dn();
     dn.validate().expect("valid DN");
     assert_eq!(dn.num_nodes(), 9, "the Figure 4/5 reduction");
-    let per_tick = per_tick_events(&trace);
-    let oracle = Oracle::from_events(trace.num_objects(), per_tick);
+    let oracle = Oracle::from_contacts(trace.num_objects(), trace.horizon(), trace.contacts());
     let q = |s: u32, d: u32| Query::new(ObjectId(s), ObjectId(d), TimeInterval::new(0, 1));
     assert!(oracle.evaluate(&q(0, 3)).reachable);
     assert!(!oracle.evaluate(&q(3, 0)).reachable);
@@ -86,22 +85,10 @@ fn example_2_scales_time_and_merges_abutting_records() {
     assert_eq!(contact(&trace, 1), (1, 2, TimeInterval::new(5, 7)));
     assert_eq!(contact(&trace, 2), (2, 3, TimeInterval::new(6, 6)));
     // dave reachable from alice over [0,7]; not the other way.
-    let oracle = Oracle::from_events(4, per_tick_events(&trace));
+    let oracle = Oracle::from_contacts(4, trace.horizon(), trace.contacts());
     let alice = trace.resolve("alice").unwrap();
     let dave = trace.resolve("dave").unwrap();
     let window = TimeInterval::new(0, 7);
     assert!(oracle.evaluate(&Query::new(alice, dave, window)).reachable);
     assert!(!oracle.evaluate(&Query::new(dave, alice, window)).reachable);
-}
-
-/// Expands a trace's contacts into the per-tick event lists the oracle
-/// consumes.
-fn per_tick_events(trace: &ContactTrace) -> Vec<Vec<(u32, u32)>> {
-    let mut per_tick = vec![Vec::new(); trace.horizon() as usize];
-    for c in trace.contacts() {
-        for t in c.interval.ticks() {
-            per_tick[t as usize].push((c.a.0, c.b.0));
-        }
-    }
-    per_tick
 }

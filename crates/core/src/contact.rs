@@ -66,12 +66,6 @@ impl Contact {
         }
     }
 
-    /// Whether this contact can pass an item at some tick of `window`.
-    #[inline]
-    pub fn active_during(&self, window: &TimeInterval) -> bool {
-        self.interval.overlaps(window)
-    }
-
     /// The other endpoint of the contact, or `None` if `o` is not involved.
     #[inline]
     pub fn peer(&self, o: ObjectId) -> Option<ObjectId> {
@@ -244,13 +238,5 @@ mod tests {
         let mut acc = ContactAccumulator::new();
         acc.push(ev(5, 1, 2));
         acc.push(ev(4, 1, 2));
-    }
-
-    #[test]
-    fn active_during_uses_overlap() {
-        let c = Contact::new(ObjectId(1), ObjectId(2), TimeInterval::new(5, 9));
-        assert!(c.active_during(&TimeInterval::new(0, 5)));
-        assert!(c.active_during(&TimeInterval::new(9, 20)));
-        assert!(!c.active_during(&TimeInterval::new(0, 4)));
     }
 }

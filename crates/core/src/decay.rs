@@ -78,13 +78,6 @@ impl DecayModel {
         let e = i32::try_from(elapsed).unwrap_or(i32::MAX);
         self.per_transfer.powi(h) * self.per_tick.powi(e)
     }
-
-    /// Whether elapsed time contributes to the weight (a `per_tick`
-    /// factor below one). When false, evaluators may skip elapsed-time
-    /// bookkeeping entirely.
-    pub fn time_sensitive(&self) -> bool {
-        self.per_tick < 1.0
-    }
 }
 
 /// Which way a top-k ranking walks the deviation network.
@@ -118,6 +111,18 @@ pub struct Ranked {
     pub arrival: Time,
 }
 
+impl Ranked {
+    /// The ranking order every engine sorts by: weight descending, then
+    /// arrival ascending, then object id ascending.
+    pub fn order(a: &Self, b: &Self) -> std::cmp::Ordering {
+        b.weight
+            .partial_cmp(&a.weight)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.arrival.cmp(&b.arrival))
+            .then_with(|| a.object.cmp(&b.object))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,10 +150,8 @@ mod tests {
     fn pure_variants_ignore_the_other_dimension() {
         let t = DecayModel::per_transfer(0.25);
         assert_eq!(t.weight(1, 999), 0.25);
-        assert!(!t.time_sensitive());
         let e = DecayModel::per_tick(0.25);
         assert_eq!(e.weight(999, 1), 0.25);
-        assert!(e.time_sensitive());
     }
 
     #[test]

@@ -199,11 +199,6 @@ impl WeightedFrontier {
         self.rows.is_empty()
     }
 
-    /// The best weight of `o` under `model`, if it is on the frontier.
-    pub fn weight_of(&self, o: ObjectId, model: &crate::decay::DecayModel) -> Option<f64> {
-        self.best_of(o, model).map(|(w, _)| w)
-    }
-
     /// The best weight of `o` under `model` and the earliest delivery tick
     /// achieving it — exactly what the monolithic engine's
     /// first-scoring-final rule reports, recomputed from the Pareto rows.
@@ -225,8 +220,8 @@ impl WeightedFrontier {
         best
     }
 
-    /// Ranks every frontier object under `model` — weight descending,
-    /// delivery tick ascending, object id ascending — excluding `anchor`
+    /// Ranks every frontier object under `model` in
+    /// [`Ranked::order`](crate::decay::Ranked::order), excluding `anchor`
     /// and truncating to `k`. This is the composed (cross-leg) form of a
     /// top-k answer; it matches the monolithic engine's ranking because
     /// both draw from the same per-object best states.
@@ -255,13 +250,7 @@ impl WeightedFrontier {
             }
             i = j;
         }
-        out.sort_by(|a, b| {
-            b.weight
-                .partial_cmp(&a.weight)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.arrival.cmp(&b.arrival))
-                .then_with(|| a.object.cmp(&b.object))
-        });
+        out.sort_by(crate::decay::Ranked::order);
         out.truncate(k);
         out
     }

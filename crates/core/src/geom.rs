@@ -85,12 +85,6 @@ impl Mbr {
         }
     }
 
-    /// Rectangle spanning exactly one point.
-    #[inline]
-    pub fn of_point(p: Point) -> Self {
-        Self { min: p, max: p }
-    }
-
     /// Bounding rectangle of an iterator of points (empty iterator yields
     /// [`Mbr::empty`]).
     pub fn of_points<I: IntoIterator<Item = Point>>(points: I) -> Self {
@@ -114,15 +108,6 @@ impl Mbr {
         self.min.y = self.min.y.min(p.y);
         self.max.x = self.max.x.max(p.x);
         self.max.y = self.max.y.max(p.y);
-    }
-
-    /// Grows the rectangle to cover `other`.
-    #[inline]
-    pub fn expand_mbr(&mut self, other: &Mbr) {
-        if !other.is_empty() {
-            self.expand(other.min);
-            self.expand(other.max);
-        }
     }
 
     /// Rectangle inflated by `margin` metres on every side (the `d_T`
@@ -202,12 +187,6 @@ impl Environment {
             max: Point::new(self.width, self.height),
         }
     }
-
-    /// Area in square metres.
-    #[inline]
-    pub fn area(&self) -> f64 {
-        f64::from(self.width) * f64::from(self.height)
-    }
 }
 
 #[cfg(test)]
@@ -250,17 +229,17 @@ mod tests {
     fn empty_mbr_never_intersects() {
         let e = Mbr::empty();
         assert!(e.is_empty());
-        let full = Mbr::of_point(Point::new(0.0, 0.0)).inflate(100.0);
+        let full = Mbr::of_points([Point::new(0.0, 0.0)]).inflate(100.0);
         assert!(!e.intersects(&full));
         assert!(!full.intersects(&e));
     }
 
     #[test]
     fn inflate_grows_all_sides() {
-        let m = Mbr::of_point(Point::new(10.0, 10.0)).inflate(2.0);
+        let m = Mbr::of_points([Point::new(10.0, 10.0)]).inflate(2.0);
         assert_eq!(m.min, Point::new(8.0, 8.0));
         assert_eq!(m.max, Point::new(12.0, 12.0));
-        assert!(m.intersects(&Mbr::of_point(Point::new(8.0, 12.0))));
+        assert!(m.intersects(&Mbr::of_points([Point::new(8.0, 12.0)])));
     }
 
     #[test]
@@ -283,7 +262,6 @@ mod tests {
         assert!(!env.contains(Point::new(-0.1, 50.0)));
         let p = env.clamp(Point::new(-5.0, 120.0));
         assert_eq!(p, Point::new(0.0, 100.0));
-        assert_eq!(env.area(), 10_000.0);
     }
 
     #[test]

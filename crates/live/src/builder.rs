@@ -121,44 +121,10 @@ mod tests {
             .open_sharded()
             .expect("file-backed index reopens");
         assert_eq!(recovery.log.records, contacts.len() as u64);
+        assert_eq!(recovery.shards, 1, "the compacted shard is restored");
         let q = Query::new(ObjectId(0), ObjectId(3), TimeInterval::new(0, 8));
         assert!(reopened.evaluate(&q).expect("query").reachable());
         drop(reopened);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sharded_file_backend_round_trips_through_its_directory() {
-        let dir = scratch_dir("sharded");
-        let contacts = [
-            Contact::new(ObjectId(0), ObjectId(1), TimeInterval::new(0, 2)),
-            Contact::new(ObjectId(1), ObjectId(2), TimeInterval::new(3, 5)),
-            Contact::new(ObjectId(2), ObjectId(3), TimeInterval::new(6, 8)),
-        ];
-        {
-            let live = config()
-                .manual_compaction()
-                .builder()
-                .backend(StorageConfig::file(&dir, 256))
-                .build_sharded(4)
-                .expect("sharded file-backed index creates");
-            for c in contacts {
-                live.append(c).expect("append");
-            }
-            live.seal(5).expect("seal");
-            live.sync().expect("sync");
-        }
-        let (live, recovery) = config()
-            .manual_compaction()
-            .builder()
-            .backend(StorageConfig::file(&dir, 256))
-            .open_sharded()
-            .expect("sharded file-backed index reopens");
-        assert_eq!(recovery.shards, 1);
-        assert_eq!(recovery.top_cut, 5);
-        let q = Query::new(ObjectId(0), ObjectId(3), TimeInterval::new(0, 8));
-        assert!(live.evaluate(&q).expect("query").reachable());
-        drop(live);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -51,4 +51,4 @@ pub use config::{
 };
 pub use delta::DeltaDn;
 pub use log::{AppendLog, LogRecovery};
-pub use shard::{ShardCrashPoint, ShardRecovery, ShardedLive};
+pub use shard::{ShardRecovery, ShardedLive};

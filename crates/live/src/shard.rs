@@ -108,10 +108,12 @@
 //!
 //! A crash before phase 2 leaves the previous generation (the new base is
 //! an unreferenced orphan, truncated on reuse); a crash after phase 2
-//! recovers the new generation. There is no state in between, which
-//! `tests/failure_injection.rs` drives through [`ShardedLive::inject_crash`].
-//! Superseded shard devices are removed, and their caches dropped, after
-//! the commit.
+//! recovers the new generation. There is no state in between. The engine
+//! carries no fault hook to show it: `tests/failure_injection.rs` copies an
+//! index's files before and after a rebuild, assembles on disk the files a
+//! crash before, in the middle of (a torn record) and after the directory
+//! write would leave, and reopens each. Superseded shard devices are
+//! removed, and their caches dropped, after the commit.
 
 use crate::base::{batch_answers, build_base, decay_delta_leg, lock_stats, outcome_of, Tail};
 use crate::config::{
@@ -183,21 +185,6 @@ enum Rebuild {
     Compact,
 }
 
-/// Where [`ShardedLive::inject_crash`] kills the next rebuild — between
-/// the three commit phases, mimicking a process death at that exact point.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardCrashPoint {
-    /// After the new shard base is built and synced, before the epoch
-    /// directory records it: recovery must see the *previous* shard set.
-    BeforeDirectory,
-    /// Mid-append of the directory record (a torn, checksum-failing tail):
-    /// recovery must ignore it and see the *previous* shard set.
-    TornDirectory,
-    /// After the directory record is durable, before the in-memory swap:
-    /// recovery must see the *new* shard set.
-    AfterDirectory,
-}
-
 /// What [`ShardedLive::open`] recovered.
 #[derive(Clone, Debug)]
 pub struct ShardRecovery {
@@ -220,7 +207,6 @@ pub struct ShardedLive {
     state: RwLock<ShardState>,
     maintenance: Mutex<Maintenance>,
     stats: Mutex<LiveStats>,
-    crash: Mutex<Option<ShardCrashPoint>>,
     /// True while a rebuild is building.
     building: AtomicBool,
     /// Queries that completed while a rebuild was in flight — the overlap
@@ -350,7 +336,6 @@ impl ShardedLive {
             }),
             maintenance: Mutex::new(maintenance),
             stats: Mutex::new(stats),
-            crash: Mutex::new(None),
             building: AtomicBool::new(false),
             overlapped_queries: AtomicU64::new(0),
             pause_ms: AtomicU64::new(0),
@@ -385,11 +370,6 @@ impl ShardedLive {
     /// The live horizon (one past the newest accepted tick).
     pub fn now(&self) -> Time {
         self.read().tail.delta.now()
-    }
-
-    /// Records in the durable log.
-    pub fn log_len(&self) -> u64 {
-        self.read().tail.log.len()
     }
 
     /// Pages the durable log occupies.
@@ -457,22 +437,6 @@ impl ShardedLive {
             watermark: st.tail.delta.watermark(),
             now: st.tail.delta.now(),
         }
-    }
-
-    /// Arms the fault-injection hook: the **next** rebuild dies at `point`
-    /// (its devices left exactly as a process kill would leave them) and
-    /// surfaces the injected error. Testing only.
-    pub fn inject_crash(&self, point: ShardCrashPoint) {
-        *self.crash.lock().expect("crash hook lock poisoned") = Some(point);
-    }
-
-    fn crash_fires(&self, point: ShardCrashPoint) -> bool {
-        let mut hook = self.crash.lock().expect("crash hook lock poisoned");
-        if *hook == Some(point) {
-            *hook = None;
-            return true;
-        }
-        false
     }
 
     /// Test hook: make every rebuild sleep this long between build and
@@ -670,7 +634,11 @@ impl ShardedLive {
                 .chain([shard.entry()])
                 .chain(shards[range.end..].iter().map(|s| s.entry()))
                 .collect();
-            self.commit_directory(m, generation + 1, &entries)?;
+            // Phase 2: once the record is durable, recovery sees the new
+            // shard set.
+            if let Some(dir) = m.dir.as_mut() {
+                dir.commit(generation + 1, &entries)?;
+            }
             Ok((shard, stats))
         });
         // The only reader-visible change, and it is infallible. A failed
@@ -743,38 +711,6 @@ impl ShardedLive {
         })();
         let _ = self.directory.remove(&scratch_name);
         built
-    }
-
-    /// Appends the generation record (phase 2), honouring the injected
-    /// crash points around and inside the directory write.
-    fn commit_directory(
-        &self,
-        m: &mut Maintenance,
-        generation: u64,
-        entries: &[(Time, Time, u64)],
-    ) -> Result<(), IndexError> {
-        if self.crash_fires(ShardCrashPoint::BeforeDirectory) {
-            return Err(IndexError::Io(
-                "injected crash before the directory record".into(),
-            ));
-        }
-        if self.crash_fires(ShardCrashPoint::TornDirectory) {
-            if let Some(dir) = m.dir.as_mut() {
-                dir.commit_torn(generation, entries)?;
-            }
-            return Err(IndexError::Io(
-                "injected crash mid-directory-record (torn tail)".into(),
-            ));
-        }
-        if let Some(dir) = m.dir.as_mut() {
-            dir.commit(generation, entries)?;
-        }
-        if self.crash_fires(ShardCrashPoint::AfterDirectory) {
-            return Err(IndexError::Io(
-                "injected crash after the directory record".into(),
-            ));
-        }
-        Ok(())
     }
 
     /// Lifetime accounting for answered queries, plus the overlap gauge.
@@ -860,15 +796,16 @@ impl ShardedLive {
     /// membership genuinely changed there — so the composed weights equal
     /// a monolithic weighted walk bit for bit (tier-1
     /// `tests/decay_reach.rs`). `floor` carries a point query's θ across
-    /// every leg; ranked queries pass `0.0`.
+    /// every leg; ranked queries pass `0.0`. Walks the state `st` the
+    /// caller holds, so every frontier of one answer sees one snapshot.
     fn decay_frontier(
         &self,
+        st: &ShardState,
         q: &Query,
         model: &DecayModel,
         floor: f64,
         trace: &Tracer,
     ) -> Result<(WeightedFrontier, QueryStats), IndexError> {
-        let st = self.read();
         let window = q.admit(self.num_objects, st.tail.delta.now())?;
         let (source, t1, t2) = (q.source, window.start, window.end);
         let w = st.tail.delta.watermark();
@@ -1027,7 +964,7 @@ impl ReachIndex for ShardedLive {
             QueryKind::Reach => return self.reach(q, &request.trace).map(Answer::from),
             QueryKind::Decay { theta, model } => {
                 let (frontier, mut stats) =
-                    self.decay_frontier(q, &model, theta, &request.trace)?;
+                    self.decay_frontier(&self.read(), q, &model, theta, &request.trace)?;
                 let hit = frontier
                     .best_of(q.dest, &model)
                     .filter(|&(weight, _)| weight >= theta);
@@ -1042,7 +979,7 @@ impl ReachIndex for ShardedLive {
                 // The dest is ignored: only the anchor is admitted.
                 let anchored = Query::new(q.source, q.source, q.interval);
                 let (frontier, mut stats) =
-                    self.decay_frontier(&anchored, &model, 0.0, &request.trace)?;
+                    self.decay_frontier(&self.read(), &anchored, &model, 0.0, &request.trace)?;
                 stats.cpu = started.elapsed();
                 Answer::ranked(frontier.rank(&model, k, q.source), stats)
             }
@@ -1053,9 +990,12 @@ impl ReachIndex for ShardedLive {
             } => {
                 // Reverse rankings compose one forward frontier per
                 // candidate source — exact across every epoch boundary,
-                // priced accordingly (see `QUERIES.md`).
+                // priced accordingly (see `QUERIES.md`). One read guard
+                // spans every candidate, so one ranking sees one state.
                 let anchor = q.source;
-                Query::new(anchor, anchor, q.interval).admit(self.num_objects, self.now())?;
+                let st = self.read();
+                Query::new(anchor, anchor, q.interval)
+                    .admit(self.num_objects, st.tail.delta.now())?;
                 let mut stats = QueryStats::default();
                 let mut best: Vec<Ranked> = Vec::new();
                 for o in 0..self.num_objects as u32 {
@@ -1065,7 +1005,7 @@ impl ReachIndex for ShardedLive {
                     }
                     let candidate = Query::new(source, anchor, q.interval);
                     let (frontier, s) =
-                        self.decay_frontier(&candidate, &model, 0.0, &request.trace)?;
+                        self.decay_frontier(&st, &candidate, &model, 0.0, &request.trace)?;
                     stats = stats.merged(&s);
                     if let Some((weight, arrival)) = frontier.best_of(anchor, &model) {
                         best.push(Ranked {
@@ -1075,13 +1015,8 @@ impl ReachIndex for ShardedLive {
                         });
                     }
                 }
-                best.sort_by(|a, b| {
-                    b.weight
-                        .partial_cmp(&a.weight)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| a.arrival.cmp(&b.arrival))
-                        .then_with(|| a.object.cmp(&b.object))
-                });
+                drop(st);
+                best.sort_by(Ranked::order);
                 best.truncate(k);
                 stats.cpu = started.elapsed();
                 Answer::ranked(best, stats)
@@ -1231,21 +1166,6 @@ impl EpochDirectory {
         self.next_page += pages;
         Ok(())
     }
-
-    /// Writes a deliberately torn record — the length prefix and roughly
-    /// half the payload, checksum missing — and does **not** advance the
-    /// append position, mimicking a crash mid-append. Testing only.
-    fn commit_torn(
-        &mut self,
-        generation: u64,
-        shards: &[(Time, Time, u64)],
-    ) -> Result<(), IndexError> {
-        let mut record = Self::encode(generation, shards);
-        let keep = 4 + (record.len() - 4) / 2;
-        record.truncate(keep);
-        self.write_pages(&record)?;
-        Ok(())
-    }
 }
 
 fn decode_record(payload: &[u8]) -> Option<DirectoryRecords> {
@@ -1290,7 +1210,7 @@ fn fnv64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach_contact::{EdgeListSource, Oracle};
+    use reach_contact::Oracle;
     use reach_graph::GraphParams;
     use reach_storage::BuildBudget;
 
@@ -1325,155 +1245,6 @@ mod tests {
         Query::new(ObjectId(s), ObjectId(d), TimeInterval::new(a, b))
     }
 
-    fn oracle_of(n: usize, horizon: Time, contacts: &[Contact]) -> Oracle {
-        let mut per_tick: Vec<Vec<(u32, u32)>> = vec![Vec::new(); horizon as usize];
-        for c in contacts {
-            for t in c.interval.ticks() {
-                per_tick[t as usize].push((c.a.0, c.b.0));
-            }
-        }
-        Oracle::from_events(n, per_tick)
-    }
-
-    fn check_all_pairs(live: &ShardedLive, n: usize, tag: &str) {
-        let contacts = live.replay_log().expect("replay");
-        let oracle = oracle_of(n, live.now(), &contacts);
-        let now = live.now();
-        for s in 0..n as u32 {
-            for d in 0..n as u32 {
-                for &(a, b) in &[(0, now - 1), (2, now - 1), (0, 5), (3, 9.min(now - 1))] {
-                    if a > b {
-                        continue;
-                    }
-                    let query = q(s, d, a, b);
-                    let got = live.evaluate(&query).expect("query");
-                    let want = oracle.evaluate(&query);
-                    assert_eq!(
-                        got.reachable(),
-                        want.reachable,
-                        "{tag}: {query} diverged (shards {:?})",
-                        live.shard_spans()
-                    );
-                    if let (Some(g), Some(w)) = (got.outcome.earliest, want.earliest) {
-                        assert_eq!(g, w, "{tag}: {query} arrival");
-                    }
-                }
-            }
-        }
-    }
-
-    /// Figure-1-style trace sealed into three epochs: every window —
-    /// inside one shard, spanning cuts, straddling the delta — answers
-    /// exactly as the batch oracle.
-    #[test]
-    fn sharded_walk_matches_the_oracle_across_three_cuts() {
-        let n = 5usize;
-        let live = sim(n, manual());
-        live.append(c(0, 1, 0, 2)).unwrap();
-        live.append(c(1, 2, 1, 5)).unwrap();
-        live.seal(4).unwrap().expect("seals epoch 0");
-        live.append(c(2, 3, 4, 7)).unwrap();
-        live.append(c(0, 4, 6, 6)).unwrap();
-        live.seal(8).unwrap().expect("seals epoch 1");
-        live.append(c(3, 4, 8, 10)).unwrap();
-        live.seal(11).unwrap().expect("seals epoch 2");
-        live.append(c(0, 2, 11, 12)).unwrap();
-        assert_eq!(live.shard_spans(), vec![(0, 4), (4, 8), (8, 11)]);
-        assert_eq!(live.watermark(), 11);
-        check_all_pairs(&live, n, "three cuts");
-        // A chain crossing every boundary: 0→1 (epoch 0), →2, →3 (epoch 1),
-        // →4 (epoch 2), with exact arrival.
-        let r = live.evaluate(&q(0, 4, 0, 12)).unwrap();
-        assert_eq!(r.outcome, QueryOutcome::reachable_at(6));
-        let r = live.evaluate(&q(3, 4, 0, 12)).unwrap();
-        assert_eq!(r.outcome, QueryOutcome::reachable_at(8), "3→4 only at 8");
-        // …and a path that needs the delta leg after the full walk.
-        let r = live.evaluate(&q(3, 0, 0, 12)).unwrap();
-        assert_eq!(
-            r.outcome,
-            QueryOutcome::reachable_at(11),
-            "3→2 sealed, 2→0 in the delta"
-        );
-    }
-
-    /// Coalescing adjacent epochs must not change a single answer, and the
-    /// shard directory must shrink.
-    #[test]
-    fn merge_epochs_preserves_every_answer() {
-        let n = 5usize;
-        let live = sim(n, manual());
-        live.append(c(0, 1, 0, 2)).unwrap();
-        live.append(c(1, 2, 1, 5)).unwrap();
-        live.seal(4).unwrap().unwrap();
-        live.append(c(2, 3, 4, 7)).unwrap();
-        live.seal(8).unwrap().unwrap();
-        live.append(c(3, 4, 8, 10)).unwrap();
-        live.seal(11).unwrap().unwrap();
-        live.append(c(0, 2, 11, 12)).unwrap();
-        assert_eq!(live.shard_count(), 3);
-        let gen = live.generation();
-        live.merge_epochs(0, 1).unwrap().expect("merges");
-        assert_eq!(live.shard_spans(), vec![(0, 8), (8, 11)]);
-        assert_eq!(live.generation(), gen + 1);
-        check_all_pairs(&live, n, "after merge(0,1)");
-        live.merge_epochs(0, 1).unwrap().expect("merges again");
-        assert_eq!(live.shard_spans(), vec![(0, 11)]);
-        check_all_pairs(&live, n, "after full merge");
-        // Degenerate requests are no-ops, not errors.
-        assert!(live.merge_epochs(0, 0).unwrap().is_none());
-        assert!(live.merge_epochs(0, 5).unwrap().is_none());
-    }
-
-    /// File-backed round trip: seal twice, drop everything, reopen from
-    /// the epoch directory + per-shard devices + log tail.
-    #[test]
-    fn file_backed_recovery_restores_the_shard_set() {
-        let root = std::env::temp_dir().join(format!("streach-shard-rec-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let directory = DeviceDirectory::file(&root, PAGE);
-        let n = 5usize;
-        {
-            let live = ShardedLive::create(directory.clone(), n, manual()).expect("creates");
-            live.append(c(0, 1, 0, 2)).unwrap();
-            live.append(c(1, 2, 1, 5)).unwrap();
-            live.seal(4).unwrap().unwrap();
-            live.append(c(2, 3, 4, 7)).unwrap();
-            live.seal(8).unwrap().unwrap();
-            live.append(c(3, 4, 8, 10)).unwrap();
-            live.sync().unwrap();
-        } // crash: every in-memory structure evaporates
-        let (live, recovery) = ShardedLive::open(directory, manual()).expect("reopens");
-        assert_eq!(recovery.shards, 2);
-        assert_eq!(recovery.top_cut, 8);
-        assert_eq!(live.shard_spans(), vec![(0, 4), (4, 8)]);
-        assert_eq!(live.watermark(), 8);
-        check_all_pairs(&live, n, "after recovery");
-        // The recovered index keeps working: another epoch seals on top.
-        live.append(c(0, 4, 11, 11)).unwrap();
-        live.seal(12).unwrap().unwrap();
-        assert_eq!(live.shard_spans(), vec![(0, 4), (4, 8), (8, 12)]);
-        check_all_pairs(&live, n, "sealed after recovery");
-        // Superseded shards' devices are removed: after a merge and a
-        // compaction exactly the live shards' base files remain.
-        live.merge_epochs(0, 1).unwrap().unwrap();
-        live.compact().unwrap().unwrap();
-        assert_eq!(live.shard_spans(), vec![(0, 12)]);
-        let mut on_disk: Vec<String> = std::fs::read_dir(&root)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|name| name.starts_with("shard-base-"))
-            .collect();
-        on_disk.sort();
-        let live_bases: Vec<String> = live
-            .read()
-            .shards
-            .iter()
-            .map(|s| format!("shard-base-{}.pages", s.seq))
-            .collect();
-        assert_eq!(on_disk, live_bases);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
     /// The epoch directory's scan keeps the last valid record and ignores
     /// a torn tail.
     #[test]
@@ -1485,8 +1256,11 @@ mod tests {
             let mut dir = EpochDirectory::create(d.create("dir").unwrap());
             dir.commit(1, &[(0, 4, 0)]).unwrap();
             dir.commit(2, &[(0, 4, 0), (4, 9, 1)]).unwrap();
-            dir.commit_torn(3, &[(0, 4, 0), (4, 9, 1), (9, 20, 2)])
-                .unwrap();
+            // A crash mid-append: the length prefix and half the payload,
+            // the checksum missing, and the append position not advanced.
+            let mut torn = EpochDirectory::encode(3, &[(0, 4, 0), (4, 9, 1), (9, 20, 2)]);
+            torn.truncate(4 + (torn.len() - 4) / 2);
+            dir.write_pages(&torn).unwrap();
         }
         let (mut dir, records) = EpochDirectory::open(d.open("dir").unwrap()).unwrap();
         assert_eq!(records.generation, 2, "torn record must not win");
@@ -1498,22 +1272,6 @@ mod tests {
         assert_eq!(records.generation, 3);
         assert_eq!(records.shards, vec![(0, 9, 2)]);
         let _ = std::fs::remove_dir_all(&root);
-    }
-
-    /// Lossy/strict admission at the sharded watermark mirrors the
-    /// single-base index.
-    #[test]
-    fn admission_clamps_at_the_top_cut() {
-        let n = 4usize;
-        let live = sim(n, manual());
-        live.append(c(0, 1, 0, 4)).unwrap();
-        live.seal(5).unwrap().unwrap();
-        let o = live.append(c(2, 3, 1, 3)).unwrap();
-        assert!(!o.logged, "wholly late records drop");
-        let o = live.append(c(2, 3, 3, 8)).unwrap();
-        assert!(o.logged && o.clamped, "straddlers clamp to the cut");
-        assert_eq!(live.stats().dropped_late, 1);
-        assert_eq!(live.stats().clamped, 1);
     }
 
     /// Figure 1 of the paper, appended live with a compaction mid-stream:
@@ -1589,123 +1347,10 @@ mod tests {
             live.append(c(0, 1, 5, Time::MAX)),
             Err(LiveError::HorizonOverflow { .. })
         ));
-        assert_eq!(live.log_len(), 0, "rejected records are never logged");
-    }
-
-    /// A rebuild that fails must leave shards, delta, and watermark
-    /// untouched (failure atomicity).
-    #[test]
-    fn failed_compaction_leaves_the_index_consistent() {
-        // Auto-sealing from the first record (a one-byte delta budget),
-        // with a crash armed before every rebuild so none can commit until
-        // the hook stays disarmed.
-        let live = sim(4, graph_config(1 << 20).with_delta_budget(1));
-        // An *auto*-seal failure must not masquerade as an append
-        // failure: the record lands, the error rides the outcome.
-        for record in [c(0, 1, 0, 2), c(1, 2, 4, 5)] {
-            live.inject_crash(ShardCrashPoint::BeforeDirectory);
-            let o = live.append(record).unwrap();
-            assert!(o.logged && !o.compacted);
-            assert!(o.compaction_error.is_some());
-        }
-        // An explicit rebuild that crashes must fail too…
-        live.inject_crash(ShardCrashPoint::BeforeDirectory);
-        let err = live.compact().unwrap_err();
-        assert!(matches!(err, IndexError::Io(_)), "{err}");
-        // …and the index must be exactly as before: watermark unmoved,
-        // delta intact, queries still exact.
-        assert_eq!(live.watermark(), 0);
-        assert_eq!(live.now(), 6);
-        let r = live.evaluate(&q(0, 2, 0, 5)).unwrap();
-        assert_eq!(r.outcome, QueryOutcome::reachable_at(4));
-        // Disarmed: the retried compaction succeeds and agrees.
-        live.compact().unwrap().unwrap();
-        assert_eq!(live.watermark(), 6);
-        assert!(live.evaluate(&q(0, 2, 0, 5)).unwrap().reachable());
-        // Armed again: the next over-budget append's seal fails after the
-        // record is durable.
-        live.inject_crash(ShardCrashPoint::BeforeDirectory);
-        let o = live.append(c(2, 3, 8, 9)).unwrap();
-        assert!(o.logged);
-        assert!(o.compaction_error.is_some());
-        assert_eq!(live.log_len(), 3, "the append itself was durable");
-        assert!(live.evaluate(&q(2, 3, 8, 9)).unwrap().reachable());
-    }
-
-    /// Random interleavings of appends, seals, and queries answer exactly
-    /// as the oracle over the accepted trace.
-    #[test]
-    fn interleaved_appends_and_queries_match_the_oracle() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        for seed in 0..5u64 {
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x11FE);
-            let n = 6usize;
-            let horizon: Time = 60;
-            let live = sim(n, graph_config(400)); // tiny: auto-seals often
-            for step in 0..120 {
-                if rng.gen_bool(0.75) {
-                    let a = rng.gen_range(0..n as u32);
-                    let b = rng.gen_range(0..n as u32);
-                    if a == b {
-                        continue;
-                    }
-                    // Bounded lateness: starts near the frontier, some behind.
-                    let w = live.watermark();
-                    let lo = w.saturating_sub(4);
-                    let s = rng.gen_range(lo..horizon);
-                    let e = (s + rng.gen_range(0..4u32)).min(horizon - 1);
-                    let _ = live.append(c(a.min(b), a.max(b), s, e)).unwrap();
-                } else if live.now() > 0 {
-                    let accepted = live.replay_log().unwrap();
-                    let oracle = oracle_of(n, live.now(), &accepted);
-                    for _ in 0..4 {
-                        let s = rng.gen_range(0..n as u32);
-                        let d = rng.gen_range(0..n as u32);
-                        let a = rng.gen_range(0..live.now());
-                        let b = rng.gen_range(a..live.now());
-                        let query = q(s, d, a, b);
-                        let got = live.evaluate(&query).unwrap();
-                        let want = oracle.evaluate(&query);
-                        assert_eq!(
-                            got.reachable(),
-                            want.reachable,
-                            "{query} diverged (seed {seed}, step {step}, watermark {})",
-                            live.watermark()
-                        );
-                        // Earliest arrivals are exact whenever reported.
-                        if let (Some(got_t), Some(want_t)) = (got.outcome.earliest, want.earliest) {
-                            assert_eq!(got_t, want_t, "{query} arrival (seed {seed})");
-                        }
-                    }
-                }
-            }
-            assert!(
-                live.stats().compactions > 0,
-                "tiny budget must force seals (seed {seed})"
-            );
-        }
-    }
-
-    #[test]
-    fn append_source_drains_a_feed_through_the_live_path() {
-        let live = sim(5, graph_config(1 << 20));
-        let feed = "0 1 100\n1 2 140 20\nbroken line\n3 3 160\n2 4 180\n";
-        let report = live
-            .append_source(EdgeListSource::new(feed.as_bytes()), 100, 20)
-            .unwrap();
-        assert_eq!(report.appended, 3);
-        assert_eq!(report.skipped, 2, "parse error + self-contact");
-        assert_eq!(live.now(), 5);
-        // 0 →1 at tick 0, 1→2 over [2,3], 2→4 at tick 4.
-        let r = live.evaluate(&q(0, 4, 0, 4)).unwrap();
-        assert_eq!(r.outcome, QueryOutcome::reachable_at(4));
-        // Strict mode surfaces the first bad line instead.
-        let strict = sim(5, graph_config(1 << 20).strict());
-        let err = strict
-            .append_source(EdgeListSource::new(feed.as_bytes()), 100, 20)
-            .unwrap_err();
-        assert!(matches!(err, LiveError::Ingest(_)), "{err}");
+        assert!(
+            live.replay_log().unwrap().is_empty(),
+            "rejected records are never logged"
+        );
     }
 
     #[test]
@@ -1763,7 +1408,7 @@ mod tests {
         );
         // Equivalence still holds under the backoff.
         let accepted = live.replay_log().unwrap();
-        let oracle = oracle_of(6, live.now(), &accepted);
+        let oracle = Oracle::from_contacts(6, live.now(), &accepted);
         for s in 0..6u32 {
             let query = q(s, (s + 1) % 6, 0, live.now() - 1);
             assert_eq!(
@@ -1788,39 +1433,6 @@ mod tests {
         live.compact().unwrap().unwrap();
         assert_eq!(live.watermark(), 10);
         assert!(live.evaluate(&q(0, 1, 0, 9)).unwrap().reachable());
-    }
-
-    /// A crash after a compaction: the epoch directory restores the
-    /// compacted shard and the log's tail refills the delta.
-    #[test]
-    fn recovery_from_the_log_restores_the_world() {
-        let root =
-            std::env::temp_dir().join(format!("streach-live-recover-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let directory = DeviceDirectory::file(&root, PAGE);
-        let records = [c(0, 1, 0, 2), c(1, 2, 3, 4), c(2, 3, 6, 6)];
-        {
-            let live = ShardedLive::create(directory.clone(), 4, manual()).unwrap();
-            for &r in &records[..2] {
-                live.append(r).unwrap();
-            }
-            live.compact().unwrap().unwrap();
-            live.append(records[2]).unwrap();
-            live.sync().unwrap();
-        } // crash: the delta evaporates; the directory, shard, and log remain
-        let (live, recovery) = ShardedLive::open(directory, manual()).unwrap();
-        assert_eq!(recovery.log.records, 3);
-        assert_eq!(recovery.shards, 1);
-        assert_eq!(live.watermark(), 5, "recovery restored the compacted shard");
-        assert_eq!(live.now(), 7, "the log tail refilled the delta");
-        // Entirely sealed: answered by BM-BFS on the reopened shard
-        // (reachable, no arrival tick — that is the base's contract).
-        assert!(live.evaluate(&q(0, 2, 0, 4)).unwrap().reachable());
-        // Spanning into the replayed delta.
-        let r = live.evaluate(&q(0, 3, 0, 6)).unwrap();
-        assert!(r.reachable());
-        assert!(!live.evaluate(&q(3, 0, 0, 6)).unwrap().reachable());
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -1906,7 +1518,7 @@ mod tests {
     fn answers_and_io_match_the_single_threaded_path() {
         let n = 6;
         let (idx, windows) = compacted_twice(n, 0x5eed, 90);
-        let oracle = oracle_of(n, idx.now(), &idx.replay_log().expect("log replays"));
+        let oracle = Oracle::from_contacts(n, idx.now(), &idx.replay_log().expect("log replays"));
         let w = idx.watermark();
         let shard = Arc::clone(&idx.read().shards[0]);
         for s in 0..n as u32 {
@@ -2022,7 +1634,7 @@ mod tests {
             assert!(accepted
                 .iter()
                 .any(|c| c.a == ObjectId(0) && c.b == ObjectId(1) && c.interval.start == barrier));
-            let oracle = oracle_of(n, idx.now(), &accepted);
+            let oracle = Oracle::from_contacts(n, idx.now(), &accepted);
             for s in 0..n as u32 {
                 for d in 0..n as u32 {
                     let sweep = q(s, d, 0, HORIZON - 1);
@@ -2034,34 +1646,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Queries keep being served while a compaction is mid-build on
-    /// another thread, and the overlap gauge proves they interleaved.
-    #[test]
-    fn queries_are_not_blocked_by_a_background_compaction() {
-        let n = 5;
-        let idx = sim(n, manual());
-        for c in stream(11, n as u32, 60) {
-            idx.append(c).expect("append");
-        }
-        idx.set_compaction_pause_ms(120);
-        let query = q(0, 1, 0, idx.now() - 1);
-        std::thread::scope(|scope| {
-            let build = scope.spawn(|| idx.compact());
-            wait_until("compaction starts", || idx.metrics().compacting);
-            let mut served = 0u64;
-            while idx.metrics().compacting {
-                idx.evaluate(&query).expect("query during build");
-                served += 1;
-            }
-            assert!(served > 0, "no query completed during the build window");
-            let done = build.join().expect("compaction thread");
-            assert!(done.expect("compaction commits").is_some());
-        });
-        assert!(idx.metrics().overlapped_queries > 0);
-        assert_eq!(idx.metrics().compactions, 1);
-        assert!(idx.watermark() > 0);
     }
 
     /// Appending past the delta budget seals inline: the append that
@@ -2092,7 +1676,7 @@ mod tests {
         assert!(idx.watermark() > 0);
         // The answers still match the oracle over the accepted trace.
         let accepted = idx.replay_log().expect("log replays");
-        let oracle = oracle_of(n, idx.now(), &accepted);
+        let oracle = Oracle::from_contacts(n, idx.now(), &accepted);
         for s in 0..n as u32 {
             for d in 0..n as u32 {
                 let sweep = q(s, d, 0, idx.now() - 1);

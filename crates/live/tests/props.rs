@@ -57,16 +57,6 @@ fn op_strategy(n: u32) -> impl Strategy<Value = Op> {
     )
 }
 
-fn oracle_of(n: usize, horizon: Time, contacts: &[Contact]) -> Oracle {
-    let mut per_tick: Vec<Vec<(u32, u32)>> = vec![Vec::new(); horizon as usize];
-    for c in contacts {
-        for t in c.interval.ticks() {
-            per_tick[t as usize].push((c.a.0, c.b.0));
-        }
-    }
-    Oracle::from_events(n, per_tick)
-}
-
 fn live_index(n: usize, budget: usize) -> ShardedLive {
     LiveConfig::graph(
         GraphParams {
@@ -146,7 +136,7 @@ proptest! {
         for &c in &contacts {
             delta.insert(c);
         }
-        let oracle = oracle_of(n, watermark + DELTA_SPAN + 4, &contacts);
+        let oracle = Oracle::from_contacts(n, watermark + DELTA_SPAN + 4, &contacts);
         let seeds: Vec<(ObjectId, Time)> = raw_seeds
             .iter()
             .map(|&(o, t)| (ObjectId(o % n as u32), t))
@@ -216,7 +206,7 @@ proptest! {
                     let t1 = t1.min(live.now() - 1);
                     let t2 = t2.max(t1);
                     let accepted = live.replay_log().expect("log replays");
-                    let oracle = oracle_of(n, live.now(), &accepted);
+                    let oracle = Oracle::from_contacts(n, live.now(), &accepted);
                     let q = Query::new(ObjectId(s), ObjectId(d), TimeInterval::new(t1, t2));
                     let got = live.evaluate(&q).expect("live query evaluates");
                     let want = oracle.evaluate(&q);
@@ -234,7 +224,7 @@ proptest! {
         // Final sweep: every pair, three interval shapes.
         if live.now() > 0 {
             let accepted = live.replay_log().expect("log replays");
-            let oracle = oracle_of(n, live.now(), &accepted);
+            let oracle = Oracle::from_contacts(n, live.now(), &accepted);
             let last = live.now() - 1;
             let w = live.watermark();
             let intervals = [

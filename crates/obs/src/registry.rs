@@ -43,11 +43,6 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -343,7 +338,7 @@ mod tests {
     fn counters_and_gauges_roundtrip() {
         let r = Registry::new();
         r.counter("hits").add(3);
-        r.counter("hits").inc();
+        r.counter("hits").add(1);
         r.set_gauge("depth", 17);
         assert_eq!(r.counter("hits").get(), 4);
         assert_eq!(r.gauge("depth").get(), 17);
@@ -354,7 +349,7 @@ mod tests {
     #[should_panic(expected = "not a gauge")]
     fn kind_conflicts_are_rejected() {
         let r = Registry::new();
-        r.counter("x").inc();
+        r.counter("x").add(1);
         r.gauge("x");
     }
 
@@ -452,7 +447,7 @@ mod tests {
                     let c = r.counter("n");
                     let h = r.histogram("h");
                     for i in 0..1000u64 {
-                        c.inc();
+                        c.add(1);
                         h.record(i % 64);
                     }
                 })

@@ -78,11 +78,6 @@ impl IoDelta {
             cache_hits: self.cache_hits + other.cache_hits,
         }
     }
-
-    /// Whether every counter is zero.
-    pub fn is_zero(&self) -> bool {
-        *self == IoDelta::default()
-    }
 }
 
 /// One finished span: a node of a query's trace tree.

@@ -367,8 +367,8 @@ pub fn decay_reachable<S: HnSource>(
     Ok((hit, ex.stats))
 }
 
-/// Sorts first-scorings into ranked order — weight descending, arrival
-/// ascending, object id ascending — drops the anchor, truncates to `k`.
+/// Sorts first-scorings into [`Ranked::order`], drops the anchor,
+/// truncates to `k`.
 pub fn rank(scored: &[(ObjectId, f64, Time)], anchor: ObjectId, k: usize) -> Vec<Ranked> {
     let mut out: Vec<Ranked> = scored
         .iter()
@@ -379,13 +379,7 @@ pub fn rank(scored: &[(ObjectId, f64, Time)], anchor: ObjectId, k: usize) -> Vec
             arrival,
         })
         .collect();
-    out.sort_by(|a, b| {
-        b.weight
-            .partial_cmp(&a.weight)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.arrival.cmp(&b.arrival))
-            .then_with(|| a.object.cmp(&b.object))
-    });
+    out.sort_by(Ranked::order);
     out.truncate(k);
     out
 }

@@ -18,7 +18,7 @@
 
 mod common;
 
-use common::{LiveOn, BACKENDS};
+use common::{check_all_pairs, graph_params, oracle_of, stream, LiveOn, BACKENDS, PAGE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -27,56 +27,12 @@ use streach::contact::extract_contacts;
 use streach::ext::UncertainEvent;
 use streach::prelude::*;
 
-const PAGE: usize = 256;
-
-fn graph_params() -> GraphParams {
-    GraphParams {
-        partition_depth: 8,
-        page_size: PAGE,
-        ..GraphParams::default()
-    }
-}
-
 /// A live index on the named backend.
 fn live_on(backend: &'static str, delta_budget: usize, num_objects: usize) -> LiveOn {
     let config = LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10))
         .with_delta_budget(delta_budget)
         .with_lateness(16);
     LiveOn::new(backend, config, num_objects)
-}
-
-/// A deterministic synthetic append stream with out-of-order arrivals
-/// (same recipe as `tests/live_reach.rs`).
-fn stream(seed: u64, n: u32, horizon: u32, count: usize) -> Vec<Contact> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut contacts: Vec<Contact> = (0..count)
-        .map(|_| {
-            let a = rng.gen_range(0..n);
-            let b = (a + rng.gen_range(1..n)) % n;
-            let s = rng.gen_range(0..horizon);
-            let e = (s + rng.gen_range(0..5u32)).min(horizon - 1);
-            Contact::new(
-                ObjectId(a.min(b)),
-                ObjectId(a.max(b)),
-                TimeInterval::new(s, e),
-            )
-        })
-        .collect();
-    contacts.sort_by_key(|c| c.interval.start);
-    for i in (4..contacts.len()).step_by(4) {
-        contacts.swap(i, i - 2);
-    }
-    contacts
-}
-
-fn oracle_of(n: usize, horizon: u32, contacts: &[Contact]) -> Oracle {
-    let mut per_tick: Vec<Vec<(u32, u32)>> = vec![Vec::new(); horizon as usize];
-    for c in contacts {
-        for t in c.interval.ticks() {
-            per_tick[t as usize].push((c.a.0, c.b.0));
-        }
-    }
-    Oracle::from_events(n, per_tick)
 }
 
 /// Randomized interleavings of concurrent queries, appends, seals, and
@@ -92,7 +48,7 @@ fn concurrent_interleavings_quiesce_to_the_batch_oracle() {
             // and a compactor thread takes explicit requests, while the
             // readers keep running.
             let index = Arc::new(live_on(backend, 2_500, n));
-            let records = stream(seed ^ 0xC0C0, n as u32, horizon, 200);
+            let records = stream(seed ^ 0xC0C0, n as u32, horizon, 200, 2);
             let stop = AtomicBool::new(false);
             let served = AtomicU64::new(0);
 
@@ -156,24 +112,7 @@ fn concurrent_interleavings_quiesce_to_the_batch_oracle() {
             // exactly the records the log accepted.
             index.compact().expect("quiescing compaction");
             assert!(served.load(Ordering::Relaxed) > 0, "readers must have run");
-            let accepted = index.replay_log().expect("log replays");
-            let oracle = oracle_of(n, index.now(), &accepted);
-            let now = index.now();
-            for s in 0..n as u32 {
-                for d in 0..n as u32 {
-                    for (a, b) in [(0, now - 1), (now / 3, 2 * now / 3), (now / 2, now - 1)] {
-                        let q =
-                            Query::new(ObjectId(s), ObjectId(d), TimeInterval::new(a, b.max(a)));
-                        let got = index.evaluate(&q).expect("quiesced query");
-                        let want = oracle.evaluate(&q);
-                        assert_eq!(
-                            got.reachable(),
-                            want.reachable,
-                            "{q} diverged after quiesce ({backend}, seed {seed})"
-                        );
-                    }
-                }
-            }
+            check_all_pairs(&index, &format!("after quiesce ({backend}, seed {seed})"));
             assert!(
                 index.stats().compactions >= 1,
                 "the schedule must have compacted ({backend}, seed {seed})"
@@ -192,7 +131,7 @@ fn concurrent_answers_are_bracketed_by_prefix_and_full_oracles() {
     let n = 8usize;
     let horizon = 100u32;
     let index = Arc::new(live_on("sim", usize::MAX / 2, n));
-    let records = stream(0xB0B, n as u32, horizon, 200);
+    let records = stream(0xB0B, n as u32, horizon, 200, 2);
     let prefix = records.len() / 2;
     for &c in &records[..prefix] {
         index.append(c).expect("prefix append");
@@ -202,10 +141,9 @@ fn concurrent_answers_are_bracketed_by_prefix_and_full_oracles() {
     // The prefix oracle sees exactly what the index has accepted so far;
     // the full oracle sees every record that will ever arrive (an upper
     // bound: lateness clamping and drops only shrink coverage).
-    let accepted = index.replay_log().expect("log replays");
     let prefix_now = index.now();
-    let prefix_oracle = oracle_of(n, prefix_now, &accepted);
-    let full_oracle = oracle_of(n, horizon, &records);
+    let prefix_oracle = oracle_of(&index);
+    let full_oracle = Oracle::from_contacts(n, horizon, &records);
     let window_end = prefix_now - 1;
 
     let stop = AtomicBool::new(false);
@@ -261,14 +199,13 @@ fn epoch_swaps_never_serve_a_torn_base() {
     let n = 8usize;
     let horizon = 60u32;
     let index = Arc::new(live_on("sim", usize::MAX / 2, n));
-    let records = stream(0xE90C, n as u32, horizon, 150);
+    let records = stream(0xE90C, n as u32, horizon, 150, 2);
     for &c in &records {
         index.append(c).expect("append");
     }
     index.compact().expect("initial seal");
-    let accepted = index.replay_log().expect("log replays");
     let data_now = index.now();
-    let oracle = oracle_of(n, data_now, &accepted);
+    let oracle = oracle_of(&index);
     index.set_compaction_pause_ms(25);
 
     let stop = AtomicBool::new(false);
@@ -322,7 +259,7 @@ fn queries_are_served_during_a_compaction() {
     let n = 8usize;
     let horizon = 60u32;
     let index = Arc::new(live_on("sim", usize::MAX / 2, n));
-    for &c in &stream(0x0CC, n as u32, horizon, 150) {
+    for &c in &stream(0x0CC, n as u32, horizon, 150, 2) {
         index.append(c).expect("append");
     }
     index.set_compaction_pause_ms(150);
@@ -350,15 +287,15 @@ fn queries_are_served_during_a_compaction() {
         index.evaluate(&q).expect("query during compaction");
         during += 1;
     }
-    worker
-        .join()
-        .expect("compaction thread")
-        .expect("compaction commits");
+    let done = worker.join().expect("compaction thread");
+    assert!(done.expect("compaction commits").is_some());
     assert!(during > 0, "no query completed while the base was building");
     assert!(
         index.metrics().overlapped_queries > 0,
         "overlap accounting missed the served queries"
     );
+    assert_eq!(index.metrics().compactions, 1);
+    assert!(index.watermark() > 0);
 }
 
 /// Every index type answers through the unified [`ReachIndex`] envelope:

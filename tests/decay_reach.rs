@@ -10,25 +10,20 @@
 //!    `reach_serve` worker pool or are evaluated directly;
 //! 3. **Cross-shard composition** — the weighted frontier relay across
 //!    epoch shards (and the sealed/delta boundary of a compacting live
-//!    index) reproduces the monolithic in-memory walk bit for bit.
+//!    index) reproduces the monolithic in-memory walk bit for bit;
+//! 4. **One snapshot per answer** — a live ranking racing an append
+//!    equals the oracle's ranking before or after that append, never a
+//!    mixture of the two.
 
 mod common;
 
-use common::{device_for, BACKENDS};
+use common::{device_for, graph_params, manual, stream, BACKENDS, PAGE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 use streach::prelude::*;
-
-const PAGE: usize = 256;
-
-fn graph_params() -> GraphParams {
-    GraphParams {
-        partition_depth: 8,
-        page_size: PAGE,
-        ..GraphParams::default()
-    }
-}
 
 /// A random deviation network: each tick draws independent contact pairs.
 fn random_dn(seed: u64, n: usize, horizon: Time, density: f64) -> DnGraph {
@@ -126,30 +121,6 @@ fn engines_match_the_oracle_on_every_backend() {
     }
 }
 
-/// A deterministic synthetic append stream (same recipe as
-/// `tests/live_reach.rs`): roughly time-ordered with local shuffling.
-fn stream(seed: u64, n: u32, horizon: u32, count: usize) -> Vec<Contact> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut contacts: Vec<Contact> = (0..count)
-        .map(|_| {
-            let a = rng.gen_range(0..n);
-            let b = (a + rng.gen_range(1..n)) % n;
-            let s = rng.gen_range(0..horizon);
-            let e = (s + rng.gen_range(0..5u32)).min(horizon - 1);
-            Contact::new(
-                ObjectId(a.min(b)),
-                ObjectId(a.max(b)),
-                TimeInterval::new(s, e),
-            )
-        })
-        .collect();
-    contacts.sort_by_key(|c| c.interval.start);
-    for i in (4..contacts.len()).step_by(4) {
-        contacts.swap(i - 1, i);
-    }
-    contacts
-}
-
 /// The monolithic weighted engine over everything an index accepted: an
 /// in-memory DN over the replayed log, walked by `MemoryHn`.
 fn monolithic_over(accepted: &[Contact], num_objects: usize, horizon: Time) -> DnGraph {
@@ -171,7 +142,7 @@ fn batch_and_served_dispatch_match_single_answers() {
         .builder()
         .build_sharded(n as usize)
         .expect("live index creates");
-    let contacts = stream(0x5E77, n, horizon, 120);
+    let contacts = stream(0x5E77, n, horizon, 120, 1);
     let cut = contacts.len() / 2;
     for &c in &contacts[..cut] {
         live.append(c).expect("append accepted");
@@ -251,7 +222,7 @@ fn batch_and_served_dispatch_match_single_answers() {
 fn cross_shard_composition_matches_the_monolithic_walk() {
     let n = 10u32;
     let horizon = 48u32;
-    let contacts = stream(0xC0DE, n, horizon, 160);
+    let contacts = stream(0xC0DE, n, horizon, 160, 1);
     let sharded = LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10))
         .manual_compaction()
         .builder()
@@ -392,5 +363,63 @@ fn end_to_end_mixed_workload_agrees_with_the_oracle() {
             oracle.decay_reachable(s, d, iv, &model, theta),
             "decay witness diverged from the oracle on {s:?}->{d:?} {iv}"
         );
+    }
+}
+
+/// A reverse ranking scores one candidate source at a time. Each answer
+/// must read one index state throughout: while another thread appends one
+/// contact that moves the lowest- and the highest-numbered candidates, every
+/// ranking equals the oracle's ranking before or after that contact.
+#[test]
+fn reaching_rankings_see_one_index_state_under_appends() {
+    let c =
+        |a: u32, b: u32, t: Time| Contact::new(ObjectId(a), ObjectId(b), TimeInterval::new(t, t));
+    // Anchor 3. Before: 2 delivers at 8; 5 at 20; 0 reaches 5 at 2, so
+    // 0 delivers at 20 too. The contact 2–5 at tick 5 lets 5 and 0
+    // deliver through 2 at 8.
+    let (anchor, n, model) = (ObjectId(3), 6, DecayModel::per_tick(0.9));
+    let initial = [c(0, 5, 2), c(2, 3, 8), c(3, 5, 20), c(1, 4, 23)];
+    let added = c(2, 5, 5);
+    let window = TimeInterval::new(0, 23);
+    let request = ReachRequest::top_k_reaching(anchor, window, n, model);
+    let ranking_of = |contacts: &[Contact]| {
+        let dn = DnGraph::from_contacts(n, 24, contacts);
+        DecayOracle::new(&dn).top_k_reaching(anchor, window, n, &model)
+    };
+    let before = ranking_of(&initial);
+    let after = ranking_of(&[&initial[..], &[added]].concat());
+    assert_ne!(before, after, "the added contact must move the ranking");
+    for round in 0..4 {
+        let live = manual()
+            .builder()
+            .build_sharded(n)
+            .expect("live index creates");
+        live.append(initial[0]).expect("append accepted");
+        live.seal(4).expect("seal").expect("seals an epoch");
+        for &contact in &initial[1..] {
+            live.append(contact).expect("append accepted");
+        }
+        assert_eq!(live.answer(&request).expect("ranks").ranking, before);
+        let appended = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let appender = scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(2));
+                live.append(added).expect("append accepted");
+                appended.store(true, Ordering::Release);
+            });
+            // Rank until 20 rankings after the append; a panicked appender
+            // ends the loop too, and the join below re-raises its panic.
+            let mut since = 0;
+            while since < 20 && (appended.load(Ordering::Acquire) || !appender.is_finished()) {
+                since += usize::from(appended.load(Ordering::Acquire));
+                let got = live.answer(&request).expect("ranks").ranking;
+                assert!(
+                    got == before || got == after,
+                    "round {round}: a ranking mixed two index states: {got:?}"
+                );
+            }
+            appender.join().expect("the appender thread panicked");
+        });
+        assert_eq!(live.answer(&request).expect("ranks").ranking, after);
     }
 }

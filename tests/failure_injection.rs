@@ -1,6 +1,13 @@
 //! Failure injection: disk-backed indexes must surface corruption and
-//! out-of-range requests as typed errors, never panics or wrong answers.
+//! out-of-range requests as typed errors, never panics or wrong answers,
+//! and a sharded live index must recover from a crash at any point of a
+//! rebuild's commit to exactly the pre- or post-commit shard set.
 
+mod common;
+
+use common::{check_all_pairs, cleanup, graph_params, manual, sharded_on, PAGE};
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use streach::prelude::*;
 use streach::storage::{Pager, RecordPtr, RecordWriter, SimDevice};
 
@@ -180,88 +187,105 @@ fn queries_are_deterministic_across_repeats_and_cache_states() {
 }
 
 // ---------------------------------------------------------------------------
-// Epoch-directory crash recovery (sharded live timeline).
+// Epoch-directory crash recovery (sharded live timeline). The engine has no
+// fault hook: a test runs a rebuild to completion, snapshots the index's
+// files before and after it, and writes out the files a crash at each
+// commit point would have left (`crash_states`).
 // ---------------------------------------------------------------------------
 
-/// A file-backed sharded index in a scratch directory.
-fn sharded_rig(tag: &str) -> (ShardedLive, std::path::PathBuf) {
-    let dir = std::env::temp_dir().join(format!("streach-shardcrash-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let live = LiveConfig::graph(
-        GraphParams {
-            partition_depth: 8,
-            page_size: 256,
-            ..GraphParams::default()
-        },
-        BuildBudget::bytes(64 << 10),
-    )
-    .manual_compaction()
-    .builder()
-    .backend(StorageConfig::file(&dir, 256))
-    .build_sharded(6)
-    .expect("sharded index creates");
-    (live, dir)
+/// A file-backed sharded index over six objects in a fresh scratch
+/// directory.
+fn sharded_rig() -> (ShardedLive, PathBuf) {
+    let (live, dir) = sharded_on("file", manual(), 6);
+    (live, dir.expect("the file backend has a scratch directory"))
 }
 
-fn try_reopen_sharded(dir: &std::path::Path) -> Result<(ShardedLive, ShardRecovery), IndexError> {
-    LiveConfig::graph(
-        GraphParams {
-            partition_depth: 8,
-            page_size: 256,
-            ..GraphParams::default()
-        },
-        BuildBudget::bytes(64 << 10),
-    )
-    .manual_compaction()
-    .builder()
-    .backend(StorageConfig::file(dir, 256))
-    .open_sharded()
+fn try_reopen_sharded(dir: &Path) -> Result<(ShardedLive, ShardRecovery), IndexError> {
+    manual()
+        .builder()
+        .backend(StorageConfig::file(dir, PAGE))
+        .open_sharded()
 }
 
-fn reopen_sharded(dir: &std::path::Path) -> (ShardedLive, ShardRecovery) {
+fn reopen_sharded(dir: &Path) -> (ShardedLive, ShardRecovery) {
     try_reopen_sharded(dir).expect("sharded index reopens")
 }
 
-/// The batch oracle over the accepted trace, plus an all-pairs sweep.
-fn check_sharded_against_oracle(live: &ShardedLive, tag: &str) {
-    if live.now() == 0 {
-        return;
-    }
-    let accepted = live.replay_log().expect("log replays");
-    let mut per_tick: Vec<Vec<(u32, u32)>> = vec![Vec::new(); live.now() as usize];
-    for c in &accepted {
-        for t in c.interval.ticks() {
-            per_tick[t as usize].push((c.a.0, c.b.0));
-        }
-    }
-    let oracle = Oracle::from_events(live.num_objects(), per_tick);
-    let last = live.now() - 1;
-    for s in 0..live.num_objects() as u32 {
-        for d in 0..live.num_objects() as u32 {
-            for iv in [
-                TimeInterval::new(0, last),
-                TimeInterval::new(last / 2, last),
-            ] {
-                let q = Query::new(ObjectId(s), ObjectId(d), iv);
-                let got = live.evaluate(&q).expect("query evaluates");
-                let want = oracle.evaluate(&q);
-                assert_eq!(got.reachable(), want.reachable, "{tag}: {q}");
-                if let (Some(gt), Some(wt)) = (got.outcome.earliest, want.earliest) {
-                    assert_eq!(gt, wt, "{tag}: {q} arrival");
-                }
-            }
-        }
-    }
+fn c(a: u32, b: u32, s: Time, e: Time) -> Contact {
+    Contact::new(ObjectId(a), ObjectId(b), TimeInterval::new(s, e))
 }
 
 fn shard_contacts() -> Vec<Contact> {
     vec![
-        Contact::new(ObjectId(0), ObjectId(1), TimeInterval::new(0, 2)),
-        Contact::new(ObjectId(1), ObjectId(2), TimeInterval::new(4, 6)),
-        Contact::new(ObjectId(2), ObjectId(3), TimeInterval::new(8, 9)),
-        Contact::new(ObjectId(3), ObjectId(4), TimeInterval::new(12, 14)),
-        Contact::new(ObjectId(4), ObjectId(5), TimeInterval::new(16, 18)),
-        Contact::new(ObjectId(0), ObjectId(5), TimeInterval::new(21, 22)),
+        c(0, 1, 0, 2),
+        c(1, 2, 4, 6),
+        c(2, 3, 8, 9),
+        c(3, 4, 12, 14),
+        c(4, 5, 16, 18),
+        c(0, 5, 21, 22),
+    ]
+}
+
+/// Every file of `dir`, by name.
+fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("index directory lists")
+        .map(|entry| {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().expect("file name").to_string_lossy();
+            (name.into_owned(), std::fs::read(&path).expect("file reads"))
+        })
+        .collect()
+}
+
+/// Writes `files` into a fresh directory named `{dir}-{tag}`.
+fn write_out(dir: &Path, tag: &str, files: &BTreeMap<String, Vec<u8>>) -> PathBuf {
+    let out = PathBuf::from(format!("{}-{tag}", dir.display()));
+    let _ = std::fs::remove_dir_all(&out);
+    std::fs::create_dir_all(&out).expect("crash directory creates");
+    for (name, bytes) in files {
+        std::fs::write(out.join(name), bytes).expect("crash file writes");
+    }
+    out
+}
+
+/// Runs `rebuild` on the file-backed index in `dir` and returns, for each
+/// crash point of its commit, a directory holding the files that crash
+/// would have left:
+///
+/// * `before` the directory record: the files from before the rebuild
+///   plus its new shard base, an orphan no record names;
+/// * `inside` the record: the same, plus a torn record — the length
+///   prefix and the first half of the new generation record's payload
+///   (checksum missing), zero-padded to whole pages;
+/// * `after` the record: the files from after the rebuild plus the shard
+///   bases it superseded, which the commit had not yet removed.
+fn crash_states(dir: &Path, rebuild: impl FnOnce()) -> [(&'static str, PathBuf); 3] {
+    let old = snapshot(dir);
+    rebuild();
+    let new = snapshot(dir);
+    let only_in = |a: &BTreeMap<String, Vec<u8>>, b: &BTreeMap<String, Vec<u8>>| {
+        a.iter()
+            .filter(|(name, _)| !b.contains_key(*name))
+            .map(|(name, bytes)| (name.clone(), bytes.clone()))
+            .collect::<Vec<_>>()
+    };
+    let mut before = old.clone();
+    before.extend(only_in(&new, &old));
+    let mut torn = before.clone();
+    let record = &new["shard-dir.pages"][old["shard-dir.pages"].len()..];
+    let payload = u32::from_le_bytes(record[..4].try_into().expect("length prefix")) as usize;
+    let mut tail = record[..4 + payload / 2].to_vec();
+    tail.resize(tail.len().div_ceil(PAGE) * PAGE, 0);
+    torn.get_mut("shard-dir.pages")
+        .expect("epoch directory")
+        .extend_from_slice(&tail);
+    let mut after = new.clone();
+    after.extend(only_in(&old, &new));
+    [
+        ("before", write_out(dir, "before", &before)),
+        ("inside", write_out(dir, "inside", &torn)),
+        ("after", write_out(dir, "after", &after)),
     ]
 }
 
@@ -271,7 +295,7 @@ fn shard_contacts() -> Vec<Contact> {
 #[test]
 fn recovery_rejects_a_shard_base_of_another_record_format() {
     use streach::storage::{meta, FileDevice};
-    let (live, dir) = sharded_rig("format");
+    let (live, dir) = sharded_rig();
     for c in shard_contacts() {
         live.append(c).expect("append accepted");
     }
@@ -284,7 +308,7 @@ fn recovery_rejects_a_shard_base_of_another_record_format() {
         if !name.starts_with("shard-base-") {
             continue;
         }
-        let device = FileDevice::open(&path, 256).expect("base reopens");
+        let device = FileDevice::open(&path, PAGE).expect("base reopens");
         let mut pager = Pager::new(Box::new(device), 0);
         let mut footer = meta::read_footer(&mut pager).expect("base footer reads");
         assert_eq!(&footer[..4], b"RGP2");
@@ -300,77 +324,124 @@ fn recovery_rejects_a_shard_base_of_another_record_format() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A crash between any two phases of a seal commit recovers to exactly
-/// the pre-commit or post-commit shard set — never a torn mixture — and
-/// the recovered index answers exactly as the batch oracle.
+/// A crash before, inside, or after the directory record of a seal
+/// recovers to exactly the pre-commit or post-commit shard set — never a
+/// torn mixture — and the recovered index answers exactly as the batch
+/// oracle.
 #[test]
 fn seal_crashes_recover_to_pre_or_post_commit_shard_sets() {
-    use streach::live::ShardCrashPoint::*;
-    for (point, expect_shards, expect_cut) in [
-        (BeforeDirectory, 1, 10),
-        (TornDirectory, 1, 10),
-        (AfterDirectory, 2, 20),
-    ] {
-        let tag = format!("{point:?}");
-        let (live, dir) = sharded_rig(&tag);
-        for c in shard_contacts() {
-            live.append(c).expect("append accepted");
-        }
-        live.seal(10).expect("clean seal");
-        live.inject_crash(point);
-        assert!(live.seal(20).is_err(), "{tag}: injected crash surfaces");
-        drop(live);
-
-        let (recovered, recovery) = reopen_sharded(&dir);
-        assert_eq!(recovery.shards, expect_shards, "{tag}: shard count");
-        assert_eq!(recovery.top_cut, expect_cut, "{tag}: top cut");
-        assert_eq!(recovered.watermark(), expect_cut, "{tag}: watermark");
-        check_sharded_against_oracle(&recovered, &tag);
+    let (live, dir) = sharded_rig();
+    for c in shard_contacts() {
+        live.append(c).expect("append accepted");
+    }
+    live.seal(10).expect("clean seal");
+    let states = crash_states(&dir, || {
+        live.seal(20).expect("seal").expect("seals an epoch");
+    });
+    cleanup(live, Some(dir));
+    let expected = [vec![(0, 10)], vec![(0, 10)], vec![(0, 10), (10, 20)]];
+    for ((point, state), spans) in states.into_iter().zip(expected) {
+        let tag = format!("seal crash {point} the directory record");
+        let (recovered, recovery) = reopen_sharded(&state);
+        let cut = spans.last().expect("a sealed shard").1;
+        assert_eq!(recovered.shard_spans(), spans, "{tag}: shard spans");
+        assert_eq!(recovery.shards, spans.len(), "{tag}: shard count");
+        assert_eq!(recovery.top_cut, cut, "{tag}: top cut");
+        assert_eq!(recovered.watermark(), cut, "{tag}: watermark");
+        check_all_pairs(&recovered, &tag);
         // Recovery leaves a fully functional index: the interrupted seal
         // can simply be retried.
         recovered.seal(20).expect("post-recovery seal");
         assert_eq!(recovered.watermark(), 20, "{tag}: retried seal lands");
-        check_sharded_against_oracle(&recovered, &tag);
-        drop(recovered);
-        let _ = std::fs::remove_dir_all(&dir);
+        check_all_pairs(&recovered, &tag);
+        cleanup(recovered, Some(state));
     }
 }
 
-/// The same contract for `merge_epochs`: a crash between commit phases
-/// leaves either the original adjacent shards or the coalesced one.
+/// The same contract for `merge_epochs`: a crash before, inside, or after
+/// the directory record leaves either the original adjacent shards or the
+/// coalesced one.
 #[test]
 fn merge_crashes_recover_to_pre_or_post_commit_shard_sets() {
-    use streach::live::ShardCrashPoint::*;
-    for (point, expect_spans) in [
-        (BeforeDirectory, vec![(0, 10), (10, 20)]),
-        (TornDirectory, vec![(0, 10), (10, 20)]),
-        (AfterDirectory, vec![(0, 20)]),
-    ] {
-        let tag = format!("merge-{point:?}");
-        let (live, dir) = sharded_rig(&tag);
-        for c in shard_contacts() {
-            live.append(c).expect("append accepted");
-        }
-        live.seal(10).expect("first seal");
-        live.seal(20).expect("second seal");
-        live.inject_crash(point);
-        assert!(
-            live.merge_epochs(0, 1).is_err(),
-            "{tag}: injected crash surfaces"
-        );
-        drop(live);
-
-        let (recovered, recovery) = reopen_sharded(&dir);
-        assert_eq!(recovered.shard_spans(), expect_spans, "{tag}: shard spans");
+    let (live, dir) = sharded_rig();
+    for c in shard_contacts() {
+        live.append(c).expect("append accepted");
+    }
+    live.seal(10).expect("first seal");
+    live.seal(20).expect("second seal");
+    let states = crash_states(&dir, || {
+        live.merge_epochs(0, 1).expect("merge").expect("merges");
+    });
+    cleanup(live, Some(dir));
+    let expected = [
+        vec![(0, 10), (10, 20)],
+        vec![(0, 10), (10, 20)],
+        vec![(0, 20)],
+    ];
+    for ((point, state), spans) in states.into_iter().zip(expected) {
+        let tag = format!("merge crash {point} the directory record");
+        let (recovered, recovery) = reopen_sharded(&state);
+        assert_eq!(recovered.shard_spans(), spans, "{tag}: shard spans");
         assert_eq!(recovery.top_cut, 20, "{tag}: merge never moves the top cut");
-        check_sharded_against_oracle(&recovered, &tag);
+        check_all_pairs(&recovered, &tag);
         // And the interrupted merge can be retried (or is already done).
         if recovered.shard_count() == 2 {
             recovered.merge_epochs(0, 1).expect("post-recovery merge");
         }
         assert_eq!(recovered.shard_spans(), vec![(0, 20)], "{tag}: coalesced");
-        check_sharded_against_oracle(&recovered, &tag);
-        drop(recovered);
-        let _ = std::fs::remove_dir_all(&dir);
+        check_all_pairs(&recovered, &tag);
+        cleanup(recovered, Some(state));
     }
+}
+
+/// A rebuild that fails must leave shards, delta, and watermark untouched
+/// (failure atomicity). A directory squatting on the path of the next
+/// shard base makes a rebuild fail when it creates its device; removing
+/// the squatter lets the next rebuild through.
+#[test]
+fn failed_compaction_leaves_the_index_consistent() {
+    let q = |s: u32, d: u32, a: Time, b: Time| {
+        Query::new(ObjectId(s), ObjectId(d), TimeInterval::new(a, b))
+    };
+    // Auto-sealing from the first record (a one-byte delta budget).
+    let config =
+        LiveConfig::graph(graph_params(), BuildBudget::bytes(1 << 20)).with_delta_budget(1);
+    let (live, dir) = sharded_on("file", config, 4);
+    let dir = dir.expect("the file backend has a scratch directory");
+    let base = |seq: u64| dir.join(format!("shard-base-{seq}.pages"));
+    std::fs::create_dir(base(0)).expect("squatter creates");
+    // An *auto*-seal failure must not masquerade as an append failure:
+    // the record lands, the error rides the outcome.
+    for record in [c(0, 1, 0, 2), c(1, 2, 4, 5)] {
+        let o = live.append(record).expect("append accepted");
+        assert!(o.logged && !o.compacted);
+        assert!(o.compaction_error.is_some());
+    }
+    // An explicit rebuild that fails must fail too…
+    let err = live.compact().unwrap_err();
+    assert!(matches!(err, IndexError::Io(_)), "{err}");
+    // …and the index must be exactly as before: watermark unmoved, delta
+    // intact, queries still exact.
+    assert_eq!(live.watermark(), 0);
+    assert_eq!(live.now(), 6);
+    let r = live.evaluate(&q(0, 2, 0, 5)).expect("query");
+    assert_eq!(r.outcome, QueryOutcome::reachable_at(4));
+    // Without the squatter the retried compaction succeeds and agrees.
+    std::fs::remove_dir(base(0)).expect("squatter removes");
+    live.compact().expect("compaction").expect("compacts");
+    assert_eq!(live.watermark(), 6);
+    assert!(live.evaluate(&q(0, 2, 0, 5)).expect("query").reachable());
+    // Blocked again: the next over-budget append's seal fails after the
+    // record is durable.
+    std::fs::create_dir(base(1)).expect("squatter creates");
+    let o = live.append(c(2, 3, 8, 9)).expect("append accepted");
+    assert!(o.logged);
+    assert!(o.compaction_error.is_some());
+    assert_eq!(
+        live.replay_log().expect("log replays").len(),
+        3,
+        "the append itself was durable"
+    );
+    assert!(live.evaluate(&q(2, 3, 8, 9)).expect("query").reachable());
+    cleanup(live, Some(dir));
 }

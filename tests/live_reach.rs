@@ -12,60 +12,17 @@
 
 mod common;
 
-use common::{device_for, LiveOn, BACKENDS};
+use common::{
+    base_files, check_all_pairs, device_for, graph_params, oracle_of, stream, LiveOn, BACKENDS,
+    PAGE,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use streach::prelude::*;
 
-const PAGE: usize = 256;
-
-fn graph_params() -> GraphParams {
-    GraphParams {
-        partition_depth: 8,
-        page_size: PAGE,
-        ..GraphParams::default()
-    }
-}
-
 fn live_on(backend: &'static str, budget: usize, num_objects: usize) -> LiveOn {
     let config = LiveConfig::graph(graph_params(), BuildBudget::bytes(budget));
     LiveOn::new(backend, config, num_objects)
-}
-
-/// A deterministic synthetic append stream with out-of-order arrivals.
-fn stream(seed: u64, n: u32, horizon: u32, count: usize) -> Vec<Contact> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut contacts: Vec<Contact> = (0..count)
-        .map(|_| {
-            let a = rng.gen_range(0..n);
-            let b = (a + rng.gen_range(1..n)) % n;
-            let s = rng.gen_range(0..horizon);
-            let e = (s + rng.gen_range(0..5u32)).min(horizon - 1);
-            Contact::new(
-                ObjectId(a.min(b)),
-                ObjectId(a.max(b)),
-                TimeInterval::new(s, e),
-            )
-        })
-        .collect();
-    // Roughly time-ordered with local shuffling (disjoint swaps, so each
-    // record is displaced at most two positions): the realistic arrival
-    // order a bounded-lateness window is designed for.
-    contacts.sort_by_key(|c| c.interval.start);
-    for i in (4..contacts.len()).step_by(4) {
-        contacts.swap(i, i - 2);
-    }
-    contacts
-}
-
-fn oracle_of(n: usize, horizon: u32, contacts: &[Contact]) -> Oracle {
-    let mut per_tick: Vec<Vec<(u32, u32)>> = vec![Vec::new(); horizon as usize];
-    for c in contacts {
-        for t in c.interval.ticks() {
-            per_tick[t as usize].push((c.a.0, c.b.0));
-        }
-    }
-    Oracle::from_events(n, per_tick)
 }
 
 /// Equivalence under interleaving: appends (with lateness), auto seals
@@ -78,15 +35,14 @@ fn interleavings_match_batch_rebuild() {
         let horizon = 100u32;
         let live = live_on("sim", 2_000, n); // small budget: auto-seals
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
-        let records = stream(seed, n as u32, horizon, 150);
+        let records = stream(seed, n as u32, horizon, 150, 2);
         for (i, &c) in records.iter().enumerate() {
             live.append(c).expect("lossy appends never error");
             if i % 17 == 3 {
                 live.compact().expect("manual compaction");
             }
             if i % 11 == 5 && live.now() > 1 {
-                let accepted = live.replay_log().expect("log replays");
-                let oracle = oracle_of(n, live.now(), &accepted);
+                let oracle = oracle_of(&live);
                 let w = live.watermark();
                 for _ in 0..6 {
                     let s = rng.gen_range(0..n as u32);
@@ -115,23 +71,7 @@ fn interleavings_match_batch_rebuild() {
             "schedule must include compactions (seed {seed})"
         );
         // Full final sweep across the boundary.
-        let accepted = live.replay_log().expect("log replays");
-        let oracle = oracle_of(n, live.now(), &accepted);
-        let w = live.watermark().max(1);
-        for s in 0..n as u32 {
-            for d in 0..n as u32 {
-                let q = Query::new(
-                    ObjectId(s),
-                    ObjectId(d),
-                    TimeInterval::new(w - 1, live.now() - 1),
-                );
-                assert_eq!(
-                    live.evaluate(&q).expect("sweep query").reachable(),
-                    oracle.evaluate(&q).reachable,
-                    "final sweep {q} (seed {seed})"
-                );
-            }
-        }
+        check_all_pairs(&live, &format!("final sweep (seed {seed})"));
     }
 }
 
@@ -142,7 +82,7 @@ fn interleavings_match_batch_rebuild() {
 fn compacted_base_is_byte_identical_to_batch_build() {
     for backend in BACKENDS {
         let n = 8usize;
-        let records = stream(7, n as u32, 80, 120);
+        let records = stream(7, n as u32, 80, 120, 2);
         let live = live_on(backend, 1 << 20, n);
         // Three incremental seals at different cut points.
         for (i, &c) in records.iter().enumerate() {
@@ -220,22 +160,7 @@ fn lossy_lateness_stays_equivalent() {
         stats.clamped + stats.dropped_late > 0,
         "schedule must exercise lateness ({stats:?})"
     );
-    let accepted = live.replay_log().expect("log replays");
-    let oracle = oracle_of(n, live.now(), &accepted);
-    for s in 0..n as u32 {
-        for d in 0..n as u32 {
-            let q = Query::new(
-                ObjectId(s),
-                ObjectId(d),
-                TimeInterval::new(0, live.now() - 1),
-            );
-            assert_eq!(
-                live.evaluate(&q).expect("query").reachable(),
-                oracle.evaluate(&q).reachable,
-                "{q} diverged on the lossy schedule"
-            );
-        }
-    }
+    check_all_pairs(&live, "lossy schedule");
 }
 
 /// Crash recovery: the epoch directory restores the sealed shard and the
@@ -252,7 +177,7 @@ fn append_log_recovers_after_a_crash() {
             .backend(StorageConfig::file(&dir, PAGE))
     };
     let n = 6usize;
-    let records = stream(3, n as u32, 50, 40);
+    let records = stream(3, n as u32, 50, 40, 2);
     let sealed_at = {
         let live = config().build_sharded(n).expect("live index creates");
         for &c in &records[..20] {
@@ -296,37 +221,9 @@ fn append_log_recovers_after_a_crash() {
     // surviving records.
     let accepted = live.replay_log().expect("log replays");
     assert_eq!(accepted.len() as u64, recovery.log.records);
-    let oracle = oracle_of(n, live.now(), &accepted);
-    for s in 0..n as u32 {
-        for d in 0..n as u32 {
-            let q = Query::new(
-                ObjectId(s),
-                ObjectId(d),
-                TimeInterval::new(0, live.now() - 1),
-            );
-            assert_eq!(
-                live.evaluate(&q).expect("query").reachable(),
-                oracle.evaluate(&q).reachable,
-                "{q} diverged after recovery"
-            );
-        }
-    }
+    check_all_pairs(&live, "after recovery");
     drop(live);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The `shard-base-*` files in an epoch directory.
-fn base_files(dir: &std::path::Path) -> usize {
-    std::fs::read_dir(dir)
-        .expect("epoch directory lists")
-        .filter(|e| {
-            e.as_ref()
-                .expect("directory entry")
-                .file_name()
-                .to_string_lossy()
-                .starts_with("shard-base-")
-        })
-        .count()
 }
 
 /// Compaction after recovery: a reopened index folds its restored shards
@@ -343,7 +240,7 @@ fn compaction_after_recovery_removes_superseded_bases() {
             .backend(StorageConfig::file(&dir, PAGE))
     };
     let n = 6usize;
-    let records = stream(11, n as u32, 60, 80);
+    let records = stream(11, n as u32, 60, 80, 2);
     {
         let live = config().build_sharded(n).expect("live index creates");
         for (i, &c) in records.iter().enumerate() {
@@ -369,30 +266,14 @@ fn compaction_after_recovery_removes_superseded_bases() {
     assert_eq!(base_files(&dir), 1, "the restored base was superseded");
     let sealed_at = live.watermark();
     let accepted = live.replay_log().expect("log replays");
-    let oracle = oracle_of(n, live.now(), &accepted);
-    let sweep = |live: &ShardedLive, when: &str| {
-        for s in 0..n as u32 {
-            for d in 0..n as u32 {
-                let q = Query::new(
-                    ObjectId(s),
-                    ObjectId(d),
-                    TimeInterval::new(0, live.now() - 1),
-                );
-                assert_eq!(
-                    live.evaluate(&q).expect("query").reachable(),
-                    oracle.evaluate(&q).reachable,
-                    "{q} diverged {when}"
-                );
-            }
-        }
-    };
-    sweep(&live, "after compacting the recovered index");
+    check_all_pairs(&live, "after compacting the recovered index");
     drop(live);
 
     let (live, recovery) = config().open_sharded().expect("second recovery");
     assert_eq!(recovery.shards, 1);
     assert_eq!(recovery.top_cut, sealed_at);
-    sweep(&live, "after the second recovery");
+    assert_eq!(live.replay_log().expect("log replays"), accepted);
+    check_all_pairs(&live, "after the second recovery");
     drop(live);
     let _ = std::fs::remove_dir_all(&dir);
 }

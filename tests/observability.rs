@@ -16,57 +16,17 @@
 
 mod common;
 
-use common::{cleanup, sharded_on, BACKENDS};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use common::{cleanup, graph_params, manual, sharded_on, stream, BACKENDS, PAGE};
 use std::path::PathBuf;
 use std::sync::Arc;
 use streach::prelude::*;
 
-const PAGE: usize = 256;
 const HORIZON: Time = 48;
-
-fn graph_params() -> GraphParams {
-    GraphParams {
-        partition_depth: 8,
-        page_size: PAGE,
-        ..GraphParams::default()
-    }
-}
-
-/// The live config every index here runs: seals only when a test asks.
-fn manual() -> LiveConfig {
-    LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10)).manual_compaction()
-}
-
-/// A deterministic synthetic append stream (same recipe as
-/// `tests/live_reach.rs`): roughly time-ordered with local shuffling.
-fn stream(seed: u64, n: u32, horizon: u32, count: usize) -> Vec<Contact> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut contacts: Vec<Contact> = (0..count)
-        .map(|_| {
-            let a = rng.gen_range(0..n);
-            let b = (a + rng.gen_range(1..n)) % n;
-            let s = rng.gen_range(0..horizon);
-            let e = (s + rng.gen_range(0..5u32)).min(horizon - 1);
-            Contact::new(
-                ObjectId(a.min(b)),
-                ObjectId(a.max(b)),
-                TimeInterval::new(s, e),
-            )
-        })
-        .collect();
-    contacts.sort_by_key(|c| c.interval.start);
-    for i in (4..contacts.len()).step_by(4) {
-        contacts.swap(i - 1, i);
-    }
-    contacts
-}
 
 /// A sharded index over three sealed epochs plus a live delta tail, so
 /// queries cross shard boundaries *and* the sealed/delta frontier.
 fn sharded_fixture(backend: &str, n: u32) -> (ShardedLive, Option<PathBuf>) {
-    let contacts = stream(0x0B5E, n, HORIZON, 160);
+    let contacts = stream(0x0B5E, n, HORIZON, 160, 1);
     let (live, dir) = sharded_on(backend, manual(), n as usize);
     let chunk = contacts.len() / 4;
     for (i, &c) in contacts.iter().enumerate() {
@@ -237,7 +197,7 @@ fn batched_cohort_leg_spans_sum_to_the_cohort_io() {
 /// `Serial`'s dispatch span for decay queries on a batch-built graph.
 #[test]
 fn serial_dispatch_span_carries_the_whole_query() {
-    let contacts = stream(0x5E1A, 10, HORIZON, 120);
+    let contacts = stream(0x5E1A, 10, HORIZON, 120, 1);
     let mut per_tick: Vec<Vec<(u32, u32)>> = vec![Vec::new(); HORIZON as usize];
     for c in &contacts {
         for t in c.interval.ticks() {

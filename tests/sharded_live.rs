@@ -12,111 +12,15 @@
 
 mod common;
 
-use common::{cleanup, sharded_on, BACKENDS};
+use common::{
+    base_files, check_all_pairs, check_query, cleanup, manual, oracle_of, sharded_on, stream,
+    BACKENDS, PAGE,
+};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use streach::prelude::*;
 
-const PAGE: usize = 256;
 const HORIZON: Time = 48;
-
-fn graph_params() -> GraphParams {
-    GraphParams {
-        partition_depth: 8,
-        page_size: PAGE,
-        ..GraphParams::default()
-    }
-}
-
-/// The live config every index here runs: seals only when a test asks.
-fn manual() -> LiveConfig {
-    LiveConfig::graph(graph_params(), BuildBudget::bytes(64 << 10)).manual_compaction()
-}
-
-/// A deterministic synthetic append stream (same recipe as
-/// `tests/live_reach.rs`): roughly time-ordered with local shuffling.
-fn stream(seed: u64, n: u32, horizon: u32, count: usize) -> Vec<Contact> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut contacts: Vec<Contact> = (0..count)
-        .map(|_| {
-            let a = rng.gen_range(0..n);
-            let b = (a + rng.gen_range(1..n)) % n;
-            let s = rng.gen_range(0..horizon);
-            let e = (s + rng.gen_range(0..5u32)).min(horizon - 1);
-            Contact::new(
-                ObjectId(a.min(b)),
-                ObjectId(a.max(b)),
-                TimeInterval::new(s, e),
-            )
-        })
-        .collect();
-    contacts.sort_by_key(|c| c.interval.start);
-    for i in (4..contacts.len()).step_by(4) {
-        contacts.swap(i - 1, i);
-    }
-    contacts
-}
-
-/// The monolithic batch oracle over everything the index accepted.
-fn oracle_of(live: &ShardedLive) -> Oracle {
-    let accepted = live.replay_log().expect("log replays");
-    let horizon = live.now();
-    let mut per_tick: Vec<Vec<(u32, u32)>> = vec![Vec::new(); horizon as usize];
-    for c in &accepted {
-        for t in c.interval.ticks() {
-            per_tick[t as usize].push((c.a.0, c.b.0));
-        }
-    }
-    Oracle::from_events(live.num_objects(), per_tick)
-}
-
-/// Asserts one query against the oracle: verdict and arrival tick.
-fn check_query(live: &ShardedLive, oracle: &Oracle, q: &Query, tag: &str) {
-    let got = live.evaluate(q).expect("sharded query evaluates");
-    let want = oracle.evaluate(q);
-    assert_eq!(
-        got.reachable(),
-        want.reachable,
-        "{tag}: {q} diverged (shards {:?}, watermark {})",
-        live.shard_spans(),
-        live.watermark()
-    );
-    if let (Some(gt), Some(wt)) = (got.outcome.earliest, want.earliest) {
-        assert_eq!(gt, wt, "{tag}: {q} arrival tick");
-    }
-}
-
-/// Every pair, window shapes chosen to cross every shard boundary and to
-/// straddle the sealed/delta frontier.
-fn check_all_pairs(live: &ShardedLive, tag: &str) {
-    if live.now() == 0 {
-        return;
-    }
-    let oracle = oracle_of(live);
-    let last = live.now() - 1;
-    let w = live.watermark();
-    let n = live.num_objects() as u32;
-    let intervals = [
-        TimeInterval::new(0, last),
-        TimeInterval::new(last / 2, last),
-        // Hug the top cut so the base→delta handoff is exercised.
-        TimeInterval::new(w.saturating_sub(1).min(last), last),
-    ];
-    for s in 0..n {
-        for d in 0..n {
-            for iv in intervals {
-                check_query(
-                    live,
-                    &oracle,
-                    &Query::new(ObjectId(s), ObjectId(d), iv),
-                    tag,
-                );
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Randomized interleavings (the shard-oracle gate).
@@ -294,7 +198,7 @@ fn windows_spanning_three_epochs_and_the_delta_match_the_oracle() {
     for backend in BACKENDS {
         let n = 8u32;
         let (live, dir) = sharded_on(backend, manual(), n as usize);
-        for c in stream(0xEB0C, n, 40, 120) {
+        for c in stream(0xEB0C, n, 40, 120, 1) {
             live.append(c).expect("append accepted");
         }
         for cut in [10, 20, 30] {
@@ -330,6 +234,42 @@ fn windows_spanning_three_epochs_and_the_delta_match_the_oracle() {
     }
 }
 
+/// Figure-1-style trace sealed into three epochs: relays that cross every
+/// cut, and one that needs the delta after the sealed walk, report their
+/// exact arrival tick, not only a verdict.
+#[test]
+fn sharded_walk_matches_the_oracle_across_three_cuts() {
+    let c = |a: u32, b: u32, s: Time, e: Time| {
+        Contact::new(ObjectId(a), ObjectId(b), TimeInterval::new(s, e))
+    };
+    let q = |s: u32, d: u32| Query::new(ObjectId(s), ObjectId(d), TimeInterval::new(0, 12));
+    for backend in BACKENDS {
+        let (live, dir) = sharded_on(backend, manual(), 5);
+        live.append(c(0, 1, 0, 2)).expect("append accepted");
+        live.append(c(1, 2, 1, 5)).expect("append accepted");
+        live.seal(4).expect("seal").expect("seals epoch 0");
+        live.append(c(2, 3, 4, 7)).expect("append accepted");
+        live.append(c(0, 4, 6, 6)).expect("append accepted");
+        live.seal(8).expect("seal").expect("seals epoch 1");
+        live.append(c(3, 4, 8, 10)).expect("append accepted");
+        live.seal(11).expect("seal").expect("seals epoch 2");
+        live.append(c(0, 2, 11, 12)).expect("append accepted");
+        assert_eq!(live.shard_spans(), vec![(0, 4), (4, 8), (8, 11)]);
+        assert_eq!(live.watermark(), 11);
+        check_all_pairs(&live, backend);
+        // 0 meets 4 directly at 6, inside epoch 1.
+        let r = live.evaluate(&q(0, 4)).expect("query");
+        assert_eq!(r.outcome, QueryOutcome::reachable_at(6), "{backend}: 0→4");
+        // 3 meets 4 only at 8, inside epoch 2.
+        let r = live.evaluate(&q(3, 4)).expect("query");
+        assert_eq!(r.outcome, QueryOutcome::reachable_at(8), "{backend}: 3→4");
+        // 3→2 is sealed (epoch 1), 2→0 only in the delta at 11.
+        let r = live.evaluate(&q(3, 0)).expect("query");
+        assert_eq!(r.outcome, QueryOutcome::reachable_at(11), "{backend}: 3→0");
+        cleanup(live, dir);
+    }
+}
+
 /// Merging adjacent epochs changes the shard layout but not one answer:
 /// after coalescing 4 shards down to 1, the all-pairs sweep still matches
 /// the monolithic oracle exactly.
@@ -338,7 +278,7 @@ fn merging_epochs_down_to_one_preserves_every_answer() {
     for backend in BACKENDS {
         let n = 7u32;
         let (live, dir) = sharded_on(backend, manual(), n as usize);
-        for c in stream(0x3A6E, n, 44, 110) {
+        for c in stream(0x3A6E, n, 44, 110, 1) {
             live.append(c).expect("append accepted");
         }
         for cut in [8, 16, 28, 38] {
@@ -346,14 +286,24 @@ fn merging_epochs_down_to_one_preserves_every_answer() {
         }
         assert_eq!(live.shard_count(), 4, "{backend}: four sealed epochs");
         check_all_pairs(&live, backend);
-        // Coalesce middle, then front, then the remainder.
+        // Coalesce middle, then front, then the remainder; each merge
+        // commits one directory generation.
+        let generation = live.generation();
         live.merge_epochs(1, 2).expect("merge middle");
         assert_eq!(live.shard_spans(), vec![(0, 8), (8, 28), (28, 38)]);
+        assert_eq!(live.generation(), generation + 1, "{backend}");
         check_all_pairs(&live, backend);
         live.merge_epochs(0, 1).expect("merge front");
         live.merge_epochs(0, 1).expect("merge rest");
         assert_eq!(live.shard_spans(), vec![(0, 38)]);
         check_all_pairs(&live, backend);
+        // Degenerate requests are no-ops, not errors.
+        assert!(live.merge_epochs(0, 0).expect("no-op").is_none());
+        assert!(live.merge_epochs(0, 5).expect("no-op").is_none());
+        // The merges removed every superseded shard's device.
+        if let Some(dir) = &dir {
+            assert_eq!(base_files(dir), 1, "only the live shard's base remains");
+        }
         cleanup(live, dir);
     }
 }
@@ -371,7 +321,7 @@ fn serving_io_equals_the_single_threaded_sharded_walk() {
     for backend in BACKENDS {
         let n = 8usize;
         let (live, dir) = sharded_on(backend, manual(), n);
-        for c in stream(0x0010_EAC7, n as u32, 40, 130) {
+        for c in stream(0x0010_EAC7, n as u32, 40, 130, 1) {
             live.append(c).expect("append accepted");
         }
         for cut in [12, 24] {
