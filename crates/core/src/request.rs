@@ -304,16 +304,6 @@ pub trait ReachIndex: Send + Sync {
         }
     }
 
-    /// Evaluates one plain reachability query through [`ReachIndex::answer`].
-    fn query(
-        &self,
-        source: ObjectId,
-        window: TimeInterval,
-        dest: ObjectId,
-    ) -> Result<Answer, IndexError> {
-        self.answer(&ReachRequest::reach(source, window, dest))
-    }
-
     /// Evaluates many requests sharing `template`'s source, window, kind
     /// and tracer, one per destination — the serving path's batch entry
     /// for every kind. The default loops over per-destination `answer`
@@ -425,7 +415,8 @@ mod tests {
                 std::thread::spawn(move || {
                     let w = TimeInterval::new(0, 10);
                     for d in 1..20u32 {
-                        let a = shared.query(ObjectId(t), w, ObjectId(d)).unwrap();
+                        let request = ReachRequest::reach(ObjectId(t), w, ObjectId(d));
+                        let a = shared.answer(&request).unwrap();
                         assert_eq!(a.reachable(), t < d);
                     }
                 })

@@ -7,10 +7,7 @@ use crate::delta::DeltaDn;
 use crate::log::AppendLog;
 use reach_contact::{ChainSweep, ErrorMode, MultiRes, StreamedDn};
 use reach_core::frontier::{WeightedFrontier, WeightedSeed};
-use reach_core::{
-    Answer, Contact, DecayModel, IndexError, ObjectId, QueryOutcome, QueryResult, QueryStats, Time,
-    TimeInterval,
-};
+use reach_core::{Contact, DecayModel, IndexError, QueryStats, Time, TimeInterval};
 use reach_graph::{GraphContext, MemoryHn, ReachGraph};
 use reach_storage::{BlockDevice, IoSampler};
 use std::sync::{Mutex, MutexGuard};
@@ -121,43 +118,6 @@ pub(crate) fn decay_delta_leg(
     frontier.absorb(&leg.rows, span.end);
     frontier.set_carry(leg.carry);
     Ok(())
-}
-
-/// Maps a propagation arrival to a query outcome.
-pub(crate) fn outcome_of(when: Option<Time>) -> QueryOutcome {
-    match when {
-        Some(t) => QueryOutcome::reachable_at(t),
-        None => QueryOutcome::UNREACHABLE,
-    }
-}
-
-/// Reads a same-source batch's verdicts out of one per-object arrival
-/// array. The expansion's IO rides on the first answer: later
-/// destinations cost nothing extra, which is the point of batching.
-pub(crate) fn batch_answers(
-    source: ObjectId,
-    t1: Time,
-    when: &[Option<Time>],
-    dests: &[ObjectId],
-    stats: QueryStats,
-) -> Vec<Answer> {
-    let mut first = true;
-    dests
-        .iter()
-        .map(|&dest| {
-            let outcome = if dest == source {
-                QueryOutcome::reachable_at(t1)
-            } else {
-                outcome_of(when[dest.index()])
-            };
-            let stats = if std::mem::take(&mut first) {
-                stats
-            } else {
-                QueryStats::default()
-            };
-            Answer::from(QueryResult { outcome, stats })
-        })
-        .collect()
 }
 
 /// The mutable tail the engine keeps under its state lock: the delta, the

@@ -290,16 +290,7 @@ impl DeltaDn {
                 .map(|iv| iv.end + 1)
                 .max()
                 .expect("non-empty runs");
-            let mut ticks: Vec<Vec<(u32, u32)>> = vec![Vec::new(); horizon as usize];
-            for (&(a, b), runs) in &self.runs {
-                for iv in runs {
-                    for t in iv.start..=iv.end {
-                        ticks[t as usize].push((a, b));
-                    }
-                }
-            }
-            let dn =
-                DnGraph::build_from_ticks(num_objects, horizon, |t| ticks[t as usize].as_slice());
+            let dn = DnGraph::from_contacts(num_objects, horizon, &self.contacts());
             let mr = MultiRes::build(&dn, &[]);
             *cache = Some(Arc::new((dn, mr)));
         }

@@ -35,14 +35,20 @@
 //! ## Cross-boundary queries
 //!
 //! Queries arrive through [`ReachIndex`] and are admitted against the live
-//! horizon `now`. A window inside one shard is that shard's own point
-//! query (BM-BFS). A
-//! window spanning cuts walks the shards in time order
+//! horizon `now`. Every Reach query is one walk from one source to a
+//! cohort of destinations: `answer_batch` passes its cohort, and a point
+//! query (`evaluate`, `answer`) is a cohort of one. A destination equal to
+//! the source needs no walk. A lone other destination whose window lies
+//! inside one shard is that shard's own point query (BM-BFS). Otherwise
+//! the walk crosses the shards in time order
 //! carrying a [`FrontierHandoff`]: the per-object earliest-arrival
 //! frontier leaves shard *i* at its cut and seeds shard *i+1*'s
 //! multi-seed expansion ([`reachable_set_seeded`](reach_graph::reachable_set_seeded)),
-//! each object re-entering at `max(arrival, epoch start)`; past the
-//! watermark the delta continues exact propagation from the frontier.
+//! each object re-entering at `max(arrival, epoch start)`. It stops after
+//! the first leg at whose end every requested destination has arrived:
+//! arrivals are chronological across legs, so later legs cannot move
+//! them. Past the watermark, for destinations still missing, one delta
+//! propagation continues exact from the frontier.
 //! Holding persists across a cut by the paper's item model, and a contact
 //! run split at a cut relaxes identically on both sides (the left
 //! fragment ends at the clipped window end; the right fragment relaxes at
@@ -107,15 +113,17 @@
 //! 3. swap the in-memory shard set and trim the delta (infallible).
 //!
 //! A crash before phase 2 leaves the previous generation (the new base is
-//! an unreferenced orphan, truncated on reuse); a crash after phase 2
-//! recovers the new generation. There is no state in between. The engine
-//! carries no fault hook to show it: `tests/failure_injection.rs` copies an
-//! index's files before and after a rebuild, assembles on disk the files a
-//! crash before, in the middle of (a torn record) and after the directory
-//! write would leave, and reopens each. Superseded shard devices are
-//! removed, and their caches dropped, after the commit.
+//! an unreferenced orphan); a crash after phase 2 recovers the new
+//! generation. There is no state in between. The engine carries no fault
+//! hook to show it: `tests/failure_injection.rs` copies an index's files
+//! before and after a rebuild, assembles on disk the files a crash before,
+//! in the middle of (a torn record) and after the directory write would
+//! leave, and reopens each. Superseded shard devices are removed, and their
+//! caches dropped, after the commit; recovery removes every
+//! `shard-base-{seq}` the recovered generation does not name, and every
+//! `shard-scratch-{seq}`, so a crash leaks no device.
 
-use crate::base::{batch_answers, build_base, decay_delta_leg, lock_stats, outcome_of, Tail};
+use crate::base::{build_base, decay_delta_leg, lock_stats, Tail};
 use crate::config::{
     AppendOutcome, CompactionStats, LiveConfig, LiveError, LiveMetrics, LiveStats, SourceReport,
 };
@@ -268,6 +276,20 @@ impl ShardedLive {
             let hub = DeviceDirectory::hub(device, config.shared_cache_pages, config.readahead);
             let base = ReachGraph::open(Box::new(hub))?;
             shards.push(Arc::new(Shard { lo, hi, seq, base }));
+        }
+        // A crash can leave shard devices no record names: a base built
+        // but never committed, bases a commit superseded but had not yet
+        // removed, and rebuild scratch. None can ever be served again.
+        let named: Vec<String> = records
+            .shards
+            .iter()
+            .map(|s| format!("shard-base-{}", s.2))
+            .collect();
+        for name in directory.names()? {
+            let orphan = name.starts_with("shard-base-") && !named.contains(&name);
+            if orphan || name.starts_with("shard-scratch-") {
+                let _ = directory.remove(&name);
+            }
         }
         let next_seq = records.shards.iter().map(|s| s.2 + 1).max().unwrap_or(0);
         let top_cut = shards.last().map_or(0, |s| s.hi);
@@ -729,66 +751,101 @@ impl ShardedLive {
         }
     }
 
-    /// Evaluates a time-respecting reachability query over the full live
-    /// horizon `[0, now)`: one shard's point query, or the cross-shard
-    /// frontier relay finished by the delta (see the module docs). Every
-    /// sealed-epoch leg records a `shard/leg` span on `trace` carrying its
-    /// handoff seed count and the leg's counted IO, and the delta tail
-    /// records a `shard/delta` span. Leg spans partition the query's
-    /// `QueryStats` exactly (each span observes the same per-leg stats the
-    /// walk merges), so summing span IO reproduces the answer's totals.
-    fn reach(&self, q: &Query, trace: &Tracer) -> Result<QueryResult, IndexError> {
+    /// The one Reach walk: answers `source ~window~> d` for every `d` in
+    /// `dests` over the live horizon `[0, now)`, one answer per
+    /// destination in order; a point query is a cohort of one. Admission
+    /// checks the source, each destination, then the window (`[]` for no
+    /// destinations). A destination equal to the source arrives at `t1`
+    /// for free. A lone other destination whose window lies inside one
+    /// sealed epoch is that shard's own point query (BM-BFS); otherwise
+    /// the cross-shard relay runs until every pending destination has
+    /// arrived, and the delta finishes the walk for those still missing
+    /// (see the module docs). Every sealed leg records a `shard/leg` span
+    /// on `trace` carrying its seed count and counted IO, and the delta a
+    /// `shard/delta` span, so span IO sums to the answers' totals. The
+    /// walk's IO and CPU time ride on the first answer.
+    fn walk(
+        &self,
+        source: ObjectId,
+        window: TimeInterval,
+        dests: &[ObjectId],
+        trace: &Tracer,
+    ) -> Result<Vec<Answer>, IndexError> {
         let started = Instant::now();
+        for &o in std::iter::once(&source).chain(dests) {
+            admit_object(o, self.num_objects)?;
+        }
+        if dests.is_empty() {
+            return Ok(Vec::new());
+        }
         let st = self.read();
-        let window = q.admit(self.num_objects, st.tail.delta.now())?;
+        let window = admit_window(window, st.tail.delta.now())?;
         let (t1, t2) = (window.start, window.end);
-        let mut result = if q.source == q.dest {
-            QueryResult {
-                outcome: QueryOutcome::reachable_at(t1),
-                stats: QueryStats::default(),
+        let pending: Vec<ObjectId> = dests.iter().copied().filter(|&d| d != source).collect();
+        let mut outcomes = vec![QueryOutcome::reachable_at(t1); dests.len()];
+        let mut settle = |outcome_of: &dyn Fn(ObjectId) -> QueryOutcome| {
+            for (slot, &d) in outcomes.iter_mut().zip(dests) {
+                if d != source {
+                    *slot = outcome_of(d);
+                }
             }
-        } else if let Some(shard) = st.shards.iter().find(|s| s.lo <= t1 && t2 < s.hi) {
+        };
+        let mut stats = QueryStats::default();
+        let inside = st.shards.iter().find(|s| s.lo <= t1 && t2 < s.hi);
+        if let ([dest], Some(shard)) = (&pending[..], inside) {
             // Wholly inside one sealed epoch: the shard's own point query
             // (BM-BFS) answers alone.
             let mut leg_span = trace.span("shard/leg");
             leg_span.label_with(|| format!("epoch [{}, {})", shard.lo, shard.hi));
             leg_span.set_seeds(1);
-            let result = shard.base.evaluate(q)?;
+            let result = shard.base.evaluate(&Query::new(source, *dest, window))?;
             attribute_stats(&mut leg_span, &result.stats);
-            result
-        } else {
+            stats = result.stats;
+            settle(&|_| result.outcome);
+        } else if !pending.is_empty() {
             let w = st.tail.delta.watermark();
-            let mut frontier = FrontierHandoff::seeded(q.source, t1);
-            let stats = relay(&st.shards, &mut frontier, t1, t2, Some(q.dest), trace)?;
-            let outcome = match frontier.arrival_of(q.dest) {
-                Some(ea) => QueryOutcome::reachable_at(ea),
-                None if t2 >= w => {
-                    // The in-memory delta counts no device IO: its span
-                    // carries the handoff seed count and timing only.
-                    let mut delta_span = trace.span("shard/delta");
-                    delta_span.label_with(|| format!("delta [{w}, {t2}]"));
-                    delta_span.set_seeds(frontier.seeds().len() as u64);
-                    let when = st.tail.delta.propagate(
-                        self.num_objects,
-                        frontier.seeds(),
-                        t2,
-                        Some(q.dest),
-                    );
-                    outcome_of(when[q.dest.index()])
-                }
-                None => outcome_of(None),
-            };
-            QueryResult { outcome, stats }
-        };
+            let mut frontier = FrontierHandoff::seeded(source, t1);
+            stats = relay(&st.shards, &mut frontier, t1, t2, &pending, trace)?;
+            let missing = pending.iter().any(|&d| frontier.arrival_of(d).is_none());
+            let when = (missing && t2 >= w).then(|| {
+                // The in-memory delta counts no device IO: its span
+                // carries the handoff seed count and timing only.
+                let mut delta_span = trace.span("shard/delta");
+                delta_span.label_with(|| format!("delta [{w}, {t2}]"));
+                delta_span.set_seeds(frontier.seeds().len() as u64);
+                let stop_at = match pending[..] {
+                    [d] => Some(d),
+                    _ => None,
+                };
+                st.tail
+                    .delta
+                    .propagate(self.num_objects, frontier.seeds(), t2, stop_at)
+            });
+            // Sealed arrivals win: they all precede the watermark.
+            settle(
+                &|d| match frontier.arrival_of(d).or_else(|| when.as_ref()?[d.index()]) {
+                    Some(t) => QueryOutcome::reachable_at(t),
+                    None => QueryOutcome::UNREACHABLE,
+                },
+            );
+        }
         drop(st);
-        result.stats.cpu = started.elapsed();
-        self.note_answered([&result.stats]);
-        Ok(result)
+        stats.cpu = started.elapsed();
+        let answers: Vec<Answer> = outcomes
+            .into_iter()
+            .enumerate()
+            .map(|(i, outcome)| {
+                let stats = if i == 0 { stats } else { QueryStats::default() };
+                Answer::from(QueryResult { outcome, stats })
+            })
+            .collect();
+        self.note_answered(answers.iter().map(|a| &a.stats));
+        Ok(answers)
     }
 
     /// Composes the decay-weighted frontier of `q.source` across the shard
     /// sequence and the delta — the weighted sibling of the boolean relay
-    /// in [`ShardedLive::reach`] — after admitting `q` (so `q.dest` must be
+    /// in [`ShardedLive::walk`] — after admitting `q` (so `q.dest` must be
     /// known too). The epoch covering `t1` seeds
     /// the source at face value; every later leg continues from the
     /// previous leg's carry groups, which preserve run-chain transfers up
@@ -856,55 +913,6 @@ impl ShardedLive {
         }
         Ok((frontier, stats))
     }
-
-    /// Evaluates many same-source queries through **one** cross-shard walk
-    /// and at most one delta propagation (the serving path's batching
-    /// optimization): every destination's verdict is read out of the
-    /// shared arrival array. Reachability verdicts are identical to
-    /// evaluating each query alone (earliest arrivals can be *more*
-    /// precise: the expansion always carries arrival times, while some
-    /// sealed bases answer point queries without one). The walk's IO is
-    /// attributed to the *first* answer — subsequent answers in the batch
-    /// cost no additional IO, which is the point. Each sealed leg records a
-    /// `shard/leg` span on `trace`, so the spans sum to the batch's IO.
-    fn reach_batch(
-        &self,
-        source: ObjectId,
-        window: TimeInterval,
-        dests: &[ObjectId],
-        trace: &Tracer,
-    ) -> Result<Vec<Answer>, IndexError> {
-        let started = Instant::now();
-        for &o in std::iter::once(&source).chain(dests) {
-            admit_object(o, self.num_objects)?;
-        }
-        if dests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let st = self.read();
-        let window = admit_window(window, st.tail.delta.now())?;
-        let (t1, t2) = (window.start, window.end);
-        let mut frontier = FrontierHandoff::seeded(source, t1);
-        let mut stats = relay(&st.shards, &mut frontier, t1, t2, None, trace)?;
-        let mut when = if t2 >= st.tail.delta.watermark() {
-            st.tail
-                .delta
-                .propagate(self.num_objects, frontier.seeds(), t2, None)
-        } else {
-            vec![None; self.num_objects]
-        };
-        // Sealed arrivals win: propagation seeds at the frontier times, but
-        // keep the exact sealed earliest for objects reached below the cut.
-        for &(o, ea) in frontier.seeds() {
-            let slot = &mut when[o.index()];
-            *slot = Some(slot.map_or(ea, |t: Time| t.min(ea)));
-        }
-        drop(st);
-        stats.cpu = started.elapsed();
-        let answers = batch_answers(source, t1, &when, dests, stats);
-        self.note_answered(answers.iter().map(|a| &a.stats));
-        Ok(answers)
-    }
 }
 
 /// The shards `[t1, t2]` overlaps, in time order, each paired with the
@@ -919,15 +927,15 @@ fn legs(shards: &[Arc<Shard>], t1: Time, t2: Time) -> impl Iterator<Item = (&Sha
 
 /// The cross-shard relay: expands `frontier` through every shard
 /// `[t1, t2]` overlaps, one traced `shard/leg` per shard, and returns the
-/// legs' summed stats. Stops early once `stop_at` is on the frontier:
-/// arrivals are chronological across the walk, so the first epoch that
-/// reaches it holds its earliest arrival.
+/// legs' summed stats. Stops after the first leg at whose end every
+/// `pending` destination is on the frontier: arrivals are chronological
+/// across the walk, so later legs cannot move them.
 fn relay(
     shards: &[Arc<Shard>],
     frontier: &mut FrontierHandoff,
     t1: Time,
     t2: Time,
-    stop_at: Option<ObjectId>,
+    pending: &[ObjectId],
     trace: &Tracer,
 ) -> Result<QueryStats, IndexError> {
     let mut stats = QueryStats::default();
@@ -940,7 +948,7 @@ fn relay(
         leg_span.finish();
         stats = stats.merged(&s);
         frontier.absorb(&leg, span.end);
-        if stop_at.is_some_and(|d| frontier.arrival_of(d).is_some()) {
+        if pending.iter().all(|&d| frontier.arrival_of(d).is_some()) {
             break;
         }
     }
@@ -961,7 +969,11 @@ impl ReachIndex for ShardedLive {
         let mut dispatch = request.trace.span("index/dispatch");
         dispatch.label_with(|| format!("{} {}", self.name(), request.trace_label()));
         let answer = match request.kind {
-            QueryKind::Reach => return self.reach(q, &request.trace).map(Answer::from),
+            QueryKind::Reach => {
+                return Ok(self
+                    .walk(q.source, q.interval, &[q.dest], &request.trace)?
+                    .remove(0))
+            }
             QueryKind::Decay { theta, model } => {
                 let (frontier, mut stats) =
                     self.decay_frontier(&self.read(), q, &model, theta, &request.trace)?;
@@ -1027,13 +1039,19 @@ impl ReachIndex for ShardedLive {
         Ok(answer)
     }
 
-    fn evaluate(&self, query: &Query) -> Result<QueryResult, IndexError> {
-        self.reach(query, &Tracer::off())
+    fn evaluate(&self, q: &Query) -> Result<QueryResult, IndexError> {
+        let a = self
+            .walk(q.source, q.interval, &[q.dest], &Tracer::off())?
+            .remove(0);
+        Ok(QueryResult {
+            outcome: a.outcome,
+            stats: a.stats,
+        })
     }
 
-    /// `Reach` cohorts take one cross-shard walk and at most one delta
-    /// propagation, traced on the template's tracer; the walk's IO lands
-    /// on the first answer. Other kinds answer per destination.
+    /// `Reach` cohorts take the one cross-shard walk, traced on the
+    /// template's tracer; its IO lands on the first answer. Other kinds
+    /// answer per destination.
     fn answer_batch(
         &self,
         template: &ReachRequest,
@@ -1041,7 +1059,7 @@ impl ReachIndex for ShardedLive {
     ) -> Result<Vec<Answer>, IndexError> {
         let q = &template.query;
         if template.kind == QueryKind::Reach {
-            return self.reach_batch(q.source, q.interval, dests, &template.trace);
+            return self.walk(q.source, q.interval, dests, &template.trace);
         }
         dests
             .iter()

@@ -104,6 +104,30 @@ impl DeviceDirectory {
         Ok(())
     }
 
+    /// The names of the devices the directory holds, in no particular
+    /// order: every `<name>.pages` file under a `file` root (none before
+    /// the root exists), and none on the simulator, which keeps nothing.
+    /// Recovery lists them to remove the devices no record names.
+    pub fn names(&self) -> Result<Vec<String>, IndexError> {
+        let StorageBackend::File(root) = &self.storage.backend else {
+            return Ok(Vec::new());
+        };
+        let entries = match std::fs::read_dir(root) {
+            Ok(entries) => entries,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) => return Err(IndexError::io("list device directory", &e)),
+        };
+        let mut names = Vec::new();
+        for entry in entries {
+            let entry = entry.map_err(|e| IndexError::io("list device directory", &e))?;
+            let file = entry.file_name();
+            if let Some(name) = file.to_str().and_then(|f| f.strip_suffix(".pages")) {
+                names.push(name.to_owned());
+            }
+        }
+        Ok(names)
+    }
+
     /// Wraps a device into the multi-handle [`SharedDevice`] hub a sealed
     /// shard serves queries through, attaching a per-shard [`PageCache`]
     /// with `readahead` when `cache_pages > 0` (0 keeps the paper's
@@ -170,6 +194,26 @@ mod tests {
         d.remove("shard-base-3").expect("removes");
         assert!(!root.join("shard-base-3.pages").is_file());
         d.remove("shard-base-3").expect("idempotent");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn names_list_the_devices_a_directory_holds() {
+        let sim = DeviceDirectory::sim(128);
+        sim.create("anything").expect("sim device");
+        assert!(sim.names().expect("sim lists").is_empty());
+        let root = scratch_root("names");
+        let d = DeviceDirectory::file(&root, 128);
+        assert!(d.names().expect("a missing root lists").is_empty());
+        for name in ["shard-log", "shard-base-0"] {
+            d.create(name).expect("creates");
+        }
+        std::fs::write(root.join("notes.txt"), b"not a device").expect("writes");
+        let mut names = d.names().expect("lists");
+        names.sort();
+        assert_eq!(names, ["shard-base-0", "shard-log"]);
+        d.remove("shard-base-0").expect("removes");
+        assert_eq!(d.names().expect("lists"), ["shard-log"]);
         let _ = std::fs::remove_dir_all(&root);
     }
 

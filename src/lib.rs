@@ -315,9 +315,9 @@
 //!     .map(|_| {
 //!         let shared = Arc::clone(&shared);
 //!         std::thread::spawn(move || {
-//!             let a = shared
-//!                 .query(ObjectId(0), TimeInterval::new(0, 1), ObjectId(3))
-//!                 .expect("query evaluates");
+//!             let window = TimeInterval::new(0, 1);
+//!             let request = ReachRequest::reach(ObjectId(0), window, ObjectId(3));
+//!             let a = shared.answer(&request).expect("query evaluates");
 //!             assert!(a.reachable());
 //!         })
 //!     })

@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{check_all_pairs, cleanup, graph_params, manual, sharded_on, PAGE};
+use common::{base_files, check_all_pairs, cleanup, graph_params, manual, sharded_on, PAGE};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use streach::prelude::*;
@@ -389,6 +389,42 @@ fn merge_crashes_recover_to_pre_or_post_commit_shard_sets() {
             recovered.merge_epochs(0, 1).expect("post-recovery merge");
         }
         assert_eq!(recovered.shard_spans(), vec![(0, 20)], "{tag}: coalesced");
+        check_all_pairs(&recovered, &tag);
+        cleanup(recovered, Some(state));
+    }
+}
+
+/// Recovery removes every shard device a crash left behind: a base the
+/// recovered generation does not name (the new base of a crash before the
+/// record, or the superseded bases of a crash after it) and rebuild
+/// scratch. Compacting the reopened `after` state then leaves one base.
+#[test]
+fn recovery_removes_shard_devices_no_record_names() {
+    let (live, dir) = sharded_rig();
+    for c in shard_contacts() {
+        live.append(c).expect("append accepted");
+    }
+    live.seal(10).expect("first seal");
+    live.seal(20).expect("second seal");
+    let states = crash_states(&dir, || {
+        live.merge_epochs(0, 1).expect("merge").expect("merges");
+    });
+    cleanup(live, Some(dir));
+    for (point, state) in states {
+        let tag = format!("merge crash {point} the directory record");
+        std::fs::write(state.join("shard-scratch-9.pages"), [0u8; PAGE]).expect("scratch writes");
+        let (recovered, _) = reopen_sharded(&state);
+        assert_eq!(
+            base_files(&state),
+            recovered.shard_count(),
+            "{tag}: one base per recovered shard"
+        );
+        assert!(
+            !state.join("shard-scratch-9.pages").exists(),
+            "{tag}: rebuild scratch removed"
+        );
+        recovered.compact().expect("post-recovery compaction");
+        assert_eq!(base_files(&state), 1, "{tag}: compaction leaves one base");
         check_all_pairs(&recovered, &tag);
         cleanup(recovered, Some(state));
     }

@@ -17,6 +17,8 @@ use common::{
     BACKENDS, PAGE,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use streach::prelude::*;
 
@@ -306,6 +308,130 @@ fn merging_epochs_down_to_one_preserves_every_answer() {
         }
         cleanup(live, dir);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Cohorts: a point query is a cohort of one.
+// ---------------------------------------------------------------------------
+
+/// A seeded schedule: a roughly time-ordered append stream over `n`
+/// objects, sealed at the current record's start about one record in
+/// eight, with an adjacent merge about one record in twenty.
+fn seal_merge_schedule(seed: u64, n: u32) -> Vec<Op> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut ops = Vec::new();
+    for c in stream(seed, n, HORIZON, 90, 1) {
+        let (start, end) = (c.interval.start, c.interval.end);
+        ops.push(Op::Append {
+            a: c.a.0,
+            b: c.b.0,
+            start,
+            len: end - start,
+        });
+        if rng.gen_bool(0.125) {
+            ops.push(Op::Seal { cut: start });
+        }
+        if rng.gen_bool(0.05) {
+            ops.push(Op::Merge {
+                at: rng.gen_range(0..8usize),
+            });
+        }
+    }
+    ops
+}
+
+/// Checks every source's cohorts against its point answers over windows
+/// from each shard's start (and the watermark) to the last tick:
+/// one-destination cohorts equal the point answer in outcome and counted
+/// IO; the all-object cohort agrees on every verdict and on arrivals both
+/// sides know; and a cohort of the destinations that arrive inside the
+/// window's first sealed leg walks that leg alone. Returns how many such
+/// one-leg cohorts it checked.
+fn check_cohorts(live: &ShardedLive, tag: &str) -> usize {
+    let n = live.num_objects() as u32;
+    let last = live.now() - 1;
+    let spans = live.shard_spans();
+    let starts = spans
+        .iter()
+        .map(|s| s.0)
+        .chain([live.watermark().min(last)]);
+    let dests: Vec<ObjectId> = (0..n).map(ObjectId).collect();
+    let obs = Obs::new(ObsConfig::default());
+    let mut one_leg = 0;
+    for t1 in starts {
+        let window = TimeInterval::new(t1, last);
+        for source in dests.iter().copied() {
+            let at = format!("{tag}: o{} over {window}", source.0);
+            let template = ReachRequest::reach(source, window, source);
+            let point: Vec<Answer> = dests
+                .iter()
+                .map(|&d| {
+                    let request = ReachRequest::reach(source, window, d);
+                    live.answer(&request).expect("point query")
+                })
+                .collect();
+            let cost = |a: &Answer| {
+                let s = &a.stats;
+                (a.outcome, s.random_ios, s.seq_ios, s.visited)
+            };
+            for (&d, p) in dests.iter().zip(&point) {
+                let alone = live.answer_batch(&template, &[d]).expect("cohort of one");
+                assert_eq!(alone.len(), 1, "{at}");
+                assert_eq!(cost(&alone[0]), cost(p), "{at}: cohort of o{} alone", d.0);
+            }
+            let cohort = live.answer_batch(&template, &dests).expect("cohort");
+            for ((&d, p), c) in dests.iter().zip(&point).zip(&cohort) {
+                assert_eq!(c.reachable(), p.reachable(), "{at}: o{} verdict", d.0);
+                if let (Some(ct), Some(pt)) = (c.outcome.earliest, p.outcome.earliest) {
+                    assert_eq!(ct, pt, "{at}: o{} arrival", d.0);
+                }
+            }
+            // The first sealed leg ends at its shard's `hi`; the window
+            // must reach past it for the early stop to show.
+            let Some(&(_, hi)) = spans.iter().find(|s| s.0 <= t1 && t1 < s.1) else {
+                continue;
+            };
+            let early: Vec<ObjectId> = dests
+                .iter()
+                .zip(&point)
+                .filter(|(&d, p)| d != source && p.outcome.earliest.is_some_and(|t| t < hi))
+                .map(|(&d, _)| d)
+                .collect();
+            if early.is_empty() || last < hi {
+                continue;
+            }
+            let tracer = obs.tracer();
+            live.answer_batch(&template.clone().with_trace(tracer.clone()), &early)
+                .expect("early cohort");
+            let legs = tracer
+                .take_events()
+                .iter()
+                .filter(|e| e.name == "shard/leg")
+                .count();
+            assert_eq!(legs, 1, "{at}: {early:?} all arrive in the first leg");
+            one_leg += 1;
+        }
+    }
+    one_leg
+}
+
+/// `answer_batch` is the point walk for many destinations: over random
+/// seal/merge schedules on both backends, a cohort of one costs exactly
+/// its point query, a full cohort answers as its point queries do, and a
+/// cohort stops after the first leg once all its destinations arrived.
+#[test]
+fn cohorts_answer_as_their_point_queries() {
+    let mut one_leg = 0;
+    for backend in BACKENDS {
+        for seed in 0..4u64 {
+            let (live, dir) = sharded_on(backend, manual(), 6);
+            drive(&live, &seal_merge_schedule(0xC0_4027 + seed, 6), backend);
+            let tag = format!("{backend} seed {seed} shards {:?}", live.shard_spans());
+            one_leg += check_cohorts(&live, &tag);
+            cleanup(live, dir);
+        }
+    }
+    assert!(one_leg > 0, "no cohort arrived inside its first leg");
 }
 
 // ---------------------------------------------------------------------------
