@@ -5,12 +5,12 @@
 //! 1. the *timeline region* — per object, its `(start_tick, node)` runs as
 //!    fixed 8-byte entries (our substitute for the paper's per-tick `Ht`
 //!    hash tables; same role: locating the vertex of `o_i(t)`);
-//! 2. the *partition region* — one page-aligned record per partition, in
-//!    creation (topological) order; a partition record holds its vertices
-//!    (interval, members, DN1 edges both directions, long-edge bundles)
-//!    behind a slot table sorted by vertex id, each vertex's lists
-//!    delimited by fixed-width cumulative ends (layout in
-//!    [`crate::partition`](mod@crate::partition));
+//! 2. the *partition region* — one record per partition, in creation
+//!    (topological) order, each packed right after the previous one; a
+//!    partition record holds its vertices (interval, members, DN1 edges
+//!    both directions, long-edge bundles) behind a slot table sorted by
+//!    vertex id, each vertex's lists delimited by fixed-width cumulative
+//!    ends (layout in [`crate::partition`](mod@crate::partition));
 //! 3. the *metadata footer* (`reach_storage::meta`) — everything needed to
 //!    reconstruct the in-memory state (params, page table, record
 //!    directory), so an index built on a persistent backend can be dropped
@@ -143,7 +143,6 @@ impl ReachGraph {
             });
             let Some(mine) = placed else { break };
             mine?;
-            writer.align_to_page(disk)?;
             partition_ptrs.push(writer.append(disk, encoder.finish())?);
         }
         let parts = sweep.finish();
@@ -890,21 +889,18 @@ mod tests {
         let mut rg = ReachGraph::build(&dn, &mr, params(256)).unwrap();
         let lists = 3 + rg.params.levels.len();
         // A partition whose first vertex's first member lies on one page:
-        // records start a page, and record byte `p` sits 4 + p bytes (past
-        // the storage length prefix) into it.
+        // record byte `p` sits `ptr.offset + 4 + p` bytes (past the storage
+        // length prefix) into the record's first page.
         let (page, at, v) = (0..rg.num_partitions() as usize)
             .find_map(|pid| {
                 let ptr = rg.partition_ptrs[pid];
                 let bytes = read_record(&mut rg.device.cold_pager(0), ptr).unwrap();
                 let (v, body) = (u32_at(&bytes, 5), u32_at(&bytes, 9) as usize);
-                let member = 4 + body + 8 + lists * usize::from(bytes[4]);
+                let member = body + 8 + lists * usize::from(bytes[4]);
                 assert_eq!(u32_at(&bytes, body), dn.node(v).interval.start);
-                assert_eq!(u32_at(&bytes, member - 4), dn.node(v).members[0].0);
-                (member % 256 + 4 <= 256).then_some((
-                    ptr.page + (member / 256) as u64,
-                    member % 256,
-                    v,
-                ))
+                assert_eq!(u32_at(&bytes, member), dn.node(v).members[0].0);
+                let pos = ptr.offset as usize + 4 + member;
+                (pos % 256 + 4 <= 256).then_some((ptr.page + (pos / 256) as u64, pos % 256, v))
             })
             .expect("a first member on one page");
         let mut page_bytes = vec![0u8; 256];

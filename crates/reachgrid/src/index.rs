@@ -6,7 +6,8 @@
 //! 1. the object→cell *directory*: for every chunk, a fixed-width array of
 //!    `u32` cell ids giving each object's cell at the chunk's first tick
 //!    (the paper's external hash table mapping objects to trajectories);
-//! 2. the cell records of chunk 0, page-aligned, ascending cell id;
+//! 2. the cell records of chunk 0, ascending cell id, each packed right
+//!    after the previous cell (a cell may start mid-page and cross pages);
 //! 3. the cell records of chunk 1; … and so on.
 //!
 //! Cells of earlier chunks strictly precede later chunks (the paper's
@@ -136,11 +137,12 @@ impl ReachGrid {
                     &dir_page_buf,
                 )?;
             }
-            // Write the chunk's cells in ascending cell-id order, each
-            // page-aligned so its first access is one seek.
+            // Write the chunk's cells in ascending cell-id order, packed:
+            // a cell's fetch is one seek, then sequential pages, and the
+            // page it shares with its neighbour is a hit in the query's
+            // page buffer when both are read.
             let mut cells = Vec::with_capacity(staging.len());
             for (cell_id, data) in staging {
-                writer.align_to_page(disk)?;
                 let ptr = writer.append(disk, &data.encode())?;
                 cells.push((cell_id, ptr));
             }

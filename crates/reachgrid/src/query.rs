@@ -375,10 +375,15 @@ mod tests {
         );
     }
 
-    /// Overwrites the `u32` at byte `at` of `page` on the index's device.
+    /// Overwrites the `u32` that sits `at` bytes past the start of `page`
+    /// on the index's device; `at` may run past that page, since a record
+    /// need not start a page and may span several.
     fn patch(g: &mut ReachGrid, page: u64, at: usize, value: u32) {
         let dev = g.device_mut();
-        let mut buf = vec![0; dev.page_size()];
+        let size = dev.page_size();
+        let (page, at) = (page + (at / size) as u64, at % size);
+        assert!(at + 4 <= size, "the patched u32 lies on one page");
+        let mut buf = vec![0; size];
         dev.read_page_into(page, &mut buf).unwrap();
         buf[at..at + 4].copy_from_slice(&value.to_le_bytes());
         dev.write_page(page, &buf).unwrap();

@@ -6,7 +6,10 @@
 //! and every outcome below were recorded before the query loop moved to a
 //! flat per-chunk arena with frontier probes; any change to the cell-load
 //! order shows up here as an exact mismatch, not as drift within the
-//! `bench_diff` gate's tolerance.
+//! `bench_diff` gate's tolerance. Cell placement moves the random and
+//! sequential counts but not the outcomes or `VISITED`: those two counts
+//! were re-recorded when cell records stopped starting a fresh page and
+//! were packed back to back.
 
 use reach_core::{Environment, ReachIndex, Time};
 use reach_grid::{GridParams, ReachGrid};
@@ -24,8 +27,8 @@ const ARRIVALS: [Option<Time>; 48] = [
     Some(81), Some(45), None, Some(66), None, Some(163),
     Some(166), Some(105), None, Some(180), Some(43), Some(137),
 ];
-const RANDOM_IOS: u64 = 4109;
-const SEQ_IOS: u64 = 2674;
+const RANDOM_IOS: u64 = 3244;
+const SEQ_IOS: u64 = 2764;
 const VISITED: u64 = 4587;
 
 #[test]

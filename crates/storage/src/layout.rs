@@ -46,9 +46,9 @@ impl RecordPtr {
 ///
 /// Records are `[len: u32][payload…]`, written contiguously; a record whose
 /// tail does not fit the current page continues on the next allocated page.
-/// `align_to_page` starts the next record on a fresh page — used when a
-/// structure (e.g. a grid cell) must begin on a page boundary so its first
-/// access is a single random IO.
+/// Every record starts right where the previous one ended, so no page is
+/// padded; a reader that fetches records in write order finds the page
+/// they share already in its pager (see [`read_record_into`]).
 #[derive(Debug)]
 pub struct RecordWriter {
     first_page: PageId,
@@ -130,15 +130,6 @@ impl RecordWriter {
         Ok(())
     }
 
-    /// Starts the next record on a fresh page (no-op when already at a page
-    /// start).
-    pub fn align_to_page(&mut self, disk: &mut dyn BlockDevice) -> Result<(), IndexError> {
-        if !self.cur.is_empty() {
-            self.flush_page(disk, true)?;
-        }
-        Ok(())
-    }
-
     /// Flushes the trailing partial page and returns the total number of
     /// pages written.
     pub fn finish(mut self, disk: &mut dyn BlockDevice) -> Result<u64, IndexError> {
@@ -164,7 +155,10 @@ pub fn read_record(pager: &mut Pager, ptr: RecordPtr) -> Result<Vec<u8>, IndexEr
 /// its bytes — length-prefix bytes and payload bytes alike — are consumed in
 /// that single visit. That preserves the device's accounting contract (one
 /// counted read per page touched) even without a page cache, while copying
-/// each byte only once, straight from the page into `out`. A length larger
+/// each byte only once, straight from the page into `out`. A record that
+/// starts on the page where the previously read one ended finds that page in
+/// the pager (its cache or, without one, its one-page read buffer) and is
+/// charged a cache hit for it, not a second device read. A length larger
 /// than the whole device is [`IndexError::Corrupt`], reported before `out`
 /// grows or takes a byte of the payload.
 pub fn read_record_into(
@@ -277,19 +271,36 @@ mod tests {
     }
 
     #[test]
-    fn align_to_page_starts_fresh_page() {
-        let mut disk = SimDevice::new(64);
+    fn append_packs_each_record_where_the_previous_one_ended() {
+        const PAGE: usize = 64;
+        let mut disk = SimDevice::new(PAGE);
         let mut w = RecordWriter::new(&mut disk).unwrap();
-        w.append(&mut disk, b"x").unwrap();
-        w.align_to_page(&mut disk).unwrap();
-        let p = w.tell();
-        assert_eq!(p.offset, 0);
-        let ptr = w.append(&mut disk, b"page-aligned").unwrap();
-        assert_eq!(ptr.offset, 0);
+        let first = w.first_page();
+        let at = |page: u64, offset: u32| RecordPtr {
+            page: first + page,
+            offset,
+        };
+        // (payload length, where the record lands)
+        let schedule = [
+            (1, at(0, 0)),    // 5 B on an empty page
+            (40, at(0, 5)),   // 44 B still fit page 0
+            (30, at(0, 49)),  // 34 B cross into page 1
+            (100, at(1, 19)), // 104 B run on to page 2
+            (1, at(2, 59)),   // 5 B fill page 2 exactly, so the next
+            (0, at(2, 64)),   // pointer sits at its end: read from page 3
+        ];
+        let mut written = Vec::new();
+        for (i, &(len, expect)) in schedule.iter().enumerate() {
+            let payload = vec![i as u8 + 1; len];
+            let ptr = w.append(&mut disk, &payload).unwrap();
+            assert_eq!(ptr, expect, "record {i} ({len} B)");
+            written.push((ptr, payload));
+        }
         w.finish(&mut disk).unwrap();
-        disk.reset_stats();
-        let mut pager = Pager::new(Box::new(disk), 4);
-        assert_eq!(read_record(&mut pager, ptr).unwrap(), b"page-aligned");
+        let mut pager = Pager::new(Box::new(disk), 0);
+        for (ptr, payload) in &written {
+            assert_eq!(&read_record(&mut pager, *ptr).unwrap(), payload);
+        }
     }
 
     #[test]
@@ -327,7 +338,6 @@ mod tests {
         let mut disk = SimDevice::new(64);
         let mut w = RecordWriter::new(&mut disk).unwrap();
         let one_page = w.append(&mut disk, b"fits in one page").unwrap();
-        w.align_to_page(&mut disk).unwrap();
         let spanning = w.append(&mut disk, &[7u8; 150]).unwrap();
         w.finish(&mut disk).unwrap();
         disk.reset_stats();
@@ -346,8 +356,29 @@ mod tests {
         pager.device_mut().reset_stats();
         assert_eq!(read_record(&mut pager, spanning).unwrap(), [7u8; 150]);
         let s = pager.stats();
-        // 150 B + 4 B prefix over 64 B pages = 3 pages: 1 random + 2 seq.
+        // 150 B + 4 B prefix over 64 B pages = 3 pages, the first shared
+        // with the record before: 1 random + 2 seq (borrowing the device
+        // to reset its counters dropped the held page).
         assert_eq!((s.random_reads, s.seq_reads, s.cache_hits), (1, 2, 0));
+    }
+
+    #[test]
+    fn a_record_on_the_page_just_read_is_a_buffer_hit_without_a_pool() {
+        let mut disk = SimDevice::new(64);
+        let mut w = RecordWriter::new(&mut disk).unwrap();
+        let head = w.append(&mut disk, &[1u8; 70]).unwrap();
+        // Starts on the page where `head` ends and spans two pages.
+        let next = w.append(&mut disk, &[2u8; 100]).unwrap();
+        assert_eq!((next.page, next.offset), (head.page + 1, 10));
+        w.finish(&mut disk).unwrap();
+        disk.reset_stats();
+
+        let mut pager = Pager::new(Box::new(disk), 0);
+        assert_eq!(read_record(&mut pager, head).unwrap(), [1u8; 70]);
+        assert_eq!(read_record(&mut pager, next).unwrap(), [2u8; 100]);
+        let s = pager.stats();
+        // Pages 0, 1 for `head`; page 1 again from the buffer, then 2.
+        assert_eq!((s.random_reads, s.seq_reads, s.cache_hits), (1, 2, 1));
     }
 
     #[test]

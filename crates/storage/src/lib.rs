@@ -23,7 +23,8 @@
 //!   it owns a private one-shard [`PageCache`] (the paper's per-query
 //!   buffer) or attaches to its device hub's, and owns its device as
 //!   `Box<dyn BlockDevice>` (see [`pager`] for why erasure beats
-//!   genericity here);
+//!   genericity here); without a cache it still serves a repeat read of
+//!   the page it has just read from its one-page read buffer;
 //! * [`PageCache`] — the LRU page cache; sharded and concurrency-safe, a
 //!   [`SharedDevice`] hub can carry one to pool residency across queries
 //!   and serving threads, with readahead prefetch (see [`cache`]); off by
@@ -31,8 +32,8 @@
 //! * [`ByteWriter`] / [`ByteReader`] — the checked binary codec for on-page
 //!   records;
 //! * [`RecordWriter`] / [`read_record`] / [`read_record_into`] —
-//!   variable-length records spanning pages, with page-aligned placement
-//!   control; `read_record_into` refills a caller's buffer;
+//!   variable-length records packed back to back across pages;
+//!   `read_record_into` refills a caller's buffer;
 //! * [`SpillPool`] — the spillable decoded-segment buffer behind
 //!   memory-bounded ([`BuildBudget`]) index construction, with spill IO
 //!   accounted separately from index IO;

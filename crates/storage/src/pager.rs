@@ -15,12 +15,23 @@
 //! one-shard cache of that many pages — the paper's per-query buffer, in
 //! global LRU order; every measured query opens a fresh pager
 //! ([`SharedDevice::cold_pager`](crate::SharedDevice::cold_pager)), so it
-//! starts cold — and zero gives it none, so every read goes to the
-//! device. Hits, misses, prefetch marks and write-through take the same
-//! path either way, and accounting stays exact: a hit is charged to *this*
-//! pager's device handle as a cache hit ([`IoStats::cache_hits`]), never as
-//! a read, and the sequential/random classification of the misses that do
-//! reach the device is untouched.
+//! starts cold — and zero gives it none. Hits, misses, prefetch marks and
+//! write-through take the same path either way, and accounting stays
+//! exact: a hit is charged to *this* pager's device handle as a cache hit
+//! ([`IoStats::cache_hits`]), never as a read, and the sequential/random
+//! classification of the misses that do reach the device is untouched.
+//!
+//! ## The one-page read buffer
+//!
+//! A pager without a cache still owns the buffer it reads each page into,
+//! and remembers which page that buffer holds. A repeat read of that same
+//! page is served from the buffer and charged as a cache hit, not as a
+//! second device read: a binary search whose probes land on one page
+//! ([`TimelineRegion::node_of`](crate::TimelineRegion::node_of)), or a
+//! record that starts on the page where the previous record ended, pays
+//! for the page once. Reading any other page replaces the buffer, and a
+//! [`Pager::write`] of the held page or a mutable borrow of the device
+//! forgets it. Pagers with a cache never use the buffer this way.
 //!
 //! ## Readahead
 //!
@@ -62,6 +73,11 @@ pub struct Pager {
     /// The buffer every cache miss and prefetch reads into: sized at the
     /// first device read, then reused, so a read allocates no page.
     page: Vec<u8>,
+    /// The page `page` holds, when the pager has no cache (see the
+    /// module docs on the one-page read buffer). Always `None` with a
+    /// cache, so the cached miss path and [`Pager::prefetch`], which only
+    /// reads with a cache, may overwrite `page` without clearing it.
+    held: Option<PageId>,
 }
 
 impl Pager {
@@ -77,6 +93,7 @@ impl Pager {
             device,
             cache,
             page: Vec::new(),
+            held: None,
         }
     }
 
@@ -86,7 +103,10 @@ impl Pager {
     }
 
     /// The underlying device (for construction-time allocation and writes).
+    /// The borrow may rewrite any page, so the pager forgets the page its
+    /// read buffer holds.
     pub fn device_mut(&mut self) -> &mut dyn BlockDevice {
+        self.held = None;
         self.device.as_mut()
     }
 
@@ -115,13 +135,26 @@ impl Pager {
     /// materializing an owned copy. On a cache hit the closure borrows the
     /// resident buffer directly; on a miss the page is read into the
     /// pager's own page buffer, inserted into the cache (if any), and
-    /// borrowed from there. IO accounting is identical to [`Pager::read`].
+    /// borrowed from there. Without a cache, a repeat read of the page that
+    /// buffer already holds is a hit on the buffer. IO accounting is
+    /// identical to [`Pager::read`].
     pub fn with_page<R>(
         &mut self,
         page: PageId,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R, IndexError> {
-        if let Some((bytes, was_prefetched)) = self.cache.as_ref().and_then(|c| c.lookup(page)) {
+        let Some(cache) = &self.cache else {
+            if self.held == Some(page) {
+                self.device.note_cache_hit();
+            } else {
+                self.held = None;
+                self.page.resize(self.device.page_size(), 0);
+                self.device.read_page_into(page, &mut self.page)?;
+                self.held = Some(page);
+            }
+            return Ok(f(&self.page));
+        };
+        if let Some((bytes, was_prefetched)) = cache.lookup(page) {
             self.device.note_cache_hit();
             if was_prefetched {
                 self.device.note_prefetch_hit();
@@ -130,9 +163,7 @@ impl Pager {
         }
         self.page.resize(self.device.page_size(), 0);
         self.device.read_page_into(page, &mut self.page)?;
-        if let Some(cache) = &self.cache {
-            cache.insert(page, &self.page);
-        }
+        cache.insert(page, &self.page);
         Ok(f(&self.page))
     }
 
@@ -174,6 +205,9 @@ impl Pager {
     /// place, so subsequent reads see the new bytes without a device
     /// round-trip. A write never populates the cache.
     pub fn write(&mut self, page: PageId, data: &[u8]) -> Result<(), IndexError> {
+        if self.held == Some(page) {
+            self.held = None;
+        }
         self.device.write_page(page, data)?;
         if let Some(cache) = &self.cache {
             // A SharedDevice hub already updated its cache inside
@@ -271,17 +305,40 @@ mod tests {
     }
 
     #[test]
-    fn with_page_works_with_zero_capacity_pool() {
+    fn zero_capacity_pager_rereads_all_but_the_page_it_holds() {
         let mut p = pager_with_pages(2, 0);
-        let first = p.with_page(0, |b| b[0]).unwrap();
-        assert_eq!(first, 0);
-        let second = p.with_page(1, |b| b[0]).unwrap();
-        assert_eq!(second, 1);
+        assert_eq!(p.with_page(0, |b| b[0]).unwrap(), 0);
         let again = p.with_page(0, |b| b[0]).unwrap();
-        assert_eq!(again, 0, "re-read from the device");
+        assert_eq!(again, 0, "served from the read buffer");
+        assert_eq!(p.with_page(1, |b| b[0]).unwrap(), 1);
+        let back = p.with_page(0, |b| b[0]).unwrap();
+        assert_eq!(back, 0, "re-read from the device");
         assert!(!p.is_cached(0), "zero capacity caches nothing");
-        assert_eq!(p.stats().total_reads(), 3);
-        assert_eq!(p.stats().cache_hits, 0);
+        let s = p.stats();
+        assert_eq!((s.random_reads, s.seq_reads, s.cache_hits), (2, 1, 1));
+    }
+
+    #[test]
+    fn a_write_to_the_held_page_forces_a_device_read() {
+        let mut p = pager_with_pages(2, 0);
+        p.read(0).unwrap();
+        p.write(1, &[8]).unwrap();
+        p.read(0).unwrap();
+        assert_eq!((p.stats().total_reads(), p.stats().cache_hits), (1, 1));
+        p.write(0, &[9, 9]).unwrap();
+        assert_eq!(p.read(0).unwrap()[0], 9, "the write is read back");
+        assert_eq!((p.stats().total_reads(), p.stats().cache_hits), (2, 1));
+    }
+
+    #[test]
+    fn a_cached_pager_rereads_an_invalidated_page() {
+        // The pager's read buffer still holds page 0, but only a pager
+        // without a cache serves from it.
+        let (mut p, cache) = shared_pager(2, 4, 0);
+        p.read(0).unwrap();
+        cache.invalidate_all();
+        p.read(0).unwrap();
+        assert_eq!((p.stats().total_reads(), p.stats().cache_hits), (2, 0));
     }
 
     #[test]

@@ -161,7 +161,10 @@ impl TimelineRegion {
 
     /// The node containing `o` at tick `t`: binary search over the object's
     /// on-device run entries. Each probe touches exactly one page and rides
-    /// the zero-copy [`Pager::with_page`] path.
+    /// the zero-copy [`Pager::with_page`] path; a probe of the page the
+    /// previous one read is a hit (on the cache, or on a cacheless pager's
+    /// one-page read buffer), so a lookup pays one device read for each
+    /// distinct page it probes, not one for each probe.
     pub fn node_of(&self, pager: &mut Pager, o: ObjectId, t: Time) -> Result<u32, IndexError> {
         let &(first, count) = self
             .index
@@ -209,6 +212,24 @@ mod tests {
         assert_eq!(region.node_of(&mut pager, ObjectId(0), 100).unwrap(), 12);
         assert_eq!(region.node_of(&mut pager, ObjectId(1), 2).unwrap(), 20);
         assert_eq!(region.node_of(&mut pager, ObjectId(1), 3).unwrap(), 21);
+    }
+
+    #[test]
+    fn a_lookup_within_one_page_charges_one_device_read() {
+        // 64 B pages hold 8 entries: o0 fills page 0, o1 spans pages 1-2.
+        let o0: Vec<(Time, u32)> = (0..8).map(|i| (i * 4, i)).collect();
+        let o1: Vec<(Time, u32)> = (0..12).map(|i| (i * 4, 100 + i)).collect();
+        let (region, mut pager) = region_with(&[&o0, &o1], 64, 0);
+        assert_eq!(region.node_of(&mut pager, ObjectId(0), 21).unwrap(), 5);
+        let s = pager.stats();
+        // Three probes and the final read, all on page 0.
+        assert_eq!((s.total_reads(), s.cache_hits), (1, 3));
+        pager.device_mut().reset_stats();
+        assert_eq!(region.node_of(&mut pager, ObjectId(1), 45).unwrap(), 111);
+        let s = pager.stats();
+        // Probes of o1's entries 6, 9, 10 and 11, then the final read of
+        // entry 11: page 1 once, page 2 four times.
+        assert_eq!((s.total_reads(), s.cache_hits), (2, 3));
     }
 
     #[test]

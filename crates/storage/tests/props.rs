@@ -9,18 +9,12 @@ use reach_storage::{read_record, BlockDevice, FileDevice, Pager, RecordWriter, S
 
 /// Writes `records` through a fresh `RecordWriter` on `disk`, returning the
 /// record pointers.
-fn write_records(
-    disk: &mut dyn BlockDevice,
-    records: &[(Vec<u8>, bool)],
-) -> Vec<reach_storage::RecordPtr> {
+fn write_records(disk: &mut dyn BlockDevice, records: &[Vec<u8>]) -> Vec<reach_storage::RecordPtr> {
     let mut w = RecordWriter::new(disk).unwrap();
-    let mut ptrs = Vec::new();
-    for (payload, align) in records {
-        if *align {
-            w.align_to_page(disk).unwrap();
-        }
-        ptrs.push(w.append(disk, payload).unwrap());
-    }
+    let ptrs = records
+        .iter()
+        .map(|payload| w.append(disk, payload).unwrap())
+        .collect();
     w.finish(disk).unwrap();
     disk.reset_stats();
     ptrs
@@ -31,20 +25,24 @@ proptest! {
 
     /// Any sequence of variable-length records written through the layout
     /// writer is recoverable byte-for-byte through the pager, regardless of
-    /// page size, cache size or page-alignment choices.
+    /// page size or cache size, and each record starts exactly where the
+    /// previous one ended: no byte of any page is padding.
     #[test]
     fn record_layout_roundtrips(
         page_size in prop::sample::select(vec![64usize, 128, 256, 4096]),
         cache in 0usize..16,
-        records in prop::collection::vec(
-            (prop::collection::vec(any::<u8>(), 0..600), prop::bool::ANY),
-            1..40
-        ),
+        records in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..600), 1..40),
     ) {
         let mut disk = SimDevice::new(page_size);
         let ptrs = write_records(&mut disk, &records);
+        let at = |p: &reach_storage::RecordPtr| {
+            (p.page - ptrs[0].page) as usize * page_size + p.offset as usize
+        };
+        for (pair, payload) in ptrs.windows(2).zip(&records) {
+            prop_assert_eq!(at(&pair[1]), at(&pair[0]) + 4 + payload.len());
+        }
         let mut pager = Pager::new(Box::new(disk), cache);
-        for (ptr, (payload, _)) in ptrs.iter().zip(&records) {
+        for (ptr, payload) in ptrs.iter().zip(&records) {
             prop_assert_eq!(&read_record(&mut pager, *ptr).unwrap(), payload);
         }
         // Read IO must be bounded by the number of pages touched per record.
@@ -127,10 +125,7 @@ proptest! {
     #[test]
     fn file_device_matches_sim_byte_for_byte(
         page_size in prop::sample::select(vec![64usize, 128, 256]),
-        records in prop::collection::vec(
-            (prop::collection::vec(any::<u8>(), 0..300), prop::bool::ANY),
-            1..20
-        ),
+        records in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..300), 1..20),
         case_tag in 0u64..u64::MAX,
     ) {
         let mut path = std::env::temp_dir();
@@ -163,7 +158,7 @@ proptest! {
         // Identical record reads with identical accounting.
         let mut sim_pager = Pager::new(Box::new(sim), 8);
         let mut file_pager = Pager::new(Box::new(reopened), 8);
-        for (ptr, (payload, _)) in sim_ptrs.iter().zip(&records) {
+        for (ptr, payload) in sim_ptrs.iter().zip(&records) {
             prop_assert_eq!(&read_record(&mut sim_pager, *ptr).unwrap(), payload);
             prop_assert_eq!(&read_record(&mut file_pager, *ptr).unwrap(), payload);
         }
